@@ -19,10 +19,10 @@
 //	top      render the daemon's operational snapshot (/api/v1/ops)
 //	fleet    render a coordinator's worker registry (/api/v1/nodes)
 //
-// Against a fleet coordinator every job command works unchanged — the
-// coordinator proxies status, results, artifacts, and event streams.
-// submit additionally honors -tenant (fair-share lane) and -nocache
-// (bypass the coordinator's content-addressed result cache).
+// Against a fleet coordinator every job command works unchanged — it is the
+// same job service, run over a fleet — and top adds the fleet and cache
+// summary. submit additionally honors -tenant (fair-share lane) and
+// -nocache (bypass the coordinator's content-addressed result cache).
 //
 // submit honors the daemon's backpressure: with -retry N, a 429 response
 // is retried up to N times after the server's Retry-After hint.
@@ -38,8 +38,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,11 +48,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"puffer/internal/client"
 	"puffer/internal/obs"
+	"puffer/internal/serve"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pufferctl [-addr URL] {submit|explore|status|watch|result|artifact|cancel|list|wait|session|top|fleet} ...")
 		os.Exit(2)
 	}
-	c := &client{base: strings.TrimSuffix(*addr, "/")}
+	c := &cli{Client: client.New(*addr, nil), ctx: context.Background()}
 	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "submit":
@@ -71,15 +72,15 @@ func main() {
 	case "explore":
 		err = c.explore(rest)
 	case "status":
-		err = c.getJSON(rest, "status <id>", "/api/v1/jobs/%s")
+		err = c.print(rest, "status <id>", http.MethodGet, "/api/v1/jobs/%s")
 	case "result":
-		err = c.getJSON(rest, "result <id>", "/api/v1/jobs/%s/result")
+		err = c.print(rest, "result <id>", http.MethodGet, "/api/v1/jobs/%s/result")
 	case "watch":
-		err = c.watch(rest)
+		err = c.watch(rest, "watch <id>", "/api/v1/jobs/%s/events")
 	case "artifact":
 		err = c.artifact(rest)
 	case "cancel":
-		err = c.cancel(rest)
+		err = c.print(rest, "cancel <id>", http.MethodPost, "/api/v1/jobs/%s/cancel")
 	case "list":
 		err = c.list()
 	case "wait":
@@ -106,60 +107,105 @@ func envOr(key, def string) string {
 	return def
 }
 
-type client struct{ base string }
-
-// checkStatus turns non-2xx responses into errors carrying the body.
-func checkStatus(resp *http.Response) error {
-	if resp.StatusCode/100 == 2 {
-		return nil
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	msg := strings.TrimSpace(string(body))
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		return fmt.Errorf("%s (Retry-After: %ss): %s", resp.Status, ra, msg)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, msg)
+// cli renders internal/client's calls for a terminal.
+type cli struct {
+	*client.Client
+	ctx context.Context
 }
 
-func (c *client) submit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	var (
-		kind     = fs.String("kind", "place", "job kind: place | explore")
-		profile  = fs.String("profile", "", "synthetic benchmark profile name")
-		scale    = fs.Int("scale", 800, "profile scale divisor")
-		seed     = fs.Int64("seed", 1, "random seed")
-		aux      = fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)")
-		iters    = fs.Int("iters", 0, "max global placement iterations (0 = default)")
-		workers  = fs.Int("workers", 0, "cap job parallelism (0 = GOMAXPROCS)")
-		route    = fs.Bool("route", false, "append the evaluation-routing stage")
-		strategy = fs.String("strategy", "", "JSON strategy file (cmd/explore -out format)")
-		budget   = fs.Int("budget", 0, "exploration trial budget (explore jobs)")
-		timeout  = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
-		watch    = fs.Bool("watch", false, "stream progress until the job finishes")
-		retry    = fs.Int("retry", 0, "retry a full queue up to N times, honoring Retry-After")
-		trace    = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
-		tenant   = fs.String("tenant", "", "tenant name for fleet fair-share scheduling (coordinator only)")
-		nocache  = fs.Bool("nocache", false, "force a full run even if the coordinator has a cached result")
-	)
-	fs.Parse(args)
+// designFlags are the flags every design-taking command shares; runFlags
+// the two more that submit and session open do.
+type designFlags struct {
+	profile, aux, strategy *string
+	scale, iters, workers  *int
+	seed                   *int64
+}
 
-	spec := map[string]any{"kind": *kind, "scale": *scale, "seed": *seed}
-	if *profile != "" {
-		spec["profile"] = *profile
+func addDesignFlags(fs *flag.FlagSet) designFlags {
+	return designFlags{
+		profile: fs.String("profile", "", "synthetic benchmark profile name"),
+		scale:   fs.Int("scale", 800, "profile scale divisor"),
+		seed:    fs.Int64("seed", 1, "random seed"),
+		aux:     fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)"),
+		iters:   fs.Int("iters", 0, "max global placement iterations (0 = default)"),
 	}
-	if *aux != "" {
-		files, err := inlineBookshelf(*aux)
+}
+
+func addRunFlags(fs *flag.FlagSet) designFlags {
+	f := addDesignFlags(fs)
+	f.workers = fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS)")
+	f.strategy = fs.String("strategy", "", "JSON strategy file (cmd/explore -out format)")
+	return f
+}
+
+// spec starts the submission document from the shared flags.
+func (f designFlags) spec() (map[string]any, error) {
+	spec := map[string]any{"scale": *f.scale, "seed": *f.seed}
+	if *f.profile != "" {
+		spec["profile"] = *f.profile
+	}
+	if *f.aux != "" {
+		files, err := inlineBookshelf(*f.aux)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		spec["bookshelf"] = files
 	}
-	if *iters > 0 {
-		spec["max_iters"] = *iters
+	if *f.iters > 0 {
+		spec["max_iters"] = *f.iters
 	}
-	if *workers > 0 {
-		spec["workers"] = *workers
+	if f.workers != nil && *f.workers > 0 {
+		spec["workers"] = *f.workers
 	}
+	if f.strategy != nil && *f.strategy != "" {
+		data, err := os.ReadFile(*f.strategy)
+		if err != nil {
+			return nil, err
+		}
+		spec["strategy"] = json.RawMessage(data)
+	}
+	return spec, nil
+}
+
+// post submits spec, announcing backpressure retries, and prints the
+// admission line ("job <id> <state>").
+func (c *cli) post(noun string, spec map[string]any, o client.SubmitOptions) (*serve.Manifest, error) {
+	o.OnRetry = func(attempt int, wait time.Duration) {
+		fmt.Fprintf(os.Stderr, "pufferctl: queue full; retry %d/%d in %s\n", attempt, o.Retries, wait)
+	}
+	m, err := c.Submit(c.ctx, spec, o)
+	if err != nil {
+		return nil, err
+	}
+	if m.CacheHit {
+		fmt.Printf("%s %s %s (cache hit)\n", noun, m.ID, m.State)
+	} else {
+		fmt.Printf("%s %s %s\n", noun, m.ID, m.State)
+	}
+	return m, nil
+}
+
+func (c *cli) submit(args []string) error {
+	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+	df := addRunFlags(fs)
+	var (
+		kind    = fs.String("kind", "place", "job kind: place | explore")
+		route   = fs.Bool("route", false, "append the evaluation-routing stage")
+		budget  = fs.Int("budget", 0, "exploration trial budget (explore jobs)")
+		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
+		watch   = fs.Bool("watch", false, "stream progress until the job finishes")
+		retry   = fs.Int("retry", 0, "retry a full queue up to N times, honoring Retry-After")
+		trace   = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
+		tenant  = fs.String("tenant", "", "tenant name for fair-share scheduling")
+		nocache = fs.Bool("nocache", false, "force a full run even if the coordinator has a cached result")
+	)
+	fs.Parse(args)
+
+	spec, err := df.spec()
+	if err != nil {
+		return err
+	}
+	spec["kind"] = *kind
 	if *route {
 		spec["route"] = true
 	}
@@ -168,13 +214,6 @@ func (c *client) submit(args []string) error {
 	}
 	if *timeout > 0 {
 		spec["timeout_sec"] = timeout.Seconds()
-	}
-	if *strategy != "" {
-		data, err := os.ReadFile(*strategy)
-		if err != nil {
-			return err
-		}
-		spec["strategy"] = json.RawMessage(data)
 	}
 	if *nocache {
 		spec["nocache"] = true
@@ -185,55 +224,32 @@ func (c *client) submit(args []string) error {
 	// serve.job span under it, and after the job finishes the two Chrome
 	// traces merge into one tree on one time axis.
 	var (
-		tracer      *obs.Tracer
-		clientSpan  *obs.Span
-		traceparent string
+		tracer     *obs.Tracer
+		clientSpan *obs.Span
 	)
+	o := client.SubmitOptions{Retries: *retry, Tenant: *tenant}
 	if *trace != "" {
 		tracer = obs.NewTracer()
 		clientSpan = tracer.StartSpan("client.submit")
-		traceparent = clientSpan.TraceContext().Traceparent()
+		o.Traceparent = clientSpan.TraceContext().Traceparent()
 	}
-
-	body, _ := json.Marshal(spec)
 	postStart := time.Now()
-	resp, err := c.postWithRetry(c.base+"/api/v1/jobs", body, *retry, traceparent, *tenant)
+	m, err := c.post("job", spec, o)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	var m struct {
-		ID       string `json:"id"`
-		State    string `json:"state"`
-		CacheHit bool   `json:"cache_hit"`
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("decode response: %w", err)
-	}
 	clientSpan.RecordChild("client.request", postStart, time.Since(postStart))
 	clientSpan.SetArg("job", m.ID)
-	if m.CacheHit {
-		fmt.Printf("job %s %s (cache hit)\n", m.ID, m.State)
-	} else {
-		fmt.Printf("job %s %s\n", m.ID, m.State)
-	}
-	if *trace == "" {
-		if *watch {
-			return c.streamEvents(m.ID)
-		}
-		return nil
-	}
 
 	var watchErr error
 	waitStart := time.Now()
 	if *watch {
-		watchErr = c.streamEvents(m.ID)
+		watchErr = c.stream("/api/v1/jobs/"+m.ID+"/events", m.ID)
 	}
-	state, errMsg, err := c.waitTerminal(m.ID, 500*time.Millisecond, 15*time.Minute)
+	if *trace == "" {
+		return watchErr
+	}
+	final, err := c.WaitTerminal(c.ctx, m.ID, 500*time.Millisecond, 15*time.Minute)
 	if err != nil {
 		return err
 	}
@@ -244,8 +260,8 @@ func (c *client) submit(args []string) error {
 	if watchErr != nil {
 		return watchErr
 	}
-	if state != "done" {
-		return fmt.Errorf("job %s %s: %s", m.ID, state, errMsg)
+	if final.State != serve.StateDone {
+		return fmt.Errorf("job %s %s: %s", m.ID, final.State, final.Error)
 	}
 	return nil
 }
@@ -254,15 +270,11 @@ func (c *client) submit(args []string) error {
 // coordinator: every TPE trial runs as its own place job across the
 // workers, the controller checkpoints for durable resume, and the tuned
 // strategy document comes back as an artifact (-out saves it locally).
-func (c *client) explore(args []string) error {
+func (c *cli) explore(args []string) error {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
+	df := addDesignFlags(fs)
 	var (
-		profile   = fs.String("profile", "", "synthetic benchmark profile name")
-		scale     = fs.Int("scale", 800, "profile scale divisor")
-		seed      = fs.Int64("seed", 1, "random seed (drives the trial schedule)")
-		aux       = fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)")
 		budget    = fs.Int("budget", 0, "trials per exploration call (0 = server default 8)")
-		iters     = fs.Int("iters", 0, "max global placement iterations per trial (0 = default)")
 		earlyStop = fs.Bool("early-stop", false, "cancel dominated trials mid-flight (trades determinism for wall clock)")
 		warm      = fs.Bool("warm", false, "seed TPE priors/ranges from prior explorations of the same design family")
 		timeout   = fs.Duration("timeout", 0, "per-trial deadline (0 = server default)")
@@ -275,22 +287,13 @@ func (c *client) explore(args []string) error {
 	)
 	fs.Parse(args)
 
-	spec := map[string]any{"kind": "explore", "distributed": true, "scale": *scale, "seed": *seed}
-	if *profile != "" {
-		spec["profile"] = *profile
+	spec, err := df.spec()
+	if err != nil {
+		return err
 	}
-	if *aux != "" {
-		files, err := inlineBookshelf(*aux)
-		if err != nil {
-			return err
-		}
-		spec["bookshelf"] = files
-	}
+	spec["kind"], spec["distributed"] = "explore", true
 	if *budget > 0 {
 		spec["budget"] = *budget
-	}
-	if *iters > 0 {
-		spec["max_iters"] = *iters
 	}
 	if *earlyStop {
 		spec["early_stop"] = true
@@ -304,122 +307,50 @@ func (c *client) explore(args []string) error {
 	if *nocache {
 		spec["nocache"] = true
 	}
-
-	body, _ := json.Marshal(spec)
-	resp, err := c.postWithRetry(c.base+"/api/v1/jobs", body, *retry, "", *tenant)
+	m, err := c.post("exploration", spec, client.SubmitOptions{Retries: *retry, Tenant: *tenant})
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	var m struct {
-		ID       string `json:"id"`
-		State    string `json:"state"`
-		CacheHit bool   `json:"cache_hit"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return fmt.Errorf("decode response: %w", err)
-	}
-	if m.CacheHit {
-		fmt.Printf("exploration %s %s (cache hit)\n", m.ID, m.State)
-	} else {
-		fmt.Printf("exploration %s %s\n", m.ID, m.State)
 	}
 
 	var watchErr error
 	if *watch {
-		watchErr = c.streamEvents(m.ID)
+		watchErr = c.stream("/api/v1/jobs/"+m.ID+"/events", m.ID)
 	}
-	state, errMsg, err := c.waitTerminal(m.ID, 500*time.Millisecond, *wait)
+	final, err := c.WaitTerminal(c.ctx, m.ID, 500*time.Millisecond, *wait)
 	if err != nil {
 		return err
 	}
-	if state != "done" {
-		return fmt.Errorf("exploration %s %s: %s", m.ID, state, errMsg)
+	if final.State != serve.StateDone {
+		return fmt.Errorf("exploration %s %s: %s", m.ID, final.State, final.Error)
 	}
-	var res struct {
-		Trials    int     `json:"trials"`
-		BestScore float64 `json:"best_score"`
-		RuntimeMS float64 `json:"runtime_ms"`
-	}
-	if raw, err := c.fetchResult(m.ID); err == nil {
-		json.Unmarshal(raw, &res)
+	res, err := c.Result(c.ctx, m.ID)
+	if err != nil {
+		res = &serve.JobResult{}
 	}
 	fmt.Printf("exploration %s done: %d trials, best score %g, %.0fms\n",
 		m.ID, res.Trials, res.BestScore, res.RuntimeMS)
 	if *out != "" {
-		data, err := c.fetchArtifact(m.ID, "strategy.json")
+		n, err := c.Download(c.ctx, m.ID, "strategy.json", *out)
 		if err != nil {
 			return fmt.Errorf("fetch tuned strategy: %w", err)
 		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("tuned strategy: %s (%d bytes)\n", *out, len(data))
+		fmt.Printf("tuned strategy: %s (%d bytes)\n", *out, n)
 	}
 	return watchErr
-}
-
-// fetchResult downloads a finished job's result document.
-func (c *client) fetchResult(id string) ([]byte, error) {
-	resp, err := http.Get(c.base + "/api/v1/jobs/" + id + "/result")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// waitTerminal polls the job manifest until it leaves the live states,
-// returning the terminal state and error message.
-func (c *client) waitTerminal(id string, poll, timeout time.Duration) (state, errMsg string, err error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(c.base + "/api/v1/jobs/" + id)
-		if err != nil {
-			return "", "", err
-		}
-		var m struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		decErr := json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if serr := checkStatus(resp); serr != nil {
-			return "", "", serr
-		}
-		if decErr != nil {
-			return "", "", decErr
-		}
-		switch m.State {
-		case "queued", "running", "":
-		default:
-			return m.State, m.Error, nil
-		}
-		if time.Now().After(deadline) {
-			return "", "", fmt.Errorf("job %s still %s after %s", id, m.State, timeout)
-		}
-		time.Sleep(poll)
-	}
 }
 
 // writeMergedTrace ends the client span and merges the client tracer with
 // the job's spooled trace artifact into one Chrome trace file. A job that
 // died before exporting a trace (canceled in queue, spool failure) still
 // yields a file with the client's own spans.
-func (c *client) writeMergedTrace(tracer *obs.Tracer, clientSpan *obs.Span, id, dest string) error {
+func (c *cli) writeMergedTrace(tracer *obs.Tracer, clientSpan *obs.Span, id, dest string) error {
 	clientSpan.End()
 	var clientBuf bytes.Buffer
 	if err := tracer.WriteJSON(&clientBuf); err != nil {
 		return err
 	}
 	parts := []obs.TracePart{{Process: "pufferctl", Data: clientBuf.Bytes()}}
-	server, err := c.fetchArtifact(id, "trace.json")
+	server, err := c.Artifact(c.ctx, id, "trace.json")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pufferctl: no daemon trace for %s (%v); writing client spans only\n", id, err)
 	} else {
@@ -438,61 +369,6 @@ func (c *client) writeMergedTrace(tracer *obs.Tracer, clientSpan *obs.Span, id, 
 	}
 	fmt.Printf("trace: %s (%d processes, trace_id %s)\n", dest, len(parts), tracer.TraceID())
 	return nil
-}
-
-// fetchArtifact downloads one spooled artifact into memory.
-func (c *client) fetchArtifact(id, name string) ([]byte, error) {
-	resp, err := http.Get(c.base + "/api/v1/jobs/" + id + "/artifacts/" + name)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// postWithRetry posts body to url; a 429 response is retried up to retries
-// times, sleeping out the server's Retry-After hint (a bounded default
-// when the header is absent or unparsable). Any other response — success
-// or failure — returns immediately. A non-empty traceparent rides every
-// attempt so the daemon adopts the client's trace context; a non-empty
-// tenant rides as X-Puffer-Tenant for fleet fair-share scheduling.
-func (c *client) postWithRetry(url string, body []byte, retries int, traceparent, tenant string) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if traceparent != "" {
-			req.Header.Set(obs.TraceparentHeader, traceparent)
-		}
-		if tenant != "" {
-			req.Header.Set("X-Puffer-Tenant", tenant)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusTooManyRequests || attempt >= retries {
-			return resp, nil
-		}
-		wait := 2 * time.Second
-		if ra := strings.TrimSpace(resp.Header.Get("Retry-After")); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs >= 0 {
-				wait = time.Duration(secs) * time.Second
-			}
-		}
-		if wait < time.Second {
-			wait = time.Second
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		fmt.Fprintf(os.Stderr, "pufferctl: queue full; retry %d/%d in %s\n", attempt+1, retries, wait)
-		time.Sleep(wait)
-	}
 }
 
 // inlineBookshelf reads an .aux file and every sibling file it references,
@@ -522,43 +398,23 @@ func inlineBookshelf(auxPath string) (map[string]string, error) {
 	return files, nil
 }
 
-func (c *client) getJSON(args []string, usage, pathFmt string) error {
+// print sends one bodiless request for the <id> argument and copies the
+// answer document to stdout.
+func (c *cli) print(args []string, usage, method, pathFmt string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: pufferctl %s", usage)
 	}
-	resp, err := http.Get(c.base + fmt.Sprintf(pathFmt, args[0]))
+	data, err := c.Call(c.ctx, method, fmt.Sprintf(pathFmt, args[0]), nil)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
+	_, err = os.Stdout.Write(data)
 	return err
 }
 
-func (c *client) list() error {
-	resp, err := http.Get(c.base + "/api/v1/jobs")
+func (c *cli) list() error {
+	rows, err := c.Jobs(c.ctx)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	var rows []struct {
-		ID          string    `json:"id"`
-		Kind        string    `json:"kind"`
-		Design      string    `json:"design"`
-		State       string    `json:"state"`
-		Stage       string    `json:"stage"`
-		Attempts    int       `json:"attempts"`
-		SubmittedAt time.Time `json:"submitted_at"`
-		HPWL        float64   `json:"hpwl"`
-		Error       string    `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		return err
 	}
 	fmt.Printf("%-14s %-8s %-16s %-9s %-9s %3s  %s\n", "ID", "KIND", "DESIGN", "STATE", "STAGE", "TRY", "HPWL/ERROR")
@@ -576,27 +432,7 @@ func (c *client) list() error {
 	return nil
 }
 
-func (c *client) cancel(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: pufferctl cancel <id>")
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+"/api/v1/jobs/"+args[0]+"/cancel", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
-}
-
-func (c *client) artifact(args []string) error {
+func (c *cli) artifact(args []string) error {
 	fs := flag.NewFlagSet("artifact", flag.ExitOnError)
 	out := fs.String("o", "", "output path (default: the artifact name)")
 	fs.Parse(args)
@@ -604,27 +440,11 @@ func (c *client) artifact(args []string) error {
 	if len(rest) != 2 {
 		return fmt.Errorf("usage: pufferctl artifact [-o path] <id> <name>")
 	}
-	id, name := rest[0], rest[1]
-	resp, err := http.Get(c.base + "/api/v1/jobs/" + id + "/artifacts/" + name)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
 	dest := *out
 	if dest == "" {
-		dest = name
+		dest = rest[1]
 	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	n, err := io.Copy(f, resp.Body)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	n, err := c.Download(c.ctx, rest[0], rest[1], dest)
 	if err != nil {
 		return err
 	}
@@ -632,58 +452,22 @@ func (c *client) artifact(args []string) error {
 	return nil
 }
 
-func (c *client) watch(args []string) error {
+func (c *cli) watch(args []string, usage, pathFmt string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: pufferctl watch <id>")
+		return fmt.Errorf("usage: pufferctl %s", usage)
 	}
-	return c.streamEvents(args[0])
+	return c.stream(fmt.Sprintf(pathFmt, args[0]), args[0])
 }
 
-// streamEvents consumes a job's SSE stream, rendering progress lines
-// until the stream ends; the final state decides the error.
-func (c *client) streamEvents(id string) error {
-	return c.streamEventsURL(c.base+"/api/v1/jobs/"+id+"/events", id)
-}
-
-// streamEventsURL consumes any SSE progress stream (job or session).
-func (c *client) streamEventsURL(url, id string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	finalState := ""
-	finalErr := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e struct {
-			Type        string  `json:"type"`
-			State       string  `json:"state"`
-			Error       string  `json:"error"`
-			Stage       string  `json:"stage"`
-			StageStatus string  `json:"stage_status"`
-			Iters       int     `json:"iters"`
-			WallMS      float64 `json:"wall_ms"`
-			Series      string  `json:"series"`
-			Step        int     `json:"step"`
-			Value       float64 `json:"value"`
-			Line        string  `json:"line"`
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
-			continue
-		}
+// stream consumes an SSE progress stream (job or session), rendering
+// progress lines until the stream ends; the final state decides the error.
+func (c *cli) stream(path, id string) error {
+	var final serve.Event
+	err := c.Events(c.ctx, path, func(e serve.Event) error {
 		switch e.Type {
 		case "state":
 			fmt.Printf("state: %s %s\n", e.State, e.Error)
-			finalState, finalErr = e.State, e.Error
+			final = e
 		case "stage":
 			fmt.Printf("stage %s %s (iters=%d wall=%.0fms)\n", e.Stage, e.StageStatus, e.Iters, e.WallMS)
 		case "sample":
@@ -691,23 +475,24 @@ func (c *client) streamEventsURL(url, id string) error {
 		case "log":
 			fmt.Println(e.Line)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	switch finalState {
+	switch final.State {
 	case "done", "open", "closed", "":
 		return nil
 	case "parked", "queued":
 		fmt.Println("interrupted; it will resume when the daemon restarts")
 		return nil
 	default:
-		return fmt.Errorf("%s %s: %s", id, finalState, finalErr)
+		return fmt.Errorf("%s %s: %s", id, final.State, final.Error)
 	}
 }
 
 // session dispatches the interactive ECO session subcommands.
-func (c *client) session(args []string) error {
+func (c *cli) session(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: pufferctl session {open|delta|status|watch|close|list} ...")
 	}
@@ -717,14 +502,11 @@ func (c *client) session(args []string) error {
 	case "delta":
 		return c.sessionDelta(rest)
 	case "status":
-		return c.getJSON(rest, "session status <id>", "/api/v1/sessions/%s")
+		return c.print(rest, "session status <id>", http.MethodGet, "/api/v1/sessions/%s")
 	case "watch":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: pufferctl session watch <id>")
-		}
-		return c.streamEventsURL(c.base+"/api/v1/sessions/"+rest[0]+"/events", rest[0])
+		return c.watch(rest, "session watch <id>", "/api/v1/sessions/%s/events")
 	case "close":
-		return c.sessionClose(rest)
+		return c.print(rest, "session close <id>", http.MethodDelete, "/api/v1/sessions/%s")
 	case "list":
 		return c.sessionList()
 	default:
@@ -734,65 +516,27 @@ func (c *client) session(args []string) error {
 
 // sessionOpen opens an ECO session and, by default, waits for its base
 // placement before returning the session ID on stdout.
-func (c *client) sessionOpen(args []string) error {
+func (c *cli) sessionOpen(args []string) error {
 	fs := flag.NewFlagSet("session open", flag.ExitOnError)
+	df := addRunFlags(fs)
 	var (
-		profile  = fs.String("profile", "", "synthetic benchmark profile name")
-		scale    = fs.Int("scale", 800, "profile scale divisor")
-		seed     = fs.Int64("seed", 1, "random seed")
-		aux      = fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)")
-		iters    = fs.Int("iters", 0, "max cold global placement iterations (0 = default)")
-		workers  = fs.Int("workers", 0, "cap session parallelism (0 = GOMAXPROCS)")
-		strategy = fs.String("strategy", "", "JSON strategy file (cmd/explore -out format)")
-		warmMax  = fs.Int("warm-iters", 0, "max warm re-place iterations per delta (0 = derived)")
-		nowait   = fs.Bool("nowait", false, "return after admission without waiting for the base placement")
-		timeout  = fs.Duration("timeout", 10*time.Minute, "give up waiting for the base placement after this long")
+		warmMax = fs.Int("warm-iters", 0, "max warm re-place iterations per delta (0 = derived)")
+		nowait  = fs.Bool("nowait", false, "return after admission without waiting for the base placement")
+		timeout = fs.Duration("timeout", 10*time.Minute, "give up waiting for the base placement after this long")
 	)
 	fs.Parse(args)
 
-	spec := map[string]any{"scale": *scale, "seed": *seed}
-	if *profile != "" {
-		spec["profile"] = *profile
-	}
-	if *aux != "" {
-		files, err := inlineBookshelf(*aux)
-		if err != nil {
-			return err
-		}
-		spec["bookshelf"] = files
-	}
-	if *iters > 0 {
-		spec["max_iters"] = *iters
-	}
-	if *workers > 0 {
-		spec["workers"] = *workers
+	spec, err := df.spec()
+	if err != nil {
+		return err
 	}
 	if *warmMax > 0 {
 		spec["warm_max_iters"] = *warmMax
 	}
-	if *strategy != "" {
-		data, err := os.ReadFile(*strategy)
-		if err != nil {
-			return err
-		}
-		spec["strategy"] = json.RawMessage(data)
-	}
-
 	body, _ := json.Marshal(spec)
-	resp, err := http.Post(c.base+"/api/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
+	var m serve.SessionManifest
+	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/sessions", body, &m); err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	var m struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return fmt.Errorf("decode response: %w", err)
 	}
 	fmt.Printf("session %s %s\n", m.ID, m.State)
 	if *nowait {
@@ -800,48 +544,26 @@ func (c *client) sessionOpen(args []string) error {
 	}
 	deadline := time.Now().Add(*timeout)
 	for {
-		st, errMsg, hpwl, err := c.sessionState(m.ID)
-		if err != nil {
+		if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions/"+m.ID, nil, &m); err != nil {
 			return err
 		}
-		switch st {
-		case "open":
-			fmt.Printf("session %s open hpwl=%.0f\n", m.ID, hpwl)
+		switch m.State {
+		case serve.SessionOpen:
+			fmt.Printf("session %s open hpwl=%.0f\n", m.ID, m.LastHPWL)
 			return nil
-		case "failed", "closed":
-			return fmt.Errorf("session %s %s: %s", m.ID, st, errMsg)
+		case serve.SessionFailed, serve.SessionClosed:
+			return fmt.Errorf("session %s %s: %s", m.ID, m.State, m.Error)
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("session %s still %s after %s", m.ID, st, *timeout)
+			return fmt.Errorf("session %s still %s after %s", m.ID, m.State, *timeout)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 }
 
-// sessionState fetches one session's durable state.
-func (c *client) sessionState(id string) (state, errMsg string, hpwl float64, err error) {
-	resp, err := http.Get(c.base + "/api/v1/sessions/" + id)
-	if err != nil {
-		return "", "", 0, err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return "", "", 0, err
-	}
-	var m struct {
-		State    string  `json:"state"`
-		Error    string  `json:"error"`
-		LastHPWL float64 `json:"last_hpwl"`
-	}
-	if derr := json.NewDecoder(resp.Body).Decode(&m); derr != nil {
-		return "", "", 0, derr
-	}
-	return m.State, m.Error, m.LastHPWL, nil
-}
-
 // sessionDelta applies a delta document (a file path, or "-" for stdin)
 // and prints the new placement summary.
-func (c *client) sessionDelta(args []string) error {
+func (c *cli) sessionDelta(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: pufferctl session delta <id> <delta.json|->")
 	}
@@ -858,14 +580,6 @@ func (c *client) sessionDelta(args []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(c.base+"/api/v1/sessions/"+id+"/deltas", "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
 	var dr struct {
 		Deltas     int     `json:"deltas"`
 		HPWL       float64 `json:"hpwl"`
@@ -873,8 +587,8 @@ func (c *client) sessionDelta(args []string) error {
 		RuntimeMS  float64 `json:"runtime_ms"`
 		Rehydrated bool    `json:"rehydrated"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
-		return fmt.Errorf("decode response: %w", err)
+	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/sessions/"+id+"/deltas", data, &dr); err != nil {
+		return err
 	}
 	note := ""
 	if dr.Rehydrated {
@@ -885,35 +599,7 @@ func (c *client) sessionDelta(args []string) error {
 	return nil
 }
 
-func (c *client) sessionClose(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: pufferctl session close <id>")
-	}
-	req, err := http.NewRequest(http.MethodDelete, c.base+"/api/v1/sessions/"+args[0], nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
-}
-
-func (c *client) sessionList() error {
-	resp, err := http.Get(c.base + "/api/v1/sessions")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
+func (c *cli) sessionList() error {
 	var rows []struct {
 		ID       string  `json:"id"`
 		Design   string  `json:"design"`
@@ -923,7 +609,7 @@ func (c *client) sessionList() error {
 		Warm     bool    `json:"warm"`
 		Error    string  `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+	if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions", nil, &rows); err != nil {
 		return err
 	}
 	fmt.Printf("%-14s %-16s %-8s %6s %5s  %s\n", "ID", "DESIGN", "STATE", "DELTAS", "WARM", "HPWL/ERROR")
@@ -944,57 +630,26 @@ func (c *client) sessionList() error {
 	return nil
 }
 
-// opsSnapshot mirrors the /api/v1/ops document; pufferctl top and
-// cmd/diag -ops both render it.
-type opsSnapshot struct {
-	Status        string             `json:"status"`
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	QueueDepth    int                `json:"queue_depth"`
-	QueueCap      int                `json:"queue_cap"`
-	Workers       int                `json:"workers"`
-	ActiveJobs    int                `json:"active_jobs"`
-	Sessions      map[string]int     `json:"sessions"`
-	Counters      map[string]int64   `json:"counters"`
-	Gauges        map[string]float64 `json:"gauges"`
-	Histograms    map[string]struct {
-		Count uint64  `json:"count"`
-		Mean  float64 `json:"mean_seconds"`
-		P50   float64 `json:"p50_seconds"`
-		P95   float64 `json:"p95_seconds"`
-		P99   float64 `json:"p99_seconds"`
-	} `json:"histograms"`
-	SLO []struct {
-		Name      string  `json:"name"`
-		Quantile  float64 `json:"quantile"`
-		Value     float64 `json:"value_seconds"`
-		Bound     float64 `json:"bound_seconds"`
-		Window    uint64  `json:"window_count"`
-		Evaluable bool    `json:"evaluable"`
-		OK        bool    `json:"ok"`
-		Burning   bool    `json:"burning"`
-	} `json:"slo"`
-	SLOHealthy bool `json:"slo_healthy"`
-}
-
 // top renders the daemon's one-call operational picture: lifecycle, queue
-// pressure, latency digests, and live SLO status.
-func (c *client) top() error {
-	resp, err := http.Get(c.base + "/api/v1/ops")
+// pressure, latency digests, live SLO status — and, against a coordinator,
+// the fleet behind it.
+func (c *cli) top() error {
+	ops, err := c.Ops(c.ctx)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
+	name := "pufferd"
+	if ops.Role != "" {
+		name += " " + ops.Role
 	}
-	var ops opsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&ops); err != nil {
-		return fmt.Errorf("decode ops: %w", err)
-	}
-	fmt.Printf("pufferd %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
-		ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
+	fmt.Printf("%s %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
+		name, ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
 		ops.QueueDepth, ops.QueueCap, ops.Workers, ops.ActiveJobs,
 		ops.Sessions["tracked"], ops.Sessions["warm"])
+	if ops.Role != "" {
+		fmt.Printf("fleet: %d nodes; cache: %d results, %d blobs (%d bytes)\n",
+			len(ops.Nodes), ops.Cache["results"], ops.Cache["blobs"], ops.Cache["blob_bytes"])
+	}
 
 	if len(ops.Histograms) > 0 {
 		fmt.Printf("\n%-36s %8s %9s %9s %9s %9s\n", "LATENCY", "COUNT", "MEAN", "P50", "P95", "P99")
@@ -1031,31 +686,9 @@ func (c *client) top() error {
 
 // fleet renders a coordinator's worker registry: one row per known node
 // with liveness, heartbeat age, and the load snapshot dispatch sees.
-func (c *client) fleet() error {
-	resp, err := http.Get(c.base + "/api/v1/nodes")
+func (c *cli) fleet() error {
+	rows, err := c.Nodes(c.ctx)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return err
-	}
-	var rows []struct {
-		ID           string  `json:"id"`
-		Addr         string  `json:"addr"`
-		Engine       string  `json:"engine"`
-		Live         bool    `json:"live"`
-		HeartbeatAge float64 `json:"heartbeat_age_seconds"`
-		Jobs         int     `json:"jobs"`
-		Stats        struct {
-			Draining   bool `json:"draining"`
-			QueueDepth int  `json:"queue_depth"`
-			QueueCap   int  `json:"queue_cap"`
-			Workers    int  `json:"workers"`
-			ActiveJobs int  `json:"active_jobs"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		return err
 	}
 	fmt.Printf("%-16s %-24s %-18s %-6s %9s %5s %7s %7s\n",
@@ -1093,7 +726,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	return ks
 }
 
-func (c *client) wait(args []string) error {
+func (c *cli) wait(args []string) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
 	poll := fs.Duration("poll", 2*time.Second, "poll interval")
 	timeout := fs.Duration("timeout", 10*time.Minute, "give up after this long")
@@ -1102,35 +735,13 @@ func (c *client) wait(args []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: pufferctl wait [-poll d] [-timeout d] <id>")
 	}
-	id := rest[0]
-	deadline := time.Now().Add(*timeout)
-	for {
-		resp, err := http.Get(c.base + "/api/v1/jobs/" + id)
-		if err != nil {
-			return err
-		}
-		var m struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		decErr := json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if serr := checkStatus(resp); serr != nil {
-			return serr
-		}
-		if decErr != nil {
-			return decErr
-		}
-		switch m.State {
-		case "done":
-			fmt.Println("done")
-			return nil
-		case "failed", "canceled":
-			return fmt.Errorf("job %s %s: %s", id, m.State, m.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still %s after %s", id, m.State, *timeout)
-		}
-		time.Sleep(*poll)
+	m, err := c.WaitTerminal(c.ctx, rest[0], *poll, *timeout)
+	if err != nil {
+		return err
 	}
+	if m.State != serve.StateDone {
+		return fmt.Errorf("job %s %s: %s", m.ID, m.State, m.Error)
+	}
+	fmt.Println("done")
+	return nil
 }

@@ -15,17 +15,18 @@
 // the cold wall. Session warm state idle longer than -session-idle is
 // evicted (the spooled snapshot remains; the next delta rehydrates it).
 //
-// Fleet mode: `pufferd -coordinator` runs the fleet coordinator instead of
-// a worker — it owns a content-addressed result cache and dispatches
-// submissions to registered workers. A worker joins a fleet with
+// Fleet mode: `pufferd -coordinator` runs the same job service over a fleet
+// of workers instead of the local pool — it owns a content-addressed result
+// cache and dispatches submissions to registered workers. A worker joins a fleet with
 // `pufferd -join http://coord:9090 -advertise http://me:8080`; it
 // heartbeats its load to the coordinator and otherwise behaves exactly as
 // stand-alone (the coordinator speaks the same job API any client does).
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
 // (submissions get 503), cancels running jobs so they park at their last
-// checkpoint, parks open ECO sessions at their last applied delta, and
-// exits once the pool is idle or -drain-timeout expires. Submit and watch
+// checkpoint (a coordinator leaves dispatched jobs running on their
+// workers and re-attaches at the next boot), parks open ECO sessions at
+// their last applied delta, and exits once idle or -drain-timeout expires. Submit and watch
 // jobs with cmd/pufferctl.
 package main
 
@@ -72,10 +73,10 @@ func main() {
 		coordinator = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
 		casDir      = flag.String("cas", "", "content-addressed store directory (coordinator; default <spool>/cas)")
 		deadAfter   = flag.Duration("dead-after", 10*time.Second, "heartbeat age past which a worker is dead and its jobs fail over (coordinator)")
-		poll        = flag.Duration("poll", time.Second, "dispatched-job watch interval (coordinator)")
-		pendingCap  = flag.Int("pending", 64, "fleet-wide pending-job cap before submissions get 429 (coordinator)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant dispatch rate limit in jobs/sec (coordinator; 0 = unlimited)")
-		tenantBurst = flag.Int("tenant-burst", 4, "per-tenant dispatch burst (coordinator)")
+		poll        = flag.Duration("poll", time.Second, "re-check interval for a worker whose event stream broke off (coordinator)")
+		pendingCap  = flag.Int("pending", 64, "admission queue capacity when -coordinator (the same cap -queue sets for a worker)")
+		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant queue rate limit in jobs/sec (0 = unlimited)")
+		tenantBurst = flag.Int("tenant-burst", 4, "per-tenant queue burst")
 		estopMargin = flag.Float64("early-stop-margin", 0, "exploration early-stop domination margin over the best trial's overflow envelope (coordinator; 0 = default 1.5)")
 	)
 	flag.Parse()
@@ -95,27 +96,51 @@ func main() {
 	if *coordinator && *join != "" {
 		log.Fatal("pufferd: -coordinator and -join are mutually exclusive")
 	}
-	if *coordinator {
-		runCoordinator(logger, coordFlags{
-			addr: *addr, addrFile: *addrFile, spool: *spool, casDir: *casDir,
-			deadAfter: *deadAfter, poll: *poll, pendingCap: *pendingCap,
-			tenantRate: *tenantRate, tenantBurst: *tenantBurst,
-			estopMargin:  *estopMargin,
-			drainTimeout: *drainTimeout,
-		})
-		return
-	}
 
-	srv, err := serve.New(serve.Config{
+	// One daemon interface over both roles: a coordinator is the same
+	// job-service core running over the fleet instead of the local pool.
+	type daemon interface {
+		Start()
+		Handler() http.Handler
+		Drain(context.Context) error
+	}
+	core := serve.Config{
 		SpoolDir:          *spool,
 		QueueCap:          *queueCap,
+		TenantRate:        *tenantRate,
+		TenantBurst:       *tenantBurst,
 		Workers:           *workers,
 		DefaultJobTimeout: *jobTimeout,
 		SessionIdle:       *sessionIdle,
 		QueueWaitSLO:      *queueSLO,
 		DrainGrace:        *drainGrace,
 		Log:               logger,
-	})
+	}
+	var (
+		d      daemon
+		srv    *serve.Server
+		err    error
+		role   string
+		detail = fmt.Sprintf("%d workers, queue %d", *workers, *queueCap)
+	)
+	if *coordinator {
+		// -pending is the coordinator-side spelling of the one queue cap.
+		core.QueueCap = *pendingCap
+		var cs *coord.Server
+		cs, err = coord.New(coord.Config{
+			Config:          core,
+			CASDir:          *casDir,
+			DeadAfter:       *deadAfter,
+			Poll:            *poll,
+			EarlyStopMargin: *estopMargin,
+		})
+		if err == nil {
+			d, srv = cs, cs.Server
+		}
+		role, detail = " coordinator", fmt.Sprintf("dead-after %s", *deadAfter)
+	} else if srv, err = serve.New(core); err == nil {
+		d = srv
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,7 +150,7 @@ func main() {
 	if srv.RecoveredSessions > 0 {
 		logger.Info("parked ECO sessions; next delta rehydrates", "count", srv.RecoveredSessions)
 	}
-	srv.Start()
+	d.Start()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -138,8 +163,7 @@ func main() {
 		}
 	}
 	// The listening line is a stable interface: scripts scrape the port.
-	fmt.Printf("pufferd listening on %s (spool %s, %d workers, queue %d)\n",
-		bound, *spool, *workers, *queueCap)
+	fmt.Printf("pufferd%s listening on %s (spool %s, %s)\n", role, bound, *spool, detail)
 
 	// Joined to a fleet: announce until shutdown. The manifest callback
 	// snapshots live load per heartbeat so dispatch sees fresh depth.
@@ -176,7 +200,7 @@ func main() {
 		logger.Info("joined fleet", "coordinator", *join, "node", id, "advertise", adv)
 	}
 
-	hsrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	hsrv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hsrv.Serve(ln) }()
 
@@ -187,7 +211,7 @@ func main() {
 		logger.Info("signal received, draining", "signal", sig.String(), "timeout", *drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := srv.Drain(ctx); err != nil {
+		if err := d.Drain(ctx); err != nil {
 			logger.Error("drain", "error", err)
 		}
 		annCancel() // last heartbeats already carried Draining stats
@@ -197,69 +221,5 @@ func main() {
 		logger.Info("drained; interrupted jobs resume on next start")
 	case err := <-errCh:
 		log.Fatalf("pufferd: serve: %v", err)
-	}
-}
-
-type coordFlags struct {
-	addr, addrFile, spool, casDir string
-	deadAfter, poll, drainTimeout time.Duration
-	pendingCap, tenantBurst       int
-	tenantRate, estopMargin       float64
-}
-
-// runCoordinator is the -coordinator main: same listen/drain skeleton as
-// the worker, around a coord.Server instead of a serve.Server.
-func runCoordinator(logger *slog.Logger, f coordFlags) {
-	cs, err := coord.New(coord.Config{
-		SpoolDir:        f.spool,
-		CASDir:          f.casDir,
-		DeadAfter:       f.deadAfter,
-		Poll:            f.poll,
-		PendingCap:      f.pendingCap,
-		TenantRate:      f.tenantRate,
-		TenantBurst:     f.tenantBurst,
-		EarlyStopMargin: f.estopMargin,
-		Log:             logger,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if cs.Recovered > 0 {
-		logger.Info("recovered fleet jobs", "count", cs.Recovered, "spool", f.spool)
-	}
-	cs.Start()
-
-	ln, err := net.Listen("tcp", f.addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bound := ln.Addr().String()
-	if f.addrFile != "" {
-		if err := os.WriteFile(f.addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("pufferd coordinator listening on %s (spool %s, dead-after %s)\n",
-		bound, f.spool, f.deadAfter)
-
-	hsrv := &http.Server{Handler: cs.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hsrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigCh:
-		logger.Info("signal received, stopping dispatch", "signal", sig.String())
-		shutCtx, shutCancel := context.WithTimeout(context.Background(), f.drainTimeout)
-		defer shutCancel()
-		if err := cs.Drain(shutCtx); err != nil {
-			logger.Error("drain", "error", err)
-		}
-		hsrv.Shutdown(shutCtx)
-		cs.Close()
-		logger.Info("coordinator stopped; pending jobs re-admit on next start")
-	case err := <-errCh:
-		log.Fatalf("pufferd: coordinator serve: %v", err)
 	}
 }

@@ -199,7 +199,7 @@ func TestFleetDedup(t *testing.T) {
 	spec := serve.JobSpec{Kind: serve.KindPlace, Bookshelf: files, Seed: 5}
 	spec.Normalize()
 
-	m1 := submit(t, ch.URL, spec, map[string]string{TenantHeader: "alice"})
+	m1 := submit(t, ch.URL, spec, map[string]string{serve.TenantHeader: "alice"})
 	if m1.CacheHit {
 		t.Fatal("first submission can not be a cache hit")
 	}
@@ -215,7 +215,7 @@ func TestFleetDedup(t *testing.T) {
 	}
 
 	// Byte-identical second submission, different tenant ("client").
-	m2 := submit(t, ch.URL, spec, map[string]string{TenantHeader: "bob"})
+	m2 := submit(t, ch.URL, spec, map[string]string{serve.TenantHeader: "bob"})
 	if !m2.CacheHit || m2.Origin != m1.ID {
 		t.Fatalf("second submission not a cache hit: hit=%v origin=%q", m2.CacheHit, m2.Origin)
 	}
@@ -438,7 +438,7 @@ func TestFailover(t *testing.T) {
 // TestPendingBackpressure: with no workers everything queues, and the
 // pending cap turns into 429 + Retry-After at the coordinator's door.
 func TestPendingBackpressure(t *testing.T) {
-	_, ch := newCoordinator(t, Config{PendingCap: 2})
+	_, ch := newCoordinator(t, Config{Config: serve.Config{QueueCap: 2}})
 	spec := quickFleetSpec()
 	submit(t, ch.URL, spec, nil)
 	s2 := spec

@@ -1,15 +1,13 @@
 package coord
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
+	"sync"
 	"time"
 
 	puffer "puffer"
@@ -23,113 +21,49 @@ import (
 
 // The exploration farm: a Distributed explore job does not dispatch to a
 // worker — it runs as an xfarm controller inside the coordinator, and every
-// TPE trial the controller schedules is submitted back through the normal
-// fleet admission path as its own place job. Trials therefore get the full
+// TPE trial the controller schedules is submitted back through the core's
+// one admission path as its own place job. Trials therefore get the full
 // fleet treatment for free: content-addressed result caching (identical
 // trial configs dedupe, and a resumed exploration re-runs zero finished
 // placements), least-loaded engine-matched dispatch, checkpoint-mirrored
-// failover, and SSE progress the controller taps for early-stop samples.
+// failover, and relayed progress the controller taps for early-stop samples.
 //
 // Durability: the controller checkpoints a puffer/explore-state/v1 manifest
 // into the exploration job's artifact dir after every observation. A
-// SIGKILLed coordinator restarts the controller from that artifact at boot
-// (recover), finished trials replay or cache-hit, and in-flight trials
-// re-attach to their still-running jobs by ID.
+// SIGKILLed coordinator restarts the controller from that artifact at boot,
+// finished trials replay or cache-hit, and in-flight trials — re-attached
+// by the core's recovery like any dispatched job — are awaited by ID.
 
 // ExploreStateArtifact is the spooled checkpoint name of a distributed
 // exploration (downloadable like any other artifact).
 const ExploreStateArtifact = "explore-state.json"
 
-// errFarmCanceled marks a client-initiated exploration cancel, so shutdown
-// (which parks the farm for resume) and cancel (terminal) are told apart.
-var errFarmCanceled = errors.New("exploration canceled by client")
-
-// farm is the in-memory runtime of one distributed exploration.
-type farm struct {
-	id     string
-	hub    *serve.Hub // trial lifecycle + sample + log events for watchers
-	cancel context.CancelCauseFunc
-}
-
-// farmSink forwards the controller's metric samples (explore.trial.score,
-// explore.best_score, xfarm.* counters) to the exploration's event hub.
-type farmSink struct{ h *serve.Hub }
-
-func (s farmSink) Observe(series string, sm obs.Sample) {
-	s.h.Publish(serve.Event{Type: "sample", Series: series, Step: sm.Step, Value: sm.Value})
-}
-
-func (s farmSink) Flush() error { return nil }
-
-// startFarm launches (or at boot, resumes) the controller goroutine for a
-// Distributed exploration manifest.
-func (s *Server) startFarm(m *serve.Manifest) {
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	f := &farm{id: m.ID, hub: serve.NewHub(), cancel: cancel}
-	s.mu.Lock()
-	s.farms[m.ID] = f
-	n := len(s.farms)
-	s.mu.Unlock()
-	s.reg.Gauge("coord.farms_active").Set(float64(n))
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.runFarm(ctx, f)
-	}()
-}
-
-// removeFarm drops the farm runtime (the hub is closed by the caller).
-func (s *Server) removeFarm(id string) {
-	s.mu.Lock()
-	delete(s.farms, id)
-	n := len(s.farms)
-	s.mu.Unlock()
-	s.reg.Gauge("coord.farms_active").Set(float64(n))
-}
-
-// lookupFarm returns the live controller runtime for a job, or nil.
-func (s *Server) lookupFarm(id string) *farm {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.farms[id]
-}
-
-// runFarm drives one exploration to a terminal state (or parks it for the
-// next boot when the coordinator itself shuts down mid-run).
-func (s *Server) runFarm(ctx context.Context, f *farm) {
+// Explore drives one distributed exploration to an outcome under the
+// core's job lifecycle: canceled by a client it ends canceled; stopped by
+// a coordinator shutdown it reports itself detached, so the manifest stays
+// running and the next boot restarts the controller from the last
+// checkpoint.
+func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
+	m := j.M
 	start := time.Now()
-	m, err := s.spool.Update(f.id, func(mm *serve.Manifest) error {
-		if mm.State.Terminal() { // canceled before the controller started
-			return fmt.Errorf("exploration %s already %s", mm.ID, mm.State)
-		}
-		mm.State = serve.StateRunning
-		mm.Attempts++
-		now := time.Now()
-		mm.StartedAt = &now
-		return nil
-	})
-	if err != nil {
-		s.removeFarm(f.id)
-		f.hub.Close()
-		return
-	}
-	f.hub.Publish(serve.Event{Type: "state", State: serve.StateRunning})
+	c.Registry().Gauge("coord.farms_active").Set(float64(c.farms.Add(1)))
+	defer func() { c.Registry().Gauge("coord.farms_active").Set(float64(c.farms.Add(-1))) }()
 
 	// A spooled checkpoint from an interrupted attempt resumes the schedule.
 	var prev *xfarm.State
-	if path, perr := s.spool.ArtifactPath(f.id, ExploreStateArtifact); perr == nil {
+	if path, perr := c.Spool().ArtifactPath(m.ID, ExploreStateArtifact); perr == nil {
 		if data, rerr := os.ReadFile(path); rerr == nil {
 			st, serr := xfarm.ParseState(data)
 			switch {
 			case serr != nil:
-				s.log.Warn("explore checkpoint unreadable; starting fresh", "job", f.id, "error", serr)
+				c.log.Warn("explore checkpoint unreadable; starting fresh", "job", m.ID, "error", serr)
 			case st.Seed != m.Spec.Seed || st.Budget != m.Spec.Budget:
-				s.log.Warn("explore checkpoint is for a different run; starting fresh",
-					"job", f.id, "seed", st.Seed, "budget", st.Budget)
+				c.log.Warn("explore checkpoint is for a different run; starting fresh",
+					"job", m.ID, "seed", st.Seed, "budget", st.Budget)
 			default:
 				prev = st
-				s.log.Info("resuming exploration from checkpoint",
-					"job", f.id, "attempt", st.Attempts+1, "trials", len(st.Trials))
+				c.log.Info("resuming exploration from checkpoint",
+					"job", m.ID, "attempt", st.Attempts+1, "trials", len(st.Trials))
 			}
 		}
 	}
@@ -137,14 +71,16 @@ func (s *Server) runFarm(ctx context.Context, f *farm) {
 	var priors []explore.Observation
 	var seedRanges map[string]explore.Range
 	if m.Spec.WarmStart {
-		priors, seedRanges = s.warmPriors(m)
+		priors, seedRanges = c.warmPriors(m)
 		if len(priors) > 0 {
-			s.log.Info("warm-starting exploration", "job", f.id,
+			c.log.Info("warm-starting exploration", "job", m.ID,
 				"priors", len(priors), "seeded_ranges", len(seedRanges))
 		}
 	}
 
-	rec := obs.NewRecorder(nil, obs.NewRegistry(farmSink{f.hub}))
+	// The controller's metric samples (explore.trial.score,
+	// explore.best_score, xfarm.* counters) stream to the job's watchers.
+	rec := obs.NewRecorder(nil, obs.NewRegistry(serve.HubSink(j.Hub)))
 	res, runErr := xfarm.Run(ctx, xfarm.Config{
 		Params:       puffer.StrategyParams(),
 		Budget:       m.Spec.Budget,
@@ -152,85 +88,60 @@ func (s *Server) runFarm(ctx context.Context, f *farm) {
 		DesignDigest: m.DesignDigest,
 		Job:          m.ID,
 		EarlyStop:    m.Spec.EarlyStop,
-		Margin:       s.cfg.EarlyStopMargin,
+		Margin:       c.cfg.EarlyStopMargin,
 		WarmStart:    m.Spec.WarmStart,
 		Priors:       priors,
 		SeedRanges:   seedRanges,
-		Backend:      &farmBackend{s: s, parent: m},
+		Backend:      &farmBackend{c: c, parent: m},
 		Checkpoint: func(st *xfarm.State) error {
 			data, err := st.Encode()
 			if err != nil {
 				return err
 			}
-			return s.spool.WriteArtifact(m.ID, ExploreStateArtifact, data)
+			return c.Spool().WriteArtifact(m.ID, ExploreStateArtifact, data)
 		},
 		Logf: func(format string, args ...any) {
-			f.hub.Publish(serve.Event{Type: "log", Line: fmt.Sprintf(format, args...)})
+			j.Hub.Publish(serve.Event{Type: "log", Line: fmt.Sprintf(format, args...)})
 		},
 		Obs: rec,
 	}, prev)
 
-	if runErr != nil {
-		s.removeFarm(f.id)
-		switch {
-		case ctx.Err() != nil && errors.Is(context.Cause(ctx), errFarmCanceled):
-			s.finish(m, serve.StateCanceled, errFarmCanceled.Error(), nil, "")
-			f.hub.Publish(serve.Event{Type: "state", State: serve.StateCanceled, Error: errFarmCanceled.Error()})
-		case ctx.Err() != nil:
-			// Coordinator shutdown: leave the manifest running — the next
-			// boot restarts the controller from the last checkpoint.
-			s.log.Info("exploration parked by shutdown", "job", f.id)
-		default:
-			s.finish(m, serve.StateFailed, runErr.Error(), nil, "")
-			f.hub.Publish(serve.Event{Type: "state", State: serve.StateFailed, Error: runErr.Error()})
-		}
-		f.hub.Close()
-		return
+	switch {
+	case runErr == nil:
+	case errors.Is(context.Cause(ctx), serve.ErrCanceled):
+		return serve.Outcome{State: serve.StateCanceled, Error: serve.ErrCanceled.Error()}
+	case ctx.Err() != nil:
+		c.log.Info("exploration parked by shutdown", "job", m.ID)
+		return serve.Outcome{State: serve.StateRunning}
+	default:
+		return serve.Outcome{State: serve.StateFailed, Error: runErr.Error()}
 	}
 
 	final := padding.DefaultStrategy()
 	puffer.ApplyAssignment(&final, res.Final)
 	if data, err := json.MarshalIndent(final, "", "  "); err == nil {
-		if werr := s.spool.WriteArtifact(m.ID, "strategy.json", append(data, '\n')); werr != nil {
-			s.log.Warn("strategy artifact write failed", "job", f.id, "error", werr)
+		if werr := c.Spool().WriteArtifact(m.ID, "strategy.json", append(data, '\n')); werr != nil {
+			c.log.Warn("strategy artifact write failed", "job", m.ID, "error", werr)
 		}
 	}
 	result := &serve.JobResult{
 		Trials:    res.Trials,
 		BestScore: res.BestScore,
 		RuntimeMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Artifacts: []string{ExploreStateArtifact, "strategy.json"},
 	}
-
-	// Only deterministic explorations land in the result cache: early stop
-	// and warm start both make the scores depend on fleet timing or spool
-	// history, so their results must never answer a future submission.
-	var rd cas.Digest
-	if !m.Spec.EarlyStop && !m.Spec.WarmStart && m.DesignDigest != "" && m.ConfigDigest != "" {
-		if canon, err := json.Marshal(canonicalResult(result)); err == nil {
-			rd = cas.Sum(canon)
-		}
-	}
-	s.removeFarm(f.id)
-	s.finish(m, serve.StateDone, "", result, string(rd))
-	if rd != "" {
-		if err := s.store.PutResult(cas.ResultEntry{
-			Design:       cas.Digest(m.DesignDigest),
-			Config:       cas.Digest(m.ConfigDigest),
-			Engine:       serve.EngineVersion,
-			Job:          m.ID,
-			ResultDigest: rd,
-		}); err != nil {
-			s.log.Warn("result cache record failed", "job", m.ID, "error", err)
-		}
-	}
-	s.reg.Counter("coord.explorations_done").Inc()
-	s.log.Info("exploration finished", "job", f.id, "trials", res.Trials,
+	c.Registry().Counter("coord.explorations_done").Inc()
+	c.log.Info("exploration finished", "job", m.ID, "trials", res.Trials,
 		"best_score", res.BestScore, "cache_hits", res.CacheHits,
 		"replayed", res.Replayed, "canceled", res.Canceled,
 		"attempts", res.State.Attempts)
-	f.hub.Publish(serve.Event{Type: "state", State: serve.StateDone})
-	f.hub.Close()
+	out := serve.Outcome{State: serve.StateDone, Result: result}
+	// Only deterministic explorations land in the result cache: early stop
+	// and warm start both make the scores depend on fleet timing or spool
+	// history, so their results must never answer a future submission.
+	if !m.Spec.EarlyStop && !m.Spec.WarmStart {
+		out.ResultDigest = resultDigest(m, result)
+	}
+	return out
 }
 
 // warmPriorCap bounds how many prior observations seed a warm start — the
@@ -241,8 +152,8 @@ const warmPriorCap = 16
 // exploration of the same design family (same synthetic profile, or the
 // byte-identical uploaded design) and returns its best observations as TPE
 // priors plus its final merged ranges as the starting search intervals.
-func (s *Server) warmPriors(m *serve.Manifest) ([]explore.Observation, map[string]explore.Range) {
-	all, err := s.spool.List()
+func (c *Server) warmPriors(m *serve.Manifest) ([]explore.Observation, map[string]explore.Range) {
+	all, err := c.Spool().List()
 	if err != nil {
 		return nil, nil
 	}
@@ -262,7 +173,7 @@ func (s *Server) warmPriors(m *serve.Manifest) ([]explore.Observation, map[strin
 	if newest == nil {
 		return nil, nil
 	}
-	path, err := s.spool.ArtifactPath(newest.ID, ExploreStateArtifact)
+	path, err := c.Spool().ArtifactPath(newest.ID, ExploreStateArtifact)
 	if err != nil {
 		return nil, nil
 	}
@@ -272,7 +183,7 @@ func (s *Server) warmPriors(m *serve.Manifest) ([]explore.Observation, map[strin
 	}
 	st, err := xfarm.ParseState(data)
 	if err != nil {
-		s.log.Warn("warm-start donor state unreadable", "donor", newest.ID, "error", err)
+		c.log.Warn("warm-start donor state unreadable", "donor", newest.ID, "error", err)
 		return nil, nil
 	}
 	var priors []explore.Observation
@@ -307,11 +218,17 @@ func sameDesignFamily(a, b *serve.Manifest) bool {
 	return a.DesignDigest != "" && a.DesignDigest == b.DesignDigest
 }
 
-// farmBackend implements xfarm.Backend over the coordinator's own
-// admission, spool, and proxy machinery.
+// farmBackend implements xfarm.Backend over the core: a trial is an
+// ordinary submission (so it is content addressed, cache checked, queued,
+// dispatched and failed over like any job), awaited and tapped through its
+// progress hub.
 type farmBackend struct {
-	s      *Server
+	c      *Server
 	parent *serve.Manifest
+
+	once  sync.Once // loads an uploaded parent design from the store
+	files map[string]string
+	err   error
 }
 
 // Submit turns one TPE trial into a place job: the parent exploration's
@@ -325,9 +242,21 @@ func (b *farmBackend) Submit(ctx context.Context, t explore.Trial) (string, erro
 	if err != nil {
 		return "", err
 	}
-	spec := serve.JobSpec{
+	if blobBacked(b.parent) {
+		b.once.Do(func() {
+			var blob []byte
+			if blob, b.err = b.c.store.Blob(cas.Digest(b.parent.DesignDigest)); b.err == nil {
+				b.files, b.err = cas.DecodeBookshelf(blob)
+			}
+		})
+		if b.err != nil {
+			return "", b.err
+		}
+	}
+	m, err := b.c.Submit(serve.JobSpec{
 		Kind:       serve.KindPlace,
 		Profile:    b.parent.Spec.Profile,
+		Bookshelf:  b.files,
 		Scale:      b.parent.Spec.Scale,
 		Seed:       b.parent.Spec.Seed,
 		MaxIters:   b.parent.Spec.MaxIters,
@@ -339,223 +268,75 @@ func (b *farmBackend) Submit(ctx context.Context, t explore.Trial) (string, erro
 		// run), while per-trial dedupe through the result index is the
 		// farm's architecture — it is what makes resume replays and
 		// re-explorations of a known design family cheap.
-	}
-	m, err := b.s.admitTrial(b.parent, spec)
+	}, serve.Origin{Tenant: b.parent.Tenant, TraceParent: b.parent.TraceParent, Parent: b.parent.ID})
 	if err != nil {
 		return "", err
 	}
 	return m.ID, nil
 }
 
-// Await polls the trial's local manifest (the coordinator's watchers keep
-// it current) until it is terminal.
+// Await follows the trial's progress hub until the core ends it — which it
+// does only after the terminal manifest is durable — then reads the verdict.
 func (b *farmBackend) Await(ctx context.Context, jobID string) (xfarm.TrialOutcome, error) {
-	for {
-		m, err := b.s.spool.ReadManifest(jobID)
-		if err != nil {
-			return xfarm.TrialOutcome{}, err
-		}
-		switch m.State {
-		case serve.StateDone:
-			res := m.Result
-			if res == nil {
-				res = b.s.resolveOrigin(m).Result
+	if _, live, cancel, ok := b.c.Watch(jobID); ok {
+		defer cancel()
+		for open := true; open; {
+			select {
+			case _, open = <-live:
+			case <-ctx.Done():
+				return xfarm.TrialOutcome{}, context.Cause(ctx)
 			}
-			if res == nil {
-				return xfarm.TrialOutcome{}, fmt.Errorf("trial %s finished without a result", jobID)
-			}
-			return xfarm.TrialOutcome{Score: res.HOF + res.VOF, CacheHit: m.CacheHit}, nil
-		case serve.StateCanceled:
-			return xfarm.TrialOutcome{Canceled: true}, nil
-		case serve.StateFailed:
-			return xfarm.TrialOutcome{}, fmt.Errorf("trial %s failed: %s", jobID, m.Error)
 		}
-		select {
-		case <-ctx.Done():
-			return xfarm.TrialOutcome{}, context.Cause(ctx)
-		case <-time.After(b.s.cfg.Poll):
+	}
+	m, err := b.c.Spool().ReadManifest(jobID)
+	if err != nil {
+		return xfarm.TrialOutcome{}, err
+	}
+	switch m.State {
+	case serve.StateDone:
+		res := m.Result
+		if res == nil {
+			return xfarm.TrialOutcome{}, fmt.Errorf("trial %s finished without a result", jobID)
 		}
+		return xfarm.TrialOutcome{Score: res.HOF + res.VOF, CacheHit: m.CacheHit}, nil
+	case serve.StateCanceled:
+		return xfarm.TrialOutcome{Canceled: true}, nil
+	default:
+		return xfarm.TrialOutcome{}, fmt.Errorf("trial %s ended %s: %s", jobID, m.State, m.Error)
 	}
 }
 
 // Cancel requests mid-flight cancellation of a dominated trial.
 func (b *farmBackend) Cancel(jobID, reason string) error {
-	return b.s.cancelJob(jobID, reason)
+	_, err := b.c.Cancel(jobID, reason)
+	return err
 }
 
-// WatchOverflow streams the trial's place.overflow samples from its
-// worker's SSE feed. A stream that ends without the job being terminal
-// (worker died, failover in progress) re-attaches to wherever the job
-// lands next.
+// WatchOverflow taps the trial's hub for place.overflow samples — the
+// worker's, relayed by the remote backend, across failovers.
 func (b *farmBackend) WatchOverflow(ctx context.Context, jobID string, fn func(step int, overflow float64)) {
-	for ctx.Err() == nil {
-		m, err := b.s.spool.ReadManifest(jobID)
-		if err != nil || m.State.Terminal() {
-			return
-		}
-		if m.NodeAddr != "" && m.RemoteID != "" {
-			b.streamOverflow(ctx, m.NodeAddr+"/api/v1/jobs/"+m.RemoteID+"/events", fn)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(b.s.cfg.Poll):
-		}
-	}
-}
-
-// streamOverflow reads one worker SSE stream, forwarding overflow samples.
-func (b *farmBackend) streamOverflow(ctx context.Context, url string, fn func(int, float64)) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
+	replay, live, cancel, ok := b.c.Watch(jobID)
+	if !ok {
 		return
 	}
-	// Streaming call: bypass the default client timeout.
-	client := &http.Client{Transport: b.s.client.Transport}
-	resp, err := client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e serve.Event
-		if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e) != nil {
-			continue
-		}
+	defer cancel()
+	tap := func(e serve.Event) {
 		if e.Type == "sample" && e.Series == "place.overflow" {
 			fn(e.Step, e.Value)
 		}
 	}
-}
-
-// admitTrial is the internal admission path for farm trial jobs: the same
-// content addressing and result-cache check as handleSubmit, minus the HTTP
-// concerns, the pending cap (the controller self-limits at one in-flight
-// trial per relevance group), and spec validation (the spec is built here,
-// not received). The trial manifest carries Parent for provenance.
-func (s *Server) admitTrial(parent *serve.Manifest, spec serve.JobSpec) (*serve.Manifest, error) {
-	spec.Normalize()
-	configDigest, err := cas.Config{
-		Kind:     spec.Kind,
-		MaxIters: spec.MaxIters,
-		Route:    spec.Route,
-		Budget:   spec.Budget,
-		Seed:     spec.Seed,
-		Strategy: spec.Strategy,
-	}.Digest()
-	if err != nil {
-		return nil, err
-	}
-	m := &serve.Manifest{
-		ID:           serve.NewJobID(),
-		Spec:         spec,
-		State:        serve.StateQueued,
-		Tenant:       parent.Tenant,
-		Parent:       parent.ID,
-		DesignDigest: parent.DesignDigest,
-		ConfigDigest: string(configDigest),
-		SubmittedAt:  time.Now().UTC(),
-		TraceParent:  parent.TraceParent,
-	}
-	if !spec.NoCache {
-		if hit, ok := s.cacheHit(cas.Digest(parent.DesignDigest), configDigest); ok {
-			now := time.Now()
-			m.State = serve.StateDone
-			m.CacheHit = true
-			m.Origin = hit.Job
-			m.ResultDigest = string(hit.ResultDigest)
-			m.FinishedAt = &now
-			if origin, err := s.spool.ReadManifest(hit.Job); err == nil {
-				m.Result = origin.Result
-				m.Stage = origin.Stage
-			}
-			if err := s.spool.CreateJob(m); err != nil {
-				return nil, err
-			}
-			s.reg.Counter("coord.cache_hits").Inc()
-			s.reg.Counter("coord.trial_cache_hits").Inc()
-			s.publishGauges()
-			return m, nil
-		}
-	}
-	s.reg.Counter("coord.cache_misses").Inc()
-	if strings.HasPrefix(parent.DesignDigest, "sha256-") && spec.Profile == "" {
-		// Uploaded design: the trial references the parent's blob, and its
-		// own ref balances the Release in finish.
-		if err := s.store.AddRef(cas.Digest(parent.DesignDigest)); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.spool.CreateJob(m); err != nil {
-		return nil, err
-	}
-	s.reg.Counter("coord.trials_submitted").Inc()
-	s.enqueue(m)
-	return m, nil
-}
-
-// farmEvents streams a distributed exploration's progress as SSE: the live
-// controller's hub (replay + live) while it runs, or a single terminal
-// state event once it is gone.
-func (s *Server) farmEvents(w http.ResponseWriter, r *http.Request, m *serve.Manifest) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(e serve.Event) bool {
-		data, _ := json.Marshal(e)
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	f := s.lookupFarm(m.ID)
-	if f == nil {
-		// No live controller: report the durable state (terminal, or parked
-		// between shutdown and the next boot's resume).
-		writeEvent(serve.Event{Seq: 1, Type: "state", State: m.State, Error: m.Error})
-		return
-	}
-	replay, ch, cancel := f.hub.Subscribe()
-	defer cancel()
 	for _, e := range replay {
-		if !writeEvent(e) {
-			return
-		}
+		tap(e)
 	}
 	for {
 		select {
-		case <-r.Context().Done():
+		case e, open := <-live:
+			if !open {
+				return
+			}
+			tap(e)
+		case <-ctx.Done():
 			return
-		case e, chOk := <-ch:
-			if !chOk {
-				// Stream closed: surface the terminal state the runFarm
-				// goroutine just wrote.
-				if mm, err := s.spool.ReadManifest(m.ID); err == nil && mm.State.Terminal() {
-					writeEvent(serve.Event{Type: "state", State: mm.State, Error: mm.Error})
-				}
-				return
-			}
-			if !writeEvent(e) {
-				return
-			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ const exploreTrials = 11 // budget + rounds×groups×budget = 1 + 2×5×1
 // countTrials tallies the coordinator-spooled trial jobs of one exploration.
 func countTrials(t *testing.T, s *Server, parent string) (placed, cached int) {
 	t.Helper()
-	all, err := s.spool.List()
+	all, err := s.Spool().List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDistributedExplorationResume(t *testing.T) {
 	w1 := newFleetWorker(t, "w1")
 	w2 := newFleetWorker(t, "w2")
 	spoolDir := t.TempDir()
-	cs1, ch1 := newCoordinator(t, Config{SpoolDir: spoolDir})
+	cs1, ch1 := newCoordinator(t, Config{Config: serve.Config{SpoolDir: spoolDir}})
 	w1.register(t, ch1.URL)
 	w2.register(t, ch1.URL)
 
@@ -158,7 +158,7 @@ func TestDistributedExplorationResume(t *testing.T) {
 	for {
 		placed, _ := countTrials(t, cs1, m.ID)
 		doneTrials := 0
-		all, _ := cs1.spool.List()
+		all, _ := cs1.Spool().List()
 		for _, tm := range all {
 			if tm.Parent == m.ID && tm.State == serve.StateDone {
 				doneTrials++
@@ -176,7 +176,7 @@ func TestDistributedExplorationResume(t *testing.T) {
 	if err := cs1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := cs1.spool.ReadManifest(m.ID)
+	mm, err := cs1.Spool().ReadManifest(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDistributedExplorationResume(t *testing.T) {
 	}
 
 	// Restart on the same spool: recovery must restart the controller.
-	cs2, ch2 := newCoordinator(t, Config{SpoolDir: spoolDir})
+	cs2, ch2 := newCoordinator(t, Config{Config: serve.Config{SpoolDir: spoolDir}})
 	if cs2.Recovered == 0 {
 		t.Fatal("recovery found nothing to resume")
 	}
@@ -197,7 +197,7 @@ func TestDistributedExplorationResume(t *testing.T) {
 		t.Fatalf("resumed result = %+v, want %d trials", done.Result, exploreTrials)
 	}
 
-	path, err := cs2.spool.ArtifactPath(m.ID, ExploreStateArtifact)
+	path, err := cs2.Spool().ArtifactPath(m.ID, ExploreStateArtifact)
 	if err != nil {
 		t.Fatal(err)
 	}

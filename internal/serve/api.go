@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
+	"puffer/internal/cas"
 	"puffer/internal/obs"
 	"puffer/internal/synth"
 )
@@ -17,7 +19,13 @@ import (
 // included) — backpressure starts at the socket.
 const maxSpecBytes = 64 << 20
 
-// Handler builds the daemon's HTTP surface:
+// TenantHeader names the submission header carrying the tenant identity:
+// the job waits in that tenant's queue lane. Absent means DefaultTenant.
+const TenantHeader = "X-Puffer-Tenant"
+
+// Handler builds the daemon's HTTP surface — the only one in the repo;
+// a fleet mounts its extra routes on the same mux in place of the
+// (local-only) session routes:
 //
 //	POST   /api/v1/jobs                   submit (202; 429+Retry-After when full; 503 draining)
 //	GET    /api/v1/jobs                   list job summaries
@@ -34,8 +42,8 @@ const maxSpecBytes = 64 << 20
 //	GET    /api/v1/sessions/{id}/events   SSE progress stream (replay + live)
 //	DELETE /api/v1/sessions/{id}          close the session
 //	GET    /healthz                       liveness (always 200 while the process serves)
-//	GET    /readyz                        readiness (503 while draining / saturated / SLO burning)
-//	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs)
+//	GET    /readyz                        readiness (503 while draining / saturated / SLO burning / no workers)
+//	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs, fleet)
 //	GET    /metrics, /debug/...           daemon registry (Prometheus, pprof, expvar)
 //
 // Every route passes through withTelemetry: request latency lands in the
@@ -43,6 +51,11 @@ const maxSpecBytes = 64 << 20
 // structured line correlated with any incoming traceparent.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	s.routes(mux)
+	return s.withTelemetry(mux)
+}
+
+func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
@@ -51,12 +64,16 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
-	mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
-	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
-	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
+	if s.fleet != nil {
+		s.fleet.Mount(mux)
+	} else {
+		mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
+		mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
+		mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
+		mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
+		mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
+		mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /api/v1/ops", s.handleOps)
@@ -72,11 +89,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprint(w, "pufferd placement job service\n\n/api/v1/jobs\n/api/v1/ops\n/healthz\n/readyz\n/metrics\n/debug/pprof/\n/debug/vars\n")
 	})
-	return s.withTelemetry(mux)
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -84,83 +100,174 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// apiError is the uniform error body.
-func apiError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// APIError writes the uniform error body.
+func APIError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// submitError is what Submit refuses with: the HTTP status it maps to and,
+// for backpressure (429), the Retry-After hint.
+type submitError struct {
+	Status     int
+	RetryAfter time.Duration
+	Msg        string
+}
+
+func (e *submitError) Error() string { return e.Msg }
+
+func refuse(status int, format string, args ...any) *submitError {
+	return &submitError{Status: status, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Origin is who a submission came from: the tenant lane it waits in, the
+// trace it joins, and — for the trial jobs an exploration farm submits on
+// its own behalf, which are exempt from the queue cap as the controller
+// limits itself to one in-flight trial per relevance group — the parent
+// exploration.
+type Origin struct {
+	Tenant      string
+	TraceParent string
+	Parent      string
+}
+
+// Submit is the one admission path, for the HTTP handler and for a farm's
+// trial jobs alike: validate, content-address (fleet), answer from the
+// result cache (fleet), spool, enqueue. A refusal leaves
+// nothing behind — no job directory, no queue entry, no store reference.
+func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not admitting jobs")
-		return
-	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		apiError(w, http.StatusBadRequest, "decode job spec: %v", err)
-		return
+		return nil, refuse(http.StatusServiceUnavailable, "daemon is draining; not admitting jobs")
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
+		return nil, refuse(http.StatusBadRequest, "invalid job spec: %v", err)
 	}
-	if spec.Distributed {
-		apiError(w, http.StatusBadRequest,
+	if spec.Distributed && s.fleet == nil {
+		return nil, refuse(http.StatusBadRequest,
 			"distributed exploration requires a fleet coordinator; this is a worker daemon")
-		return
 	}
 	if spec.Profile != "" {
 		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, refuse(http.StatusBadRequest, "%v", err)
 		}
 	}
-
 	m := &Manifest{
 		ID:          newJobID(),
 		Spec:        spec,
 		State:       StateQueued,
+		Tenant:      o.Tenant,
+		Parent:      o.Parent,
 		SubmittedAt: time.Now().UTC(),
 	}
-	// Persist a valid incoming trace context with the job: the worker that
-	// eventually claims it (possibly after a daemon restart) adopts it, so
-	// the pipeline's span tree joins the submitting client's trace.
-	if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
-		if _, err := obs.ParseTraceparent(tp); err == nil {
-			m.TraceParent = tp
+	// Persist a valid incoming trace context with the job: whoever runs it
+	// (possibly after a daemon restart) adopts it, so the job's span tree
+	// joins the submitting client's trace.
+	if _, err := obs.ParseTraceparent(o.TraceParent); err == nil {
+		m.TraceParent = o.TraceParent
+	}
+	undo := func() {}
+	if s.fleet != nil {
+		u, err := s.fleet.Admit(m)
+		if err != nil {
+			status := http.StatusInternalServerError
+			if errors.Is(err, ErrInvalidSpec) {
+				status = http.StatusBadRequest
+			}
+			return nil, refuse(status, "%v", err)
+		}
+		if u != nil {
+			undo = u
 		}
 	}
-	if err := s.spool.CreateJob(m); err != nil {
-		apiError(w, http.StatusInternalServerError, "spool job: %v", err)
-		return
-	}
-	s.ensureJob(m.ID)
-	if err := s.queue.TryPush(m.ID); err != nil {
+	abort := func() {
 		os.RemoveAll(s.spool.JobDir(m.ID))
 		s.mu.Lock()
 		delete(s.jobs, m.ID)
 		s.mu.Unlock()
-		if errors.Is(err, ErrQueueFull) {
-			s.reg.Counter("serve.jobs_rejected").Inc()
-			retry := s.queue.RetryAfter(s.cfg.Workers)
-			w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds())))
-			apiError(w, http.StatusTooManyRequests,
-				"queue full (%d/%d); retry in %s", s.queue.Len(), s.queue.Cap(), retry)
-			return
+		undo()
+	}
+	if err := s.spool.CreateJob(m); err != nil {
+		abort()
+		return nil, refuse(http.StatusInternalServerError, "spool job: %v", err)
+	}
+	switch {
+	case m.State.Terminal(): // answered from the result cache
+	case spec.Distributed:
+		s.ensureJob(m.ID)
+		s.launch(func() { s.runJob(m.ID, s.fleet.Explore, false) })
+	default:
+		s.ensureJob(m.ID)
+		push := s.queue.TryPush
+		if o.Parent != "" {
+			push = s.queue.ForcePush
 		}
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		if err := push(m.Tenant, m.ID); err != nil {
+			abort()
+			if errors.Is(err, ErrQueueFull) {
+				s.reg.Counter("serve.jobs_rejected").Inc()
+				e := refuse(http.StatusTooManyRequests, "queue full (%d/%d)", s.queue.Len(), s.queue.Cap())
+				e.RetryAfter = s.queue.RetryAfter(s.backend.Slots())
+				return nil, e
+			}
+			return nil, refuse(http.StatusServiceUnavailable, "%v", err)
+		}
 	}
 	s.reg.Counter("serve.jobs_submitted").Inc()
 	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
-	s.log.InfoContext(r.Context(), "job queued", "job", m.ID, "kind", spec.Kind)
-	writeJSON(w, http.StatusAccepted, m)
+	return m, nil
 }
 
-// jobSummary is one row of the list endpoint.
-type jobSummary struct {
+// handleSubmit is the one place a JobSpec is decoded off the wire.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec JobSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		APIError(w, http.StatusBadRequest, "decode job spec: %v", err)
+		return
+	}
+	m, err := s.Submit(spec, Origin{
+		Tenant:      sanitizeTenant(r.Header.Get(TenantHeader)),
+		TraceParent: r.Header.Get(obs.TraceparentHeader),
+	})
+	if err != nil {
+		var se *submitError
+		errors.As(err, &se)
+		if se.Status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(int(se.RetryAfter.Seconds())))
+			APIError(w, se.Status, "%s; retry in %s", se.Msg, se.RetryAfter)
+			return
+		}
+		APIError(w, se.Status, "%s", se.Msg)
+		return
+	}
+	if m.CacheHit {
+		s.log.InfoContext(r.Context(), "cache hit", "job", m.ID, "origin", m.Origin)
+	} else {
+		s.log.InfoContext(r.Context(), "job queued", "job", m.ID, "kind", m.Spec.Kind)
+	}
+	WriteJSON(w, http.StatusAccepted, m)
+}
+
+// sanitizeTenant bounds the tenant label (it becomes a queue key and log
+// field, never a path); "" when the header is absent or unusable.
+func sanitizeTenant(t string) string {
+	if len(t) > 64 {
+		t = t[:64]
+	}
+	var b strings.Builder
+	for _, c := range t {
+		if c > ' ' && c < 0x7f && c != '/' && c != '\\' {
+			b.WriteRune(c)
+		}
+	}
+	return b.String()
+}
+
+// JobSummary is one row of the list endpoint — the same row on a
+// standalone daemon and a coordinator (which fills the fleet fields), and
+// never the manifest's inlined design.
+type JobSummary struct {
 	ID          string     `json:"id"`
 	Kind        string     `json:"kind"`
 	Design      string     `json:"design"`
@@ -171,31 +278,40 @@ type jobSummary struct {
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	HPWL        float64    `json:"hpwl,omitempty"`
 	Error       string     `json:"error,omitempty"`
+	Tenant      string     `json:"tenant,omitempty"`
+	Node        string     `json:"node,omitempty"`
+	Parent      string     `json:"parent,omitempty"`
+	CacheHit    bool       `json:"cache_hit,omitempty"`
+	Origin      string     `json:"origin,omitempty"`
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	ms, err := s.spool.List()
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "list spool: %v", err)
+		APIError(w, http.StatusInternalServerError, "list spool: %v", err)
 		return
 	}
-	out := make([]jobSummary, 0, len(ms))
+	out := make([]JobSummary, 0, len(ms))
 	for _, m := range ms {
 		design := m.Spec.Profile
 		if design == "" {
 			design = m.Spec.AuxName()
 		}
-		row := jobSummary{
+		if design == "" { // an upload whose files live in the fleet's store
+			design = cas.Digest(m.DesignDigest).Short()
+		}
+		row := JobSummary{
 			ID: m.ID, Kind: m.Spec.Kind, Design: design, State: m.State,
 			Stage: m.Stage, Attempts: m.Attempts,
 			SubmittedAt: m.SubmittedAt, FinishedAt: m.FinishedAt, Error: m.Error,
+			Tenant: m.Tenant, Node: m.Node, Parent: m.Parent, CacheHit: m.CacheHit, Origin: m.Origin,
 		}
 		if m.Result != nil {
 			row.HPWL = m.Result.HPWL
 		}
 		out = append(out, row)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // loadManifest fetches the manifest for the path's {id}, writing the 404.
@@ -203,15 +319,25 @@ func (s *Server) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest 
 	id := r.PathValue("id")
 	m, err := s.spool.ReadManifest(id)
 	if err != nil {
-		apiError(w, http.StatusNotFound, "job %s: %v", id, err)
+		APIError(w, http.StatusNotFound, "job %s: %v", id, err)
 		return nil
+	}
+	return m
+}
+
+// resolveOrigin follows a cache hit to the job that computed the result.
+func (s *Server) resolveOrigin(m *Manifest) *Manifest {
+	if m.CacheHit && m.Origin != "" {
+		if origin, err := s.spool.ReadManifest(m.Origin); err == nil {
+			return origin
+		}
 	}
 	return m
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if m := s.loadManifest(w, r); m != nil {
-		writeJSON(w, http.StatusOK, m)
+		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
@@ -221,27 +347,85 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if m.State != StateDone {
-		apiError(w, http.StatusConflict, "job %s is %s, not done", m.ID, m.State)
+		APIError(w, http.StatusConflict, "job %s is %s, not done", m.ID, m.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, m.Result)
+	if m.Result == nil {
+		m = s.resolveOrigin(m)
+	}
+	WriteJSON(w, http.StatusOK, m.Result)
 }
 
+// handleArtifact serves an artifact from the job's own directory, then —
+// for a cache hit — from the job that computed the result, then — for a
+// job still running on a fleet worker — from that worker.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	m := s.loadManifest(w, r)
 	if m == nil {
 		return
 	}
-	path, err := s.spool.ArtifactPath(m.ID, r.PathValue("name"))
+	name := r.PathValue("name")
+	for _, cand := range []*Manifest{m, s.resolveOrigin(m)} {
+		path, err := s.spool.ArtifactPath(cand.ID, name)
+		if err != nil {
+			APIError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if st, serr := os.Stat(path); serr == nil && !st.IsDir() {
+			http.ServeFile(w, r, path)
+			return
+		}
+	}
+	if s.fleet != nil && m.RemoteID != "" && !m.State.Terminal() {
+		if data, err := s.fleet.Artifact(r.Context(), m, name); err == nil {
+			w.Write(data)
+			return
+		}
+	}
+	APIError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, name)
+}
+
+// Cancel cancels a job with the given reason. A job still waiting (queued
+// or parked) is canceled durably on the spot and its final manifest
+// returned; a running one is canceled through its context — the backend
+// winds it down and the core records the state — and (nil, nil) returned.
+func (s *Server) Cancel(id, reason string) (*Manifest, error) {
+	waiting := false
+	m, err := s.spool.Update(id, func(mm *Manifest) error {
+		if waiting = mm.State == StateQueued || mm.State == StateParked; waiting {
+			now := time.Now()
+			mm.State = StateCanceled
+			mm.Error = reason
+			mm.FinishedAt = &now
+		}
+		return nil
+	})
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	if st, serr := os.Stat(path); serr != nil || st.IsDir() {
-		apiError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, r.PathValue("name"))
-		return
+	a, live := s.jobRuntime(id)
+	if !waiting {
+		// Running (a claim may have raced the read): only its context acts.
+		if live {
+			s.mu.Lock()
+			cancel := a.cancel
+			s.mu.Unlock()
+			if cancel != nil {
+				cancel(ErrCanceled)
+			}
+		}
+		return nil, nil
 	}
-	http.ServeFile(w, r, path)
+	s.reg.Counter("serve.jobs_canceled").Inc()
+	s.onTerminal(m)
+	if live {
+		a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
+		a.hub.Close()
+	}
+	// The job never reached a backend, so no runJob call will retire it;
+	// enroll the hub in retention here or it leaks forever.
+	s.retireJob(id)
+	return m, nil
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -250,66 +434,41 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if m.State.Terminal() {
-		apiError(w, http.StatusConflict, "job %s already %s", m.ID, m.State)
+		APIError(w, http.StatusConflict, "job %s already %s", m.ID, m.State)
 		return
 	}
-	// Queued (or parked) jobs cancel durably in the spool; running jobs
-	// cancel through their context and the worker records the state.
-	switch m.State {
-	case StateQueued, StateParked:
-		now := time.Now()
-		updated, err := s.spool.Update(m.ID, func(mm *Manifest) error {
-			if mm.State == StateRunning { // raced with a worker claim
-				return nil
-			}
-			mm.State = StateCanceled
-			mm.Error = errJobCanceled.Error()
-			mm.FinishedAt = &now
-			return nil
-		})
-		if err != nil {
-			apiError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		m = updated
-		if m.State == StateCanceled {
-			s.reg.Counter("serve.jobs_canceled").Inc()
-			if a, ok := s.jobRuntime(m.ID); ok {
-				a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
-				a.hub.Close()
-			}
-			// The job never reached a worker, so no runJob call will retire
-			// it; enroll the hub in retention here or it leaks forever.
-			s.retireJob(m.ID)
-			writeJSON(w, http.StatusOK, m)
-			return
-		}
-		fallthrough
-	case StateRunning:
-		if a, ok := s.jobRuntime(m.ID); ok {
-			s.mu.Lock()
-			cancel := a.cancel
-			s.mu.Unlock()
-			if cancel != nil {
-				cancel(errJobCanceled)
-			}
-		}
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": m.ID, "state": "canceling"})
+	final, err := s.Cancel(m.ID, ErrCanceled.Error())
+	switch {
+	case err != nil:
+		APIError(w, http.StatusInternalServerError, "%v", err)
+	case final != nil:
+		WriteJSON(w, http.StatusOK, final)
+	default:
+		WriteJSON(w, http.StatusAccepted, map[string]string{"id": m.ID, "state": "canceling"})
 	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "serving"
-	if s.Draining() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      status,
+	doc := map[string]any{
+		"status":      s.status(),
 		"queue_depth": s.queue.Len(),
 		"queue_cap":   s.queue.Cap(),
-		"workers":     s.cfg.Workers,
+		"workers":     s.backend.Slots(),
 		"active_jobs": s.activeCount(),
-	})
+	}
+	if s.fleet != nil {
+		for k, v := range s.fleet.Ops(false) {
+			doc[k] = v
+		}
+	}
+	WriteJSON(w, http.StatusOK, doc)
+}
+
+func (s *Server) status() string {
+	if s.Draining() {
+		return "draining"
+	}
+	return "serving"
 }
 
 // handleEvents streams the job's progress as server-sent events: the
@@ -337,7 +496,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fallback Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported")
+		APIError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

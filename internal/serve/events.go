@@ -127,6 +127,9 @@ func (h *Hub) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 // registry observes is also a live progress event.
 type hubSink struct{ h *Hub }
 
+// HubSink returns the obs.Sink that publishes samples into h.
+func HubSink(h *Hub) obs.Sink { return hubSink{h} }
+
 // Observe implements obs.Sink.
 func (s hubSink) Observe(series string, sm obs.Sample) {
 	s.h.Publish(Event{Type: "sample", Series: series, Step: sm.Step, Value: sm.Value})

@@ -58,11 +58,12 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		// Probes and scrapes log at debug so an -v daemon log stays about
-		// the API; everything else is one info line per request.
+		// Probes, scrapes and fleet heartbeats log at debug so an -v daemon
+		// log stays about the API; everything else is one info line per
+		// request.
 		level := slog.LevelInfo
 		if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" || r.URL.Path == "/metrics" ||
-			strings.HasPrefix(r.URL.Path, "/debug/") {
+			r.URL.Path == "/api/v1/nodes" || strings.HasPrefix(r.URL.Path, "/debug/") {
 			level = slog.LevelDebug
 		}
 		s.log.LogAttrs(ctx, level, "http request",

@@ -1,20 +1,24 @@
-// Package serve is the placement job service behind cmd/pufferd: a bounded
-// admission queue with explicit backpressure, a worker pool that runs each
-// job through the staged pipeline with per-stage checkpointing into a spool
-// directory, per-job telemetry registries streamed to subscribers as
-// server-sent events, graceful drain (park running jobs at their last
-// checkpoint), and crash-safe recovery (a restarted daemon re-admits
-// interrupted jobs and resumes them from their spooled checkpoints).
+// Package serve is the placement job service — the only one in the repo.
+// A standalone cmd/pufferd and a fleet coordinator are the same Server: one
+// HTTP surface, one admission path, one bounded tenant-lane queue with
+// explicit backpressure, one durable spool with crash-safe recovery and
+// graceful drain, one progress hub per job streamed to subscribers as
+// server-sent events. Where a claimed job runs is behind Backend: the
+// in-process worker pool here (each job through the staged pipeline with
+// per-stage checkpoints into the spool), or a fleet of remote workers
+// (internal/coord, which also plugs in the fleet-only hooks of Fleet).
 //
 // The package layers are:
 //
-//	job.go    — the job vocabulary: JobSpec, JobState, Manifest, JobResult
-//	spool.go  — the on-disk job store (manifests, designs, checkpoints, artifacts)
-//	queue.go  — the bounded admission queue with Retry-After estimation
-//	events.go — the per-job progress hub (ring buffer + live subscribers)
-//	worker.go — the worker pool executing jobs through pipeline/explore
-//	server.go — lifecycle: recovery, drain, daemon metrics
-//	api.go    — the HTTP surface (REST + SSE + artifact download + debug)
+//	job.go     — the job vocabulary: JobSpec, JobState, Manifest, JobResult
+//	spool.go   — the on-disk job store (manifests, designs, checkpoints, artifacts)
+//	queue.go   — the admission queue: tenant lanes, cap, rate limit, Retry-After
+//	events.go  — the per-job progress hub (ring buffer + live subscribers)
+//	backend.go — Backend, Fleet, and the job lifecycle around a backend run
+//	local.go   — the local backend: jobs through pipeline/explore in process
+//	server.go  — construction, recovery, drain, daemon metrics
+//	api.go     — the HTTP surface (admission, REST, SSE, artifacts, debug)
+//	session*.go — interactive ECO sessions (standalone only)
 package serve
 
 import (
@@ -252,16 +256,19 @@ type Manifest struct {
 	// Stage is the last stage a checkpoint was spooled after; a re-admitted
 	// job resumes from it via Checkpoint.Apply.
 	Stage string `json:"stage,omitempty"`
-	// Attempts counts admissions (1 on first run; +1 per park/crash resume).
+	// Attempts counts claims (1 on first run; +1 per park/crash resume and
+	// per hand-off to another fleet worker).
 	Attempts int `json:"attempts"`
 	// TraceParent is the W3C traceparent header the submission carried, if
 	// any; the worker adopts it so the job's trace joins the client's.
 	TraceParent string `json:"traceparent,omitempty"`
 
-	// Fleet fields, set only on coordinator-spooled manifests (single-node
-	// daemons leave them empty).
-
-	// Tenant is the submitting tenant (X-Puffer-Tenant, "default" if unset).
+	// Tenant is the queue lane the job waits in (X-Puffer-Tenant). A
+	// coordinator records "default" when the header is absent; a standalone
+	// daemon leaves it empty.
+	//
+	// The remaining fields below are set only on coordinator-spooled
+	// manifests.
 	Tenant string `json:"tenant,omitempty"`
 	// Node/NodeAddr identify the worker the job was dispatched to.
 	Node     string `json:"node,omitempty"`

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"time"
 
@@ -20,62 +19,38 @@ import (
 	"puffer/pipeline"
 )
 
-// errSkipJob marks a popped queue entry whose manifest is no longer
-// queued (canceled while waiting, or a duplicate admission).
-var errSkipJob = errors.New("serve: job no longer queued")
+// localBackend runs jobs in this process: a pool of cfg.Workers slots,
+// each job through the staged pipeline (or the in-process explorer) with
+// per-stage checkpoints in the spool.
+type localBackend struct {
+	*Server
+	sem chan struct{}
+}
 
-// workerLoop is one pool worker: pop, run, repeat until the queue closes.
-func (s *Server) workerLoop() {
-	defer s.wg.Done()
-	for {
-		id, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
-		s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
-		if s.Draining() {
-			// Leave the job spooled as queued; the next boot re-admits it.
-			continue
-		}
-		s.runJob(id)
+func newLocalBackend(s *Server) *localBackend {
+	return &localBackend{Server: s, sem: make(chan struct{}, s.cfg.Workers)}
+}
+
+// Acquire takes one pool slot.
+func (b *localBackend) Acquire(ctx context.Context) (func(), error) {
+	select {
+	case b.sem <- struct{}{}:
+		return func() { <-b.sem }, nil
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
 	}
 }
 
-// runJob executes one admitted job end to end: claim, telemetry setup,
-// kind dispatch, outcome classification, artifact/manifest finalization.
-func (s *Server) runJob(id string) {
-	start := time.Now()
-	m, err := s.spool.Update(id, func(mm *Manifest) error {
-		if mm.State != StateQueued {
-			return errSkipJob
-		}
-		now := time.Now()
-		mm.State = StateRunning
-		mm.StartedAt = &now
-		mm.Attempts++
-		return nil
-	})
-	if err != nil {
-		if !errors.Is(err, errSkipJob) {
-			s.log.Error("job claim failed", "job", id, "error", err)
-		}
-		return
-	}
+// Slots is the pool size.
+func (b *localBackend) Slots() int { return cap(b.sem) }
 
-	a := s.ensureJob(id)
-	jobCtx, cancel := context.WithCancelCause(s.baseCtx)
-	s.mu.Lock()
-	a.cancel = cancel
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		cancel(errParked) // drain began between Pop and registration
-	}
-	defer cancel(nil)
-
+// Run executes one claimed job in process: telemetry setup, kind dispatch,
+// artifact spooling, outcome classification.
+func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
+	m, id := j.M, j.M.ID
 	timeout := time.Duration(m.Spec.TimeoutSec * float64(time.Second))
 	if timeout == 0 {
-		timeout = s.cfg.DefaultJobTimeout
+		timeout = b.cfg.DefaultJobTimeout
 	}
 	runCtx := jobCtx
 	if timeout > 0 {
@@ -87,8 +62,8 @@ func (s *Server) runJob(id string) {
 	// Per-job telemetry: an isolated registry whose samples stream to the
 	// job's hub and to the spooled metrics.jsonl, a tracer for the trace
 	// artifact, and a live expvar registration while the job runs.
-	sinks := []obs.Sink{hubSink{a.hub}}
-	metricsPath, _ := s.spool.ArtifactPath(id, "metrics.jsonl")
+	sinks := []obs.Sink{hubSink{j.Hub}}
+	metricsPath, _ := b.spool.ArtifactPath(id, "metrics.jsonl")
 	metricsF, ferr := os.OpenFile(metricsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	var metricsSink obs.Sink
 	if ferr == nil {
@@ -106,40 +81,32 @@ func (s *Server) runJob(id string) {
 	}
 	tracer := obs.NewTracerWith(tc)
 	rec := obs.NewRecorder(tracer, reg)
-	s.mu.Lock()
-	a.reg = reg
-	s.mu.Unlock()
 	obs.PublishExpvar("job-"+id, reg)
 	defer obs.UnpublishExpvar("job-" + id)
 
 	// The job span opens retroactively at submission, so the trace shows
 	// the full client-observed wall; the queue wait (submission → claim)
-	// is its first child and feeds the queue-wait SLO histogram.
+	// is its first child.
 	jobSpan := tracer.StartSpanAt("serve.job", m.SubmittedAt)
 	jobSpan.SetArg("job", id)
 	jobSpan.SetArg("kind", m.Spec.Kind)
 	jobSpan.SetArg("attempt", m.Attempts)
-	queueWait := start.Sub(m.SubmittedAt)
-	if queueWait < 0 {
-		queueWait = 0
+	var queueWait time.Duration
+	if m.StartedAt != nil && m.StartedAt.After(m.SubmittedAt) {
+		queueWait = m.StartedAt.Sub(m.SubmittedAt)
 	}
 	jobSpan.RecordChild("serve.queue_wait", m.SubmittedAt, queueWait)
-	s.hQueueWait.Observe(queueWait.Seconds())
 	runCtx = obs.ContextWith(runCtx, jobSpan)
-	lctx := obs.ContextWithLabels(runCtx, slog.String("job", id))
 
-	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
-	a.hub.Publish(Event{Type: "state", State: StateRunning})
-	s.log.InfoContext(lctx, "job running",
-		"kind", m.Spec.Kind, "attempt", m.Attempts,
-		"queue_wait", queueWait.Round(time.Millisecond))
-
-	var result *JobResult
+	var (
+		result *JobResult
+		err    error
+	)
 	switch m.Spec.Kind {
 	case KindExplore:
-		result, err = s.execExplore(runCtx, m, a, rec)
+		result, err = b.execExplore(runCtx, m, j.Hub, rec)
 	default:
-		result, err = s.execPlace(runCtx, m, a, rec)
+		result, err = b.execPlace(runCtx, m, j.Hub, rec)
 	}
 	jobSpan.End()
 
@@ -147,9 +114,9 @@ func (s *Server) runJob(id string) {
 	// a parked or failed job's partial telemetry is exactly what the
 	// operator wants to look at.
 	if tracer.Len() > 0 {
-		if tp, perr := s.spool.ArtifactPath(id, "trace.json"); perr == nil {
+		if tp, perr := b.spool.ArtifactPath(id, "trace.json"); perr == nil {
 			if werr := tracer.WriteFile(tp); werr != nil {
-				s.log.ErrorContext(lctx, "write trace artifact", "error", werr)
+				b.log.ErrorContext(runCtx, "write trace artifact", "error", werr)
 			}
 		}
 	}
@@ -157,49 +124,8 @@ func (s *Server) runJob(id string) {
 		metricsSink.Flush()
 		metricsF.Close()
 	}
-
 	state, errMsg := classifyOutcome(runCtx, err)
-	if result != nil {
-		result.Artifacts = s.listArtifacts(id)
-	}
-	now := time.Now()
-	if _, uerr := s.spool.Update(id, func(mm *Manifest) error {
-		mm.State = state
-		mm.Error = errMsg
-		mm.Result = result
-		if state.Terminal() {
-			mm.FinishedAt = &now
-		} else {
-			mm.StartedAt = nil
-		}
-		return nil
-	}); uerr != nil {
-		s.log.ErrorContext(lctx, "finalize manifest", "error", uerr)
-	}
-
-	s.queue.ObserveJobDuration(time.Since(start))
-	s.hJobWall.ObserveSince(start)
-	switch state {
-	case StateDone:
-		s.reg.Counter("serve.jobs_completed").Inc()
-	case StateFailed:
-		s.reg.Counter("serve.jobs_failed").Inc()
-	case StateCanceled:
-		s.reg.Counter("serve.jobs_canceled").Inc()
-	case StateParked:
-		s.reg.Counter("serve.jobs_parked").Inc()
-	}
-	a.hub.Publish(Event{Type: "state", State: state, Error: errMsg})
-	a.hub.Close()
-	s.mu.Lock()
-	a.cancel = nil
-	s.mu.Unlock()
-	if state.Terminal() {
-		s.retireJob(id)
-	}
-	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
-	s.log.InfoContext(lctx, "job finished",
-		"state", state, "wall", time.Since(start).Round(time.Millisecond), "error", errMsg)
+	return Outcome{State: state, Error: errMsg, Result: result}
 }
 
 // classifyOutcome maps an execution error to the job's next state using
@@ -212,10 +138,10 @@ func classifyOutcome(ctx context.Context, err error) (JobState, string) {
 	if errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		cause := context.Cause(ctx)
 		switch {
-		case errors.Is(cause, errParked):
+		case errors.Is(cause, ErrParked):
 			return StateParked, ""
-		case errors.Is(cause, errJobCanceled):
-			return StateCanceled, errJobCanceled.Error()
+		case errors.Is(cause, ErrCanceled):
+			return StateCanceled, ErrCanceled.Error()
 		case errors.Is(cause, errJobDeadline):
 			return StateFailed, errJobDeadline.Error()
 		}
@@ -295,12 +221,12 @@ func placeConfig(spec *JobSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, e
 
 // execPlace runs (or resumes) a placement job through the staged pipeline,
 // checkpointing into the spool after every stage.
-func (s *Server) execPlace(ctx context.Context, m *Manifest, a *activeJob, rec *obs.Recorder) (*JobResult, error) {
+func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
 	d, topo, err := s.buildDesign(m)
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
 	}
-	cfg, err := placeConfig(&m.Spec, rec, a.hub)
+	cfg, err := placeConfig(&m.Spec, rec, hub)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +244,7 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, a *activeJob, rec *
 	pl := pipeline.New(stages...)
 	id := m.ID
 	pl.OnStage = func(st pipeline.StageStats) {
-		a.hub.Publish(Event{Type: "stage", Stage: st.Name, StageStatus: "done",
+		hub.Publish(Event{Type: "stage", Stage: st.Name, StageStatus: "done",
 			Iters: st.Iters, WallMS: float64(st.Wall) / 1e6})
 	}
 	pl.Checkpointer = func(cp *pipeline.Checkpoint) error {
@@ -338,10 +264,10 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, a *activeJob, rec *
 	var runErr error
 	ckptPath := s.spool.CheckpointPath(id)
 	if cp, lerr := pipeline.LoadCheckpoint(ckptPath); lerr == nil {
-		a.hub.Publish(Event{Type: "log", Line: fmt.Sprintf("resuming from checkpoint after stage %q", cp.Stage)})
+		hub.Publish(Event{Type: "log", Line: fmt.Sprintf("resuming from checkpoint after stage %q", cp.Stage)})
 		runErr = pl.Resume(ctx, rc, cp)
 		if runErr != nil && !errors.Is(runErr, pipeline.ErrCanceled) {
-			a.hub.Publish(Event{Type: "log", Line: fmt.Sprintf("resume failed (%v); restarting from scratch", runErr)})
+			hub.Publish(Event{Type: "log", Line: fmt.Sprintf("resume failed (%v); restarting from scratch", runErr)})
 			os.Remove(ckptPath)
 			if d, _, err = s.buildDesign(m); err != nil {
 				return nil, err
@@ -353,7 +279,7 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, a *activeJob, rec *
 		}
 	} else {
 		if !os.IsNotExist(lerr) {
-			a.hub.Publish(Event{Type: "log", Line: fmt.Sprintf("ignoring unreadable checkpoint: %v", lerr)})
+			hub.Publish(Event{Type: "log", Line: fmt.Sprintf("ignoring unreadable checkpoint: %v", lerr)})
 		}
 		runErr = pl.Run(ctx, rc)
 	}
@@ -414,12 +340,12 @@ func buildResult(rc *pipeline.RunContext, prior *JobResult) *JobResult {
 // explorations never reach a worker — the coordinator rejects them into
 // its farm controller instead). In-process exploration carries no
 // resumable design state, so a re-admitted exploration starts over.
-func (s *Server) execExplore(ctx context.Context, m *Manifest, a *activeJob, rec *obs.Recorder) (*JobResult, error) {
+func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
 	d, _, err := s.buildDesign(m)
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
 	}
-	cfg, err := placeConfig(&m.Spec, rec, a.hub)
+	cfg, err := placeConfig(&m.Spec, rec, hub)
 	if err != nil {
 		return nil, err
 	}

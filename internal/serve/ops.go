@@ -7,14 +7,18 @@ import (
 	"puffer/internal/obs"
 )
 
-// handleReady is readiness, distinct from /healthz liveness: a draining or
-// queue-saturated daemon is alive but should stop receiving traffic, so it
-// answers 503 here while /healthz stays 200. The body carries the live SLO
-// evaluation so a probe failure is diagnosable from the probe itself.
+// handleReady is readiness, distinct from /healthz liveness: a draining,
+// queue-saturated or worker-less daemon (a coordinator whose fleet is
+// empty would only queue) is alive but should stop receiving traffic, so
+// it answers 503 here while /healthz stays 200. The body carries the live
+// SLO evaluation so a probe failure is diagnosable from the probe itself.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if s.Draining() {
 		reasons = append(reasons, "draining")
+	}
+	if s.backend.Slots() == 0 {
+		reasons = append(reasons, "no_workers")
 	}
 	if s.queue.Len() >= s.queue.Cap() {
 		reasons = append(reasons, "queue saturated")
@@ -27,7 +31,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if len(reasons) > 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	WriteJSON(w, status, map[string]any{
 		"ready":   len(reasons) == 0,
 		"reasons": reasons,
 		"slo":     slos,
@@ -55,12 +59,9 @@ func summarize(snap obs.HistogramSnapshot) histogramSummary {
 
 // handleOps is the one-call operational picture `pufferctl top` and
 // `diag -ops` render: lifecycle, queue pressure, counters, latency
-// digests, and the SLO statuses.
+// digests, the SLO statuses, and — on a coordinator — role, node table and
+// cache size.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
-	status := "serving"
-	if s.Draining() {
-		status = "draining"
-	}
 	snap := s.reg.Snapshot()
 	hists := make(map[string]histogramSummary, len(snap.Histograms))
 	for name, hs := range snap.Histograms {
@@ -77,12 +78,12 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		rt.mu.Unlock()
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         status,
+	doc := map[string]any{
+		"status":         s.status(),
 		"uptime_seconds": time.Since(s.startedAt).Round(time.Second).Seconds(),
 		"queue_depth":    s.queue.Len(),
 		"queue_cap":      s.queue.Cap(),
-		"workers":        s.cfg.Workers,
+		"workers":        s.backend.Slots(),
 		"active_jobs":    s.activeCount(),
 		"sessions":       map[string]int{"tracked": sessions, "warm": warm},
 		"counters":       snap.Counters,
@@ -90,5 +91,11 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		"histograms":     hists,
 		"slo":            s.slo.Eval(),
 		"slo_healthy":    s.slo.Healthy(),
-	})
+	}
+	if s.fleet != nil {
+		for k, v := range s.fleet.Ops(true) {
+			doc[k] = v
+		}
+	}
+	WriteJSON(w, http.StatusOK, doc)
 }

@@ -7,18 +7,18 @@ import (
 )
 
 func TestQueueBackpressure(t *testing.T) {
-	q := NewQueue(2)
-	if err := q.TryPush("a"); err != nil {
+	q := NewQueue(2, 0, 0)
+	if err := q.TryPush(DefaultTenant, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.TryPush("b"); err != nil {
+	if err := q.TryPush(DefaultTenant, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.TryPush("c"); err != ErrQueueFull {
+	if err := q.TryPush(DefaultTenant, "c"); err != ErrQueueFull {
 		t.Fatalf("third push: got %v, want ErrQueueFull", err)
 	}
 	// Recovery re-admission is exempt from the cap.
-	if err := q.ForcePush("c"); err != nil {
+	if err := q.ForcePush(DefaultTenant, "c"); err != nil {
 		t.Fatalf("ForcePush beyond cap: %v", err)
 	}
 	if got := q.Len(); got != 3 {
@@ -33,8 +33,8 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestQueueCloseDrainsAndUnblocks(t *testing.T) {
-	q := NewQueue(4)
-	q.TryPush("a")
+	q := NewQueue(4, 0, 0)
+	q.TryPush(DefaultTenant, "a")
 	popped := make(chan string, 2)
 	go func() {
 		for {
@@ -47,7 +47,7 @@ func TestQueueCloseDrainsAndUnblocks(t *testing.T) {
 		}
 	}()
 	q.Close()
-	if err := q.TryPush("b"); err != ErrQueueClosed {
+	if err := q.TryPush(DefaultTenant, "b"); err != ErrQueueClosed {
 		t.Fatalf("push after close: got %v, want ErrQueueClosed", err)
 	}
 	var got []string
@@ -60,13 +60,13 @@ func TestQueueCloseDrainsAndUnblocks(t *testing.T) {
 }
 
 func TestQueueRetryAfter(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue(4, 0, 0)
 	// No completed jobs yet: the 1s floor applies.
 	if ra := q.RetryAfter(2); ra != time.Second {
 		t.Fatalf("cold RetryAfter = %s, want 1s", ra)
 	}
-	q.TryPush("a")
-	q.TryPush("b")
+	q.TryPush(DefaultTenant, "a")
+	q.TryPush(DefaultTenant, "b")
 	q.ObserveJobDuration(10 * time.Second)
 	// EWMA 10s, 2 queued + the rejected one, 1 worker: 30s.
 	if ra := q.RetryAfter(1); ra != 30*time.Second {
@@ -209,7 +209,7 @@ func TestSpoolRecoverRequeuesInterrupted(t *testing.T) {
 	mk("aaaaaaaaaaa4", StateDone, false)
 	mk("aaaaaaaaaaa5", StateCanceled, false)
 
-	recovered, err := sp.Recover()
+	recovered, _, err := sp.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}

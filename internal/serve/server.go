@@ -15,11 +15,17 @@ import (
 type Config struct {
 	// SpoolDir is the root of the durable job spool.
 	SpoolDir string
-	// QueueCap bounds the admission queue (default 16). Submissions beyond
-	// it receive 429 + Retry-After; recovery re-admission is exempt.
+	// QueueCap bounds the admission queue across all tenant lanes (default
+	// 16). Submissions beyond it receive 429 + Retry-After; recovery
+	// re-admission and a farm's own trial jobs are exempt.
 	QueueCap int
-	// Workers is the size of the job worker pool (default 2). Each worker
+	// TenantRate limits how fast each tenant lane is popped, in jobs/second
+	// (0 = unlimited); TenantBurst is the bucket size (default 4).
+	TenantRate  float64
+	TenantBurst int
+	// Workers is the size of the local worker pool (default 2). Each worker
 	// runs one staged pipeline at a time with its own telemetry registry.
+	// Unused under a fleet, whose capacity is its workers'.
 	Workers int
 	// DefaultJobTimeout applies to jobs that do not set their own
 	// timeout_sec (0 = no deadline). The clock restarts on resume.
@@ -42,31 +48,27 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Cancellation causes, distinguished through context.Cause so the worker
-// can tell a drain-park from a client cancel from a deadline.
-var (
-	errParked      = errors.New("daemon draining: job parked")
-	errJobCanceled = errors.New("job canceled by client")
-	errJobDeadline = errors.New("job deadline exceeded")
-)
+// errJobDeadline is the cause of a local job's own deadline firing.
+var errJobDeadline = errors.New("job deadline exceeded")
 
 // activeJob is the in-memory runtime of one admitted job.
 type activeJob struct {
 	hub    *Hub
-	reg    *obs.Registry
-	cancel context.CancelCauseFunc // nil until the job starts running
+	cancel context.CancelCauseFunc // nil unless the job is running
 }
 
-// Server is the placement job service: spool + queue + worker pool +
-// per-job progress hubs + daemon-level metrics. Construct with New,
-// start the pool with Start, attach the HTTP surface via Handler, and
-// stop with Drain (park) or Close.
+// Server is the placement job service: spool + queue + backend + per-job
+// progress hubs + daemon-level metrics. Construct with New (standalone) or
+// NewFleet (coordinator), start scheduling with Start, attach the HTTP
+// surface via Handler, and stop with Drain or Close.
 type Server struct {
-	cfg   Config
-	spool *Spool
-	queue *Queue
-	reg   *obs.Registry // daemon-level metrics (queue depth, job counts)
-	log   *slog.Logger
+	cfg     Config
+	spool   *Spool
+	queue   *Queue
+	backend Backend
+	fleet   Fleet         // nil on a standalone daemon
+	reg     *obs.Registry // daemon-level metrics (queue depth, job counts)
+	log     *slog.Logger
 
 	// Service latency histograms, resolved once from reg so the hot paths
 	// skip the registry map. Exposed on /metrics and fed to the SLOs.
@@ -79,10 +81,14 @@ type Server struct {
 	slo        *obs.SLO
 	startedAt  time.Time
 
-	baseCtx  context.Context
-	stopBase context.CancelFunc
-	drainCh  chan struct{} // closed when Drain begins
-	wg       sync.WaitGroup
+	baseCtx   context.Context
+	stopBase  context.CancelFunc
+	schedCtx  context.Context // ends when Drain begins
+	stopSched context.CancelFunc
+	wg        sync.WaitGroup
+	// resume lists what Start launches outside the queue: jobs a remote
+	// worker kept running (re-attach) and distributed explorations.
+	resume []func()
 
 	// designs shares parsed netlists and RSMT topology memos across jobs
 	// of the same design (keyed by content address).
@@ -107,11 +113,22 @@ type Server struct {
 // spooled manifest/artifacts.
 const hubRetention = 128
 
-// New opens the spool, re-admits interrupted jobs, and prepares the worker
-// pool (not yet started).
-func New(cfg Config) (*Server, error) {
+// New builds a standalone daemon: jobs run on the in-process worker pool.
+func New(cfg Config) (*Server, error) { return newServer(cfg, nil) }
+
+// NewFleet builds a coordinator's core: jobs run wherever f dispatches
+// them, admission passes through f's content-addressing hook, and f's
+// routes replace the (local-only) session routes.
+func NewFleet(cfg Config, f Fleet) (*Server, error) { return newServer(cfg, f) }
+
+// newServer opens the spool, re-admits interrupted jobs, and prepares the
+// scheduler (not yet started).
+func newServer(cfg Config, fleet Fleet) (*Server, error) {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 16
+	}
+	if cfg.TenantBurst <= 0 {
+		cfg.TenantBurst = 4
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
@@ -130,16 +147,22 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		spool:     sp,
-		queue:     NewQueue(cfg.QueueCap),
+		queue:     NewQueue(cfg.QueueCap, cfg.TenantRate, cfg.TenantBurst),
+		fleet:     fleet,
 		reg:       obs.NewRegistry(),
 		log:       cfg.Log,
 		startedAt: time.Now(),
 		baseCtx:   ctx,
 		stopBase:  cancel,
-		drainCh:   make(chan struct{}),
 		designs:   newDesignCache(),
 		jobs:      make(map[string]*activeJob),
 		sessions:  make(map[string]*sessionRuntime),
+	}
+	s.schedCtx, s.stopSched = context.WithCancel(ctx)
+	if fleet != nil {
+		s.backend = fleet
+	} else {
+		s.backend = newLocalBackend(s)
 	}
 	s.hHTTP = s.reg.Histogram("serve.http_request_seconds")
 	s.hQueueWait = s.reg.Histogram("serve.queue_wait_seconds")
@@ -159,26 +182,60 @@ func New(cfg Config) (*Server, error) {
 			Bound: func() float64 { return cfg.QueueWaitSLO.Seconds() },
 		},
 	)
-	recovered, err := sp.Recover()
-	if err != nil {
+	if err := s.recover(); err != nil {
 		cancel()
 		return nil, fmt.Errorf("serve: recover spool: %w", err)
 	}
-	for _, m := range recovered {
-		s.ensureJob(m.ID)
-		// ForcePush: every interrupted job gets back in line even if the
-		// spool holds more than one queue's worth.
-		if err := s.queue.ForcePush(m.ID); err != nil {
+	if fleet == nil {
+		if err := s.recoverSessions(); err != nil {
 			cancel()
 			return nil, err
 		}
-		s.log.Info("re-admitted interrupted job", "job", m.ID, "attempt", m.Attempts, "stage", m.Stage)
 	}
-	s.Recovered = len(recovered)
-	parked, failedSessions, err := sp.RecoverSessions()
+	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
+	s.reg.Gauge("serve.queue_cap").Set(float64(cfg.QueueCap))
+	s.reg.Gauge("serve.workers").Set(float64(s.backend.Slots()))
+	return s, nil
+}
+
+// recover picks the spool's interrupted jobs up again (Spool.Recover):
+// re-admitted ones go back in line, remote ones are re-attached at Start,
+// and a distributed exploration restarts its controller at Start, resuming
+// from its own checkpoint artifact.
+func (s *Server) recover() error {
+	requeue, attached, err := s.spool.Recover()
 	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("serve: recover sessions: %w", err)
+		return err
+	}
+	for _, m := range attached {
+		id := m.ID
+		s.ensureJob(id)
+		s.resume = append(s.resume, func() { s.runJob(id, s.backend.Run, true) })
+		s.log.Info("re-attaching remote job", "job", id, "node", m.Node)
+	}
+	for _, m := range requeue {
+		id := m.ID
+		s.ensureJob(id)
+		if m.Spec.Distributed && s.fleet != nil {
+			s.resume = append(s.resume, func() { s.runJob(id, s.fleet.Explore, false) })
+			continue
+		}
+		// ForcePush: every interrupted job gets back in line even if the
+		// spool holds more than one queue's worth.
+		if err := s.queue.ForcePush(m.Tenant, id); err != nil {
+			return err
+		}
+		s.log.Info("re-admitted interrupted job", "job", id, "attempt", m.Attempts, "stage", m.Stage)
+	}
+	s.Recovered = len(requeue) + len(attached)
+	return nil
+}
+
+// recoverSessions parks the spool's live ECO sessions for lazy rehydration.
+func (s *Server) recoverSessions() error {
+	parked, failedSessions, err := s.spool.RecoverSessions()
+	if err != nil {
+		return fmt.Errorf("serve: recover sessions: %w", err)
 	}
 	for _, m := range parked {
 		s.log.Info("session parked at boot; next delta rehydrates", "session", m.ID, "deltas", m.Deltas)
@@ -187,10 +244,7 @@ func New(cfg Config) (*Server, error) {
 		s.log.Warn("session failed at boot", "session", m.ID, "error", m.Error)
 	}
 	s.RecoveredSessions = len(parked)
-	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
-	s.reg.Gauge("serve.queue_cap").Set(float64(cfg.QueueCap))
-	s.reg.Gauge("serve.workers").Set(float64(cfg.Workers))
-	return s, nil
+	return nil
 }
 
 // Spool exposes the server's spool (read-only use).
@@ -214,7 +268,7 @@ func (s *Server) Stats() Stats {
 		Draining:   s.Draining(),
 		QueueDepth: s.queue.Len(),
 		QueueCap:   s.queue.Cap(),
-		Workers:    s.cfg.Workers,
+		Workers:    s.backend.Slots(),
 		ActiveJobs: s.activeCount(),
 	}
 }
@@ -222,17 +276,28 @@ func (s *Server) Stats() Stats {
 // Registry exposes the daemon-level metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Start launches the worker pool and, when configured, the idle-session
-// janitor.
+// Start launches the scheduler, whatever recovery left to resume outside
+// the queue, and, when configured, the idle-session janitor.
 func (s *Server) Start() {
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.workerLoop()
+	s.wg.Add(1)
+	go s.schedule()
+	for _, fn := range s.resume {
+		s.launch(fn)
 	}
-	if s.cfg.SessionIdle > 0 {
+	s.resume = nil
+	if s.cfg.SessionIdle > 0 && s.fleet == nil {
 		s.wg.Add(1)
 		go s.sessionJanitor(s.cfg.SessionIdle)
 	}
+}
+
+// launch runs fn on a goroutine Drain waits for.
+func (s *Server) launch(fn func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		fn()
+	}()
 }
 
 // Draining reports whether the server has stopped admitting jobs.
@@ -260,6 +325,17 @@ func (s *Server) jobRuntime(id string) (*activeJob, bool) {
 	defer s.mu.Unlock()
 	a, ok := s.jobs[id]
 	return a, ok
+}
+
+// Watch subscribes to a job's progress hub (Hub.Subscribe); ok is false when
+// this boot holds none for it (never seen, or retention expired).
+func (s *Server) Watch(id string) (replay []Event, live <-chan Event, cancel func(), ok bool) {
+	a, ok := s.jobRuntime(id)
+	if !ok {
+		return nil, nil, nil, false
+	}
+	replay, ch, cancel := a.hub.Subscribe()
+	return replay, ch, cancel, true
 }
 
 // retireJob trims hub retention after a job reaches a terminal state.
@@ -290,10 +366,12 @@ func (s *Server) retireSession(id string) {
 }
 
 // Drain gracefully stops the server: admission closes (submissions get
-// 503), running jobs are canceled with the park cause so they stop within
-// one pipeline iteration and keep their last stage-boundary checkpoint,
-// and the pool is awaited up to ctx's deadline. Queued jobs stay queued in
-// the spool; the next boot re-admits queued and parked jobs alike.
+// 503), running jobs are canceled with cause ErrParked — the local backend
+// parks them at their last stage-boundary checkpoint within one pipeline
+// iteration; a remote backend leaves them running on their workers, to be
+// re-attached at the next boot — and everything is awaited up to ctx's
+// deadline. Queued jobs stay queued in the spool; the next boot re-admits
+// queued and parked jobs alike.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -309,7 +387,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	close(s.drainCh)
+	s.stopSched()
 	s.queue.Close()
 	// Readiness has flipped; give load balancers the configured window to
 	// observe it before in-flight jobs are told to park.
@@ -320,7 +398,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	for _, c := range cancels {
-		c(errParked)
+		c(ErrParked)
 	}
 	s.parkSessions()
 	done := make(chan struct{})

@@ -58,7 +58,7 @@ func enqueue(t *testing.T, s *Server, spec JobSpec) string {
 		t.Fatal(err)
 	}
 	s.ensureJob(m.ID)
-	if err := s.queue.TryPush(m.ID); err != nil {
+	if err := s.queue.TryPush(m.Tenant, m.ID); err != nil {
 		t.Fatal(err)
 	}
 	return m.ID
@@ -738,7 +738,7 @@ func TestRetryAfterEstimateUsesObservedDurations(t *testing.T) {
 	s.Start()
 	id := enqueue(t, s, quickSpec())
 	waitState(t, s, id, StateDone)
-	ra := s.queue.RetryAfter(s.cfg.Workers)
+	ra := s.queue.RetryAfter(s.backend.Slots())
 	if ra < time.Second || ra > 10*time.Minute {
 		t.Fatalf("RetryAfter out of range: %s", ra)
 	}

@@ -605,9 +605,7 @@ func (s *Server) sessionJanitor(idle time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-s.drainCh:
+		case <-s.schedCtx.Done():
 			return
 		case <-t.C:
 			s.evictIdleSessions(idle)
@@ -632,7 +630,7 @@ func (s *Server) parkSessions() {
 	}
 	s.mu.Unlock()
 	for _, c := range cancels {
-		c(errParked)
+		c(ErrParked)
 	}
 	// Flush each runtime's telemetry so parked sessions leave their span
 	// trees and metric streams on disk for the next boot's operator.

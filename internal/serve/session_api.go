@@ -19,24 +19,24 @@ const maxDeltaBytes = 16 << 20
 
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not opening sessions")
+		APIError(w, http.StatusServiceUnavailable, "daemon is draining; not opening sessions")
 		return
 	}
 	var spec SessionSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		apiError(w, http.StatusBadRequest, "decode session spec: %v", err)
+		APIError(w, http.StatusBadRequest, "decode session spec: %v", err)
 		return
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid session spec: %v", err)
+		APIError(w, http.StatusBadRequest, "invalid session spec: %v", err)
 		return
 	}
 	if spec.Profile != "" {
 		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
+			APIError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -48,7 +48,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		OpenedAt: time.Now().UTC(),
 	}
 	if err := s.spool.CreateSession(m); err != nil {
-		apiError(w, http.StatusInternalServerError, "spool session: %v", err)
+		APIError(w, http.StatusInternalServerError, "spool session: %v", err)
 		return
 	}
 	rt := s.ensureSession(m.ID)
@@ -57,7 +57,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	go s.openSession(m, rt)
 	s.reg.Counter("serve.sessions_submitted").Inc()
 	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", sessionDesignName(&spec))
-	writeJSON(w, http.StatusAccepted, m)
+	WriteJSON(w, http.StatusAccepted, m)
 }
 
 func sessionDesignName(spec *SessionSpec) string {
@@ -83,7 +83,7 @@ type sessionSummary struct {
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	ms, err := s.spool.ListSessions()
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "list sessions: %v", err)
+		APIError(w, http.StatusInternalServerError, "list sessions: %v", err)
 		return
 	}
 	out := make([]sessionSummary, 0, len(ms))
@@ -100,7 +100,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, row)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // loadSessionManifest fetches the manifest for the path's {id}, writing
@@ -109,7 +109,7 @@ func (s *Server) loadSessionManifest(w http.ResponseWriter, r *http.Request) *Se
 	id := r.PathValue("id")
 	m, err := s.spool.ReadSessionManifest(id)
 	if err != nil {
-		apiError(w, http.StatusNotFound, "session %s: %v", id, err)
+		APIError(w, http.StatusNotFound, "session %s: %v", id, err)
 		return nil
 	}
 	return m
@@ -117,7 +117,7 @@ func (s *Server) loadSessionManifest(w http.ResponseWriter, r *http.Request) *Se
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	if m := s.loadSessionManifest(w, r); m != nil {
-		writeJSON(w, http.StatusOK, m)
+		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
@@ -139,7 +139,7 @@ type deltaResponse struct {
 // the same session gets 409 — warm state is inherently single-writer.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not accepting deltas")
+		APIError(w, http.StatusServiceUnavailable, "daemon is draining; not accepting deltas")
 		return
 	}
 	m := s.loadSessionManifest(w, r)
@@ -149,26 +149,26 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	switch m.State {
 	case SessionOpen, SessionParked:
 	case SessionOpening:
-		apiError(w, http.StatusConflict, "session %s is still opening", m.ID)
+		APIError(w, http.StatusConflict, "session %s is still opening", m.ID)
 		return
 	default:
-		apiError(w, http.StatusConflict, "session %s is %s", m.ID, m.State)
+		APIError(w, http.StatusConflict, "session %s is %s", m.ID, m.State)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDeltaBytes))
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "read delta: %v", err)
+		APIError(w, http.StatusBadRequest, "read delta: %v", err)
 		return
 	}
 	dl, err := eco.ParseDelta(body)
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	rt := s.ensureSession(m.ID)
 	if !rt.run.TryLock() {
-		apiError(w, http.StatusConflict, "session %s has a delta in flight", m.ID)
+		APIError(w, http.StatusConflict, "session %s has a delta in flight", m.ID)
 		return
 	}
 	defer rt.run.Unlock()
@@ -180,7 +180,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		sess, err = s.rehydrateSession(m, rt)
 		if err != nil {
-			apiError(w, http.StatusInternalServerError, "rehydrate session %s: %v", m.ID, err)
+			APIError(w, http.StatusInternalServerError, "rehydrate session %s: %v", m.ID, err)
 			return
 		}
 		rehydrated = true
@@ -197,7 +197,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		rt.cancel = nil
 		rt.mu.Unlock()
 	}()
-	stop := context.AfterFunc(s.baseCtx, func() { cancel(errParked) })
+	stop := context.AfterFunc(s.baseCtx, func() { cancel(ErrParked) })
 	defer stop()
 
 	start := time.Now()
@@ -208,7 +208,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 			rt.mu.Lock()
 			rt.sess = sess
 			rt.mu.Unlock()
-			apiError(w, http.StatusUnprocessableEntity, "%v", err)
+			APIError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		// The in-memory warm state may be mid-flight; drop it so the next
@@ -217,13 +217,13 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		rt.sess = nil
 		rt.mu.Unlock()
 		switch {
-		case errors.Is(context.Cause(ctx), errParked):
-			apiError(w, http.StatusServiceUnavailable,
+		case errors.Is(context.Cause(ctx), ErrParked):
+			APIError(w, http.StatusServiceUnavailable,
 				"daemon draining: delta lost; retry after the daemon restarts")
 		case errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled):
-			apiError(w, http.StatusServiceUnavailable, "delta canceled: %v", context.Cause(ctx))
+			APIError(w, http.StatusServiceUnavailable, "delta canceled: %v", context.Cause(ctx))
 		default:
-			apiError(w, http.StatusUnprocessableEntity, "apply delta: %v", err)
+			APIError(w, http.StatusUnprocessableEntity, "apply delta: %v", err)
 		}
 		return
 	}
@@ -238,7 +238,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		rt.mu.Lock()
 		rt.sess = nil
 		rt.mu.Unlock()
-		apiError(w, http.StatusInternalServerError, "spool snapshot: %v", serr)
+		APIError(w, http.StatusInternalServerError, "spool snapshot: %v", serr)
 		return
 	}
 	rt.mu.Lock()
@@ -257,7 +257,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if uerr != nil {
-		apiError(w, http.StatusInternalServerError, "update session manifest: %v", uerr)
+		APIError(w, http.StatusInternalServerError, "update session manifest: %v", uerr)
 		return
 	}
 	s.reg.Counter("serve.session_deltas").Inc()
@@ -267,7 +267,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	s.log.InfoContext(r.Context(), "session delta applied",
 		"session", m.ID, "delta", um.Deltas, "hpwl", sn.LastHPWL,
 		"wall", time.Since(start).Round(time.Millisecond), "rehydrated", rehydrated)
-	writeJSON(w, http.StatusOK, deltaResponse{
+	WriteJSON(w, http.StatusOK, deltaResponse{
 		ID:         m.ID,
 		Deltas:     um.Deltas,
 		HPWL:       res.HPWL,
@@ -284,7 +284,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if m.State.Terminal() {
-		apiError(w, http.StatusConflict, "session %s already %s", m.ID, m.State)
+		APIError(w, http.StatusConflict, "session %s already %s", m.ID, m.State)
 		return
 	}
 	// Cancel in-flight work, then mark closed and drop the warm state. The
@@ -292,7 +292,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
 		rt.mu.Lock()
 		if rt.cancel != nil {
-			rt.cancel(errJobCanceled)
+			rt.cancel(ErrCanceled)
 		}
 		rt.sess = nil
 		rt.mu.Unlock()
@@ -304,7 +304,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "%v", err)
+		APIError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
@@ -317,7 +317,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	s.retireSession(m.ID)
 	s.reg.Counter("serve.sessions_closed").Inc()
 	s.log.InfoContext(r.Context(), "session closed", "session", m.ID, "deltas", um.Deltas)
-	writeJSON(w, http.StatusOK, um)
+	WriteJSON(w, http.StatusOK, um)
 }
 
 // handleSessionEvents streams the session's progress hub as SSE, exactly

@@ -76,10 +76,6 @@ func (sp *Spool) WriteArtifact(id, name string, data []byte) error {
 	return atomicWriteFile(path, data)
 }
 
-// NewJobID returns a fresh 12-hex-digit job ID (exported for the fleet
-// coordinator, whose job records share the spool's manifest format).
-func NewJobID() string { return newJobID() }
-
 // newJobID returns a fresh 12-hex-digit job ID.
 func newJobID() string {
 	var b [6]byte
@@ -208,32 +204,39 @@ func (sp *Spool) List() ([]*Manifest, error) {
 	return out, nil
 }
 
-// Recover returns the jobs a booting daemon must re-admit, oldest first:
-// queued ones (never started), parked ones (gracefully drained), and
-// running ones (the previous daemon crashed mid-job). Parked and crashed
-// jobs are counted as a new attempt and resume from their spooled
-// checkpoint if one exists.
-func (sp *Spool) Recover() ([]*Manifest, error) {
+// Recover returns the jobs a booting daemon must pick up again, oldest
+// first. requeue holds queued ones (never started), parked ones (gracefully
+// drained) and running ones (the previous daemon crashed mid-job), all
+// rewritten to queued: claiming them counts a new attempt, and they resume
+// from their spooled checkpoint if one exists. attached holds the started
+// jobs whose manifest names a remote worker — they kept running there while
+// this server was down, so they are left as they are, to be re-attached
+// rather than run again.
+func (sp *Spool) Recover() (requeue, attached []*Manifest, err error) {
 	all, err := sp.List()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []*Manifest
 	for _, m := range all {
-		switch m.State {
-		case StateQueued, StateParked, StateRunning:
-			if _, err := sp.Update(m.ID, func(mm *Manifest) error {
-				mm.State = StateQueued
-				mm.StartedAt = nil
-				return nil
-			}); err != nil {
-				return nil, err
+		switch {
+		case m.State.Terminal():
+		case m.RemoteID != "" && m.State != StateQueued:
+			attached = append(attached, m)
+		default:
+			if m.State != StateQueued {
+				if _, err := sp.Update(m.ID, func(mm *Manifest) error {
+					mm.State = StateQueued
+					mm.StartedAt = nil
+					return nil
+				}); err != nil {
+					return nil, nil, err
+				}
+				m.State = StateQueued
 			}
-			m.State = StateQueued
-			out = append(out, m)
+			requeue = append(requeue, m)
 		}
 	}
-	return out, nil
+	return requeue, attached, nil
 }
 
 // atomicWriteFile writes data via temp file + rename in path's directory.
