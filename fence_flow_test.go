@@ -9,6 +9,24 @@ import (
 	"puffer/internal/synth"
 )
 
+// addQuadrantFence adds a row-aligned fence in the upper-right quadrant of
+// d, assigns every eighth movable cell to it, and returns its rectangle.
+func addQuadrantFence(d *netlist.Design) geom.Rect {
+	fr := geom.RectWH(
+		d.Region.Lo.X+d.Region.W()*0.5,
+		d.Region.Lo.Y+float64(int(d.Region.H()*0.5)),
+		d.Region.W()*0.45,
+		float64(int(d.Region.H()*0.4)),
+	)
+	d.Fences = append(d.Fences, netlist.Fence{Name: "f", Rect: fr})
+	for i := range d.Cells {
+		if !d.Cells[i].Fixed && i%8 == 0 {
+			d.Cells[i].Fence = 1
+		}
+	}
+	return fr
+}
+
 // TestFullFlowWithFences runs the complete PUFFER flow on a design with a
 // placement fence and verifies the constraint survives every stage
 // (global placement, padding, legalization, detailed placement).
@@ -18,24 +36,7 @@ func TestFullFlowWithFences(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := synth.Generate(p, 2000, 5)
-	// Fence in the upper-right quadrant, row aligned.
-	fr := geom.RectWH(
-		d.Region.Lo.X+d.Region.W()*0.5,
-		d.Region.Lo.Y+float64(int(d.Region.H()*0.5)),
-		d.Region.W()*0.45,
-		float64(int(d.Region.H()*0.4)),
-	)
-	d.Fences = append(d.Fences, netlist.Fence{Name: "f", Rect: fr})
-	fenced := 0
-	for i := range d.Cells {
-		if !d.Cells[i].Fixed && i%8 == 0 {
-			d.Cells[i].Fence = 1
-			fenced++
-		}
-	}
-	if fenced == 0 {
-		t.Fatal("no cells fenced")
-	}
+	fr := addQuadrantFence(d)
 	cfg := DefaultConfig()
 	cfg.Place.MaxIters = 300
 	if _, err := Run(d, cfg); err != nil {

@@ -1,12 +1,17 @@
 package legal
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"puffer/internal/netlist"
 )
+
+// ErrIllegal is wrapped by the error a flow stage returns when the
+// placement it is about to hand on fails Check.
+var ErrIllegal = errors.New("legal: placement violates a legality invariant")
 
 // Violation describes one legality violation found by Check.
 type Violation struct {

@@ -51,8 +51,12 @@ type segment struct {
 	x0    float64 // aligned to sites
 	x1    float64
 	fence int          // 1-based fence owning this span; 0 = open region
-	cells []*legalCell // committed cells in x order
+	cells []*legalCell // committed cells in insertion (= target x) order
 	used  float64      // total committed width
+	// stack is the Abacus cluster stack after the committed cells: the
+	// state a from-scratch Abacus pass over cells would end in. Cell x
+	// positions are derived from it once, by settle.
+	stack []cluster
 }
 
 type legalCell struct {
@@ -70,6 +74,16 @@ type cluster struct {
 	first, last int // cell index range within segment.cells
 	e, q, w     float64
 	x           float64
+}
+
+// rowIndex groups the segments by row so the search for a cell's segment
+// can walk outward from its target row.
+type rowIndex struct {
+	segs  []*segment // sorted by (rowY, x0); equal-cost candidates tie to the lowest index
+	rowY  []float64  // distinct row y, ascending
+	start []int      // row r owns segs[start[r]:start[r+1]]
+
+	trials, rowVisits int // search work, asserted on by tests
 }
 
 // Legalize places all movable cells of d into legal, overlap-free,
@@ -90,15 +104,22 @@ const legalizeCheckEvery = 256
 // write-back, a canceled legalization returns an error wrapping
 // flow.ErrCanceled with the design's incoming positions fully intact.
 func LegalizeCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, error) {
+	res, _, err := legalize(ctx, d, cfg)
+	return res, err
+}
+
+// legalize is LegalizeCtx, also returning the row index so tests can read
+// its work counters.
+func legalize(ctx context.Context, d *netlist.Design, cfg Config) (Result, *rowIndex, error) {
 	var res Result
 	movable := d.MovableIDs()
 	if len(movable) == 0 {
-		return res, nil
+		return res, nil, nil
 	}
 	siteW := d.SiteWidth
 	rowH := d.RowHeight
 	if siteW <= 0 || rowH <= 0 {
-		return res, fmt.Errorf("legal: design lacks site/row geometry")
+		return res, nil, fmt.Errorf("legal: design lacks site/row geometry")
 	}
 
 	disPad := discretizePadding(d, movable, cfg)
@@ -108,23 +129,44 @@ func LegalizeCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, er
 
 	segs := buildSegments(d, siteW, rowH)
 	if len(segs) == 0 {
-		return res, fmt.Errorf("legal: no free row segments")
+		return res, nil, fmt.Errorf("legal: no free row segments")
 	}
+	ix := newRowIndex(segs)
 
-	// Cells sorted by target x (Abacus order).
-	cells := make([]*legalCell, 0, len(movable))
+	cells := sortedCells(d, movable, disPad)
+	for k := range cells {
+		if k%legalizeCheckEvery == 0 {
+			if err := flow.Check(ctx); err != nil {
+				return res, ix, err
+			}
+		}
+		if err := ix.placeCell(&cells[k]); err != nil {
+			return res, ix, err
+		}
+	}
+	if err := flow.Check(ctx); err != nil {
+		return res, ix, err
+	}
+	err := writeBack(d, ix.segs, len(movable), &res)
+	return res, ix, err
+}
+
+// sortedCells returns the legalization record of every movable cell, in
+// Abacus order (target x, then id), in one slab.
+func sortedCells(d *netlist.Design, movable, disPad []int) []legalCell {
+	siteW := d.SiteWidth
+	cells := make([]legalCell, len(movable))
 	for k, ci := range movable {
 		c := &d.Cells[ci]
 		padW := float64(disPad[k]) * siteW
-		w := snapUp(c.W, siteW) + padW
-		cells = append(cells, &legalCell{
+		cells[k] = legalCell{
 			id:      ci,
-			w:       w,
+			w:       snapUp(c.W, siteW) + padW,
 			physW:   c.W,
 			fence:   c.Fence,
 			targetX: c.X - padW/2,
 			targetY: c.Y,
-		})
+		}
 	}
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].targetX != cells[j].targetX {
@@ -132,34 +174,22 @@ func LegalizeCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, er
 		}
 		return cells[i].id < cells[j].id
 	})
+	return cells
+}
 
-	// Rows sorted by y for the candidate search.
-	segsByY := append([]*segment(nil), segs...)
-	sort.Slice(segsByY, func(i, j int) bool {
-		if segsByY[i].rowY != segsByY[j].rowY {
-			return segsByY[i].rowY < segsByY[j].rowY
-		}
-		return segsByY[i].x0 < segsByY[j].x0
-	})
-
-	for k, lc := range cells {
-		if k%legalizeCheckEvery == 0 {
-			if err := flow.Check(ctx); err != nil {
-				return res, err
-			}
-		}
-		if err := placeCell(lc, segsByY, rowH); err != nil {
-			return res, err
+// writeBack does the final per-segment site alignment and overlap removal,
+// then moves the design's cells to their physical positions (each centered
+// within its padded slot) and fills in res's displacement statistics.
+// Every segment is finalized before the first write, so an error here
+// leaves the design untouched too.
+func writeBack(d *netlist.Design, segs []*segment, movable int, res *Result) error {
+	siteW := d.SiteWidth
+	for _, s := range segs {
+		if err := finalizeSegment(s, siteW); err != nil {
+			return err
 		}
 	}
-	if err := flow.Check(ctx); err != nil {
-		return res, err
-	}
-
-	// Final per-segment site alignment and overlap removal, then write
-	// back physical positions (cell centered within its padded slot).
-	for _, s := range segsByY {
-		finalizeSegment(s, siteW)
+	for _, s := range segs {
 		for _, lc := range s.cells {
 			c := &d.Cells[lc.id]
 			// Center the physical cell in its padded slot, keeping it on
@@ -177,11 +207,11 @@ func LegalizeCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, er
 			c.Y = newY
 		}
 	}
-	if res.Cells != len(movable) {
-		return res, fmt.Errorf("legal: placed %d of %d cells", res.Cells, len(movable))
+	if res.Cells != movable {
+		return fmt.Errorf("legal: placed %d of %d cells", res.Cells, movable)
 	}
 	res.AvgDisplacement = res.TotalDisplacement / float64(res.Cells)
-	return res, nil
+	return nil
 }
 
 // discretizePadding applies Eq. 17 and the level-wise relegation cap,
@@ -287,22 +317,17 @@ func buildSegments(d *netlist.Design, siteW, rowH float64) []*segment {
 			})
 		}
 	}
+	// Fixed cells block row spans; collect them once, in x order.
+	var fixed []*netlist.Cell
+	for i := range d.Cells {
+		if d.Cells[i].Fixed {
+			fixed = append(fixed, &d.Cells[i])
+		}
+	}
+	sort.SliceStable(fixed, func(a, b int) bool { return fixed[a].X < fixed[b].X })
 	var segs []*segment
 	for _, row := range rows {
-		// Collect blocked x-intervals from fixed cells overlapping the row.
-		type iv struct{ lo, hi float64 }
-		var blocked []iv
 		rowRect := geom.RectWH(row.X, row.Y, row.W, rowH)
-		for i := range d.Cells {
-			c := &d.Cells[i]
-			if !c.Fixed {
-				continue
-			}
-			if c.Rect().Overlaps(rowRect) {
-				blocked = append(blocked, iv{c.X, c.X + c.W})
-			}
-		}
-		sort.Slice(blocked, func(a, b int) bool { return blocked[a].lo < blocked[b].lo })
 		x := row.X
 		end := row.X + row.W
 		emit := func(lo, hi float64) {
@@ -312,12 +337,15 @@ func buildSegments(d *netlist.Design, siteW, rowH float64) []*segment {
 				segs = append(segs, &segment{rowY: row.Y, x0: lo, x1: hi})
 			}
 		}
-		for _, b := range blocked {
-			if b.lo > x {
-				emit(x, math.Min(b.lo, end))
+		for _, c := range fixed {
+			if !c.Rect().Overlaps(rowRect) {
+				continue
 			}
-			if b.hi > x {
-				x = b.hi
+			if c.X > x {
+				emit(x, math.Min(c.X, end))
+			}
+			if hi := c.X + c.W; hi > x {
+				x = hi
 			}
 			if x >= end {
 				break
@@ -405,115 +433,137 @@ func snapDownTo(v, origin, unit float64) float64 {
 	return origin + math.Floor((v-origin)/unit+1e-9)*unit
 }
 
-// placeCell finds the segment minimizing Abacus cost for lc and commits it.
-func placeCell(lc *legalCell, segs []*segment, rowH float64) error {
-	bestCost := math.Inf(1)
-	bestSeg := -1
-	bestX := 0.0
+// newRowIndex sorts segs by (rowY, x0) and groups them into rows.
+func newRowIndex(segs []*segment) *rowIndex {
+	sort.Slice(segs, func(i, j int) bool {
+		if segs[i].rowY != segs[j].rowY {
+			return segs[i].rowY < segs[j].rowY
+		}
+		return segs[i].x0 < segs[j].x0
+	})
+	ix := &rowIndex{segs: segs}
 	for si, s := range segs {
+		if si == 0 || s.rowY != segs[si-1].rowY {
+			ix.rowY = append(ix.rowY, s.rowY)
+			ix.start = append(ix.start, si)
+		}
+	}
+	ix.start = append(ix.start, len(segs))
+	return ix
+}
+
+// candidate is the best placement found so far for one cell: its Abacus
+// cost, the segment, and the trial's outcome, kept so that committing it
+// does not repeat the collapse.
+type candidate struct {
+	cost float64
+	seg  int
+	top  int     // clusters of the segment's stack left untouched
+	cl   cluster // the cluster the cell ends up in
+}
+
+// placeCell commits lc to the segment minimizing its Abacus cost
+// (dx² + dy²), the lowest segment index winning a tie — what a scan over
+// all segments in index order keeping the first strict minimum selects.
+// Rows are visited outward from the target row; dy² alone only grows in
+// either direction, so a direction ends once it cannot beat the best cost.
+// Upward rows have higher indices than every segment already seen and so
+// cannot win a tie either; downward rows have lower indices and can.
+func (ix *rowIndex) placeCell(lc *legalCell) error {
+	best := candidate{cost: math.Inf(1), seg: -1}
+	r0 := sort.SearchFloat64s(ix.rowY, lc.targetY)
+	for r := r0; r < len(ix.rowY); r++ {
+		dy := ix.rowY[r] - lc.targetY
+		if dy*dy >= best.cost {
+			break
+		}
+		ix.tryRow(r, dy, lc, &best)
+	}
+	for r := r0 - 1; r >= 0; r-- {
+		dy := ix.rowY[r] - lc.targetY
+		if dy*dy > best.cost {
+			break
+		}
+		ix.tryRow(r, dy, lc, &best)
+	}
+	if best.seg < 0 {
+		return fmt.Errorf("legal: no segment fits cell %d (w=%.3f)", lc.id, lc.w)
+	}
+	ix.segs[best.seg].push(lc, best.top, best.cl)
+	return nil
+}
+
+// tryRow trials lc in every segment of row r that matches its fence and
+// has room, updating best.
+func (ix *rowIndex) tryRow(r int, dy float64, lc *legalCell, best *candidate) {
+	ix.rowVisits++
+	for si := ix.start[r]; si < ix.start[r+1]; si++ {
+		s := ix.segs[si]
 		if s.fence != lc.fence {
 			continue // fenced cells only in their fence, open cells outside
-		}
-		dy := s.rowY - lc.targetY
-		if dy*dy >= bestCost {
-			// Rows are not sorted strictly by |dy| here, so keep scanning;
-			// the quadratic test still prunes the hopeless ones.
-			continue
 		}
 		if s.used+lc.w > s.x1-s.x0 {
 			continue
 		}
-		x, ok := trialPlace(s, lc)
-		if !ok {
-			continue
-		}
+		ix.trials++
+		x, top, cl := s.trial(lc)
 		dx := x - lc.targetX
 		cost := dx*dx + dy*dy
-		if cost < bestCost {
-			bestCost = cost
-			bestSeg = si
-			bestX = x
+		if cost < best.cost || (cost == best.cost && si < best.seg) {
+			*best = candidate{cost: cost, seg: si, top: top, cl: cl}
 		}
 	}
-	if bestSeg < 0 {
-		return fmt.Errorf("legal: no segment fits cell %d (w=%.3f)", lc.id, lc.w)
+}
+
+// trial runs one Abacus step — append lc, collapse while the new cluster
+// overlaps the one before it — against the committed stack without
+// modifying it. It returns the x lc would get, how many stack clusters
+// stay untouched, and the cluster lc ends up in. The x is summed cell by
+// cell from the cluster's left edge, as settle does, so it rounds the
+// same way the final position will.
+func (s *segment) trial(lc *legalCell) (x float64, top int, cl cluster) {
+	n := len(s.cells)
+	cl = cluster{first: n, last: n, e: 1, q: lc.targetX, w: lc.w}
+	cl.x = clampCluster(cl, s.x0, s.x1)
+	top = len(s.stack)
+	for top > 0 {
+		a := s.stack[top-1]
+		if a.x+a.w <= cl.x+1e-12 {
+			break
+		}
+		// Merge cl into a: q accumulates desired positions relative to
+		// each cell's offset within the cluster.
+		a.q += cl.q - cl.e*a.w
+		a.e += cl.e
+		a.w += cl.w
+		a.last = n
+		a.x = clampCluster(a, s.x0, s.x1)
+		cl = a
+		top--
 	}
-	s := segs[bestSeg]
-	lc.x = bestX
+	x = cl.x
+	for _, c := range s.cells[cl.first:] {
+		x += c.w
+	}
+	return x, top, cl
+}
+
+// push commits lc with the outcome trial returned for it.
+func (s *segment) push(lc *legalCell, top int, cl cluster) {
+	s.stack = append(s.stack[:top], cl)
 	s.cells = append(s.cells, lc)
 	s.used += lc.w
-	commitPlace(s)
-	return nil
 }
 
-// trialPlace computes the Abacus position of lc if appended to s, without
-// mutating s. Returns the resulting x of lc.
-func trialPlace(s *segment, lc *legalCell) (float64, bool) {
-	// Simulate cluster collapse over the committed cells plus lc. The
-	// committed cells already honour Abacus order (sorted by targetX), so
-	// we only need the cluster chain; rebuild it from stored positions.
-	// For simplicity and robustness we recompute the cluster chain from
-	// scratch: committed cells keep their target order.
-	cellsAll := append(append([]*legalCell(nil), s.cells...), lc)
-	xs, ok := abacusRow(cellsAll, s.x0, s.x1)
-	if !ok {
-		return 0, false
-	}
-	return xs[len(xs)-1], true
-}
-
-// commitPlace recomputes final positions of every cell in the segment.
-func commitPlace(s *segment) {
-	xs, ok := abacusRow(s.cells, s.x0, s.x1)
-	if !ok {
-		return
-	}
-	for i, lc := range s.cells {
-		lc.x = xs[i]
-	}
-}
-
-// abacusRow runs the Abacus cluster algorithm over cells (in order),
-// returning their x positions within [x0, x1], or false if they do not fit.
-func abacusRow(cells []*legalCell, x0, x1 float64) ([]float64, bool) {
-	total := 0.0
-	for _, c := range cells {
-		total += c.w
-	}
-	if total > x1-x0+1e-9 {
-		return nil, false
-	}
-	clusters := make([]cluster, 0, len(cells))
-	for i, c := range cells {
-		nc := cluster{first: i, last: i, e: 1, q: c.targetX, w: c.w}
-		nc.x = clampCluster(nc, x0, x1)
-		clusters = append(clusters, nc)
-		// Collapse while overlapping the previous cluster.
-		for len(clusters) >= 2 {
-			b := &clusters[len(clusters)-1]
-			a := &clusters[len(clusters)-2]
-			if a.x+a.w <= b.x+1e-12 {
-				break
-			}
-			// Merge b into a: q accumulates desired positions relative to
-			// each cell's offset within the cluster.
-			a.q += b.q - b.e*a.w
-			a.e += b.e
-			a.w += b.w
-			a.last = b.last
-			clusters = clusters[:len(clusters)-1]
-			a.x = clampCluster(*a, x0, x1)
-		}
-	}
-	xs := make([]float64, len(cells))
-	for _, cl := range clusters {
+// settle derives every committed cell's x from the cluster stack.
+func (s *segment) settle() {
+	for _, cl := range s.stack {
 		x := cl.x
-		for i := cl.first; i <= cl.last; i++ {
-			xs[i] = x
-			x += cells[i].w
+		for _, lc := range s.cells[cl.first : cl.last+1] {
+			lc.x = x
+			x += lc.w
 		}
 	}
-	return xs, true
 }
 
 func clampCluster(c cluster, x0, x1 float64) float64 {
@@ -527,9 +577,10 @@ func clampCluster(c cluster, x0, x1 float64) float64 {
 	return x
 }
 
-// finalizeSegment snaps every cell to the site grid and removes any
-// residual overlaps introduced by snapping.
-func finalizeSegment(s *segment, siteW float64) {
+// finalizeSegment settles the segment's cells, snaps every cell to the
+// site grid and removes any residual overlaps introduced by snapping.
+func finalizeSegment(s *segment, siteW float64) error {
+	s.settle()
 	sort.Slice(s.cells, func(i, j int) bool { return s.cells[i].x < s.cells[j].x })
 	// Left-to-right: snap and push right.
 	cursor := s.x0
@@ -548,5 +599,10 @@ func finalizeSegment(s *segment, siteW float64) {
 			}
 			limit = lc.x
 		}
+		if limit < s.x0-1e-9 {
+			return fmt.Errorf("legal: internal: %d cells (width %.3f) overflow segment [%.3f, %.3f) of row y=%.3f",
+				len(s.cells), s.used, s.x0, s.x1, s.rowY)
+		}
 	}
+	return nil
 }

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"puffer/internal/flow"
+	"puffer/internal/geom"
+	"puffer/internal/legal"
 	"puffer/internal/netlist"
+	"puffer/internal/obs"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -291,5 +294,48 @@ func TestCheckpointerErrorAbortsRun(t *testing.T) {
 	var se *pipeline.StageError
 	if !errors.As(err, &se) || se.Stage != pipeline.StagePlace {
 		t.Errorf("checkpointer failure not attributed to its stage: %v", err)
+	}
+}
+
+// TestIllegalPlacementFailsItsStage: legality is an enforced
+// post-condition of the stages that hand on a legal placement. The row
+// legalizer cannot seat a two-row-high cell whose nearest row is the top
+// one, and detailed placement handed an overlapping placement leaves it
+// overlapping; each run fails in that stage with legal.ErrIllegal and is
+// counted, and neither is passed on as a result.
+func TestIllegalPlacementFailsItsStage(t *testing.T) {
+	for _, tc := range []struct {
+		stage pipeline.Stage
+		tallH float64
+	}{
+		{pipeline.Legalize(), 2},
+		{pipeline.DetailedPlace(), 1},
+	} {
+		d := &netlist.Design{
+			Name: "illegal", Region: geom.RectWH(0, 0, 16, 4),
+			RowHeight: 1, SiteWidth: 0.25, Layers: netlist.DefaultLayers(),
+		}
+		a := d.AddCell(netlist.Cell{Name: "a", W: 1, H: 1, X: 4, Y: 3})
+		b := d.AddCell(netlist.Cell{Name: "b", W: 1, H: tc.tallH, X: 4.5, Y: 3})
+		n := d.AddNet("n", 1)
+		d.Connect(a, n, 0.5, 0.5)
+		d.Connect(b, n, 0.5, 0.5)
+		cfg := quickConfig()
+		reg := obs.NewRegistry()
+		cfg.Obs = obs.NewRecorder(obs.NewTracer(), reg)
+		rc, err := pipeline.NewRunContext(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = pipeline.New(tc.stage).Run(context.Background(), rc)
+		if !errors.Is(err, legal.ErrIllegal) {
+			t.Fatalf("%s: err = %v, want legal.ErrIllegal", tc.stage.Name(), err)
+		}
+		if stage, _ := flow.StageOf(err); stage != tc.stage.Name() {
+			t.Errorf("%s: failure attributed to stage %q: %v", tc.stage.Name(), stage, err)
+		}
+		if n := reg.Snapshot().Counters["legal.violations"]; n != 1 {
+			t.Errorf("%s: legal.violations = %d, want 1", tc.stage.Name(), n)
+		}
 	}
 }

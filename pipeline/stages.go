@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 
 	"puffer/internal/dp"
 	"puffer/internal/legal"
@@ -105,8 +106,20 @@ func Legalize() Stage {
 		rc.SetIters(lres.Cells)
 		rc.Logf("stage: legalization done (avg disp=%.3f, padding sites=%d)",
 			lres.AvgDisplacement, lres.PaddingSites)
-		return nil
+		return requireLegal(rc)
 	}}
+}
+
+// requireLegal is the post-condition of every stage that hands on a legal
+// placement: the independent checker, not the stage's own opinion, says
+// so. A violation fails the stage with an error wrapping legal.ErrIllegal.
+func requireLegal(rc *RunContext) error {
+	vs := legal.Check(rc.Design, 1)
+	if len(vs) == 0 {
+		return nil
+	}
+	rc.Cfg.Obs.Counter("legal.violations").Inc()
+	return fmt.Errorf("%w: %s", legal.ErrIllegal, vs[0])
 }
 
 // DetailedPlace returns the padding-preserving detailed-placement stage.
@@ -125,7 +138,7 @@ func DetailedPlace() Stage {
 		rc.SetIters(dres.Passes)
 		rc.Logf("stage: detailed placement done (moves=%d swaps=%d hpwl %.0f -> %.0f, padding preserved=%v)",
 			dres.Moves, dres.Swaps, dres.HPWLBefore, dres.HPWLAfter, rc.Cfg.DP.PreservePadding)
-		return nil
+		return requireLegal(rc)
 	}}
 }
 
