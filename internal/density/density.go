@@ -31,7 +31,7 @@
 //     shard order.
 //
 // Once constructed (and after the first SetWorkers), the steady-state
-// DepositRects → Solve → ForceOnRect → Overflow cycle performs no heap
+// DepositRects → Solve → ForceOnRect → OverflowOf cycle performs no heap
 // allocation with one worker, and only the O(workers) goroutine dispatch
 // inside internal/par otherwise.
 package density
@@ -98,23 +98,23 @@ type Grid struct {
 	BinH   float64
 
 	Rho []float64 // charge density: deposited area / bin area
-	Psi []float64 // electric potential
 	Ex  []float64 // field x-component (-∂ψ/∂x)
 	Ey  []float64 // field y-component (-∂ψ/∂y)
 
 	sx, sy fft.Transform
 
 	// scratch buffers reused across Solve calls
-	coef           []float64
-	bufPsi, bufEx  []float64
-	bufEy          []float64
+	coef           []float64 // charge spectrum of the last executed Solve
+	bufEx, bufEy   []float64
+	psi            []float64 // potential, built on demand by Potential
+	probeRho       []float64 // OverflowOf's raster target; Rho stays intact
 	fixedRho       []float64 // baseline charge from fixed cells
 	hasFixed       bool
 	totalFixedArea float64
 
 	// Deposit fingerprint: lastRects retains the operand of the most
 	// recent DepositRects (so an identical re-deposit skips the raster)
-	// and solvedRects the operand whose deposit the current Psi/Ex/Ey
+	// and solvedRects the operand whose deposit the current Ex/Ey
 	// were solved from (so an identical re-deposit lets Solve skip the
 	// spectral work entirely). rhoFromRects / solvedFromRects record
 	// whether those fingerprints are authoritative — any AddRect /
@@ -126,6 +126,7 @@ type Grid struct {
 	fieldCurrent    bool // the latest deposit matched solvedRects
 	solves          int  // spectral solves actually executed
 	solveSkips      int  // Solve calls satisfied by the fingerprint
+	rasterSkips     int  // DepositRects calls satisfied by the fingerprint
 
 	// Per-phase walls of the spectral solve, cumulative across the grid's
 	// lifetime (exposed through Solver.PhaseWalls into the place.phase.*
@@ -143,8 +144,10 @@ type Grid struct {
 	ovfShards  int
 	ovfPartial []float64
 	ovfTarget  float64
-	depRects   []geom.Rect // operand of the in-flight DepositRects
-	synCoef    []float64   // operands of the in-flight synthesize
+	ovfRho     []float64   // charge the in-flight overflow reduction reads
+	depRects   []geom.Rect // operands of the in-flight raster
+	depDst     []float64
+	synCoef    []float64 // operands of the in-flight synthesize
 	synOut     []float64
 	synSinX    bool
 	synSinY    bool
@@ -183,13 +186,12 @@ func NewGridKind(region geom.Rect, m, n int, kind SolverKind) *Grid {
 	}
 	size := m * n
 	g.Rho = make([]float64, size)
-	g.Psi = make([]float64, size)
 	g.Ex = make([]float64, size)
 	g.Ey = make([]float64, size)
 	g.coef = make([]float64, size)
-	g.bufPsi = make([]float64, size)
 	g.bufEx = make([]float64, size)
 	g.bufEy = make([]float64, size)
+	g.probeRho = make([]float64, size)
 	g.fixedRho = make([]float64, size)
 
 	g.psiTab = make([]float64, size)
@@ -298,14 +300,14 @@ func (g *Grid) bindStages() {
 			}
 		}
 	}
-	// Frequency-domain solve: ψ̂ = ρ̂/k², Êx = ρ̂·ku/k², Êy = ρ̂·kv/k²,
-	// via the precomputed response tables; disjoint per coefficient row.
+	// Frequency-domain solve: Êx = ρ̂·ku/k², Êy = ρ̂·kv/k², via the
+	// precomputed response tables; disjoint per coefficient row. (ψ̂ = ρ̂/k²
+	// is only formed by Potential.)
 	g.stageFreq = func(w, lo, hi int) {
 		m := g.M
 		for v := lo; v < hi; v++ {
 			for idx := v * m; idx < (v+1)*m; idx++ {
 				c := g.coef[idx]
-				g.bufPsi[idx] = c * g.psiTab[idx]
 				g.bufEx[idx] = c * g.exTab[idx]
 				g.bufEy[idx] = c * g.eyTab[idx]
 			}
@@ -351,40 +353,20 @@ func (g *Grid) bindStages() {
 	// serial rectangle order for any band partition.
 	g.stageDeposit = func(w, lo, hi int) {
 		m := g.M
-		copy(g.Rho[lo*m:hi*m], g.fixedRho[lo*m:hi*m])
+		dst := g.depDst
+		copy(dst[lo*m:hi*m], g.fixedRho[lo*m:hi*m])
 		invArea := 1 / (g.BinW * g.BinH)
+		var f footprint
 		for _, r := range g.depRects {
-			rc := r.Intersect(g.Region)
-			if rc.Empty() {
-				continue
-			}
-			i0, i1, j0, j1 := g.binRange(rc)
-			if j0 < lo {
-				j0 = lo
-			}
-			if j1 > hi {
-				j1 = hi
-			}
-			for j := j0; j < j1; j++ {
-				y0 := g.Region.Lo.Y + float64(j)*g.BinH
-				oy := geom.Interval{Lo: y0, Hi: y0 + g.BinH}.Overlap(geom.Interval{Lo: rc.Lo.Y, Hi: rc.Hi.Y})
-				if oy <= 0 {
-					continue
-				}
-				row := g.Rho[j*m:]
-				for i := i0; i < i1; i++ {
-					x0 := g.Region.Lo.X + float64(i)*g.BinW
-					ox := geom.Interval{Lo: x0, Hi: x0 + g.BinW}.Overlap(geom.Interval{Lo: rc.Lo.X, Hi: rc.Hi.X})
-					if ox > 0 {
-						row[i] += ox * oy * invArea
-					}
-				}
+			if g.footprint(r, &f) {
+				g.depositRows(dst, &f, max(f.j0, lo), min(f.j1, hi), invArea)
 			}
 		}
 	}
 	// Fixed-shard overflow partial: shard s always owns the same bin range.
 	g.stageOvf = func(s int) {
-		lo, hi := par.ShardRange(s, g.ovfShards, len(g.Rho))
+		rho := g.ovfRho
+		lo, hi := par.ShardRange(s, g.ovfShards, len(rho))
 		target := g.ovfTarget
 		over := 0.0
 		for i := lo; i < hi; i++ {
@@ -392,7 +374,7 @@ func (g *Grid) bindStages() {
 			if free < 0 {
 				free = 0
 			}
-			movable := g.Rho[i] - g.fixedRho[i]
+			movable := rho[i] - g.fixedRho[i]
 			if movable > free {
 				over += movable - free
 			}
@@ -449,13 +431,77 @@ func rectsEqual(a, b []geom.Rect) bool {
 	return true
 }
 
-// binRange returns the clamped half-open bin index ranges covered by r.
-func (g *Grid) binRange(r geom.Rect) (i0, i1, j0, j1 int) {
-	i0 = geom.ClampInt(int((r.Lo.X-g.Region.Lo.X)/g.BinW), 0, g.M-1)
-	i1 = geom.ClampInt(int(math.Ceil((r.Hi.X-g.Region.Lo.X)/g.BinW)), i0+1, g.M)
-	j0 = geom.ClampInt(int((r.Lo.Y-g.Region.Lo.Y)/g.BinH), 0, g.N-1)
-	j1 = geom.ClampInt(int(math.Ceil((r.Hi.Y-g.Region.Lo.Y)/g.BinH)), j0+1, g.N)
-	return
+// footCols is the width of a footprint's hoisted column-overlap buffer. It
+// lives on the caller's stack; a rectangle spanning more bin columns reloads
+// it chunk by chunk for every bin row instead of allocating.
+const footCols = 16
+
+// footprint is one rectangle resolved onto the bin grid: its edges clipped
+// to the region and the half-open bin ranges they cover. ox caches the
+// overlap lengths of the footCols bin columns starting at column ox0, so the
+// row loops compute each column's overlap once per rectangle, not once per
+// bin (rectangles wider than the buffer: once per row).
+type footprint struct {
+	xlo, xhi, ylo, yhi float64
+	i0, i1, j0, j1     int
+	ox0                int
+	ox                 [footCols]float64
+}
+
+// footprint clips r to the region and resolves its bin ranges into f,
+// reporting false when nothing of r lies inside.
+func (g *Grid) footprint(r geom.Rect, f *footprint) bool {
+	f.xlo, f.xhi = max(r.Lo.X, g.Region.Lo.X), min(r.Hi.X, g.Region.Hi.X)
+	f.ylo, f.yhi = max(r.Lo.Y, g.Region.Lo.Y), min(r.Hi.Y, g.Region.Hi.Y)
+	if f.xhi <= f.xlo || f.yhi <= f.ylo {
+		return false
+	}
+	f.i0 = geom.ClampInt(int((f.xlo-g.Region.Lo.X)/g.BinW), 0, g.M-1)
+	f.i1 = geom.ClampInt(int(math.Ceil((f.xhi-g.Region.Lo.X)/g.BinW)), f.i0+1, g.M)
+	f.j0 = geom.ClampInt(int((f.ylo-g.Region.Lo.Y)/g.BinH), 0, g.N-1)
+	f.j1 = geom.ClampInt(int(math.Ceil((f.yhi-g.Region.Lo.Y)/g.BinH)), f.j0+1, g.N)
+	f.ox0 = -1
+	return true
+}
+
+// overlap returns the length [lo, lo+size) shares with [clipLo, clipHi);
+// zero or negative when they are disjoint. (The min/max builtins compile to
+// a few branch-free instructions and agree with math.Min/Max bit for bit.)
+func overlap(lo, size, clipLo, clipHi float64) float64 {
+	return min(lo+size, clipHi) - max(lo, clipLo)
+}
+
+// cols returns the overlap lengths of the bin columns [c0, c0+footCols) the
+// footprint covers, computing them unless the buffer already holds that
+// chunk.
+func (g *Grid) cols(f *footprint, c0 int) []float64 {
+	n := min(footCols, f.i1-c0)
+	if f.ox0 != c0 {
+		f.ox0 = c0
+		for k := 0; k < n; k++ {
+			f.ox[k] = overlap(g.Region.Lo.X+float64(c0+k)*g.BinW, g.BinW, f.xlo, f.xhi)
+		}
+	}
+	return f.ox[:n]
+}
+
+// depositRows adds overlap(rect, bin)·invArea into the bins of dst the
+// footprint covers in rows [j0, j1).
+func (g *Grid) depositRows(dst []float64, f *footprint, j0, j1 int, invArea float64) {
+	for j := j0; j < j1; j++ {
+		oy := overlap(g.Region.Lo.Y+float64(j)*g.BinH, g.BinH, f.ylo, f.yhi)
+		if oy <= 0 {
+			continue
+		}
+		for c0 := f.i0; c0 < f.i1; c0 += footCols {
+			row := dst[j*g.M+c0:]
+			for k, ox := range g.cols(f, c0) {
+				if ox > 0 {
+					row[k] += ox * oy * invArea
+				}
+			}
+		}
+	}
 }
 
 // AddRect deposits scale × overlap(rect, bin) area into each bin the
@@ -477,27 +523,17 @@ func (g *Grid) AddFixedRect(r geom.Rect, scale float64) {
 }
 
 func (g *Grid) addRectTo(dst []float64, r geom.Rect, scale float64) {
-	r = r.Intersect(g.Region)
-	if r.Empty() {
-		return
+	var f footprint
+	if g.footprint(r, &f) {
+		g.depositRows(dst, &f, f.j0, f.j1, scale/(g.BinW*g.BinH))
 	}
-	i0, i1, j0, j1 := g.binRange(r)
-	invArea := scale / (g.BinW * g.BinH)
-	for j := j0; j < j1; j++ {
-		y0 := g.Region.Lo.Y + float64(j)*g.BinH
-		oy := geom.Interval{Lo: y0, Hi: y0 + g.BinH}.Overlap(geom.Interval{Lo: r.Lo.Y, Hi: r.Hi.Y})
-		if oy <= 0 {
-			continue
-		}
-		row := dst[j*g.M:]
-		for i := i0; i < i1; i++ {
-			x0 := g.Region.Lo.X + float64(i)*g.BinW
-			ox := geom.Interval{Lo: x0, Hi: x0 + g.BinW}.Overlap(geom.Interval{Lo: r.Lo.X, Hi: r.Hi.X})
-			if ox > 0 {
-				row[i] += ox * oy * invArea
-			}
-		}
-	}
+}
+
+// raster writes fixedRho + Σ rects into dst, sharded by output bin rows.
+func (g *Grid) raster(dst []float64, rects []geom.Rect) {
+	g.depDst, g.depRects = dst, rects
+	g.dispatch(g.N, g.stageDeposit)
+	g.depDst, g.depRects = nil, nil
 }
 
 // DepositRects replaces the movable charge with the given unit-scale
@@ -508,22 +544,23 @@ func (g *Grid) addRectTo(dst []float64, r geom.Rect, scale float64) {
 //
 // The call fingerprints its operand: depositing a list bitwise identical to
 // the previous one skips the raster (Rho is already exact, since the deposit
-// fully rewrites it), and depositing the list the current field was solved
-// from arms the next Solve to return without any spectral work.
+// fully rewrites it; see RasterSkips), and depositing the list the current
+// field was solved from arms the next Solve to return without any spectral
+// work.
 func (g *Grid) DepositRects(rects []geom.Rect) {
-	if !g.rhoFromRects || !rectsEqual(rects, g.lastRects) {
-		g.depRects = rects
-		g.dispatch(g.N, g.stageDeposit)
-		g.depRects = nil
+	if g.rhoFromRects && rectsEqual(rects, g.lastRects) {
+		g.rasterSkips++
+	} else {
+		g.raster(g.Rho, rects)
 		g.lastRects = append(g.lastRects[:0], rects...)
 		g.rhoFromRects = true
 	}
 	g.fieldCurrent = g.solvedFromRects && rectsEqual(rects, g.solvedRects)
 }
 
-// Solve computes the potential and field from the current charge. The DC
-// component of the charge is removed first (the u=v=0 mode has no force and
-// corresponds to the neutralizing background of the electrostatic analogy).
+// Solve computes the field from the current charge. The DC component of the
+// charge is removed first (the u=v=0 mode has no force and corresponds to
+// the neutralizing background of the electrostatic analogy).
 // The row/column transform batches run across the SetWorkers pool with
 // per-worker spectral scratch; every batch writes a disjoint output range,
 // so the solution is bit-identical for any worker count.
@@ -547,10 +584,10 @@ func (g *Grid) Solve() {
 	g.dispatch(g.N, g.stageFreq)
 	t = g.lap(t, &g.wallFreq)
 
-	// Synthesis. ψ uses cos·cos; Ex = -∂ψ/∂x uses sin in x (the derivative
-	// of cos(ku·x) is -ku·sin(ku·x), and E = -∇ψ cancels the sign);
-	// Ey symmetric.
-	g.synthesize(g.bufPsi, g.Psi, false, false)
+	// Synthesis. Ex = -∂ψ/∂x uses sin in x (the derivative of cos(ku·x) is
+	// -ku·sin(ku·x), and E = -∇ψ cancels the sign); Ey symmetric. The
+	// potential itself is not synthesized here: nothing on the placement
+	// path reads it (see Potential).
 	g.synthesize(g.bufEx, g.Ex, true, false)
 	g.synthesize(g.bufEy, g.Ey, false, true)
 	g.lap(t, &g.wallSynth)
@@ -570,6 +607,8 @@ func (g *Grid) lap(t time.Time, wall *time.Duration) time.Time {
 }
 
 // synthesize evaluates the 2-D series with sine evaluation in x and/or y.
+// coef and out may be the same slice: the column pass gathers a whole
+// column before writing it back.
 func (g *Grid) synthesize(coef, out []float64, sinX, sinY bool) {
 	g.synCoef, g.synOut, g.synSinX, g.synSinY = coef, out, sinX, sinY
 	g.dispatch(g.M, g.stageSynCols)
@@ -577,15 +616,30 @@ func (g *Grid) synthesize(coef, out []float64, sinX, sinY bool) {
 	g.synCoef, g.synOut = nil, nil
 }
 
+// Potential synthesizes the electric potential ψ (cos·cos) of the last
+// executed Solve from its retained charge spectrum. It is a diagnostic: the
+// placement path needs only the field, so ψ costs nothing until asked for,
+// and every call recomputes it. The returned slice is reused by the next
+// call.
+func (g *Grid) Potential() []float64 {
+	if g.psi == nil {
+		g.psi = make([]float64, len(g.coef))
+	}
+	for i, c := range g.coef {
+		g.psi[i] = c * g.psiTab[i]
+	}
+	g.synthesize(g.psi, g.psi, false, false)
+	return g.psi
+}
+
 // Energy returns the total potential energy Σ ρ·ψ·binArea (Eq. 3 up to the
 // constant factor absorbed by λ).
 func (g *Grid) Energy() float64 {
 	e := 0.0
-	binArea := g.BinW * g.BinH
-	for i, r := range g.Rho {
-		e += r * g.Psi[i]
+	for i, psi := range g.Potential() {
+		e += g.Rho[i] * psi
 	}
-	return e * binArea
+	return e * (g.BinW * g.BinH)
 }
 
 // ForceOnRect returns the overlap-weighted electric force on a rectangle of
@@ -595,46 +649,57 @@ func (g *Grid) Energy() float64 {
 // of goroutines may call it concurrently (the placement engine's force
 // sweep does).
 func (g *Grid) ForceOnRect(r geom.Rect) (fx, fy float64) {
-	rc := r.Intersect(g.Region)
-	if rc.Empty() {
+	var f footprint
+	if !g.footprint(r, &f) {
 		// Pull cells that escaped the region back toward it.
 		c := g.Region.ClampPoint(r.Center())
 		i, j := g.BinOf(c)
 		idx := g.Index(i, j)
 		return g.Ex[idx] * r.Area(), g.Ey[idx] * r.Area()
 	}
-	i0, i1, j0, j1 := g.binRange(rc)
-	for j := j0; j < j1; j++ {
-		y0 := g.Region.Lo.Y + float64(j)*g.BinH
-		oy := geom.Interval{Lo: y0, Hi: y0 + g.BinH}.Overlap(geom.Interval{Lo: rc.Lo.Y, Hi: rc.Hi.Y})
+	for j := f.j0; j < f.j1; j++ {
+		oy := overlap(g.Region.Lo.Y+float64(j)*g.BinH, g.BinH, f.ylo, f.yhi)
 		if oy <= 0 {
 			continue
 		}
-		for i := i0; i < i1; i++ {
-			x0 := g.Region.Lo.X + float64(i)*g.BinW
-			ox := geom.Interval{Lo: x0, Hi: x0 + g.BinW}.Overlap(geom.Interval{Lo: rc.Lo.X, Hi: rc.Hi.X})
-			if ox <= 0 {
-				continue
+		for c0 := f.i0; c0 < f.i1; c0 += footCols {
+			ex, ey := g.Ex[j*g.M+c0:], g.Ey[j*g.M+c0:]
+			for k, ox := range g.cols(&f, c0) {
+				if ox > 0 {
+					a := ox * oy
+					fx += a * ex[k]
+					fy += a * ey[k]
+				}
 			}
-			idx := j*g.M + i
-			a := ox * oy
-			fx += a * g.Ex[idx]
-			fy += a * g.Ey[idx]
 		}
 	}
 	return fx, fy
 }
 
-// Overflow returns the density overflow ratio: the summed movable charge
-// area exceeding target density in each bin, divided by the total movable
-// area. This is the τ trigger metric of Sec. III-B3 in normalized form.
-// The reduction runs over a fixed shard count derived from the grid size,
-// so the floating-point result is identical for every worker count.
+// Overflow returns the density overflow ratio of the current charge: the
+// summed movable charge area exceeding target density in each bin, divided
+// by the total movable area. This is the τ trigger metric of Sec. III-B3 in
+// normalized form. The reduction runs over a fixed shard count derived from
+// the grid size, so the floating-point result is identical for every worker
+// count.
 func (g *Grid) Overflow(target, totalMovableArea float64) float64 {
+	return g.overflowIn(g.Rho, target, totalMovableArea)
+}
+
+// OverflowOf returns the overflow ratio the rectangles would have if
+// deposited, without depositing them: they are rasterized into a side
+// buffer, so Rho, the field and both fingerprints survive the probe. The
+// result equals DepositRects(rects) followed by Overflow, bit for bit.
+func (g *Grid) OverflowOf(rects []geom.Rect, target, totalMovableArea float64) float64 {
+	g.raster(g.probeRho, rects)
+	return g.overflowIn(g.probeRho, target, totalMovableArea)
+}
+
+func (g *Grid) overflowIn(rho []float64, target, totalMovableArea float64) float64 {
 	if totalMovableArea <= 0 {
 		return 0
 	}
-	g.ovfTarget = target
+	g.ovfTarget, g.ovfRho = target, rho
 	if g.workers <= 1 || g.ovfShards <= 1 {
 		for s := 0; s < g.ovfShards; s++ {
 			g.stageOvf(s)
@@ -642,6 +707,7 @@ func (g *Grid) Overflow(target, totalMovableArea float64) float64 {
 	} else {
 		par.ForN(g.workers, g.ovfShards, g.stageOvf)
 	}
+	g.ovfRho = nil
 	over := 0.0
 	for _, p := range g.ovfPartial {
 		over += p
@@ -656,9 +722,13 @@ func (g *Grid) Solves() int { return g.solves }
 // deposited charge matched the list the current field was solved from.
 func (g *Grid) SolveSkips() int { return g.solveSkips }
 
+// RasterSkips reports how many DepositRects calls left Rho untouched because
+// the list was bitwise identical to the one already deposited.
+func (g *Grid) RasterSkips() int { return g.rasterSkips }
+
 // PhaseWalls returns the cumulative wall time of the spectral solve split
 // by phase: forward analysis (row+column DCTs), the frequency-domain
-// response, and the three synthesis passes.
+// response, and the two field synthesis passes.
 func (g *Grid) PhaseWalls() (analysis, freq, synth time.Duration) {
 	return g.wallAnalysis, g.wallFreq, g.wallSynth
 }

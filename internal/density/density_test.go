@@ -120,14 +120,15 @@ func TestPoissonResidual(t *testing.T) {
 	}
 	mean /= float64(m * m)
 	g.Solve()
+	psi := g.Potential()
 
 	h2 := g.BinW * g.BinH
 	maxErr, maxRho := 0.0, 0.0
 	for j := 8; j < m-8; j++ {
 		for i := 8; i < m-8; i++ {
-			lap := (g.Psi[g.Index(i+1, j)] + g.Psi[g.Index(i-1, j)] +
-				g.Psi[g.Index(i, j+1)] + g.Psi[g.Index(i, j-1)] -
-				4*g.Psi[g.Index(i, j)]) / h2
+			lap := (psi[g.Index(i+1, j)] + psi[g.Index(i-1, j)] +
+				psi[g.Index(i, j+1)] + psi[g.Index(i, j-1)] -
+				4*psi[g.Index(i, j)]) / h2
 			want := -(g.Rho[g.Index(i, j)] - mean)
 			if e := math.Abs(lap - want); e > maxErr {
 				maxErr = e
@@ -295,16 +296,18 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 	ref := NewGrid(region, 32, 32)
 	ref.DepositRects(rects)
 	ref.Solve()
+	refPsi := ref.Potential()
 
 	for _, workers := range []int{2, 3, 4, 16} {
 		g := NewGrid(region, 32, 32)
 		g.SetWorkers(workers)
 		g.DepositRects(rects)
 		g.Solve()
-		for i := range g.Psi {
-			if g.Psi[i] != ref.Psi[i] || g.Ex[i] != ref.Ex[i] || g.Ey[i] != ref.Ey[i] {
+		psi := g.Potential()
+		for i := range psi {
+			if psi[i] != refPsi[i] || g.Ex[i] != ref.Ex[i] || g.Ey[i] != ref.Ey[i] {
 				t.Fatalf("workers=%d: bin %d solve mismatch psi %v/%v ex %v/%v ey %v/%v",
-					workers, i, g.Psi[i], ref.Psi[i], g.Ex[i], ref.Ex[i], g.Ey[i], ref.Ey[i])
+					workers, i, psi[i], refPsi[i], g.Ex[i], ref.Ex[i], g.Ey[i], ref.Ey[i])
 			}
 		}
 	}
@@ -343,12 +346,204 @@ func TestGridSteadyStateZeroAlloc(t *testing.T) {
 	g.DepositRects(rects) // warm up
 	g.Solve()
 
+	wide := geom.RectWH(1.5, 20.25, 2*footCols+9, 3) // > footCols columns at BinW 2
+	g.Potential()                                    // first call allocates ψ
 	if n := testing.AllocsPerRun(10, func() {
 		g.DepositRects(rects)
 		g.Solve()
+		g.DepositRects(rects) // fingerprint hit: raster and solve skipped
+		g.Solve()
 		g.ForceOnRect(rects[0])
+		g.ForceOnRect(wide)
+		g.OverflowOf(rects[:32], 0.8, 100)
 		g.Overflow(0.8, 100)
+		g.Energy()
+		g.AddRect(wide, 1) // voids the fingerprints: the next run rasterizes and solves
 	}); n != 0 {
 		t.Errorf("serial steady-state iteration allocates %v per run, want 0", n)
+	}
+}
+
+// refDeposit and refForce are the pre-footprint loops — per-bin
+// geom.Interval.Overlap on the math.Max/Min-clipped rectangle — kept as the
+// reference the production footprint routine must match bit for bit.
+func refDeposit(g *Grid, dst []float64, r geom.Rect, scale float64) {
+	r = r.Intersect(g.Region)
+	if r.Empty() {
+		return
+	}
+	i0, i1, j0, j1 := refBinRange(g, r)
+	invArea := scale / (g.BinW * g.BinH)
+	for j := j0; j < j1; j++ {
+		y0 := g.Region.Lo.Y + float64(j)*g.BinH
+		oy := geom.Interval{Lo: y0, Hi: y0 + g.BinH}.Overlap(geom.Interval{Lo: r.Lo.Y, Hi: r.Hi.Y})
+		if oy <= 0 {
+			continue
+		}
+		for i := i0; i < i1; i++ {
+			x0 := g.Region.Lo.X + float64(i)*g.BinW
+			ox := geom.Interval{Lo: x0, Hi: x0 + g.BinW}.Overlap(geom.Interval{Lo: r.Lo.X, Hi: r.Hi.X})
+			if ox > 0 {
+				dst[j*g.M+i] += ox * oy * invArea
+			}
+		}
+	}
+}
+
+func refForce(g *Grid, r geom.Rect) (fx, fy float64) {
+	rc := r.Intersect(g.Region)
+	if rc.Empty() {
+		i, j := g.BinOf(g.Region.ClampPoint(r.Center()))
+		return g.Ex[g.Index(i, j)] * r.Area(), g.Ey[g.Index(i, j)] * r.Area()
+	}
+	i0, i1, j0, j1 := refBinRange(g, rc)
+	for j := j0; j < j1; j++ {
+		y0 := g.Region.Lo.Y + float64(j)*g.BinH
+		oy := geom.Interval{Lo: y0, Hi: y0 + g.BinH}.Overlap(geom.Interval{Lo: rc.Lo.Y, Hi: rc.Hi.Y})
+		if oy <= 0 {
+			continue
+		}
+		for i := i0; i < i1; i++ {
+			x0 := g.Region.Lo.X + float64(i)*g.BinW
+			ox := geom.Interval{Lo: x0, Hi: x0 + g.BinW}.Overlap(geom.Interval{Lo: rc.Lo.X, Hi: rc.Hi.X})
+			if ox <= 0 {
+				continue
+			}
+			a := ox * oy
+			fx += a * g.Ex[j*g.M+i]
+			fy += a * g.Ey[j*g.M+i]
+		}
+	}
+	return fx, fy
+}
+
+func refBinRange(g *Grid, r geom.Rect) (i0, i1, j0, j1 int) {
+	i0 = geom.ClampInt(int((r.Lo.X-g.Region.Lo.X)/g.BinW), 0, g.M-1)
+	i1 = geom.ClampInt(int(math.Ceil((r.Hi.X-g.Region.Lo.X)/g.BinW)), i0+1, g.M)
+	j0 = geom.ClampInt(int((r.Lo.Y-g.Region.Lo.Y)/g.BinH), 0, g.N-1)
+	j1 = geom.ClampInt(int(math.Ceil((r.Hi.Y-g.Region.Lo.Y)/g.BinH)), j0+1, g.N)
+	return
+}
+
+// edgeSoup is a seeded rect soup plus every geometry the footprint routine
+// special-cases: edges exactly on bin boundaries, rects wider than the
+// hoisted column buffer, rects partly and wholly outside the region (all
+// four sides, and the corners), zero-area rects, and -0.0 coordinates.
+func edgeSoup(seed int64, region geom.Rect, binW, binH float64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	lo, w, h := region.Lo, region.W(), region.H()
+	negZero := math.Copysign(0, -1)
+	rects := []geom.Rect{
+		geom.RectWH(lo.X+4*binW, lo.Y+2*binH, 3*binW, 2*binH),        // all edges on boundaries
+		geom.RectWH(lo.X, lo.Y, w, h),                                // the whole region
+		geom.RectWH(lo.X+binW/3, lo.Y+5*binH, (footCols+4)*binW, 1),  // wider than the buffer
+		geom.RectWH(lo.X-3*binW, lo.Y+binH/2, w+6*binW, 2.5*binH),    // wider than the region
+		geom.RectWH(lo.X+2*binW, lo.Y+7*binH, (2*footCols)*binW, .1), // exactly two buffer chunks
+		geom.RectWH(lo.X-5, lo.Y-5, 7, 7),                            // partly out, corner
+		geom.RectWH(lo.X+w-1, lo.Y+h-1, 9, 9),                        // partly out, far corner
+		geom.RectWH(lo.X-10, lo.Y+3, 4, 4),                           // wholly left
+		geom.RectWH(lo.X+w+1, lo.Y+3, 4, 4),                          // wholly right
+		geom.RectWH(lo.X+3, lo.Y-9, 4, 4),                            // wholly below
+		geom.RectWH(lo.X+3, lo.Y+h, 4, 4),                            // wholly above, touching
+		geom.RectWH(lo.X+w+2, lo.Y+h+2, 3, 3),                        // wholly out, corner
+		geom.RectWH(lo.X+5, lo.Y+5, 0, 3),                            // zero width
+		geom.RectWH(lo.X+5, lo.Y+5, 3, 0),                            // zero height
+		geom.RectWH(lo.X+6*binW, lo.Y+6*binH, 0, 0),                  // a point on a bin corner
+		{Lo: geom.Pt(negZero, negZero), Hi: geom.Pt(2.5, 1.5)},       // -0.0 lower corner
+		{Lo: geom.Pt(-3, -2), Hi: geom.Pt(negZero, negZero)},         // -0.0 upper corner
+		{Lo: geom.Pt(negZero, 1), Hi: geom.Pt(0, 2)},                 // -0.0 .. +0.0: empty
+	}
+	for i := 0; i < 400; i++ {
+		rw := 0.2 + 7*rng.Float64()
+		rh := 0.2 + 5*rng.Float64()
+		x := lo.X - 4 + (w+8)*rng.Float64()
+		y := lo.Y - 4 + (h+8)*rng.Float64()
+		if i%7 == 0 { // snap the lower-left corner onto the bin lattice
+			x = lo.X + binW*math.Floor((x-lo.X)/binW)
+			y = lo.Y + binH*math.Floor((y-lo.Y)/binH)
+		}
+		rects = append(rects, geom.RectWH(x, y, rw, rh))
+	}
+	rng.Shuffle(len(rects), func(i, j int) { rects[i], rects[j] = rects[j], rects[i] })
+	return rects
+}
+
+// TestFootprintMatchesReferenceLoops is the bit-identity oracle for the
+// shared footprint routine: deposited charge, fixed baseline, overflow probe
+// and per-rect force all equal the reference loops exactly, for any worker
+// count, on a zero-origin and an offset region.
+func TestFootprintMatchesReferenceLoops(t *testing.T) {
+	for _, region := range []geom.Rect{geom.RectWH(0, 0, 80, 48), geom.RectWH(-13.5, 7.25, 60, 96)} {
+		const m, n = 32, 16
+		fixed := geom.RectWH(region.Lo.X+11.3, region.Lo.Y+9.1, 17.7, 8.4)
+		for seed := int64(1); seed <= 3; seed++ {
+			rects := edgeSoup(seed, region, region.W()/m, region.H()/n)
+			ref := NewGrid(region, m, n)
+			want := make([]float64, m*n)
+			refDeposit(ref, want, fixed, 0.75)
+			for _, r := range rects {
+				refDeposit(ref, want, r, 1)
+			}
+			for _, workers := range []int{1, 2, 3} {
+				g := NewGrid(region, m, n)
+				g.SetWorkers(workers)
+				g.AddFixedRect(fixed, 0.75)
+				g.OverflowOf(rects, 0.8, 1)
+				g.DepositRects(rects)
+				for i := range want {
+					if g.Rho[i] != want[i] || g.probeRho[i] != want[i] {
+						t.Fatalf("region %v seed %d workers %d: bin %d Rho %v probe %v, want %v (bit-exact)",
+							region, seed, workers, i, g.Rho[i], g.probeRho[i], want[i])
+					}
+				}
+				g.Solve()
+				for k, r := range rects {
+					fx, fy := g.ForceOnRect(r)
+					wx, wy := refForce(g, r)
+					if fx != wx || fy != wy {
+						t.Fatalf("region %v seed %d workers %d: rect %d %v force (%v,%v), want (%v,%v) (bit-exact)",
+							region, seed, workers, k, r, fx, fy, wx, wy)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOverflowOfLeavesChargeUntouched: the overflow probe must not disturb
+// the charge, the field or either fingerprint, so the engine's re-deposit of
+// the list it last solved skips both the raster and the solve.
+func TestOverflowOfLeavesChargeUntouched(t *testing.T) {
+	region := geom.RectWH(0, 0, 64, 64)
+	full := rectSoup(120, region)
+	probe := full[:70]
+	for _, workers := range []int{1, 3} {
+		g := NewGrid(region, 32, 32)
+		g.SetWorkers(workers)
+		g.AddFixedRect(geom.RectWH(20, 20, 9, 9), 1)
+		g.DepositRects(full)
+		g.Solve()
+		rho := append([]float64(nil), g.Rho...)
+
+		got := g.OverflowOf(probe, 0.6, 321.5)
+		for i := range rho {
+			if g.Rho[i] != rho[i] {
+				t.Fatalf("workers=%d: OverflowOf changed Rho[%d]", workers, i)
+			}
+		}
+		g.DepositRects(full)
+		g.Solve()
+		if g.RasterSkips() != 1 || g.Solves() != 1 || g.SolveSkips() != 1 {
+			t.Fatalf("workers=%d: after probe, raster skips/solves/solve skips = %d/%d/%d, want 1/1/1",
+				workers, g.RasterSkips(), g.Solves(), g.SolveSkips())
+		}
+
+		g.DepositRects(probe)
+		if want := g.Overflow(0.6, 321.5); got != want || got <= 0 {
+			t.Fatalf("workers=%d: OverflowOf = %v, DepositRects+Overflow = %v (want equal, > 0)", workers, got, want)
+		}
+		if g.OverflowOf(probe, 0.6, 0) != 0 {
+			t.Errorf("workers=%d: zero-area OverflowOf != 0", workers)
+		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"puffer/internal/geom"
 )
 
-// Solver is the contract the placement engine drives the density model
-// through: charge deposit, spectral solve, overflow and force readout, plus
-// the multi-resolution protocol (Level/Refine). Two implementations exist:
+// Solver is the contract the placement engine holds the density model
+// through: the multi-resolution protocol (Active/Level/Refine), the setup
+// every level shares, and the counters summed across levels. Charge deposit,
+// spectral solve, overflow and force readout happen on the Active grid
+// directly. Two implementations exist:
 //
 //   - *Grid, the single-level degenerate case — always at level 0, never
 //     refining;
@@ -16,9 +18,9 @@ import (
 //     starts on the coarsest level and refines toward level 0 as the
 //     placement's overflow drops.
 //
-// Every implementation preserves the Grid guarantees the engine relies on:
-// results are bit-deterministic for any worker count, and the steady-state
-// deposit → solve → force → overflow cycle is allocation-free in serial.
+// Both keep the Grid guarantees the engine relies on: results are
+// bit-deterministic for any worker count, and the steady-state deposit →
+// solve → force → overflow cycle is allocation-free in serial.
 type Solver interface {
 	// Active returns the grid currently receiving deposits and solves.
 	Active() *Grid
@@ -37,21 +39,13 @@ type Solver interface {
 	// AddFixedRect deposits a fixed-cell rectangle into the baseline of
 	// every level, so the fixed landscape is consistent across refinement.
 	AddFixedRect(r geom.Rect, scale float64)
-	// DepositRects replaces the movable charge on the active level.
-	DepositRects(rects []geom.Rect)
-	// Solve computes potential and field on the active level.
-	Solve()
-	// Overflow reports the active level's density overflow ratio.
-	Overflow(target, totalMovableArea float64) float64
-	// ForceOnRect reads the active level's field under a rectangle.
-	ForceOnRect(r geom.Rect) (fx, fy float64)
-	// Energy returns the active level's total potential energy.
-	Energy() float64
 
-	// Solves and SolveSkips report the executed-vs-skipped spectral solve
-	// counters, summed across levels.
+	// Solves, SolveSkips and RasterSkips report the executed-vs-skipped
+	// spectral solve counters and the skipped rasterizations, summed across
+	// levels.
 	Solves() int
 	SolveSkips() int
+	RasterSkips() int
 	// PhaseWalls returns cumulative spectral-solve wall time split by
 	// phase (analysis, frequency response, synthesis), summed across
 	// levels.
@@ -143,25 +137,6 @@ func (p *Pyramid) AddFixedRect(r geom.Rect, scale float64) {
 	}
 }
 
-// DepositRects replaces the movable charge on the active level.
-func (p *Pyramid) DepositRects(rects []geom.Rect) { p.Active().DepositRects(rects) }
-
-// Solve computes potential and field on the active level.
-func (p *Pyramid) Solve() { p.Active().Solve() }
-
-// Overflow reports the active level's density overflow ratio.
-func (p *Pyramid) Overflow(target, totalMovableArea float64) float64 {
-	return p.Active().Overflow(target, totalMovableArea)
-}
-
-// ForceOnRect reads the active level's field under a rectangle.
-func (p *Pyramid) ForceOnRect(r geom.Rect) (fx, fy float64) {
-	return p.Active().ForceOnRect(r)
-}
-
-// Energy returns the active level's total potential energy.
-func (p *Pyramid) Energy() float64 { return p.Active().Energy() }
-
 // Solves sums the executed-solve counters across levels.
 func (p *Pyramid) Solves() int {
 	n := 0
@@ -176,6 +151,15 @@ func (p *Pyramid) SolveSkips() int {
 	n := 0
 	for _, g := range p.levels {
 		n += g.SolveSkips()
+	}
+	return n
+}
+
+// RasterSkips sums the skipped-raster counters across levels.
+func (p *Pyramid) RasterSkips() int {
+	n := 0
+	for _, g := range p.levels {
+		n += g.RasterSkips()
 	}
 	return n
 }

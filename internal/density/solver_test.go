@@ -22,19 +22,20 @@ func TestGridComplexVsRealSolve(t *testing.T) {
 	g.DepositRects(rects)
 	g.Solve()
 
+	psi, refPsi := g.Potential(), ref.Potential()
 	scale := 0.0
-	for _, v := range ref.Psi {
+	for _, v := range refPsi {
 		if a := math.Abs(v); a > scale {
 			scale = a
 		}
 	}
 	tol := 1e-11 * scale
-	for i := range g.Psi {
-		if math.Abs(g.Psi[i]-ref.Psi[i]) > tol ||
+	for i := range psi {
+		if math.Abs(psi[i]-refPsi[i]) > tol ||
 			math.Abs(g.Ex[i]-ref.Ex[i]) > tol ||
 			math.Abs(g.Ey[i]-ref.Ey[i]) > tol {
 			t.Fatalf("bin %d: real/complex mismatch psi %v/%v ex %v/%v ey %v/%v",
-				i, g.Psi[i], ref.Psi[i], g.Ex[i], ref.Ex[i], g.Ey[i], ref.Ey[i])
+				i, psi[i], refPsi[i], g.Ex[i], ref.Ex[i], g.Ey[i], ref.Ey[i])
 		}
 	}
 }
@@ -55,7 +56,9 @@ func TestSolveSkipOnRedeposit(t *testing.T) {
 	if g.Solves() != 1 || g.SolveSkips() != 0 {
 		t.Fatalf("after first solve: solves=%d skips=%d", g.Solves(), g.SolveSkips())
 	}
-	psi := append([]float64(nil), g.Psi...)
+	psi := append([]float64(nil), g.Potential()...)
+	ex := append([]float64(nil), g.Ex...)
+	ey := append([]float64(nil), g.Ey...)
 
 	g.DepositRects(probe) // no solve: overflow-style probe
 	g.DepositRects(full)
@@ -63,9 +66,10 @@ func TestSolveSkipOnRedeposit(t *testing.T) {
 	if g.Solves() != 1 || g.SolveSkips() != 1 {
 		t.Fatalf("after redeposit solve: solves=%d skips=%d, want 1/1", g.Solves(), g.SolveSkips())
 	}
-	for i := range psi {
-		if g.Psi[i] != psi[i] {
-			t.Fatalf("skipped solve changed Psi[%d]: %v vs %v", i, g.Psi[i], psi[i])
+	for i, v := range g.Potential() {
+		if v != psi[i] || g.Ex[i] != ex[i] || g.Ey[i] != ey[i] {
+			t.Fatalf("skipped solve changed bin %d: psi %v/%v ex %v/%v ey %v/%v",
+				i, v, psi[i], g.Ex[i], ex[i], g.Ey[i], ey[i])
 		}
 	}
 
@@ -141,7 +145,7 @@ func TestGridSteadyStateZeroAllocAlternating(t *testing.T) {
 		g.DepositRects(r)
 		g.Solve()
 		g.ForceOnRect(r[0])
-		g.Overflow(0.8, 100)
+		g.OverflowOf(r[:40], 0.8, 100)
 	}); n != 0 {
 		t.Errorf("alternating steady-state iteration allocates %v per run, want 0", n)
 	}
@@ -185,9 +189,9 @@ func TestPyramidConstruction(t *testing.T) {
 	}
 }
 
-// TestPyramidRefineAndDelegation walks the refinement ladder and checks the
-// Solver methods always act on the active level, with the fixed baseline
-// present on every level.
+// TestPyramidRefineAndDelegation walks the refinement ladder, driving each
+// level through Active() as the engine does, and checks the fixed baseline
+// is present on every level and the counters sum across levels.
 func TestPyramidRefineAndDelegation(t *testing.T) {
 	region := geom.RectWH(0, 0, 64, 64)
 	p := NewPyramid(region, 32, 32, 2)
@@ -206,21 +210,13 @@ func TestPyramidRefineAndDelegation(t *testing.T) {
 		if !g.hasFixed || g.totalFixedArea == 0 {
 			t.Fatalf("level %d missing the fixed baseline", lvl)
 		}
-		p.DepositRects(rects)
-		p.Solve()
-		if g.Solves() != 1 {
-			t.Fatalf("level %d: active grid did not solve", lvl)
-		}
-		if p.Energy() != g.Energy() {
-			t.Fatal("Energy not delegated to the active level")
-		}
-		fx, fy := p.ForceOnRect(rects[0])
-		gfx, gfy := g.ForceOnRect(rects[0])
-		if fx != gfx || fy != gfy {
-			t.Fatal("ForceOnRect not delegated to the active level")
-		}
-		if p.Overflow(0.8, 100) != g.Overflow(0.8, 100) {
-			t.Fatal("Overflow not delegated to the active level")
+		g.DepositRects(rects)
+		g.Solve()
+		g.DepositRects(rects)
+		g.Solve()
+		if g.Solves() != 1 || g.SolveSkips() != 1 || g.RasterSkips() != 1 {
+			t.Fatalf("level %d: solves/skips/raster skips = %d/%d/%d, want 1/1/1",
+				lvl, g.Solves(), g.SolveSkips(), g.RasterSkips())
 		}
 		if lvl == 0 {
 			break
@@ -232,8 +228,9 @@ func TestPyramidRefineAndDelegation(t *testing.T) {
 	if p.Refine() {
 		t.Error("Refine at level 0 must report false")
 	}
-	if p.Solves() != p.Levels() {
-		t.Errorf("summed Solves = %d, want %d", p.Solves(), p.Levels())
+	if n := p.Levels(); p.Solves() != n || p.SolveSkips() != n || p.RasterSkips() != n {
+		t.Errorf("summed solves/skips/raster skips = %d/%d/%d, want %d each",
+			p.Solves(), p.SolveSkips(), p.RasterSkips(), n)
 	}
 	a, f, s := p.PhaseWalls()
 	if a <= 0 || f < 0 || s <= 0 {

@@ -1,26 +1,32 @@
 package place
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
+	"puffer/internal/density"
 	"puffer/internal/geom"
+	"puffer/internal/nesterov"
 	"puffer/internal/netlist"
 )
 
-// gpBenchDesign builds a mid-size synthetic design (~25% utilization so
-// fillers engage) for the GP iteration benchmarks and determinism tests.
-func gpBenchDesign(seed int64, nc int) *netlist.Design {
+// gpBenchDesign builds a synthetic design of nc unit cells in a side×side
+// region (pick ~25% utilization so fillers engage) for the GP iteration
+// benchmarks and determinism tests.
+func gpBenchDesign(seed int64, nc int, side float64) *netlist.Design {
 	rng := rand.New(rand.NewSource(seed))
 	d := &netlist.Design{
 		Name:      "gpbench",
-		Region:    geom.RectWH(0, 0, 128, 128),
+		Region:    geom.RectWH(0, 0, side, side),
 		RowHeight: 1,
 		SiteWidth: 0.25,
 		Layers:    netlist.DefaultLayers(),
 	}
 	for i := 0; i < nc; i++ {
-		d.AddCell(netlist.Cell{W: 1, H: 1, X: 64, Y: 64})
+		d.AddCell(netlist.Cell{W: 1, H: 1, X: side / 2, Y: side / 2})
 	}
 	for i := 0; i+3 < nc; i += 2 {
 		n := d.AddNet("", 1)
@@ -33,9 +39,9 @@ func gpBenchDesign(seed int64, nc int) *netlist.Design {
 	return d
 }
 
-func gpBenchConfig(iters, workers int) Config {
+func gpBenchConfig(iters, workers, grid int) Config {
 	cfg := DefaultConfig()
-	cfg.GridM, cfg.GridN = 64, 64
+	cfg.GridM, cfg.GridN = grid, grid
 	cfg.MaxIters = iters
 	cfg.MinIters = iters
 	cfg.StopOverflow = 0
@@ -44,12 +50,20 @@ func gpBenchConfig(iters, workers int) Config {
 	return cfg
 }
 
+// shardAlways makes New hand the engine of any design to the workers it is
+// given, however small the design, until the test or benchmark ends.
+func shardAlways(tb testing.TB) {
+	old := minEvalNs
+	minEvalNs = 0
+	tb.Cleanup(func() { minEvalNs = old })
+}
+
 // BenchmarkGPIterSerial measures one GP iteration with the parallel code
 // paths pinned to a single worker. CI compares it against
 // BenchmarkGPIterParallel via cmd/benchjson -ratio (BENCH_gp.json).
 func BenchmarkGPIterSerial(b *testing.B) {
 	b.ReportAllocs()
-	p := New(gpBenchDesign(1, 4000), gpBenchConfig(b.N, 1))
+	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 1, 64))
 	b.ResetTimer()
 	p.Run(nil)
 }
@@ -57,10 +71,23 @@ func BenchmarkGPIterSerial(b *testing.B) {
 // BenchmarkGPIterParallel is the same workload at GOMAXPROCS workers; the
 // placement it produces is bit-identical to the serial run.
 func BenchmarkGPIterParallel(b *testing.B) {
+	shardAlways(b) // 4 k cells are under minEvalNs
 	b.ReportAllocs()
-	p := New(gpBenchDesign(1, 4000), gpBenchConfig(b.N, 0))
+	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 0, 64))
 	b.ResetTimer()
 	p.Run(nil)
+}
+
+// BenchmarkGPIter256 is one GP iteration at the scale where the per-rect
+// geometry and the 2-D transforms dominate: 17k cells and ~42k fillers on a
+// 256² grid (the place_large_calm shape), at GOMAXPROCS workers. It reports
+// the share of gradient evaluations that reused the previous force sweep.
+func BenchmarkGPIter256(b *testing.B) {
+	b.ReportAllocs()
+	p := New(gpBenchDesign(1, 17000, 256), gpBenchConfig(b.N, 0, 256))
+	b.ResetTimer()
+	p.Run(nil)
+	b.ReportMetric(float64(p.forceReuses)/float64(p.evals), "reuse/eval")
 }
 
 // runGP places a synthetic design with the given worker count and returns
@@ -87,6 +114,7 @@ func runGP(t *testing.T, workers int) ([]geom.Point, float64) {
 // GP core: Workers=1 and Workers=4 (and an oversubscribed pool) must
 // produce bit-identical final positions and HPWL.
 func TestGPDeterminismAcrossWorkers(t *testing.T) {
+	shardAlways(t)
 	refPos, refHPWL := runGP(t, 1)
 	for _, workers := range []int{2, 4, 16} {
 		pos, hpwl := runGP(t, workers)
@@ -101,19 +129,212 @@ func TestGPDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestEngineShardsByEvaluationSize pins the minEvalNs rule at the two
+// benchmark shapes it was measured on: the engine of a 17 k-cell design on a
+// 256² grid takes the workers it is offered — and still places every cell
+// where the serial engine does, bit for bit — while the engine of a small
+// design stays on the caller whatever Config.Workers says.
+func TestEngineShardsByEvaluationSize(t *testing.T) {
+	run := func(workers int) []geom.Point {
+		d := gpBenchDesign(1, 17000, 256)
+		p := New(d, gpBenchConfig(6, workers, 256))
+		if p.workers != workers || p.wl.Workers() != workers || p.g.Workers() != workers {
+			t.Fatalf("Workers=%d: engine runs on %d (wirelength %d, density %d)",
+				workers, p.workers, p.wl.Workers(), p.g.Workers())
+		}
+		p.Run(nil)
+		pos := make([]geom.Point, len(d.Cells))
+		for i := range d.Cells {
+			pos[i] = d.Cells[i].Rect().Center()
+		}
+		return pos
+	}
+	ref := run(1)
+	for i, q := range run(3) {
+		if q != ref[i] {
+			t.Fatalf("workers=3: cell %d at %v, want %v (bit-exact)", i, q, ref[i])
+		}
+	}
+	cfg := quickConfig()
+	cfg.Workers = 4
+	if p := New(smallDesign(5, 200, false), cfg); p.workers != 1 || p.wl.Workers() != 1 || p.g.Workers() != 1 {
+		t.Errorf("200-cell design: engine runs on %d workers (wirelength %d, density %d), want 1",
+			p.workers, p.wl.Workers(), p.g.Workers())
+	}
+}
+
 // TestGPStepZeroAllocSerial guards the steady-state Nesterov iteration:
 // with one worker, a full eval (wirelength gradient, rasterization,
 // spectral solve, force sweep) plus the optimizer update allocates nothing.
+// Nor does it when offered four on a design this small: the engine stays on
+// the caller (minEvalNs), and only a hand-off to goroutines allocates.
 func TestGPStepZeroAllocSerial(t *testing.T) {
-	d := smallDesign(5, 200, false)
-	cfg := quickConfig()
-	cfg.Workers = 1
-	p := New(d, cfg)
-	p.overflow = 1
-	p.updateGamma()
-	p.initLambda()
-	p.opt.Step(p.projectFn) // warm up
-	if n := testing.AllocsPerRun(5, func() { p.opt.Step(p.projectFn) }); n != 0 {
-		t.Errorf("steady-state GP step allocates %v per run, want 0", n)
+	for _, workers := range []int{1, 4} {
+		d := smallDesign(5, 200, false)
+		cfg := quickConfig()
+		cfg.Workers = workers
+		p := New(d, cfg)
+		p.overflow = 1
+		p.updateGamma()
+		p.initLambda()
+		p.opt.Step(p.projectFn) // warm up
+		reuses := p.forceReuses
+		if n := testing.AllocsPerRun(5, func() {
+			p.overflow = p.computeOverflow()
+			p.wl.HPWL()
+			p.opt.Step(p.projectFn)
+		}); n != 0 {
+			t.Errorf("workers=%d: steady-state GP iteration allocates %v per run, want 0", workers, n)
+		}
+		if p.forceReuses == reuses {
+			t.Errorf("workers=%d: the measured iterations never took the force-reuse path", workers)
+		}
+	}
+}
+
+// evalRecord is what one gradient evaluation looked like from outside.
+type evalRecord struct {
+	grad      uint64        // FNV-1a over the gradient's float bits
+	grid      *density.Grid // active grid during the eval
+	solveSkip bool          // Solve was satisfied by the fingerprint
+	reused    bool          // the force gather was skipped
+}
+
+// recordEvals re-seats the placer's optimizer on a wrapper of p.eval that
+// logs every evaluation (the optimizer is otherwise configured as
+// NewChecked does).
+func recordEvals(p *Placer) *[]evalRecord {
+	log := new([]evalRecord)
+	opt := nesterov.New(append([]float64(nil), p.opt.Current()...), func(x, grad []float64) {
+		skips, reuses := p.den.SolveSkips(), p.forceReuses
+		p.eval(x, grad)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range grad {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		*log = append(*log, evalRecord{h.Sum64(), p.g, p.den.SolveSkips() != skips, p.forceReuses != reuses})
+	}, p.binBase/4)
+	opt.MaxBacktrack = 1
+	opt.SetWorkers(p.Cfg.Workers)
+	p.opt = opt
+	return log
+}
+
+// TestEvalForceReuseIsExact runs GP with and without the raw-force reuse and
+// compares every gradient the oracle ever returned, bit for bit — on a run
+// whose hook pads cells (fillers retire, λ re-anchors) and on pyramid runs
+// that refine. It also pins where reuse must NOT fire even though Solve was
+// satisfied by the fingerprint: each part of the reuse key (grid, that
+// grid's solve count) is the only guard in one of these scenarios.
+func TestEvalForceReuseIsExact(t *testing.T) {
+	shardAlways(t) // the Workers=3 runs below are on small designs
+	type scenario struct {
+		name   string
+		design func() *netlist.Design
+		cfg    func(*Config)
+		padAt  map[int]float64 // iteration → PadW the hook sets on every cell
+	}
+	scenarios := []scenario{
+		// Padding at iteration 1 re-anchors λ at the start point: initLambda
+		// solves the padded list there, and the restart evaluates that very
+		// list — a fingerprint hit against a field the kept forces were not
+		// read from. Only the solve count tells.
+		{"padded", func() *netlist.Design { return smallDesign(6, 200, false) },
+			func(c *Config) {}, map[int]float64{1: 0.25, 40: 0.75}},
+		// Refining at iteration 1 makes the same fingerprint hit on the fine
+		// grid while both grids have executed exactly one solve. Only the
+		// grid pointer tells.
+		{"pyramid-immediate", func() *netlist.Design { return smallDesign(11, 250, false) },
+			func(c *Config) { c.PyramidLevels = 2; c.RefineOverflow = []float64{0.999} }, nil},
+		{"pyramid", func() *netlist.Design { return smallDesign(11, 250, true) },
+			func(c *Config) { c.PyramidLevels = 2 }, nil},
+	}
+	for _, sc := range scenarios {
+		run := func(noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
+			d := sc.design()
+			cfg := quickConfig()
+			cfg.MaxIters, cfg.MinIters = 90, 90
+			cfg.StopOverflow, cfg.PlateauIters = 0, 0
+			cfg.Workers = workers
+			sc.cfg(&cfg)
+			p := New(d, cfg)
+			p.noReuse = noReuse
+			log := recordEvals(p)
+			var paddedEvals []int // index of the first eval after each padding change
+			fillBefore := p.activeFill
+			p.Run(HookFunc(func(iter int, overflow float64) bool {
+				w, ok := sc.padAt[iter]
+				if !ok {
+					return false
+				}
+				for i := range d.Cells {
+					d.Cells[i].PadW = w
+				}
+				paddedEvals = append(paddedEvals, len(*log))
+				return true
+			}))
+			if len(sc.padAt) > 0 && p.activeFill >= fillBefore {
+				t.Fatalf("%s: padding retired no fillers", sc.name)
+			}
+			return *log, paddedEvals, p
+		}
+		got, padded, p := run(false, 1)
+		want, _, ref := run(true, 1)
+		if ref.forceReuses != 0 {
+			t.Fatalf("%s: the reference run reused %d sweeps", sc.name, ref.forceReuses)
+		}
+		if len(got) != len(want) || len(got) != p.evals-1 {
+			// -1: NewChecked's own optimizer evaluated once before recordEvals.
+			t.Fatalf("%s: %d evals logged, reference %d, counter %d", sc.name, len(got), len(want), p.evals)
+		}
+		refines, guarded := 0, 0
+		for i := range got {
+			if got[i].grad != want[i].grad {
+				t.Fatalf("%s: eval %d (reused=%v) gradient differs from the gather-always run", sc.name, i, got[i].reused)
+			}
+			if got[i].reused && !got[i].solveSkip {
+				t.Fatalf("%s: eval %d reused forces although Solve ran", sc.name, i)
+			}
+			if i > 0 && got[i].grid != got[i-1].grid {
+				refines++
+				if got[i].reused {
+					t.Fatalf("%s: eval %d reused forces across refine()", sc.name, i)
+				}
+				if got[i].solveSkip {
+					guarded++
+				}
+			}
+		}
+		for _, i := range padded {
+			if got[i].reused {
+				t.Fatalf("%s: eval %d reused forces across a padding change", sc.name, i)
+			}
+			if got[i].solveSkip {
+				guarded++ // initLambda had solved this list: only the key stopped the reuse
+			}
+		}
+		if p.forceReuses < len(got)/4 {
+			t.Errorf("%s: only %d of %d evals reused the force sweep", sc.name, p.forceReuses, len(got))
+		}
+		if wantRefines := p.den.Levels() - 1; refines != wantRefines {
+			t.Errorf("%s: saw %d grid switches, want %d", sc.name, refines, wantRefines)
+		}
+		if sc.name != "pyramid" && guarded == 0 {
+			t.Errorf("%s: no eval hit the fingerprint with stale forces; the scenario lost its point", sc.name)
+		}
+
+		// The counters are part of the determinism contract.
+		gotW, _, pw := run(false, 3)
+		for i := range gotW {
+			if gotW[i].grad != got[i].grad || gotW[i].reused != got[i].reused {
+				t.Fatalf("%s: eval %d differs between Workers 1 and 3", sc.name, i)
+			}
+		}
+		if pw.evals != p.evals || pw.forceReuses != p.forceReuses || pw.den.RasterSkips() != p.den.RasterSkips() {
+			t.Errorf("%s: evals/force reuses/raster skips %d/%d/%d at Workers 3, %d/%d/%d at 1", sc.name,
+				pw.evals, pw.forceReuses, pw.den.RasterSkips(), p.evals, p.forceReuses, p.den.RasterSkips())
+		}
 	}
 }

@@ -314,18 +314,32 @@ type Placer struct {
 	gamma          float64
 	overflow       float64
 	binBase        float64
+	movArea        float64 // movable cell area (constant during a run)
+	padArea        float64 // padding area as of the last padding change
 
 	opt       *nesterov.Optimizer
 	projectFn func(x []float64) // bound once; Step(p.project) would allocate per call
 
-	// parallel execution state; force-sweep stages are bound once in New
+	// parallel execution state; the force-sweep stage is bound once in New
 	// so the steady-state iteration constructs no closures.
-	workers        int
-	rects          []geom.Rect // reusable deposit list (movables + fillers)
-	evalX          []float64   // operands of the in-flight force sweep
-	evalGrad       []float64
-	stageForceMov  func(w, lo, hi int)
-	stageForceFill func(w, lo, hi int)
+	workers    int
+	rects      []geom.Rect // reusable deposit list (movables + fillers)
+	evalGrad   []float64   // operands of the in-flight force sweep
+	gather     bool
+	stageForce func(w, lo, hi int)
+
+	// Raw (unscaled) field force on each rect of the last gathering sweep,
+	// indexed like rects, and the field it was read from: a grid and that
+	// grid's executed-solve count. A grid solves exactly one rect list per
+	// count, so an eval that finds both unchanged after its Solve is at the
+	// same rects under the same field and re-applies λ and the
+	// preconditioner to these values instead of gathering again.
+	rawFx, rawFy []float64
+	rawGrid      *density.Grid
+	rawSolves    int
+	noReuse      bool // tests only: gather on every eval
+
+	evals, forceReuses int
 
 	// cumulative per-phase walls across the run (exposed as obs span args
 	// and place.phase.* gauges)
@@ -403,9 +417,6 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	p.wl.Kind = cfg.WLModel
 	p.gradWx = make([]float64, len(d.Cells))
 	p.gradWy = make([]float64, len(d.Cells))
-	p.workers = par.Workers(cfg.Workers)
-	p.den.SetWorkers(cfg.Workers)
-	p.wl.SetWorkers(cfg.Workers)
 
 	// Fillers: fill target whitespace with average-size dummy cells.
 	if cfg.UseFillers {
@@ -426,6 +437,9 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 		}
 	}
 	p.activeFill = p.nFill
+	p.workers = p.engineWorkers()
+	p.den.SetWorkers(p.workers)
+	p.wl.SetWorkers(p.workers)
 
 	// Initial placement: region center plus jitter (or, warm-started, the
 	// design's current centers), fillers uniform.
@@ -458,12 +472,34 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 		p.quadraticInit(x0, 20)
 	}
 	p.rects = make([]geom.Rect, 0, nm+p.nFill)
-	p.bindStages()
+	p.rawFx = make([]float64, nm+p.nFill)
+	p.rawFy = make([]float64, nm+p.nFill)
+	p.bindStage()
 	p.opt = nesterov.New(x0, p.eval, p.binBase/4)
 	p.opt.MaxBacktrack = 1
-	p.opt.SetWorkers(cfg.Workers)
+	p.opt.SetWorkers(p.workers)
 	p.projectFn = p.project
 	return p, nil
+}
+
+// minEvalNs is the serial work, in nanoseconds, a gradient evaluation must
+// hold before its ≈11 stages are handed to the workers. Below it the whole
+// engine runs on the caller: every hand-off ends in a barrier that waits for
+// whichever thread the host has stalled, and that wait, not the work, is what
+// makes repeated runs of a small design scatter (measurements: DESIGN.md
+// §3e). A variable so tests can shard small designs.
+var minEvalNs = 6_000_000
+
+// engineWorkers resolves Config.Workers for this design: the cap itself when
+// one evaluation is worth sharding — wirelength pass per pin, raster plus
+// force gather per rectangle, six transform batches per bin, at their
+// measured serial costs — and one otherwise.
+func (p *Placer) engineWorkers() int {
+	fine := p.den.Finest()
+	if len(p.D.Pins)*50+(len(p.movable)+p.nFill)*45+fine.M*fine.N*72 < minEvalNs {
+		return 1
+	}
+	return par.Workers(p.Cfg.Workers)
 }
 
 // Workers reports the engine's resolved worker cap.
@@ -490,44 +526,40 @@ func (p *Placer) dispatch(n int, stage func(w, lo, hi int)) {
 	par.ForShards(p.workers, n, stage)
 }
 
-// bindStages constructs the force-sweep bodies once. Both stages only read
-// the solved field (Grid.ForceOnRect is read-only) and write disjoint
-// gradient slots, so any shard partition produces identical bits.
-func (p *Placer) bindStages() {
-	p.stageForceMov = func(w, lo, hi int) {
+// bindStage constructs the force-sweep body once. It runs over the rect
+// index space [movables | fillers], which is also the layout of each half of
+// the gradient vector. It only reads the solved field (Grid.ForceOnRect is
+// read-only) and writes disjoint gradient and raw-force slots, so any shard
+// partition produces identical bits.
+func (p *Placer) bindStage() {
+	p.stageForce = func(w, lo, hi int) {
 		d := p.D
 		nm := len(p.movable)
 		off := nm + p.nFill
 		grad := p.evalGrad
 		lambda := p.lambda
+		hFill := math.Max(1, lambda*(p.fillerW*p.fillerH))
 		for k := lo; k < hi; k++ {
+			if k >= nm+p.activeFill { // retired filler
+				grad[k], grad[off+k] = 0, 0
+				continue
+			}
+			if p.gather {
+				p.rawFx[k], p.rawFy[k] = p.g.ForceOnRect(p.rects[k])
+			}
+			if k >= nm {
+				grad[k] = -lambda * p.rawFx[k] / hFill
+				grad[off+k] = -lambda * p.rawFy[k] / hFill
+				continue
+			}
 			ci := p.movable[k]
 			c := &d.Cells[ci]
-			fx, fy := p.g.ForceOnRect(c.PaddedRect())
-			gx := p.gradWx[ci] - lambda*fx
-			gy := p.gradWy[ci] - lambda*fy
+			gx := p.gradWx[ci] - lambda*p.rawFx[k]
+			gy := p.gradWy[ci] - lambda*p.rawFy[k]
 			// Preconditioner: pin count + λ·charge, per ePlace.
 			h := math.Max(1, float64(len(c.Pins))+lambda*c.PaddedW()*c.H)
 			grad[k] = gx / h
 			grad[off+k] = gy / h
-		}
-	}
-	p.stageForceFill = func(w, lo, hi int) {
-		nm := len(p.movable)
-		off := nm + p.nFill
-		x, grad := p.evalX, p.evalGrad
-		lambda := p.lambda
-		fillerQ := p.fillerW * p.fillerH
-		for f := lo; f < hi; f++ {
-			if f >= p.activeFill {
-				grad[nm+f] = 0
-				grad[off+nm+f] = 0
-				continue
-			}
-			fx, fy := p.g.ForceOnRect(p.fillerRect(x[nm+f], x[off+nm+f]))
-			h := math.Max(1, lambda*fillerQ)
-			grad[nm+f] = -lambda * fx / h
-			grad[off+nm+f] = -lambda * fy / h
 		}
 	}
 }
@@ -559,11 +591,6 @@ func (p *Placer) writePositions(x []float64) {
 	}
 }
 
-// fillerRect is the outline of a filler cell centered at (cx, cy).
-func (p *Placer) fillerRect(cx, cy float64) geom.Rect {
-	return geom.RectWH(cx-p.fillerW/2, cy-p.fillerH/2, p.fillerW, p.fillerH)
-}
-
 // buildRects refreshes the reusable deposit list: the padded outlines of
 // all movable cells in movable order, then the first nFillActive filler
 // outlines read from x. The backing array is retained across calls.
@@ -575,7 +602,7 @@ func (p *Placer) buildRects(x []float64, nFillActive int) {
 		p.rects = append(p.rects, p.D.Cells[ci].PaddedRect())
 	}
 	for f := 0; f < nFillActive; f++ {
-		p.rects = append(p.rects, p.fillerRect(x[nm+f], x[off+nm+f]))
+		p.rects = append(p.rects, geom.RectWH(x[nm+f]-p.fillerW/2, x[off+nm+f]-p.fillerH/2, p.fillerW, p.fillerH))
 	}
 }
 
@@ -583,10 +610,10 @@ func (p *Placer) buildRects(x []float64, nFillActive int) {
 // ∇(W + λD) at positions x, preconditioned per variable. Its four phases —
 // wirelength gradient, density rasterization, spectral solve, force sweep —
 // run across the configured workers, and their cumulative walls feed the
-// place.phase.* telemetry.
+// place.phase.* telemetry. The force sweep reuses the raw forces of the
+// previous gathering sweep when the field and the rects are still the ones
+// it read (see rawFx).
 func (p *Placer) eval(x, grad []float64) {
-	nm := len(p.movable)
-
 	t := time.Now()
 	p.writePositions(x)
 	p.wl.Gamma = p.gamma
@@ -603,10 +630,16 @@ func (p *Placer) eval(x, grad []float64) {
 	p.wallSolve += time.Since(t)
 
 	t = time.Now()
-	p.evalX, p.evalGrad = x, grad
-	p.dispatch(nm, p.stageForceMov)
-	p.dispatch(p.nFill, p.stageForceFill)
-	p.evalX, p.evalGrad = nil, nil
+	p.evals++
+	p.gather = p.noReuse || p.rawGrid != p.g || p.rawSolves != p.g.Solves()
+	if p.gather {
+		p.rawGrid, p.rawSolves = p.g, p.g.Solves()
+	} else {
+		p.forceReuses++
+	}
+	p.evalGrad = grad
+	p.dispatch(len(p.movable)+p.nFill, p.stageForce)
+	p.evalGrad = nil
 	p.wallForce += time.Since(t)
 }
 
@@ -635,8 +668,7 @@ func (p *Placer) computeOverflow() float64 {
 	x := p.opt.Current()
 	p.writePositions(x)
 	p.buildRects(x, 0) // movables only: fillers are not congestion
-	p.g.DepositRects(p.rects)
-	return p.g.Overflow(p.Cfg.TargetDensity, p.D.TotalMovableArea()+p.D.TotalPaddingArea())
+	return p.g.OverflowOf(p.rects, p.Cfg.TargetDensity, p.movArea+p.padArea)
 }
 
 // updateGamma applies the ePlace γ schedule: smooth when overflow is high,
@@ -660,9 +692,8 @@ func (p *Placer) initLambda() {
 	p.g.Solve()
 
 	sumW, sumD := 0.0, 0.0
-	for _, ci := range p.movable {
-		c := &p.D.Cells[ci]
-		fx, fy := p.g.ForceOnRect(c.PaddedRect())
+	for k, ci := range p.movable {
+		fx, fy := p.g.ForceOnRect(p.rects[k])
 		sumW += math.Abs(p.gradWx[ci]) + math.Abs(p.gradWy[ci])
 		sumD += math.Abs(fx) + math.Abs(fy)
 	}
@@ -734,6 +765,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		return res, flow.Check(ctx)
 	}
 	p.overflow = 1
+	p.movArea, p.padArea = p.D.TotalMovableArea(), p.D.TotalPaddingArea()
 	p.updateGamma()
 	p.initLambda()
 
@@ -755,6 +787,9 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	gDenSolve := rec.Gauge("place.phase.density_solve_ms")
 	gDenSynth := rec.Gauge("place.phase.density_synthesis_ms")
 	gGridLevel := rec.Gauge("place.grid_level")
+	gEvals := rec.Gauge("place.evals")
+	gRasterSkips := rec.Gauge("place.raster_skips")
+	gForceReuses := rec.Gauge("place.force_reuses")
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
 		span.SetArg("workers", p.workers)
@@ -765,6 +800,9 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		span.SetArg("force_ms", p.wallForce.Seconds()*1e3)
 		span.SetArg("density_solves", p.den.Solves())
 		span.SetArg("density_solve_skips", p.den.SolveSkips())
+		span.SetArg("evals", p.evals)
+		span.SetArg("raster_skips", p.den.RasterSkips())
+		span.SetArg("force_reuses", p.forceReuses)
 		span.End()
 	}()
 	flushPhases := func() {
@@ -779,6 +817,9 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		gDenSolve.Set(df.Seconds() * 1e3)
 		gDenSynth.Set(ds.Seconds() * 1e3)
 		gGridLevel.Set(float64(p.den.Level()))
+		gEvals.Set(float64(p.evals))
+		gRasterSkips.Set(float64(p.den.RasterSkips()))
+		gForceReuses.Set(float64(p.forceReuses))
 	}
 
 	ring := newTraceRing(p.Cfg.TraceCap)
@@ -787,8 +828,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		res.TraceDropped = ring.dropped
 	}
 
-	prevPadArea := p.D.TotalPaddingArea()
-	prevHPWL := p.D.HPWL()
+	prevHPWL := p.wl.HPWL()
 	bestOverflow := math.Inf(1)
 	bestIter := 0
 	for iter := 1; iter <= p.Cfg.MaxIters; iter++ {
@@ -818,8 +858,8 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 			padded = hook.OnIteration(iter, p.overflow)
 			if padded {
 				newPad := p.D.TotalPaddingArea()
-				p.retireFillers(newPad - prevPadArea)
-				prevPadArea = newPad
+				p.retireFillers(newPad - p.padArea)
+				p.padArea = newPad
 				// The objective changed shape: re-balance the density
 				// penalty against the wirelength gradient and drop the
 				// stale Nesterov momentum, otherwise λ keeps compounding
@@ -829,7 +869,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 			}
 		}
 
-		hpwl := p.D.HPWL()
+		hpwl := p.wl.HPWL()
 		if p.Cfg.Logf != nil && iter%50 == 0 {
 			p.Cfg.Logf("place: iter=%d overflow=%.4f hpwl=%.0f lambda=%.3g gamma=%.3g",
 				iter, p.overflow, hpwl, p.lambda, p.gamma)

@@ -121,6 +121,7 @@ func TestPyramidMatchesFixedGridBand(t *testing.T) {
 // pyramid path: the full multi-level run is bit-identical for any worker
 // count.
 func TestGPDeterminismPyramidAcrossWorkers(t *testing.T) {
+	shardAlways(t)
 	run := func(workers int) ([]float64, float64) {
 		d := smallDesign(11, 250, false)
 		cfg := quickConfig()

@@ -15,6 +15,10 @@
 // shards nets across SetWorkers workers. Determinism does not depend on the
 // worker count:
 //
+//   - A sharded pre-pass copies every cell origin into compact cellX/cellY
+//     arrays, so the per-net pass resolves a pin as cellX[pin.Cell]+pin.Dx
+//     (the addition Design.PinPos does, same bits) without pulling a whole
+//     netlist.Cell through the cache per pin.
 //   - Each net writes its smooth length into a per-net slot and its pin
 //     gradients into PER-PIN slots (every pin belongs to exactly one net,
 //     so these writes are disjoint for any net partition — no per-worker
@@ -77,19 +81,22 @@ type Model struct {
 	scratch []axisScratch
 	maxPins int
 
+	cellX, cellY []float64 // cell origins as of the in-flight evaluation
 	pinGX, pinGY []float64 // per-pin gradient slots, indexed by pin ID
-	wlNet        []float64 // per-net weighted smooth length
+	wlNet        []float64 // per-net weighted smooth length (or HPWL)
 	wlPartial    []float64 // fixed-shard partial sums of wlNet
 
 	// operands of the in-flight evaluation
 	gradX, gradY []float64
 	wantGrad     bool
+	exact        bool // per-net slots get the exact half-perimeter (HPWL)
 
 	// Stage bodies bound once at New so the serial fast path and the
 	// sharded path share code without per-call closure allocation.
-	stageNets  func(w, lo, hi int)
-	stageCells func(w, lo, hi int)
-	stageSum   func(s int)
+	stageOrigins func(w, lo, hi int)
+	stageNets    func(w, lo, hi int)
+	stageCells   func(w, lo, hi int)
+	stageSum     func(s int)
 }
 
 // New creates a WA wirelength model for design d with smoothing γ; set
@@ -106,6 +113,8 @@ func New(d *netlist.Design, gamma float64) *Model {
 		Gamma:   gamma,
 		workers: 1,
 		maxPins: maxPins,
+		cellX:   make([]float64, len(d.Cells)),
+		cellY:   make([]float64, len(d.Cells)),
 		pinGX:   make([]float64, len(d.Pins)),
 		pinGY:   make([]float64, len(d.Pins)),
 		wlNet:   make([]float64, len(d.Nets)),
@@ -167,6 +176,12 @@ func (m *Model) dispatch(n int, stage func(w, lo, hi int)) {
 }
 
 func (m *Model) bindStages() {
+	// Pre-pass: snapshot the cell origins the net passes read.
+	m.stageOrigins = func(w, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			m.cellX[c], m.cellY[c] = m.d.Cells[c].X, m.d.Cells[c].Y
+		}
+	}
 	// Per-net phase: stage pin coordinates, evaluate both axes, assign the
 	// per-net length slot and (when wanted) the per-pin gradient slots.
 	// Every write is keyed by a net or one of its pins, and each pin
@@ -187,14 +202,17 @@ func (m *Model) bindStages() {
 			}
 			k := len(net.Pins)
 			for i, pid := range net.Pins {
-				p := d.PinPos(pid)
-				s.px[i] = p.X
-				s.py[i] = p.Y
+				pin := &d.Pins[pid]
+				s.px[i] = m.cellX[pin.Cell] + pin.Dx
+				s.py[i] = m.cellY[pin.Cell] + pin.Dy
 			}
-			if m.wantGrad {
+			switch {
+			case m.exact:
+				m.wlNet[n] = wt * (extent(s.px[:k]) + extent(s.py[:k]))
+			case m.wantGrad:
 				m.wlNet[n] = wt*m.netAxis(s, s.px[:k], net.Pins, m.pinGX, wt) +
 					wt*m.netAxis(s, s.py[:k], net.Pins, m.pinGY, wt)
-			} else {
+			default:
 				m.wlNet[n] = wt * (m.axisWL(s.px[:k]) + m.axisWL(s.py[:k]))
 			}
 		}
@@ -250,6 +268,7 @@ func (m *Model) reduceTotal() float64 {
 func (m *Model) WirelengthAndGrad(gradX, gradY []float64) float64 {
 	m.gradX, m.gradY = gradX, gradY
 	m.wantGrad = true
+	m.dispatch(len(m.d.Cells), m.stageOrigins)
 	m.dispatch(len(m.d.Nets), m.stageNets)
 	m.dispatch(len(m.d.Cells), m.stageCells)
 	m.gradX, m.gradY = nil, nil
@@ -261,8 +280,35 @@ func (m *Model) WirelengthAndGrad(gradX, gradY []float64) float64 {
 // It shares the per-net evaluation and reduction structure with
 // WirelengthAndGrad, so the two totals agree to rounding.
 func (m *Model) Wirelength() float64 {
+	m.dispatch(len(m.d.Cells), m.stageOrigins)
 	m.dispatch(len(m.d.Nets), m.stageNets)
 	return m.reduceTotal()
+}
+
+// HPWL returns the design's exact total weighted half-perimeter wirelength
+// at the current cell positions. The per-net extents come from the sharded
+// net pass; the total sums them serially in net order, so it equals
+// Design.HPWL bit for bit at any worker count.
+func (m *Model) HPWL() float64 {
+	m.exact = true
+	m.dispatch(len(m.d.Cells), m.stageOrigins)
+	m.dispatch(len(m.d.Nets), m.stageNets)
+	m.exact = false
+	total := 0.0
+	for _, w := range m.wlNet {
+		total += w
+	}
+	return total
+}
+
+// extent returns max(xs) - min(xs), the exact length of one net along one
+// axis, as Design.NetBBox measures it.
+func extent(xs []float64) float64 {
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return hi - lo
 }
 
 // netAxis computes the smooth wirelength of one net along one axis and

@@ -242,7 +242,42 @@ func TestWirelengthZeroAllocSteadyState(t *testing.T) {
 		}
 		m.WirelengthAndGrad(gx, gy)
 		m.Wirelength()
+		m.HPWL()
 	}); n != 0 {
 		t.Errorf("steady-state evaluation allocates %v per run, want 0", n)
+	}
+}
+
+// TestModelHPWLEqualsDesignHPWL: the sharded exact HPWL must equal the
+// serial Design.HPWL bit for bit at any worker count, including weighted,
+// unweighted (0 → 1), single-pin and empty nets, and after cells move.
+func TestModelHPWLEqualsDesignHPWL(t *testing.T) {
+	d := randomDesign(11, 300, 5000) // > wlNetsPerShard nets
+	rng := rand.New(rand.NewSource(12))
+	for n := range d.Nets {
+		switch n % 5 {
+		case 0:
+			d.Nets[n].Weight = 0
+		case 1:
+			d.Nets[n].Weight = 0.5 + 3*rng.Float64()
+		}
+	}
+	lone := d.AddNet("single", 2)
+	d.Connect(3, lone, 0.25, 0.75)
+	d.AddNet("empty", 1)
+	d.Cells[7].X, d.Cells[7].Y = math.Copysign(0, -1), 0
+
+	for _, workers := range []int{1, 2, 3} {
+		m := New(d, 1.5)
+		m.SetWorkers(workers)
+		for round := 0; round < 3; round++ {
+			if got, want := m.HPWL(), d.HPWL(); got != want || got <= 0 {
+				t.Fatalf("workers=%d round %d: Model.HPWL %v, Design.HPWL %v (want equal, > 0)", workers, round, got, want)
+			}
+			for i := range d.Cells {
+				d.Cells[i].X += rng.NormFloat64()
+				d.Cells[i].Y += rng.NormFloat64()
+			}
+		}
 	}
 }
