@@ -209,12 +209,9 @@ func nudgeCells(rng *rand.Rand, d *netlist.Design, frac, dx, dy float64) {
 	}
 }
 
-// estimateBench measures repeated congestion estimation under a
-// placement-loop-shaped workload: a small fraction of cells moves between
-// calls. scratch forces a full rebuild every call (the pre-incremental
-// behaviour); otherwise the journal serves the clean nets.
-func estimateBench(b *testing.B, scratch bool) {
-	b.Helper()
+// BenchmarkEstimate measures repeated congestion estimation on one reused
+// estimator with a small fraction of cells moving between calls.
+func BenchmarkEstimate(b *testing.B) {
 	p, err := synth.ProfileByName("MEDIA_SUBSYS")
 	if err != nil {
 		b.Fatal(err)
@@ -222,7 +219,7 @@ func estimateBench(b *testing.B, scratch bool) {
 	d := synth.Generate(p, 6000, 1)
 	gw, gh := puffer.CongGridFor(d)
 	e := cong.NewEstimator(d, gw, gh, cong.DefaultParams())
-	e.Estimate() // prime the journal outside the timed loop
+	e.Estimate() // size the buffers outside the timed loop
 	rng := rand.New(rand.NewSource(2))
 	dx := 2 * d.Region.W() / float64(gw)
 	dy := 2 * d.Region.H() / float64(gh)
@@ -232,25 +229,9 @@ func estimateBench(b *testing.B, scratch bool) {
 		b.StopTimer()
 		nudgeCells(rng, d, 0.01, dx, dy)
 		b.StartTimer()
-		if scratch {
-			e.ForceRebuild()
-		}
 		e.Estimate()
 	}
-	b.StopTimer()
-	st := e.Stats()
-	b.ReportMetric(100*st.HitRate(), "hit%")
-	b.ReportMetric(float64(st.LastDirtyNets), "dirty_nets")
 }
-
-// BenchmarkEstimateScratch is the from-scratch baseline for the
-// incremental engine (BENCH_estimate.json compares the two).
-func BenchmarkEstimateScratch(b *testing.B) { estimateBench(b, true) }
-
-// BenchmarkEstimateIncremental exercises the journal path on the same
-// workload; the acceptance bar is ≥2× over scratch with <10% of nets
-// moving per call.
-func BenchmarkEstimateIncremental(b *testing.B) { estimateBench(b, false) }
 
 // BenchmarkFullFlow measures the end-to-end PUFFER runtime on the largest
 // profile at bench scale (the RT column of Table II).

@@ -1,8 +1,4 @@
 // Command benchjson converts `go test -bench` output into a JSON report.
-// CI uses it to publish the incremental-estimator comparison as
-// BENCH_estimate.json: when both BenchmarkEstimateScratch and
-// BenchmarkEstimateIncremental appear in the input, the report includes
-// their speedup ratio.
 //
 // -ratio A/B adds a named ns/op ratio of two benchmarks in the input to
 // the report; CI uses it to publish the telemetry-overhead factor
@@ -13,8 +9,8 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench='BenchmarkEstimate' -benchtime=50x . |
-//	    go run ./cmd/benchjson -out BENCH_estimate.json
+//	go test -run=NONE -bench='BenchmarkLegalize' -benchtime=5x ./internal/legal |
+//	    go run ./cmd/benchjson -out BENCH_legal.json
 package main
 
 import (
@@ -42,9 +38,6 @@ type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// SpeedupIncremental is scratch ns/op divided by incremental ns/op
-	// when both estimator benches are present (acceptance bar: >= 2).
-	SpeedupIncremental float64 `json:"speedup_incremental,omitempty"`
 	// Ratios holds the -ratio A/B results, keyed "A/B": ns/op of A
 	// divided by ns/op of B.
 	Ratios map[string]float64 `json:"ratios,omitempty"`
@@ -64,7 +57,7 @@ func (r *ratioFlags) Set(v string) error {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_estimate.json", "output JSON file (- for stdout)")
+	out := flag.String("out", "-", "output JSON file (- for stdout)")
 	var ratios ratioFlags
 	flag.Var(&ratios, "ratio", "emit ns/op ratio of two benchmarks as A/B (repeatable)")
 	flag.Parse()
@@ -75,19 +68,6 @@ func main() {
 	}
 	if len(rep.Benchmarks) == 0 {
 		log.Fatal("benchjson: no benchmark lines in input")
-	}
-
-	var scratch, incr float64
-	for _, b := range rep.Benchmarks {
-		switch b.Name {
-		case "EstimateScratch":
-			scratch = b.NsPerOp
-		case "EstimateIncremental":
-			incr = b.NsPerOp
-		}
-	}
-	if scratch > 0 && incr > 0 {
-		rep.SpeedupIncremental = scratch / incr
 	}
 
 	nsPerOp := make(map[string]float64, len(rep.Benchmarks))
@@ -119,9 +99,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d benchmarks", *out, len(rep.Benchmarks))
-	if rep.SpeedupIncremental > 0 {
-		fmt.Printf(", incremental speedup %.2fx", rep.SpeedupIncremental)
-	}
 	for _, r := range ratios {
 		fmt.Printf(", %s=%.3f", r, rep.Ratios[r])
 	}

@@ -271,8 +271,8 @@ func summarizeCheckpoint(path string) error {
 
 // summarizeSession validates a spooled ECO session snapshot and prints
 // what a rehydrated session would see: the design identity hash, how far
-// the delta chain has come, the congestion-engine statistics of the last
-// run, and the embedded placement checkpoint's headline numbers.
+// the delta chain has come, the congestion estimator's call count, and
+// the embedded placement checkpoint's headline numbers.
 func summarizeSession(path string) error {
 	sn, err := eco.LoadSnapshot(path)
 	if err != nil {
@@ -288,8 +288,7 @@ func summarizeSession(path string) error {
 	}
 	fmt.Println()
 	if sn.EstCalls > 0 {
-		fmt.Printf("estimator: %d calls, %d full rebuilds, %d dirty nets last, hit rate %.2f\n",
-			sn.EstCalls, sn.EstRebuilds, sn.EstDirtyNets, sn.EstHitRate)
+		fmt.Printf("estimator: %d calls\n", sn.EstCalls)
 	}
 	cp := sn.Checkpoint
 	fmt.Printf("checkpoint: stage %s, %d cells, %d nets\n", cp.Stage, len(cp.X), len(cp.NetWeight))

@@ -252,11 +252,9 @@ func main() {
 		res := rc.Result
 		fmt.Printf("PUFFER: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
 			res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
-		// Reuse the flow's incrementally maintained congestion grid and
-		// RSMT topologies for the routing evaluation below.
-		if po := rc.PadOptimizer(); po.Iter() > 0 {
+		// Evaluate routing on the flow's congestion grid.
+		if rc.PadOptimizer().Iter() > 0 {
 			evalCfg.GridW, evalCfg.GridH = rc.GridW, rc.GridH
-			evalCfg.Topo = po.Estimator()
 		}
 		if *traceCSV != "" {
 			var b strings.Builder

@@ -50,14 +50,14 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical strategy: %v", err)
 	}
-	if d := Sum(canon); d != "sha256-bc6f2b6a4bb24dfa1b443b11112b47ed312833aa788e554759b6a6723cfa05ce" {
+	if d := Sum(canon); d != "sha256-207fc22fb74dc83ec2677e553c9ef10013ff079c16aa378845563e9dbed68213" {
 		t.Errorf("canonical default strategy digest = %s\n(encoding: %s)", d, canon)
 	}
 	d2, err := (Config{Kind: "place", Route: true, Seed: 5, Strategy: json.RawMessage(`{}`)}).Digest()
 	if err != nil {
 		t.Fatalf("config digest with strategy: %v", err)
 	}
-	if d2 != "sha256-2fa0bad77f42f3ff8318c77cdb0f7a60ed457fd510f354e59a4b9fe079d909dc" {
+	if d2 != "sha256-25d6cd4f04543ff2808fc8d8df68b8b31f878cee41043a2e0c7d1e92c87d2079" {
 		t.Errorf("config digest (empty strategy json) = %s", d2)
 	}
 }
@@ -137,6 +137,16 @@ func TestStrategyCanonicalization(t *testing.T) {
 	// assert only that the Workers fields themselves are scrubbed.
 	if strings.Contains(string(c), `"Workers":7`) || strings.Contains(string(c), `"Workers":3`) {
 		t.Errorf("worker counts leaked into canonical strategy: %s", c)
+	}
+	// A strategy written before the estimator lost its RebuildEvery knob
+	// still decodes (the same lenient json.Unmarshal LoadStrategy and the
+	// job spec use), and the dead key does not split the cache.
+	old, err := CanonicalStrategy(json.RawMessage(`{"Mu":1.3,"Tau":0.2,"Cong":{"RebuildEvery":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old) != string(a) {
+		t.Errorf("retired Cong.RebuildEvery key perturbed canonical form:\n%s\n%s", old, a)
 	}
 	if _, err := CanonicalStrategy(json.RawMessage(`{not json`)); err == nil {
 		t.Error("invalid strategy JSON accepted")

@@ -3,10 +3,13 @@ package cong
 import (
 	"context"
 	"math"
+	"time"
 
+	"puffer/internal/flow"
 	"puffer/internal/geom"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
+	"puffer/internal/par"
 	"puffer/internal/rsmt"
 )
 
@@ -34,12 +37,6 @@ type Params struct {
 	// any-worker-count bit-determinism contract the GP inner loop keeps
 	// (DESIGN.md §3e).
 	Workers int
-	// RebuildEvery forces a full from-scratch re-estimation every this
-	// many Estimate calls, bounding the floating-point drift the
-	// incremental subtract/restamp path accumulates. Zero selects
-	// DefaultRebuildEvery; negative disables periodic rebuilds (the
-	// engine then rebuilds only when forced or when most nets are dirty).
-	RebuildEvery int
 
 	// Topo, when non-nil, memoizes RSMT construction across estimators
 	// sharing one design (exploration trials on the same worker). It is
@@ -48,10 +45,6 @@ type Params struct {
 	// from strategy JSON and canonical config digests.
 	Topo *rsmt.Memo `json:"-"`
 }
-
-// DefaultRebuildEvery is the periodic full-rebuild interval used when
-// Params.RebuildEvery is zero.
-const DefaultRebuildEvery = 16
 
 // DefaultParams returns the hand-tuned defaults; the strategy exploration
 // scheme replaces them with searched values.
@@ -77,76 +70,69 @@ type Seg struct {
 }
 
 // Estimator produces congestion maps by the routing-detour-imitating
-// estimation algorithm of Sec. III-A.
-//
-// Since the incremental refactor the estimator is an engine rather than a
-// one-shot pass: every net's deposited demand is journaled (see
-// incremental.go), so repeated Estimate calls re-stamp only the nets whose
-// pins crossed a Gcell boundary since the previous call, and the full
-// rebuild paths shard nets and pins across Params.Workers.
+// estimation algorithm of Sec. III-A. Every Estimate is a from-scratch
+// pass over the whole netlist (DESIGN.md §3b): between two consultations
+// global placement moves almost every cell across a Gcell boundary, so
+// there is nothing to carry over but buffers. An Estimator is reused for
+// exactly that — the shard accumulators, segment slabs and overflow
+// bitsets are sized once — and a reused estimator's result is
+// bit-identical to a fresh one's.
 type Estimator struct {
 	d *netlist.Design
 	M *Map
 	P Params
 
 	// Segs holds the I-shaped segments found during the last Estimate
-	// call, after which the detour expansion ran over them. Segments are
-	// concatenated in net order, so the expansion order is independent of
-	// which nets were rebuilt incrementally.
+	// call, in net order; the detour expansion ran over them in that
+	// order.
 	Segs []Seg
 
 	// Trees holds the last RSMT topology per net; feature extraction
-	// (GNN-inspired pin congestion) walks the same topology, and the
-	// evaluation router reuses it through SyncTopologies.
+	// (GNN-inspired pin congestion) walks the same topology.
 	Trees []rsmt.Tree
 
-	// Incremental engine state (incremental.go).
-	built        bool
-	forceRebuild bool
-	lastP        Params
-	sinceRebuild int
-	pinCell      []int32      // last quantized Gcell per pin
-	nets         []netJournal // per-net stamp journal
-	baseH        []float64    // pre-expansion demand, maintained incrementally
-	baseV        []float64
-	basePins     []float64
-
-	accH, accV, accPins [][]float64  // per-worker rebuild accumulators
-	movedShards         [][]movedPin // per-shard moved-pin scratch
-	dirty               []int        // dirty net ids scratch
-	dirtyMark           []bool
-
+	shards   []shard
 	ovH, ovV []uint64 // expansion overflow bitsets
 
 	stats Stats
 
-	// Telemetry (obs.go): instruments resolved once by SetObs; all nil —
-	// and therefore no-ops — until a recorder is attached.
+	// Telemetry (obs.go): resolved once by SetObs; nil — and therefore
+	// no-ops — until a recorder is attached.
 	rec        *obs.Recorder
 	cEstimates *obs.Counter
-	cRebuilds  *obs.Counter
-	gHitRate   *obs.Gauge
-	sDirty     *obs.Series
 }
+
+// shard is the private state of one static slice of the pins and nets: a
+// demand accumulator per map layer, the I-segments of its nets, and the
+// pin-position scratch rsmt consumes.
+type shard struct {
+	h, v, pins []float64
+	segs       []Seg
+	pts        []geom.Point
+}
+
+// Stats reports what the estimator did: the call count, and the size and
+// per-phase wall time of the most recent call. The pipeline snapshots it
+// into StageStats.
+type Stats struct {
+	Calls              int
+	LastNets, LastPins int
+	// Topology construction + stamping, the per-Gcell shard merge, and
+	// the detour expansion.
+	LastTopoWall, LastMergeWall, LastExpandWall time.Duration
+}
+
+// Stats returns a snapshot of the estimator statistics.
+func (e *Estimator) Stats() Stats { return e.stats }
 
 // NewEstimator creates an estimator over a fresh W×H capacity map for d.
 func NewEstimator(d *netlist.Design, w, h int, p Params) *Estimator {
 	return &Estimator{d: d, M: NewMap(d, w, h), P: p}
 }
 
-// Grid returns the estimator's Gcell grid dimensions.
-func (e *Estimator) Grid() (int, int) { return e.M.W, e.M.H }
-
 // Estimate runs the full pipeline — topology generation, probabilistic
-// demand, pin penalty, detour expansion — and returns the resulting map.
-//
-// The first call (and every forced or periodic rebuild) estimates from
-// scratch in parallel; other calls subtract and re-stamp only the nets
-// whose pins moved across a Gcell boundary, then re-run the detour
-// expansion on the refreshed base demand. Estimate is equivalent to a
-// from-scratch run up to the bounded floating-point drift of the
-// subtract/restamp path; a rebuild (periodic or ForceRebuild) restores
-// bit-exactness.
+// demand, pin penalty, detour expansion — over the design's current
+// placement and returns the resulting map.
 func (e *Estimator) Estimate() *Map {
 	// The background context cannot cancel, and estimation has no other
 	// error source, so the error is impossible here.
@@ -154,24 +140,154 @@ func (e *Estimator) Estimate() *Map {
 	return m
 }
 
-// stampNet builds the journal entry for net n from the current pin
-// positions: the RSMT topology, the demand stamps of every I- and L-shaped
-// edge, and the I-segment records the detour expansion consumes. It writes
-// only net-owned state (Trees[n] and j), so distinct nets stamp in
-// parallel. pts is the caller's scratch buffer.
-func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Point {
+// EstimateCtx is Estimate with cancellation: the sharded build stops
+// scheduling work once ctx is done and returns an error wrapping
+// flow.ErrCanceled. A canceled call leaves M, Segs and Trees partially
+// written; the next call overwrites all of them.
+func (e *Estimator) EstimateCtx(ctx context.Context) (*Map, error) {
+	sp, ctx := obs.Start(ctx, e.rec, "cong.estimate")
+	defer sp.End()
+	e.stats.Calls++
+	if err := e.build(ctx); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	e.expand()
+	e.stats.LastExpandWall = time.Since(t0)
+	e.cEstimates.Inc()
+	return e.M, nil
+}
+
+// maxShards bounds the number of per-shard demand accumulators (three
+// float64 grids each), so many-core hosts do not trade hundreds of
+// megabytes for the parallel merge.
+const maxShards = 16
+
+// shardGrain is the minimum number of work items (pins or nets) per
+// shard. Together with maxShards it fixes the shard count as a function of
+// the design size alone — never of Params.Workers — so shard boundaries,
+// and therefore the order every floating-point sum is merged in, are
+// identical no matter how many goroutines execute the shards: results are
+// bit-identical for ANY worker count.
+const shardGrain = 192
+
+// shardCount picks the deterministic static shard count for n items.
+// Workers only bounds how many shards run concurrently (see the par calls
+// in build), not how the work is partitioned.
+func shardCount(n int) int {
+	w := n / shardGrain
+	if w > maxShards {
+		w = maxShards
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// build computes the pre-expansion demand: shard pins and nets statically,
+// accumulate each shard's pin penalties and net stamps into its private
+// grids, then merge per Gcell in fixed shard order into M. Segs is the
+// shards' segment slabs concatenated in shard (= net) order.
+func (e *Estimator) build(ctx context.Context) error {
+	nNets, nPins := len(e.d.Nets), len(e.d.Pins)
+	size := e.M.W * e.M.H
+	if len(e.Trees) != nNets {
+		e.Trees = make([]rsmt.Tree, nNets)
+	}
+	work := nNets
+	if nPins > work {
+		work = nPins
+	}
+	W := shardCount(work)
+	if len(e.shards) != W {
+		e.shards = make([]shard, W)
+		for w := range e.shards {
+			e.shards[w] = shard{
+				h:    make([]float64, size),
+				v:    make([]float64, size),
+				pins: make([]float64, size),
+			}
+		}
+	}
+
+	// Parallel shards overlap the estimate span in time; Fork gives each a
+	// fresh logical thread so trace viewers render them side by side.
+	parent := obs.FromContext(ctx)
+	tTopo := time.Now()
+	err := par.ForErrN(ctx, e.P.Workers, W, func(w int) error {
+		wsp := parent.Fork("cong.estimate.shard")
+		wsp.SetArg("shard", w)
+		defer wsp.End()
+		sh := &e.shards[w]
+		clear(sh.h)
+		clear(sh.v)
+		clear(sh.pins)
+		sh.segs = sh.segs[:0]
+		lo, hi := par.ShardRange(w, W, nPins)
+		for p := lo; p < hi; p++ {
+			i, j := e.M.GcellOf(e.d.PinPos(p))
+			idx := e.M.Index(i, j)
+			sh.pins[idx]++
+			sh.h[idx] += e.P.PinPenalty
+			sh.v[idx] += e.P.PinPenalty
+		}
+		lo, hi = par.ShardRange(w, W, nNets)
+		for n := lo; n < hi; n++ {
+			if (n-lo)%256 == 0 {
+				if err := flow.Check(ctx); err != nil {
+					return err
+				}
+			}
+			e.stampNet(n, sh)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	e.stats.LastTopoWall = time.Since(tTopo)
+
+	// Deterministic parallel merge: each worker owns a disjoint Gcell
+	// range and sums the shard accumulators in fixed shard order, so the
+	// result is independent of scheduling.
+	tMerge := time.Now()
+	par.ForN(e.P.Workers, W, func(w int) {
+		lo, hi := par.ShardRange(w, W, size)
+		for g := lo; g < hi; g++ {
+			var h, v, pn float64
+			for k := range e.shards {
+				h += e.shards[k].h[g]
+				v += e.shards[k].v[g]
+				pn += e.shards[k].pins[g]
+			}
+			e.M.DmdH[g], e.M.DmdV[g], e.M.Pins[g] = h, v, pn
+		}
+	})
+	e.Segs = e.Segs[:0]
+	for k := range e.shards {
+		e.Segs = append(e.Segs, e.shards[k].segs...)
+	}
+	e.stats.LastMergeWall = time.Since(tMerge)
+	e.stats.LastNets, e.stats.LastPins = nNets, nPins
+	return nil
+}
+
+// stampNet builds net n's RSMT topology from the current pin positions
+// and deposits the demand of every I- and L-shaped edge into sh, recording
+// the I-segments the detour expansion consumes. It writes only Trees[n]
+// and sh, so distinct shards stamp in parallel.
+func (e *Estimator) stampNet(n int, sh *shard) {
 	net := &e.d.Nets[n]
-	j.stamps = j.stamps[:0]
-	j.segs = j.segs[:0]
 	e.Trees[n] = rsmt.Tree{}
 	if len(net.Pins) < 2 {
-		return pts
+		return
 	}
-	pts = pts[:0]
+	sh.pts = sh.pts[:0]
 	for _, pid := range net.Pins {
-		pts = append(pts, e.d.PinPos(pid))
+		sh.pts = append(sh.pts, e.d.PinPos(pid))
 	}
-	tree := e.P.Topo.Build(pts) // nil memo degrades to plain rsmt.Build
+	tree := e.P.Topo.Build(sh.pts) // nil memo degrades to plain rsmt.Build
 	e.Trees[n] = tree
 
 	for _, edge := range tree.Edges {
@@ -189,9 +305,9 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 				as, bs = bs, as
 			}
 			for i := i0; i <= i1; i++ {
-				j.stamps = append(j.stamps, stamp{idx: int32(e.M.Index(i, aj)), dh: 1})
+				sh.h[e.M.Index(i, aj)]++
 			}
-			j.segs = append(j.segs, Seg{Horizontal: true, I0: i0, J0: aj, I1: i1, J1: aj, ASteiner: as, BSteiner: bs})
+			sh.segs = append(sh.segs, Seg{Horizontal: true, I0: i0, J0: aj, I1: i1, J1: aj, ASteiner: as, BSteiner: bs})
 		case ai == bi: // vertical I-shape
 			j0, j1 := aj, bj
 			as, bs := a.Steiner, b.Steiner
@@ -200,9 +316,9 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 				as, bs = bs, as
 			}
 			for jj := j0; jj <= j1; jj++ {
-				j.stamps = append(j.stamps, stamp{idx: int32(e.M.Index(ai, jj)), dv: 1})
+				sh.v[e.M.Index(ai, jj)]++
 			}
-			j.segs = append(j.segs, Seg{Horizontal: false, I0: ai, J0: j0, I1: ai, J1: j1, ASteiner: as, BSteiner: bs})
+			sh.segs = append(sh.segs, Seg{Horizontal: false, I0: ai, J0: j0, I1: ai, J1: j1, ASteiner: as, BSteiner: bs})
 		default: // L-shape: average demand over the bounding box
 			i0, i1 := ai, bi
 			if i0 > i1 {
@@ -219,12 +335,12 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 			for jj := j0; jj <= j1; jj++ {
 				row := jj * e.M.W
 				for i := i0; i <= i1; i++ {
-					j.stamps = append(j.stamps, stamp{idx: int32(row + i), dh: dh, dv: dv})
+					sh.h[row+i] += dh
+					sh.v[row+i] += dv
 				}
 			}
 		}
 	}
-	return pts
 }
 
 // expand performs the detour-imitating demand expansion (Sec. III-A3):

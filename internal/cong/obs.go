@@ -2,27 +2,11 @@ package cong
 
 import "puffer/internal/obs"
 
-// SetObs attaches telemetry to the estimator: refresh spans (with shard
-// children during parallel rebuilds) on the recorder's tracer, and the
-// engine's cache behaviour on its registry. A nil recorder — the default —
+// SetObs attaches telemetry to the estimator: a span per estimate (with
+// shard children during the parallel build) on the recorder's tracer, and
+// the call counter on its registry. A nil recorder — the default —
 // disables everything at nil-check cost.
 func (e *Estimator) SetObs(rec *obs.Recorder) {
 	e.rec = rec
 	e.cEstimates = rec.Counter("cong.estimates")
-	e.cRebuilds = rec.Counter("cong.full_rebuilds")
-	e.gHitRate = rec.Gauge("cong.hit_rate")
-	e.sDirty = rec.Series("cong.dirty_nets")
-}
-
-// recordRefresh publishes the just-finished refresh to the instruments
-// and annotates the refresh span.
-func (e *Estimator) recordRefresh(sp *obs.Span) {
-	e.cEstimates.Inc()
-	e.gHitRate.Set(e.stats.HitRate())
-	e.sDirty.Observe(e.stats.Calls, float64(e.stats.LastDirtyNets))
-	if sp != nil {
-		sp.SetArg("reason", e.stats.LastReason)
-		sp.SetArg("dirty_nets", e.stats.LastDirtyNets)
-		sp.SetArg("moved_pins", e.stats.LastMovedPins)
-	}
 }

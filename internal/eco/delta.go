@@ -1,9 +1,9 @@
 // Package eco implements incremental ECO (engineering change order)
 // sessions over the PUFFER flow: a Session owns the warm state one
-// placement run leaves behind — the parsed design, the congestion
-// estimator's per-net demand journal and cached RSMT topologies, the
-// density solver with its fixed baseline and deposit fingerprints, the
-// wirelength model, the padding history, and the last placement — and
+// placement run leaves behind — the parsed design, the routability
+// optimizer with its congestion estimator, the density solver with its
+// fixed baseline and deposit fingerprints, the wirelength model, the
+// padding history, and the last placement — and
 // re-enters the staged pipeline from that state for each submitted Delta
 // instead of starting from scratch. A small delta re-places in a fraction
 // of cold wall (BenchmarkECOCold vs BenchmarkECOWarm) while preserving the

@@ -57,20 +57,19 @@ func (o Options) warmMin() int {
 
 // Session owns the warm state of one design across an ECO conversation:
 // the design itself (mutated in place by deltas and re-placements), the
-// shared routability optimizer — whose congestion estimator carries the
-// per-net demand journal and cached RSMT topologies — and the placement
-// engine state harvested after every run (density solver with its fixed
-// baseline and deposit fingerprints, wirelength model with its per-worker
-// scratch). Place runs the cold pipeline once; Apply then re-enters the
+// shared routability optimizer — its padding history and its congestion
+// estimator's buffers — and the placement engine state harvested after
+// every run (density solver with its fixed baseline and deposit
+// fingerprints, wirelength model with its per-worker scratch). Place runs the cold pipeline once; Apply then re-enters the
 // staged pipeline per delta from warm state.
 //
 // Ownership and invalidation rules (DESIGN.md §3g): the Session is the
 // sole owner of its design and engine state — callers must not mutate the
 // design between calls. Warm state is dropped selectively: a delta that
 // moves or resizes a FIXED cell invalidates the density solver (its
-// baseline bakes the fixed landscape in) but keeps the wirelength model
-// and the estimator journal (the estimator detects the dirtied nets
-// itself from Gcell-quantized pin positions).
+// baseline bakes the fixed landscape in) but keeps the wirelength model.
+// The estimator needs no invalidation: it reads every pin position afresh
+// on each call.
 //
 // All methods are safe for concurrent use; they serialize on one mutex
 // (the warm state is inherently single-writer).
@@ -157,8 +156,7 @@ func (s *Session) Place(ctx context.Context) (*pipeline.Result, error) {
 }
 
 // Apply atomically applies dl to the design and re-places it from warm
-// state: the previous placement seeds GP (WarmStart), the congestion
-// estimator re-stamps only the nets the delta dirtied, and the density
+// state: the previous placement seeds GP (WarmStart), and the density
 // solver and wirelength model are adopted from the previous run when still
 // valid. The pipeline stages (place, legalize, dp) run as in a cold run,
 // so the result honors the same legality contract. On error the design may
@@ -199,7 +197,6 @@ func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error
 	}
 	rc.UsePadOptimizer(s.opt)
 	// One padding refresh against the delta before GP re-entry: the
-	// incremental estimator re-stamps only the delta-dirtied nets, the
 	// optimizer recycles stale padding and folds in any overrides the
 	// delta seeded. In-loop triggering during the warm run then follows
 	// the usual τ/η/ξ/cooldown rules.

@@ -96,9 +96,8 @@ func TestApplyRejectsEmptyAndInvalidDeltas(t *testing.T) {
 
 // TestApplyDeterministicAcrossWorkers is the Session-level counterpart of
 // TestGPDeterminismAcrossWorkers: the whole ECO path — cold place, then a
-// delta chain through the incremental estimator, padding, warm GP, legal,
-// and detailed placement — must produce bit-identical placements at any
-// worker count.
+// delta chain through the estimator, padding, warm GP, legal, and detailed
+// placement — must produce bit-identical placements at any worker count.
 func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) (*netlist.Design, []float64) {
 		d := testDesign(1200, 7)
@@ -203,24 +202,27 @@ func TestChainConvergesToColdQuality(t *testing.T) {
 }
 
 // TestParkRestoreNextDeltaExact: a parked-and-restored session's next
-// delta must land on the same HPWL as the uninterrupted session's. With
-// RebuildEvery=1 every estimate is a full rebuild — the incremental
-// journal never carries state across calls — so the restored session
-// (whose caches start cold) is bit-equal to the uninterrupted one.
+// delta must land on the same placement, bit for bit, as the uninterrupted
+// session's — under the default configuration, since nothing the restored
+// session lacks (engine buffers, fingerprints) feeds a result. The design
+// is small and the warm budget one iteration, so the placement barely
+// moves between the two deltas: the regime in which an estimator that
+// carried per-net state across calls would diverge from a cold one.
 func TestParkRestoreNextDeltaExact(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Strategy.Cong.RebuildEvery = 1
+	cfg := pipeline.DefaultConfig()
+	cfg.Place.Seed = 1
+	cfg.Workers = 2
+	opts := Options{WarmMaxIters: 1, WarmMinIters: 1}
 
-	d1 := testDesign(1200, 11)
-	s1, err := New(d1, cfg, Options{})
+	d1 := testDesign(500, 11) // ~390 nets
+	s1, err := New(d1, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.Place(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	delta1 := moveDelta(d1, 0.05, 2.5, -1.5)
-	if _, err := s1.Apply(context.Background(), delta1); err != nil {
+	if _, err := s1.Apply(context.Background(), moveDelta(d1, 0.004, 2.5, -1.5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,15 +243,15 @@ func TestParkRestoreNextDeltaExact(t *testing.T) {
 	// Both sessions apply the same second delta. The delta is built
 	// against s1's current placement; the restored design holds identical
 	// positions (checkpoint), so it validates there too.
-	delta2 := moveDelta(d1, 0.06, -3.0, 2.0)
+	delta2 := moveDelta(d1, 0.004, -3.0, 2.0)
 
 	resU, err := s1.Apply(context.Background(), delta2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	d2 := testDesign(1200, 11)
-	s2, err := Restore(d2, cfg, Options{}, sn2)
+	d2 := testDesign(500, 11)
+	s2, err := Restore(d2, cfg, opts, sn2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,51 +272,6 @@ func TestParkRestoreNextDeltaExact(t *testing.T) {
 			t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
 				i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
 		}
-	}
-}
-
-// TestParkRestoreDefaultConfigBand is the same scenario under the default
-// incremental estimator settings: the journal MAY carry sub-1e-9 drift the
-// restored session does not reproduce, so the contract here is the quality
-// band, not bit equality.
-func TestParkRestoreDefaultConfigBand(t *testing.T) {
-	cfg := testConfig(2)
-
-	d1 := testDesign(1200, 13)
-	s1, err := New(d1, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Place(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Apply(context.Background(), moveDelta(d1, 0.05, 2.0, 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	sn, err := s1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta2 := moveDelta(d1, 0.05, -1.0, 3.0)
-	resU, err := s1.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d2 := testDesign(1200, 13)
-	s2, err := Restore(d2, cfg, Options{}, sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resR, err := s2.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := math.Abs(resR.HPWL-resU.HPWL) / resU.HPWL
-	t.Logf("uninterrupted HPWL=%.2f restored HPWL=%.2f rel=%.2e", resU.HPWL, resR.HPWL, rel)
-	if rel > 0.05 {
-		t.Fatalf("restored session HPWL %v drifted %.2f%% from uninterrupted %v",
-			resR.HPWL, 100*rel, resU.HPWL)
 	}
 }
 

@@ -19,10 +19,10 @@ const SnapshotFormat = "puffer/eco-session/v1"
 
 // Snapshot is the durable state of a parked session: enough to rebuild a
 // Session that continues the delta chain with the same results. Pure
-// caches — the estimator journal, density fingerprints, wirelength
-// scratch — are deliberately NOT captured: they are rebuilt on the first
+// caches — density fingerprints, wirelength scratch, the estimator's
+// buffers — are deliberately NOT captured: they are rebuilt on the first
 // warm run after restore, and rebuilding them never changes results (the
-// estimator full-rebuild is the incremental path's own ground truth).
+// congestion estimate is from scratch on every call anyway).
 // What IS captured is everything that would change results if lost: the
 // placement (cell positions, padding, net weights via the embedded
 // pipeline checkpoint), delta-applied cell sizes, the padding history
@@ -38,12 +38,13 @@ type Snapshot struct {
 	GridM        int     `json:"grid_m,omitempty"`
 	GridN        int     `json:"grid_n,omitempty"`
 
-	// Congestion-engine statistics of the last run, for inspection
+	// EstCalls is the session estimator's call count, for inspection
 	// (cmd/diag -session); not needed for restore.
-	EstCalls     int     `json:"est_calls,omitempty"`
-	EstRebuilds  int     `json:"est_rebuilds,omitempty"`
-	EstDirtyNets int     `json:"est_dirty_nets,omitempty"`
-	EstHitRate   float64 `json:"est_hit_rate,omitempty"`
+	EstCalls int `json:"est_calls,omitempty"`
+	// EstHitRate is never set: the estimator's journal is gone. Reader:
+	// benchmark/eco.go (frozen); delete with the harness's next revision
+	// (ROADMAP item 4).
+	EstHitRate float64 `json:"est_hit_rate,omitempty"`
 
 	// CellW/CellH are the current cell sizes, indexed by cell ID: deltas
 	// resize cells, and the checkpoint alone (positions, padding, net
@@ -117,9 +118,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	}
 	if s.estStats != nil {
 		sn.EstCalls = s.estStats.Calls
-		sn.EstRebuilds = s.estStats.FullRebuilds
-		sn.EstDirtyNets = s.estStats.LastDirtyNets
-		sn.EstHitRate = s.estStats.HitRate()
 	}
 	return sn, nil
 }

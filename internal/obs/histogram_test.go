@@ -137,7 +137,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("route.segments").Add(7)
-	reg.Gauge("cong.hit_rate").Set(0.25)
+	reg.Gauge("coord.cache_hit_rate").Set(0.25)
 	reg.Series("place.hpwl").Observe(1, 50)
 	h := reg.Histogram("serve.job_wall_seconds")
 	h.Observe(0.00005) // first bucket
@@ -152,9 +152,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 		"# HELP route_segments puffer counter route.segments",
 		"# TYPE route_segments counter",
 		"route_segments 7",
-		"# HELP cong_hit_rate puffer gauge cong.hit_rate",
-		"# TYPE cong_hit_rate gauge",
-		"cong_hit_rate 0.25",
+		"# HELP coord_cache_hit_rate puffer gauge coord.cache_hit_rate",
+		"# TYPE coord_cache_hit_rate gauge",
+		"coord_cache_hit_rate 0.25",
 		"# HELP place_hpwl_last puffer series place.hpwl (latest value)",
 		"# TYPE place_hpwl_last gauge",
 		"place_hpwl_last 50",

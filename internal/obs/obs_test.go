@@ -147,7 +147,7 @@ func TestRegistryInstrumentsAndSnapshot(t *testing.T) {
 	if rec.Counter("route.segments") != c {
 		t.Fatal("counter not memoized")
 	}
-	g := rec.Gauge("cong.hit_rate")
+	g := rec.Gauge("coord.cache_hit_rate")
 	g.Set(0.93)
 	s := rec.Series("place.hpwl")
 	for i := 1; i <= 3; i++ {
@@ -161,7 +161,7 @@ func TestRegistryInstrumentsAndSnapshot(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if snap.Counters["route.segments"] != 42 || snap.Gauges["cong.hit_rate"] != 0.93 {
+	if snap.Counters["route.segments"] != 42 || snap.Gauges["coord.cache_hit_rate"] != 0.93 {
 		t.Fatalf("snapshot %+v", snap)
 	}
 	if got := snap.Series["place.hpwl"]; !reflect.DeepEqual(got, []Sample{{1, 100}, {2, 200}, {3, 300}}) {
@@ -225,7 +225,7 @@ func TestJSONLAndCSVSinks(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("padding.calls").Add(3)
-	reg.Gauge("cong.hit_rate").Set(0.5)
+	reg.Gauge("coord.cache_hit_rate").Set(0.5)
 	reg.Series("place.hpwl").Observe(9, 1234)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -234,7 +234,7 @@ func TestWritePrometheus(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE padding_calls counter\npadding_calls 3\n",
-		"# TYPE cong_hit_rate gauge\ncong_hit_rate 0.5\n",
+		"# TYPE coord_cache_hit_rate gauge\ncoord_cache_hit_rate 0.5\n",
 		"place_hpwl_last 1234\n",
 		"place_hpwl_count 1\n",
 	} {

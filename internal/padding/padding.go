@@ -394,9 +394,9 @@ func (o *Optimizer) ReArm() {
 
 // State is the optimizer's serializable padding history, captured for
 // session snapshots. Everything else an Optimizer owns (the congestion
-// estimator's journal, cached features) is a pure cache rebuilt on the
-// next estimate; these three fields are the only state that changes
-// results if lost.
+// estimator's buffers, cached features) is recomputed by the next
+// estimate; these three fields are the only state that changes results if
+// lost.
 type State struct {
 	Iter     int     `json:"iter"`
 	PadTimes []int   `json:"pad_times"`

@@ -58,13 +58,6 @@ type Config struct {
 	// counters. Nil disables everything; excluded from JSON so Config can
 	// appear in the run report.
 	Obs *obs.Recorder `json:"-"`
-	// Topo, when set, is the placement flow's congestion estimator: the
-	// router reuses its incrementally maintained RSMT topologies instead
-	// of rebuilding every net from scratch, provided the estimator's Gcell
-	// grid matches the router's (the pipeline configures both from the
-	// same GridFor heuristic). A grid mismatch silently falls back to
-	// per-net rsmt.Build.
-	Topo *cong.Estimator
 }
 
 // DefaultConfig returns the evaluation settings.
@@ -143,21 +136,6 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 		}
 	}
 
-	// When the placement flow's estimator shares our Gcell grid, reuse its
-	// incrementally maintained RSMT topologies instead of rebuilding every
-	// net (the refresh re-stamps only nets whose pins crossed a Gcell
-	// boundary since the last estimate).
-	var cached []rsmt.Tree
-	if cfg.Topo != nil {
-		if tw, th := cfg.Topo.Grid(); tw == cfg.GridW && th == cfg.GridH {
-			var err error
-			cached, err = cfg.Topo.SyncTopologies(ctx)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	// Decompose all nets into segments via RSMT. Nets are independent, so
 	// the topology construction runs as a cancelable parallel net batch;
 	// the per-net results are flattened in net order, keeping the segment
@@ -169,16 +147,11 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 		if len(net.Pins) < 2 {
 			return nil
 		}
-		var tree rsmt.Tree
-		if n < len(cached) {
-			tree = cached[n]
-		} else {
-			pts := make([]geom.Point, 0, len(net.Pins))
-			for _, pid := range net.Pins {
-				pts = append(pts, d.PinPos(pid))
-			}
-			tree = rsmt.Build(pts)
+		pts := make([]geom.Point, 0, len(net.Pins))
+		for _, pid := range net.Pins {
+			pts = append(pts, d.PinPos(pid))
 		}
+		tree := rsmt.Build(pts)
 		for _, e := range tree.Edges {
 			ai, aj := r.m.GcellOf(tree.Nodes[e.A].P)
 			bi, bj := r.m.GcellOf(tree.Nodes[e.B].P)

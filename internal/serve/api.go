@@ -488,7 +488,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamHub writes an SSE stream from hub: the retained replay first, then
-// live events until the stream closes or the client disconnects. A nil hub
+// live events until the stream closes or the client disconnects. When the
+// stream closes, whatever the live channel dropped since the last event
+// written is replayed from the hub's ring, so the stream always ends on
+// the terminal state. A nil hub
 // (no runtime this boot, or retention expired) gets the single synthetic
 // fallback event so watchers always terminate. Each live write+flush is
 // timed into serve.sse_fanout_seconds — the latency a watcher sees between
@@ -504,9 +507,11 @@ func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fal
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
+	last := 0 // Seq of the last event written
 	writeEvent := func(e Event) {
 		data, _ := json.Marshal(e)
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
+		last = e.Seq
 	}
 
 	if hub == nil {
@@ -524,6 +529,10 @@ func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fal
 		select {
 		case e, open := <-live:
 			if !open {
+				for _, e := range hub.since(last) {
+					writeEvent(e)
+				}
+				fl.Flush()
 				return
 			}
 			t0 := time.Now()

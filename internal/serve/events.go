@@ -48,7 +48,10 @@ const hubRing = 4096
 // Hub is one job's progress broadcast: it retains a ring of recent events
 // and fans new ones out to live subscribers. Subscribers that fall behind
 // a full channel buffer have events dropped (the Seq gap tells them);
-// progress streaming must never backpressure the placement engine.
+// progress streaming must never backpressure the placement engine. The
+// end of the stream is not subject to that: the ring always holds the
+// newest event, so a subscriber whose channel closed reads what it missed
+// — the terminal state last — from since.
 type Hub struct {
 	mu     sync.Mutex
 	seq    int
@@ -106,7 +109,9 @@ func (h *Hub) Close() {
 func (h *Hub) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = append([]Event(nil), h.ring...)
+	replay = h.sinceLocked(0)
+	// Sized to ride out a burst of samples while a watcher's socket
+	// drains; overflow drops (see Hub).
 	ch = make(chan Event, 256)
 	if h.closed {
 		close(ch)
@@ -121,6 +126,26 @@ func (h *Hub) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 			close(ch)
 		}
 	}
+}
+
+// since returns the retained events with Seq above seq, oldest first.
+func (h *Hub) since(seq int) []Event {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sinceLocked(seq)
+}
+
+// sinceLocked is since with h.mu held. The ring is contiguous in Seq and
+// ends at h.seq.
+func (h *Hub) sinceLocked(seq int) []Event {
+	skip := seq - (h.seq - len(h.ring))
+	if skip < 0 {
+		skip = 0
+	}
+	if skip >= len(h.ring) {
+		return nil
+	}
+	return append([]Event(nil), h.ring[skip:]...)
 }
 
 // hubSink adapts a Hub to obs.Sink, so every metric sample a job's

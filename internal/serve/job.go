@@ -39,7 +39,7 @@ const ManifestFormat = "puffer/job/v1"
 // coordinator never sends work to a worker whose engine disagrees). Bump
 // it with any change that can alter placement results; changes that only
 // affect speed or observability keep it.
-const EngineVersion = "puffer-engine/v9"
+const EngineVersion = "puffer-engine/v10"
 
 // JobKind selects what a job executes.
 const (

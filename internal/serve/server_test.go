@@ -730,6 +730,63 @@ func TestSSEOfPreRestartJobTerminates(t *testing.T) {
 	}
 }
 
+// stalledWriter is an SSE client that stops reading: its first Write
+// blocks until release is closed.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	stalled chan struct{} // closed when the first Write blocks
+	release chan struct{}
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	select {
+	case <-w.stalled:
+	default:
+		close(w.stalled)
+	}
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
+func TestSSEStalledWatcherStillEndsOnTerminalState(t *testing.T) {
+	// A watcher that stops reading overflows its live-event buffer and
+	// has events dropped — but never the end of the stream: once the hub
+	// closes, everything after the last event it was sent is replayed.
+	s := newTestServer(t, Config{})
+	hub := NewHub()
+	w := &stalledWriter{ResponseRecorder: httptest.NewRecorder(),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.streamHub(w, httptest.NewRequest("GET", "/events", nil), hub, Event{})
+	}()
+
+	hub.Publish(Event{Type: "state", State: StateRunning})
+	<-w.stalled
+	const burst = 300 // > the 256-slot subscriber buffer
+	for i := 0; i < burst; i++ {
+		hub.Publish(Event{Type: "sample", Series: "place.hpwl", Step: i})
+	}
+	hub.Publish(Event{Type: "state", State: StateDone})
+	hub.Close()
+	close(w.release)
+	<-done
+
+	var last Event
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			last = Event{}
+			if err := json.Unmarshal([]byte(data), &last); err != nil {
+				t.Fatalf("bad SSE payload %q: %v", line, err)
+			}
+		}
+	}
+	if last.Type != "state" || last.State != StateDone || last.Seq != burst+2 {
+		t.Fatalf("stream ended on %+v, want the terminal state with seq %d", last, burst+2)
+	}
+}
+
 func TestRetryAfterEstimateUsesObservedDurations(t *testing.T) {
 	// After a completed job the 429 hint reflects real runtimes rather
 	// than the 1-second floor... unless jobs genuinely run sub-second, in

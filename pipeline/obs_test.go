@@ -24,18 +24,12 @@ func TestWriteStageStatsGolden(t *testing.T) {
 			Iters:       412,
 			AllocsDelta: 98765,
 			Estimator: &cong.Stats{
-				Calls:            10,
-				FullRebuilds:     2,
-				IncrementalCalls: 8,
-				LastReason:       "incremental",
-				LastDirtyNets:    37,
-				LastMovedPins:    120,
-				CacheHits:        900,
-				CacheMisses:      100,
-				LastPinWall:      150 * time.Microsecond,
-				LastTopoWall:     2500 * time.Microsecond,
-				LastApplyWall:    300 * time.Microsecond,
-				LastExpandWall:   450 * time.Microsecond,
+				Calls:          10,
+				LastNets:       4825,
+				LastPins:       17120,
+				LastTopoWall:   2500 * time.Microsecond,
+				LastMergeWall:  300 * time.Microsecond,
+				LastExpandWall: 450 * time.Microsecond,
 			},
 		},
 		{Name: "legalize", Wall: 9876 * time.Microsecond, Iters: 5000, AllocsDelta: 42}, // Estimator nil
@@ -45,7 +39,7 @@ func TestWriteStageStatsGolden(t *testing.T) {
 	pipeline.WriteStageStats(&b, stages)
 	want := "" +
 		"stage place       1.234567s  iters=412      allocs=98765\n" +
-		"  estimator: calls=10 rebuilds=2 incremental=8 hit=90.0% last=incremental dirty=37 moved=120 (pin=150µs topo=2.5ms apply=300µs expand=450µs)\n" +
+		"  estimator: calls=10 nets=4825 pins=17120 (topo=2.5ms merge=300µs expand=450µs)\n" +
 		"stage legalize      9.876ms  iters=5000     allocs=42\n" +
 		"stage dp              500µs  iters=2        allocs=7\n"
 	if got := b.String(); got != want {

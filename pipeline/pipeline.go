@@ -103,10 +103,10 @@ type StageStats struct {
 	// AllocsDelta is the number of heap objects allocated while the stage
 	// ran (process-wide mallocs delta; concurrent allocators inflate it).
 	AllocsDelta uint64
-	// Estimator, when non-nil, is a snapshot of the congestion engine's
-	// statistics (rebuild reason, dirty-net counts, cache hit rate,
-	// per-phase wall time) taken as the stage finished. The placement
-	// stage records it whenever the routability optimizer ran.
+	// Estimator, when non-nil, is a snapshot of the congestion estimator's
+	// statistics (call count, last net/pin counts, per-phase wall time)
+	// taken as the stage finished. The placement stage records it
+	// whenever the routability optimizer ran.
 	Estimator *cong.Stats
 }
 
@@ -234,8 +234,8 @@ func (rc *RunContext) PadOptimizer() *padding.Optimizer {
 }
 
 // UsePadOptimizer injects a pre-existing routability optimizer — the ECO
-// session path, where one optimizer (and its congestion journal and
-// padding history) outlives many runs. It must be called before the first
+// session path, where one optimizer (and its padding history) outlives
+// many runs. It must be called before the first
 // PadOptimizer use; the optimizer must have been built for rc.Design.
 func (rc *RunContext) UsePadOptimizer(opt *padding.Optimizer) { rc.opt = opt }
 

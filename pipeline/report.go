@@ -70,11 +70,10 @@ func WriteStageStats(w io.Writer, stages []StageStats) {
 		fmt.Fprintf(w, "stage %-10s %10s  iters=%-8d allocs=%d\n",
 			st.Name, st.Wall.Round(time.Microsecond), st.Iters, st.AllocsDelta)
 		if es := st.Estimator; es != nil {
-			fmt.Fprintf(w, "  estimator: calls=%d rebuilds=%d incremental=%d hit=%.1f%% last=%s dirty=%d moved=%d (pin=%s topo=%s apply=%s expand=%s)\n",
-				es.Calls, es.FullRebuilds, es.IncrementalCalls, 100*es.HitRate(),
-				es.LastReason, es.LastDirtyNets, es.LastMovedPins,
-				es.LastPinWall.Round(time.Microsecond), es.LastTopoWall.Round(time.Microsecond),
-				es.LastApplyWall.Round(time.Microsecond), es.LastExpandWall.Round(time.Microsecond))
+			fmt.Fprintf(w, "  estimator: calls=%d nets=%d pins=%d (topo=%s merge=%s expand=%s)\n",
+				es.Calls, es.LastNets, es.LastPins,
+				es.LastTopoWall.Round(time.Microsecond), es.LastMergeWall.Round(time.Microsecond),
+				es.LastExpandWall.Round(time.Microsecond))
 		}
 	}
 }

@@ -149,8 +149,7 @@ func DetailedPlace() Stage {
 func Route(cfg router.Config) Stage {
 	return StageFunc{StageName: StageRoute, Fn: func(ctx context.Context, rc *RunContext) error {
 		if cfg.GridW == 0 && cfg.GridH == 0 {
-			// Share the flow's Gcell grid so the router can reuse the
-			// estimator's cached topologies below.
+			// Judge overflow on the Gcell grid the flow optimized for.
 			cfg.GridW, cfg.GridH = rc.GridW, rc.GridH
 		}
 		if cfg.Workers == 0 {
@@ -158,13 +157,6 @@ func Route(cfg router.Config) Stage {
 		}
 		if cfg.Obs == nil {
 			cfg.Obs = rc.Cfg.Obs
-		}
-		if cfg.Topo == nil && rc.opt != nil && rc.opt.Iter() > 0 {
-			// The routability optimizer already maintains per-net RSMT
-			// topologies incrementally; let the router reuse them instead
-			// of rebuilding every net. (Only when the optimizer actually
-			// ran — otherwise the estimator would pay a full build here.)
-			cfg.Topo = rc.opt.Estimator()
 		}
 		rr, err := router.RouteCtx(ctx, rc.Design, cfg)
 		if err != nil {
