@@ -2,10 +2,8 @@
 //
 // -ratio A/B adds a named ns/op ratio of two benchmarks in the input to
 // the report; CI uses it to publish the telemetry-overhead factor
-// (PlaceIterObsEnabled over PlaceIterObsDisabled) in BENCH_obs.json, the
-// GP serial/parallel speedup in BENCH_gp.json, and the spectral-solver
-// speedup (DensitySolveOld over DensitySolveNew, at 256² and 512²) in
-// BENCH_density.json. The flag repeats.
+// (PlaceIterObsEnabled over PlaceIterObsDisabled) in BENCH_obs.json and
+// the GP serial/parallel speedup in BENCH_gp.json. The flag repeats.
 //
 // Usage:
 //

@@ -282,11 +282,9 @@ func summarizeSession(path string) error {
 	fmt.Printf("design hash: %s\n", sn.DesignHash)
 	fmt.Printf("deltas applied: %d\n", sn.Deltas)
 	fmt.Printf("last hpwl: %.2f  last overflow: %.4f\n", sn.LastHPWL, sn.LastOverflow)
-	fmt.Printf("grid: level %d", sn.GridLevel)
 	if sn.GridM > 0 {
-		fmt.Printf(", warm density grid %dx%d", sn.GridM, sn.GridN)
+		fmt.Printf("warm density grid: %dx%d\n", sn.GridM, sn.GridN)
 	}
-	fmt.Println()
 	if sn.EstCalls > 0 {
 		fmt.Printf("estimator: %d calls\n", sn.EstCalls)
 	}

@@ -45,7 +45,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		placer   = flag.String("placer", "puffer", "flow: puffer | replace | commercial")
 		iters    = flag.Int("iters", 0, "max global placement iterations (0 = default)")
-		pyramid  = flag.Int("pyramid", 0, "density-grid pyramid levels: start coarse, refine as overflow drops (0/1 = single grid)")
 		outDir   = flag.String("out", "", "write the placed design as Bookshelf into this directory")
 		pgmDir   = flag.String("pgm", "", "write routed congestion maps as PGM images into this directory")
 		noEval   = flag.Bool("noeval", false, "skip the global-routing evaluation")
@@ -200,7 +199,6 @@ func main() {
 		if *iters > 0 {
 			cfg.Place.MaxIters = *iters
 		}
-		cfg.Place.PyramidLevels = *pyramid
 		if *strategy != "" {
 			s, err := puffer.LoadStrategy(*strategy)
 			if err != nil {

@@ -7,16 +7,13 @@ import (
 	"puffer/internal/geom"
 )
 
-// The DensitySolveOld/New pairs isolate the spectral solve — the kernel the
-// real-input refactor targets — at the two production-relevant grid sizes.
-// "Old" is the complex mirror-extension reference (fft.Spectral), "New" the
-// fused real-input engine (fft.RealPlan). CI feeds both through
-// cmd/benchjson -ratio into BENCH_density.json. AddRect (not DepositRects)
-// charges the grid so the solve-skip fingerprint never arms and every
-// iteration runs the full pipeline.
-func benchSolve(b *testing.B, m int, kind SolverKind) {
+// benchSolve isolates the spectral solve at the two production-relevant
+// grid sizes. AddRect (not DepositRects) charges the grid so the solve-skip
+// fingerprint never arms and every iteration runs the full pipeline. CI
+// publishes the pair in BENCH_gp.json.
+func benchSolve(b *testing.B, m int) {
 	side := float64(m)
-	g := NewGridKind(geom.RectWH(0, 0, side, side), m, m, kind)
+	g := NewGrid(geom.RectWH(0, 0, side, side), m, m)
 	g.AddRect(geom.RectWH(side/4, side/4, side/3, side/3), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -25,10 +22,8 @@ func benchSolve(b *testing.B, m int, kind SolverKind) {
 	}
 }
 
-func BenchmarkDensitySolveOld256(b *testing.B) { benchSolve(b, 256, SolverComplex) }
-func BenchmarkDensitySolveNew256(b *testing.B) { benchSolve(b, 256, SolverReal) }
-func BenchmarkDensitySolveOld512(b *testing.B) { benchSolve(b, 512, SolverComplex) }
-func BenchmarkDensitySolveNew512(b *testing.B) { benchSolve(b, 512, SolverReal) }
+func BenchmarkDensitySolve256(b *testing.B) { benchSolve(b, 256) }
+func BenchmarkDensitySolve512(b *testing.B) { benchSolve(b, 512) }
 
 // BenchmarkDepositForce256 is the geometry around the solve at the
 // place_large_calm shape: rasterize 59k cell-sized rectangles into a 256²

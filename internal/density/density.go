@@ -24,7 +24,7 @@
 //     extra grids, no zeroing, no merge pass, and is worker-count
 //     independent rather than merely fixed-worker-count reproducible.
 //   - Solve batches independent 1-D row/column transforms (each writes a
-//     disjoint output range) over per-worker fft.Spectral scratch cloned
+//     disjoint output range) over per-worker fft.Transform scratch cloned
 //     from one precomputed plan, so scheduling cannot change any value.
 //   - Overflow reduces over a FIXED shard count derived from the grid size
 //     (never from the worker count) and sums the per-shard partials in
@@ -55,30 +55,6 @@ const maxGridWorkers = 16
 // count depends only on the grid size, so the partial-sum structure — and
 // therefore the result, bit for bit — is identical for every worker count.
 const ovfBinsPerShard = 4096
-
-// SolverKind selects the 1-D transform engine behind the spectral solve.
-type SolverKind int
-
-const (
-	// SolverReal is the production engine: real-input FFTs of size M/2
-	// with the DCT-II twiddles fused into the pack/unpack loops
-	// (fft.RealPlan) — no 2M mirror buffer, a quarter of the complex
-	// butterflies of the reference path.
-	SolverReal SolverKind = iota
-	// SolverComplex is the reference engine: every 1-D primitive is a
-	// complex FFT of size 2M over the mirror extension (fft.Spectral).
-	// It exists for cross-checking and the Old/New benchmark pair.
-	SolverComplex
-)
-
-// newTransform builds the 1-D engine for dimension size m. RealPlan needs
-// m >= 2; a (degenerate) one-bin dimension falls back to the reference.
-func newTransform(m int, kind SolverKind) fft.Transform {
-	if kind == SolverReal && m >= 2 {
-		return fft.NewRealPlan(m)
-	}
-	return fft.NewSpectral(m)
-}
 
 // solveScratch is one worker's private transform state: transform clones
 // sharing the grid's precomputed FFT plans, plus gather/scatter vectors.
@@ -129,7 +105,7 @@ type Grid struct {
 	rasterSkips     int  // DepositRects calls satisfied by the fingerprint
 
 	// Per-phase walls of the spectral solve, cumulative across the grid's
-	// lifetime (exposed through Solver.PhaseWalls into the place.phase.*
+	// lifetime (exposed through PhaseWalls into the place.phase.*
 	// density gauges).
 	wallAnalysis, wallFreq, wallSynth time.Duration
 
@@ -164,25 +140,27 @@ type Grid struct {
 	stageOvf     func(s int)
 }
 
-// NewGrid creates an M×N grid over region. M and N must be powers of two.
-// The grid starts serial; call SetWorkers to enable data parallelism. The
-// spectral solve uses the real-input engine (SolverReal); NewGridKind
-// selects the reference complex engine instead.
+// NewGrid creates an M×N grid over region. M and N must be powers of two,
+// at least 2. The grid starts serial; call SetWorkers to enable data
+// parallelism.
 func NewGrid(region geom.Rect, m, n int) *Grid {
-	return NewGridKind(region, m, n, SolverReal)
+	if m < 2 || m&(m-1) != 0 || n < 2 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("density: grid %dx%d must be powers of two >= 2", m, n))
+	}
+	return newGrid(region, fft.NewRealPlan(m), fft.NewRealPlan(n))
 }
 
-// NewGridKind is NewGrid with an explicit transform engine choice.
-func NewGridKind(region geom.Rect, m, n int, kind SolverKind) *Grid {
-	if m <= 0 || m&(m-1) != 0 || n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("density: grid %dx%d must be powers of two", m, n))
-	}
+// newGrid builds the grid over the given 1-D engines (sx of size M, sy of
+// size N). Production passes real-input plans; the in-package tests pass
+// the reference fft.Spectral to cross-check the solve.
+func newGrid(region geom.Rect, sx, sy fft.Transform) *Grid {
+	m, n := sx.Size(), sy.Size()
 	g := &Grid{
 		M: m, N: n, Region: region,
 		BinW: region.W() / float64(m),
 		BinH: region.H() / float64(n),
-		sx:   newTransform(m, kind),
-		sy:   newTransform(n, kind),
+		sx:   sx,
+		sy:   sy,
 	}
 	size := m * n
 	g.Rho = make([]float64, size)
@@ -732,21 +710,3 @@ func (g *Grid) RasterSkips() int { return g.rasterSkips }
 func (g *Grid) PhaseWalls() (analysis, freq, synth time.Duration) {
 	return g.wallAnalysis, g.wallFreq, g.wallSynth
 }
-
-// The Solver methods below make a bare Grid the single-level degenerate
-// case of the multi-resolution pyramid: one level, never refining.
-
-// Active returns the grid itself.
-func (g *Grid) Active() *Grid { return g }
-
-// Finest returns the grid itself.
-func (g *Grid) Finest() *Grid { return g }
-
-// Level returns 0: a bare grid is always at the finest level.
-func (g *Grid) Level() int { return 0 }
-
-// Levels returns 1.
-func (g *Grid) Levels() int { return 1 }
-
-// Refine is a no-op on a single grid and reports false.
-func (g *Grid) Refine() bool { return false }

@@ -3,6 +3,7 @@ package density
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"puffer/internal/geom"
@@ -228,13 +229,20 @@ func TestBinRect(t *testing.T) {
 	}
 }
 
+// TestNewGridRejectsBadSizes: a non-power-of-two or one-bin axis panics
+// with the density package's own message, not one from inside fft.
 func TestNewGridRejectsBadSizes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGrid accepted non-power-of-two size")
-		}
-	}()
-	NewGrid(geom.RectWH(0, 0, 1, 1), 7, 8)
+	for _, dim := range [][2]int{{7, 8}, {1, 8}, {8, 1}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "density:") {
+					t.Errorf("NewGrid(%dx%d): panic %q, want a density: message", dim[0], dim[1], msg)
+				}
+			}()
+			NewGrid(geom.RectWH(0, 0, 1, 1), dim[0], dim[1])
+		}()
+	}
 }
 
 func BenchmarkSolve128(b *testing.B) {

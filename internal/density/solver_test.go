@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"puffer/internal/fft"
 	"puffer/internal/geom"
 )
 
@@ -14,11 +15,11 @@ func TestGridComplexVsRealSolve(t *testing.T) {
 	region := geom.RectWH(0, 0, 64, 64)
 	rects := rectSoup(200, region)
 
-	ref := NewGridKind(region, 64, 32, SolverComplex)
+	ref := newGrid(region, fft.NewSpectral(64), fft.NewSpectral(32))
 	ref.DepositRects(rects)
 	ref.Solve()
 
-	g := NewGridKind(region, 64, 32, SolverReal)
+	g := NewGrid(region, 64, 32)
 	g.DepositRects(rects)
 	g.Solve()
 
@@ -55,6 +56,9 @@ func TestSolveSkipOnRedeposit(t *testing.T) {
 	g.Solve()
 	if g.Solves() != 1 || g.SolveSkips() != 0 {
 		t.Fatalf("after first solve: solves=%d skips=%d", g.Solves(), g.SolveSkips())
+	}
+	if a, f, s := g.PhaseWalls(); a <= 0 || f < 0 || s <= 0 {
+		t.Errorf("PhaseWalls = %v/%v/%v, want positive analysis and synthesis", a, f, s)
 	}
 	psi := append([]float64(nil), g.Potential()...)
 	ex := append([]float64(nil), g.Ex...)
@@ -151,98 +155,5 @@ func TestGridSteadyStateZeroAllocAlternating(t *testing.T) {
 	}
 	if g.SolveSkips() != 0 {
 		t.Errorf("alternating deposits skipped %d solves, want 0", g.SolveSkips())
-	}
-}
-
-// TestPyramidConstruction checks level sizing, clamping, and the starting
-// level.
-func TestPyramidConstruction(t *testing.T) {
-	region := geom.RectWH(0, 0, 64, 64)
-	p := NewPyramid(region, 64, 32, 3)
-	if p.Levels() != 3 {
-		t.Fatalf("Levels = %d, want 3", p.Levels())
-	}
-	if p.Level() != 2 {
-		t.Fatalf("starting Level = %d, want coarsest (2)", p.Level())
-	}
-	if g := p.Finest(); g.M != 64 || g.N != 32 {
-		t.Errorf("Finest = %dx%d, want 64x32", g.M, g.N)
-	}
-	if g := p.Active(); g.M != 16 || g.N != 8 {
-		t.Errorf("coarsest Active = %dx%d, want 16x8", g.M, g.N)
-	}
-
-	// Requesting more levels than the minimum dimension allows clamps: a
-	// 32x32 finest grid supports at most 8x8 coarsest (32>>2), i.e. 3 levels.
-	p = NewPyramid(region, 32, 32, 7)
-	if p.Levels() != 3 {
-		t.Errorf("clamped Levels = %d, want 3", p.Levels())
-	}
-	if g := p.Active(); g.M != 8 || g.N != 8 {
-		t.Errorf("clamped coarsest = %dx%d, want 8x8", g.M, g.N)
-	}
-
-	// Degenerate single level behaves like a bare grid.
-	p = NewPyramid(region, 16, 16, 0)
-	if p.Levels() != 1 || p.Level() != 0 || p.Refine() {
-		t.Error("single-level pyramid should start and stay at level 0")
-	}
-}
-
-// TestPyramidRefineAndDelegation walks the refinement ladder, driving each
-// level through Active() as the engine does, and checks the fixed baseline
-// is present on every level and the counters sum across levels.
-func TestPyramidRefineAndDelegation(t *testing.T) {
-	region := geom.RectWH(0, 0, 64, 64)
-	p := NewPyramid(region, 32, 32, 2)
-	p.SetWorkers(2)
-	p.AddFixedRect(geom.RectWH(4, 4, 8, 8), 1)
-	rects := rectSoup(100, region)
-
-	for lvl := p.Level(); ; lvl-- {
-		g := p.Active()
-		if got := p.Level(); got != lvl {
-			t.Fatalf("Level = %d, want %d", got, lvl)
-		}
-		if g.M != 32>>lvl {
-			t.Fatalf("level %d grid is %dx%d", lvl, g.M, g.N)
-		}
-		if !g.hasFixed || g.totalFixedArea == 0 {
-			t.Fatalf("level %d missing the fixed baseline", lvl)
-		}
-		g.DepositRects(rects)
-		g.Solve()
-		g.DepositRects(rects)
-		g.Solve()
-		if g.Solves() != 1 || g.SolveSkips() != 1 || g.RasterSkips() != 1 {
-			t.Fatalf("level %d: solves/skips/raster skips = %d/%d/%d, want 1/1/1",
-				lvl, g.Solves(), g.SolveSkips(), g.RasterSkips())
-		}
-		if lvl == 0 {
-			break
-		}
-		if !p.Refine() {
-			t.Fatal("Refine returned false above level 0")
-		}
-	}
-	if p.Refine() {
-		t.Error("Refine at level 0 must report false")
-	}
-	if n := p.Levels(); p.Solves() != n || p.SolveSkips() != n || p.RasterSkips() != n {
-		t.Errorf("summed solves/skips/raster skips = %d/%d/%d, want %d each",
-			p.Solves(), p.SolveSkips(), p.RasterSkips(), n)
-	}
-	a, f, s := p.PhaseWalls()
-	if a <= 0 || f < 0 || s <= 0 {
-		t.Errorf("PhaseWalls = %v/%v/%v, want positive analysis and synthesis", a, f, s)
-	}
-
-	p.SetLevel(99)
-	if p.Level() != p.Levels()-1 {
-		t.Errorf("SetLevel(99) = %d, want clamp to coarsest", p.Level())
-	}
-	p.SetLevel(-3)
-	if p.Level() != 0 {
-		t.Errorf("SetLevel(-3) = %d, want clamp to 0", p.Level())
 	}
 }

@@ -81,14 +81,13 @@ type Session struct {
 
 	opt          *padding.Optimizer
 	gridW, gridH int // congestion Gcell grid
-	gridM, gridN int // finest density grid of the base placement
+	gridM, gridN int // density grid of the base placement
 	reuse        *place.Reuse
 
 	placed       bool
 	deltas       int
 	lastHPWL     float64
 	lastOverflow float64
-	gridLevel    int
 	estStats     *cong.Stats
 }
 
@@ -215,7 +214,7 @@ func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error
 }
 
 // warmConfig derives the per-delta pipeline configuration from the cold
-// one: warm-started single-grid GP at the base placement's finest
+// one: warm-started GP at the base placement's grid
 // resolution, with the engine-state reuse handles attached and the
 // iteration budget cut to the warm caps.
 func (s *Session) warmConfig() pipeline.Config {
@@ -223,8 +222,6 @@ func (s *Session) warmConfig() pipeline.Config {
 	p := &cfg.Place
 	p.WarmStart = true
 	p.QuadraticInit = false
-	p.PyramidLevels = 0
-	p.RefineOverflow = nil
 	if s.gridM > 0 {
 		p.GridM, p.GridN = s.gridM, s.gridN
 	}
@@ -241,19 +238,14 @@ func (s *Session) warmConfig() pipeline.Config {
 	return cfg
 }
 
-// harvest records the finished run's warm state and summary. A pyramid
-// solver is reduced to its finest grid: warm re-places run single-grid at
-// the final resolution, and the finest level carries the fixed baseline
-// and fingerprints the next run wants.
+// harvest records the finished run's warm state and summary.
 func (s *Session) harvest(rc *pipeline.RunContext) {
 	if r := rc.EngineReuse(); r != nil && r.Den != nil {
-		fine := r.Den.Finest()
-		s.reuse = &place.Reuse{Den: fine, WL: r.WL}
-		s.gridM, s.gridN = fine.M, fine.N
+		s.reuse = r
+		s.gridM, s.gridN = r.Den.M, r.Den.N
 	}
 	s.lastHPWL = rc.Result.HPWL
 	s.lastOverflow = rc.Result.GP.Overflow
-	s.gridLevel = rc.GridLevel()
 	if s.opt.Iter() > 0 {
 		st := s.opt.Estimator().Stats()
 		s.estStats = &st

@@ -1,9 +1,11 @@
 package eco
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -271,6 +273,59 @@ func TestParkRestoreNextDeltaExact(t *testing.T) {
 		if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
 			t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
 				i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
+		}
+	}
+}
+
+// TestLoadSnapshotIgnoresLegacyGridLevel: a v1 snapshot that carries the
+// retired "grid_level" key (every snapshot written before the density
+// pyramid went did, always as 0) still loads, validates and restores to the
+// same session as the document without it.
+func TestLoadSnapshotIgnoresLegacyGridLevel(t *testing.T) {
+	s, err := New(testDesign(1200, 11), testConfig(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Place(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plain, legacy := filepath.Join(dir, "plain.json"), filepath.Join(dir, "legacy.json")
+	if err := sn.Save(plain); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("grid_level")) {
+		t.Fatal("Save still writes grid_level")
+	}
+	data = bytes.Replace(data, []byte(`"last_hpwl"`), []byte(`"grid_level":0,"last_hpwl"`), 1)
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(path string) *netlist.Design {
+		sn, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		d := testDesign(1200, 11)
+		if _, err := Restore(d, testConfig(1), Options{}, sn); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return d
+	}
+	want, got := restore(plain), restore(legacy)
+	for i := range want.Cells {
+		w, g := want.Cells[i], got.Cells[i]
+		if w.X != g.X || w.Y != g.Y || w.PadW != g.PadW {
+			t.Fatalf("cell %d: legacy (%v,%v,%v) != plain (%v,%v,%v)", i, g.X, g.Y, g.PadW, w.X, w.Y, w.PadW)
 		}
 	}
 }

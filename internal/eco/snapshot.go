@@ -34,7 +34,6 @@ type Snapshot struct {
 
 	LastHPWL     float64 `json:"last_hpwl"`
 	LastOverflow float64 `json:"last_overflow"`
-	GridLevel    int     `json:"grid_level"`
 	GridM        int     `json:"grid_m,omitempty"`
 	GridN        int     `json:"grid_n,omitempty"`
 
@@ -103,7 +102,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Deltas:       s.deltas,
 		LastHPWL:     s.lastHPWL,
 		LastOverflow: s.lastOverflow,
-		GridLevel:    s.gridLevel,
 		GridM:        s.gridM,
 		GridN:        s.gridN,
 		CellW:        make([]float64, len(s.d.Cells)),
@@ -111,7 +109,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Checkpoint:   pipeline.Capture(pipeline.StageDP, s.d),
 		Padding:      s.opt.State(),
 	}
-	sn.Checkpoint.GridLevel = s.gridLevel
 	for i := range s.d.Cells {
 		sn.CellW[i] = s.d.Cells[i].W
 		sn.CellH[i] = s.d.Cells[i].H
@@ -212,7 +209,6 @@ func Restore(d *netlist.Design, cfg pipeline.Config, opts Options, sn *Snapshot)
 	s.deltas = sn.Deltas
 	s.lastHPWL = sn.LastHPWL
 	s.lastOverflow = sn.LastOverflow
-	s.gridLevel = sn.GridLevel
 	s.gridM, s.gridN = sn.GridM, sn.GridN
 	return s, nil
 }

@@ -10,8 +10,9 @@ import (
 // sine synthesis for the field, all over the half-sample cosine basis
 // cos(πu(m+1/2)/M). Two implementations exist:
 //
-//   - Spectral, the reference path: every primitive is a complex FFT of
-//     size 2M over the mirror extension of the input.
+//   - Spectral, the reference the tests compare against (no non-test code
+//     constructs one): every primitive is a complex FFT of size 2M over
+//     the mirror extension of the input.
 //   - RealPlan, the production path: real-input symmetry and fused DCT
 //     twiddles reduce each primitive to one complex FFT of size M/2.
 //

@@ -149,22 +149,6 @@ func (o *Optimizer) Restart() {
 	o.iter = 0
 }
 
-// RestartScaled is Restart with a step-length rescale applied first:
-// alpha is multiplied by scale (clamped to (0, AlphaMax]). Call it when the
-// objective's length scale changes — e.g. the density grid refines and the
-// bin size halves — so the first post-restart step is sized for the new
-// landscape instead of re-learning the Lipschitz constant from a stale
-// scale.
-func (o *Optimizer) RestartScaled(scale float64) {
-	if scale > 0 {
-		o.alpha *= scale
-		if o.alpha > o.AlphaMax {
-			o.alpha = o.AlphaMax
-		}
-	}
-	o.Restart()
-}
-
 // Current returns the major solution u_k (do not modify).
 func (o *Optimizer) Current() []float64 { return o.u }
 

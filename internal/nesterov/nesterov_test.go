@@ -207,25 +207,20 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestRestartScaled checks the grid-switch restart: momentum clears, the
-// solution is preserved, the step length is rescaled by the given factor
-// (clamped to AlphaMax), and optimization still converges afterwards.
-func TestRestartScaled(t *testing.T) {
+// TestRestart checks the mid-run restart: the solution is preserved and
+// optimization still converges afterwards.
+func TestRestart(t *testing.T) {
 	eval := quadratic([]float64{1, 4, 9, 16})
 	o := New([]float64{5, -3, 2, -1}, eval, 0.1)
 	for i := 0; i < 5; i++ {
 		o.Step(nil)
 	}
 	before := append([]float64(nil), o.Current()...)
-	alpha := o.Alpha()
 
-	o.RestartScaled(0.5)
-	if got := o.Alpha(); math.Abs(got-alpha*0.5) > 1e-15 {
-		t.Errorf("Alpha after RestartScaled(0.5) = %v, want %v", got, alpha*0.5)
-	}
+	o.Restart()
 	for i, v := range o.Current() {
 		if v != before[i] {
-			t.Fatalf("RestartScaled moved the solution at %d: %v vs %v", i, v, before[i])
+			t.Fatalf("Restart moved the solution at %d: %v vs %v", i, v, before[i])
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -235,17 +230,5 @@ func TestRestartScaled(t *testing.T) {
 		if math.Abs(v) > 1e-4 {
 			t.Errorf("post-restart convergence failed: x[%d] = %v", i, v)
 		}
-	}
-
-	// Non-positive scales leave alpha alone; huge scales clamp to AlphaMax.
-	o2 := New([]float64{1, 1, 1, 1}, eval, 0.1)
-	a0 := o2.Alpha()
-	o2.RestartScaled(0)
-	if o2.Alpha() != a0 {
-		t.Errorf("RestartScaled(0) changed alpha: %v vs %v", o2.Alpha(), a0)
-	}
-	o2.RestartScaled(1e12)
-	if o2.Alpha() != o2.AlphaMax {
-		t.Errorf("RestartScaled(1e12) alpha = %v, want AlphaMax %v", o2.Alpha(), o2.AlphaMax)
 	}
 }

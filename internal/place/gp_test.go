@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"puffer/internal/density"
 	"puffer/internal/geom"
 	"puffer/internal/nesterov"
 	"puffer/internal/netlist"
@@ -194,10 +193,9 @@ func TestGPStepZeroAllocSerial(t *testing.T) {
 
 // evalRecord is what one gradient evaluation looked like from outside.
 type evalRecord struct {
-	grad      uint64        // FNV-1a over the gradient's float bits
-	grid      *density.Grid // active grid during the eval
-	solveSkip bool          // Solve was satisfied by the fingerprint
-	reused    bool          // the force gather was skipped
+	grad      uint64 // FNV-1a over the gradient's float bits
+	solveSkip bool   // Solve was satisfied by the fingerprint
+	reused    bool   // the force gather was skipped
 }
 
 // recordEvals re-seats the placer's optimizer on a wrapper of p.eval that
@@ -206,7 +204,7 @@ type evalRecord struct {
 func recordEvals(p *Placer) *[]evalRecord {
 	log := new([]evalRecord)
 	opt := nesterov.New(append([]float64(nil), p.opt.Current()...), func(x, grad []float64) {
-		skips, reuses := p.den.SolveSkips(), p.forceReuses
+		skips, reuses := p.g.SolveSkips(), p.forceReuses
 		p.eval(x, grad)
 		h := fnv.New64a()
 		var b [8]byte
@@ -214,7 +212,7 @@ func recordEvals(p *Placer) *[]evalRecord {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
-		*log = append(*log, evalRecord{h.Sum64(), p.g, p.den.SolveSkips() != skips, p.forceReuses != reuses})
+		*log = append(*log, evalRecord{h.Sum64(), p.g.SolveSkips() != skips, p.forceReuses != reuses})
 	}, p.binBase/4)
 	opt.MaxBacktrack = 1
 	opt.SetWorkers(p.Cfg.Workers)
@@ -224,117 +222,103 @@ func recordEvals(p *Placer) *[]evalRecord {
 
 // TestEvalForceReuseIsExact runs GP with and without the raw-force reuse and
 // compares every gradient the oracle ever returned, bit for bit — on a run
-// whose hook pads cells (fillers retire, λ re-anchors) and on pyramid runs
-// that refine. It also pins where reuse must NOT fire even though Solve was
-// satisfied by the fingerprint: each part of the reuse key (grid, that
-// grid's solve count) is the only guard in one of these scenarios.
+// whose hook pads cells (fillers retire, λ re-anchors). It also pins where
+// reuse must NOT fire even though Solve was satisfied by the fingerprint:
+// the reuse key (the grid's solve count) is the only guard there.
 func TestEvalForceReuseIsExact(t *testing.T) {
 	shardAlways(t) // the Workers=3 runs below are on small designs
-	type scenario struct {
-		name   string
-		design func() *netlist.Design
-		cfg    func(*Config)
-		padAt  map[int]float64 // iteration → PadW the hook sets on every cell
+	// Padding at iteration 1 re-anchors λ at the start point: initLambda
+	// solves the padded list there, and the restart evaluates that very
+	// list — a fingerprint hit against a field the kept forces were not
+	// read from. Only the solve count tells.
+	padAt := map[int]float64{1: 0.25, 40: 0.75} // iteration → PadW the hook sets on every cell
+	run := func(noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
+		d := smallDesign(6, 200, false)
+		cfg := quickConfig()
+		cfg.MaxIters, cfg.MinIters = 90, 90
+		cfg.StopOverflow, cfg.PlateauIters = 0, 0
+		cfg.Workers = workers
+		p := New(d, cfg)
+		p.noReuse = noReuse
+		log := recordEvals(p)
+		var paddedEvals []int // index of the first eval after each padding change
+		fillBefore := p.activeFill
+		p.Run(HookFunc(func(iter int, overflow float64) bool {
+			w, ok := padAt[iter]
+			if !ok {
+				return false
+			}
+			for i := range d.Cells {
+				d.Cells[i].PadW = w
+			}
+			paddedEvals = append(paddedEvals, len(*log))
+			return true
+		}))
+		if p.activeFill >= fillBefore {
+			t.Fatal("padding retired no fillers")
+		}
+		return *log, paddedEvals, p
 	}
-	scenarios := []scenario{
-		// Padding at iteration 1 re-anchors λ at the start point: initLambda
-		// solves the padded list there, and the restart evaluates that very
-		// list — a fingerprint hit against a field the kept forces were not
-		// read from. Only the solve count tells.
-		{"padded", func() *netlist.Design { return smallDesign(6, 200, false) },
-			func(c *Config) {}, map[int]float64{1: 0.25, 40: 0.75}},
-		// Refining at iteration 1 makes the same fingerprint hit on the fine
-		// grid while both grids have executed exactly one solve. Only the
-		// grid pointer tells.
-		{"pyramid-immediate", func() *netlist.Design { return smallDesign(11, 250, false) },
-			func(c *Config) { c.PyramidLevels = 2; c.RefineOverflow = []float64{0.999} }, nil},
-		{"pyramid", func() *netlist.Design { return smallDesign(11, 250, true) },
-			func(c *Config) { c.PyramidLevels = 2 }, nil},
+	got, padded, p := run(false, 1)
+	want, _, ref := run(true, 1)
+	if ref.forceReuses != 0 {
+		t.Fatalf("the reference run reused %d sweeps", ref.forceReuses)
 	}
-	for _, sc := range scenarios {
-		run := func(noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
-			d := sc.design()
-			cfg := quickConfig()
-			cfg.MaxIters, cfg.MinIters = 90, 90
-			cfg.StopOverflow, cfg.PlateauIters = 0, 0
-			cfg.Workers = workers
-			sc.cfg(&cfg)
-			p := New(d, cfg)
-			p.noReuse = noReuse
-			log := recordEvals(p)
-			var paddedEvals []int // index of the first eval after each padding change
-			fillBefore := p.activeFill
-			p.Run(HookFunc(func(iter int, overflow float64) bool {
-				w, ok := sc.padAt[iter]
-				if !ok {
-					return false
-				}
-				for i := range d.Cells {
-					d.Cells[i].PadW = w
-				}
-				paddedEvals = append(paddedEvals, len(*log))
-				return true
-			}))
-			if len(sc.padAt) > 0 && p.activeFill >= fillBefore {
-				t.Fatalf("%s: padding retired no fillers", sc.name)
-			}
-			return *log, paddedEvals, p
+	if len(got) != len(want) || len(got) != p.evals-1 {
+		// -1: NewChecked's own optimizer evaluated once before recordEvals.
+		t.Fatalf("%d evals logged, reference %d, counter %d", len(got), len(want), p.evals)
+	}
+	guarded := 0
+	for i := range got {
+		if got[i].grad != want[i].grad {
+			t.Fatalf("eval %d (reused=%v) gradient differs from the gather-always run", i, got[i].reused)
 		}
-		got, padded, p := run(false, 1)
-		want, _, ref := run(true, 1)
-		if ref.forceReuses != 0 {
-			t.Fatalf("%s: the reference run reused %d sweeps", sc.name, ref.forceReuses)
+		if got[i].reused && !got[i].solveSkip {
+			t.Fatalf("eval %d reused forces although Solve ran", i)
 		}
-		if len(got) != len(want) || len(got) != p.evals-1 {
-			// -1: NewChecked's own optimizer evaluated once before recordEvals.
-			t.Fatalf("%s: %d evals logged, reference %d, counter %d", sc.name, len(got), len(want), p.evals)
+	}
+	for _, i := range padded {
+		if got[i].reused {
+			t.Fatalf("eval %d reused forces across a padding change", i)
 		}
-		refines, guarded := 0, 0
-		for i := range got {
-			if got[i].grad != want[i].grad {
-				t.Fatalf("%s: eval %d (reused=%v) gradient differs from the gather-always run", sc.name, i, got[i].reused)
-			}
-			if got[i].reused && !got[i].solveSkip {
-				t.Fatalf("%s: eval %d reused forces although Solve ran", sc.name, i)
-			}
-			if i > 0 && got[i].grid != got[i-1].grid {
-				refines++
-				if got[i].reused {
-					t.Fatalf("%s: eval %d reused forces across refine()", sc.name, i)
-				}
-				if got[i].solveSkip {
-					guarded++
-				}
-			}
+		if got[i].solveSkip {
+			guarded++ // initLambda had solved this list: only the key stopped the reuse
 		}
-		for _, i := range padded {
-			if got[i].reused {
-				t.Fatalf("%s: eval %d reused forces across a padding change", sc.name, i)
-			}
-			if got[i].solveSkip {
-				guarded++ // initLambda had solved this list: only the key stopped the reuse
-			}
-		}
-		if p.forceReuses < len(got)/4 {
-			t.Errorf("%s: only %d of %d evals reused the force sweep", sc.name, p.forceReuses, len(got))
-		}
-		if wantRefines := p.den.Levels() - 1; refines != wantRefines {
-			t.Errorf("%s: saw %d grid switches, want %d", sc.name, refines, wantRefines)
-		}
-		if sc.name != "pyramid" && guarded == 0 {
-			t.Errorf("%s: no eval hit the fingerprint with stale forces; the scenario lost its point", sc.name)
-		}
+	}
+	if p.forceReuses < len(got)/4 {
+		t.Errorf("only %d of %d evals reused the force sweep", p.forceReuses, len(got))
+	}
+	if guarded == 0 {
+		t.Error("no eval hit the fingerprint with stale forces; the scenario lost its point")
+	}
 
-		// The counters are part of the determinism contract.
-		gotW, _, pw := run(false, 3)
-		for i := range gotW {
-			if gotW[i].grad != got[i].grad || gotW[i].reused != got[i].reused {
-				t.Fatalf("%s: eval %d differs between Workers 1 and 3", sc.name, i)
-			}
+	// The counters are part of the determinism contract.
+	gotW, _, pw := run(false, 3)
+	for i := range gotW {
+		if gotW[i].grad != got[i].grad || gotW[i].reused != got[i].reused {
+			t.Fatalf("eval %d differs between Workers 1 and 3", i)
 		}
-		if pw.evals != p.evals || pw.forceReuses != p.forceReuses || pw.den.RasterSkips() != p.den.RasterSkips() {
-			t.Errorf("%s: evals/force reuses/raster skips %d/%d/%d at Workers 3, %d/%d/%d at 1", sc.name,
-				pw.evals, pw.forceReuses, pw.den.RasterSkips(), p.evals, p.forceReuses, p.den.RasterSkips())
-		}
+	}
+	if pw.evals != p.evals || pw.forceReuses != p.forceReuses || pw.g.RasterSkips() != p.g.RasterSkips() {
+		t.Errorf("evals/force reuses/raster skips %d/%d/%d at Workers 3, %d/%d/%d at 1",
+			pw.evals, pw.forceReuses, pw.g.RasterSkips(), p.evals, p.forceReuses, p.g.RasterSkips())
+	}
+}
+
+// TestSolveSkipDuringRun is the integration check for the redundant-solve
+// audit: initLambda solves the full deposit, and the first eval at the
+// same position re-deposits the identical list — the engine must satisfy
+// at least one of those solves from the fingerprint.
+func TestSolveSkipDuringRun(t *testing.T) {
+	d := smallDesign(5, 200, false)
+	cfg := quickConfig()
+	cfg.MaxIters = 10
+	p := New(d, cfg)
+	p.Run(nil)
+	if skips := p.Grid().SolveSkips(); skips < 1 {
+		t.Errorf("run performed %d fingerprint solve skips, want >= 1", skips)
+	}
+	if solves := p.Grid().Solves(); solves < 10 {
+		t.Errorf("run performed only %d real solves over 10 iters", solves)
 	}
 }

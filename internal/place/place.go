@@ -47,18 +47,6 @@ type Config struct {
 	// ≥ MinGridDim). Zero selects them automatically from the movable cell
 	// count.
 	GridM, GridN int
-	// PyramidLevels enables the multi-resolution density pyramid when > 1:
-	// the engine starts on a grid coarsened by 2^(PyramidLevels-1) per axis
-	// (clamped so no level drops below 8 bins) and refines toward the full
-	// GridM×GridN resolution as overflow falls below the RefineOverflow
-	// thresholds. 0 or 1 keeps the single fixed grid.
-	PyramidLevels int
-	// RefineOverflow customizes the refinement schedule: the engine leaves
-	// level k (1 = one below finest … PyramidLevels-1 = coarsest) when
-	// overflow drops below RefineOverflow[k-1]. Empty selects the default
-	// schedule τ_k = 0.2 + 0.6·k/L. When set, it must hold PyramidLevels-1
-	// ascending values in (0, 1).
-	RefineOverflow []float64
 	// TargetDensity is the placement target density in (0, 1].
 	TargetDensity float64
 	// MaxIters bounds the Nesterov iterations.
@@ -164,29 +152,6 @@ func (cfg *Config) Validate() error {
 		return &ConfigError{Field: "GridN",
 			Reason: fmt.Sprintf("%d is not a power of two >= %d", cfg.GridN, MinGridDim)}
 	}
-	if cfg.PyramidLevels < 0 {
-		return &ConfigError{Field: "PyramidLevels",
-			Reason: fmt.Sprintf("%d is negative", cfg.PyramidLevels)}
-	}
-	if len(cfg.RefineOverflow) > 0 {
-		if cfg.PyramidLevels <= 1 {
-			return &ConfigError{Field: "RefineOverflow",
-				Reason: "set without PyramidLevels > 1"}
-		}
-		if len(cfg.RefineOverflow) != cfg.PyramidLevels-1 {
-			return &ConfigError{Field: "RefineOverflow",
-				Reason: fmt.Sprintf("%d thresholds for %d refinements",
-					len(cfg.RefineOverflow), cfg.PyramidLevels-1)}
-		}
-		prev := 0.0
-		for i, v := range cfg.RefineOverflow {
-			if v <= 0 || v >= 1 || v <= prev {
-				return &ConfigError{Field: "RefineOverflow",
-					Reason: fmt.Sprintf("threshold [%d]=%v must be in (0,1) and ascending", i, v)}
-			}
-			prev = v
-		}
-	}
 	return nil
 }
 
@@ -195,13 +160,12 @@ func (cfg *Config) Validate() error {
 // instance (the ECO session path). Each piece is adopted independently and
 // only when it still matches:
 //
-//   - Den is adopted when its finest grid has the resolved GridM×GridN
-//     dimensions over the design region and its level count matches the
-//     requested PyramidLevels. Adoption skips the fixed-cell baseline
-//     rebuild — the solver already carries it — so the caller must drop
-//     Den whenever a fixed cell moved or resized. Deposit fingerprints
-//     survive adoption: re-depositing an identical rect list still skips
-//     the rasterize and solve, which is exactness-safe because skips only
+//   - Den is adopted when it has the resolved GridM×GridN dimensions over
+//     the design region. Adoption skips the fixed-cell baseline rebuild —
+//     the grid already carries it — so the caller must drop Den whenever
+//     a fixed cell moved or resized. Deposit fingerprints survive
+//     adoption: re-depositing an identical rect list still skips the
+//     rasterize and solve, which is exactness-safe because skips only
 //     fire on bit-identical input.
 //   - WL is adopted when it was built for this design instance (pointer
 //     equality); γ and the model Kind are (re)set per run, so a model
@@ -210,7 +174,7 @@ func (cfg *Config) Validate() error {
 // A mismatched piece is rebuilt from scratch — offering stale state never
 // changes results, it only wastes the rebuild.
 type Reuse struct {
-	Den density.Solver
+	Den *density.Grid
 	WL  *wirelength.Model
 }
 
@@ -295,9 +259,8 @@ type Placer struct {
 	D   *netlist.Design
 	Cfg Config
 
-	movable []int          // movable cell IDs
-	den     density.Solver // pyramid (PyramidLevels > 1) or single grid
-	g       *density.Grid  // cached den.Active(), refreshed on refinement
+	movable []int // movable cell IDs
+	g       *density.Grid
 	wl      *wirelength.Model
 
 	// fillers
@@ -329,13 +292,13 @@ type Placer struct {
 	stageForce func(w, lo, hi int)
 
 	// Raw (unscaled) field force on each rect of the last gathering sweep,
-	// indexed like rects, and the field it was read from: a grid and that
-	// grid's executed-solve count. A grid solves exactly one rect list per
-	// count, so an eval that finds both unchanged after its Solve is at the
-	// same rects under the same field and re-applies λ and the
-	// preconditioner to these values instead of gathering again.
+	// indexed like rects, and the field it was read from: the grid's
+	// executed-solve count (-1 before the first sweep). The grid solves
+	// exactly one rect list per count, so an eval that finds it unchanged
+	// after its Solve is at the same rects under the same field and
+	// re-applies λ and the preconditioner to these values instead of
+	// gathering again.
 	rawFx, rawFy []float64
-	rawGrid      *density.Grid
 	rawSolves    int
 	noReuse      bool // tests only: gather on every eval
 
@@ -383,32 +346,19 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	}
 	p.Cfg = cfg
 
-	wantLevels := 1
-	if cfg.PyramidLevels > 1 {
-		wantLevels = cfg.PyramidLevels
+	if r := cfg.Reuse; r != nil && r.Den != nil &&
+		r.Den.M == cfg.GridM && r.Den.N == cfg.GridN && r.Den.Region == d.Region {
+		p.g = r.Den
 	}
-	if r := cfg.Reuse; r != nil && r.Den != nil {
-		fine := r.Den.Finest()
-		if fine.M == cfg.GridM && fine.N == cfg.GridN &&
-			fine.Region == d.Region && r.Den.Levels() == wantLevels {
-			p.den = r.Den
-		}
-	}
-	if p.den == nil {
-		if cfg.PyramidLevels > 1 {
-			p.den = density.NewPyramid(d.Region, cfg.GridM, cfg.GridN, cfg.PyramidLevels)
-		} else {
-			p.den = density.NewGrid(d.Region, cfg.GridM, cfg.GridN)
-		}
+	if p.g == nil {
+		p.g = density.NewGrid(d.Region, cfg.GridM, cfg.GridN)
 		for i := range d.Cells {
 			if d.Cells[i].Fixed {
-				p.den.AddFixedRect(d.Cells[i].Rect(), 1)
+				p.g.AddFixedRect(d.Cells[i].Rect(), 1)
 			}
 		}
 	}
-	p.g = p.den.Active()
-	fine := p.den.Finest()
-	p.binBase = (fine.BinW + fine.BinH) / 2
+	p.binBase = (p.g.BinW + p.g.BinH) / 2
 	if r := cfg.Reuse; r != nil && r.WL != nil && r.WL.Design() == d {
 		p.wl = r.WL
 	} else {
@@ -438,7 +388,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	}
 	p.activeFill = p.nFill
 	p.workers = p.engineWorkers()
-	p.den.SetWorkers(p.workers)
+	p.g.SetWorkers(p.workers)
 	p.wl.SetWorkers(p.workers)
 
 	// Initial placement: region center plus jitter (or, warm-started, the
@@ -474,6 +424,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	p.rects = make([]geom.Rect, 0, nm+p.nFill)
 	p.rawFx = make([]float64, nm+p.nFill)
 	p.rawFy = make([]float64, nm+p.nFill)
+	p.rawSolves = -1
 	p.bindStage()
 	p.opt = nesterov.New(x0, p.eval, p.binBase/4)
 	p.opt.MaxBacktrack = 1
@@ -495,8 +446,7 @@ var minEvalNs = 6_000_000
 // force gather per rectangle, six transform batches per bin, at their
 // measured serial costs — and one otherwise.
 func (p *Placer) engineWorkers() int {
-	fine := p.den.Finest()
-	if len(p.D.Pins)*50+(len(p.movable)+p.nFill)*45+fine.M*fine.N*72 < minEvalNs {
+	if len(p.D.Pins)*50+(len(p.movable)+p.nFill)*45+p.g.M*p.g.N*72 < minEvalNs {
 		return 1
 	}
 	return par.Workers(p.Cfg.Workers)
@@ -506,15 +456,15 @@ func (p *Placer) engineWorkers() int {
 func (p *Placer) Workers() int { return p.workers }
 
 // ReuseState harvests the engine state worth carrying into a later run on
-// the same design: the density solver (fixed baseline, fingerprints, FFT
+// the same design: the density grid (fixed baseline, fingerprints, FFT
 // plans) and the wirelength model (per-worker scratch). See Reuse for the
 // adoption rules. The Placer must not be used concurrently with a new
 // engine that adopted its state.
 func (p *Placer) ReuseState() *Reuse {
-	if p.den == nil {
+	if p.g == nil {
 		return nil
 	}
-	return &Reuse{Den: p.den, WL: p.wl}
+	return &Reuse{Den: p.g, WL: p.wl}
 }
 
 // dispatch runs a pre-bound disjoint-write stage over [0, n).
@@ -564,22 +514,9 @@ func (p *Placer) bindStage() {
 	}
 }
 
-// Grid exposes the ACTIVE density grid (used by tests and experiments);
-// with a pyramid it changes identity as the engine refines.
+// Grid exposes the density grid driving the engine (nil for a design with
+// no movable cells).
 func (p *Placer) Grid() *density.Grid { return p.g }
-
-// Solver exposes the density solver driving the engine (a *density.Grid or
-// *density.Pyramid).
-func (p *Placer) Solver() density.Solver { return p.den }
-
-// Level reports the active density-grid level: 0 is the finest (the only
-// level without a pyramid), Levels-1 the coarsest.
-func (p *Placer) Level() int {
-	if p.den == nil {
-		return 0
-	}
-	return p.den.Level()
-}
 
 // writePositions scatters the movable-cell portion of vector x into the
 // design as cell centers.
@@ -631,9 +568,9 @@ func (p *Placer) eval(x, grad []float64) {
 
 	t = time.Now()
 	p.evals++
-	p.gather = p.noReuse || p.rawGrid != p.g || p.rawSolves != p.g.Solves()
+	p.gather = p.noReuse || p.rawSolves != p.g.Solves()
 	if p.gather {
-		p.rawGrid, p.rawSolves = p.g, p.g.Solves()
+		p.rawSolves = p.g.Solves()
 	} else {
 		p.forceReuses++
 	}
@@ -704,35 +641,6 @@ func (p *Placer) initLambda() {
 	}
 }
 
-// refineThreshold returns the overflow below which the engine leaves level
-// lvl (≥ 1) for the next finer grid: the caller-specified schedule when
-// set, otherwise the default τ_k = 0.2 + 0.6·k/L. The clamped pyramid may
-// hold fewer levels than Config.PyramidLevels requested; indexing is by
-// actual level.
-func (p *Placer) refineThreshold(lvl int) float64 {
-	if i := lvl - 1; i < len(p.Cfg.RefineOverflow) {
-		return p.Cfg.RefineOverflow[i]
-	}
-	return 0.2 + 0.6*float64(lvl)/float64(p.den.Levels())
-}
-
-// refine switches the density solver to the next finer level and re-anchors
-// the optimization on the new landscape: λ is re-balanced against the new
-// grid's forces, and the Nesterov state restarts with the step length
-// rescaled by the bin-size ratio so the first fine-level step is neither
-// a coarse-scale overshoot nor a from-scratch crawl.
-func (p *Placer) refine() bool {
-	old := p.g
-	if !p.den.Refine() {
-		return false
-	}
-	p.g = p.den.Active()
-	scale := (p.g.BinW + p.g.BinH) / (old.BinW + old.BinH)
-	p.initLambda()
-	p.opt.RestartScaled(scale)
-	return true
-}
-
 // retireFillers deactivates fillers to offset padArea of newly added cell
 // padding, keeping total charge roughly constant.
 func (p *Placer) retireFillers(padArea float64) {
@@ -786,7 +694,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	gDenAnalysis := rec.Gauge("place.phase.density_analysis_ms")
 	gDenSolve := rec.Gauge("place.phase.density_solve_ms")
 	gDenSynth := rec.Gauge("place.phase.density_synthesis_ms")
-	gGridLevel := rec.Gauge("place.grid_level")
 	gEvals := rec.Gauge("place.evals")
 	gRasterSkips := rec.Gauge("place.raster_skips")
 	gForceReuses := rec.Gauge("place.force_reuses")
@@ -798,10 +705,10 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		span.SetArg("raster_ms", p.wallRaster.Seconds()*1e3)
 		span.SetArg("solve_ms", p.wallSolve.Seconds()*1e3)
 		span.SetArg("force_ms", p.wallForce.Seconds()*1e3)
-		span.SetArg("density_solves", p.den.Solves())
-		span.SetArg("density_solve_skips", p.den.SolveSkips())
+		span.SetArg("density_solves", p.g.Solves())
+		span.SetArg("density_solve_skips", p.g.SolveSkips())
 		span.SetArg("evals", p.evals)
-		span.SetArg("raster_skips", p.den.RasterSkips())
+		span.SetArg("raster_skips", p.g.RasterSkips())
 		span.SetArg("force_reuses", p.forceReuses)
 		span.End()
 	}()
@@ -810,15 +717,13 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		gPhaseRaster.Set(p.wallRaster.Seconds() * 1e3)
 		gPhaseSolve.Set(p.wallSolve.Seconds() * 1e3)
 		gPhaseForce.Set(p.wallForce.Seconds() * 1e3)
-		// The spectral solve split by phase, from the solver's own clocks
-		// (sums every pyramid level), plus the active level.
-		da, df, ds := p.den.PhaseWalls()
+		// The spectral solve split by phase, from the grid's own clocks.
+		da, df, ds := p.g.PhaseWalls()
 		gDenAnalysis.Set(da.Seconds() * 1e3)
 		gDenSolve.Set(df.Seconds() * 1e3)
 		gDenSynth.Set(ds.Seconds() * 1e3)
-		gGridLevel.Set(float64(p.den.Level()))
 		gEvals.Set(float64(p.evals))
-		gRasterSkips.Set(float64(p.den.RasterSkips()))
+		gRasterSkips.Set(float64(p.g.RasterSkips()))
 		gForceReuses.Set(float64(p.forceReuses))
 	}
 
@@ -840,17 +745,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 			return res, err
 		}
 		p.overflow = p.computeOverflow()
-		// Pyramid refinement: once the coarse landscape has spread the
-		// cells below the level's threshold, move one level finer and
-		// re-measure there (overflow on a finer grid is sharper, so the
-		// check re-runs next iteration rather than cascading levels on a
-		// stale value).
-		if lvl := p.den.Level(); lvl > 0 && p.overflow <= p.refineThreshold(lvl) {
-			p.refine()
-			p.overflow = p.computeOverflow()
-			bestOverflow = math.Inf(1)
-			bestIter = iter
-		}
 		p.updateGamma()
 
 		padded := false
@@ -887,28 +781,18 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		flushPhases()
 		res.Iters = iter
 
-		// Convergence checks only apply at the finest level: a coarse
-		// level's overflow is not the final metric.
-		if iter >= p.Cfg.MinIters && p.overflow <= p.Cfg.StopOverflow && p.den.Level() == 0 {
+		if iter >= p.Cfg.MinIters && p.overflow <= p.Cfg.StopOverflow {
 			break
 		}
 		// Plateau detection: padding can make StopOverflow unreachable;
 		// once overflow stops improving, more iterations only let λ
-		// compound and shred the wirelength. On a coarse level a plateau
-		// means the threshold is unreachable there — refine instead of
-		// giving up.
+		// compound and shred the wirelength.
 		if p.overflow < bestOverflow*0.999 {
 			bestOverflow = p.overflow
 			bestIter = iter
 		}
 		if p.Cfg.PlateauIters > 0 && iter >= p.Cfg.MinIters && iter-bestIter >= p.Cfg.PlateauIters {
-			if p.den.Level() == 0 {
-				break
-			}
-			p.refine()
-			p.overflow = p.computeOverflow()
-			bestOverflow = math.Inf(1)
-			bestIter = iter
+			break
 		}
 		p.opt.Step(p.projectFn)
 

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,4 +216,54 @@ func TestBadTargetDensityPanics(t *testing.T) {
 		}
 	}()
 	New(d, cfg)
+}
+
+// TestConfigValidateRejects covers the typed rejection path: bad grid
+// parameters surface as *ConfigError from NewChecked instead of a panic
+// from the spectral setup.
+func TestConfigValidateRejects(t *testing.T) {
+	cases := []struct {
+		name  string
+		mod   func(*Config)
+		field string
+	}{
+		{"density", func(c *Config) { c.TargetDensity = 1.5 }, "TargetDensity"},
+		{"gridM-not-pow2", func(c *Config) { c.GridM = 48 }, "GridM"},
+		{"gridM-too-small", func(c *Config) { c.GridM = 8 }, "GridM"},
+		{"gridN", func(c *Config) { c.GridM = 32; c.GridN = 7 }, "GridN"},
+	}
+	d := smallDesign(1, 50, false)
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mod(&cfg)
+		_, err := NewChecked(d, cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: NewChecked err = %v, want *ConfigError", tc.name, err)
+			continue
+		}
+		if ce.Field != tc.field {
+			t.Errorf("%s: rejected field %q, want %q", tc.name, ce.Field, tc.field)
+		}
+	}
+
+	// New must panic with the same typed error.
+	func() {
+		defer func() {
+			r := recover()
+			if _, ok := r.(*ConfigError); !ok {
+				t.Errorf("New panic = %v, want *ConfigError", r)
+			}
+		}()
+		cfg := DefaultConfig()
+		cfg.GridM = 10
+		New(smallDesign(1, 10, false), cfg)
+	}()
+
+	// A valid config with an explicit non-square grid passes.
+	cfg := DefaultConfig()
+	cfg.GridM, cfg.GridN = 64, 32
+	if _, err := NewChecked(d, cfg); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
 }

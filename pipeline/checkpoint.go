@@ -36,12 +36,6 @@ type Checkpoint struct {
 	PadW []float64 `json:"pad_w"`
 	// NetWeight is indexed by net ID.
 	NetWeight []float64 `json:"net_weight"`
-	// GridLevel records the density solver's active pyramid level at the
-	// capture boundary (0 = finest — also the value for single-grid runs,
-	// and for placement runs that refined all the way down before the
-	// stage ended). A resumed run restores it so the remaining flow sees
-	// the same density resolution the uninterrupted run would have.
-	GridLevel int `json:"grid_level,omitempty"`
 }
 
 // Capture snapshots d's flow state at the boundary after the named stage.
@@ -78,9 +72,6 @@ func (cp *Checkpoint) Validate() error {
 	if len(cp.Y) != len(cp.X) || len(cp.PadW) != len(cp.X) {
 		return fmt.Errorf("checkpoint slices disagree: %d x, %d y, %d pad_w",
 			len(cp.X), len(cp.Y), len(cp.PadW))
-	}
-	if cp.GridLevel < 0 {
-		return fmt.Errorf("checkpoint grid_level %d is negative", cp.GridLevel)
 	}
 	return nil
 }

@@ -160,7 +160,6 @@ type RunContext struct {
 	reuse      *place.Reuse
 	stageIters int
 	estStats   *cong.Stats
-	gridLevel  int
 }
 
 // NewRunContext validates d and builds the shared context for one run.
@@ -206,15 +205,6 @@ func (rc *RunContext) Logf(format string, args ...any) {
 // SetIters reports the running stage's iteration count; the pipeline
 // copies it into the stage's StageStats when the stage returns.
 func (rc *RunContext) SetIters(n int) { rc.stageIters = n }
-
-// SetGridLevel records the density solver's active pyramid level (0 =
-// finest); the pipeline stamps it into every subsequent checkpoint so a
-// resume restores the same density resolution. The placement stage calls
-// it when it finishes.
-func (rc *RunContext) SetGridLevel(lvl int) { rc.gridLevel = lvl }
-
-// GridLevel reports the recorded density level (see SetGridLevel).
-func (rc *RunContext) GridLevel() int { return rc.gridLevel }
 
 // SetEstimatorStats attaches a congestion-engine statistics snapshot to
 // the running stage; the pipeline copies it into the stage's StageStats

@@ -78,10 +78,6 @@ func (p *Pipeline) Resume(ctx context.Context, rc *RunContext, cp *Checkpoint) e
 	if err := cp.Apply(rc.Design); err != nil {
 		return fmt.Errorf("pipeline: resume: %w", err)
 	}
-	// Carry the recorded density level forward: checkpoints captured after
-	// the resumed stages must report the same level the uninterrupted run
-	// would have.
-	rc.gridLevel = cp.GridLevel
 	rc.Logf("stage: resumed from checkpoint after %q (%d cells)", cp.Stage, len(cp.X))
 	return p.runFrom(ctx, rc, start)
 }
@@ -131,7 +127,6 @@ func (p *Pipeline) runFrom(ctx context.Context, rc *RunContext, start int) error
 		}
 		if p.Checkpointer != nil {
 			cp := Capture(st.Name(), rc.Design)
-			cp.GridLevel = rc.gridLevel
 			if err := p.Checkpointer(cp); err != nil {
 				return &StageError{Stage: st.Name(), Err: fmt.Errorf("checkpoint: %w", err)}
 			}

@@ -73,7 +73,6 @@ func GlobalPlace() Stage {
 		gp, err := placer.RunCtx(ctx, hook)
 		rc.Result.GP = *gp
 		rc.SetIters(gp.Iters)
-		rc.SetGridLevel(placer.Level())
 		rc.SetEngineReuse(placer.ReuseState())
 		if opt.Iter() > 0 {
 			rc.SetEstimatorStats(opt.Estimator().Stats())
