@@ -3,6 +3,7 @@ package cong
 import (
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"puffer/internal/flow"
@@ -74,8 +75,9 @@ type Seg struct {
 // pass over the whole netlist (DESIGN.md §3b): between two consultations
 // global placement moves almost every cell across a Gcell boundary, so
 // there is nothing to carry over but buffers. An Estimator is reused for
-// exactly that — the shard accumulators, segment slabs and overflow
-// bitsets are sized once — and a reused estimator's result is
+// exactly that — the shard accumulators, RSMT builders, topology and
+// segment slabs and overflow bitsets are sized once, after which a call
+// allocates nothing of its own — and a reused estimator's result is
 // bit-identical to a fresh one's.
 type Estimator struct {
 	d *netlist.Design
@@ -88,7 +90,11 @@ type Estimator struct {
 	Segs []Seg
 
 	// Trees holds the last RSMT topology per net; feature extraction
-	// (GNN-inspired pin congestion) walks the same topology.
+	// (GNN-inspired pin congestion) walks the same topology. The trees
+	// are views into slabs the shards own and are valid until the next
+	// Estimate call, which rebuilds them in place: read them before it,
+	// or copy what must outlive it. (With P.Topo set they are the memo's
+	// trees, shared and immutable.)
 	Trees []rsmt.Tree
 
 	shards   []shard
@@ -103,12 +109,16 @@ type Estimator struct {
 }
 
 // shard is the private state of one static slice of the pins and nets: a
-// demand accumulator per map layer, the I-segments of its nets, and the
-// pin-position scratch rsmt consumes.
+// demand accumulator per map layer, the I-segments of its nets, and what
+// builds their topologies — the pin-position scratch, an RSMT builder, and
+// the node and edge slabs Trees points into.
 type shard struct {
 	h, v, pins []float64
 	segs       []Seg
 	pts        []geom.Point
+	topo       rsmt.Builder
+	nodes      []rsmt.Node
+	edges      []rsmt.Edge
 }
 
 // Stats reports what the estimator did: the call count, and the size and
@@ -223,7 +233,7 @@ func (e *Estimator) build(ctx context.Context) error {
 		clear(sh.h)
 		clear(sh.v)
 		clear(sh.pins)
-		sh.segs = sh.segs[:0]
+		sh.segs, sh.nodes, sh.edges = sh.segs[:0], sh.nodes[:0], sh.edges[:0]
 		lo, hi := par.ShardRange(w, W, nPins)
 		for p := lo; p < hi; p++ {
 			i, j := e.M.GcellOf(e.d.PinPos(p))
@@ -273,10 +283,11 @@ func (e *Estimator) build(ctx context.Context) error {
 	return nil
 }
 
-// stampNet builds net n's RSMT topology from the current pin positions
-// and deposits the demand of every I- and L-shaped edge into sh, recording
-// the I-segments the detour expansion consumes. It writes only Trees[n]
-// and sh, so distinct shards stamp in parallel.
+// stampNet builds net n's RSMT topology from the current pin positions —
+// into sh's slabs, or through the memo when one is attached — and deposits
+// the demand of every I- and L-shaped edge into sh, recording the
+// I-segments the detour expansion consumes. It writes only Trees[n] and
+// sh, so distinct shards stamp in parallel.
 func (e *Estimator) stampNet(n int, sh *shard) {
 	net := &e.d.Nets[n]
 	e.Trees[n] = rsmt.Tree{}
@@ -287,7 +298,16 @@ func (e *Estimator) stampNet(n int, sh *shard) {
 	for _, pid := range net.Pins {
 		sh.pts = append(sh.pts, e.d.PinPos(pid))
 	}
-	tree := e.P.Topo.Build(sh.pts) // nil memo degrades to plain rsmt.Build
+	var tree rsmt.Tree
+	if e.P.Topo != nil {
+		tree = e.P.Topo.Build(sh.pts)
+	} else {
+		n0, e0 := len(sh.nodes), len(sh.edges)
+		sh.nodes, sh.edges = sh.topo.Append(sh.nodes, sh.edges, sh.pts)
+		// Clipped views: an append through Trees[n] must not reach the
+		// next net's nodes.
+		tree = rsmt.Tree{Nodes: slices.Clip(sh.nodes[n0:]), Edges: slices.Clip(sh.edges[e0:])}
+	}
 	e.Trees[n] = tree
 
 	for _, edge := range tree.Edges {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"puffer/internal/flow"
+	"puffer/internal/geom"
 	"puffer/internal/netlist"
 	"puffer/internal/rsmt"
 )
@@ -180,27 +181,27 @@ func TestReusedEstimatorEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestIncrementalExactWithExpansionAfterRebuild: with the detour expansion
-// active, an estimator that has been through a move sequence publishes a
-// map bit-identical to a fresh one's.
-func TestIncrementalExactWithExpansionAfterRebuild(t *testing.T) {
+// TestReusedEqualsFreshWithExpansionParallel: with the detour expansion
+// active and two workers, an estimator that has been through a move
+// sequence publishes a map bit-identical to a fresh one's.
+func TestReusedEqualsFreshWithExpansionParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := randomDesign(rng, 60, 90)
 	p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 2}
 	// The same row is choked on both maps so the expansion actually fires.
-	inc := chokedEstimator(d, 8, 8, p)
-	scr := chokedEstimator(d, 8, 8, p)
+	reused := chokedEstimator(d, 8, 8, p)
+	fresh := chokedEstimator(d, 8, 8, p)
 	for step := 0; step < 6; step++ {
 		moveSomeCells(rng, d, 0.1)
-		inc.Estimate()
+		reused.Estimate()
 	}
-	requireSameDemand(t, inc.Estimate(), scr.Estimate())
+	requireSameDemand(t, reused.Estimate(), fresh.Estimate())
 }
 
-// TestIncrementalDeterministicAcrossRuns: the same design, params, and
-// move sequence produce bit-identical maps on every call — the parallel
-// phases merge in static shard order.
-func TestIncrementalDeterministicAcrossRuns(t *testing.T) {
+// TestEstimateDeterministicAcrossRuns: the same design, params, and move
+// sequence produce bit-identical maps on every run — the parallel phases
+// merge in static shard order.
+func TestEstimateDeterministicAcrossRuns(t *testing.T) {
 	run := func() []float64 {
 		rng := rand.New(rand.NewSource(3))
 		d := randomDesign(rng, 70, 100)
@@ -233,9 +234,9 @@ func TestSubGcellMoveIsClean(t *testing.T) {
 	requireSameDemand(t, e.Estimate(), before.M)
 }
 
-// TestParamsChangeTriggersRebuild: parameters mutated between calls take
+// TestParamsChangeTakesEffect: parameters mutated between calls take
 // effect on the next estimate.
-func TestParamsChangeTriggersRebuild(t *testing.T) {
+func TestParamsChangeTakesEffect(t *testing.T) {
 	d := horizontalPairDesign()
 	e := NewEstimator(d, 8, 8, Params{PinPenalty: 0.1})
 	e.Estimate()
@@ -251,9 +252,9 @@ func TestParamsChangeTriggersRebuild(t *testing.T) {
 	}
 }
 
-// TestDesignResizeTriggersRebuild: nets and cells added after the first
+// TestDesignGrowthIsStamped: nets and cells added after the first
 // estimate are stamped by the next one.
-func TestDesignResizeTriggersRebuild(t *testing.T) {
+func TestDesignGrowthIsStamped(t *testing.T) {
 	d := horizontalPairDesign()
 	e := NewEstimator(d, 8, 8, Params{})
 	e.Estimate()
@@ -399,18 +400,86 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEstimateSteadyStateAllocs: a reused estimator owns all its buffers.
-// With every topology served by a warm rsmt.Memo (rsmt.Build is the one
-// allocator left in the path), a serial Estimate allocates a handful of
-// closures whatever the net count.
+// TestEstimateSteadyStateAllocs: a reused estimator owns all its buffers,
+// the RSMT builders and the topology slabs included. A serial Estimate
+// allocates a handful of closures whatever the net count — on the path
+// every flow takes (no memo, cells moving between calls, every moved net's
+// topology rebuilt) and with every topology served by a warm rsmt.Memo.
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	for _, size := range []struct{ cells, nets int }{{400, 700}, {1600, 2800}} {
-		d := randomDesign(rand.New(rand.NewSource(23)), size.cells, size.nets)
-		p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 1, Topo: rsmt.NewMemo(0)}
-		e := NewEstimator(d, 16, 16, p)
-		e.Estimate() // sizes the buffers, warms the memo
-		if got := testing.AllocsPerRun(5, func() { e.Estimate() }); got > 4 {
-			t.Errorf("%d nets: steady-state Estimate allocates %v objects, want <= 4", size.nets, got)
+		for _, memo := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(23))
+			d := randomDesign(rng, size.cells, size.nets)
+			p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 1}
+			if memo {
+				p.Topo = rsmt.NewMemo(0)
+			}
+			e := NewEstimator(d, 16, 16, p)
+			// Size the buffers. Without a memo the slabs then have seen
+			// three placements' worth of Steiner points.
+			for warm := 0; warm < 3; warm++ {
+				e.Estimate()
+				if !memo {
+					moveSomeCells(rng, d, 0.1)
+				}
+			}
+			got := testing.AllocsPerRun(5, func() {
+				if !memo { // a memo only ever hits on an unchanged placement
+					moveSomeCells(rng, d, 0.1)
+				}
+				e.Estimate()
+			})
+			if got > 4 {
+				t.Errorf("%d nets, memo=%v: steady-state Estimate allocates %v objects, want <= 4", size.nets, memo, got)
+			}
 		}
+	}
+}
+
+// copyTrees deep-copies topologies out of an estimator's slabs.
+func copyTrees(trees []rsmt.Tree) []rsmt.Tree {
+	out := make([]rsmt.Tree, len(trees))
+	for n, tr := range trees {
+		out[n] = rsmt.Tree{Nodes: append([]rsmt.Node(nil), tr.Nodes...), Edges: append([]rsmt.Edge(nil), tr.Edges...)}
+	}
+	return out
+}
+
+// TestTreesValidUntilNextEstimate pins the lifetime of Estimator.Trees:
+// they are views into slabs the next Estimate rebuilds in place. Read
+// after Estimate k they are the topologies of placement k — a fresh
+// estimator's, and rsmt.Build's — and a deep copy taken then still is
+// after Estimate k+1 has reused the slabs for placement k+1.
+func TestTreesValidUntilNextEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d := randomDesign(rng, 400, 700)
+	p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 2}
+	e := NewEstimator(d, 16, 16, p)
+	freshTrees := func() []rsmt.Tree {
+		f := NewEstimator(d, 16, 16, p)
+		f.Estimate()
+		return f.Trees
+	}
+	var prev, prevWant []rsmt.Tree
+	for k := 0; k < 4; k++ {
+		moveSomeCells(rng, d, 0.3)
+		e.Estimate()
+		want := freshTrees()
+		if !reflect.DeepEqual(e.Trees, want) {
+			t.Fatalf("estimate %d: Trees differ from a fresh estimator's", k)
+		}
+		for n := range d.Nets {
+			var pts []geom.Point
+			for _, pid := range d.Nets[n].Pins {
+				pts = append(pts, d.PinPos(pid))
+			}
+			if len(pts) >= 2 && !reflect.DeepEqual(e.Trees[n], rsmt.Build(pts)) {
+				t.Fatalf("estimate %d: Trees[%d] differs from rsmt.Build", k, n)
+			}
+		}
+		if k > 0 && !reflect.DeepEqual(prev, prevWant) {
+			t.Fatalf("estimate %d corrupted a deep copy of estimate %d's trees", k, k-1)
+		}
+		prev, prevWant = copyTrees(e.Trees), want
 	}
 }

@@ -64,6 +64,14 @@ func Refine(d *netlist.Design, cfg Config) (Result, error) {
 // completed passes) plus an error wrapping flow.ErrCanceled, and the
 // design remains a valid legalized placement.
 func RefineCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, error) {
+	return refine(ctx, d, cfg, findGap)
+}
+
+// gapFinder is findGap's signature; the tests run refine over the
+// copy-and-sort search findGap replaced.
+type gapFinder func(d *netlist.Design, cells, obs []rowCell, rc rowCell, m, targetX float64, fb geom.Rect, siteW, window float64, preserve bool) (float64, bool)
+
+func refine(ctx context.Context, d *netlist.Design, cfg Config, gap gapFinder) (Result, error) {
 	res := Result{HPWLBefore: d.HPWL(), HPWLAfter: 0}
 	if cfg.Passes <= 0 {
 		res.HPWLAfter = res.HPWLBefore
@@ -104,6 +112,9 @@ func RefineCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, erro
 		for k := k0; k <= k1; k++ {
 			obstacles[k] = append(obstacles[k], rowCell{id: -1, x: c.X, w: c.W})
 		}
+	}
+	for _, obs := range obstacles {
+		sort.SliceStable(obs, func(a, b int) bool { return obs[a].x < obs[b].x })
 	}
 
 	margin := func(id int) float64 {
@@ -194,7 +205,7 @@ func RefineCtx(ctx context.Context, d *netlist.Design, cfg Config) (Result, erro
 				}
 				ny := d.Region.Lo.Y + float64(kt)*d.RowHeight
 				m := margin(rc.id)
-				nx, ok := findGap(d, rows[kt], obstacles[kt], rc, m, optimalX(d, rc.id), fb, siteW, window, cfg.PreservePadding)
+				nx, ok := gap(d, rows[kt], obstacles[kt], rc, m, optimalX(d, rc.id), fb, siteW, window, cfg.PreservePadding)
 				if !ok {
 					continue
 				}
@@ -304,13 +315,13 @@ func clampSnap(v, lo, hi, oldX, origin, siteW float64) (float64, bool) {
 // findGap locates a site-aligned position for rc (with margin m on both
 // sides) in the given row near targetX, within the fence bounds fb and the
 // move window. Returns the chosen x.
+//
+// The blockers are the row's committed cells plus its fixed obstacles.
+// Both lists arrive sorted by x — Refine keeps every row that way and
+// sorts the obstacles once — so the sweep merges them in place of
+// gathering and sorting a copy per call. Only a zero-width obstacle can
+// share a legal cell's x; the cell goes first.
 func findGap(d *netlist.Design, cells []rowCell, obs []rowCell, rc rowCell, m, targetX float64, fb geom.Rect, siteW, window float64, preserve bool) (float64, bool) {
-	// Blockers: committed cells plus fixed obstacles, sorted by x.
-	blockers := make([]rowCell, 0, len(cells)+len(obs))
-	blockers = append(blockers, cells...)
-	blockers = append(blockers, obs...)
-	sort.Slice(blockers, func(a, b int) bool { return blockers[a].x < blockers[b].x })
-
 	lo := math.Max(fb.Lo.X, targetX-window)
 	hi := math.Min(fb.Hi.X, targetX+rc.w+window)
 	bestX, bestDist := 0.0, math.Inf(1)
@@ -330,7 +341,13 @@ func findGap(d *netlist.Design, cells []rowCell, obs []rowCell, rc rowCell, m, t
 		}
 	}
 	cursor := fb.Lo.X
-	for _, b := range blockers {
+	for len(cells) > 0 || len(obs) > 0 {
+		var b rowCell
+		if len(obs) == 0 || (len(cells) > 0 && cells[0].x <= obs[0].x) {
+			b, cells = cells[0], cells[1:]
+		} else {
+			b, obs = obs[0], obs[1:]
+		}
 		bm := 0.0
 		if preserve && b.id >= 0 {
 			bm = d.Cells[b.id].PadW / 2

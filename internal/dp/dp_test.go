@@ -1,7 +1,10 @@
 package dp
 
 import (
+	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -18,8 +21,14 @@ func legalDesign(t *testing.T, scale int) *netlist.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.Generate(p, scale, 3)
-	// Scatter cells deterministically (stand-in for global placement).
+	return scatterAndLegalize(t, synth.Generate(p, scale, 3), false)
+}
+
+// scatterAndLegalize scatters the movable cells deterministically (a
+// stand-in for global placement) and legalizes; with padded set, every
+// eighth cell carries padding into legalization.
+func scatterAndLegalize(t *testing.T, d *netlist.Design, padded bool) *netlist.Design {
+	t.Helper()
 	n := 0
 	for i := range d.Cells {
 		c := &d.Cells[i]
@@ -28,6 +37,9 @@ func legalDesign(t *testing.T, scale int) *netlist.Design {
 		}
 		c.X = d.Region.Lo.X + math.Mod(float64(n)*1.618*7, d.Region.W()-c.W)
 		c.Y = d.Region.Lo.Y + math.Mod(float64(n)*2.414*3, d.Region.H()-c.H)
+		if padded && n%8 == 0 {
+			c.PadW = 0.5
+		}
 		n++
 	}
 	if _, err := legal.Legalize(d, legal.DefaultConfig()); err != nil {
@@ -167,6 +179,163 @@ func TestPreservePaddingKeepsClearance(t *testing.T) {
 	}
 	if violations > len(cells)/5 {
 		t.Errorf("%d/%d padded gaps collapsed by refinement", violations, len(cells))
+	}
+}
+
+// findGapReference is the gap search findGap replaced, kept verbatim as
+// the oracle (the abacusRow pattern): it gathers the row's cells and
+// obstacles into a fresh slice and sorts it, on every call.
+func findGapReference(d *netlist.Design, cells []rowCell, obs []rowCell, rc rowCell, m, targetX float64, fb geom.Rect, siteW, window float64, preserve bool) (float64, bool) {
+	// Blockers: committed cells plus fixed obstacles, sorted by x.
+	blockers := make([]rowCell, 0, len(cells)+len(obs))
+	blockers = append(blockers, cells...)
+	blockers = append(blockers, obs...)
+	sort.Slice(blockers, func(a, b int) bool { return blockers[a].x < blockers[b].x })
+
+	lo := math.Max(fb.Lo.X, targetX-window)
+	hi := math.Min(fb.Hi.X, targetX+rc.w+window)
+	bestX, bestDist := 0.0, math.Inf(1)
+	found := false
+	try := func(gLo, gHi float64) {
+		gLo = math.Max(gLo+m, lo)
+		gHi = math.Min(gHi-m, hi)
+		if gHi-gLo < rc.w-1e-9 {
+			return
+		}
+		if nx, ok := clampSnap(targetX, gLo, gHi-rc.w, rc.x, d.Region.Lo.X, siteW); ok {
+			if dist := math.Abs(nx - targetX); dist < bestDist {
+				bestDist = dist
+				bestX = nx
+				found = true
+			}
+		}
+	}
+	cursor := fb.Lo.X
+	for _, b := range blockers {
+		bm := 0.0
+		if preserve && b.id >= 0 {
+			bm = d.Cells[b.id].PadW / 2
+		}
+		if b.x-bm > cursor {
+			try(cursor, b.x-bm)
+		}
+		if b.x+b.w+bm > cursor {
+			cursor = b.x + b.w + bm
+		}
+	}
+	try(cursor, fb.Hi.X)
+	return bestX, found
+}
+
+// TestFindGapMatchesReference drives the merge sweep and the copy-and-sort
+// oracle over seeded rows: cells with and without padding, obstacles that
+// abut cells, abut each other, overlap each other and share an x, fences
+// narrower than the row, and targets on and off the site grid.
+func TestFindGapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const siteW = 0.25
+	hits := 0
+	for trial := 0; trial < 3000; trial++ {
+		d := &netlist.Design{Region: geom.RectWH(10, 0, 60, 10), RowHeight: 1, SiteWidth: siteW}
+		var cells, obs []rowCell
+		x := d.Region.Lo.X
+		for x < d.Region.Hi.X-4 {
+			if rng.Intn(3) > 0 { // abutting blockers one time in three
+				x += siteW * float64(rng.Intn(12))
+			}
+			w := siteW * float64(1+rng.Intn(8))
+			switch rng.Intn(4) {
+			case 0: // a fixed obstacle, sometimes with a second one over it
+				obs = append(obs, rowCell{id: -1, x: x, w: w})
+				if rng.Intn(3) == 0 {
+					obs = append(obs, rowCell{id: -1, x: x + siteW*float64(rng.Intn(3)), w: w})
+				}
+			default:
+				c := netlist.Cell{W: w, H: 1, X: x}
+				if rng.Intn(3) == 0 {
+					c.PadW = siteW * float64(1+rng.Intn(4))
+				}
+				cells = append(cells, rowCell{id: d.AddCell(c), x: x, w: w})
+			}
+			x += w
+		}
+		// Refine hands findGap the obstacles stably sorted by x.
+		sort.SliceStable(obs, func(a, b int) bool { return obs[a].x < obs[b].x })
+
+		mover := rowCell{id: d.AddCell(netlist.Cell{W: siteW * float64(1+rng.Intn(6)), H: 1}), x: 12}
+		mover.w = d.Cells[mover.id].W
+		fb := d.Region
+		if rng.Intn(2) == 0 {
+			fb = geom.RectWH(d.Region.Lo.X+siteW*float64(rng.Intn(60)), 0, 20+siteW*float64(rng.Intn(80)), 10)
+		}
+		m := siteW * float64(rng.Intn(3)) / 2
+		target := d.Region.Lo.X + rng.Float64()*d.Region.W()
+		window := siteW * float64(10+rng.Intn(200))
+		preserve := rng.Intn(2) == 0
+
+		wantCells, wantObs := append([]rowCell(nil), cells...), append([]rowCell(nil), obs...)
+		gx, gok := findGap(d, cells, obs, mover, m, target, fb, siteW, window, preserve)
+		wx, wok := findGapReference(d, cells, obs, mover, m, target, fb, siteW, window, preserve)
+		if gx != wx || gok != wok {
+			t.Fatalf("trial %d: findGap = (%v, %v), reference (%v, %v)\ncells %v\nobs %v", trial, gx, gok, wx, wok, cells, obs)
+		}
+		if !reflect.DeepEqual(cells, wantCells) || !reflect.DeepEqual(obs, wantObs) {
+			t.Fatalf("trial %d: findGap modified its inputs", trial)
+		}
+		if gok {
+			hits++
+		}
+	}
+	if hits < 500 {
+		t.Errorf("only %d of 3000 searches found a gap; the comparison proves too little", hits)
+	}
+	d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10), RowHeight: 1, SiteWidth: siteW}
+	row := []rowCell{{id: d.AddCell(netlist.Cell{W: 1, H: 1, X: 2}), x: 2, w: 1}}
+	mover := rowCell{id: d.AddCell(netlist.Cell{W: 1, H: 1}), w: 1}
+	if got := testing.AllocsPerRun(10, func() { findGap(d, row, nil, mover, 0, 5, d.Region, siteW, 10, true) }); got != 0 {
+		t.Errorf("findGap allocates %v objects per call, want 0", got)
+	}
+}
+
+// TestRefineMatchesReferenceGapSearch: on the three golden designs, with
+// and without padding to preserve, refinement over findGap does exactly
+// what it did over the search it replaced — the same moves and swaps, the
+// same HPWL to the bit, every cell in the same place.
+func TestRefineMatchesReferenceGapSearch(t *testing.T) {
+	for _, gc := range []struct {
+		profile string
+		scale   int
+		seed    int64
+	}{{"OR1200", 400, 5}, {"MEDIA_SUBSYS", 1500, 1}, {"CT_TOP", 1500, 3}} {
+		for _, preserve := range []bool{false, true} {
+			p, err := synth.ProfileByName(gc.profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := scatterAndLegalize(t, synth.Generate(p, gc.scale, gc.seed), preserve)
+			ref := d.Clone()
+			cfg := Config{Passes: 2, WindowSites: 40, PreservePadding: preserve}
+			got, err := Refine(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refine(context.Background(), ref, cfg, findGapReference)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s preserve=%v: Refine = %+v, over the reference search %+v", gc.profile, preserve, got, want)
+			}
+			if got.Moves == 0 {
+				t.Errorf("%s preserve=%v: no moves; the comparison proves too little", gc.profile, preserve)
+			}
+			for i := range d.Cells {
+				if d.Cells[i].X != ref.Cells[i].X || d.Cells[i].Y != ref.Cells[i].Y {
+					t.Fatalf("%s preserve=%v: cell %d at (%v, %v), reference (%v, %v)", gc.profile, preserve, i,
+						d.Cells[i].X, d.Cells[i].Y, ref.Cells[i].X, ref.Cells[i].Y)
+				}
+			}
+		}
 	}
 }
 

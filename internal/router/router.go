@@ -137,28 +137,34 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 	}
 
 	// Decompose all nets into segments via RSMT. Nets are independent, so
-	// the topology construction runs as a cancelable parallel net batch;
-	// the per-net results are flattened in net order, keeping the segment
-	// sequence (and therefore the negotiation) deterministic.
+	// the topology construction runs as cancelable parallel batches of
+	// nets, each with one pin-position buffer; the per-net results are
+	// flattened in net order, keeping the segment sequence (and therefore
+	// the negotiation) deterministic.
+	const decomposeBatch = 64
 	segsByNet := make([][]segment, len(d.Nets))
 	spDecomp := sp.Child("route.decompose")
-	if err := par.ForErrN(ctx, cfg.Workers, len(d.Nets), func(n int) error {
-		net := &d.Nets[n]
-		if len(net.Pins) < 2 {
-			return nil
-		}
-		pts := make([]geom.Point, 0, len(net.Pins))
-		for _, pid := range net.Pins {
-			pts = append(pts, d.PinPos(pid))
-		}
-		tree := rsmt.Build(pts)
-		for _, e := range tree.Edges {
-			ai, aj := r.m.GcellOf(tree.Nodes[e.A].P)
-			bi, bj := r.m.GcellOf(tree.Nodes[e.B].P)
-			if ai == bi && aj == bj {
+	batches := (len(d.Nets) + decomposeBatch - 1) / decomposeBatch
+	if err := par.ForErrN(ctx, cfg.Workers, batches, func(b int) error {
+		var pts []geom.Point
+		for n := b * decomposeBatch; n < len(d.Nets) && n < (b+1)*decomposeBatch; n++ {
+			net := &d.Nets[n]
+			if len(net.Pins) < 2 {
 				continue
 			}
-			segsByNet[n] = append(segsByNet[n], segment{ai: ai, aj: aj, bi: bi, bj: bj})
+			pts = pts[:0]
+			for _, pid := range net.Pins {
+				pts = append(pts, d.PinPos(pid))
+			}
+			tree := rsmt.Build(pts)
+			for _, e := range tree.Edges {
+				ai, aj := r.m.GcellOf(tree.Nodes[e.A].P)
+				bi, bj := r.m.GcellOf(tree.Nodes[e.B].P)
+				if ai == bi && aj == bj {
+					continue
+				}
+				segsByNet[n] = append(segsByNet[n], segment{ai: ai, aj: aj, bi: bi, bj: bj})
+			}
 		}
 		return nil
 	}); err != nil {

@@ -222,26 +222,37 @@ func TestSteinerImprovesOverMSTOnAverage(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild8Pin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 8)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(pts)
-	}
-}
+func BenchmarkBuild8Pin(b *testing.B)  { benchmarkBuild(b, 8) }
+func BenchmarkBuild64Pin(b *testing.B) { benchmarkBuild(b, 64) }
 
-func BenchmarkBuild64Pin(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	pts := make([]geom.Point, 64)
+// benchmarkBuild times one net three ways: Build (owned Tree), a warm
+// Builder appending into slabs (the estimator's path), and the reference
+// construction Build replaced.
+func benchmarkBuild(b *testing.B, pins int) {
+	rng := rand.New(rand.NewSource(int64(pins)))
+	pts := make([]geom.Point, pins)
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(pts)
-	}
+	b.Run("Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Build(pts)
+		}
+	})
+	b.Run("Append", func(b *testing.B) {
+		var bd Builder
+		var nodes []Node
+		var edges []Edge
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nodes, edges = bd.Append(nodes[:0], edges[:0], pts)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			referenceBuild(pts)
+		}
+	})
 }
