@@ -51,8 +51,9 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	final, best, n, err := puffer.ExploreStrategyCtx(ctx, d, pcfg, *budget, *seed,
-		func(format string, args ...any) { log.Printf(format, args...) })
+	final, best, n, err := puffer.ExploreStrategyOpts(ctx, d, pcfg, puffer.ExploreOptions{
+		Budget: *budget, Seed: *seed, Logf: log.Printf,
+	})
 	if err != nil {
 		if !errors.Is(err, puffer.ErrCanceled) {
 			log.Fatal(err)
@@ -91,7 +92,6 @@ func main() {
 			cfg := puffer.DefaultConfig()
 			cfg.Place = pcfg
 			cfg.Strategy = best
-			cfg.Legal.Theta = best.Theta
 			if _, err := puffer.Run(dd, cfg); err != nil {
 				log.Fatal(err)
 			}

@@ -49,7 +49,6 @@ func main() {
 		pgmDir   = flag.String("pgm", "", "write routed congestion maps as PGM images into this directory")
 		noEval   = flag.Bool("noeval", false, "skip the global-routing evaluation")
 		verify   = flag.Bool("verify", true, "check placement legality after the flow")
-		layers   = flag.Bool("layers", false, "report per-layer utilization and via counts after routing")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this path")
 		traceCSV = flag.String("trace-csv", "", "write the global-placement iteration trace (CSV) to this file")
 		repOut   = flag.String("report", "", "write the structured run report (JSON, consumed by cmd/diag -report) to this file")
@@ -205,7 +204,6 @@ func main() {
 				log.Fatal(err)
 			}
 			cfg.Strategy = s
-			cfg.Legal.Theta = s.Theta
 		}
 		rc, err := pipeline.NewRunContext(d, cfg)
 		if err != nil {
@@ -262,7 +260,7 @@ func main() {
 					it.Iter, it.HPWL, it.Overflow, it.Lambda, it.Gamma, it.Padded)
 			}
 			if res.GP.TraceDropped > 0 {
-				fmt.Printf("note: iteration trace retained the newest %d of %d iterations (raise Place.TraceCap to keep more)\n",
+				fmt.Printf("note: this CSV holds the newest %d of %d iterations (the engine's fixed retention); -metrics streams the full per-iteration series\n",
 					len(res.GP.Trace), len(res.GP.Trace)+res.GP.TraceDropped)
 			}
 			if err := os.WriteFile(*traceCSV, []byte(b.String()), 0o644); err != nil {
@@ -323,14 +321,6 @@ func main() {
 			pass = "FAIL"
 		}
 		fmt.Printf("routability (1%% criterion): %s\n", pass)
-		if *layers {
-			la := router.AssignLayers(d, rr)
-			for l := range la.Layers {
-				fmt.Printf("layer %-3s %v util=%.3f overflow=%.1f\n",
-					la.Layers[l].Name, la.Layers[l].Dir, la.Utilization(l), la.OverflowByLayer[l])
-			}
-			fmt.Printf("total vias: %.0f\n", la.TotalVias)
-		}
 		if *pgmDir != "" {
 			if err := os.MkdirAll(*pgmDir, 0o755); err != nil {
 				log.Fatal(err)

@@ -45,10 +45,7 @@ func main() {
 		strategy func(cfg *puffer.Config)
 	}{
 		{"default ", func(cfg *puffer.Config) {}},
-		{"explored", func(cfg *puffer.Config) {
-			cfg.Strategy = best
-			cfg.Legal.Theta = best.Theta
-		}},
+		{"explored", func(cfg *puffer.Config) { cfg.Strategy = best }},
 	} {
 		d := synth.Generate(big, 2000, 1)
 		cfg := puffer.DefaultConfig()

@@ -221,7 +221,6 @@ func (s *Session) warmConfig() pipeline.Config {
 	cfg := s.cfg
 	p := &cfg.Place
 	p.WarmStart = true
-	p.QuadraticInit = false
 	if s.gridM > 0 {
 		p.GridM, p.GridN = s.gridM, s.gridN
 	}

@@ -9,7 +9,6 @@ import (
 	"puffer"
 	"puffer/internal/explore"
 	"puffer/internal/feature"
-	"puffer/internal/legal"
 	"puffer/internal/router"
 	"puffer/internal/synth"
 )
@@ -114,7 +113,7 @@ func AblationLegalPadding(o Options) (AblationResult, error) {
 		return res, err
 	}
 	res.MetricOff, res.WLOff, err = runConfigured(o, func(cfg *puffer.Config) {
-		cfg.Legal = legal.Config{Theta: cfg.Strategy.Theta, MaxUtil: 0.05, InheritPadding: false}
+		cfg.Legal.InheritPadding = false
 	})
 	return res, err
 }

@@ -23,12 +23,11 @@ func TestQuadraticInitPullsTowardAnchors(t *testing.T) {
 
 	cfg := quickConfig()
 	cfg.QuadraticInit = true
-	cfg.UseFillers = false
 	p := New(d, cfg)
 	x0 := p.opt.Current()
 	// Cell center starts much closer to the anchor (2.5, 2.5) than to the
 	// region center (32, 32).
-	start := geom.Pt(x0[0], x0[1])
+	start := geom.Pt(x0[0], x0[len(p.movable)+p.nFill])
 	if start.ManhattanDist(geom.Pt(2.5, 2.5)) > start.ManhattanDist(geom.Pt(32, 32)) {
 		t.Errorf("quadratic init left the cell at %v, not pulled toward the anchor", start)
 	}

@@ -64,10 +64,9 @@ type Config struct {
 	// λ grows at LambdaMu while wirelength is stable and backs off when
 	// the density force starts tearing nets apart.
 	LambdaMu float64
-	// UseFillers enables ePlace-style filler cells.
-	UseFillers bool
-	// WLModel selects the smooth wirelength approximation (WA per the
-	// paper; LSE is the log-sum-exp alternative of earlier placers).
+	// WLModel is inert (WA, Eq. 2, is the only model). It survives only
+	// because the frozen benchmark/kernels.go reads it — delete with
+	// ROADMAP item 9.
 	WLModel wirelength.Kind
 	// QuadraticInit bootstraps the initial placement with star-model
 	// Jacobi sweeps (quadratic-placement style) instead of pure
@@ -96,13 +95,6 @@ type Config struct {
 	// worker count — see DESIGN.md §3e — so changing Workers never changes
 	// the placement.
 	Workers int
-	// TraceCap bounds Result.Trace retention: the engine keeps the most
-	// recent TraceCap iterations in a ring buffer, so unbounded runs
-	// cannot grow the IterStats history without limit. Zero selects
-	// DefaultTraceCap; a negative value disables the bound (full
-	// retention). Result.TraceDropped reports how many oldest iterations
-	// were evicted.
-	TraceCap int
 	// Obs, when non-nil, receives the engine's telemetry: per-iteration
 	// HPWL / overflow / λ / γ / step-length series. Nil disables
 	// recording at near-zero cost (see internal/obs).
@@ -111,9 +103,12 @@ type Config struct {
 	Logf func(format string, args ...any) `json:"-"`
 }
 
-// DefaultTraceCap is the Result.Trace retention bound when
-// Config.TraceCap is zero. It exceeds DefaultConfig().MaxIters, so
-// default-configured runs always retain their full trajectory.
+// DefaultTraceCap is the Result.Trace retention bound: the engine keeps the
+// most recent DefaultTraceCap iterations in a ring buffer, so unbounded
+// runs cannot grow the IterStats history without limit, and
+// Result.TraceDropped reports how many oldest iterations were evicted. It
+// exceeds DefaultConfig().MaxIters, so default-configured runs always
+// retain their full trajectory.
 const DefaultTraceCap = 4096
 
 // DefaultConfig returns the engine defaults.
@@ -125,7 +120,6 @@ func DefaultConfig() Config {
 		MinIters:      40,
 		PlateauIters:  120,
 		LambdaMu:      1.05,
-		UseFillers:    true,
 	}
 }
 
@@ -168,8 +162,8 @@ func (cfg *Config) Validate() error {
 //     rasterize and solve, which is exactness-safe because skips only
 //     fire on bit-identical input.
 //   - WL is adopted when it was built for this design instance (pointer
-//     equality); γ and the model Kind are (re)set per run, so a model
-//     outlives any particular schedule.
+//     equality); γ is (re)set per run, so a model outlives any particular
+//     schedule.
 //
 // A mismatched piece is rebuilt from scratch — offering stale state never
 // changes results, it only wastes the rebuild.
@@ -208,7 +202,7 @@ type Result struct {
 	Overflow float64
 	Iters    int
 	// Trace holds the retained per-iteration statistics in chronological
-	// order; when the run outlived Config.TraceCap, only the most recent
+	// order; when the run outlived DefaultTraceCap, only the most recent
 	// iterations survive and TraceDropped counts the evicted ones.
 	Trace        []IterStats
 	TraceDropped int
@@ -218,23 +212,15 @@ type Result struct {
 // overwriting the oldest entries once full.
 type traceRing struct {
 	buf     []IterStats
-	max     int // 0 = unbounded
+	max     int
 	next    int // overwrite cursor, valid once len(buf) == max
 	dropped int
 }
 
-func newTraceRing(cap int) *traceRing {
-	switch {
-	case cap == 0:
-		cap = DefaultTraceCap
-	case cap < 0:
-		cap = 0
-	}
-	return &traceRing{max: cap}
-}
+func newTraceRing(cap int) *traceRing { return &traceRing{max: cap} }
 
 func (r *traceRing) add(it IterStats) {
-	if r.max == 0 || len(r.buf) < r.max {
+	if len(r.buf) < r.max {
 		r.buf = append(r.buf, it)
 		return
 	}
@@ -364,27 +350,23 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	} else {
 		p.wl = wirelength.New(d, 8*p.binBase)
 	}
-	p.wl.Kind = cfg.WLModel
 	p.gradWx = make([]float64, len(d.Cells))
 	p.gradWy = make([]float64, len(d.Cells))
 
 	// Fillers: fill target whitespace with average-size dummy cells.
-	if cfg.UseFillers {
-		stats := d.Stats()
-		fillArea := stats.FreeArea*cfg.TargetDensity - stats.CellArea
-		if fillArea > 0 {
-			avgW := 0.0
-			for _, ci := range p.movable {
-				avgW += d.Cells[ci].W
-			}
-			avgW /= float64(n)
-			p.fillerW = math.Max(avgW, d.SiteWidth)
-			p.fillerH = d.RowHeight
-			if p.fillerH <= 0 {
-				p.fillerH = 1
-			}
-			p.nFill = int(fillArea / (p.fillerW * p.fillerH))
+	stats := d.Stats()
+	if fillArea := stats.FreeArea*cfg.TargetDensity - stats.CellArea; fillArea > 0 {
+		avgW := 0.0
+		for _, ci := range p.movable {
+			avgW += d.Cells[ci].W
 		}
+		avgW /= float64(n)
+		p.fillerW = math.Max(avgW, d.SiteWidth)
+		p.fillerH = d.RowHeight
+		if p.fillerH <= 0 {
+			p.fillerH = 1
+		}
+		p.nFill = int(fillArea / (p.fillerW * p.fillerH))
 	}
 	p.activeFill = p.nFill
 	p.workers = p.engineWorkers()
@@ -727,7 +709,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		gForceReuses.Set(float64(p.forceReuses))
 	}
 
-	ring := newTraceRing(p.Cfg.TraceCap)
+	ring := newTraceRing(DefaultTraceCap)
 	flushTrace := func() {
 		res.Trace = ring.items()
 		res.TraceDropped = ring.dropped

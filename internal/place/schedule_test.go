@@ -3,8 +3,6 @@ package place
 import (
 	"math"
 	"testing"
-
-	"puffer/internal/wirelength"
 )
 
 // TestGammaSchedule verifies the ePlace γ schedule: smooth (large γ) at
@@ -88,22 +86,6 @@ func TestLambdaAdaptiveBounded(t *testing.T) {
 	first := res.Trace[0]
 	if last.HPWL > 100*first.HPWL+1 {
 		t.Errorf("wirelength shredded: %v -> %v", first.HPWL, last.HPWL)
-	}
-}
-
-// TestLSEModelAlsoConverges runs the engine with the log-sum-exp
-// wirelength alternative and checks it spreads comparably.
-func TestLSEModelAlsoConverges(t *testing.T) {
-	d := smallDesign(16, 250, false)
-	cfg := quickConfig()
-	cfg.WLModel = wirelength.LSE
-	p := New(d, cfg)
-	res := p.Run(nil)
-	if res.Overflow > 0.12 {
-		t.Errorf("LSE flow overflow = %v", res.Overflow)
-	}
-	if res.HPWL <= 0 {
-		t.Error("LSE flow zero HPWL")
 	}
 }
 

@@ -6,20 +6,6 @@ import (
 	"puffer/internal/obs"
 )
 
-func TestTraceRingUnbounded(t *testing.T) {
-	r := newTraceRing(-1)
-	for i := 1; i <= 10_000; i++ {
-		r.add(IterStats{Iter: i})
-	}
-	items := r.items()
-	if len(items) != 10_000 || r.dropped != 0 {
-		t.Fatalf("unbounded ring: len=%d dropped=%d", len(items), r.dropped)
-	}
-	if items[0].Iter != 1 || items[len(items)-1].Iter != 10_000 {
-		t.Fatalf("order broken: first=%d last=%d", items[0].Iter, items[len(items)-1].Iter)
-	}
-}
-
 func TestTraceRingEvictsOldestKeepsOrder(t *testing.T) {
 	r := newTraceRing(8)
 	for i := 1; i <= 20; i++ {
@@ -52,16 +38,9 @@ func TestTraceRingExactWrapBoundary(t *testing.T) {
 	}
 }
 
-func TestTraceRingZeroSelectsDefaultCap(t *testing.T) {
-	r := newTraceRing(0)
-	if r.max != DefaultTraceCap {
-		t.Fatalf("cap = %d, want DefaultTraceCap %d", r.max, DefaultTraceCap)
-	}
-}
-
-// TestRunTraceBounded runs the engine with a tiny cap and checks the
-// Result keeps only the newest iterations, in order, with the eviction
-// count reported.
+// TestRunTraceBounded checks a run shorter than DefaultTraceCap keeps its
+// whole trajectory, in order, with nothing evicted (eviction order and the
+// exact-wrap boundary are covered on the ring directly above).
 func TestRunTraceBounded(t *testing.T) {
 	d := smallDesign(1, 60, false)
 	cfg := quickConfig()
@@ -69,16 +48,15 @@ func TestRunTraceBounded(t *testing.T) {
 	cfg.MinIters = 50
 	cfg.StopOverflow = 0 // never converge early
 	cfg.PlateauIters = 0
-	cfg.TraceCap = 10
 	res := New(d, cfg).Run(nil)
 	if res.Iters != 50 {
 		t.Fatalf("iters = %d", res.Iters)
 	}
-	if len(res.Trace) != 10 || res.TraceDropped != 40 {
-		t.Fatalf("trace len=%d dropped=%d", len(res.Trace), res.TraceDropped)
+	if len(res.Trace) != res.Iters || res.TraceDropped != 0 {
+		t.Fatalf("trace len=%d dropped=%d, want %d and 0", len(res.Trace), res.TraceDropped, res.Iters)
 	}
 	for k, it := range res.Trace {
-		if want := 41 + k; it.Iter != want {
+		if want := 1 + k; it.Iter != want {
 			t.Fatalf("trace[%d].Iter = %d, want %d", k, it.Iter, want)
 		}
 	}

@@ -82,7 +82,7 @@ type Result struct {
 	Rerouted int     // segments rerouted during negotiation
 
 	// Paths holds the final routed Gcell sequence of every segment, in
-	// segment order; AssignLayers consumes them for 3-D layer assignment.
+	// segment order.
 	Paths [][]int32
 }
 

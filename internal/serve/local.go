@@ -196,21 +196,23 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 	return e.base.Clone(), e.topo, nil
 }
 
-// placeConfig builds the pipeline configuration for a place job.
-func placeConfig(spec *JobSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
+// flowConfig builds the pipeline configuration for a job or a session from
+// the spec fields the two share. It must be deterministic in its inputs: a
+// rehydrated session rebuilds the exact configuration its snapshot was
+// captured under.
+func flowConfig(seed int64, maxIters, workers int, strategy json.RawMessage, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
 	cfg := pipeline.DefaultConfig()
-	cfg.Place.Seed = spec.Seed
-	if spec.MaxIters > 0 {
-		cfg.Place.MaxIters = spec.MaxIters
+	cfg.Place.Seed = seed
+	if maxIters > 0 {
+		cfg.Place.MaxIters = maxIters
 	}
-	cfg.Workers = spec.Workers
-	if len(spec.Strategy) > 0 {
+	cfg.Workers = workers
+	if len(strategy) > 0 {
 		st := padding.DefaultStrategy()
-		if err := json.Unmarshal(spec.Strategy, &st); err != nil {
+		if err := json.Unmarshal(strategy, &st); err != nil {
 			return cfg, fmt.Errorf("decode strategy: %w", err)
 		}
 		cfg.Strategy = st
-		cfg.Legal.Theta = st.Theta
 	}
 	cfg.Obs = rec
 	cfg.Logf = func(format string, args ...any) {
@@ -226,7 +228,7 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
 	}
-	cfg, err := placeConfig(&m.Spec, rec, hub)
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +347,7 @@ func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *ob
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
 	}
-	cfg, err := placeConfig(&m.Spec, rec, hub)
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
 	if err != nil {
 		return nil, err
 	}

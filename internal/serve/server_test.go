@@ -530,7 +530,7 @@ func TestCrashResumeMatchesUninterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := synth.Generate(p, spec.Scale, spec.Seed)
-	cfg, err := placeConfig(&spec, nil, NewHub())
+	cfg, err := flowConfig(spec.Seed, spec.MaxIters, spec.Workers, spec.Strategy, nil, NewHub())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func TestBuildResultMergesPriorAttempt(t *testing.T) {
 	}
 	d := synth.Generate(p, 3000, 1)
 	spec := quickSpec()
-	cfg, err := placeConfig(&spec, nil, NewHub())
+	cfg, err := flowConfig(spec.Seed, spec.MaxIters, spec.Workers, spec.Strategy, nil, NewHub())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"puffer/internal/eco"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/padding"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -415,31 +414,6 @@ func (s *Server) sessionDesign(m *SessionManifest) (*netlist.Design, error) {
 	return bookshelf.Parse(s.spool.SessionAuxPath(m))
 }
 
-// sessionConfig builds the pipeline configuration for a session. It must
-// be deterministic in the spec: a rehydrated session rebuilds the exact
-// configuration its snapshot was captured under.
-func sessionConfig(spec *SessionSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Place.Seed = spec.Seed
-	if spec.MaxIters > 0 {
-		cfg.Place.MaxIters = spec.MaxIters
-	}
-	cfg.Workers = spec.Workers
-	if len(spec.Strategy) > 0 {
-		st := padding.DefaultStrategy()
-		if err := json.Unmarshal(spec.Strategy, &st); err != nil {
-			return cfg, fmt.Errorf("decode strategy: %w", err)
-		}
-		cfg.Strategy = st
-		cfg.Legal.Theta = st.Theta
-	}
-	cfg.Obs = rec
-	cfg.Logf = func(format string, args ...any) {
-		hub.Publish(Event{Type: "log", Line: fmt.Sprintf(format, args...)})
-	}
-	return cfg, nil
-}
-
 func (m *SessionManifest) ecoOptions() eco.Options {
 	return eco.Options{WarmMaxIters: m.Spec.WarmMaxIters, WarmMinIters: m.Spec.WarmMinIters}
 }
@@ -484,7 +458,7 @@ func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
 		fail("build design: %v", err)
 		return
 	}
-	cfg, err := sessionConfig(&m.Spec, rt.telemetry(s, id), rt.hub)
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rt.telemetry(s, id), rt.hub)
 	if err != nil {
 		fail("%v", err)
 		return
@@ -539,7 +513,7 @@ func (s *Server) rehydrateSession(m *SessionManifest, rt *sessionRuntime) (*eco.
 	if err != nil {
 		return nil, fmt.Errorf("rebuild design: %w", err)
 	}
-	cfg, err := sessionConfig(&m.Spec, rt.telemetry(s, m.ID), rt.hub)
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rt.telemetry(s, m.ID), rt.hub)
 	if err != nil {
 		return nil, err
 	}

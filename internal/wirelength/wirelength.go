@@ -40,18 +40,15 @@ import (
 	"puffer/internal/par"
 )
 
-// Kind selects the smooth wirelength approximation.
+// Kind names the smooth wirelength model. WA (Eq. 2) is the only one; the
+// type, Model.Kind and place.Config.WLModel are inert and survive only
+// because the frozen benchmark/kernels.go assigns them — delete with
+// ROADMAP item 9.
 type Kind int
 
-// Wirelength model kinds.
-const (
-	// WA is the weighted-average model of Eq. 2 (the paper's choice): an
-	// underestimate of HPWL that converges from below as γ → 0.
-	WA Kind = iota
-	// LSE is the log-sum-exp model used by earlier nonlinear placers: an
-	// overestimate of HPWL that converges from above as γ → 0.
-	LSE
-)
+// WA is the weighted-average model of Eq. 2: an underestimate of HPWL that
+// converges from below as γ → 0.
+const WA Kind = 0
 
 // maxWLWorkers bounds the per-worker scratch (four maxPins vectors each).
 const maxWLWorkers = 16
@@ -75,7 +72,7 @@ type axisScratch struct {
 type Model struct {
 	d     *netlist.Design
 	Gamma float64
-	Kind  Kind
+	Kind  Kind // inert, see Kind
 
 	workers int
 	scratch []axisScratch
@@ -99,8 +96,7 @@ type Model struct {
 	stageSum     func(s int)
 }
 
-// New creates a WA wirelength model for design d with smoothing γ; set
-// Kind to switch models.
+// New creates a WA wirelength model for design d with smoothing γ.
 func New(d *netlist.Design, gamma float64) *Model {
 	maxPins := 0
 	for i := range d.Nets {
@@ -315,9 +311,6 @@ func extent(xs []float64) float64 {
 // assigns w × ∂W/∂pin into the per-pin slots (each pin belongs to exactly
 // one net, so assignment — not accumulation — is correct and race-free).
 func (m *Model) netAxis(s *axisScratch, xs []float64, pins []int, pinG []float64, w float64) float64 {
-	if m.Kind == LSE {
-		return m.netAxisLSE(s, xs, pins, pinG, w)
-	}
 	inv := 1 / m.Gamma
 	xmax, xmin := xs[0], xs[0]
 	for _, x := range xs[1:] {
@@ -352,44 +345,7 @@ func (m *Model) netAxis(s *axisScratch, xs []float64, pins []int, pinG []float64
 	return wp - wm
 }
 
-// netAxisLSE is the log-sum-exp variant:
-//
-//	W = γ·(log Σ e^{x/γ} + log Σ e^{-x/γ}),
-//
-// with the usual max-shift stabilization; the gradient per pin is the
-// difference of the two softmax weights.
-func (m *Model) netAxisLSE(s *axisScratch, xs []float64, pins []int, pinG []float64, w float64) float64 {
-	inv := 1 / m.Gamma
-	xmax, xmin := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x > xmax {
-			xmax = x
-		}
-		if x < xmin {
-			xmin = x
-		}
-	}
-	var s0p, s0m float64
-	for i, x := range xs {
-		ep := math.Exp((x - xmax) * inv)
-		em := math.Exp((xmin - x) * inv)
-		s.ep[i] = ep
-		s.em[i] = em
-		s0p += ep
-		s0m += em
-	}
-	for i := range xs {
-		gp := s.ep[i] / s0p
-		gm := s.em[i] / s0m
-		pinG[pins[i]] = w * (gp - gm)
-	}
-	return (xmax + m.Gamma*math.Log(s0p)) - (xmin - m.Gamma*math.Log(s0m))
-}
-
 func (m *Model) axisWL(xs []float64) float64 {
-	if m.Kind == LSE {
-		return m.axisWLLSE(xs)
-	}
 	inv := 1 / m.Gamma
 	xmax, xmin := xs[0], xs[0]
 	for _, x := range xs[1:] {
@@ -410,23 +366,4 @@ func (m *Model) axisWL(xs []float64) float64 {
 		s1m += x * em
 	}
 	return s1p/s0p - s1m/s0m
-}
-
-func (m *Model) axisWLLSE(xs []float64) float64 {
-	inv := 1 / m.Gamma
-	xmax, xmin := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x > xmax {
-			xmax = x
-		}
-		if x < xmin {
-			xmin = x
-		}
-	}
-	var s0p, s0m float64
-	for _, x := range xs {
-		s0p += math.Exp((x - xmax) * inv)
-		s0m += math.Exp((xmin - x) * inv)
-	}
-	return (xmax + m.Gamma*math.Log(s0p)) - (xmin - m.Gamma*math.Log(s0m))
 }

@@ -194,35 +194,31 @@ func BenchmarkWirelengthAndGrad(b *testing.B) {
 
 // TestParallelMatchesSerialBitExact proves net sharding never changes a
 // bit: total and every per-cell gradient are identical for any worker
-// count, in both WA and LSE kinds.
+// count.
 func TestParallelMatchesSerialBitExact(t *testing.T) {
 	d := randomDesign(7, 200, 300)
-	for _, kind := range []Kind{WA, LSE} {
-		ref := New(d, 1.5)
-		ref.Kind = kind
-		gx := make([]float64, len(d.Cells))
-		gy := make([]float64, len(d.Cells))
-		wl := ref.WirelengthAndGrad(gx, gy)
-		wlOnly := ref.Wirelength()
+	ref := New(d, 1.5)
+	gx := make([]float64, len(d.Cells))
+	gy := make([]float64, len(d.Cells))
+	wl := ref.WirelengthAndGrad(gx, gy)
+	wlOnly := ref.Wirelength()
 
-		for _, workers := range []int{2, 3, 4, 16} {
-			m := New(d, 1.5)
-			m.Kind = kind
-			m.SetWorkers(workers)
-			px := make([]float64, len(d.Cells))
-			py := make([]float64, len(d.Cells))
-			got := m.WirelengthAndGrad(px, py)
-			if got != wl {
-				t.Fatalf("kind=%v workers=%d: WL %v, want %v (bit-exact)", kind, workers, got, wl)
-			}
-			if got2 := m.Wirelength(); got2 != wlOnly {
-				t.Fatalf("kind=%v workers=%d: Wirelength %v, want %v (bit-exact)", kind, workers, got2, wlOnly)
-			}
-			for c := range gx {
-				if px[c] != gx[c] || py[c] != gy[c] {
-					t.Fatalf("kind=%v workers=%d: cell %d grad (%v,%v), want (%v,%v)",
-						kind, workers, c, px[c], py[c], gx[c], gy[c])
-				}
+	for _, workers := range []int{2, 3, 4, 16} {
+		m := New(d, 1.5)
+		m.SetWorkers(workers)
+		px := make([]float64, len(d.Cells))
+		py := make([]float64, len(d.Cells))
+		got := m.WirelengthAndGrad(px, py)
+		if got != wl {
+			t.Fatalf("workers=%d: WL %v, want %v (bit-exact)", workers, got, wl)
+		}
+		if got2 := m.Wirelength(); got2 != wlOnly {
+			t.Fatalf("workers=%d: Wirelength %v, want %v (bit-exact)", workers, got2, wlOnly)
+		}
+		for c := range gx {
+			if px[c] != gx[c] || py[c] != gy[c] {
+				t.Fatalf("workers=%d: cell %d grad (%v,%v), want (%v,%v)",
+					workers, c, px[c], py[c], gx[c], gy[c])
 			}
 		}
 	}

@@ -178,7 +178,7 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 	ex := &explore.Explorer{
 		Params: cfg.Params,
 		// Algorithm 2/3 knobs mirror the in-process explorer
-		// (puffer.ExploreStrategyObs) exactly, so the trial schedule —
+		// (puffer.ExploreStrategyOpts) exactly, so the trial schedule —
 		// and therefore the per-trial config digests — match.
 		TimeLimit:  cfg.Budget,
 		EarlyStop:  maxInt(cfg.Budget/3, 5),

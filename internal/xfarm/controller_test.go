@@ -215,7 +215,7 @@ func TestControllerDeterminism(t *testing.T) {
 	params := testParams()
 
 	// In-process reference: the plain explorer, exactly as
-	// ExploreStrategyObs configures it.
+	// ExploreStrategyOpts configures it.
 	ref := &explore.Explorer{
 		Params:    params,
 		Eval:      testObjective,

@@ -46,14 +46,13 @@ type Config struct {
 	Place place.Config
 	// Strategy bundles every routability-optimizer strategy parameter.
 	Strategy padding.Strategy
-	// Legal configures the legalization stage.
+	// Legal configures the legalization stage. Its Theta is not an input:
+	// the Legalize stage is the one place θ (Eq. 17) enters legalization,
+	// and it takes Strategy.Theta.
 	Legal legal.Config
 	// DP configures the post-legalization detailed placement; PUFFER runs
 	// it padding-preserving so the injected white space survives.
 	DP dp.Config
-	// CongGridW/H size the congestion estimation Gcell grid; zero picks
-	// roughly two placement rows per Gcell.
-	CongGridW, CongGridH int
 	// Workers caps the flow's data parallelism — the global-placement
 	// inner loop, congestion estimation, feature extraction, and router
 	// net decomposition (0 = GOMAXPROCS). Heavy-traffic deployments set it
@@ -167,10 +166,7 @@ func NewRunContext(d *netlist.Design, cfg Config) (*RunContext, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	gw, gh := cfg.CongGridW, cfg.CongGridH
-	if gw == 0 || gh == 0 {
-		gw, gh = GridFor(d)
-	}
+	gw, gh := GridFor(d)
 	// Propagate the flow-level worker cap into the engine layers that have
 	// their own knob, unless the caller tuned them individually.
 	if cfg.Workers != 0 {

@@ -143,8 +143,11 @@ func DetailedPlace() Stage {
 
 // Route returns the evaluation-routing stage: the built-in global router
 // judges the placement the way the paper's commercial router does
-// (Sec. IV), storing the report in Result.Route. A zero cfg uses the
-// router's own defaults.
+// (Sec. IV), storing the report in Result.Route. Unset GridW/GridH,
+// Workers and Obs are taken from the flow; every other field is used as
+// given, so router.Config{} routes with all cost weights zero (no
+// negotiation, no pin-access charge) — pass router.DefaultConfig() for the
+// router the CLIs and experiments judge with (DESIGN.md §3l).
 func Route(cfg router.Config) Stage {
 	return StageFunc{StageName: StageRoute, Fn: func(ctx context.Context, rc *RunContext) error {
 		if cfg.GridW == 0 && cfg.GridH == 0 {

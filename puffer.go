@@ -17,7 +17,10 @@
 //
 // Run executes that default flow in one call and is kept source-compatible
 // across releases: its signature, Config and Result fields, and StageLog
-// line formats are stable. Callers that need cancellation, deadlines,
+// line formats are stable — except that a Config field no caller ever set
+// is retired rather than carried (the density-pyramid level, and the
+// filler switch, trace cap, congestion-grid override and second wirelength
+// model of the knob census; DESIGN.md §3l names them and the rule). Callers that need cancellation, deadlines,
 // per-stage statistics, custom stage lists, or checkpoint/resume should use
 // RunCtx or the pipeline package directly — Config and Result are aliases
 // of the pipeline types, so values move freely between the two APIs.

@@ -126,7 +126,6 @@ func StrategyObjective(d *netlist.Design, placeCfg place.Config, evalCfg router.
 		cfg := DefaultConfig()
 		cfg.Place = placeCfg
 		ApplyAssignment(&cfg.Strategy, a)
-		cfg.Legal.Theta = cfg.Strategy.Theta
 		if _, err := Run(dd, cfg); err != nil {
 			return 1e9 // infeasible configuration
 		}
@@ -140,27 +139,10 @@ func StrategyObjective(d *netlist.Design, placeCfg place.Config, evalCfg router.
 // and applies the result to the large benchmarks) and returns the tuned
 // strategy plus the best observed one.
 func ExploreStrategy(d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any)) (final, best padding.Strategy, obs int) {
-	final, best, obs, _ = ExploreStrategyCtx(context.Background(), d, placeCfg, budget, seed, logf)
-	return final, best, obs
-}
-
-// ExploreStrategyCtx is ExploreStrategy with cancellation support: the
-// context is observed between SMBO trials. On cancellation the best
-// strategies found so far are still returned, alongside an error wrapping
-// ErrCanceled.
-func ExploreStrategyCtx(ctx context.Context, d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any)) (final, best padding.Strategy, obs int, err error) {
-	return ExploreStrategyObs(ctx, d, placeCfg, budget, seed, logf, nil)
-}
-
-// ExploreStrategyObs is ExploreStrategyCtx with telemetry: per-trial
-// scores, the trial counter, and the best-score gauge land on rec's
-// registry (explore.trials / explore.trial.score / explore.best_score),
-// and the exploration opens a trace span. A job server streams rec's
-// samples to watchers while the exploration runs. rec may be nil.
-func ExploreStrategyObs(ctx context.Context, d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any), rec *telemetry.Recorder) (final, best padding.Strategy, obs int, err error) {
-	return ExploreStrategyOpts(ctx, d, placeCfg, ExploreOptions{
-		Budget: budget, Seed: seed, Logf: logf, Obs: rec,
+	final, best, obs, _ = ExploreStrategyOpts(context.Background(), d, placeCfg, ExploreOptions{
+		Budget: budget, Seed: seed, Logf: logf,
 	})
+	return final, best, obs
 }
 
 // ExploreOptions parameterizes ExploreStrategyOpts beyond the positional
@@ -182,6 +164,12 @@ type ExploreOptions struct {
 // ExploreStrategyOpts runs Algorithm 3 with explicit options. It is the
 // common core of the in-process exploration paths; the distributed farm
 // mirrors its Explorer knobs so both produce identical trial schedules.
+// The context is observed between SMBO trials: on cancellation the best
+// strategies found so far are still returned, alongside an error wrapping
+// ErrCanceled. With opt.Obs set, per-trial scores, the trial counter and
+// the best-score gauge land on its registry (explore.trials /
+// explore.trial.score / explore.best_score) and the exploration opens a
+// trace span.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
 	e := &explore.Explorer{
 		Obs:       opt.Obs,
@@ -201,11 +189,4 @@ func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.
 	best = padding.DefaultStrategy()
 	ApplyAssignment(&best, ba)
 	return final, best, len(e.History()), err
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
