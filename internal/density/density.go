@@ -13,7 +13,8 @@
 //
 // The grid is the placement engine's per-iteration hot path, so the heavy
 // operations — rasterization (DepositRects), the spectral solve (Solve),
-// and the overflow reduction (Overflow) — run across SetWorkers workers.
+// and the overflow reduction (Overflow) — run across the executors of the
+// grid's par.Team (SetWorkers, SetTeam).
 // All of them are bit-deterministic regardless of the worker count:
 //
 //   - DepositRects shards the OUTPUT (bands of bin rows): each band owner
@@ -30,10 +31,9 @@
 //     (never from the worker count) and sums the per-shard partials in
 //     shard order.
 //
-// Once constructed (and after the first SetWorkers), the steady-state
+// Once constructed (and after SetWorkers/SetTeam), the steady-state
 // DepositRects → Solve → ForceOnRect → OverflowOf cycle performs no heap
-// allocation with one worker, and only the O(workers) goroutine dispatch
-// inside internal/par otherwise.
+// allocation — serial, or on a started team.
 package density
 
 import (
@@ -46,9 +46,10 @@ import (
 	"puffer/internal/par"
 )
 
-// maxGridWorkers bounds the per-worker transform scratch (two spectral
-// clones plus three vectors per worker), so many-core hosts do not trade
-// memory for shards the row/column batches cannot use anyway.
+// maxGridWorkers caps the fixed overflow shard count and SetWorkers' team,
+// whose executors each own two spectral clones plus three vectors of
+// transform scratch: many-core hosts need not trade memory for shards the
+// row/column batches cannot use anyway.
 const maxGridWorkers = 16
 
 // ovfBinsPerShard sizes the fixed overflow-reduction shards. The shard
@@ -115,7 +116,7 @@ type Grid struct {
 	psiTab, exTab, eyTab []float64
 
 	// parallel execution state
-	workers    int
+	team       *par.Team
 	scratch    []solveScratch
 	ovfShards  int
 	ovfPartial []float64
@@ -128,9 +129,9 @@ type Grid struct {
 	synSinX    bool
 	synSinY    bool
 
-	// Stage bodies are bound once here so the dispatcher can hand them to
-	// par.ForShards (or run them inline) without constructing a closure —
-	// and therefore without allocating — on every Solve/Deposit call.
+	// Stage bodies are bound once here so the team can run them without
+	// constructing a closure — and therefore without allocating — on every
+	// Solve/Deposit call.
 	stageFwdRows func(w, lo, hi int)
 	stageFwdCols func(w, lo, hi int)
 	stageFreq    func(w, lo, hi int)
@@ -141,8 +142,8 @@ type Grid struct {
 }
 
 // NewGrid creates an M×N grid over region. M and N must be powers of two,
-// at least 2. The grid starts serial; call SetWorkers to enable data
-// parallelism.
+// at least 2. The grid starts serial; call SetWorkers or SetTeam to enable
+// data parallelism.
 func NewGrid(region geom.Rect, m, n int) *Grid {
 	if m < 2 || m&(m-1) != 0 || n < 2 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("density: grid %dx%d must be powers of two >= 2", m, n))
@@ -199,7 +200,7 @@ func newGrid(region geom.Rect, sx, sy fft.Transform) *Grid {
 		}
 	}
 
-	g.workers = 1
+	g.team = par.NewTeam(1)
 	g.scratch = []solveScratch{{
 		sx:  g.sx,
 		sy:  g.sy,
@@ -217,20 +218,19 @@ func newGrid(region geom.Rect, sx, sy fft.Transform) *Grid {
 	return g
 }
 
-// SetWorkers caps the grid's data parallelism (0 or negative selects
-// GOMAXPROCS, clamped to an internal bound) and allocates the per-worker
-// transform scratch up front so later Solve/DepositRects calls stay
-// allocation-free. Results never depend on the worker count.
+// SetWorkers gives the grid a team of its own (0 or negative selects
+// GOMAXPROCS, clamped to an internal bound; see par.NewTeam). Results never
+// depend on the worker count.
 func (g *Grid) SetWorkers(n int) {
-	w := par.Workers(n)
-	if w > maxGridWorkers {
-		w = maxGridWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	g.workers = w
-	for len(g.scratch) < w {
+	g.SetTeam(par.NewTeam(min(par.Workers(n), maxGridWorkers)))
+}
+
+// SetTeam dispatches the grid's stages on t — the placement engine shares
+// one team among its kernels — and allocates the per-executor transform
+// scratch up front so later Solve/DepositRects calls stay allocation-free.
+func (g *Grid) SetTeam(t *par.Team) {
+	g.team = t
+	for len(g.scratch) < t.Size() {
 		g.scratch = append(g.scratch, solveScratch{
 			sx:  g.sx.CloneTransform(),
 			sy:  g.sy.CloneTransform(),
@@ -239,19 +239,9 @@ func (g *Grid) SetWorkers(n int) {
 	}
 }
 
-// Workers reports the resolved worker cap.
-func (g *Grid) Workers() int { return g.workers }
-
-// dispatch runs a pre-bound stage over [0, n): inline with one worker,
-// sharded across the worker pool otherwise. Stage bodies receive the
+// Team reports the team the grid dispatches on. Stage bodies receive the
 // executor index w so they can use g.scratch[w].
-func (g *Grid) dispatch(n int, stage func(w, lo, hi int)) {
-	if g.workers <= 1 || n < 2 {
-		stage(0, 0, n)
-		return
-	}
-	par.ForShards(g.workers, n, stage)
-}
+func (g *Grid) Team() *par.Team { return g.team }
 
 // bindStages constructs the worker bodies once, capturing g, so the hot
 // path never builds a closure per call.
@@ -510,7 +500,7 @@ func (g *Grid) addRectTo(dst []float64, r geom.Rect, scale float64) {
 // raster writes fixedRho + Σ rects into dst, sharded by output bin rows.
 func (g *Grid) raster(dst []float64, rects []geom.Rect) {
 	g.depDst, g.depRects = dst, rects
-	g.dispatch(g.N, g.stageDeposit)
+	g.team.Shards(g.N, g.stageDeposit)
 	g.depDst, g.depRects = nil, nil
 }
 
@@ -539,8 +529,8 @@ func (g *Grid) DepositRects(rects []geom.Rect) {
 // Solve computes the field from the current charge. The DC component of the
 // charge is removed first (the u=v=0 mode has no force and corresponds to
 // the neutralizing background of the electrostatic analogy).
-// The row/column transform batches run across the SetWorkers pool with
-// per-worker spectral scratch; every batch writes a disjoint output range,
+// The row/column transform batches run across the team with per-executor
+// spectral scratch; every batch writes a disjoint output range,
 // so the solution is bit-identical for any worker count.
 // When the most recent DepositRects matched the list the current field was
 // solved from, the charge — and therefore the solution — is unchanged, and
@@ -556,10 +546,10 @@ func (g *Grid) Solve() {
 	// Forward analysis: cosine coefficients along x for each row, then
 	// along y for each column, then the per-mode frequency response.
 	t := time.Now()
-	g.dispatch(g.N, g.stageFwdRows)
-	g.dispatch(g.M, g.stageFwdCols)
+	g.team.Shards(g.N, g.stageFwdRows)
+	g.team.Shards(g.M, g.stageFwdCols)
 	t = g.lap(t, &g.wallAnalysis)
-	g.dispatch(g.N, g.stageFreq)
+	g.team.Shards(g.N, g.stageFreq)
 	t = g.lap(t, &g.wallFreq)
 
 	// Synthesis. Ex = -∂ψ/∂x uses sin in x (the derivative of cos(ku·x) is
@@ -589,8 +579,8 @@ func (g *Grid) lap(t time.Time, wall *time.Duration) time.Time {
 // column before writing it back.
 func (g *Grid) synthesize(coef, out []float64, sinX, sinY bool) {
 	g.synCoef, g.synOut, g.synSinX, g.synSinY = coef, out, sinX, sinY
-	g.dispatch(g.M, g.stageSynCols)
-	g.dispatch(g.N, g.stageSynRows)
+	g.team.Shards(g.M, g.stageSynCols)
+	g.team.Shards(g.N, g.stageSynRows)
 	g.synCoef, g.synOut = nil, nil
 }
 
@@ -678,13 +668,7 @@ func (g *Grid) overflowIn(rho []float64, target, totalMovableArea float64) float
 		return 0
 	}
 	g.ovfTarget, g.ovfRho = target, rho
-	if g.workers <= 1 || g.ovfShards <= 1 {
-		for s := 0; s < g.ovfShards; s++ {
-			g.stageOvf(s)
-		}
-	} else {
-		par.ForN(g.workers, g.ovfShards, g.stageOvf)
-	}
+	g.team.N(g.ovfShards, g.stageOvf)
 	g.ovfRho = nil
 	over := 0.0
 	for _, p := range g.ovfPartial {

@@ -3,10 +3,12 @@ package density
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"puffer/internal/geom"
+	"puffer/internal/par"
 )
 
 func TestAddRectConservesArea(t *testing.T) {
@@ -272,6 +274,7 @@ func rectSoup(n int, region geom.Rect) []geom.Rect {
 // TestDepositRectsMatchesSerialAddRect proves the banded parallel deposit
 // is bit-identical to Reset + AddRect-in-order, for several worker counts.
 func TestDepositRectsMatchesSerialAddRect(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	region := geom.RectWH(0, 0, 64, 64)
 	rects := rectSoup(300, region)
 
@@ -295,9 +298,20 @@ func TestDepositRectsMatchesSerialAddRect(t *testing.T) {
 	}
 }
 
+// startedTeam returns a started team of workers executors — the form the
+// placement engine hands its kernels — stopped when the test ends.
+func startedTeam(tb testing.TB, workers int) *par.Team {
+	tm := par.NewTeam(workers)
+	tm.Start()
+	tb.Cleanup(tm.Stop)
+	return tm
+}
+
 // TestSolveParallelMatchesSerial proves the sharded transform batches give
-// bit-identical potential and field for any worker count.
+// bit-identical potential and field for any worker count, on a started
+// team.
 func TestSolveParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	region := geom.RectWH(0, 0, 64, 64)
 	rects := rectSoup(200, region)
 
@@ -308,7 +322,7 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 4, 16} {
 		g := NewGrid(region, 32, 32)
-		g.SetWorkers(workers)
+		g.SetTeam(startedTeam(t, workers))
 		g.DepositRects(rects)
 		g.Solve()
 		psi := g.Potential()
@@ -323,8 +337,9 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 
 // TestOverflowParallelMatchesSerial uses a grid large enough for multiple
 // fixed reduction shards and checks the ratio is bit-identical across
-// worker counts.
+// worker counts, on a started team.
 func TestOverflowParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	region := geom.RectWH(0, 0, 256, 256)
 	rects := rectSoup(500, region)
 
@@ -337,7 +352,7 @@ func TestOverflowParallelMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{2, 4, 16} {
 		g := NewGrid(region, 128, 128)
-		g.SetWorkers(workers)
+		g.SetTeam(startedTeam(t, workers))
 		g.DepositRects(rects)
 		if got := g.Overflow(0.7, 1234.5); got != want {
 			t.Fatalf("workers=%d: overflow = %v, want %v (bit-exact)", workers, got, want)
@@ -345,30 +360,35 @@ func TestOverflowParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGridSteadyStateZeroAlloc guards the serial hot path: once the grid is
-// built, deposit + solve + force + overflow allocate nothing.
+// TestGridSteadyStateZeroAlloc guards the hot path: once the grid is built,
+// deposit + solve + force + overflow allocate nothing — serially or on a
+// started team.
 func TestGridSteadyStateZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	region := geom.RectWH(0, 0, 64, 64)
 	rects := rectSoup(64, region)
-	g := NewGrid(region, 32, 32)
-	g.DepositRects(rects) // warm up
-	g.Solve()
+	for _, workers := range []int{1, 4} {
+		g := NewGrid(region, 32, 32)
+		g.SetTeam(startedTeam(t, workers))
+		g.DepositRects(rects) // warm up
+		g.Solve()
 
-	wide := geom.RectWH(1.5, 20.25, 2*footCols+9, 3) // > footCols columns at BinW 2
-	g.Potential()                                    // first call allocates ψ
-	if n := testing.AllocsPerRun(10, func() {
-		g.DepositRects(rects)
-		g.Solve()
-		g.DepositRects(rects) // fingerprint hit: raster and solve skipped
-		g.Solve()
-		g.ForceOnRect(rects[0])
-		g.ForceOnRect(wide)
-		g.OverflowOf(rects[:32], 0.8, 100)
-		g.Overflow(0.8, 100)
-		g.Energy()
-		g.AddRect(wide, 1) // voids the fingerprints: the next run rasterizes and solves
-	}); n != 0 {
-		t.Errorf("serial steady-state iteration allocates %v per run, want 0", n)
+		wide := geom.RectWH(1.5, 20.25, 2*footCols+9, 3) // > footCols columns at BinW 2
+		g.Potential()                                    // first call allocates ψ
+		if n := testing.AllocsPerRun(10, func() {
+			g.DepositRects(rects)
+			g.Solve()
+			g.DepositRects(rects) // fingerprint hit: raster and solve skipped
+			g.Solve()
+			g.ForceOnRect(rects[0])
+			g.ForceOnRect(wide)
+			g.OverflowOf(rects[:32], 0.8, 100)
+			g.Overflow(0.8, 100)
+			g.Energy()
+			g.AddRect(wide, 1) // voids the fingerprints: the next run rasterizes and solves
+		}); n != 0 {
+			t.Errorf("workers=%d: steady-state iteration allocates %v per run, want 0", workers, n)
+		}
 	}
 }
 
@@ -481,6 +501,7 @@ func edgeSoup(seed int64, region geom.Rect, binW, binH float64) []geom.Rect {
 // and per-rect force all equal the reference loops exactly, for any worker
 // count, on a zero-origin and an offset region.
 func TestFootprintMatchesReferenceLoops(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, region := range []geom.Rect{geom.RectWH(0, 0, 80, 48), geom.RectWH(-13.5, 7.25, 60, 96)} {
 		const m, n = 32, 16
 		fixed := geom.RectWH(region.Lo.X+11.3, region.Lo.Y+9.1, 17.7, 8.4)
@@ -522,6 +543,7 @@ func TestFootprintMatchesReferenceLoops(t *testing.T) {
 // the charge, the field or either fingerprint, so the engine's re-deposit of
 // the list it last solved skips both the raster and the solve.
 func TestOverflowOfLeavesChargeUntouched(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	region := geom.RectWH(0, 0, 64, 64)
 	full := rectSoup(120, region)
 	probe := full[:70]

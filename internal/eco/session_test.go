@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"puffer/internal/netlist"
@@ -100,9 +101,12 @@ func TestApplyRejectsEmptyAndInvalidDeltas(t *testing.T) {
 // TestGPDeterminismAcrossWorkers: the whole ECO path — cold place, then a
 // delta chain through the estimator, padding, warm GP, legal, and detailed
 // placement — must produce bit-identical placements at any worker count.
+// Every warm run must adopt the previous run's wirelength model and density
+// grid, re-bind both to its own engine's team, and really shard on it.
 func TestApplyDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(workers int) (*netlist.Design, []float64) {
-		d := testDesign(1200, 7)
+		d := testDesign(300, 7)
 		s, err := New(d, testConfig(workers), Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -117,11 +121,24 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 			moveDelta(d, 0.04, 3.0, -2.0),
 			{Weights: []NetReweight{{Net: 0, Weight: 3}, {Net: 5, Weight: 2}}},
 		} {
+			wl, den := s.reuse.WL, s.reuse.Den
+			prev := wl.Team()
 			res, err := s.Apply(context.Background(), dl)
 			if err != nil {
 				t.Fatalf("delta %d (workers=%d): %v", i, workers, err)
 			}
 			hpwls = append(hpwls, res.HPWL)
+			if s.reuse.WL != wl || s.reuse.Den != den {
+				t.Fatalf("delta %d (workers=%d): the warm run rebuilt its engine state instead of adopting it", i, workers)
+			}
+			team := wl.Team()
+			if team == prev || den.Team() != team {
+				t.Fatalf("delta %d (workers=%d): adopted state still dispatches on a previous run's team", i, workers)
+			}
+			if team.Size() != workers || (workers > 1) != (team.Handoffs() > 0) {
+				t.Fatalf("delta %d (workers=%d): warm engine on %d executors, its helpers ran %d shards",
+					i, workers, team.Size(), team.Handoffs())
+			}
 		}
 		return d, hpwls
 	}

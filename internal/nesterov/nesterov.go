@@ -5,11 +5,13 @@
 // objectives (wirelength-only warmup, wirelength + λ·density, baselines).
 //
 // The per-iteration vector work (candidate updates, norm reductions) runs
-// across SetWorkers workers. Candidate updates write disjoint index ranges
-// and the norm reductions use a fixed shard count derived from the vector
-// length, so every result is bit-identical for any worker count. After
-// construction the step performs no heap allocation (beyond whatever the
-// eval oracle and goroutine dispatch do).
+// across the executors of the optimizer's par.Team (SetWorkers, SetTeam).
+// Candidate updates write disjoint index ranges and the norm reductions use
+// a fixed shard count derived from the vector length, so every result is
+// bit-identical for any worker count. After construction the step performs
+// no heap allocation beyond whatever the eval oracle does — serial, or on a
+// started team — and it moves no vector: the iterates rotate by slice
+// header.
 package nesterov
 
 import (
@@ -23,8 +25,9 @@ import (
 // implementations must tolerate arbitrary x within the feasible box.
 type EvalFunc func(x, grad []float64)
 
-// maxOptWorkers bounds the optimizer's worker fan-out; vector updates are
-// memory-bound, so more shards only add dispatch overhead.
+// maxOptWorkers bounds SetWorkers' team — vector updates are memory-bound,
+// so more shards only add dispatch overhead — and the fixed norm shard
+// count.
 const maxOptWorkers = 16
 
 // ndElemsPerShard sizes the fixed norm-reduction shards; the count depends
@@ -51,12 +54,14 @@ type Optimizer struct {
 	alpha float64 // last used step
 	iter  int
 
-	// step scratch buffers
+	// step scratch buffers; uNext and vNext rotate into u and v at the end
+	// of a Step, which is why the stages read every vector from its field
+	// at call time.
 	uNext, vNext, gNext []float64
 
 	// parallel execution state; stages are bound once in New so the hot
 	// path never constructs a closure.
-	workers   int
+	team      *par.Team
 	ndA, ndB  []float64 // operands of the in-flight norm reduction
 	ndPartial []float64
 	stepAlpha float64
@@ -67,7 +72,8 @@ type Optimizer struct {
 }
 
 // New creates an optimizer starting at x0 with initial step alpha0. The
-// optimizer starts serial; call SetWorkers to parallelize the vector work.
+// optimizer starts serial; call SetWorkers or SetTeam to parallelize the
+// vector work.
 func New(x0 []float64, eval EvalFunc, alpha0 float64) *Optimizer {
 	n := len(x0)
 	o := &Optimizer{
@@ -85,7 +91,7 @@ func New(x0 []float64, eval EvalFunc, alpha0 float64) *Optimizer {
 		uNext:        make([]float64, n),
 		vNext:        make([]float64, n),
 		gNext:        make([]float64, n),
-		workers:      1,
+		team:         par.NewTeam(1),
 	}
 	shards := n / ndElemsPerShard
 	if shards < 1 {
@@ -123,19 +129,19 @@ func New(x0 []float64, eval EvalFunc, alpha0 float64) *Optimizer {
 	return o
 }
 
-// SetWorkers caps the optimizer's data parallelism (0 or negative selects
-// GOMAXPROCS, clamped to an internal bound). Results never depend on the
-// worker count.
+// SetWorkers gives the optimizer a team of its own (0 or negative selects
+// GOMAXPROCS, clamped to an internal bound; see par.NewTeam). Results never
+// depend on the worker count.
 func (o *Optimizer) SetWorkers(n int) {
-	w := par.Workers(n)
-	if w > maxOptWorkers {
-		w = maxOptWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	o.workers = w
+	o.SetTeam(par.NewTeam(min(par.Workers(n), maxOptWorkers)))
 }
+
+// SetTeam dispatches the optimizer's vector work on t; the placement
+// engine shares one team among its kernels.
+func (o *Optimizer) SetTeam(t *par.Team) { o.team = t }
+
+// Team reports the team the optimizer dispatches on.
+func (o *Optimizer) Team() *par.Team { return o.team }
 
 // Restart clears the momentum (a_k back to 1), keeping the current
 // solution. Call it when the objective changes shape mid-run — e.g. after
@@ -149,37 +155,22 @@ func (o *Optimizer) Restart() {
 	o.iter = 0
 }
 
-// Current returns the major solution u_k (do not modify).
+// Current returns the major solution u_k (do not modify). The slice is
+// valid until the next Step, which rotates it out: copy it to keep it.
 func (o *Optimizer) Current() []float64 { return o.u }
 
-// Reference returns the reference solution v_k (do not modify).
+// Reference returns the reference solution v_k (do not modify), valid until
+// the next Step like Current.
 func (o *Optimizer) Reference() []float64 { return o.v }
 
 // Alpha returns the most recent step length.
 func (o *Optimizer) Alpha() float64 { return o.alpha }
 
-// dispatch runs a pre-bound disjoint-write stage over the vector length.
-func (o *Optimizer) dispatch(stage func(w, lo, hi int)) {
-	n := len(o.u)
-	if o.workers <= 1 || n < 2 {
-		stage(0, 0, n)
-		return
-	}
-	par.ForShards(o.workers, n, stage)
-}
-
 // normDiff returns the Euclidean norm of a-b, reduced over a fixed shard
 // structure so the result is identical for every worker count.
 func (o *Optimizer) normDiff(a, b []float64) float64 {
 	o.ndA, o.ndB = a, b
-	shards := len(o.ndPartial)
-	if o.workers <= 1 || shards <= 1 {
-		for s := 0; s < shards; s++ {
-			o.stageND(s)
-		}
-	} else {
-		par.ForN(o.workers, shards, o.stageND)
-	}
+	o.team.N(len(o.ndPartial), o.stageND)
 	o.ndA, o.ndB = nil, nil
 	t := 0.0
 	for _, p := range o.ndPartial {
@@ -215,11 +206,11 @@ func (o *Optimizer) Step(project func(x []float64)) float64 {
 
 	for bt := 0; ; bt++ {
 		o.stepAlpha = alpha
-		o.dispatch(o.stageU)
+		o.team.Shards(len(o.u), o.stageU)
 		if project != nil {
 			project(o.uNext)
 		}
-		o.dispatch(o.stageV)
+		o.team.Shards(len(o.u), o.stageV)
 		if project != nil {
 			project(o.vNext)
 		}
@@ -241,11 +232,13 @@ func (o *Optimizer) Step(project func(x []float64)) float64 {
 		alpha = alphaHat
 	}
 
-	copy(o.uPrev, o.u)
-	copy(o.u, o.uNext)
-	copy(o.vPrev, o.v)
-	copy(o.v, o.vNext)
-	copy(o.gPrev, o.g)
+	// Rotate instead of copying: the candidates become the iterates, the
+	// iterates their predecessors, and the stale predecessors the next
+	// candidates' buffers (every entry of those is rewritten before it is
+	// read; g is rewritten by the next Step's eval).
+	o.uPrev, o.u, o.uNext = o.u, o.uNext, o.uPrev
+	o.vPrev, o.v, o.vNext = o.v, o.vNext, o.vPrev
+	o.gPrev, o.g = o.g, o.gPrev
 	o.a = aNext
 	o.alpha = alpha
 	return alpha

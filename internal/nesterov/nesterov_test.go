@@ -2,7 +2,10 @@ package nesterov
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"puffer/internal/par"
 )
 
 // quadratic f(x) = 1/2 Σ c_i x_i², gradient c_i x_i.
@@ -147,10 +150,21 @@ func TestReferenceAndCurrentExposed(t *testing.T) {
 	}
 }
 
+// startedTeam returns a started team of workers executors — the form the
+// placement engine hands its kernels — stopped when the test ends.
+func startedTeam(tb testing.TB, workers int) *par.Team {
+	tm := par.NewTeam(workers)
+	tm.Start()
+	tb.Cleanup(tm.Stop)
+	return tm
+}
+
 // TestStepParallelMatchesSerial proves the sharded vector updates and
 // fixed-shard norm reductions give bit-identical trajectories for any
-// worker count, on a vector long enough for multiple reduction shards.
+// worker count, on a vector long enough for multiple reduction shards and
+// a started team.
 func TestStepParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	const n = 20000 // > ndElemsPerShard so the reduction really shards
 	quad := func(x, grad []float64) {
 		for i := range x {
@@ -172,7 +186,7 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{2, 4, 16} {
 		o := New(x0, quad, 0.1)
-		o.SetWorkers(workers)
+		o.SetTeam(startedTeam(t, workers))
 		for k := 0; k < 5; k++ {
 			o.Step(nil)
 		}
@@ -188,22 +202,27 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocSteadyState guards the serial step: no allocations once
-// the optimizer is constructed.
+// TestStepZeroAllocSteadyState guards the step: no allocations once the
+// optimizer is constructed — serially or on a started team, on a vector
+// long enough for multiple norm shards.
 func TestStepZeroAllocSteadyState(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	quad := func(x, grad []float64) {
 		for i := range x {
 			grad[i] = x[i]
 		}
 	}
-	x0 := make([]float64, 512)
+	x0 := make([]float64, 3*ndElemsPerShard)
 	for i := range x0 {
 		x0[i] = float64(i) * 0.01
 	}
-	o := New(x0, quad, 0.1)
-	o.Step(nil) // warm up
-	if n := testing.AllocsPerRun(10, func() { o.Step(nil) }); n != 0 {
-		t.Errorf("steady-state Step allocates %v per run, want 0", n)
+	for _, workers := range []int{1, 4} {
+		o := New(x0, quad, 0.1)
+		o.SetTeam(startedTeam(t, workers))
+		o.Step(nil) // warm up
+		if n := testing.AllocsPerRun(10, func() { o.Step(nil) }); n != 0 {
+			t.Errorf("workers=%d: steady-state Step allocates %v per run, want 0", workers, n)
+		}
 	}
 }
 

@@ -1,11 +1,20 @@
-// Package par provides the tiny data-parallel helpers used by congestion
-// estimation, feature extraction, routing, and the experiment harness. The
-// paper's experiments run with eight threads; these helpers spread index
-// ranges across a configurable number of workers (GOMAXPROCS by default —
+// Package par provides the data-parallel helpers of the flow. The paper's
+// experiments run with eight threads; these helpers spread index ranges
+// across a configurable number of workers (GOMAXPROCS by default —
 // heavy-traffic deployments cap it via the Workers knobs threaded through
-// pipeline.Config). ForErr is the context-aware variant: it stops
-// scheduling new work on cancellation or first error, which is what lets
-// the pipeline observe a cancel within one net batch / feature chunk.
+// pipeline.Config).
+//
+// Two kinds of parallel section use them. Sections that run a few times
+// per flow stage — congestion estimation, feature extraction, routing, the
+// experiment harness — spawn goroutines per call: For/ForN/ForShards, and
+// ForErr, the context-aware variant that stops scheduling new work on
+// cancellation or first error (which is what lets the pipeline observe a
+// cancel within one net batch / feature chunk). The global-placement hot
+// path hands off ≈ 30 short stages per iteration, where a goroutine spawn
+// and WaitGroup barrier per stage cost more than the stages save; it runs
+// on a Team instead — persistent executors that spin briefly between
+// stages, then block — whose Shards/N cut the same ranges as
+// ForShards/ForN without allocating.
 package par
 
 import (
@@ -101,10 +110,8 @@ func ForN(workers, n int, fn func(i int)) {
 // and use ForN to execute the fixed shards.
 //
 // With one effective worker fn(0, 0, n) runs on the calling goroutine
-// without spawning. Note the fn closure itself still escapes (it is handed
-// to goroutines on the parallel branch), so zero-allocation hot paths must
-// branch to a plain loop before constructing the closure — see the
-// workers==1 fast paths in internal/density and internal/wirelength.
+// without spawning; otherwise every call spawns its shards, which is why
+// hot paths dispatch on a Team instead.
 func ForShards(workers, n int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -1,12 +1,17 @@
 package place
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"puffer/internal/flow"
 	"puffer/internal/geom"
 	"puffer/internal/nesterov"
 	"puffer/internal/netlist"
@@ -49,12 +54,11 @@ func gpBenchConfig(iters, workers, grid int) Config {
 	return cfg
 }
 
-// shardAlways makes New hand the engine of any design to the workers it is
-// given, however small the design, until the test or benchmark ends.
-func shardAlways(tb testing.TB) {
-	old := minEvalNs
-	minEvalNs = 0
-	tb.Cleanup(func() { minEvalNs = old })
+// withGOMAXPROCS raises (or lowers) GOMAXPROCS to n until the test ends, so
+// teams of up to n executors form whatever the host's core count.
+func withGOMAXPROCS(tb testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // BenchmarkGPIterSerial measures one GP iteration with the parallel code
@@ -70,7 +74,6 @@ func BenchmarkGPIterSerial(b *testing.B) {
 // BenchmarkGPIterParallel is the same workload at GOMAXPROCS workers; the
 // placement it produces is bit-identical to the serial run.
 func BenchmarkGPIterParallel(b *testing.B) {
-	shardAlways(b) // 4 k cells are under minEvalNs
 	b.ReportAllocs()
 	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 0, 64))
 	b.ResetTimer()
@@ -111,9 +114,10 @@ func runGP(t *testing.T, workers int) ([]geom.Point, float64) {
 
 // TestGPDeterminismAcrossWorkers is the acceptance gate for the parallel
 // GP core: Workers=1 and Workers=4 (and an oversubscribed pool) must
-// produce bit-identical final positions and HPWL.
+// produce bit-identical final positions and HPWL. GOMAXPROCS is raised so
+// the 4- and 16-executor shard structures form on any host.
 func TestGPDeterminismAcrossWorkers(t *testing.T) {
-	shardAlways(t)
+	withGOMAXPROCS(t, 16)
 	refPos, refHPWL := runGP(t, 1)
 	for _, workers := range []int{2, 4, 16} {
 		pos, hpwl := runGP(t, workers)
@@ -128,67 +132,159 @@ func TestGPDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineShardsByEvaluationSize pins the minEvalNs rule at the two
-// benchmark shapes it was measured on: the engine of a 17 k-cell design on a
-// 256² grid takes the workers it is offered — and still places every cell
-// where the serial engine does, bit for bit — while the engine of a small
-// design stays on the caller whatever Config.Workers says.
-func TestEngineShardsByEvaluationSize(t *testing.T) {
-	run := func(workers int) []geom.Point {
-		d := gpBenchDesign(1, 17000, 256)
-		p := New(d, gpBenchConfig(6, workers, 256))
-		if p.workers != workers || p.wl.Workers() != workers || p.g.Workers() != workers {
-			t.Fatalf("Workers=%d: engine runs on %d (wirelength %d, density %d)",
-				workers, p.workers, p.wl.Workers(), p.g.Workers())
+// TestEngineTakesOfferedExecutors: at every design size the engine runs on
+// min(Workers, GOMAXPROCS) executors of one team that all its kernels
+// share, really hands stages to them, and still places every cell where the
+// serial engine does, bit for bit.
+func TestEngineTakesOfferedExecutors(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	for _, size := range []struct {
+		cells, grid int
+		side        float64
+	}{{200, 32, 64}, {4000, 64, 128}, {17000, 256, 256}} {
+		run := func(workers int) []geom.Point {
+			d := gpBenchDesign(1, size.cells, size.side)
+			p := New(d, gpBenchConfig(6, workers, size.grid))
+			if p.Workers() != workers || p.wl.Team() != p.team || p.g.Team() != p.team || p.opt.Team() != p.team {
+				t.Fatalf("%d cells, Workers=%d: engine runs on %d executors, kernels not all on its team",
+					size.cells, workers, p.Workers())
+			}
+			p.Run(nil)
+			if sharded := p.team.Handoffs() > 0; sharded != (workers > 1) {
+				t.Fatalf("%d cells, Workers=%d: helpers ran %d shards", size.cells, workers, p.team.Handoffs())
+			}
+			pos := make([]geom.Point, len(d.Cells))
+			for i := range d.Cells {
+				pos[i] = d.Cells[i].Rect().Center()
+			}
+			return pos
 		}
-		p.Run(nil)
-		pos := make([]geom.Point, len(d.Cells))
-		for i := range d.Cells {
-			pos[i] = d.Cells[i].Rect().Center()
+		ref := run(1)
+		for i, q := range run(3) {
+			if q != ref[i] {
+				t.Fatalf("%d cells, Workers=3: cell %d at %v, want %v (bit-exact)", size.cells, i, q, ref[i])
+			}
 		}
-		return pos
-	}
-	ref := run(1)
-	for i, q := range run(3) {
-		if q != ref[i] {
-			t.Fatalf("workers=3: cell %d at %v, want %v (bit-exact)", i, q, ref[i])
-		}
-	}
-	cfg := quickConfig()
-	cfg.Workers = 4
-	if p := New(smallDesign(5, 200, false), cfg); p.workers != 1 || p.wl.Workers() != 1 || p.g.Workers() != 1 {
-		t.Errorf("200-cell design: engine runs on %d workers (wirelength %d, density %d), want 1",
-			p.workers, p.wl.Workers(), p.g.Workers())
 	}
 }
 
-// TestGPStepZeroAllocSerial guards the steady-state Nesterov iteration:
-// with one worker, a full eval (wirelength gradient, rasterization,
-// spectral solve, force sweep) plus the optimizer update allocates nothing.
-// Nor does it when offered four on a design this small: the engine stays on
-// the caller (minEvalNs), and only a hand-off to goroutines allocates.
-func TestGPStepZeroAllocSerial(t *testing.T) {
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1), under
+// which the team's caller runs every shard itself: the helpers must run
+// alongside it for the hand-off to be measured. It warms f up with as
+// many runs as it measures — long enough for the runtime's per-thread
+// caches behind a blocking wake-up to fill — and, like
+// testing.AllocsPerRun, reports whole allocations per run.
+func allocsPerRun(runs int, f func()) uint64 {
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.Mallocs - m0.Mallocs) / uint64(runs)
+}
+
+// TestGPStepZeroAlloc guards the steady-state Nesterov iteration: a full
+// eval (wirelength gradient, rasterization, spectral solve, force sweep)
+// plus the overflow probe, the exact HPWL and the optimizer update
+// allocates nothing — serially, and on a started four-executor team whose
+// helpers really run shards.
+func TestGPStepZeroAlloc(t *testing.T) {
+	withGOMAXPROCS(t, 4)
 	for _, workers := range []int{1, 4} {
 		d := smallDesign(5, 200, false)
 		cfg := quickConfig()
 		cfg.Workers = workers
 		p := New(d, cfg)
+		p.team.Start()
 		p.overflow = 1
 		p.updateGamma()
 		p.initLambda()
 		p.opt.Step(p.projectFn) // warm up
-		reuses := p.forceReuses
-		if n := testing.AllocsPerRun(5, func() {
+		reuses, handoffs := p.forceReuses, p.team.Handoffs()
+		n := allocsPerRun(10, func() {
 			p.overflow = p.computeOverflow()
 			p.wl.HPWL()
 			p.opt.Step(p.projectFn)
-		}); n != 0 {
+		})
+		p.team.Stop()
+		if n != 0 {
 			t.Errorf("workers=%d: steady-state GP iteration allocates %v per run, want 0", workers, n)
 		}
 		if p.forceReuses == reuses {
 			t.Errorf("workers=%d: the measured iterations never took the force-reuse path", workers)
 		}
+		if sharded := p.team.Handoffs() > handoffs; sharded != (workers > 1) {
+			t.Errorf("workers=%d: helpers ran %d shards during the measured iterations",
+				workers, p.team.Handoffs()-handoffs)
+		}
 	}
+}
+
+// TestGPUnderGOMAXPROCS1: with one scheduler thread a Workers=4 run must
+// finish — no executor may spin while the one it waits for cannot run —
+// and place every cell exactly where Workers=1 does.
+func TestGPUnderGOMAXPROCS1(t *testing.T) {
+	refPos, refHPWL := runGP(t, 1)
+	withGOMAXPROCS(t, 1)
+	pos, hpwl := runGP(t, 4)
+	if hpwl != refHPWL {
+		t.Fatalf("HPWL %v, want %v (bit-exact)", hpwl, refHPWL)
+	}
+	for i := range pos {
+		if pos[i] != refPos[i] {
+			t.Fatalf("cell %d at %v, want %v (bit-exact)", i, pos[i], refPos[i])
+		}
+	}
+}
+
+// TestTeamLeak: the engine's helper executors live exactly as long as a
+// RunCtx — none survive a normal return, a canceled run, or a Placer that
+// was built and dropped without running.
+func TestTeamLeak(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	settle := func(what string, base int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cfg := quickConfig()
+	cfg.Workers = 4
+	cfg.MaxIters = 20
+	base := runtime.NumGoroutine()
+
+	p := New(smallDesign(1, 200, false), cfg)
+	if _, err := p.RunCtx(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.team.Handoffs() == 0 {
+		t.Fatal("the helpers never ran a shard")
+	}
+	settle("after RunCtx", base)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	p = New(smallDesign(2, 200, false), cfg)
+	if _, err := p.RunCtx(ctx, HookFunc(func(iter int, _ float64) bool {
+		if iter == 3 {
+			cancel()
+		}
+		return false
+	})); !errors.Is(err, flow.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	settle("after a canceled RunCtx", base)
+
+	New(smallDesign(3, 200, false), cfg)
+	runtime.GC()
+	settle("after a Placer dropped without Run", base)
 }
 
 // evalRecord is what one gradient evaluation looked like from outside.
@@ -215,7 +311,7 @@ func recordEvals(p *Placer) *[]evalRecord {
 		*log = append(*log, evalRecord{h.Sum64(), p.g.SolveSkips() != skips, p.forceReuses != reuses})
 	}, p.binBase/4)
 	opt.MaxBacktrack = 1
-	opt.SetWorkers(p.Cfg.Workers)
+	opt.SetTeam(p.team)
 	p.opt = opt
 	return log
 }
@@ -226,7 +322,7 @@ func recordEvals(p *Placer) *[]evalRecord {
 // reuse must NOT fire even though Solve was satisfied by the fingerprint:
 // the reuse key (the grid's solve count) is the only guard there.
 func TestEvalForceReuseIsExact(t *testing.T) {
-	shardAlways(t) // the Workers=3 runs below are on small designs
+	withGOMAXPROCS(t, 4) // so the Workers=3 run below shards three ways
 	// Padding at iteration 1 re-anchors λ at the start point: initLambda
 	// solves the padded list there, and the restart evaluates that very
 	// list — a fingerprint hit against a field the kept forces were not

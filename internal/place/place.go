@@ -90,10 +90,11 @@ type Config struct {
 	Seed int64
 	// Workers caps the engine's data parallelism across the per-iteration
 	// hot path (wirelength gradient, density rasterization, spectral
-	// solve, force sweep, optimizer vector work). Zero or negative selects
-	// GOMAXPROCS. Every phase is bit-deterministic regardless of the
-	// worker count — see DESIGN.md §3e — so changing Workers never changes
-	// the placement.
+	// solve, force sweep, optimizer vector work), which runs on one
+	// par.Team of min(Workers, GOMAXPROCS) executors. Zero or negative
+	// selects GOMAXPROCS. Every phase is bit-deterministic regardless of
+	// the worker count — see DESIGN.md §3e — so changing Workers never
+	// changes the placement.
 	Workers int
 	// Obs, when non-nil, receives the engine's telemetry: per-iteration
 	// HPWL / overflow / λ / γ / step-length series. Nil disables
@@ -166,7 +167,8 @@ func (cfg *Config) Validate() error {
 //     schedule.
 //
 // A mismatched piece is rebuilt from scratch — offering stale state never
-// changes results, it only wastes the rebuild.
+// changes results, it only wastes the rebuild. An adopted piece is re-bound
+// to the new engine's team.
 type Reuse struct {
 	Den *density.Grid
 	WL  *wirelength.Model
@@ -269,9 +271,10 @@ type Placer struct {
 	opt       *nesterov.Optimizer
 	projectFn func(x []float64) // bound once; Step(p.project) would allocate per call
 
-	// parallel execution state; the force-sweep stage is bound once in New
-	// so the steady-state iteration constructs no closures.
-	workers    int
+	// parallel execution state: one team for every kernel of the engine,
+	// started for the duration of RunCtx; the force-sweep stage is bound
+	// once in New so the steady-state iteration constructs no closures.
+	team       *par.Team
 	rects      []geom.Rect // reusable deposit list (movables + fillers)
 	evalGrad   []float64   // operands of the in-flight force sweep
 	gather     bool
@@ -314,7 +317,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Placer{D: d, Cfg: cfg, movable: d.MovableIDs()}
+	p := &Placer{D: d, Cfg: cfg, movable: d.MovableIDs(), team: par.NewTeam(cfg.Workers)}
 	n := len(p.movable)
 	if n == 0 {
 		return p, nil
@@ -369,9 +372,8 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 		p.nFill = int(fillArea / (p.fillerW * p.fillerH))
 	}
 	p.activeFill = p.nFill
-	p.workers = p.engineWorkers()
-	p.g.SetWorkers(p.workers)
-	p.wl.SetWorkers(p.workers)
+	p.g.SetTeam(p.team)
+	p.wl.SetTeam(p.team)
 
 	// Initial placement: region center plus jitter (or, warm-started, the
 	// design's current centers), fillers uniform.
@@ -410,32 +412,14 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	p.bindStage()
 	p.opt = nesterov.New(x0, p.eval, p.binBase/4)
 	p.opt.MaxBacktrack = 1
-	p.opt.SetWorkers(p.workers)
+	p.opt.SetTeam(p.team)
 	p.projectFn = p.project
 	return p, nil
 }
 
-// minEvalNs is the serial work, in nanoseconds, a gradient evaluation must
-// hold before its ≈11 stages are handed to the workers. Below it the whole
-// engine runs on the caller: every hand-off ends in a barrier that waits for
-// whichever thread the host has stalled, and that wait, not the work, is what
-// makes repeated runs of a small design scatter (measurements: DESIGN.md
-// §3e). A variable so tests can shard small designs.
-var minEvalNs = 6_000_000
-
-// engineWorkers resolves Config.Workers for this design: the cap itself when
-// one evaluation is worth sharding — wirelength pass per pin, raster plus
-// force gather per rectangle, six transform batches per bin, at their
-// measured serial costs — and one otherwise.
-func (p *Placer) engineWorkers() int {
-	if len(p.D.Pins)*50+(len(p.movable)+p.nFill)*45+p.g.M*p.g.N*72 < minEvalNs {
-		return 1
-	}
-	return par.Workers(p.Cfg.Workers)
-}
-
-// Workers reports the engine's resolved worker cap.
-func (p *Placer) Workers() int { return p.workers }
+// Workers reports the engine's executor count: min(Config.Workers,
+// GOMAXPROCS).
+func (p *Placer) Workers() int { return p.team.Size() }
 
 // ReuseState harvests the engine state worth carrying into a later run on
 // the same design: the density grid (fixed baseline, fingerprints, FFT
@@ -447,15 +431,6 @@ func (p *Placer) ReuseState() *Reuse {
 		return nil
 	}
 	return &Reuse{Den: p.g, WL: p.wl}
-}
-
-// dispatch runs a pre-bound disjoint-write stage over [0, n).
-func (p *Placer) dispatch(n int, stage func(w, lo, hi int)) {
-	if p.workers <= 1 || n < 2 {
-		stage(0, 0, n)
-		return
-	}
-	par.ForShards(p.workers, n, stage)
 }
 
 // bindStage constructs the force-sweep body once. It runs over the rect
@@ -557,7 +532,7 @@ func (p *Placer) eval(x, grad []float64) {
 		p.forceReuses++
 	}
 	p.evalGrad = grad
-	p.dispatch(len(p.movable)+p.nFill, p.stageForce)
+	p.team.Shards(len(p.movable)+p.nFill, p.stageForce)
 	p.evalGrad = nil
 	p.wallForce += time.Since(t)
 }
@@ -654,6 +629,8 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	if len(p.movable) == 0 {
 		return res, flow.Check(ctx)
 	}
+	p.team.Start()
+	defer p.team.Stop()
 	p.overflow = 1
 	p.movArea, p.padArea = p.D.TotalMovableArea(), p.D.TotalPaddingArea()
 	p.updateGamma()
@@ -681,7 +658,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	gForceReuses := rec.Gauge("place.force_reuses")
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
-		span.SetArg("workers", p.workers)
+		span.SetArg("workers", p.team.Size())
 		span.SetArg("iters", res.Iters)
 		span.SetArg("wl_grad_ms", p.wallWL.Seconds()*1e3)
 		span.SetArg("raster_ms", p.wallRaster.Seconds()*1e3)

@@ -12,8 +12,8 @@
 // # Parallelism and determinism
 //
 // WirelengthAndGrad is the first phase of every placement iteration, so it
-// shards nets across SetWorkers workers. Determinism does not depend on the
-// worker count:
+// shards nets across the executors of its team (SetWorkers, SetTeam).
+// Determinism does not depend on the worker count:
 //
 //   - A sharded pre-pass copies every cell origin into compact cellX/cellY
 //     arrays, so the per-net pass resolves a pin as cellX[pin.Cell]+pin.Dx
@@ -29,8 +29,9 @@
 //     derived from the net count, merging partials in shard order, so the
 //     floating-point grouping never changes with the worker count.
 //
-// With one worker every phase runs inline over pre-bound closures, so the
-// steady-state evaluation performs no heap allocation.
+// Every phase is a stage body bound once at New and dispatched on the
+// model's par.Team, so the steady-state evaluation performs no heap
+// allocation — serial, or on a started team.
 package wirelength
 
 import (
@@ -50,7 +51,8 @@ type Kind int
 // converges from below as γ → 0.
 const WA Kind = 0
 
-// maxWLWorkers bounds the per-worker scratch (four maxPins vectors each).
+// maxWLWorkers bounds SetWorkers' team (four maxPins scratch vectors per
+// executor) and the fixed reduction shard count.
 const maxWLWorkers = 16
 
 // wlNetsPerShard sizes the fixed total-wirelength reduction shards; the
@@ -67,14 +69,14 @@ type axisScratch struct {
 // Model evaluates smooth wirelength and its gradient over a design. The
 // zero value is not usable; construct with New. A Model keeps per-worker
 // scratch sized to the largest net plus per-pin/per-net result slots, so
-// reuse it across iterations. The model starts serial; SetWorkers enables
-// net-sharded evaluation without changing any result bit.
+// reuse it across iterations. The model starts serial; SetWorkers or
+// SetTeam enables net-sharded evaluation without changing any result bit.
 type Model struct {
 	d     *netlist.Design
 	Gamma float64
 	Kind  Kind // inert, see Kind
 
-	workers int
+	team    *par.Team
 	scratch []axisScratch
 	maxPins int
 
@@ -107,7 +109,7 @@ func New(d *netlist.Design, gamma float64) *Model {
 	m := &Model{
 		d:       d,
 		Gamma:   gamma,
-		workers: 1,
+		team:    par.NewTeam(1),
 		maxPins: maxPins,
 		cellX:   make([]float64, len(d.Cells)),
 		cellY:   make([]float64, len(d.Cells)),
@@ -137,39 +139,30 @@ func (m *Model) newScratch() axisScratch {
 	}
 }
 
-// SetWorkers caps the model's data parallelism (0 or negative selects
-// GOMAXPROCS, clamped to an internal bound) and grows the per-worker
-// scratch pool up front so later evaluations stay allocation-free. Results
-// never depend on the worker count.
+// SetWorkers gives the model a team of its own (0 or negative selects
+// GOMAXPROCS, clamped to an internal bound; see par.NewTeam). Results never
+// depend on the worker count.
 func (m *Model) SetWorkers(n int) {
-	w := par.Workers(n)
-	if w > maxWLWorkers {
-		w = maxWLWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	m.workers = w
-	for len(m.scratch) < w {
+	m.SetTeam(par.NewTeam(min(par.Workers(n), maxWLWorkers)))
+}
+
+// SetTeam dispatches the model's stages on t — the placement engine shares
+// one team among its kernels — and grows the per-executor scratch pool up
+// front so later evaluations stay allocation-free.
+func (m *Model) SetTeam(t *par.Team) {
+	m.team = t
+	for len(m.scratch) < t.Size() {
 		m.scratch = append(m.scratch, m.newScratch())
 	}
 }
 
-// Workers reports the resolved worker cap.
-func (m *Model) Workers() int { return m.workers }
+// Team reports the team the model dispatches on.
+func (m *Model) Team() *par.Team { return m.team }
 
 // Design reports the design this model was built for. Callers that cache a
 // Model across runs (warm ECO sessions) use it to check the model still
 // matches the design instance before reusing it.
 func (m *Model) Design() *netlist.Design { return m.d }
-
-func (m *Model) dispatch(n int, stage func(w, lo, hi int)) {
-	if m.workers <= 1 || n < 2 {
-		stage(0, 0, n)
-		return
-	}
-	par.ForShards(m.workers, n, stage)
-}
 
 func (m *Model) bindStages() {
 	// Pre-pass: snapshot the cell origins the net passes read.
@@ -241,14 +234,7 @@ func (m *Model) bindStages() {
 // reduceTotal sums the per-net lengths over the fixed shard structure and
 // merges the partials in shard order.
 func (m *Model) reduceTotal() float64 {
-	shards := len(m.wlPartial)
-	if m.workers <= 1 || shards <= 1 {
-		for s := 0; s < shards; s++ {
-			m.stageSum(s)
-		}
-	} else {
-		par.ForN(m.workers, shards, m.stageSum)
-	}
+	m.team.N(len(m.wlPartial), m.stageSum)
 	total := 0.0
 	for _, p := range m.wlPartial {
 		total += p
@@ -264,9 +250,9 @@ func (m *Model) reduceTotal() float64 {
 func (m *Model) WirelengthAndGrad(gradX, gradY []float64) float64 {
 	m.gradX, m.gradY = gradX, gradY
 	m.wantGrad = true
-	m.dispatch(len(m.d.Cells), m.stageOrigins)
-	m.dispatch(len(m.d.Nets), m.stageNets)
-	m.dispatch(len(m.d.Cells), m.stageCells)
+	m.team.Shards(len(m.d.Cells), m.stageOrigins)
+	m.team.Shards(len(m.d.Nets), m.stageNets)
+	m.team.Shards(len(m.d.Cells), m.stageCells)
 	m.gradX, m.gradY = nil, nil
 	m.wantGrad = false
 	return m.reduceTotal()
@@ -276,8 +262,8 @@ func (m *Model) WirelengthAndGrad(gradX, gradY []float64) float64 {
 // It shares the per-net evaluation and reduction structure with
 // WirelengthAndGrad, so the two totals agree to rounding.
 func (m *Model) Wirelength() float64 {
-	m.dispatch(len(m.d.Cells), m.stageOrigins)
-	m.dispatch(len(m.d.Nets), m.stageNets)
+	m.team.Shards(len(m.d.Cells), m.stageOrigins)
+	m.team.Shards(len(m.d.Nets), m.stageNets)
 	return m.reduceTotal()
 }
 
@@ -287,8 +273,8 @@ func (m *Model) Wirelength() float64 {
 // Design.HPWL bit for bit at any worker count.
 func (m *Model) HPWL() float64 {
 	m.exact = true
-	m.dispatch(len(m.d.Cells), m.stageOrigins)
-	m.dispatch(len(m.d.Nets), m.stageNets)
+	m.team.Shards(len(m.d.Cells), m.stageOrigins)
+	m.team.Shards(len(m.d.Nets), m.stageNets)
 	m.exact = false
 	total := 0.0
 	for _, w := range m.wlNet {

@@ -3,10 +3,12 @@ package wirelength
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"puffer/internal/geom"
 	"puffer/internal/netlist"
+	"puffer/internal/par"
 )
 
 // randomDesign builds a design with nc unit cells and nn random nets of
@@ -192,10 +194,20 @@ func BenchmarkWirelengthAndGrad(b *testing.B) {
 	}
 }
 
+// startedTeam returns a started team of workers executors — the form the
+// placement engine hands its kernels — stopped when the test ends.
+func startedTeam(tb testing.TB, workers int) *par.Team {
+	tm := par.NewTeam(workers)
+	tm.Start()
+	tb.Cleanup(tm.Stop)
+	return tm
+}
+
 // TestParallelMatchesSerialBitExact proves net sharding never changes a
 // bit: total and every per-cell gradient are identical for any worker
-// count.
+// count, on a started team.
 func TestParallelMatchesSerialBitExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	d := randomDesign(7, 200, 300)
 	ref := New(d, 1.5)
 	gx := make([]float64, len(d.Cells))
@@ -205,7 +217,7 @@ func TestParallelMatchesSerialBitExact(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 4, 16} {
 		m := New(d, 1.5)
-		m.SetWorkers(workers)
+		m.SetTeam(startedTeam(t, workers))
 		px := make([]float64, len(d.Cells))
 		py := make([]float64, len(d.Cells))
 		got := m.WirelengthAndGrad(px, py)
@@ -224,23 +236,27 @@ func TestParallelMatchesSerialBitExact(t *testing.T) {
 	}
 }
 
-// TestWirelengthZeroAllocSteadyState guards the serial hot path: after New,
-// repeated evaluations allocate nothing.
+// TestWirelengthZeroAllocSteadyState guards the hot path: after New,
+// repeated evaluations allocate nothing — serially or on a started team.
 func TestWirelengthZeroAllocSteadyState(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	d := randomDesign(9, 100, 150)
-	m := New(d, 2.0)
-	gx := make([]float64, len(d.Cells))
-	gy := make([]float64, len(d.Cells))
-	m.WirelengthAndGrad(gx, gy) // warm up
-	if n := testing.AllocsPerRun(10, func() {
-		for i := range gx {
-			gx[i], gy[i] = 0, 0
+	for _, workers := range []int{1, 4} {
+		m := New(d, 2.0)
+		m.SetTeam(startedTeam(t, workers))
+		gx := make([]float64, len(d.Cells))
+		gy := make([]float64, len(d.Cells))
+		m.WirelengthAndGrad(gx, gy) // warm up
+		if n := testing.AllocsPerRun(10, func() {
+			for i := range gx {
+				gx[i], gy[i] = 0, 0
+			}
+			m.WirelengthAndGrad(gx, gy)
+			m.Wirelength()
+			m.HPWL()
+		}); n != 0 {
+			t.Errorf("workers=%d: steady-state evaluation allocates %v per run, want 0", workers, n)
 		}
-		m.WirelengthAndGrad(gx, gy)
-		m.Wirelength()
-		m.HPWL()
-	}); n != 0 {
-		t.Errorf("steady-state evaluation allocates %v per run, want 0", n)
 	}
 }
 
@@ -248,6 +264,7 @@ func TestWirelengthZeroAllocSteadyState(t *testing.T) {
 // serial Design.HPWL bit for bit at any worker count, including weighted,
 // unweighted (0 → 1), single-pin and empty nets, and after cells move.
 func TestModelHPWLEqualsDesignHPWL(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	d := randomDesign(11, 300, 5000) // > wlNetsPerShard nets
 	rng := rand.New(rand.NewSource(12))
 	for n := range d.Nets {
