@@ -13,9 +13,6 @@
 //   - -session snapshot.json: validate and summarize a spooled ECO session
 //     snapshot (a pufferd session spool) — design hash, delta count,
 //     congestion-engine statistics, last HPWL/overflow, and the warm grid;
-//   - -ops http://addr: fetch and render a running pufferd's operational
-//     snapshot (/api/v1/ops) — queue pressure, latency histogram digests,
-//     and live SLO status;
 //   - -cas dir: inspect a coordinator's content-addressed store — blobs
 //     with sizes and refcounts, cached results with their digest triples,
 //     and on-disk orphans; -cas-gc additionally lists what a GC pass would
@@ -28,16 +25,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"puffer"
@@ -57,7 +51,6 @@ func main() {
 	reportPath := flag.String("report", "", "summarize this run report (JSON from cmd/puffer -report) instead of running comparisons")
 	ckptPath := flag.String("ckpt", "", "validate and summarize this pipeline checkpoint instead of running comparisons")
 	sessionPath := flag.String("session", "", "validate and summarize this ECO session snapshot instead of running comparisons")
-	opsAddr := flag.String("ops", "", "render the operational snapshot of the pufferd at this base URL instead of running comparisons")
 	casDir := flag.String("cas", "", "inspect the content-addressed store rooted at this directory instead of running comparisons")
 	casGC := flag.Bool("cas-gc", false, "with -cas: list the blobs a GC pass would delete (dry run)")
 	casGCApply := flag.Bool("cas-gc-apply", false, "with -cas: actually delete unreferenced blobs")
@@ -73,13 +66,6 @@ func main() {
 
 	if *casDir != "" {
 		if err := summarizeCAS(*casDir, *casGC, *casGCApply); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *opsAddr != "" {
-		if err := summarizeOps(*opsAddr); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -301,86 +287,6 @@ func summarizeSession(path string) error {
 	fmt.Printf("padded cells: %d (total pad width %.2f)\n", padded, padTotal)
 	fmt.Printf("padding history: iter %d, %d trigger times, last util %.4f\n",
 		sn.Padding.Iter, len(sn.Padding.PadTimes), sn.Padding.LastUtil)
-	return nil
-}
-
-// summarizeOps fetches a running daemon's /api/v1/ops document and prints
-// the operator digest: lifecycle, queue pressure, the service latency
-// histograms, and the live SLO evaluation. It is the offline-tool twin of
-// `pufferctl top`, so a machine with only the diag binary can still read a
-// daemon's health.
-func summarizeOps(base string) error {
-	resp, err := http.Get(strings.TrimSuffix(base, "/") + "/api/v1/ops")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ops endpoint: %s", resp.Status)
-	}
-	var ops struct {
-		Status        string           `json:"status"`
-		UptimeSeconds float64          `json:"uptime_seconds"`
-		QueueDepth    int              `json:"queue_depth"`
-		QueueCap      int              `json:"queue_cap"`
-		Workers       int              `json:"workers"`
-		ActiveJobs    int              `json:"active_jobs"`
-		Sessions      map[string]int   `json:"sessions"`
-		Counters      map[string]int64 `json:"counters"`
-		Histograms    map[string]struct {
-			Count uint64  `json:"count"`
-			Mean  float64 `json:"mean_seconds"`
-			P50   float64 `json:"p50_seconds"`
-			P95   float64 `json:"p95_seconds"`
-			P99   float64 `json:"p99_seconds"`
-		} `json:"histograms"`
-		SLO []struct {
-			Name      string  `json:"name"`
-			Quantile  float64 `json:"quantile"`
-			Value     float64 `json:"value_seconds"`
-			Bound     float64 `json:"bound_seconds"`
-			Window    uint64  `json:"window_count"`
-			Evaluable bool    `json:"evaluable"`
-			OK        bool    `json:"ok"`
-			Burning   bool    `json:"burning"`
-		} `json:"slo"`
-		SLOHealthy bool `json:"slo_healthy"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ops); err != nil {
-		return fmt.Errorf("decode ops: %w", err)
-	}
-	fmt.Printf("pufferd %s: up %s, queue %d/%d, %d workers, %d active jobs, %d sessions (%d warm)\n",
-		ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
-		ops.QueueDepth, ops.QueueCap, ops.Workers, ops.ActiveJobs,
-		ops.Sessions["tracked"], ops.Sessions["warm"])
-	fmt.Printf("slo healthy: %v\n", ops.SLOHealthy)
-	for _, o := range ops.SLO {
-		status := "ok"
-		switch {
-		case !o.Evaluable:
-			status = "no data"
-		case o.Burning:
-			status = "BURNING"
-		case !o.OK:
-			status = "failing"
-		}
-		fmt.Printf("  %-20s p%02.0f %.4gs vs %.4gs over %d samples: %s\n",
-			o.Name, o.Quantile*100, o.Value, o.Bound, o.Window, status)
-	}
-	if n := len(ops.Histograms); n > 0 {
-		fmt.Printf("latency (%d):\n", n)
-		for _, k := range sortedKeys(ops.Histograms) {
-			h := ops.Histograms[k]
-			fmt.Printf("  %-36s n=%-6d mean=%.4gs p95=%.4gs p99=%.4gs\n",
-				k, h.Count, h.Mean, h.P95, h.P99)
-		}
-	}
-	if n := len(ops.Counters); n > 0 {
-		fmt.Printf("counters (%d):\n", n)
-		for _, k := range sortedKeys(ops.Counters) {
-			fmt.Printf("  %-36s %d\n", k, ops.Counters[k])
-		}
-	}
 	return nil
 }
 

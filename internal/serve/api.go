@@ -12,7 +12,6 @@ import (
 
 	"puffer/internal/cas"
 	"puffer/internal/obs"
-	"puffer/internal/synth"
 )
 
 // maxSpecBytes bounds a submission body (inlined Bookshelf uploads
@@ -145,11 +144,6 @@ func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 	if spec.Distributed && s.fleet == nil {
 		return nil, refuse(http.StatusBadRequest,
 			"distributed exploration requires a fleet coordinator; this is a worker daemon")
-	}
-	if spec.Profile != "" {
-		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			return nil, refuse(http.StatusBadRequest, "%v", err)
-		}
 	}
 	m := &Manifest{
 		ID:          newJobID(),
@@ -293,10 +287,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]JobSummary, 0, len(ms))
 	for _, m := range ms {
-		design := m.Spec.Profile
-		if design == "" {
-			design = m.Spec.AuxName()
-		}
+		design := designName(m.Spec.Profile, m.Spec.Bookshelf)
 		if design == "" { // an upload whose files live in the fleet's store
 			design = cas.Digest(m.DesignDigest).Short()
 		}
@@ -314,12 +305,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// loadManifest fetches the manifest for the path's {id}, writing the 404.
-func (s *Server) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest {
+// loadRecord fetches the job or session manifest for the path's {id},
+// writing the 404.
+func loadRecord[T any, M interface {
+	*T
+	record
+}](w http.ResponseWriter, r *http.Request, st *store[T, M]) M {
 	id := r.PathValue("id")
-	m, err := s.spool.ReadManifest(id)
+	m, err := st.read(id)
 	if err != nil {
-		APIError(w, http.StatusNotFound, "job %s: %v", id, err)
+		APIError(w, http.StatusNotFound, "%s %s: %v", st.noun, id, err)
 		return nil
 	}
 	return m
@@ -336,13 +331,13 @@ func (s *Server) resolveOrigin(m *Manifest) *Manifest {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if m := s.loadManifest(w, r); m != nil {
+	if m := loadRecord(w, r, &s.spool.jobs); m != nil {
 		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+	m := loadRecord(w, r, &s.spool.jobs)
 	if m == nil {
 		return
 	}
@@ -360,7 +355,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // for a cache hit — from the job that computed the result, then — for a
 // job still running on a fleet worker — from that worker.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+	m := loadRecord(w, r, &s.spool.jobs)
 	if m == nil {
 		return
 	}
@@ -403,7 +398,7 @@ func (s *Server) Cancel(id, reason string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, live := s.jobRuntime(id)
+	a, live := lookup(s, s.jobs, id)
 	if !waiting {
 		// Running (a claim may have raced the read): only its context acts.
 		if live {
@@ -424,12 +419,12 @@ func (s *Server) Cancel(id, reason string) (*Manifest, error) {
 	}
 	// The job never reached a backend, so no runJob call will retire it;
 	// enroll the hub in retention here or it leaks forever.
-	s.retireJob(id)
+	retire(s, &s.finished, s.jobs, id)
 	return m, nil
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+	m := loadRecord(w, r, &s.spool.jobs)
 	if m == nil {
 		return
 	}
@@ -476,12 +471,12 @@ func (s *Server) status() string {
 // client disconnects. Terminal jobs with no retained hub get a single
 // synthetic state event so `pufferctl watch` always terminates.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+	m := loadRecord(w, r, &s.spool.jobs)
 	if m == nil {
 		return
 	}
 	var hub *Hub
-	if a, ok := s.jobRuntime(m.ID); ok {
+	if a, ok := lookup(s, s.jobs, m.ID); ok {
 		hub = a.hub
 	}
 	s.streamHub(w, r, hub, Event{Type: "state", State: m.State, Error: m.Error})

@@ -228,7 +228,7 @@ func (s *Server) runJob(id string, run func(context.Context, *Job) Outcome, reat
 	a.cancel = nil
 	s.mu.Unlock()
 	if out.State.Terminal() {
-		s.retireJob(id)
+		retire(s, &s.finished, s.jobs, id)
 	}
 	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
 	s.log.InfoContext(ctx, "job finished",

@@ -11,14 +11,15 @@
 // The package layers are:
 //
 //	job.go     — the job vocabulary: JobSpec, JobState, Manifest, JobResult
-//	spool.go   — the on-disk job store (manifests, designs, checkpoints, artifacts)
+//	spool.go   — the on-disk job and session store (manifests, designs, checkpoints, artifacts)
 //	queue.go   — the admission queue: tenant lanes, cap, rate limit, Retry-After
 //	events.go  — the per-job progress hub (ring buffer + live subscribers)
 //	backend.go — Backend, Fleet, and the job lifecycle around a backend run
-//	local.go   — the local backend: jobs through pipeline/explore in process
+//	local.go   — the local backend: jobs through pipeline/explore in process,
+//	             and the run telemetry and design loading sessions share
 //	server.go  — construction, recovery, drain, daemon metrics
 //	api.go     — the HTTP surface (admission, REST, SSE, artifacts, debug)
-//	session*.go — interactive ECO sessions (standalone only)
+//	session*.go — the ECO session runtime and API (standalone only)
 package serve
 
 import (
@@ -27,6 +28,8 @@ import (
 	"strings"
 	"time"
 
+	"puffer/internal/padding"
+	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -169,22 +172,8 @@ func (s *JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown job kind %q (want %q or %q)", s.Kind, KindPlace, KindExplore)
 	}
-	if (s.Profile == "") == (len(s.Bookshelf) == 0) {
-		return fmt.Errorf("exactly one of profile and bookshelf must be set")
-	}
-	if len(s.Bookshelf) > 0 {
-		aux := 0
-		for name := range s.Bookshelf {
-			if name == "" || strings.Contains(name, "/") || strings.Contains(name, "\\") || strings.Contains(name, "..") {
-				return fmt.Errorf("bookshelf file name %q must be a bare file name", name)
-			}
-			if strings.HasSuffix(name, ".aux") {
-				aux++
-			}
-		}
-		if aux != 1 {
-			return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
-		}
+	if err := checkSource(s.Profile, s.Bookshelf, s.Strategy); err != nil {
+		return err
 	}
 	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.Budget < 0 || s.TimeoutSec < 0 {
 		return fmt.Errorf("negative scale/max_iters/workers/budget/timeout_sec")
@@ -210,9 +199,47 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// AuxName returns the name of the spec's .aux file ("" for profile specs).
-func (s *JobSpec) AuxName() string {
-	for name := range s.Bookshelf {
+// checkSource is the admission check jobs and sessions share: exactly one
+// design source — a known synthetic profile, or a Bookshelf upload of bare
+// file names with exactly one .aux — and a strategy document, when set,
+// that decodes the way the run will decode it.
+func checkSource(profile string, upload map[string]string, strategy json.RawMessage) error {
+	if (profile == "") == (len(upload) == 0) {
+		return fmt.Errorf("exactly one of profile and bookshelf must be set")
+	}
+	if profile != "" {
+		if _, err := synth.ProfileByName(profile); err != nil {
+			return err
+		}
+	}
+	aux := 0
+	for name := range upload {
+		if !bareName(name) {
+			return fmt.Errorf("bookshelf file name %q must be a bare file name", name)
+		}
+		if strings.HasSuffix(name, ".aux") {
+			aux++
+		}
+	}
+	if len(upload) > 0 && aux != 1 {
+		return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
+	}
+	if len(strategy) > 0 {
+		st := padding.DefaultStrategy()
+		if err := json.Unmarshal(strategy, &st); err != nil {
+			return fmt.Errorf("decode strategy: %v", err)
+		}
+	}
+	return nil
+}
+
+// designName names a design source in list rows and logs: the profile, or
+// the upload's .aux file name.
+func designName(profile string, upload map[string]string) string {
+	if profile != "" {
+		return profile
+	}
+	for name := range upload {
 		if strings.HasSuffix(name, ".aux") {
 			return name
 		}

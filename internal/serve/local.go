@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"puffer"
@@ -59,35 +60,16 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 		defer tcancel()
 	}
 
-	// Per-job telemetry: an isolated registry whose samples stream to the
-	// job's hub and to the spooled metrics.jsonl, a tracer for the trace
-	// artifact, and a live expvar registration while the job runs.
-	sinks := []obs.Sink{hubSink{j.Hub}}
-	metricsPath, _ := b.spool.ArtifactPath(id, "metrics.jsonl")
-	metricsF, ferr := os.OpenFile(metricsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	var metricsSink obs.Sink
-	if ferr == nil {
-		metricsSink = obs.NewJSONLSink(metricsF)
-		sinks = append(sinks, metricsSink)
-	}
-	reg := obs.NewRegistry(sinks...)
-	// Adopt the submission's trace context when one was spooled: the job's
-	// span tree (and under it the whole pipeline) joins the client's trace,
-	// so a merged Chrome trace shows client request, queue wait, and shard
-	// work as one tree under one trace ID.
-	var tc obs.TraceContext
-	if m.TraceParent != "" {
-		tc, _ = obs.ParseTraceparent(m.TraceParent)
-	}
-	tracer := obs.NewTracerWith(tc)
-	rec := obs.NewRecorder(tracer, reg)
-	obs.PublishExpvar("job-"+id, reg)
-	defer obs.UnpublishExpvar("job-" + id)
+	// Adopting the submission's trace context puts the job's span tree (and
+	// under it the whole pipeline) into the client's trace, so a merged
+	// Chrome trace shows client request, queue wait, and shard work as one
+	// tree under one trace ID.
+	tel := openTelemetry(b.spool.JobDir(id), "job-"+id, j.Hub, m.TraceParent)
 
 	// The job span opens retroactively at submission, so the trace shows
 	// the full client-observed wall; the queue wait (submission → claim)
 	// is its first child.
-	jobSpan := tracer.StartSpanAt("serve.job", m.SubmittedAt)
+	jobSpan := tel.rec.Tracer().StartSpanAt("serve.job", m.SubmittedAt)
 	jobSpan.SetArg("job", id)
 	jobSpan.SetArg("kind", m.Spec.Kind)
 	jobSpan.SetArg("attempt", m.Attempts)
@@ -104,28 +86,61 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 	)
 	switch m.Spec.Kind {
 	case KindExplore:
-		result, err = b.execExplore(runCtx, m, j.Hub, rec)
+		result, err = b.execExplore(runCtx, m, j.Hub, tel.rec)
 	default:
-		result, err = b.execPlace(runCtx, m, j.Hub, rec)
+		result, err = b.execPlace(runCtx, m, j.Hub, tel.rec)
 	}
 	jobSpan.End()
 
-	// Spool the trace and flush the metric stream regardless of outcome —
-	// a parked or failed job's partial telemetry is exactly what the
-	// operator wants to look at.
-	if tracer.Len() > 0 {
-		if tp, perr := b.spool.ArtifactPath(id, "trace.json"); perr == nil {
-			if werr := tracer.WriteFile(tp); werr != nil {
-				b.log.ErrorContext(runCtx, "write trace artifact", "error", werr)
-			}
-		}
-	}
-	if metricsSink != nil {
-		metricsSink.Flush()
-		metricsF.Close()
+	// Spool the telemetry regardless of outcome — a parked or failed job's
+	// partial trace and metrics are exactly what the operator wants to see.
+	if werr := tel.close(); werr != nil {
+		b.log.ErrorContext(runCtx, "spool job telemetry", "error", werr)
 	}
 	state, errMsg := classifyOutcome(runCtx, err)
 	return Outcome{State: state, Error: errMsg, Result: result}
+}
+
+// runTelemetry is the telemetry of one job attempt or one warm ECO
+// session: an isolated registry whose samples stream to the run's hub and
+// to the spooled metrics.jsonl, a tracer for the trace.json artifact, and
+// a live expvar registration while the run is open.
+type runTelemetry struct {
+	rec     *obs.Recorder
+	dir     string
+	expvar  string
+	metrics *os.File // nil when metrics.jsonl could not be opened
+}
+
+// openTelemetry starts a run's telemetry spooled into dir and published to
+// expvar as name. The tracer joins traceparent's trace when it parses.
+func openTelemetry(dir, name string, hub *Hub, traceparent string) *runTelemetry {
+	t := &runTelemetry{dir: dir, expvar: name}
+	sinks := []obs.Sink{hubSink{hub}}
+	f, err := os.OpenFile(filepath.Join(dir, "metrics.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		t.metrics = f
+		sinks = append(sinks, obs.NewJSONLSink(f))
+	}
+	tc, _ := obs.ParseTraceparent(traceparent)
+	reg := obs.NewRegistry(sinks...)
+	t.rec = obs.NewRecorder(obs.NewTracerWith(tc), reg)
+	obs.PublishExpvar(name, reg)
+	return t
+}
+
+// close spools trace.json (if any span was recorded), flushes and closes
+// the metric stream, and drops the expvar registration.
+func (t *runTelemetry) close() error {
+	var err error
+	if tr := t.rec.Tracer(); tr.Len() > 0 {
+		err = tr.WriteFile(filepath.Join(t.dir, "trace.json"))
+	}
+	if t.metrics != nil {
+		err = errors.Join(err, t.rec.Registry().Flush(), t.metrics.Close())
+	}
+	obs.UnpublishExpvar(t.expvar)
+	return err
 }
 
 // classifyOutcome maps an execution error to the job's next state using
@@ -176,24 +191,27 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 		}
 	}
 	s.reg.Counter("serve.design_parses").Inc()
-	var (
-		d   *netlist.Design
-		err error
-	)
-	if m.Spec.Profile != "" {
-		p, perr := synth.ProfileByName(m.Spec.Profile)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		d = synth.Generate(p, m.Spec.Scale, m.Spec.Seed)
-	} else if d, err = bookshelf.Parse(s.spool.AuxPath(m)); err != nil {
-		return nil, nil, err
-	}
-	if key == "" {
-		return d, nil, nil
+	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, m.Spec.Bookshelf, s.spool.JobDir(m.ID))
+	if err != nil || key == "" {
+		return d, nil, err
 	}
 	e := s.designs.insert(key, &designEntry{base: d, topo: rsmt.NewMemo(0)})
 	return e.base.Clone(), e.topo, nil
+}
+
+// loadDesign materializes a job's or session's design: the synthetic
+// profile generated from scale and seed, or the upload spooled under
+// dir/design. Both rebuild bit-identically, which job resume and session
+// rehydration rely on.
+func loadDesign(profile string, scale int, seed int64, upload map[string]string, dir string) (*netlist.Design, error) {
+	if profile != "" {
+		p, err := synth.ProfileByName(profile)
+		if err != nil {
+			return nil, err
+		}
+		return synth.Generate(p, scale, seed), nil
+	}
+	return bookshelf.Parse(filepath.Join(dir, "design", designName(profile, upload)))
 }
 
 // flowConfig builds the pipeline configuration for a job or a session from

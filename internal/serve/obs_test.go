@@ -52,7 +52,7 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	}
 
 	// Idle eviction must drop the warm state AND the telemetry.
-	rt, ok := s.sessionRuntimeFor(m.ID)
+	rt, ok := lookup(s, s.sessions, m.ID)
 	if !ok {
 		t.Fatal("no runtime for open session")
 	}
@@ -61,7 +61,7 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	rt.mu.Unlock()
 	s.evictIdleSessions(time.Minute)
 	rt.mu.Lock()
-	evicted := rt.sess == nil && rt.rec == nil
+	evicted := rt.sess == nil && rt.tel == nil
 	rt.mu.Unlock()
 	if !evicted {
 		t.Fatal("eviction left warm state or telemetry behind")
@@ -70,7 +70,7 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 		t.Fatal("evicted session still published to expvar")
 	}
 	// The eviction spooled the base placement's span tree.
-	if _, err := os.Stat(s.spool.SessionDir(m.ID) + "/trace.json"); err != nil {
+	if _, err := os.Stat(s.spool.sessions.dir(m.ID) + "/trace.json"); err != nil {
 		t.Fatalf("evicted session has no trace artifact: %v", err)
 	}
 

@@ -57,27 +57,22 @@ func summarize(snap obs.HistogramSnapshot) histogramSummary {
 	}
 }
 
-// handleOps is the one-call operational picture `pufferctl top` and
-// `diag -ops` render: lifecycle, queue pressure, counters, latency
-// digests, the SLO statuses, and — on a coordinator — role, node table and
-// cache size.
+// handleOps is the one-call operational picture `pufferctl top` renders:
+// lifecycle, queue pressure, counters, latency digests, the SLO statuses,
+// and — on a coordinator — role, node table and cache size.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	snap := s.reg.Snapshot()
 	hists := make(map[string]histogramSummary, len(snap.Histograms))
 	for name, hs := range snap.Histograms {
 		hists[name] = summarize(hs)
 	}
-	s.mu.Lock()
-	sessions := len(s.sessions)
+	sessions := s.liveSessions()
 	warm := 0
-	for _, rt := range s.sessions {
-		rt.mu.Lock()
-		if rt.sess != nil {
+	for _, rt := range sessions {
+		if rt.warm() != nil {
 			warm++
 		}
-		rt.mu.Unlock()
 	}
-	s.mu.Unlock()
 	doc := map[string]any{
 		"status":         s.status(),
 		"uptime_seconds": time.Since(s.startedAt).Round(time.Second).Seconds(),
@@ -85,7 +80,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		"queue_cap":      s.queue.Cap(),
 		"workers":        s.backend.Slots(),
 		"active_jobs":    s.activeCount(),
-		"sessions":       map[string]int{"tracked": sessions, "warm": warm},
+		"sessions":       map[string]int{"tracked": len(sessions), "warm": warm},
 		"counters":       snap.Counters,
 		"gauges":         snap.Gauges,
 		"histograms":     hists,

@@ -231,19 +231,27 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// recoverSessions parks the spool's live ECO sessions for lazy rehydration.
+// recoverSessions marks the sessions a booting daemon inherits: sessions
+// still opening when the previous daemon died have no snapshot and fail;
+// open or parked ones park, for the next delta to rehydrate them from the
+// spooled snapshot.
 func (s *Server) recoverSessions() error {
-	parked, failedSessions, err := s.spool.RecoverSessions()
+	const msg = "daemon restarted before the base placement finished"
+	err := s.spool.sessions.sweep(func(m *SessionManifest) func(*SessionManifest) error {
+		switch m.State {
+		case SessionOpening:
+			s.log.Warn("session failed at boot", "session", m.ID, "error", msg)
+			return failSession(msg)
+		case SessionOpen, SessionParked:
+			s.RecoveredSessions++
+			s.log.Info("session parked at boot; next delta rehydrates", "session", m.ID, "deltas", m.Deltas)
+			return parkSession
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("serve: recover sessions: %w", err)
 	}
-	for _, m := range parked {
-		s.log.Info("session parked at boot; next delta rehydrates", "session", m.ID, "deltas", m.Deltas)
-	}
-	for _, m := range failedSessions {
-		s.log.Warn("session failed at boot", "session", m.ID, "error", m.Error)
-	}
-	s.RecoveredSessions = len(parked)
 	return nil
 }
 
@@ -319,18 +327,19 @@ func (s *Server) ensureJob(id string) *activeJob {
 	return a
 }
 
-// jobRuntime returns the runtime entry for id, if this boot has one.
-func (s *Server) jobRuntime(id string) (*activeJob, bool) {
+// lookup returns the job or session runtime entry for id in live, if this
+// boot has one.
+func lookup[R any](s *Server, live map[string]R, id string) (R, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, ok := s.jobs[id]
-	return a, ok
+	rt, ok := live[id]
+	return rt, ok
 }
 
 // Watch subscribes to a job's progress hub (Hub.Subscribe); ok is false when
 // this boot holds none for it (never seen, or retention expired).
 func (s *Server) Watch(id string) (replay []Event, live <-chan Event, cancel func(), ok bool) {
-	a, ok := s.jobRuntime(id)
+	a, ok := lookup(s, s.jobs, id)
 	if !ok {
 		return nil, nil, nil, false
 	}
@@ -338,30 +347,16 @@ func (s *Server) Watch(id string) (replay []Event, live <-chan Event, cancel fun
 	return replay, ch, cancel, true
 }
 
-// retireJob trims hub retention after a job reaches a terminal state.
-func (s *Server) retireJob(id string) {
+// retire enrolls a terminal job's or session's runtime in hub retention:
+// it stays in live, for late watchers, until hubRetention later ones have
+// retired, then drops (reads fall back to the spooled manifest).
+func retire[R any](s *Server, order *[]string, live map[string]R, id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.finished = append(s.finished, id)
-	for len(s.finished) > hubRetention {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old)
-	}
-}
-
-// retireSession mirrors retireJob for terminal sessions: the runtime (hub,
-// registry) stays for late watchers up to the retention bound, then drops.
-// The caller must already have closed the runtime's telemetry, or the
-// expvar registration leaks past the runtime.
-func (s *Server) retireSession(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finishedSessions = append(s.finishedSessions, id)
-	for len(s.finishedSessions) > hubRetention {
-		old := s.finishedSessions[0]
-		s.finishedSessions = s.finishedSessions[1:]
-		delete(s.sessions, old)
+	*order = append(*order, id)
+	for len(*order) > hubRetention {
+		delete(live, (*order)[0])
+		*order = (*order)[1:]
 	}
 }
 

@@ -326,6 +326,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{}`, // no design source
 		`{"profile":"OR1200","unknown_field":1}`,
 		`{"bookshelf":{"a.nodes":"x"}}`, // no .aux
+		`{"profile":"OR1200","strategy":{"Theta":"x"}}`, // strategy does not decode
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

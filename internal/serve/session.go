@@ -5,17 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
-	"puffer/internal/bookshelf"
 	"puffer/internal/eco"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -86,39 +82,13 @@ func (s *SessionSpec) Normalize() {
 
 // Validate rejects malformed specs with a client-presentable error.
 func (s *SessionSpec) Validate() error {
-	if (s.Profile == "") == (len(s.Bookshelf) == 0) {
-		return fmt.Errorf("exactly one of profile and bookshelf must be set")
-	}
-	for name := range s.Bookshelf {
-		if name == "" || strings.Contains(name, "/") || strings.Contains(name, "\\") || strings.Contains(name, "..") {
-			return fmt.Errorf("bookshelf file name %q must be a bare file name", name)
-		}
-	}
-	if len(s.Bookshelf) > 0 {
-		aux := 0
-		for name := range s.Bookshelf {
-			if strings.HasSuffix(name, ".aux") {
-				aux++
-			}
-		}
-		if aux != 1 {
-			return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
-		}
+	if err := checkSource(s.Profile, s.Bookshelf, s.Strategy); err != nil {
+		return err
 	}
 	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.WarmMaxIters < 0 || s.WarmMinIters < 0 {
 		return fmt.Errorf("negative scale/max_iters/workers/warm_max_iters/warm_min_iters")
 	}
 	return nil
-}
-
-// AuxName returns the name of the spec's .aux file ("" for profile specs).
-func (s *SessionSpec) AuxName() string {
-	for name := range s.Bookshelf {
-		if strings.HasSuffix(name, ".aux") {
-			return name
-		}
-	}
-	return ""
 }
 
 // SessionManifest is the durable record of one ECO session, spooled as
@@ -148,158 +118,20 @@ type SessionManifest struct {
 	ClosedAt    *time.Time `json:"closed_at,omitempty"`
 }
 
-// --- session spool -------------------------------------------------------
-
-// SessionDir returns the directory of one session.
-func (sp *Spool) SessionDir(id string) string { return filepath.Join(sp.root, "sessions", id) }
-
-// SessionSnapshotPath returns the session's eco snapshot path.
-func (sp *Spool) SessionSnapshotPath(id string) string {
-	return filepath.Join(sp.SessionDir(id), "snapshot.json")
+// parkSession is the manifest edit that parks an open session.
+func parkSession(m *SessionManifest) error {
+	if m.State == SessionOpen {
+		m.State = SessionParked
+	}
+	return nil
 }
 
-// SessionAuxPath returns the path of the session's uploaded .aux file
-// ("" for profile sessions).
-func (sp *Spool) SessionAuxPath(m *SessionManifest) string {
-	aux := m.Spec.AuxName()
-	if aux == "" {
-		return ""
+// failSession returns the manifest edit that fails a session with msg.
+func failSession(msg string) func(*SessionManifest) error {
+	return func(m *SessionManifest) error {
+		m.State, m.Error = SessionFailed, msg
+		return nil
 	}
-	return filepath.Join(sp.SessionDir(m.ID), "design", aux)
-}
-
-// CreateSession allocates a session directory, writes the uploaded design
-// files (if any), and persists the initial opening manifest.
-func (sp *Spool) CreateSession(m *SessionManifest) error {
-	dir := sp.SessionDir(m.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: create session dir: %w", err)
-	}
-	if len(m.Spec.Bookshelf) > 0 {
-		ddir := filepath.Join(dir, "design")
-		if err := os.MkdirAll(ddir, 0o755); err != nil {
-			return err
-		}
-		for name, content := range m.Spec.Bookshelf {
-			if err := os.WriteFile(filepath.Join(ddir, name), []byte(content), 0o644); err != nil {
-				return fmt.Errorf("serve: write design file %s: %w", name, err)
-			}
-		}
-	}
-	return sp.WriteSessionManifest(m)
-}
-
-// WriteSessionManifest persists m atomically.
-func (sp *Spool) WriteSessionManifest(m *SessionManifest) error {
-	m.Format = SessionManifestFormat
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: encode session manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(sp.SessionDir(m.ID), "manifest.json"), append(data, '\n'))
-}
-
-// ReadSessionManifest loads one session's manifest.
-func (sp *Spool) ReadSessionManifest(id string) (*SessionManifest, error) {
-	data, err := os.ReadFile(filepath.Join(sp.SessionDir(id), "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	m := &SessionManifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("serve: decode manifest for session %s: %w", id, err)
-	}
-	if m.Format != SessionManifestFormat {
-		return nil, fmt.Errorf("serve: session %s: manifest format %q, want %q", id, m.Format, SessionManifestFormat)
-	}
-	return m, nil
-}
-
-// UpdateSession applies fn to the session's manifest under the spool lock
-// and persists the result.
-func (sp *Spool) UpdateSession(id string, fn func(*SessionManifest) error) (*SessionManifest, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	m, err := sp.ReadSessionManifest(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := fn(m); err != nil {
-		return m, err
-	}
-	if err := sp.WriteSessionManifest(m); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// ListSessions returns every session manifest in the spool, oldest open
-// first. Unreadable manifests are skipped, like job List.
-func (sp *Spool) ListSessions() ([]*SessionManifest, error) {
-	entries, err := os.ReadDir(filepath.Join(sp.root, "sessions"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []*SessionManifest
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		m, err := sp.ReadSessionManifest(e.Name())
-		if err != nil {
-			continue
-		}
-		out = append(out, m)
-	}
-	// Oldest first, ID tiebreak — stable across boots.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.OpenedAt.Before(b.OpenedAt) || (a.OpenedAt.Equal(b.OpenedAt) && a.ID < b.ID) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
-	return out, nil
-}
-
-// RecoverSessions marks the sessions a booting daemon inherits: sessions
-// still opening when the previous daemon died have no snapshot and fail;
-// open or parked ones park (the next delta rehydrates them from the
-// spooled snapshot).
-func (sp *Spool) RecoverSessions() (parked, failed []*SessionManifest, err error) {
-	all, lerr := sp.ListSessions()
-	if lerr != nil {
-		return nil, nil, lerr
-	}
-	for _, m := range all {
-		switch m.State {
-		case SessionOpening:
-			um, uerr := sp.UpdateSession(m.ID, func(mm *SessionManifest) error {
-				mm.State = SessionFailed
-				mm.Error = "daemon restarted before the base placement finished"
-				return nil
-			})
-			if uerr != nil {
-				return nil, nil, uerr
-			}
-			failed = append(failed, um)
-		case SessionOpen, SessionParked:
-			um, uerr := sp.UpdateSession(m.ID, func(mm *SessionManifest) error {
-				mm.State = SessionParked
-				return nil
-			})
-			if uerr != nil {
-				return nil, nil, uerr
-			}
-			parked = append(parked, um)
-		}
-	}
-	return parked, failed, nil
 }
 
 // --- session runtime -----------------------------------------------------
@@ -315,14 +147,11 @@ type sessionRuntime struct {
 
 	run sync.Mutex // held while opening or applying a delta
 
-	mu          sync.Mutex // guards the fields below
-	sess        *eco.Session
-	cancel      context.CancelCauseFunc // non-nil while work is in flight
-	lastUsed    time.Time
-	reg         *obs.Registry
-	rec         *obs.Recorder
-	metricsF    *os.File
-	metricsSink obs.Sink
+	mu       sync.Mutex // guards the fields below
+	sess     *eco.Session
+	cancel   context.CancelCauseFunc // non-nil while work is in flight
+	lastUsed time.Time
+	tel      *runTelemetry // nil until the first run of this warm period
 }
 
 // ensureSession returns the session's runtime entry, creating it on first
@@ -338,80 +167,102 @@ func (s *Server) ensureSession(id string) *sessionRuntime {
 	return rt
 }
 
-// sessionRuntimeFor returns the runtime entry for id, if this boot has one.
-func (s *Server) sessionRuntimeFor(id string) (*sessionRuntime, bool) {
+// liveSessions returns the session runtimes this boot holds.
+func (s *Server) liveSessions() []*sessionRuntime {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rt, ok := s.sessions[id]
-	return rt, ok
+	rts := make([]*sessionRuntime, 0, len(s.sessions))
+	for _, rt := range s.sessions {
+		rts = append(rts, rt)
+	}
+	return rts
 }
 
-// telemetry returns the runtime's recorder and hub-connected registry,
-// wiring them (and the spooled metrics.jsonl, and the live expvar
-// registration) on first use. A rehydrate after closeTelemetry rebuilds
-// everything, so an evicted-then-warmed session republishes its registry.
-func (rt *sessionRuntime) telemetry(s *Server, id string) *obs.Recorder {
+// warm returns the session's in-memory eco.Session, nil when the next
+// delta must rehydrate it from the spooled snapshot.
+func (rt *sessionRuntime) warm() *eco.Session {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.rec != nil {
-		return rt.rec
-	}
-	sinks := []obs.Sink{hubSink{rt.hub}}
-	mp := filepath.Join(s.spool.SessionDir(id), "metrics.jsonl")
-	if f, err := os.OpenFile(mp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-		rt.metricsF = f
-		rt.metricsSink = obs.NewJSONLSink(f)
-		sinks = append(sinks, rt.metricsSink)
-	}
-	rt.reg = obs.NewRegistry(sinks...)
-	rt.rec = obs.NewRecorder(obs.NewTracer(), rt.reg)
-	obs.PublishExpvar("session-"+id, rt.reg)
-	return rt.rec
+	return rt.sess
 }
 
-// closeTelemetry flushes and releases the runtime's telemetry: the metric
-// stream closes, the session's span tree (base placement plus every warm
-// delta applied since the last rehydrate) spools as trace.json, the expvar
-// registration is dropped, and the recorder is cleared so the next
-// rehydrate starts fresh. Called on close, open failure, and idle
+// setWarm installs the session's in-memory warm state; nil drops it.
+func (rt *sessionRuntime) setWarm(sess *eco.Session) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.sess, rt.lastUsed = sess, time.Now()
+}
+
+// recorder returns the session's telemetry recorder, opening the run
+// telemetry (spooled into dir) on first use. A rehydrate after
+// closeTelemetry opens it afresh, so an evicted-then-warmed session
+// republishes its registry.
+func (rt *sessionRuntime) recorder(dir string) *obs.Recorder {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.tel == nil {
+		rt.tel = openTelemetry(dir, "session-"+rt.id, rt.hub, "")
+	}
+	return rt.tel.rec
+}
+
+// closeTelemetry releases the runtime's telemetry: the session's span tree
+// (base placement plus every warm delta applied since the last rehydrate)
+// spools as trace.json, the metric stream closes, and the expvar
+// registration is dropped. Called on close, open failure, park and idle
 // eviction — without the unpublish here, evicted sessions would pin their
 // registries in the process-global expvar map forever.
 func (rt *sessionRuntime) closeTelemetry(s *Server) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.rec != nil {
-		if tr := rt.rec.Tracer(); tr.Len() > 0 {
-			tp := filepath.Join(s.spool.SessionDir(rt.id), "trace.json")
-			if err := tr.WriteFile(tp); err != nil {
-				s.log.Error("write session trace", "session", rt.id, "error", err)
-			}
-		}
-		obs.UnpublishExpvar("session-" + rt.id)
-		rt.rec = nil
-		rt.reg = nil
+	tel := rt.tel
+	rt.tel = nil
+	rt.mu.Unlock()
+	if tel == nil {
+		return
 	}
-	if rt.metricsSink != nil {
-		rt.metricsSink.Flush()
-		rt.metricsSink = nil
-	}
-	if rt.metricsF != nil {
-		rt.metricsF.Close()
-		rt.metricsF = nil
+	if err := tel.close(); err != nil {
+		s.log.Error("spool session telemetry", "session", rt.id, "error", err)
 	}
 }
 
-// sessionDesign materializes the session's design: a deterministic
-// synthetic profile or the spooled Bookshelf upload — both rebuild
-// bit-identically on rehydrate, which eco.Restore verifies by design hash.
-func (s *Server) sessionDesign(m *SessionManifest) (*netlist.Design, error) {
-	if m.Spec.Profile != "" {
-		p, err := synth.ProfileByName(m.Spec.Profile)
-		if err != nil {
-			return nil, err
-		}
-		return synth.Generate(p, m.Spec.Scale, m.Spec.Seed), nil
+// track derives the context of the session's next piece of work from
+// parent and registers its cancel for close and drain; untrack cancels and
+// unregisters it.
+func (rt *sessionRuntime) track(parent context.Context) (ctx context.Context, cancel context.CancelCauseFunc, untrack func()) {
+	ctx, cancel = context.WithCancelCause(parent)
+	rt.mu.Lock()
+	rt.cancel = cancel
+	rt.mu.Unlock()
+	return ctx, cancel, func() {
+		cancel(nil)
+		rt.mu.Lock()
+		rt.cancel = nil
+		rt.mu.Unlock()
 	}
-	return bookshelf.Parse(s.spool.SessionAuxPath(m))
+}
+
+// endSession publishes a session's terminal state event, closes its hub
+// and telemetry, and enrolls the runtime in hub retention like a finished
+// job's.
+func (s *Server) endSession(rt *sessionRuntime, ev Event) {
+	rt.hub.Publish(ev)
+	rt.hub.Close()
+	rt.closeTelemetry(s)
+	retire(s, &s.finishedSessions, s.sessions, rt.id)
+}
+
+// sessionFlow rebuilds the session's design and flow configuration. Both
+// are deterministic in the spec, so a rehydrated session runs under exactly
+// the configuration its snapshot was captured under, and eco.Restore
+// verifies the design by hash.
+func (s *Server) sessionFlow(m *SessionManifest, rt *sessionRuntime) (*netlist.Design, pipeline.Config, error) {
+	dir := s.spool.sessions.dir(m.ID)
+	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, m.Spec.Bookshelf, dir)
+	if err != nil {
+		return nil, pipeline.Config{}, fmt.Errorf("build design: %w", err)
+	}
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rt.recorder(dir), rt.hub)
+	return d, cfg, err
 }
 
 func (m *SessionManifest) ecoOptions() eco.Options {
@@ -428,37 +279,17 @@ func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
 	start := time.Now()
 	id := m.ID
 
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	rt.mu.Lock()
-	rt.cancel = cancel
-	rt.mu.Unlock()
-	defer func() {
-		cancel(nil)
-		rt.mu.Lock()
-		rt.cancel = nil
-		rt.mu.Unlock()
-	}()
+	ctx, _, untrack := rt.track(s.baseCtx)
+	defer untrack()
 
 	fail := func(format string, args ...any) {
 		msg := fmt.Sprintf(format, args...)
 		s.log.Error("session open failed", "session", id, "error", msg)
-		s.spool.UpdateSession(id, func(mm *SessionManifest) error {
-			mm.State = SessionFailed
-			mm.Error = msg
-			return nil
-		})
-		rt.hub.Publish(Event{Type: "state", State: JobState(SessionFailed), Error: msg})
-		rt.hub.Close()
-		rt.closeTelemetry(s)
-		s.retireSession(id)
+		s.spool.sessions.update(id, failSession(msg))
+		s.endSession(rt, Event{Type: "state", State: JobState(SessionFailed), Error: msg})
 	}
 
-	d, err := s.sessionDesign(m)
-	if err != nil {
-		fail("build design: %v", err)
-		return
-	}
-	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rt.telemetry(s, id), rt.hub)
+	d, cfg, err := s.sessionFlow(m, rt)
 	if err != nil {
 		fail("%v", err)
 		return
@@ -481,18 +312,15 @@ func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
 	}
 	sn, err := sess.Snapshot()
 	if err == nil {
-		err = sn.Save(s.spool.SessionSnapshotPath(id))
+		err = sn.Save(filepath.Join(s.spool.sessions.dir(id), "snapshot.json"))
 	}
 	if err != nil {
 		fail("spool snapshot: %v", err)
 		return
 	}
 
-	rt.mu.Lock()
-	rt.sess = sess
-	rt.lastUsed = time.Now()
-	rt.mu.Unlock()
-	s.spool.UpdateSession(id, func(mm *SessionManifest) error {
+	rt.setWarm(sess)
+	s.spool.sessions.update(id, func(mm *SessionManifest) error {
 		mm.State = SessionOpen
 		mm.LastHPWL = res.HPWL
 		mm.LastOverflow = res.GP.Overflow
@@ -509,15 +337,11 @@ func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
 // rehydrateSession rebuilds the in-memory eco.Session of a parked or
 // evicted session from the spooled snapshot. Caller holds rt.run.
 func (s *Server) rehydrateSession(m *SessionManifest, rt *sessionRuntime) (*eco.Session, error) {
-	d, err := s.sessionDesign(m)
-	if err != nil {
-		return nil, fmt.Errorf("rebuild design: %w", err)
-	}
-	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rt.telemetry(s, m.ID), rt.hub)
+	d, cfg, err := s.sessionFlow(m, rt)
 	if err != nil {
 		return nil, err
 	}
-	sn, err := eco.LoadSnapshot(s.spool.SessionSnapshotPath(m.ID))
+	sn, err := eco.LoadSnapshot(filepath.Join(s.spool.sessions.dir(m.ID), "snapshot.json"))
 	if err != nil {
 		return nil, fmt.Errorf("load snapshot: %w", err)
 	}
@@ -534,36 +358,26 @@ func (s *Server) rehydrateSession(m *SessionManifest, rt *sessionRuntime) (*eco.
 // longer than idle. The spooled snapshot stays authoritative, so the next
 // delta transparently rehydrates; the manifest stays open.
 func (s *Server) evictIdleSessions(idle time.Duration) {
-	s.mu.Lock()
-	type cand struct {
-		id string
-		rt *sessionRuntime
-	}
-	var cands []cand
-	for id, rt := range s.sessions {
-		cands = append(cands, cand{id, rt})
-	}
-	s.mu.Unlock()
-	for _, c := range cands {
-		if !c.rt.run.TryLock() {
+	for _, rt := range s.liveSessions() {
+		if !rt.run.TryLock() {
 			continue // delta in flight: not idle
 		}
-		c.rt.mu.Lock()
-		expired := c.rt.sess != nil && time.Since(c.rt.lastUsed) >= idle
+		rt.mu.Lock()
+		expired := rt.sess != nil && time.Since(rt.lastUsed) >= idle
 		if expired {
-			c.rt.sess = nil
+			rt.sess = nil
 		}
-		c.rt.mu.Unlock()
+		rt.mu.Unlock()
 		if expired {
 			// Release the telemetry with the warm state: the expvar
 			// registration and metric stream go; the next delta's rehydrate
 			// rebuilds and republishes them alongside the eco.Session.
-			c.rt.closeTelemetry(s)
+			rt.closeTelemetry(s)
 		}
-		c.rt.run.Unlock()
+		rt.run.Unlock()
 		if expired {
 			s.reg.Counter("serve.sessions_evicted").Inc()
-			s.log.Info("session warm state evicted (snapshot retained)", "session", c.id)
+			s.log.Info("session warm state evicted (snapshot retained)", "session", rt.id)
 		}
 	}
 }
@@ -587,52 +401,28 @@ func (s *Server) sessionJanitor(idle time.Duration) {
 	}
 }
 
-// parkSessions marks every non-terminal session parked (terminally failing
-// the ones still opening) and cancels in-flight session work. Called from
-// Drain; in-flight deltas are lost — their clients get an error and retry
-// against the restarted daemon, which rehydrates from the last completed
-// delta's snapshot.
+// parkSessions cancels in-flight session work and marks every open
+// session parked; a session still opening fails when its canceled base
+// placement returns. Called from Drain; in-flight deltas are lost — their
+// clients get an error and retry against the restarted daemon, which
+// rehydrates from the last completed delta's snapshot.
 func (s *Server) parkSessions() {
-	s.mu.Lock()
-	var cancels []context.CancelCauseFunc
-	for _, rt := range s.sessions {
+	for _, rt := range s.liveSessions() {
 		rt.mu.Lock()
 		if rt.cancel != nil {
-			cancels = append(cancels, rt.cancel)
+			rt.cancel(ErrParked)
 		}
 		rt.mu.Unlock()
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c(ErrParked)
-	}
-	// Flush each runtime's telemetry so parked sessions leave their span
-	// trees and metric streams on disk for the next boot's operator.
-	s.mu.Lock()
-	rts := make([]*sessionRuntime, 0, len(s.sessions))
-	for _, rt := range s.sessions {
-		rts = append(rts, rt)
-	}
-	s.mu.Unlock()
-	for _, rt := range rts {
+		// Flush the telemetry so parked sessions leave their span trees and
+		// metric streams on disk for the next boot's operator.
 		rt.closeTelemetry(s)
 	}
-	all, err := s.spool.ListSessions()
-	if err != nil {
+	if err := s.spool.sessions.sweep(func(m *SessionManifest) func(*SessionManifest) error {
+		if m.State == SessionOpen {
+			return parkSession
+		}
+		return nil
+	}); err != nil {
 		s.log.Error("park sessions", "error", err)
-		return
-	}
-	for _, m := range all {
-		if m.State != SessionOpen && m.State != SessionParked {
-			continue
-		}
-		if _, err := s.spool.UpdateSession(m.ID, func(mm *SessionManifest) error {
-			if mm.State == SessionOpen {
-				mm.State = SessionParked
-			}
-			return nil
-		}); err != nil {
-			s.log.Error("park session", "session", m.ID, "error", err)
-		}
 	}
 }

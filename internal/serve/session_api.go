@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"time"
 
 	"puffer/internal/eco"
-	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -34,12 +34,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		APIError(w, http.StatusBadRequest, "invalid session spec: %v", err)
 		return
 	}
-	if spec.Profile != "" {
-		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			APIError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
 
 	m := &SessionManifest{
 		ID:       newJobID(),
@@ -47,7 +41,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		State:    SessionOpening,
 		OpenedAt: time.Now().UTC(),
 	}
-	if err := s.spool.CreateSession(m); err != nil {
+	if err := s.spool.sessions.create(m, spec.Bookshelf); err != nil {
 		APIError(w, http.StatusInternalServerError, "spool session: %v", err)
 		return
 	}
@@ -56,15 +50,8 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	go s.openSession(m, rt)
 	s.reg.Counter("serve.sessions_submitted").Inc()
-	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", sessionDesignName(&spec))
+	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", designName(spec.Profile, spec.Bookshelf))
 	WriteJSON(w, http.StatusAccepted, m)
-}
-
-func sessionDesignName(spec *SessionSpec) string {
-	if spec.Profile != "" {
-		return spec.Profile
-	}
-	return spec.AuxName()
 }
 
 // sessionSummary is one row of the session list endpoint.
@@ -81,7 +68,7 @@ type sessionSummary struct {
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	ms, err := s.spool.ListSessions()
+	ms, err := s.spool.sessions.list()
 	if err != nil {
 		APIError(w, http.StatusInternalServerError, "list sessions: %v", err)
 		return
@@ -89,34 +76,20 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	out := make([]sessionSummary, 0, len(ms))
 	for _, m := range ms {
 		row := sessionSummary{
-			ID: m.ID, Design: sessionDesignName(&m.Spec), State: m.State,
+			ID: m.ID, Design: designName(m.Spec.Profile, m.Spec.Bookshelf), State: m.State,
 			Deltas: m.Deltas, LastHPWL: m.LastHPWL,
 			OpenedAt: m.OpenedAt, LastDeltaAt: m.LastDeltaAt, Error: m.Error,
 		}
-		if rt, ok := s.sessionRuntimeFor(m.ID); ok {
-			rt.mu.Lock()
-			row.Warm = rt.sess != nil
-			rt.mu.Unlock()
+		if rt, ok := lookup(s, s.sessions, m.ID); ok {
+			row.Warm = rt.warm() != nil
 		}
 		out = append(out, row)
 	}
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// loadSessionManifest fetches the manifest for the path's {id}, writing
-// the 404.
-func (s *Server) loadSessionManifest(w http.ResponseWriter, r *http.Request) *SessionManifest {
-	id := r.PathValue("id")
-	m, err := s.spool.ReadSessionManifest(id)
-	if err != nil {
-		APIError(w, http.StatusNotFound, "session %s: %v", id, err)
-		return nil
-	}
-	return m
-}
-
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if m := s.loadSessionManifest(w, r); m != nil {
+	if m := loadRecord(w, r, &s.spool.sessions); m != nil {
 		WriteJSON(w, http.StatusOK, m)
 	}
 }
@@ -142,7 +115,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		APIError(w, http.StatusServiceUnavailable, "daemon is draining; not accepting deltas")
 		return
 	}
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, &s.spool.sessions)
 	if m == nil {
 		return
 	}
@@ -173,9 +146,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.run.Unlock()
 
-	rt.mu.Lock()
-	sess := rt.sess
-	rt.mu.Unlock()
+	sess := rt.warm()
 	rehydrated := false
 	if sess == nil {
 		sess, err = s.rehydrateSession(m, rt)
@@ -187,16 +158,8 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Tie the warm run to both the client connection and the daemon drain.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	rt.mu.Lock()
-	rt.cancel = cancel
-	rt.mu.Unlock()
-	defer func() {
-		cancel(nil)
-		rt.mu.Lock()
-		rt.cancel = nil
-		rt.mu.Unlock()
-	}()
+	ctx, cancel, untrack := rt.track(r.Context())
+	defer untrack()
 	stop := context.AfterFunc(s.baseCtx, func() { cancel(ErrParked) })
 	defer stop()
 
@@ -205,17 +168,13 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, eco.ErrBadDelta) {
 			// Rejected before touching the design: warm state is intact.
-			rt.mu.Lock()
-			rt.sess = sess
-			rt.mu.Unlock()
+			rt.setWarm(sess)
 			APIError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		// The in-memory warm state may be mid-flight; drop it so the next
 		// delta rehydrates from the last completed delta's snapshot.
-		rt.mu.Lock()
-		rt.sess = nil
-		rt.mu.Unlock()
+		rt.setWarm(nil)
 		switch {
 		case errors.Is(context.Cause(ctx), ErrParked):
 			APIError(w, http.StatusServiceUnavailable,
@@ -232,22 +191,17 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	// 200, a parked/crashed daemon must resume from *this* delta.
 	sn, serr := sess.Snapshot()
 	if serr == nil {
-		serr = sn.Save(s.spool.SessionSnapshotPath(m.ID))
+		serr = sn.Save(filepath.Join(s.spool.sessions.dir(m.ID), "snapshot.json"))
 	}
 	if serr != nil {
-		rt.mu.Lock()
-		rt.sess = nil
-		rt.mu.Unlock()
+		rt.setWarm(nil)
 		APIError(w, http.StatusInternalServerError, "spool snapshot: %v", serr)
 		return
 	}
-	rt.mu.Lock()
-	rt.sess = sess
-	rt.lastUsed = time.Now()
-	rt.mu.Unlock()
+	rt.setWarm(sess)
 
 	now := time.Now().UTC()
-	um, uerr := s.spool.UpdateSession(m.ID, func(mm *SessionManifest) error {
+	um, uerr := s.spool.sessions.update(m.ID, func(mm *SessionManifest) error {
 		mm.State = SessionOpen
 		mm.Deltas = sn.Deltas
 		mm.LastHPWL = sn.LastHPWL
@@ -279,7 +233,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, &s.spool.sessions)
 	if m == nil {
 		return
 	}
@@ -289,7 +243,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cancel in-flight work, then mark closed and drop the warm state. The
 	// spool directory (snapshot included) is kept for inspection.
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
+	if rt, ok := lookup(s, s.sessions, m.ID); ok {
 		rt.mu.Lock()
 		if rt.cancel != nil {
 			rt.cancel(ErrCanceled)
@@ -298,7 +252,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		rt.mu.Unlock()
 	}
 	now := time.Now().UTC()
-	um, err := s.spool.UpdateSession(m.ID, func(mm *SessionManifest) error {
+	um, err := s.spool.sessions.update(m.ID, func(mm *SessionManifest) error {
 		mm.State = SessionClosed
 		mm.ClosedAt = &now
 		return nil
@@ -307,14 +261,9 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		APIError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
-		rt.hub.Publish(Event{Type: "state", State: JobState(SessionClosed)})
-		rt.hub.Close()
-		rt.closeTelemetry(s)
+	if rt, ok := lookup(s, s.sessions, m.ID); ok {
+		s.endSession(rt, Event{Type: "state", State: JobState(SessionClosed)})
 	}
-	// Closed sessions enter hub retention like finished jobs; before this,
-	// a closed session's runtime (and its expvar registry) lived forever.
-	s.retireSession(m.ID)
 	s.reg.Counter("serve.sessions_closed").Inc()
 	s.log.InfoContext(r.Context(), "session closed", "session", m.ID, "deltas", um.Deltas)
 	WriteJSON(w, http.StatusOK, um)
@@ -324,12 +273,12 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // like job events; terminal sessions with no retained hub get a single
 // synthetic state event.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, &s.spool.sessions)
 	if m == nil {
 		return
 	}
 	var hub *Hub
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
+	if rt, ok := lookup(s, s.sessions, m.ID); ok {
 		hub = rt.hub
 	}
 	s.streamHub(w, r, hub, Event{Type: "state", State: JobState(m.State), Error: m.Error})

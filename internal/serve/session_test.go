@@ -88,7 +88,7 @@ func waitSessionState(t *testing.T, s *Server, id string, want SessionState) *Se
 	t.Helper()
 	deadline := time.Now().Add(90 * time.Second)
 	for {
-		m, err := s.spool.ReadSessionManifest(id)
+		m, err := s.spool.sessions.read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestSessionParkRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pm, err := s.spool.ReadSessionManifest(m.ID)
+	pm, err := s.spool.sessions.read(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSessionParkRestart(t *testing.T) {
 	if dr.Deltas != 2 || !dr.Rehydrated || dr.HPWL <= 0 {
 		t.Fatalf("post-restart delta response %+v", dr)
 	}
-	fm, err := s2.spool.ReadSessionManifest(m.ID)
+	fm, err := s2.spool.sessions.read(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +256,11 @@ func TestSessionIdleEviction(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		rt, ok := s.sessionRuntimeFor(m.ID)
+		rt, ok := lookup(s, s.sessions, m.ID)
 		if !ok {
 			t.Fatal("session runtime missing")
 		}
-		rt.mu.Lock()
-		warm := rt.sess != nil
-		rt.mu.Unlock()
-		if !warm {
+		if rt.warm() == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -294,6 +291,7 @@ func TestSessionOpenValidation(t *testing.T) {
 		`{"profile":"NO_SUCH_CHIP"}`,    // unknown profile
 		`{"profile":"OR1200","junk":1}`, // unknown field
 		`{"profile":"OR1200","scale":-1}`,
+		`{"profile":"OR1200","strategy":{"Theta":"x"}}`, // strategy does not decode
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
