@@ -2,10 +2,12 @@ package dp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"puffer/internal/geom"
@@ -255,7 +257,7 @@ func TestFindGapMatchesReference(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					c.PadW = siteW * float64(1+rng.Intn(4))
 				}
-				cells = append(cells, rowCell{id: d.AddCell(c), x: x, w: w})
+				cells = append(cells, rowCell{id: d.AddCell(c), x: x, w: w, pad: c.PadW})
 			}
 			x += w
 		}
@@ -274,15 +276,22 @@ func TestFindGapMatchesReference(t *testing.T) {
 		preserve := rng.Intn(2) == 0
 
 		wantCells, wantObs := append([]rowCell(nil), cells...), append([]rowCell(nil), obs...)
-		gx, gok := findGap(d, cells, obs, mover, m, target, fb, siteW, window, preserve)
 		wx, wok := findGapReference(d, cells, obs, mover, m, target, fb, siteW, window, preserve)
-		if gx != wx || gok != wok {
-			t.Fatalf("trial %d: findGap = (%v, %v), reference (%v, %v)\ncells %v\nobs %v", trial, gx, gok, wx, wok, cells, obs)
+		// With the running edges the sweep starts at the window; without
+		// them it walks the row from its first blocker.
+		for _, row := range []gapRow{
+			{cells: cells, obs: obs, cellEnds: runningEnds(nil, cells, preserve), obsEnds: runningEnds(nil, obs, false), skip: true},
+			{cells: cells, obs: obs},
+		} {
+			gx, gok := findGap(d, row, mover, m, target, fb, siteW, window, preserve)
+			if math.Float64bits(gx) != math.Float64bits(wx) || gok != wok {
+				t.Fatalf("trial %d skip=%v: findGap = (%v, %v), reference (%v, %v)\ncells %v\nobs %v", trial, row.skip, gx, gok, wx, wok, cells, obs)
+			}
 		}
 		if !reflect.DeepEqual(cells, wantCells) || !reflect.DeepEqual(obs, wantObs) {
 			t.Fatalf("trial %d: findGap modified its inputs", trial)
 		}
-		if gok {
+		if wok {
 			hits++
 		}
 	}
@@ -292,51 +301,189 @@ func TestFindGapMatchesReference(t *testing.T) {
 	d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10), RowHeight: 1, SiteWidth: siteW}
 	row := []rowCell{{id: d.AddCell(netlist.Cell{W: 1, H: 1, X: 2}), x: 2, w: 1}}
 	mover := rowCell{id: d.AddCell(netlist.Cell{W: 1, H: 1}), w: 1}
-	if got := testing.AllocsPerRun(10, func() { findGap(d, row, nil, mover, 0, 5, d.Region, siteW, 10, true) }); got != 0 {
+	if got := testing.AllocsPerRun(10, func() { findGap(d, gapRow{cells: row}, mover, 0, 5, d.Region, siteW, 10, true) }); got != 0 {
 		t.Errorf("findGap allocates %v objects per call, want 0", got)
 	}
 }
 
-// TestRefineMatchesReferenceGapSearch: on the three golden designs, with
-// and without padding to preserve, refinement over findGap does exactly
-// what it did over the search it replaced — the same moves and swaps, the
-// same HPWL to the bit, every cell in the same place.
-func TestRefineMatchesReferenceGapSearch(t *testing.T) {
+// loaded returns a refiner loaded with d, for the tests of its pieces.
+func loaded(t *testing.T, d *netlist.Design) *refiner {
+	t.Helper()
+	r := new(refiner)
+	if err := r.load(d); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// refineBoth runs Refine on d and the reference refinement on a clone, and
+// fails unless the Results are equal and every cell sits at the same bits.
+func refineBoth(t *testing.T, name string, d *netlist.Design, cfg Config) Result {
+	t.Helper()
+	ref := d.Clone()
+	got, err := Refine(d, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := refineReference(context.Background(), ref, cfg)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	if got != want {
+		t.Fatalf("%s: Refine = %+v, reference %+v", name, got, want)
+	}
+	for i := range d.Cells {
+		c, w := &d.Cells[i], &ref.Cells[i]
+		if math.Float64bits(c.X) != math.Float64bits(w.X) || math.Float64bits(c.Y) != math.Float64bits(w.Y) {
+			t.Fatalf("%s: cell %d at (%v, %v), reference (%v, %v)", name, i, c.X, c.Y, w.X, w.Y)
+		}
+	}
+	return got
+}
+
+// addFence adds a row-aligned fence in the upper-right quadrant and assigns
+// every eighth movable cell to it.
+func addFence(d *netlist.Design) {
+	fr := geom.RectWH(
+		d.Region.Lo.X+d.Region.W()*0.5,
+		d.Region.Lo.Y+float64(int(d.Region.H()*0.5)),
+		d.Region.W()*0.45,
+		float64(int(d.Region.H()*0.4)),
+	)
+	d.Fences = append(d.Fences, netlist.Fence{Name: "f", Rect: fr})
+	for i := range d.Cells {
+		if !d.Cells[i].Fixed && i%8 == 0 {
+			d.Cells[i].Fence = 1
+		}
+	}
+}
+
+// TestRefineMatchesReference: refinement on cached pin coordinates, net
+// extremes and indexed rows does exactly what the rescanning refinement it
+// replaced did — the same Result, every cell at the same bits — on the
+// three golden designs with and without padding to preserve, on the
+// eco_chain and place_congested designs after legalization, on a fenced
+// design, and on seeded small designs built to hit the corner cases.
+func TestRefineMatchesReference(t *testing.T) {
+	synthetic := func(profile string, scale int, seed int64) *netlist.Design {
+		p, err := synth.ProfileByName(profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return synth.Generate(p, scale, seed)
+	}
 	for _, gc := range []struct {
 		profile string
 		scale   int
 		seed    int64
 	}{{"OR1200", 400, 5}, {"MEDIA_SUBSYS", 1500, 1}, {"CT_TOP", 1500, 3}} {
 		for _, preserve := range []bool{false, true} {
-			p, err := synth.ProfileByName(gc.profile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := scatterAndLegalize(t, synth.Generate(p, gc.scale, gc.seed), preserve)
-			ref := d.Clone()
-			cfg := Config{Passes: 2, WindowSites: 40, PreservePadding: preserve}
-			got, err := Refine(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := refine(context.Background(), ref, cfg, findGapReference)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s preserve=%v: Refine = %+v, over the reference search %+v", gc.profile, preserve, got, want)
-			}
-			if got.Moves == 0 {
+			d := scatterAndLegalize(t, synthetic(gc.profile, gc.scale, gc.seed), preserve)
+			res := refineBoth(t, fmt.Sprintf("%s preserve=%v", gc.profile, preserve), d,
+				Config{Passes: 2, WindowSites: 40, PreservePadding: preserve})
+			if res.Moves == 0 {
 				t.Errorf("%s preserve=%v: no moves; the comparison proves too little", gc.profile, preserve)
-			}
-			for i := range d.Cells {
-				if d.Cells[i].X != ref.Cells[i].X || d.Cells[i].Y != ref.Cells[i].Y {
-					t.Fatalf("%s preserve=%v: cell %d at (%v, %v), reference (%v, %v)", gc.profile, preserve, i,
-						d.Cells[i].X, d.Cells[i].Y, ref.Cells[i].X, ref.Cells[i].Y)
-				}
 			}
 		}
 	}
+	for _, bc := range []struct {
+		profile string
+		scale   int
+	}{{"OR1200", 40}, {"MEDIA_SUBSYS", 200}} {
+		d := scatterAndLegalize(t, synthetic(bc.profile, bc.scale, 1), true)
+		// The flow's settings (pipeline.DefaultConfig's DP).
+		refineBoth(t, fmt.Sprintf("%s/%d", bc.profile, bc.scale), d, Config{Passes: 2, WindowSites: 100, PreservePadding: true})
+	}
+	fenced := synthetic("OR1200", 400, 2)
+	addFence(fenced)
+	refineBoth(t, "fenced", scatterAndLegalize(t, fenced, true), Config{Passes: 3, WindowSites: 40})
+
+	rng := rand.New(rand.NewSource(34))
+	designs, moved := 0, 0
+	for trial := 0; designs < 240; trial++ {
+		if trial > 2000 {
+			t.Fatalf("only %d of %d seeded designs legalized", designs, trial)
+		}
+		d := randomDesign(rng)
+		if _, err := legal.Legalize(d, legal.DefaultConfig()); err != nil {
+			continue
+		}
+		designs++
+		// Cells the legalizer left at the region origin sometimes get its
+		// negative zero, so pins land on -0 as well as +0.
+		for i := range d.Cells {
+			if c := &d.Cells[i]; !c.Fixed && c.X == 0 && rng.Intn(2) == 0 {
+				c.X = math.Copysign(0, -1)
+			}
+		}
+		cfg := Config{Passes: 1 + rng.Intn(3), WindowSites: 2 + rng.Intn(60), PreservePadding: rng.Intn(2) == 0}
+		if res := refineBoth(t, fmt.Sprintf("trial %d %+v", trial, cfg), d, cfg); res.Moves+res.Swaps > 0 {
+			moved++
+		}
+	}
+	if moved < designs/2 {
+		t.Errorf("only %d of %d seeded designs saw a move or swap; the comparison proves too little", moved, designs)
+	}
+}
+
+// randomDesign is a small scattered design for the reference comparison:
+// fixed macros and zero-width obstacles, padded cells, cells with several
+// pins on one net, net weights 0 and not, a 60-pin net, and pins at the
+// region origin with both signs of zero.
+func randomDesign(rng *rand.Rand) *netlist.Design {
+	site := []float64{0.25, 0.5}[rng.Intn(2)]
+	w, h := float64(12+rng.Intn(24)), float64(6+rng.Intn(10))
+	d := &netlist.Design{Region: geom.RectWH(0, 0, w, h), RowHeight: 1, SiteWidth: site}
+	for k := rng.Intn(4); k > 0; k-- {
+		mw, mh := 0.5+rng.Float64()*w/4, 0.5+rng.Float64()*h/3
+		d.AddCell(netlist.Cell{W: mw, H: mh, X: rng.Float64() * (w - mw), Y: rng.Float64() * (h - mh), Fixed: true})
+	}
+	for k := rng.Intn(3); k > 0; k-- { // zero-width obstacles
+		d.AddCell(netlist.Cell{W: 0, H: 1, X: site * float64(rng.Intn(int(w/site))), Y: float64(rng.Intn(int(h))), Fixed: true})
+	}
+	nc := 10 + rng.Intn(int(w*h/6))
+	var movable []int
+	for k := 0; k < nc; k++ {
+		c := netlist.Cell{W: site * float64(1+rng.Intn(6)), H: 1, X: rng.Float64() * w * 0.9, Y: rng.Float64() * (h - 1)}
+		if rng.Intn(8) == 0 {
+			c.X, c.Y = 0, 0
+		}
+		if rng.Intn(4) == 0 {
+			c.PadW = site * float64(1+rng.Intn(3))
+		}
+		movable = append(movable, d.AddCell(c))
+	}
+	offset := func(ci int) (float64, float64) {
+		c := &d.Cells[ci]
+		switch rng.Intn(4) {
+		case 0:
+			return 0, 0
+		case 1:
+			return math.Copysign(0, -1), math.Copysign(0, -1)
+		}
+		return rng.Float64() * c.W, rng.Float64() * c.H
+	}
+	connect := func(n, ci int) {
+		dx, dy := offset(ci)
+		d.Connect(ci, n, dx, dy)
+	}
+	for k := nc + rng.Intn(nc); k > 0; k-- {
+		n := d.AddNet("", []float64{0, 0, 1, 2.5}[rng.Intn(4)])
+		for p := 2 + rng.Intn(4); p > 0; p-- {
+			ci := movable[rng.Intn(len(movable))]
+			connect(n, ci)
+			if rng.Intn(6) == 0 {
+				connect(n, ci) // a second pin of the same cell
+			}
+		}
+	}
+	if rng.Intn(2) == 0 {
+		n := d.AddNet("wide", 1)
+		for p := 0; p < 60; p++ {
+			connect(n, rng.Intn(len(d.Cells)))
+		}
+	}
+	return d
 }
 
 func TestRefineRejectsBadGeometry(t *testing.T) {
@@ -358,18 +505,41 @@ func TestZeroPassesNoop(t *testing.T) {
 	}
 }
 
-func BenchmarkRefine(b *testing.B) {
-	p, _ := synth.ProfileByName("OR1200")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := synth.Generate(p, 1500, int64(i))
-		if _, err := legal.Legalize(d, legal.DefaultConfig()); err != nil {
-			b.Fatal(err)
+// TestRefineConcurrentDeterministic: refinements running at once each take
+// their own pooled scratch — every design ends exactly where a lone
+// refinement puts it.
+func TestRefineConcurrentDeterministic(t *testing.T) {
+	p, err := synth.ProfileByName("OR1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var designs, want []*netlist.Design
+	for seed := int64(1); seed <= 6; seed++ {
+		d := scatterAndLegalize(t, synth.Generate(p, 400+100*int(seed), seed), seed%2 == 0)
+		w := d.Clone()
+		if _, err := Refine(w, Config{Passes: 2, WindowSites: 40, PreservePadding: seed%2 == 0}); err != nil {
+			t.Fatal(err)
 		}
-		b.StartTimer()
-		if _, err := Refine(d, DefaultConfig()); err != nil {
-			b.Fatal(err)
+		designs, want = append(designs, d), append(want, w)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(designs))
+	for i := range designs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = Refine(designs[i], Config{Passes: 2, WindowSites: 40, PreservePadding: i%2 == 1})
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range designs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for c := range d.Cells {
+			if math.Float64bits(d.Cells[c].X) != math.Float64bits(want[i].Cells[c].X) || math.Float64bits(d.Cells[c].Y) != math.Float64bits(want[i].Cells[c].Y) {
+				t.Fatalf("design %d cell %d at (%v, %v), alone (%v, %v)", i, c, d.Cells[c].X, d.Cells[c].Y, want[i].Cells[c].X, want[i].Cells[c].Y)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"puffer/internal/geom"
@@ -23,7 +24,7 @@ func TestOptimalXMedian(t *testing.T) {
 	}
 	// Bounds collected: {10,10},{20,20},{80,80} → sorted 10,10,20,20,80,80;
 	// median pair = (20+20)/2 = 20; cell lower-left target = 20 - w/2 = 19.
-	got := optimalX(d, c)
+	got := loaded(t, d).optimal(c, false)
 	if math.Abs(got-19) > 1e-9 {
 		t.Errorf("optimalX = %v, want 19", got)
 	}
@@ -33,7 +34,7 @@ func TestOptimalXMedian(t *testing.T) {
 func TestOptimalXNoNets(t *testing.T) {
 	d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10), RowHeight: 1, SiteWidth: 0.5}
 	c := d.AddCell(netlist.Cell{W: 1, H: 1, X: 4, Y: 0})
-	if got := optimalX(d, c); got != 4 {
+	if got := loaded(t, d).optimal(c, false); got != 4 {
 		t.Errorf("optimalX = %v, want unchanged 4", got)
 	}
 }
@@ -53,7 +54,7 @@ func TestHPWLDeltaMoveMatchesFull(t *testing.T) {
 	d.Connect(cc, n2, 0, 0)
 
 	before := d.HPWL()
-	delta := hpwlDeltaMove(d, a, 42, 3)
+	delta := loaded(t, d).deltaMove(a, 42, 3)
 	d.Cells[a].X, d.Cells[a].Y = 42, 3
 	after := d.HPWL()
 	if math.Abs((after-before)-delta) > 1e-9 {
@@ -75,7 +76,7 @@ func TestHPWLDeltaSwapMatchesFull(t *testing.T) {
 	d.Connect(far, n2, 0.5, 0.5)
 
 	before := d.HPWL()
-	delta := hpwlDeltaSwap(d, a, 12, b, 10)
+	delta := loaded(t, d).deltaSwap(a, 12, b, 10)
 	d.Cells[a].X = 12
 	d.Cells[b].X = 10
 	after := d.HPWL()
@@ -149,5 +150,49 @@ func TestClampSnap(t *testing.T) {
 	// Span narrower than a site with no site point inside.
 	if _, ok := clampSnap(1.6, 1.55, 1.7, 9, 0, 0.25); ok {
 		t.Error("snap succeeded in a site-free span")
+	}
+}
+
+// TestExtremesMatchFolds: a net's summary answers "extreme over every pin
+// but one" with the bits a min/max fold over the others gives, and an
+// in-place replace either keeps it equal to a fresh summary or asks for
+// one — on nets full of ties and of both zeros.
+func TestExtremesMatchFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	vals := []float64{math.Copysign(0, -1), 0, 1, -1, 2.5, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 20000; trial++ {
+		d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10), RowHeight: 1, SiteWidth: 1}
+		n := d.AddNet("", 1)
+		k := 1 + rng.Intn(5)
+		for p := 0; p < k; p++ {
+			// x + -0 is x for both zeros, so each pin keeps its sign.
+			d.Connect(d.AddCell(netlist.Cell{X: vals[rng.Intn(len(vals))]}), n, math.Copysign(0, -1), 0)
+		}
+		r := loaded(t, d)
+		e := &r.ext[n].x
+		if bb := d.NetBBox(n); math.Float64bits(e.lo) != math.Float64bits(bb.Lo.X) || math.Float64bits(e.hi) != math.Float64bits(bb.Hi.X) {
+			t.Fatalf("trial %d pins %v: extremes (%v, %v), NetBBox (%v, %v)", trial, r.px, e.lo, e.hi, bb.Lo.X, bb.Hi.X)
+		}
+		for q := range d.Pins {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for o := range d.Pins {
+				if o != q {
+					lo, hi = min(lo, r.px[o]), max(hi, r.px[o])
+				}
+			}
+			glo, ghi := e.without(r.px[q])
+			if math.Float64bits(glo) != math.Float64bits(lo) || math.Float64bits(ghi) != math.Float64bits(hi) {
+				t.Fatalf("trial %d pins %v: without pin %d = (%v, %v), fold (%v, %v)", trial, r.px, q, glo, ghi, lo, hi)
+			}
+		}
+		q := rng.Intn(k)
+		v := vals[rng.Intn(len(vals))]
+		kept := *e
+		ok := kept.replace(r.px[q], v)
+		r.px[q] = v
+		r.recomputeAxis(n, false)
+		if ok && kept != *e {
+			t.Fatalf("trial %d pins %v: replace kept %+v, fresh %+v", trial, r.px, kept, *e)
+		}
 	}
 }

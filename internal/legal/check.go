@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"puffer/internal/netlist"
 )
@@ -87,11 +87,22 @@ func Check(d *netlist.Design, max int) []Violation {
 	}
 
 	// Movable-vs-movable overlaps within rows (sort sweep).
-	sort.Slice(cells, func(a, b int) bool {
-		if cells[a].y != cells[b].y {
-			return cells[a].y < cells[b].y
+	// slices.SortFunc runs sort.Slice's pdqsort, so tied cells end in the
+	// same order, without the reflection-based swaps.
+	less := func(a, b placed) bool {
+		if a.y != b.y {
+			return a.y < b.y
 		}
-		return cells[a].x0 < cells[b].x0
+		return a.x0 < b.x0
+	}
+	slices.SortFunc(cells, func(a, b placed) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
 	})
 	for k := 1; k < len(cells); k++ {
 		a, b := cells[k-1], cells[k]
@@ -103,10 +114,16 @@ func Check(d *netlist.Design, max int) []Violation {
 		}
 	}
 
-	// Movable-vs-fixed overlaps.
+	// Movable-vs-fixed overlaps. Fixed cells are bucketed by the row bands
+	// their outlines span, so each movable cell is tested only against the
+	// fixed cells of its own bands, in ascending index as a full scan would
+	// meet them.
+	bands := newFixedBands(d, fixed)
+	var cand []int
 	for _, pc := range cells {
 		c := &d.Cells[pc.id]
-		for _, fi := range fixed {
+		cand = bands.near(c.Y, c.Y+c.H, cand[:0])
+		for _, fi := range cand {
 			f := &d.Cells[fi]
 			if c.Rect().OverlapArea(f.Rect()) > eps {
 				if add(Violation{Kind: "fixed-overlap", Cell: pc.id, Other: fi,
@@ -117,4 +134,98 @@ func Check(d *netlist.Design, max int) []Violation {
 		}
 	}
 	return out
+}
+
+// fixedBands buckets fixed cells by the row bands their outlines span.
+//
+// Two outlines share positive area only if their y-ranges overlap, and
+// then the larger of their bottom edges lies in both ranges. band is
+// monotone in y, so that point's band lies in both outlines' band ranges:
+// every fixed cell a movable cell can overlap shares a band with it.
+type fixedBands struct {
+	lo, rowH float64
+	n        int
+	start    []int // band k's entries are ids[start[k]:start[k+1]]
+	// ids holds fixed cell ids in ascending order per band: fi in the
+	// cell's bottom band, ^fi in the bands above it.
+	ids []int
+}
+
+// maxBands caps the band count; the top band takes every row above it,
+// which keeps band monotone.
+const maxBands = 1 << 16
+
+func newFixedBands(d *netlist.Design, fixed []int) *fixedBands {
+	b := &fixedBands{lo: d.Region.Lo.Y, rowH: d.RowHeight, n: 1}
+	if d.RowHeight > 0 {
+		if n := d.Region.H() / d.RowHeight; n >= 1 {
+			b.n = int(min(n, maxBands-1)) + 1
+		}
+	}
+	b.start = make([]int, b.n+1)
+	for _, fi := range fixed {
+		f := &d.Cells[fi]
+		for k := b.band(f.Y); k <= b.band(f.Y+f.H); k++ {
+			b.start[k+1]++
+		}
+	}
+	for k := 0; k < b.n; k++ {
+		b.start[k+1] += b.start[k]
+	}
+	b.ids = make([]int, b.start[b.n])
+	next := append([]int(nil), b.start[:b.n]...)
+	for _, fi := range fixed {
+		f := &d.Cells[fi]
+		k0 := b.band(f.Y)
+		for k := k0; k <= b.band(f.Y+f.H); k++ {
+			id := fi
+			if k > k0 {
+				id = ^fi
+			}
+			b.ids[next[k]] = id
+			next[k]++
+		}
+	}
+	return b
+}
+
+// band maps y to its row band, clamped to the bands there are; NaN goes
+// to band 0.
+func (b *fixedBands) band(y float64) int {
+	if b.n == 1 {
+		return 0
+	}
+	t := math.Floor((y - b.lo) / b.rowH)
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= float64(b.n-1):
+		return b.n - 1
+	}
+	return int(t)
+}
+
+// near appends to dst, in ascending index, each fixed cell sharing a band
+// with the y-range [y0, y1]: every cell of its bottom band, and the cells
+// whose own bottom band is one of its others.
+func (b *fixedBands) near(y0, y1 float64, dst []int) []int {
+	k0, k1 := b.band(y0), b.band(y1)
+	for _, id := range b.ids[b.start[k0]:b.start[k0+1]] {
+		if id < 0 {
+			id = ^id
+		}
+		dst = append(dst, id)
+	}
+	n0 := len(dst)
+	for k := k0 + 1; k <= k1; k++ {
+		for _, id := range b.ids[b.start[k]:b.start[k+1]] {
+			if id >= 0 {
+				dst = append(dst, id)
+			}
+		}
+	}
+	if len(dst) > n0 {
+		slices.Sort(dst)
+	}
+	return dst
 }

@@ -73,7 +73,8 @@ type Optimizer struct {
 
 // New creates an optimizer starting at x0 with initial step alpha0. The
 // optimizer starts serial; call SetWorkers or SetTeam to parallelize the
-// vector work.
+// vector work. New does not evaluate: the first Step evaluates at x0, and
+// the gradient a first Step would compare against is never read.
 func New(x0 []float64, eval EvalFunc, alpha0 float64) *Optimizer {
 	n := len(x0)
 	o := &Optimizer{
@@ -125,7 +126,6 @@ func New(x0 []float64, eval EvalFunc, alpha0 float64) *Optimizer {
 	}
 	copy(o.uPrev, x0)
 	copy(o.vPrev, x0)
-	o.eval(o.v, o.gPrev)
 	return o
 }
 
@@ -151,6 +151,12 @@ func (o *Optimizer) Restart() {
 	o.a = 1
 	copy(o.uPrev, o.u)
 	copy(o.vPrev, o.v)
+	// The next Step does not read this gradient (it compares gradients
+	// from its second iteration on), but the evaluation stays: an oracle
+	// that writes positions as it evaluates — the placement engine's
+	// does — hands the caller the reference point, and the placer's HPWL
+	// and λ update of the restarting iteration read it there. Dropping it
+	// would change the trajectory.
 	o.eval(o.v, o.gPrev)
 	o.iter = 0
 }

@@ -10,7 +10,6 @@ package netlist
 
 import (
 	"fmt"
-	"math"
 
 	"puffer/internal/geom"
 )
@@ -200,10 +199,10 @@ func (d *Design) NetBBox(n int) geom.Rect {
 	lo, hi := p0, p0
 	for _, pid := range net.Pins[1:] {
 		p := d.PinPos(pid)
-		lo.X = math.Min(lo.X, p.X)
-		lo.Y = math.Min(lo.Y, p.Y)
-		hi.X = math.Max(hi.X, p.X)
-		hi.Y = math.Max(hi.Y, p.Y)
+		// The builtins give math.Min's and math.Max's results for NaN, ±0
+		// and ±Inf, without the call.
+		lo.X, lo.Y = min(lo.X, p.X), min(lo.Y, p.Y)
+		hi.X, hi.Y = max(hi.X, p.X), max(hi.Y, p.Y)
 	}
 	return geom.Rect{Lo: lo, Hi: hi}
 }

@@ -360,8 +360,7 @@ func TestEvalForceReuseIsExact(t *testing.T) {
 	if ref.forceReuses != 0 {
 		t.Fatalf("the reference run reused %d sweeps", ref.forceReuses)
 	}
-	if len(got) != len(want) || len(got) != p.evals-1 {
-		// -1: NewChecked's own optimizer evaluated once before recordEvals.
+	if len(got) != len(want) || len(got) != p.evals {
 		t.Fatalf("%d evals logged, reference %d, counter %d", len(got), len(want), p.evals)
 	}
 	guarded := 0

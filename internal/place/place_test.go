@@ -8,6 +8,7 @@ import (
 
 	"puffer/internal/geom"
 	"puffer/internal/netlist"
+	"puffer/internal/synth"
 )
 
 // smallDesign builds nc unit cells in a 64x64 region with chained 2-3 pin
@@ -265,5 +266,28 @@ func TestConfigValidateRejects(t *testing.T) {
 	cfg.GridM, cfg.GridN = 64, 32
 	if _, err := NewChecked(d, cfg); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestNewEvaluatesNothing: building the engine runs no wirelength
+// evaluation. γ is set only when a run starts, and WA at γ = 0 turns every
+// pin at its net's extreme into 0·∞ = NaN; the gradient NewChecked leaves
+// must be clean.
+func TestNewEvaluatesNothing(t *testing.T) {
+	prof, err := synth.ProfileByName("OR1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewChecked(synth.Generate(prof, 800, 1), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.evals != 0 {
+		t.Errorf("NewChecked ran %d evaluations, want 0", p.evals)
+	}
+	for i := range p.gradWx {
+		if math.IsNaN(p.gradWx[i]) || math.IsNaN(p.gradWy[i]) {
+			t.Fatalf("cell %d: WA gradient (%v, %v) after NewChecked", i, p.gradWx[i], p.gradWy[i])
+		}
 	}
 }

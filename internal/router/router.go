@@ -10,7 +10,6 @@
 package router
 
 import (
-	"container/heap"
 	"context"
 	"math"
 
@@ -452,11 +451,11 @@ func (r *router) routeSegment(s *segment) {
 	r.gCost[start] = 0
 	r.came[start] = -1
 	r.gen[start] = genID
-	heap.Push(&r.open, pqItem{prio: heurist(s.ai, s.aj), state: start})
+	r.open.push(pqItem{prio: heurist(s.ai, s.aj), state: start})
 
 	var goal int32 = -1
 	for len(r.open) > 0 {
-		it := heap.Pop(&r.open).(pqItem)
+		it := r.open.pop()
 		i, j, dir := unpack(it.state)
 		if r.gen[it.state] != genID || it.prio-heurist(i, j) > r.gCost[it.state]+1e-12 {
 			continue // stale entry
@@ -484,7 +483,7 @@ func (r *router) routeSegment(s *segment) {
 			r.gCost[ns] = ng
 			r.came[ns] = it.state
 			r.gen[ns] = genID
-			heap.Push(&r.open, pqItem{prio: ng + heurist(ni, nj), state: ns})
+			r.open.push(pqItem{prio: ng + heurist(ni, nj), state: ns})
 		}
 		try(i+1, j, 1, true)
 		try(i-1, j, 1, true)
@@ -551,10 +550,43 @@ type pqItem struct {
 	state int32
 }
 
+// pq is the A* open list: a binary min-heap on prio. push and pop make
+// container/heap's comparisons and swaps in the same order, so equal
+// priorities leave in the same order they would through heap.Push and
+// heap.Pop — without boxing each item in an interface.
 type pq []pqItem
 
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].prio < p[j].prio }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	for j := len(h) - 1; j > 0; { // container/heap's up
+		i := (j - 1) / 2
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*p = h
+}
+
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; { // container/heap's down over h[:n]
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].prio < h[j].prio {
+			j = j2
+		}
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*p = h[:n]
+	return h[n]
+}

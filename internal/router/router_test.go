@@ -1,6 +1,7 @@
 package router
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -253,5 +254,49 @@ func BenchmarkRoute500Nets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Route(d, cfg)
+	}
+}
+
+// heapPQ is pq as container/heap drives it: the open list the router used
+// before its typed push and pop.
+type heapPQ []pqItem
+
+func (p heapPQ) Len() int           { return len(p) }
+func (p heapPQ) Less(i, j int) bool { return p[i].prio < p[j].prio }
+func (p heapPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *heapPQ) Push(x any)        { *p = append(*p, x.(pqItem)) }
+func (p *heapPQ) Pop() any {
+	old := *p
+	n := len(old)
+	it := old[n-1]
+	*p = old[:n-1]
+	return it
+}
+
+// TestOpenListMatchesHeap: random push/pop sequences over few distinct
+// priorities pop in exactly container/heap's order, ties included.
+func TestOpenListMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 200; trial++ {
+		var got pq
+		var want heapPQ
+		levels := 1 + rng.Intn(6)
+		for op := 0; op < 2000; op++ {
+			if len(got) == 0 || rng.Intn(5) < 3 {
+				it := pqItem{prio: float64(rng.Intn(levels)) / 2, state: int32(op)}
+				got.push(it)
+				heap.Push(&want, it)
+				continue
+			}
+			g, w := got.pop(), heap.Pop(&want).(pqItem)
+			if g != w {
+				t.Fatalf("trial %d op %d: pop %+v, container/heap %+v", trial, op, g, w)
+			}
+		}
+		for len(want) > 0 {
+			if g, w := got.pop(), heap.Pop(&want).(pqItem); g != w {
+				t.Fatalf("trial %d drain: pop %+v, container/heap %+v", trial, g, w)
+			}
+		}
 	}
 }

@@ -296,22 +296,16 @@ func extent(xs []float64) float64 {
 // netAxis computes the smooth wirelength of one net along one axis and
 // assigns w × ∂W/∂pin into the per-pin slots (each pin belongs to exactly
 // one net, so assignment — not accumulation — is correct and race-free).
+// Its exponentials come from weight.
 func (m *Model) netAxis(s *axisScratch, xs []float64, pins []int, pinG []float64, w float64) float64 {
 	inv := 1 / m.Gamma
-	xmax, xmin := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x > xmax {
-			xmax = x
-		}
-		if x < xmin {
-			xmin = x
-		}
-	}
+	xmax, xmin := bounds(xs)
 	// Max side: weights e^{(x-xmax)/γ}; min side: weights e^{(xmin-x)/γ}.
 	var s0p, s1p, s0m, s1m float64
+	edge, finite := math.Exp((xmin-xmax)*inv), inv-inv == 0
 	for i, x := range xs {
-		ep := math.Exp((x - xmax) * inv)
-		em := math.Exp((xmin - x) * inv)
+		ep := weight(x-xmax, inv, edge, x == xmin, finite)
+		em := weight(xmin-x, inv, edge, x == xmax, finite)
 		s.ep[i] = ep
 		s.em[i] = em
 		s0p += ep
@@ -333,7 +327,24 @@ func (m *Model) netAxis(s *axisScratch, xs []float64, pins []int, pinG []float64
 
 func (m *Model) axisWL(xs []float64) float64 {
 	inv := 1 / m.Gamma
-	xmax, xmin := xs[0], xs[0]
+	xmax, xmin := bounds(xs)
+	var s0p, s1p, s0m, s1m float64
+	edge, finite := math.Exp((xmin-xmax)*inv), inv-inv == 0
+	for _, x := range xs {
+		ep := weight(x-xmax, inv, edge, x == xmin, finite)
+		em := weight(xmin-x, inv, edge, x == xmax, finite)
+		s0p += ep
+		s1p += x * ep
+		s0m += em
+		s1m += x * em
+	}
+	return s1p/s0p - s1m/s0m
+}
+
+// bounds returns the largest and smallest of xs, each the first of its
+// value met.
+func bounds(xs []float64) (xmax, xmin float64) {
+	xmax, xmin = xs[0], xs[0]
 	for _, x := range xs[1:] {
 		if x > xmax {
 			xmax = x
@@ -342,14 +353,25 @@ func (m *Model) axisWL(xs []float64) float64 {
 			xmin = x
 		}
 	}
-	var s0p, s1p, s0m, s1m float64
-	for _, x := range xs {
-		ep := math.Exp((x - xmax) * inv)
-		em := math.Exp((xmin - x) * inv)
-		s0p += ep
-		s1p += x * ep
-		s0m += em
-		s1m += x * em
+	return xmax, xmin
+}
+
+// weight returns e^{d/γ}, d one pin's exponent numerator along one side —
+// x-xmax for the max side, xmin-x for the min side — bit for bit what the
+// call gives, skipping the call where a net knows the value:
+//
+//   - at the side's own extreme d is ±0, and with a finite 1/γ so is the
+//     exponent: e^{±0} = 1;
+//   - at the opposite extreme (atEdge) the exponent is (xmin-xmax)/γ on
+//     either side: the pin equals that extreme, so the subtraction has the
+//     same operands up to the sign of a zero, which cannot change a nonzero
+//     difference — and a zero one was the first case. edge holds it.
+func weight(d, inv, edge float64, atEdge, finite bool) float64 {
+	switch {
+	case d == 0 && finite:
+		return 1
+	case atEdge:
+		return edge
 	}
-	return s1p/s0p - s1m/s0m
+	return math.Exp(d * inv)
 }
