@@ -83,3 +83,74 @@ func FuzzParseNets(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSibling fuzzes the file with extension ext of a complete design as
+// Write produces it: the seeds are that file and its truncations plus the
+// extra hostile inputs, and every input replaces the file next to the
+// design's other files before Parse reads the aux.
+func fuzzSibling(f *testing.F, ext string, extra ...string) {
+	src := f.TempDir()
+	if _, err := Write(sampleDesign(), src, "f"); err != nil {
+		f.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(src, e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed, ok := files["f."+ext]
+	if !ok {
+		f.Fatalf("Write produced no f.%s", ext)
+	}
+	for _, n := range []int{len(seed), len(seed) - 1, 3 * len(seed) / 4, len(seed) / 2, len(seed) / 4, 0} {
+		f.Add(seed[:n])
+	}
+	for _, s := range extra {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for name, content := range files {
+			if name == "f."+ext {
+				content = data
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Parse(filepath.Join(dir, "f.aux"))
+		if err == nil && d == nil {
+			t.Fatal("Parse returned nil design and nil error")
+		}
+	})
+}
+
+// FuzzParsePl fuzzes the .pl parser: positions and FIXED flags of the
+// nodes the .nodes file declared.
+func FuzzParsePl(f *testing.F) {
+	fuzzSibling(f, "pl",
+		"zz 1 2 : N\n",           // unknown node
+		"a NaN Inf : N /FIXED\n", // hostile numerics
+		"a 1\nb x y\n")           // short line, unparsable position
+}
+
+// FuzzParseScl fuzzes the .scl parser, whose rows make the placement
+// region.
+func FuzzParseScl(f *testing.F) {
+	fuzzSibling(f, "scl",
+		"End\nEnd\nCoreRow\n", // unbalanced blocks
+		"CoreRow Horizontal\nSubrowOrigin : 1 NumSites\nEnd\n", // dangling NumSites
+		"CoreRow Horizontal\n Height : -1\n Sitewidth : NaN\n NumSites : 1e308\nEnd\n")
+}
+
+// FuzzParseWts fuzzes the .wts parser: weights by net name.
+func FuzzParseWts(f *testing.F) {
+	fuzzSibling(f, "wts",
+		"clk NaN\nd0 -Inf\n", // hostile weights
+		"clk\nzz 2\n")        // short line, unknown net
+}

@@ -39,3 +39,20 @@ func AtomicWriteFile(path string, data []byte) error {
 	}
 	return nil
 }
+
+// SyncDir fsyncs the directory dir, making the entries created or renamed
+// in it so far durable. AtomicWriteFile makes a file's contents durable;
+// a caller whose later write must not outlive a missing entry (a record
+// naming files beside it) syncs the directories holding those entries
+// first.
+func SyncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

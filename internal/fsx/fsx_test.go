@@ -93,3 +93,21 @@ func TestAtomicWriteFileFailureLeavesPreviousFile(t *testing.T) {
 		})
 	}
 }
+
+// TestSyncDir: syncing an existing directory succeeds and leaves its
+// entries as they were; a missing one reports the error.
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := AtomicWriteFile(filepath.Join(dir, "doc.json"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(t, dir); len(got) != 1 || got[0] != "doc.json" {
+		t.Errorf("directory holds %v after the sync, want only doc.json", got)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Error("SyncDir of a missing directory succeeded")
+	}
+}

@@ -287,7 +287,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]JobSummary, 0, len(ms))
 	for _, m := range ms {
-		design := designName(m.Spec.Profile, m.Spec.Bookshelf)
+		design := designName(m.Spec.Profile, s.spool.JobDir(m.ID))
 		if design == "" { // an upload whose files live in the fleet's store
 			design = cas.Digest(m.DesignDigest).Short()
 		}

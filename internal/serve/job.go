@@ -25,6 +25,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -99,7 +101,10 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Bookshelf inlines an uploaded design as filename → file content.
 	// Exactly one name must end in .aux; the referenced sibling files
-	// must be present under the names the aux line uses.
+	// must be present under the names the aux line uses. It is a
+	// submission field only: a daemon stores the files once (a worker in
+	// the job's design/, a coordinator in its content-addressed store)
+	// and spools, echoes and serves the manifest without them.
 	Bookshelf map[string]string `json:"bookshelf,omitempty"`
 
 	// MaxIters caps global-placement iterations (0 = engine default).
@@ -234,14 +239,17 @@ func checkSource(profile string, upload map[string]string, strategy json.RawMess
 }
 
 // designName names a design source in list rows and logs: the profile, or
-// the upload's .aux file name.
-func designName(profile string, upload map[string]string) string {
+// the name of the .aux file among the upload spooled under dir/design
+// (admission allows exactly one). It is "" for an upload whose files live
+// in a coordinator's store.
+func designName(profile string, dir string) string {
 	if profile != "" {
 		return profile
 	}
-	for name := range upload {
-		if strings.HasSuffix(name, ".aux") {
-			return name
+	entries, _ := os.ReadDir(filepath.Join(dir, "design"))
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".aux") {
+			return e.Name()
 		}
 	}
 	return ""

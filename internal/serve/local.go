@@ -191,7 +191,7 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 		}
 	}
 	s.reg.Counter("serve.design_parses").Inc()
-	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, m.Spec.Bookshelf, s.spool.JobDir(m.ID))
+	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, s.spool.JobDir(m.ID))
 	if err != nil || key == "" {
 		return d, nil, err
 	}
@@ -203,7 +203,7 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 // profile generated from scale and seed, or the upload spooled under
 // dir/design. Both rebuild bit-identically, which job resume and session
 // rehydration rely on.
-func loadDesign(profile string, scale int, seed int64, upload map[string]string, dir string) (*netlist.Design, error) {
+func loadDesign(profile string, scale int, seed int64, dir string) (*netlist.Design, error) {
 	if profile != "" {
 		p, err := synth.ProfileByName(profile)
 		if err != nil {
@@ -211,7 +211,11 @@ func loadDesign(profile string, scale int, seed int64, upload map[string]string,
 		}
 		return synth.Generate(p, scale, seed), nil
 	}
-	return bookshelf.Parse(filepath.Join(dir, "design", designName(profile, upload)))
+	aux := designName(profile, dir)
+	if aux == "" {
+		return nil, fmt.Errorf("no uploaded .aux under %s", filepath.Join(dir, "design"))
+	}
+	return bookshelf.Parse(filepath.Join(dir, "design", aux))
 }
 
 // flowConfig builds the pipeline configuration for a job or a session from

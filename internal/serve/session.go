@@ -257,7 +257,7 @@ func (s *Server) endSession(rt *sessionRuntime, ev Event) {
 // verifies the design by hash.
 func (s *Server) sessionFlow(m *SessionManifest, rt *sessionRuntime) (*netlist.Design, pipeline.Config, error) {
 	dir := s.spool.sessions.dir(m.ID)
-	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, m.Spec.Bookshelf, dir)
+	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, dir)
 	if err != nil {
 		return nil, pipeline.Config{}, fmt.Errorf("build design: %w", err)
 	}

@@ -50,7 +50,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	go s.openSession(m, rt)
 	s.reg.Counter("serve.sessions_submitted").Inc()
-	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", designName(spec.Profile, spec.Bookshelf))
+	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", designName(spec.Profile, s.spool.sessions.dir(m.ID)))
 	WriteJSON(w, http.StatusAccepted, m)
 }
 
@@ -76,7 +76,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	out := make([]sessionSummary, 0, len(ms))
 	for _, m := range ms {
 		row := sessionSummary{
-			ID: m.ID, Design: designName(m.Spec.Profile, m.Spec.Bookshelf), State: m.State,
+			ID: m.ID, Design: designName(m.Spec.Profile, s.spool.sessions.dir(m.ID)), State: m.State,
 			Deltas: m.Deltas, LastHPWL: m.LastHPWL,
 			OpenedAt: m.OpenedAt, LastDeltaAt: m.LastDeltaAt, Error: m.Error,
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"puffer/internal/netlist"
 	"puffer/internal/synth"
 )
 
@@ -28,7 +29,12 @@ func sessionDelta(t *testing.T, spec SessionSpec, n int, slot int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := synth.Generate(p, spec.Scale, spec.Seed)
+	return designDelta(t, synth.Generate(p, spec.Scale, spec.Seed), n, slot)
+}
+
+// designDelta is sessionDelta for a design already in hand.
+func designDelta(t *testing.T, d *netlist.Design, n int, slot int) []byte {
+	t.Helper()
 	type move struct {
 		Cell int     `json:"cell"`
 		X    float64 `json:"x"`

@@ -20,23 +20,28 @@ import (
 // under the root:
 //
 //	jobs/<id>/manifest.json      durable job record (atomic rewrite per transition)
-//	jobs/<id>/design/            uploaded Bookshelf files, verbatim
+//	jobs/<id>/design/            uploaded Bookshelf files, verbatim (the upload's one copy)
 //	jobs/<id>/checkpoint.json    latest stage-boundary pipeline checkpoint
 //	jobs/<id>/report.json        structured run report (done place jobs)
 //	jobs/<id>/trace.json         Chrome trace-event JSON
 //	jobs/<id>/metrics.jsonl      streamed metric samples
 //	jobs/<id>/strategy.json      tuned strategy (done explore jobs)
 //	sessions/<id>/manifest.json  durable session record
-//	sessions/<id>/design/        uploaded Bookshelf files, verbatim
+//	sessions/<id>/design/        uploaded Bookshelf files, verbatim (the upload's one copy)
 //	sessions/<id>/snapshot.json  eco snapshot of the last completed delta
 //	sessions/<id>/trace.json, metrics.jsonl  session telemetry
 //
 // Both manifest families go through one store; sessions/ appears with the
-// first session, so a coordinator's spool never has one. Every manifest
-// and checkpoint write goes through a temp file + rename, so a daemon
-// killed mid-write leaves either the previous or the next complete
-// document — never a truncated one. Recovery only trusts manifests;
-// anything else is an artifact it can live without.
+// first session, so a coordinator's spool never has one. An upload is
+// stored once: its files land in design/ and the manifest is persisted
+// without them, so the document every transition and status read
+// round-trips stays small (a coordinator keeps uploads in its content-
+// addressed store instead, and its spool has no design/ at all). Every
+// manifest, checkpoint and design file write goes through a temp file +
+// fsync + rename, so a daemon killed mid-write leaves either the previous
+// or the next complete document — never a truncated one. Recovery only
+// trusts manifests and the design files they stand on; anything else is
+// an artifact it can live without.
 type Spool struct {
 	root     string
 	jobs     store[Manifest, *Manifest]
@@ -44,18 +49,24 @@ type Spool struct {
 }
 
 // record is what the store needs of a manifest: the format field it
-// stamps and checks, the ID, and the time lists are ordered by.
+// stamps and checks, the ID, the time lists are ordered by, and a way to
+// drop the inline upload create has stored under design/.
 type record interface {
 	header() (format *string, id string, at time.Time)
+	dropUpload()
 }
 
 func (m *Manifest) header() (*string, string, time.Time) {
 	return &m.Format, m.ID, m.SubmittedAt
 }
 
+func (m *Manifest) dropUpload() { m.Spec.Bookshelf = nil }
+
 func (m *SessionManifest) header() (*string, string, time.Time) {
 	return &m.Format, m.ID, m.OpenedAt
 }
+
+func (m *SessionManifest) dropUpload() { m.Spec.Bookshelf = nil }
 
 // store is one manifest family: a directory per record under root, each
 // holding a manifest.json that carries format.
@@ -89,22 +100,42 @@ func OpenSpool(dir string) (*Spool, error) {
 func (st *store[T, M]) dir(id string) string { return filepath.Join(st.root, id) }
 
 // create makes m's directory, writes the uploaded design files into its
-// design/ subdirectory, and persists m.
+// design/ subdirectory, and persists m without its inline copy of them:
+// design/ is the upload's only copy on this daemon. The design files, and
+// the directory entries that reach them, are fsynced before the manifest
+// is written, so not even a power loss leaves a manifest over a torn or
+// missing design.
 func (st *store[T, M]) create(m M, upload map[string]string) error {
 	_, id, _ := m.header()
 	dir := st.dir(id)
-	if len(upload) > 0 {
-		dir = filepath.Join(dir, "design")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: create %s dir: %w", st.noun, err)
 	}
-	for name, content := range upload {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			return fmt.Errorf("serve: write design file %s: %w", name, err)
+	if len(upload) > 0 {
+		if err := writeDesign(dir, upload); err != nil {
+			return fmt.Errorf("serve: spool %s design: %w", st.noun, err)
 		}
+		m.dropUpload()
 	}
 	return st.write(m)
+}
+
+// writeDesign writes an upload's files into dir/design, then fsyncs
+// design/ and dir so the entries reaching the files are durable too.
+func writeDesign(dir string, upload map[string]string) error {
+	design := filepath.Join(dir, "design")
+	if err := os.MkdirAll(design, 0o755); err != nil {
+		return err
+	}
+	for name, content := range upload {
+		if err := fsx.AtomicWriteFile(filepath.Join(design, name), []byte(content)); err != nil {
+			return err
+		}
+	}
+	if err := fsx.SyncDir(design); err != nil {
+		return err
+	}
+	return fsx.SyncDir(dir)
 }
 
 // write persists m atomically, stamped with the family's format.
