@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation section, plus the ablation benches DESIGN.md lists.
-// The benches run the same code paths as cmd/experiments at a reduced
+// The benches run the same code paths as `puffer experiments` at a reduced
 // scale and report the experiment's quality metrics through
 // b.ReportMetric, so `go test -bench=. -benchmem` regenerates every
 // result (see EXPERIMENTS.md for the full-scale numbers).
@@ -79,7 +79,7 @@ func table2Bench(b *testing.B, design string, placer experiments.PlacerName) {
 
 // Table II benches: the stressed design under all three placers, and the
 // calm CT_TOP under PUFFER (full per-design sweeps run via
-// cmd/experiments -table2).
+// puffer experiments -table2).
 func BenchmarkTable2PUFFERMediaSubsys(b *testing.B) {
 	table2Bench(b, "MEDIA_SUBSYS", experiments.PUFFER)
 }

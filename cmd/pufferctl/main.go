@@ -134,7 +134,7 @@ func addDesignFlags(fs *flag.FlagSet) designFlags {
 func addRunFlags(fs *flag.FlagSet) designFlags {
 	f := addDesignFlags(fs)
 	f.workers = fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS)")
-	f.strategy = fs.String("strategy", "", "JSON strategy file (cmd/explore -out format)")
+	f.strategy = fs.String("strategy", "", "JSON strategy file (puffer explore -out format)")
 	return f
 }
 

@@ -1,3 +1,13 @@
+// Golden placements: TestGoldenPlacements pins the final placement of a
+// few (profile, scale, seed) triples bit for bit, as a sha256 over the
+// float bits of every movable cell's position.
+//
+// The digests in testdata/golden.json are amd64 facts. On arm64, and on
+// other ports with a fused multiply-add instruction, the Go compiler may
+// fuse x*y+z into one instruction that rounds once instead of twice (the
+// language spec permits it). The same source then computes slightly
+// different floats, the placement drifts, and every digest differs.
+// Check and regenerate them on amd64.
 package puffer
 
 import (

@@ -38,7 +38,7 @@ type Snapshot struct {
 	GridN        int     `json:"grid_n,omitempty"`
 
 	// EstCalls is the session estimator's call count, for inspection
-	// (cmd/diag -session); not needed for restore.
+	// (puffer diag); not needed for restore.
 	EstCalls int `json:"est_calls,omitempty"`
 	// EstHitRate is never set: the estimator's journal is gone. Reader:
 	// benchmark/eco.go (frozen); delete with the harness's next revision

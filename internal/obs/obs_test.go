@@ -284,7 +284,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 		t.Fatalf("final lost: %+v", got.Final)
 	}
 	// Saving the loaded report reproduces the identical document (the
-	// round-trip property cmd/diag relies on).
+	// round-trip property puffer diag relies on).
 	path2 := filepath.Join(t.TempDir(), "run2.json")
 	if err := got.Save(path2); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ const ReportSchema = "puffer/run-report/v1"
 // RunReport is the structured artifact of one flow run: enough to replay
 // the analysis offline (configuration, seeds, per-stage statistics, every
 // per-iteration metric series, final quality numbers) without rerunning
-// placement. cmd/puffer -report writes it; cmd/diag -report consumes it.
+// placement. cmd/puffer -report writes it; puffer diag consumes it.
 type RunReport struct {
 	Schema string `json:"schema"`
 	Design string `json:"design"`

@@ -100,7 +100,7 @@ type Strategy struct {
 // strategy exploration.
 func DefaultStrategy() Strategy {
 	// These values come from the Bayesian strategy exploration
-	// (Sec. III-C / cmd/explore) run on a small routability-challenged
+	// (Sec. III-C / puffer explore) run on a small routability-challenged
 	// design, exactly as the paper prescribes; they are applied unchanged
 	// to every benchmark.
 	c := cong.DefaultParams()

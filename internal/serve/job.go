@@ -116,7 +116,7 @@ type JobSpec struct {
 	// Route appends the evaluation-routing stage to place jobs.
 	Route bool `json:"route,omitempty"`
 	// Strategy, when non-empty, is a padding.Strategy JSON document (the
-	// cmd/explore -out format); zero-valued fields keep their defaults.
+	// puffer explore -out format); zero-valued fields keep their defaults.
 	Strategy json.RawMessage `json:"strategy,omitempty"`
 	// Budget is the exploration trial budget for explore jobs (default 8).
 	Budget int `json:"budget,omitempty"`

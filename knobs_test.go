@@ -95,7 +95,7 @@ var knobCensus = []knob{
 	{field: "Legal.InheritPadding", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "DP.Passes", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "DP.WindowSites", class: "set", where: "internal/baseline/baseline.go"},
-	{field: "DP.PreservePadding", class: "set", where: "cmd/diag/main.go"},
+	{field: "DP.PreservePadding", class: "reference", where: "internal/dp/dp_test.go"},
 	{field: "Workers", class: "set", where: "internal/serve/local.go"},
 
 	// router.Config

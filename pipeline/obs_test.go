@@ -153,7 +153,7 @@ func TestResumePreservesStatsAndTelemetry(t *testing.T) {
 }
 
 // TestBuildReportRoundTrip builds the run report from an instrumented run,
-// saves it, reloads it, and checks the fields cmd/diag consumes.
+// saves it, reloads it, and checks the fields puffer diag consumes.
 func TestBuildReportRoundTrip(t *testing.T) {
 	d := stressedDesign(t)
 	reg := obs.NewRegistry()

@@ -12,7 +12,7 @@ import (
 // BuildReport assembles the structured run-report artifact for a finished
 // (or canceled) run: the configuration as JSON, per-stage statistics, the
 // verbatim stage log, a snapshot of every metric the flow recorded, and
-// the final quality numbers. cmd/puffer -report saves it; cmd/diag -report
+// the final quality numbers. cmd/puffer -report saves it; puffer diag
 // consumes it.
 func BuildReport(rc *RunContext) (*obs.RunReport, error) {
 	cfgJSON, err := json.Marshal(rc.Cfg)

@@ -49,7 +49,7 @@ log() { echo "--- $*"; }
 log "build pufferd + pufferctl + diag + benchjson"
 go build -o "$work/pufferd" ./cmd/pufferd
 go build -o "$work/pufferctl" ./cmd/pufferctl
-go build -o "$work/diag" ./cmd/diag
+go build -o "$work/puffer" ./cmd/puffer
 go build -o "$work/benchjson" ./cmd/benchjson
 
 wait_addr() { # wait_addr <file> <pid> <log>
@@ -253,7 +253,7 @@ log "resume OK: 11 placements total, $resume_cached cache-hit replays"
 
 log "diag -explore renders the checkpoint with resume provenance"
 curl -s "$COORD/api/v1/jobs/$resume_id/artifacts/explore-state.json" >"$work/explore-state.json"
-"$work/diag" -explore "$work/explore-state.json" | tee "$work/xdiag.txt"
+"$work/puffer" diag "$work/explore-state.json" | tee "$work/xdiag.txt"
 grep -q 'attempts: 2 (resumed 1 time(s))' "$work/xdiag.txt" \
     || { echo "diag -explore does not show the resume provenance"; exit 1; }
 
@@ -293,10 +293,10 @@ kill_hpwl="$(echo "$final" | jq -r .result.hpwl)"
 log "failover OK: finished on $landed after $attempts attempts, HPWL exact"
 
 log "inspect the content-addressed store"
-"$work/diag" -cas "$work/coord/cas" | tee "$work/cas.txt"
+"$work/puffer" diag "$work/coord/cas" | tee "$work/cas.txt"
 grep -q 'cached results' "$work/cas.txt" || { echo "diag -cas printed no summary"; exit 1; }
 grep -q 'BLOB' "$work/cas.txt" || { echo "diag -cas shows no blob table (upload missing?)"; exit 1; }
-"$work/diag" -cas "$work/coord/cas" -cas-gc | tee "$work/casgc.txt"
+"$work/puffer" diag -gc "$work/coord/cas" | tee "$work/casgc.txt"
 grep -q 'gc dry run' "$work/casgc.txt" || { echo "diag -cas-gc printed no dry run"; exit 1; }
 
 log "publish BENCH_cas.json (cold vs cached submit latency)"

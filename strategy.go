@@ -16,7 +16,7 @@ import (
 )
 
 // SaveStrategy writes a strategy as indented JSON, so tuned configurations
-// from cmd/explore can be shipped and reloaded.
+// from puffer explore can be shipped and reloaded.
 func SaveStrategy(path string, s padding.Strategy) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
