@@ -185,7 +185,7 @@ func TestBenchgenWritesParsableBookshelf(t *testing.T) {
 
 // TestBaselinesRejectPufferOnlyFlags checks that a baseline placer refuses
 // each flag only the PUFFER flow reads before it generates or places
-// anything.
+// anything, and that the other bad flag combinations fail as early.
 func TestBaselinesRejectPufferOnlyFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, placer := range []string{"replace", "commercial"} {
@@ -204,7 +204,16 @@ func TestBaselinesRejectPufferOnlyFlags(t *testing.T) {
 			}
 		}
 	}
-	msg, _ := runErr(t, "-design", "OR1200", "-placer", "replace", "-report", "r.json", "-strategy", "s.json")
+	pgm := filepath.Join(dir, "maps")
+	msg, out := runErr(t, "-design", "OR1200", "-scale", "3000", "-pgm", pgm, "-noeval")
+	mustContain(t, "-pgm with -noeval", msg, "-pgm", "-noeval")
+	if out != "" {
+		t.Errorf("-pgm -noeval: printed %q before rejecting", out)
+	}
+	if _, err := os.Stat(pgm); err == nil {
+		t.Errorf("-pgm -noeval: created %s", pgm)
+	}
+	msg, _ = runErr(t, "-design", "OR1200", "-placer", "replace", "-report", "r.json", "-strategy", "s.json")
 	mustContain(t, "two flags", msg, "-report, -strategy requires")
 	msg, _ = runErr(t, "-design", "OR1200", "-placer", "annealing")
 	mustContain(t, "unknown placer", msg, `unknown placer "annealing"`)

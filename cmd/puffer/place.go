@@ -94,6 +94,9 @@ func placeFlow(args []string, w io.Writer) error {
 			return fmt.Errorf("%s requires -placer puffer (got %q)", strings.Join(set, ", "), *placer)
 		}
 	}
+	if *pgmDir != "" && *noEval {
+		return errors.New("-pgm needs the routed maps that -noeval skips; drop one of -pgm, -noeval")
+	}
 
 	var d *netlist.Design
 	switch {

@@ -9,8 +9,8 @@ import (
 
 // benchSolve isolates the spectral solve at the two production-relevant
 // grid sizes. AddRect (not DepositRects) charges the grid so the solve-skip
-// fingerprint never arms and every iteration runs the full pipeline. CI
-// publishes the pair in BENCH_gp.json.
+// fingerprint never arms and every iteration runs the full pipeline. The
+// repo benchmark reports the solve on its workloads as density.solve_ms.
 func benchSolve(b *testing.B, m int) {
 	side := float64(m)
 	g := NewGrid(geom.RectWH(0, 0, side, side), m, m)
@@ -28,7 +28,8 @@ func BenchmarkDensitySolve512(b *testing.B) { benchSolve(b, 512) }
 // BenchmarkDepositForce256 is the geometry around the solve at the
 // place_large_calm shape: rasterize 59k cell-sized rectangles into a 256²
 // grid (two lists alternate so the fingerprint never skips the raster), then
-// read the force on every one of them. CI publishes it in BENCH_gp.json.
+// read the force on every one of them. The repo benchmark reports the two
+// halves on its workloads as density.deposit_ms and density.force_ms.
 func BenchmarkDepositForce256(b *testing.B) {
 	region := geom.RectWH(0, 0, 256, 256)
 	g := NewGrid(region, 256, 256)

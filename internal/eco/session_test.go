@@ -424,8 +424,8 @@ func benchConfig() pipeline.Config {
 
 // BenchmarkECOCold measures a full cold placement of the benchmark design;
 // BenchmarkECOWarm measures a small-delta warm re-place on an open
-// session. CI tracks their ratio in BENCH_eco.json — the ECO SLO is
-// warm ≤ 1/10 of cold.
+// session. The repo benchmark's eco_chain workload reports a delta's wall
+// as op_s_p50 and its stages as eco.gp_ms, eco.legal_ms and eco.dp_ms.
 func BenchmarkECOCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

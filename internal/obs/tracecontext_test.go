@@ -31,36 +31,72 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	sp.End()
 }
 
+// malformedTraceparents are header values ParseTraceparent must reject,
+// one per rule it enforces.
+var malformedTraceparents = []string{
+	"",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",       // 3 fields
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-00", // 5 fields
+	"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",      // short trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902-01",      // short span id
+	"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01",    // non-hex trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bg-01",    // non-hex span id
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",    // uppercase
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // reserved version
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // non-hex version
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",    // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",    // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-xx",    // non-hex flags
+}
+
+// sampleTraceparent is the W3C specification's example header.
+const sampleTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",       // 3 fields
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-00", // 5 fields
-		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",      // short trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902-01",      // short span id
-		"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01",    // non-hex trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bg-01",    // non-hex span id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",    // uppercase
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // reserved version
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // non-hex version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",    // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",    // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-xx",    // non-hex flags
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceparents {
 		if _, err := ParseTraceparent(s); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted malformed header", s)
 		}
 	}
-	good := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	tc, err := ParseTraceparent(good)
+	tc, err := ParseTraceparent(sampleTraceparent)
 	if err != nil {
-		t.Fatalf("ParseTraceparent(%q): %v", good, err)
+		t.Fatalf("ParseTraceparent(%q): %v", sampleTraceparent, err)
 	}
 	if tc.TraceID.String() != "4bf92f3577b34da6a3ce929d0e0e4736" ||
 		tc.SpanID.String() != "00f067aa0ba902b7" || tc.Flags != 0x01 {
 		t.Fatalf("parsed %+v", tc)
 	}
+}
+
+// FuzzParseTraceparent feeds arbitrary header values, as any HTTP client
+// can send them, to the parser: it must not panic, whatever it accepts must
+// be a valid context, and a version-00 value must re-encode to itself.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(sampleTraceparent)
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	for _, s := range malformedTraceparents {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", s, tc)
+		}
+		if !strings.HasPrefix(s, "00-") {
+			return
+		}
+		enc := tc.Traceparent()
+		if enc != s {
+			t.Fatalf("ParseTraceparent(%q).Traceparent() = %q", s, enc)
+		}
+		again, err := ParseTraceparent(enc)
+		if err != nil || again != tc {
+			t.Fatalf("re-parse of %q: %+v, %v; want %+v", enc, again, err, tc)
+		}
+	})
 }
 
 // TestTracerAdoptsRemoteContext covers the propagation contract: a tracer

@@ -62,8 +62,9 @@ func withGOMAXPROCS(tb testing.TB, n int) {
 }
 
 // BenchmarkGPIterSerial measures one GP iteration with the parallel code
-// paths pinned to a single worker. CI compares it against
-// BenchmarkGPIterParallel via cmd/benchjson -ratio (BENCH_gp.json).
+// paths pinned to a single worker; compare it against
+// BenchmarkGPIterParallel. The repo benchmark reports the same ratio on its
+// workloads as wirelength.par_speedup and density.par_speedup.
 func BenchmarkGPIterSerial(b *testing.B) {
 	b.ReportAllocs()
 	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 1, 64))

@@ -2,7 +2,7 @@
 # End-to-end exercise of the fleet tier (coordinator + workers), as CI
 # runs it:
 #
-#   1. build pufferd, pufferctl, diag, benchjson
+#   1. build pufferd, pufferctl and puffer
 #   2. boot a coordinator; /readyz must answer 503 no_workers before any
 #      worker joins
 #   3. boot two workers that -join the coordinator; /readyz flips 200 and
@@ -14,10 +14,10 @@
 #   6. run a cold 2-worker distributed exploration: every TPE trial is its
 #      own place job, and each worker parses the netlist exactly once
 #      (per-worker design cache shared across all trials)
-#   7. benchmark the same trial budget three ways — in-process explorer,
+#   7. time the same trial budget three ways — in-process explorer,
 #      cold distributed, warm distributed re-exploration (-nocache, every
-#      trial answered by the result index) — and publish BENCH_explore.json
-#      asserting the distributed/in-process speedup >= 1.8x
+#      trial answered by the result index) — log the walls and assert the
+#      warm distributed/in-process speedup >= 1.8x
 #   8. run an -early-stop exploration and assert dominated trials were
 #      canceled mid-flight
 #   9. SIGKILL the coordinator mid-exploration and restart it on the same
@@ -27,8 +27,7 @@
 #  10. SIGKILL the worker running a -nocache job mid-run; the coordinator
 #      must fail it over to the survivor and the final HPWL must equal the
 #      uninterrupted reference exactly (bit determinism across failover)
-#  11. inspect the content-addressed store with diag -cas / -cas-gc
-#  12. publish BENCH_cas.json: cached vs cold submit latency
+#  11. inspect the content-addressed store with puffer diag and diag -gc
 #
 # Self-contained: everything lives under a temp dir removed on exit.
 set -euo pipefail
@@ -46,11 +45,10 @@ trap cleanup EXIT
 
 log() { echo "--- $*"; }
 
-log "build pufferd + pufferctl + diag + benchjson"
+log "build pufferd + pufferctl + puffer"
 go build -o "$work/pufferd" ./cmd/pufferd
 go build -o "$work/pufferctl" ./cmd/pufferctl
 go build -o "$work/puffer" ./cmd/puffer
-go build -o "$work/benchjson" ./cmd/benchjson
 
 wait_addr() { # wait_addr <file> <pid> <log>
     for _ in $(seq 1 100); do
@@ -115,6 +113,7 @@ cold_id="$(awk '/^job /{print $2; exit}' "$work/cold.log")"
 ctl wait -poll 200ms -timeout 120s "$cold_id"
 t1=$(date +%s%N)
 cold_ns=$((t1 - t0))
+log "cold submit wall: $cold_ns ns"
 grep -q "cache hit" "$work/cold.log" && { echo "first submission was a cache hit"; exit 1; }
 cold_digest="$(curl -s "$COORD/api/v1/jobs/$cold_id" | jq -r .result_digest)"
 cold_hpwl="$(curl -s "$COORD/api/v1/jobs/$cold_id" | jq -r .result.hpwl)"
@@ -127,6 +126,7 @@ dup_id="$(awk '/^job /{print $2; exit}' "$work/dup.log")"
 ctl wait -poll 200ms -timeout 30s "$dup_id"
 t1=$(date +%s%N)
 cached_ns=$((t1 - t0))
+log "cached submit wall: $cached_ns ns"
 grep -q "cache hit" "$work/dup.log" || { echo "duplicate submission missed the cache"; exit 1; }
 dup_digest="$(curl -s "$COORD/api/v1/jobs/$dup_id" | jq -r .result_digest)"
 [ "$dup_digest" = "$cold_digest" ] || { echo "dup digest $dup_digest != cold $cold_digest"; exit 1; }
@@ -162,6 +162,7 @@ t0=$(date +%s%N)
 ctl explore -profile MEDIA_SUBSYS -scale 1500 -seed 21 -budget 2 -wait 10m | tee "$work/xcold.log"
 t1=$(date +%s%N)
 xcold_ns=$((t1 - t0))
+log "cold distributed exploration wall: $xcold_ns ns"
 xcold_id="$(awk '/^exploration /{print $2; exit}' "$work/xcold.log")"
 grep -q "22 trials" "$work/xcold.log" || { echo "cold exploration did not run 22 trials"; exit 1; }
 
@@ -189,16 +190,7 @@ grep -q "cache hit" "$work/xwarm.log" && { echo "-nocache exploration answered f
 warm_hits="$(trial_count "$xwarm_id" '.cache_hit == true')"
 [ "$warm_hits" = "22" ] || { echo "warm exploration got $warm_hits trial cache hits, want 22"; exit 1; }
 
-log "publish BENCH_explore.json (>= 1.8x distributed speedup at equal trial budget)"
-{
-    echo "BenchmarkExploreInProcess 1 $xbase_ns ns/op"
-    echo "BenchmarkExploreDistributedCold 1 $xcold_ns ns/op"
-    echo "BenchmarkExploreDistributed 1 $xwarm_ns ns/op"
-} | tee /dev/stderr | "$work/benchjson" \
-    -ratio ExploreInProcess/ExploreDistributed \
-    -ratio ExploreInProcess/ExploreDistributedCold \
-    -out BENCH_explore.json
-cat BENCH_explore.json
+log "check the >= 1.8x warm distributed speedup at equal trial budget (in-process $xbase_ns ns, warm $xwarm_ns ns)"
 speedup_ok="$(awk -v b="$xbase_ns" -v d="$xwarm_ns" 'BEGIN{print (b >= 1.8*d) ? "yes" : "no"}')"
 [ "$speedup_ok" = "yes" ] || { echo "distributed exploration speedup < 1.8x ($xbase_ns vs $xwarm_ns ns)"; exit 1; }
 
@@ -251,11 +243,11 @@ resume_cached="$(trial_count "$resume_id" '.cache_hit == true')"
 [ "$resume_cached" -ge 1 ] || { echo "resume replayed no trials through the result cache"; exit 1; }
 log "resume OK: 11 placements total, $resume_cached cache-hit replays"
 
-log "diag -explore renders the checkpoint with resume provenance"
+log "puffer diag renders the explore-state checkpoint with resume provenance"
 curl -s "$COORD/api/v1/jobs/$resume_id/artifacts/explore-state.json" >"$work/explore-state.json"
 "$work/puffer" diag "$work/explore-state.json" | tee "$work/xdiag.txt"
 grep -q 'attempts: 2 (resumed 1 time(s))' "$work/xdiag.txt" \
-    || { echo "diag -explore does not show the resume provenance"; exit 1; }
+    || { echo "puffer diag does not show the explore-state resume provenance"; exit 1; }
 
 # --- worker failover ----------------------------------------------------
 
@@ -294,16 +286,9 @@ log "failover OK: finished on $landed after $attempts attempts, HPWL exact"
 
 log "inspect the content-addressed store"
 "$work/puffer" diag "$work/coord/cas" | tee "$work/cas.txt"
-grep -q 'cached results' "$work/cas.txt" || { echo "diag -cas printed no summary"; exit 1; }
-grep -q 'BLOB' "$work/cas.txt" || { echo "diag -cas shows no blob table (upload missing?)"; exit 1; }
+grep -q 'cached results' "$work/cas.txt" || { echo "puffer diag on the CAS printed no summary"; exit 1; }
+grep -q 'BLOB' "$work/cas.txt" || { echo "puffer diag on the CAS shows no blob table (upload missing?)"; exit 1; }
 "$work/puffer" diag -gc "$work/coord/cas" | tee "$work/casgc.txt"
-grep -q 'gc dry run' "$work/casgc.txt" || { echo "diag -cas-gc printed no dry run"; exit 1; }
-
-log "publish BENCH_cas.json (cold vs cached submit latency)"
-{
-    echo "BenchmarkSubmitCold 1 $cold_ns ns/op"
-    echo "BenchmarkSubmitCached 1 $cached_ns ns/op"
-} | tee /dev/stderr | "$work/benchjson" -ratio SubmitCold/SubmitCached -out BENCH_cas.json
-cat BENCH_cas.json
+grep -q 'gc dry run' "$work/casgc.txt" || { echo "puffer diag -gc printed no dry run"; exit 1; }
 
 log "fleet e2e OK"
