@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"puffer"
 	"puffer/internal/bookshelf"
@@ -180,6 +182,50 @@ func TestBenchgenWritesParsableBookshelf(t *testing.T) {
 	if len(d.Cells) != len(want.Cells) || len(d.Nets) != len(want.Nets) || len(d.Pins) != len(want.Pins) {
 		t.Errorf("re-parsed %d cells, %d nets, %d pins; generated %d, %d, %d",
 			len(d.Cells), len(d.Nets), len(d.Pins), len(want.Cells), len(want.Nets), len(want.Pins))
+	}
+}
+
+// TestTimedOutRunKeepsItsTelemetry times a run out after more than one
+// 4 KiB sink buffer of samples: the metric stream must still be whole JSON
+// lines ending in a newline, and the trace must still be written. A host
+// too slow to fill the buffer before the timeout retries with a doubled
+// one; the uninterrupted run takes seconds even on a fast host.
+func TestTimedOutRunKeepsItsTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "cut.jsonl"), filepath.Join(dir, "cut.json")
+	var stream []byte
+	for timeout := 2 * time.Second; len(stream) <= 4096; timeout *= 2 {
+		if timeout > 16*time.Second {
+			t.Fatalf("metric stream is %d bytes; the case needs more than one 4 KiB buffer", len(stream))
+		}
+		msg, out := runErr(t, "-design", "MEDIA_SUBSYS", "-scale", "200", "-timeout", timeout.String(), "-noeval",
+			"-metrics", metrics, "-trace", trace)
+		mustContain(t, "timed-out run", msg, "flow timed out during stage")
+		mustContain(t, "timed-out run", out, "trace written to "+trace, "metric stream written to "+metrics)
+		var err error
+		if stream, err = os.ReadFile(metrics); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.HasSuffix(stream, []byte("\n")) {
+		t.Fatalf("metric stream ends mid-record: %q", stream[len(stream)-min(len(stream), 80):])
+	}
+	for i, line := range bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n")) {
+		var sample struct {
+			Series string  `json:"series"`
+			Step   int     `json:"step"`
+			Value  float64 `json:"value"`
+		}
+		if err := json.Unmarshal(line, &sample); err != nil || sample.Series == "" {
+			t.Fatalf("metric line %d %q: %v", i+1, line, err)
+		}
+	}
+	doc, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("timed-out run wrote no trace: %v", err)
+	}
+	if !json.Valid(doc) {
+		t.Fatalf("trace is not JSON: %q", doc)
 	}
 }
 

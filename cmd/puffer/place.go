@@ -34,7 +34,7 @@ var pufferOnly = []string{"report", "trace-csv", "checkpoint", "resume", "strate
 
 // placeFlow runs one placement flow, evaluates it and writes the artifacts
 // its flags ask for.
-func placeFlow(args []string, w io.Writer) error {
+func placeFlow(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("puffer", flag.ContinueOnError)
 	src := source{scale: 800, seed: 1}
 	src.register(fs, "synthetic benchmark profile name (see -list)", true)
@@ -49,10 +49,10 @@ func placeFlow(args []string, w io.Writer) error {
 		traceCSV = fs.String("trace-csv", "", "write the global-placement iteration trace (CSV) to this file")
 		repOut   = fs.String("report", "", "write the structured run report (JSON, consumed by puffer diag) to this file")
 		htmlOut  = fs.String("html", "", "write an HTML placement/congestion report to this file")
-		debug    = fs.String("debug-addr", "", "serve pprof/expvar/Prometheus metrics on this address while the flow runs (e.g. :6060)")
+		debug    = fs.String("debug-addr", "", "serve pprof, runtime expvar and Prometheus metrics on this address while the flow runs (e.g. :6060)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof); see also -debug-addr for live profiles")
 		memProf  = fs.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
-		metrics  = fs.String("metrics", "", "stream metric samples to this file as they are observed (.csv extension selects CSV, anything else JSON lines)")
+		metrics  = fs.String("metrics", "", "stream metric samples to this file as JSON lines as they are observed")
 		strategy = fs.String("strategy", "", "JSON strategy file from puffer explore -out")
 		ckpt     = fs.String("checkpoint", "", "write a flow checkpoint (JSON) to this file after each stage")
 		resume   = fs.String("resume", "", "resume the flow from a checkpoint written by -checkpoint")
@@ -129,29 +129,44 @@ func placeFlow(args []string, w io.Writer) error {
 	// Telemetry: any of -trace/-report/-debug-addr/-metrics turns the
 	// recorder on; otherwise the flow runs with the nil (free) recorder.
 	var (
-		rec      *obs.Recorder
-		reg      *obs.Registry
-		tracer   *obs.Tracer
-		metricsF *os.File
+		rec    *obs.Recorder
+		reg    *obs.Registry
+		tracer *obs.Tracer
 	)
 	if *trace != "" || *repOut != "" || *debug != "" || *metrics != "" {
-		var sinks []obs.Sink
+		var (
+			sinks    []obs.Sink
+			metricsF *os.File
+		)
 		if *metrics != "" {
 			f, err := os.Create(*metrics)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
 			metricsF = f
-			if strings.HasSuffix(*metrics, ".csv") {
-				sinks = append(sinks, obs.NewCSVSink(f))
-			} else {
-				sinks = append(sinks, obs.NewJSONLSink(f))
-			}
+			sinks = append(sinks, obs.NewJSONLSink(f))
 		}
 		reg = obs.NewRegistry(sinks...)
 		tracer = obs.NewTracer()
 		rec = obs.NewRecorder(tracer, reg)
+		// Write the trace and flush the metric stream on every return: a
+		// run that times out or fails keeps the telemetry explaining why.
+		defer func() {
+			if *trace != "" {
+				if terr := tracer.WriteFile(*trace); terr != nil {
+					err = errors.Join(err, terr)
+				} else {
+					fmt.Fprintf(w, "trace written to %s (%d spans; open in Perfetto or chrome://tracing)\n", *trace, tracer.Len())
+				}
+			}
+			if metricsF != nil {
+				if merr := cmp.Or(reg.Flush(), metricsF.Close()); merr != nil {
+					err = errors.Join(err, merr)
+				} else {
+					fmt.Fprintf(w, "metric stream written to %s\n", *metrics)
+				}
+			}
+		}()
 	}
 	if *debug != "" {
 		ds, err := obs.StartDebug(*debug, reg)
@@ -347,12 +362,6 @@ func placeFlow(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "placed design written to %s\n", auxPath)
 	}
 
-	if *trace != "" {
-		if err := tracer.WriteFile(*trace); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s (%d spans; open in Perfetto or chrome://tracing)\n", *trace, tracer.Len())
-	}
 	if *repOut != "" {
 		puffRC.Result.Route = rr
 		rep, err := pipeline.BuildReport(puffRC)
@@ -363,12 +372,6 @@ func placeFlow(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "run report written to %s\n", *repOut)
-	}
-	if metricsF != nil {
-		if err := cmp.Or(reg.Flush(), metricsF.Close()); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "metric stream written to %s\n", *metrics)
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)

@@ -102,10 +102,9 @@ type Estimator struct {
 
 	stats Stats
 
-	// Telemetry (obs.go): resolved once by SetObs; nil — and therefore
-	// no-ops — until a recorder is attached.
-	rec        *obs.Recorder
-	cEstimates *obs.Counter
+	// Telemetry (obs.go): nil — and therefore a no-op — until SetObs
+	// attaches a recorder.
+	rec *obs.Recorder
 }
 
 // shard is the private state of one static slice of the pins and nets: a
@@ -164,7 +163,6 @@ func (e *Estimator) EstimateCtx(ctx context.Context) (*Map, error) {
 	t0 := time.Now()
 	e.expand()
 	e.stats.LastExpandWall = time.Since(t0)
-	e.cEstimates.Inc()
 	return e.M, nil
 }
 

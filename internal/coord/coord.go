@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"puffer/internal/cas"
@@ -70,9 +69,7 @@ type Server struct {
 	log   *slog.Logger
 	http  *http.Client
 
-	hDispatch  *obs.Histogram // node picked → worker 202
-	hHeartbeat *obs.Histogram // observed heartbeat ages at scan time
-	farms      atomic.Int64   // running exploration controllers
+	hDispatch *obs.Histogram // node picked → worker 202
 
 	stopMonitor context.CancelFunc
 	monitorDone chan struct{}
@@ -121,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	c.hDispatch = c.Registry().Histogram("coord.dispatch_seconds")
-	c.hHeartbeat = c.Registry().Histogram("coord.heartbeat_age_seconds")
 	return c, nil
 }
 
@@ -203,12 +199,9 @@ func (c *Server) Admit(m *serve.Manifest) (undo func(), err error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", serve.ErrInvalidSpec, err)
 		}
-		d, existed, err := c.store.Put(blob)
+		d, _, err := c.store.Put(blob)
 		if err != nil {
 			return nil, fmt.Errorf("store design: %w", err)
-		}
-		if existed {
-			c.Registry().Counter("coord.design_blob_dedup").Inc()
 		}
 		design = d
 	} else {
@@ -244,19 +237,10 @@ func (c *Server) Admit(m *serve.Manifest) (undo func(), err error) {
 			m.Result, m.Stage = origin.Result, origin.Stage
 			spec.Bookshelf = nil
 			c.Registry().Counter("coord.cache_hits").Inc()
-			if m.Parent != "" {
-				c.Registry().Counter("coord.trial_cache_hits").Inc()
-			}
 			return nil, nil
 		}
 	}
 	c.Registry().Counter("coord.cache_misses").Inc()
-	switch {
-	case m.Parent != "":
-		c.Registry().Counter("coord.trials_submitted").Inc()
-	case spec.Distributed:
-		c.Registry().Counter("coord.explorations_submitted").Inc()
-	}
 	if len(spec.Bookshelf) == 0 {
 		return nil, nil
 	}

@@ -274,6 +274,17 @@ func TestFleetDedup(t *testing.T) {
 	if done4.ResultDigest != done1.ResultDigest {
 		t.Fatalf("rerun result digest %s != original %s", done4.ResultDigest, done1.ResultDigest)
 	}
+
+	// One hit (m2) against three misses (m1, m3, and m4, which skips the
+	// lookup); the three misses were each dispatched to the worker once.
+	reg := cs.Registry()
+	if hits, misses, rate := reg.Counter("coord.cache_hits").Value(), reg.Counter("coord.cache_misses").Value(),
+		reg.Gauge("coord.cache_hit_rate").Value(); hits != 1 || misses != 3 || rate != 0.25 {
+		t.Fatalf("cache hits %d, misses %d, hit rate %v; want 1, 3, 0.25", hits, misses, rate)
+	}
+	if n := reg.Histogram("coord.dispatch_seconds").Count(); n != 3 {
+		t.Fatalf("coord.dispatch_seconds holds %d dispatches, want 3", n)
+	}
 }
 
 // TestProfileCacheAndArtifacts: synthetic-profile jobs content-address

@@ -178,10 +178,8 @@ func TestListAndTopAgainstBothModes(t *testing.T) {
 				ops.Workers != 3 || ops.Cache["blobs"] != 1 {
 				t.Errorf("coordinator ops: role %q nodes %+v workers %d cache %v", ops.Role, ops.Nodes, ops.Workers, ops.Cache)
 			}
-			for _, name := range []string{"coord.dispatch_seconds", "coord.heartbeat_age_seconds"} {
-				if _, ok := ops.Histograms[name]; !ok {
-					t.Errorf("coordinator ops lacks the %s histogram", name)
-				}
+			if _, ok := ops.Histograms["coord.dispatch_seconds"]; !ok {
+				t.Errorf("coordinator ops lacks the coord.dispatch_seconds histogram")
 			}
 		})
 	}

@@ -46,8 +46,6 @@ const ExploreStateArtifact = "explore-state.json"
 func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 	m := j.M
 	start := time.Now()
-	c.Registry().Gauge("coord.farms_active").Set(float64(c.farms.Add(1)))
-	defer func() { c.Registry().Gauge("coord.farms_active").Set(float64(c.farms.Add(-1))) }()
 
 	// A spooled checkpoint from an interrupted attempt resumes the schedule.
 	var prev *xfarm.State
@@ -78,8 +76,8 @@ func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 		}
 	}
 
-	// The controller's metric samples (explore.trial.score,
-	// explore.best_score, xfarm.* counters) stream to the job's watchers.
+	// The controller's per-trial scores (explore.trial.score) stream to
+	// the job's watchers.
 	rec := obs.NewRecorder(nil, obs.NewRegistry(serve.HubSink(j.Hub)))
 	res, runErr := xfarm.Run(ctx, xfarm.Config{
 		Params:       puffer.StrategyParams(),
@@ -129,7 +127,6 @@ func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 		BestScore: res.BestScore,
 		RuntimeMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	c.Registry().Counter("coord.explorations_done").Inc()
 	c.log.Info("exploration finished", "job", m.ID, "trials", res.Trials,
 		"best_score", res.BestScore, "cache_hits", res.CacheHits,
 		"replayed", res.Replayed, "canceled", res.Canceled,

@@ -273,11 +273,7 @@ func (c *Server) handleNodePost(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mf = *mf
 	n.lastSeen = time.Now()
-	known := len(c.nodes)
 	c.mu.Unlock()
-	c.Registry().Counter("coord.heartbeats").Inc()
-	c.Registry().Gauge("coord.nodes_known").Set(float64(known))
-	c.Registry().Gauge("coord.nodes_live").Set(float64(c.LiveNodes()))
 	c.wake() // a returning node may unblock pending work
 	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":                 true,
@@ -333,7 +329,6 @@ func (c *Server) monitorLoop(ctx context.Context) {
 		c.mu.Lock()
 		for _, n := range c.nodes {
 			age := now.Sub(n.lastSeen)
-			c.hHeartbeat.Observe(age.Seconds())
 			if age > c.cfg.DeadAfter && len(n.jobs) > 0 {
 				c.log.Warn("node heartbeat expired", "node", n.mf.ID,
 					"age", age.Round(time.Millisecond), "jobs", len(n.jobs))
@@ -343,6 +338,5 @@ func (c *Server) monitorLoop(ctx context.Context) {
 			}
 		}
 		c.mu.Unlock()
-		c.Registry().Gauge("coord.nodes_live").Set(float64(c.LiveNodes()))
 	}
 }

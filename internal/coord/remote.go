@@ -157,7 +157,6 @@ func (a *attempt) dispatch(ctx context.Context, addr string) error {
 	}); err != nil {
 		return err
 	}
-	c.Registry().Counter("coord.jobs_dispatched_total").Inc()
 	c.log.Info("job dispatched", "job", m.ID, "node", a.node, "remote", remote.ID, "attempt", m.Attempts)
 	return nil
 }

@@ -352,7 +352,6 @@ func (e *Explorer) record(o Observation) {
 	best := e.best
 	e.mu.Unlock()
 
-	e.Obs.Counter("explore.trials").Inc()
 	e.Obs.Series("explore.trial.score").Observe(trial, o.Y)
 	if improved {
 		e.Obs.Gauge("explore.best_score").Set(best)

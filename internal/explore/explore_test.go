@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"puffer/internal/obs"
 )
 
 func sphereParams() []Param {
@@ -21,6 +23,7 @@ func sphere(x Assignment) float64 {
 }
 
 func TestExplorerImprovesSphere(t *testing.T) {
+	reg := obs.NewRegistry()
 	e := &Explorer{
 		Params:    sphereParams(),
 		Eval:      sphere,
@@ -28,6 +31,7 @@ func TestExplorerImprovesSphere(t *testing.T) {
 		EarlyStop: 40,
 		Rounds:    2,
 		Seed:      1,
+		Obs:       obs.NewRecorder(nil, reg),
 	}
 	final, best := e.Run()
 	if sphere(best) > 3 {
@@ -36,8 +40,24 @@ func TestExplorerImprovesSphere(t *testing.T) {
 	if sphere(final) > 15 {
 		t.Errorf("final (range-median) objective %v, want < 15", sphere(final))
 	}
-	if len(e.History()) == 0 {
+	hist := e.History()
+	if len(hist) == 0 {
 		t.Fatal("no history recorded")
+	}
+	// One score sample per trial, in trial order, and the running best.
+	scores := reg.Series("explore.trial.score").Samples()
+	if len(scores) != len(hist) {
+		t.Fatalf("explore.trial.score has %d samples, want %d", len(scores), len(hist))
+	}
+	low := math.Inf(1)
+	for k, o := range hist {
+		if scores[k].Step != k+1 || scores[k].Value != o.Y {
+			t.Fatalf("score sample %d = %+v, want step %d value %v", k, scores[k], k+1, o.Y)
+		}
+		low = math.Min(low, o.Y)
+	}
+	if got := reg.Gauge("explore.best_score").Value(); got != low {
+		t.Fatalf("explore.best_score = %v, want %v", got, low)
 	}
 }
 

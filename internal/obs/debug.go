@@ -6,103 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// expvar publication is process-global (expvar.Publish panics on
-// duplicate names), so the "puffer" var is published once and renders the
-// current registry set: the primary registry (the one most recently handed
-// to NewDebugMux/StartDebug) plus any named registries registered with
-// PublishExpvar. A process hosting many concurrent runs — the pufferd
-// worker pool gives every job its own isolated Registry — can therefore
-// expose each run's metrics side by side instead of the last one winning.
-var (
-	expvarOnce  sync.Once
-	expvarReg   atomic.Pointer[Registry]
-	expvarMu    sync.Mutex
-	expvarNamed map[string]*Registry
-)
-
-func initExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("puffer", expvar.Func(func() any {
-			expvarMu.Lock()
-			named := make(map[string]*Registry, len(expvarNamed))
-			for k, v := range expvarNamed {
-				named[k] = v
-			}
-			expvarMu.Unlock()
-			main := expvarReg.Load()
-			if len(named) == 0 {
-				// Single-run shape (cmd/puffer -debug-addr): the snapshot
-				// itself, as published since the first telemetry release.
-				// Snapshot is nil-safe, so a PublishExpvar-only process that
-				// has already unpublished everything renders an empty object.
-				return main.Snapshot()
-			}
-			out := map[string]any{}
-			if main != nil {
-				// A primary registry only exists once NewDebugMux/StartDebug
-				// has run; a PublishExpvar-only embedder has just jobs.
-				out["run"] = main.Snapshot()
-			}
-			jobs := make(map[string]Snapshot, len(named))
-			for name, reg := range named {
-				jobs[name] = reg.Snapshot()
-			}
-			out["jobs"] = jobs
-			return out
-		}))
-	})
-}
-
-func publishExpvar(reg *Registry) {
-	expvarReg.Store(reg)
-	initExpvar()
-}
-
-// PublishExpvar registers reg under name in the process-wide "puffer"
-// expvar tree (as puffer.jobs.<name> in /debug/vars), alongside — not
-// replacing — the primary debug registry. It is how a multi-job process
-// exposes per-job registries live; pair with UnpublishExpvar when the job
-// leaves the machine. A nil reg or empty name is ignored.
-func PublishExpvar(name string, reg *Registry) {
-	if name == "" || reg == nil {
-		return
-	}
-	expvarMu.Lock()
-	if expvarNamed == nil {
-		expvarNamed = make(map[string]*Registry)
-	}
-	expvarNamed[name] = reg
-	expvarMu.Unlock()
-	initExpvar()
-}
-
-// UnpublishExpvar removes a registry registered with PublishExpvar.
-func UnpublishExpvar(name string) {
-	expvarMu.Lock()
-	delete(expvarNamed, name)
-	expvarMu.Unlock()
-}
-
-// ExpvarPublished reports whether a named registry is currently registered
-// in the "puffer" expvar tree. Diagnostic helper for embedders verifying
-// their publish/unpublish pairing (leaked registrations pin registries in
-// process-global state for the life of the process).
-func ExpvarPublished(name string) bool {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	_, ok := expvarNamed[name]
-	return ok
-}
-
 // DebugServer is the live debug endpoint of a run: net/http/pprof under
-// /debug/pprof/, expvar under /debug/vars (including the metrics registry
-// snapshot as the "puffer" var), and the registry in Prometheus text
-// format under /metrics.
+// /debug/pprof/, the standard library's expvar (memstats, cmdline) under
+// /debug/vars, and the registry in Prometheus text format under /metrics.
 type DebugServer struct {
 	srv *http.Server
 	ln  net.Listener
@@ -111,7 +20,6 @@ type DebugServer struct {
 // NewDebugMux builds the handler tree without binding a socket, for
 // embedding into an existing server.
 func NewDebugMux(reg *Registry) *http.ServeMux {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -22,10 +22,6 @@ var histBounds = func() []float64 {
 	return b
 }()
 
-// HistogramBounds returns the shared bucket upper bounds (seconds),
-// excluding the +Inf bucket. The returned slice must not be modified.
-func HistogramBounds() []float64 { return histBounds }
-
 // Histogram is a fixed-bucket latency distribution. Observe is lock-free
 // (one atomic add into a bucket, one into the count, a CAS loop on the
 // sum) and, like every obs instrument, nil-safe: a nil *Histogram accepts
@@ -100,7 +96,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram: per-bucket
-// counts (aligned with HistogramBounds, last entry +Inf), their total and
+// counts (aligned with histBounds, last entry +Inf), their total and
 // the running sum of observed seconds.
 type HistogramSnapshot struct {
 	Counts []uint64 `json:"counts,omitempty"`

@@ -135,19 +135,6 @@ func (s *Series) Samples() []Sample {
 	return append([]Sample(nil), s.samples...)
 }
 
-// Last returns the most recent sample, if any.
-func (s *Series) Last() (Sample, bool) {
-	if s == nil {
-		return Sample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[len(s.samples)-1], true
-}
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
@@ -194,8 +181,8 @@ func (r *Registry) Series(name string) *Series {
 }
 
 // Histogram returns the named latency histogram, creating it on first
-// use. All histograms share the fixed log-spaced bucket ladder (see
-// HistogramBounds).
+// use. All histograms share the fixed log-spaced bucket ladder
+// (histBounds).
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -225,7 +212,7 @@ func (r *Registry) Flush() error {
 }
 
 // Snapshot is a point-in-time copy of a registry's contents, embedded in
-// run reports and served over expvar.
+// run reports and served on /api/v1/ops.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

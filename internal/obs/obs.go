@@ -1,9 +1,12 @@
 // Package obs is the unified telemetry layer of the PUFFER flow:
 // hierarchical trace spans (run → stage → optimizer call → shard) with
-// Chrome trace-event export, a metrics registry of counters, gauges and
-// per-iteration time series with pluggable sinks, a structured run-report
-// artifact, and an optional live debug HTTP endpoint (pprof, expvar,
-// Prometheus text).
+// Chrome trace-event export, a metrics registry of counters, gauges,
+// histograms and per-iteration time series whose samples stream to a
+// Sink (JSON lines on disk, or a job's event hub), a structured run-report
+// artifact, and an optional live debug HTTP endpoint (pprof, the standard
+// library's expvar, Prometheus text). DESIGN.md §3c holds the one catalog
+// of metric names; the root package's TestMetricCensus checks it against
+// every emit site.
 //
 // The package is built around one invariant: a disabled recorder costs
 // nothing on the hot path. Every type is nil-safe — a nil *Recorder,

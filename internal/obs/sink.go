@@ -9,7 +9,7 @@ import (
 
 // Sink receives every series sample as it is observed. Implementations
 // must be safe for concurrent Observe calls (series record from parallel
-// exploration groups and router shards).
+// exploration groups).
 type Sink interface {
 	Observe(series string, s Sample)
 	Flush() error
@@ -43,77 +43,4 @@ func (j *JSONLSink) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.w.Flush()
-}
-
-// CSVSink streams samples as CSV rows (header written once):
-//
-//	series,step,value
-//	place.hpwl,12,123456
-type CSVSink struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	header bool
-}
-
-// NewCSVSink wraps w in a buffered CSV sink.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: bufio.NewWriter(w)}
-}
-
-// Observe implements Sink.
-func (c *CSVSink) Observe(series string, s Sample) {
-	c.mu.Lock()
-	if !c.header {
-		c.w.WriteString("series,step,value\n")
-		c.header = true
-	}
-	fmt.Fprintf(c.w, "%s,%d,%g\n", series, s.Step, s.Value)
-	c.mu.Unlock()
-}
-
-// Flush implements Sink.
-func (c *CSVSink) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.w.Flush()
-}
-
-// MemSink retains every sample in memory, keyed by series name — the
-// test-friendly sink.
-type MemSink struct {
-	mu      sync.Mutex
-	samples map[string][]Sample
-}
-
-// NewMemSink builds an empty in-memory sink.
-func NewMemSink() *MemSink {
-	return &MemSink{samples: make(map[string][]Sample)}
-}
-
-// Observe implements Sink.
-func (m *MemSink) Observe(series string, s Sample) {
-	m.mu.Lock()
-	m.samples[series] = append(m.samples[series], s)
-	m.mu.Unlock()
-}
-
-// Flush implements Sink.
-func (m *MemSink) Flush() error { return nil }
-
-// Samples returns a copy of the retained samples for one series.
-func (m *MemSink) Samples(series string) []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Sample(nil), m.samples[series]...)
-}
-
-// SeriesNames returns the names of all series observed so far.
-func (m *MemSink) SeriesNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.samples))
-	for k := range m.samples {
-		names = append(names, k)
-	}
-	return names
 }

@@ -175,7 +175,6 @@ type Optimizer struct {
 	sPadded *obs.Series
 	sHOF    *obs.Series
 	sVOF    *obs.Series
-	cRuns   *obs.Counter
 }
 
 // NewOptimizer creates an optimizer over a gridW×gridH Gcell congestion
@@ -205,7 +204,6 @@ func (o *Optimizer) SetObs(rec *obs.Recorder) {
 	o.sPadded = rec.Series("padding.padded_cells")
 	o.sHOF = rec.Series("padding.est_hof")
 	o.sVOF = rec.Series("padding.est_vof")
-	o.cRuns = rec.Counter("padding.runs")
 	o.est.SetObs(rec)
 }
 
@@ -337,7 +335,6 @@ func (o *Optimizer) RunCtx(ctx context.Context) (RunInfo, error) {
 	if o.S.NetWeightGain > 0 {
 		o.reweightNets(cm)
 	}
-	o.cRuns.Inc()
 	o.sUtil.Observe(i, info.Utilization)
 	o.sTarget.Observe(i, info.TargetUtil)
 	o.sPadded.Observe(i, float64(info.PaddedCells))

@@ -68,17 +68,11 @@ type Config struct {
 	// because the frozen benchmark/kernels.go reads it — delete with
 	// ROADMAP item 9.
 	WLModel wirelength.Kind
-	// QuadraticInit bootstraps the initial placement with star-model
-	// Jacobi sweeps (quadratic-placement style) instead of pure
-	// center-plus-jitter, pre-forming clusters before the nonlinear
-	// engine runs. Ignored when WarmStart is set.
-	QuadraticInit bool
 	// WarmStart seeds the initial placement from the design's current
 	// movable-cell centers instead of center-plus-jitter — the ECO path:
 	// a previous placement is already a near-solution for a small delta,
 	// so the engine only has to absorb the change. Fillers are still
-	// seeded uniformly from Seed (they carry no state worth keeping), and
-	// QuadraticInit is skipped.
+	// seeded uniformly from Seed (they carry no state worth keeping).
 	WarmStart bool
 	// Reuse, when non-nil, offers warm engine state harvested from a
 	// previous Placer via ReuseState. NewChecked adopts each piece only
@@ -402,9 +396,6 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 		x0[nm+f] = d.Region.Lo.X + rng.Float64()*d.Region.W()
 		x0[nm+p.nFill+nm+f] = d.Region.Lo.Y + rng.Float64()*d.Region.H()
 	}
-	if cfg.QuadraticInit && !cfg.WarmStart {
-		p.quadraticInit(x0, 20)
-	}
 	p.rects = make([]geom.Rect, 0, nm+p.nFill)
 	p.rawFx = make([]float64, nm+p.nFill)
 	p.rawFy = make([]float64, nm+p.nFill)
@@ -653,9 +644,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	gDenAnalysis := rec.Gauge("place.phase.density_analysis_ms")
 	gDenSolve := rec.Gauge("place.phase.density_solve_ms")
 	gDenSynth := rec.Gauge("place.phase.density_synthesis_ms")
-	gEvals := rec.Gauge("place.evals")
-	gRasterSkips := rec.Gauge("place.raster_skips")
-	gForceReuses := rec.Gauge("place.force_reuses")
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
 		span.SetArg("workers", p.team.Size())
@@ -681,9 +669,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		gDenAnalysis.Set(da.Seconds() * 1e3)
 		gDenSolve.Set(df.Seconds() * 1e3)
 		gDenSynth.Set(ds.Seconds() * 1e3)
-		gEvals.Set(float64(p.evals))
-		gRasterSkips.Set(float64(p.g.RasterSkips()))
-		gForceReuses.Set(float64(p.forceReuses))
 	}
 
 	ring := newTraceRing(DefaultTraceCap)

@@ -53,9 +53,9 @@ type Config struct {
 	// Workers caps the parallel net decomposition (0 = GOMAXPROCS).
 	Workers int
 	// Obs attaches telemetry: RouteCtx opens phase spans (decompose,
-	// initial pass, each negotiation round) and publishes segment/reroute
-	// counters. Nil disables everything; excluded from JSON so Config can
-	// appear in the run report.
+	// initial pass, each negotiation round with its reroute count). Nil
+	// disables everything; excluded from JSON so Config can appear in the
+	// run report.
 	Obs *obs.Recorder `json:"-"`
 }
 
@@ -176,7 +176,6 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 	}
 
 	res := &Result{Map: r.m, Segments: len(r.segs)}
-	cfg.Obs.Counter("route.segments").Add(int64(len(r.segs)))
 
 	// Initial pass.
 	spInit := sp.Child("route.initial")
@@ -191,7 +190,6 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 	}
 	spInit.End()
 	// Negotiation rounds.
-	sRerouted := cfg.Obs.Series("route.rerouted")
 	for round := 0; round < cfg.MaxRipup; round++ {
 		spRound := sp.Child("route.negotiate")
 		spRound.SetArg("round", round+1)
@@ -213,7 +211,6 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 			rerouted++
 		}
 		res.Rerouted += rerouted
-		sRerouted.Observe(round+1, float64(rerouted))
 		if spRound != nil {
 			spRound.SetArg("rerouted", rerouted)
 		}
@@ -222,8 +219,6 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 			break
 		}
 	}
-	cfg.Obs.Counter("route.total_rerouted").Add(int64(res.Rerouted))
-
 	res.HOF, res.VOF = r.m.OverflowRatios()
 	res.Paths = make([][]int32, len(r.segs))
 	for i := range r.segs {

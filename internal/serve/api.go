@@ -43,7 +43,7 @@ const TenantHeader = "X-Puffer-Tenant"
 //	GET    /healthz                       liveness (always 200 while the process serves)
 //	GET    /readyz                        readiness (503 while draining / saturated / SLO burning / no workers)
 //	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs, fleet)
-//	GET    /metrics, /debug/...           daemon registry (Prometheus, pprof, expvar)
+//	GET    /metrics, /debug/...           daemon registry (Prometheus), pprof, runtime expvar
 //
 // Every route passes through withTelemetry: request latency lands in the
 // serve.http_request_seconds histogram and each request logs one
@@ -207,7 +207,6 @@ func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 		}
 	}
 	s.reg.Counter("serve.jobs_submitted").Inc()
-	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
 	return m, nil
 }
 
@@ -488,9 +487,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // written is replayed from the hub's ring, so the stream always ends on
 // the terminal state. A nil hub
 // (no runtime this boot, or retention expired) gets the single synthetic
-// fallback event so watchers always terminate. Each live write+flush is
-// timed into serve.sse_fanout_seconds — the latency a watcher sees between
-// an event being published and reaching its socket buffer.
+// fallback event so watchers always terminate.
 func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fallback Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -530,10 +527,8 @@ func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fal
 				fl.Flush()
 				return
 			}
-			t0 := time.Now()
 			writeEvent(e)
 			fl.Flush()
-			s.hSSE.ObserveSince(t0)
 		case <-r.Context().Done():
 			return
 		}

@@ -102,7 +102,6 @@ func (s *Server) schedule() {
 			return
 		}
 		id, ok := s.queue.Pop()
-		s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
 		if !ok || s.Draining() {
 			// Leave the job spooled as queued; the next boot re-admits it.
 			release()
@@ -167,7 +166,6 @@ func (s *Server) runJob(id string, run func(context.Context, *Job) Outcome, reat
 	if !reattach {
 		s.hQueueWait.Observe(queueWait.Seconds())
 	}
-	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
 	a.hub.Publish(Event{Type: "state", State: StateRunning})
 	s.log.InfoContext(ctx, "job running",
 		"kind", m.Spec.Kind, "attempt", m.Attempts,
@@ -230,7 +228,6 @@ func (s *Server) runJob(id string, run func(context.Context, *Job) Outcome, reat
 	if out.State.Terminal() {
 		retire(s, &s.finished, s.jobs, id)
 	}
-	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
 	s.log.InfoContext(ctx, "job finished",
 		"state", out.State, "wall", time.Since(start).Round(time.Millisecond), "error", out.Error)
 	if out.State == StateQueued {

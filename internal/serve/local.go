@@ -64,7 +64,7 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 	// under it the whole pipeline) into the client's trace, so a merged
 	// Chrome trace shows client request, queue wait, and shard work as one
 	// tree under one trace ID.
-	tel := openTelemetry(b.spool.JobDir(id), "job-"+id, j.Hub, m.TraceParent)
+	tel := openTelemetry(b.spool.JobDir(id), j.Hub, m.TraceParent)
 
 	// The job span opens retroactively at submission, so the trace shows
 	// the full client-observed wall; the queue wait (submission → claim)
@@ -103,19 +103,17 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 
 // runTelemetry is the telemetry of one job attempt or one warm ECO
 // session: an isolated registry whose samples stream to the run's hub and
-// to the spooled metrics.jsonl, a tracer for the trace.json artifact, and
-// a live expvar registration while the run is open.
+// to the spooled metrics.jsonl, and a tracer for the trace.json artifact.
 type runTelemetry struct {
 	rec     *obs.Recorder
 	dir     string
-	expvar  string
 	metrics *os.File // nil when metrics.jsonl could not be opened
 }
 
-// openTelemetry starts a run's telemetry spooled into dir and published to
-// expvar as name. The tracer joins traceparent's trace when it parses.
-func openTelemetry(dir, name string, hub *Hub, traceparent string) *runTelemetry {
-	t := &runTelemetry{dir: dir, expvar: name}
+// openTelemetry starts a run's telemetry spooled into dir. The tracer
+// joins traceparent's trace when it parses.
+func openTelemetry(dir string, hub *Hub, traceparent string) *runTelemetry {
+	t := &runTelemetry{dir: dir}
 	sinks := []obs.Sink{hubSink{hub}}
 	f, err := os.OpenFile(filepath.Join(dir, "metrics.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err == nil {
@@ -123,14 +121,12 @@ func openTelemetry(dir, name string, hub *Hub, traceparent string) *runTelemetry
 		sinks = append(sinks, obs.NewJSONLSink(f))
 	}
 	tc, _ := obs.ParseTraceparent(traceparent)
-	reg := obs.NewRegistry(sinks...)
-	t.rec = obs.NewRecorder(obs.NewTracerWith(tc), reg)
-	obs.PublishExpvar(name, reg)
+	t.rec = obs.NewRecorder(obs.NewTracerWith(tc), obs.NewRegistry(sinks...))
 	return t
 }
 
-// close spools trace.json (if any span was recorded), flushes and closes
-// the metric stream, and drops the expvar registration.
+// close spools trace.json (if any span was recorded) and flushes and
+// closes the metric stream.
 func (t *runTelemetry) close() error {
 	var err error
 	if tr := t.rec.Tracer(); tr.Len() > 0 {
@@ -139,7 +135,6 @@ func (t *runTelemetry) close() error {
 	if t.metrics != nil {
 		err = errors.Join(err, t.rec.Registry().Flush(), t.metrics.Close())
 	}
-	obs.UnpublishExpvar(t.expvar)
 	return err
 }
 

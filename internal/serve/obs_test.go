@@ -34,10 +34,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestSessionTelemetryLifecycle is the regression test for the session
-// expvar leak: a session's per-session registry must be published while
-// warm, unpublished on idle eviction, republished by the rehydrating
-// delta, and unpublished again on close.
+// TestSessionTelemetryLifecycle walks a session's telemetry through idle
+// eviction, the rehydrating delta and close: each step releases or
+// reopens the per-session recorder, spools the span tree, and counts the
+// transition on the daemon registry.
 func TestSessionTelemetryLifecycle(t *testing.T) {
 	s := newTestServer(t, Config{})
 	s.Start()
@@ -46,9 +46,18 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 
 	spec := quickSessionSpec()
 	m := openSessionHTTP(t, ts, s, spec)
-	key := "session-" + m.ID
-	if !obs.ExpvarPublished(key) {
-		t.Fatalf("open session %s not published to expvar", m.ID)
+	trace := s.spool.sessions.dir(m.ID) + "/trace.json"
+	telemetry := func() *runTelemetry {
+		rt, ok := lookup(s, s.sessions, m.ID)
+		if !ok {
+			return nil
+		}
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		return rt.tel
+	}
+	if telemetry() == nil {
+		t.Fatalf("open session %s has no telemetry", m.ID)
 	}
 
 	// Idle eviction must drop the warm state AND the telemetry.
@@ -66,21 +75,21 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	if !evicted {
 		t.Fatal("eviction left warm state or telemetry behind")
 	}
-	if obs.ExpvarPublished(key) {
-		t.Fatal("evicted session still published to expvar")
-	}
 	// The eviction spooled the base placement's span tree.
-	if _, err := os.Stat(s.spool.sessions.dir(m.ID) + "/trace.json"); err != nil {
+	if _, err := os.Stat(trace); err != nil {
 		t.Fatalf("evicted session has no trace artifact: %v", err)
 	}
+	if err := os.Remove(trace); err != nil {
+		t.Fatal(err)
+	}
 
-	// The rehydrating delta republishes fresh telemetry.
+	// The rehydrating delta opens fresh telemetry.
 	status, dr := postDelta(t, ts, m.ID, sessionDelta(t, spec, 3, 1))
 	if status != http.StatusOK || !dr.Rehydrated {
 		t.Fatalf("delta after eviction: status=%d rehydrated=%v", status, dr.Rehydrated)
 	}
-	if !obs.ExpvarPublished(key) {
-		t.Fatal("rehydrated session not republished to expvar")
+	if telemetry() == nil {
+		t.Fatal("rehydrated session has no telemetry")
 	}
 	if s.hWarmDelta.Count() == 0 {
 		t.Fatal("warm delta not observed in serve.session_warm_delta_seconds")
@@ -89,7 +98,8 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 		t.Fatal("cold open not observed in serve.session_cold_open_seconds")
 	}
 
-	// Close unpublishes and enrolls the session in hub retention.
+	// Close releases the telemetry, spools the delta's span tree, and
+	// enrolls the session in hub retention.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+m.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -99,8 +109,18 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("close status %d", resp.StatusCode)
 	}
-	if obs.ExpvarPublished(key) {
-		t.Fatal("closed session still published to expvar")
+	if telemetry() != nil {
+		t.Fatal("closed session kept its telemetry")
+	}
+	if _, err := os.Stat(trace); err != nil {
+		t.Fatalf("closed session has no trace artifact: %v", err)
+	}
+	for name, want := range map[string]int64{
+		"serve.sessions_evicted": 1, "serve.sessions_rehydrated": 1, "serve.sessions_closed": 1,
+	} {
+		if got := s.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	s.mu.Lock()
 	retained := len(s.finishedSessions)
@@ -170,7 +190,6 @@ func TestReadyzAndOps(t *testing.T) {
 		"serve_job_wall_seconds_sum",
 		"# TYPE serve_session_cold_open_seconds histogram",
 		"# TYPE serve_session_warm_delta_seconds histogram",
-		"# TYPE serve_sse_fanout_seconds histogram",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -77,7 +77,6 @@ type Server struct {
 	hJobWall   *obs.Histogram // worker claim → terminal/parked
 	hColdOpen  *obs.Histogram // session base placement wall
 	hWarmDelta *obs.Histogram // warm delta apply wall
-	hSSE       *obs.Histogram // one SSE event write+flush
 	slo        *obs.SLO
 	startedAt  time.Time
 
@@ -169,7 +168,6 @@ func newServer(cfg Config, fleet Fleet) (*Server, error) {
 	s.hJobWall = s.reg.Histogram("serve.job_wall_seconds")
 	s.hColdOpen = s.reg.Histogram("serve.session_cold_open_seconds")
 	s.hWarmDelta = s.reg.Histogram("serve.session_warm_delta_seconds")
-	s.hSSE = s.reg.Histogram("serve.sse_fanout_seconds")
 	s.slo = obs.NewSLO(
 		// The paper's ECO promise: a warm delta must stay an order of
 		// magnitude under the cold wall. Unevaluable until cold opens exist.
@@ -192,9 +190,6 @@ func newServer(cfg Config, fleet Fleet) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
-	s.reg.Gauge("serve.queue_cap").Set(float64(cfg.QueueCap))
-	s.reg.Gauge("serve.workers").Set(float64(s.backend.Slots()))
 	return s, nil
 }
 

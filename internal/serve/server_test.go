@@ -86,6 +86,21 @@ func waitState(t *testing.T, s *Server, id string, want JobState) *Manifest {
 	}
 }
 
+// waitCount polls a daemon counter until it reads want: runJob counts a
+// job's outcome after it finalizes the manifest waitState polls.
+func waitCount(t *testing.T, s *Server, name string, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got := s.reg.Counter(name).Value()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // waitEvent consumes the job's hub until an event satisfies pred.
 func waitEvent(t *testing.T, s *Server, id string, pred func(Event) bool) {
 	t.Helper()
@@ -272,8 +287,8 @@ func TestHTTPSurface(t *testing.T) {
 	var prom bytes.Buffer
 	prom.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(prom.String(), "serve_jobs_completed") {
-		t.Fatalf("prometheus surface missing daemon counters:\n%s", prom.String())
+	if got := s.reg.Counter("serve.jobs_completed").Value(); got != 1 || !strings.Contains(prom.String(), "\nserve_jobs_completed 1\n") {
+		t.Fatalf("serve.jobs_completed = %d; prometheus surface:\n%s", got, prom.String())
 	}
 }
 
@@ -368,6 +383,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if !retired {
 		t.Fatal("canceled queued job not enrolled in hub retention")
 	}
+	waitCount(t, s, "serve.jobs_canceled", 1)
 	// Cancel is idempotent-ish: a second cancel reports the conflict.
 	resp, err = http.Post(ts.URL+"/api/v1/jobs/"+id+"/cancel", "", nil)
 	if err != nil {
@@ -409,6 +425,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if !strings.Contains(m.Error, "canceled") {
 		t.Fatalf("canceled job error %q", m.Error)
 	}
+	waitCount(t, s, "serve.jobs_canceled", 1)
 }
 
 func TestJobDeadlineFailsJob(t *testing.T) {
@@ -427,6 +444,7 @@ func TestJobDeadlineFailsJob(t *testing.T) {
 			if !strings.Contains(m.Error, "deadline") {
 				t.Fatalf("deadline failure error %q", m.Error)
 			}
+			waitCount(t, s, "serve.jobs_failed", 1)
 			return
 		}
 		if m.State.Terminal() || time.Now().After(deadline) {
@@ -457,6 +475,7 @@ func TestDrainParksRunningJobAndRestartFinishes(t *testing.T) {
 	if m.State != StateParked {
 		t.Fatalf("after drain: state %s, want parked", m.State)
 	}
+	waitCount(t, s, "serve.jobs_parked", 1)
 	if m.StartedAt != nil || m.FinishedAt != nil {
 		t.Fatalf("parked manifest keeps timestamps: %+v", m)
 	}

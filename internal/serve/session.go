@@ -201,17 +201,15 @@ func (rt *sessionRuntime) recorder(dir string) *obs.Recorder {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.tel == nil {
-		rt.tel = openTelemetry(dir, "session-"+rt.id, rt.hub, "")
+		rt.tel = openTelemetry(dir, rt.hub, "")
 	}
 	return rt.tel.rec
 }
 
 // closeTelemetry releases the runtime's telemetry: the session's span tree
 // (base placement plus every warm delta applied since the last rehydrate)
-// spools as trace.json, the metric stream closes, and the expvar
-// registration is dropped. Called on close, open failure, park and idle
-// eviction — without the unpublish here, evicted sessions would pin their
-// registries in the process-global expvar map forever.
+// spools as trace.json and the metric stream flushes and closes. Called on
+// close, open failure, park and idle eviction.
 func (rt *sessionRuntime) closeTelemetry(s *Server) {
 	rt.mu.Lock()
 	tel := rt.tel
@@ -328,7 +326,6 @@ func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
 		return nil
 	})
 	rt.hub.Publish(Event{Type: "state", State: JobState(SessionOpen)})
-	s.reg.Counter("serve.sessions_opened").Inc()
 	s.hColdOpen.ObserveSince(start)
 	s.log.Info("session open",
 		"session", id, "hpwl", res.HPWL, "wall", time.Since(start).Round(time.Millisecond))
@@ -369,9 +366,8 @@ func (s *Server) evictIdleSessions(idle time.Duration) {
 		}
 		rt.mu.Unlock()
 		if expired {
-			// Release the telemetry with the warm state: the expvar
-			// registration and metric stream go; the next delta's rehydrate
-			// rebuilds and republishes them alongside the eco.Session.
+			// Release the telemetry with the warm state; the next delta's
+			// rehydrate opens it afresh alongside the eco.Session.
 			rt.closeTelemetry(s)
 		}
 		rt.run.Unlock()

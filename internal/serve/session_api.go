@@ -49,7 +49,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	rt.run.Lock() // released by openSession
 	s.wg.Add(1)
 	go s.openSession(m, rt)
-	s.reg.Counter("serve.sessions_submitted").Inc()
 	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", designName(spec.Profile, s.spool.sessions.dir(m.ID)))
 	WriteJSON(w, http.StatusAccepted, m)
 }
@@ -214,7 +213,6 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		APIError(w, http.StatusInternalServerError, "update session manifest: %v", uerr)
 		return
 	}
-	s.reg.Counter("serve.session_deltas").Inc()
 	s.hWarmDelta.ObserveSince(start)
 	rt.hub.Publish(Event{Type: "log",
 		Line: fmt.Sprintf("delta %d applied: hpwl=%.6g (%s)", um.Deltas, sn.LastHPWL, time.Since(start).Round(time.Millisecond))})

@@ -67,14 +67,8 @@ type Config struct {
 	EarlyStop bool
 	// Margin is the domination factor for early stop (default 1.5): a
 	// trial is canceled when its overflow exceeds Margin × the best
-	// overflow any trial has shown at that step, by at least MinGap.
+	// overflow any trial has shown at that step, by at least minGap.
 	Margin float64
-	// MinGap is the absolute overflow slack under which no trial is ever
-	// canceled (default 0.05), guarding the near-converged tail.
-	MinGap float64
-	// MinStep is the earliest sample step eligible for cancellation
-	// (default 5): early iterations are too noisy to compare.
-	MinStep int
 	// WarmStart marks that Priors/SeedRanges came from prior runs
 	// (recorded in the manifest for provenance).
 	WarmStart bool
@@ -89,8 +83,8 @@ type Config struct {
 	// controller. Nil disables checkpointing.
 	Checkpoint func(*State) error
 	Logf       func(format string, args ...any)
-	// Obs receives the explorer's trial telemetry plus the farm counters
-	// (xfarm.trials_replayed, xfarm.trials_canceled, xfarm.cache_hits).
+	// Obs receives the explorer's trial telemetry; the farm's own counts
+	// are Result's Replayed, CacheHits and Canceled.
 	Obs *obs.Recorder
 }
 
@@ -147,15 +141,9 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 	if cfg.Margin <= 1 {
 		cfg.Margin = 1.5
 	}
-	if cfg.MinGap <= 0 {
-		cfg.MinGap = 0.05
-	}
-	if cfg.MinStep <= 0 {
-		cfg.MinStep = 5
-	}
 	c := &controller{
 		cfg:   cfg,
-		env:   &envelope{min: map[int]float64{}, margin: cfg.Margin, gap: cfg.MinGap, minStep: cfg.MinStep},
+		env:   &envelope{min: map[int]float64{}, margin: cfg.Margin},
 		prev:  map[trialKey]TrialRecord{},
 		byKey: map[trialKey]int{},
 		state: State{
@@ -238,14 +226,12 @@ func (c *controller) evaluate(ctx context.Context, t explore.Trial) (float64, er
 			// Terminal without a cacheable result; replay the recorded
 			// score rather than re-running a placement we chose to kill.
 			c.record(t, rec.JobID, rec.State, rec.Score, rec.CacheHit, rec.EarlyStopped, true)
-			c.cfg.Obs.Counter("xfarm.trials_replayed").Inc()
 			return rec.Score, nil
 		case TrialSubmitted:
 			if rec.JobID != "" {
 				// Still in flight when the last controller died; re-attach.
 				out, err := c.cfg.Backend.Await(ctx, rec.JobID)
 				if err == nil {
-					c.cfg.Obs.Counter("xfarm.trials_replayed").Inc()
 					return c.finish(t, rec.JobID, out, true), nil
 				}
 				if ctx.Err() != nil {
@@ -300,13 +286,9 @@ func (c *controller) finish(t explore.Trial, jobID string, out TrialOutcome, rep
 		c.mu.Lock()
 		c.canceled++
 		c.mu.Unlock()
-		c.cfg.Obs.Counter("xfarm.trials_canceled").Inc()
 		c.record(t, jobID, TrialCanceled, Infeasible, false, true, replayed)
 		return Infeasible
 	default:
-		if out.CacheHit {
-			c.cfg.Obs.Counter("xfarm.cache_hits").Inc()
-		}
 		c.env.complete()
 		c.record(t, jobID, TrialDone, out.Score, out.CacheHit, false, replayed)
 		return out.Score
@@ -383,9 +365,16 @@ type envelope struct {
 	min       map[int]float64
 	completed int
 	margin    float64
-	gap       float64
-	minStep   int
 }
+
+const (
+	// minGap is the absolute overflow slack under which no trial is ever
+	// canceled, guarding the near-converged tail.
+	minGap = 0.05
+	// minStep is the earliest sample step eligible for cancellation:
+	// early iterations are too noisy to compare.
+	minStep = 5
+)
 
 // observe folds one sample in and reports whether its trial is dominated.
 // No trial is ever canceled before at least one competitor has finished —
@@ -396,11 +385,11 @@ func (e *envelope) observe(step int, v float64) (dominated bool) {
 	if cur, ok := e.min[step]; !ok || v < cur {
 		e.min[step] = v
 	}
-	if e.completed == 0 || step < e.minStep {
+	if e.completed == 0 || step < minStep {
 		return false
 	}
 	best := e.min[step]
-	return v > e.margin*best && v-best > e.gap
+	return v > e.margin*best && v-best > minGap
 }
 
 func (e *envelope) complete() {

@@ -384,7 +384,7 @@ func TestControllerEarlyStop(t *testing.T) {
 	// envelope has one completed competitor.
 	res, err := Run(context.Background(), Config{
 		Params: params, Budget: budget, Seed: seed,
-		Backend: fleet, EarlyStop: true, MinStep: 5,
+		Backend: fleet, EarlyStop: true,
 	}, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -60,7 +60,6 @@ var knobCensus = []knob{
 	{field: "Place.PlateauIters", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "Place.LambdaMu", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "Place.WLModel", class: "held", where: "benchmark/kernels.go"},
-	{field: "Place.QuadraticInit", class: "pending", where: "5"},
 	{field: "Place.WarmStart", class: "set", where: "internal/eco/session.go"},
 	{field: "Place.Seed", class: "set", where: "internal/serve/local.go"},
 	{field: "Place.Workers", class: "set", where: "pipeline/pipeline.go"},

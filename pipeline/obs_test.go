@@ -10,6 +10,7 @@ import (
 
 	"puffer/internal/cong"
 	"puffer/internal/obs"
+	"puffer/internal/padding"
 	"puffer/pipeline"
 )
 
@@ -144,10 +145,26 @@ func TestResumePreservesStatsAndTelemetry(t *testing.T) {
 		t.Errorf("place.hpwl series changed across resume: %d samples, want %d", got, hpwlLen)
 	}
 	// The resumed stages ran under the same registry: the padding series
-	// recorded during phase 1 must coexist with them.
-	if len(rc.Result.PaddingRuns) > 0 {
-		if got := reg.Series("padding.utilization").Len(); got != len(rc.Result.PaddingRuns) {
-			t.Errorf("padding.utilization has %d samples, want %d", got, len(rc.Result.PaddingRuns))
+	// recorded during phase 1 must coexist with them, one sample per round
+	// carrying that round's RunInfo.
+	runs := rc.Result.PaddingRuns
+	if len(runs) == 0 {
+		t.Fatal("the stressed design ran no padding round")
+	}
+	for name, field := range map[string]func(padding.RunInfo) float64{
+		"padding.utilization":  func(r padding.RunInfo) float64 { return r.Utilization },
+		"padding.target_util":  func(r padding.RunInfo) float64 { return r.TargetUtil },
+		"padding.padded_cells": func(r padding.RunInfo) float64 { return float64(r.PaddedCells) },
+	} {
+		s := reg.Series(name).Samples()
+		if len(s) != len(runs) {
+			t.Errorf("%s has %d samples, want %d", name, len(s), len(runs))
+			continue
+		}
+		for k, r := range runs {
+			if s[k].Step != r.Iter || s[k].Value != field(r) {
+				t.Errorf("%s sample %d = %+v, want step %d value %v", name, k, s[k], r.Iter, field(r))
+			}
 		}
 	}
 }

@@ -166,10 +166,9 @@ type ExploreOptions struct {
 // mirrors its Explorer knobs so both produce identical trial schedules.
 // The context is observed between SMBO trials: on cancellation the best
 // strategies found so far are still returned, alongside an error wrapping
-// ErrCanceled. With opt.Obs set, per-trial scores, the trial counter and
-// the best-score gauge land on its registry (explore.trials /
-// explore.trial.score / explore.best_score) and the exploration opens a
-// trace span.
+// ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge
+// land on its registry (explore.trial.score / explore.best_score) and the
+// exploration opens a trace span.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
 	e := &explore.Explorer{
 		Obs:       opt.Obs,
