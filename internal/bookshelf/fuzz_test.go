@@ -1,6 +1,7 @@
 package bookshelf
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,11 +85,8 @@ func FuzzParseNets(f *testing.F) {
 	})
 }
 
-// fuzzSibling fuzzes the file with extension ext of a complete design as
-// Write produces it: the seeds are that file and its truncations plus the
-// extra hostile inputs, and every input replaces the file next to the
-// design's other files before Parse reads the aux.
-func fuzzSibling(f *testing.F, ext string, extra ...string) {
+// sampleFiles returns the files Write produces for sampleDesign, by name.
+func sampleFiles(f *testing.F) map[string][]byte {
 	src := f.TempDir()
 	if _, err := Write(sampleDesign(), src, "f"); err != nil {
 		f.Fatal(err)
@@ -103,9 +101,22 @@ func fuzzSibling(f *testing.F, ext string, extra ...string) {
 			f.Fatal(err)
 		}
 	}
+	return files
+}
+
+// fuzzSibling fuzzes the file with extension ext of a complete design as
+// Write produces it: the seeds are that file and its truncations plus the
+// extra hostile inputs, and every input replaces the file next to the
+// design's other files before Parse reads the aux.
+func fuzzSibling(f *testing.F, ext string, extra ...string) {
+	fuzzFile(f, sampleFiles(f), ext, extra...)
+}
+
+// fuzzSibling's body over a given file set, which names f.aux.
+func fuzzFile(f *testing.F, files map[string][]byte, ext string, extra ...string) {
 	seed, ok := files["f."+ext]
 	if !ok {
-		f.Fatalf("Write produced no f.%s", ext)
+		f.Fatalf("no f.%s to fuzz", ext)
 	}
 	for _, n := range []int{len(seed), len(seed) - 1, 3 * len(seed) / 4, len(seed) / 2, len(seed) / 4, 0} {
 		f.Add(seed[:n])
@@ -153,4 +164,21 @@ func FuzzParseWts(f *testing.F) {
 	fuzzSibling(f, "wts",
 		"clk NaN\nd0 -Inf\n", // hostile weights
 		"clk\nzz 2\n")        // short line, unknown net
+}
+
+// FuzzParseRoute fuzzes the .route parser and its installation into the
+// design (an upload's aux may list one): every count it reads must be
+// bounded by the data behind it.
+func FuzzParseRoute(f *testing.F) {
+	files := sampleFiles(f)
+	route := filepath.Join(f.TempDir(), "f.route")
+	if err := WriteRoute(sampleDesign(), route, 10, 5); err != nil {
+		f.Fatal(err)
+	}
+	var err error
+	if files["f.route"], err = os.ReadFile(route); err != nil {
+		f.Fatal(err)
+	}
+	files["f.aux"] = append(bytes.TrimRight(files["f.aux"], "\n"), " f.route\n"...)
+	fuzzFile(f, files, "route", hostileRoutes...)
 }

@@ -57,7 +57,7 @@ func ParseRoute(path string) (*RouteInfo, error) {
 				if err != nil {
 					return err
 				}
-				if len(f) < 2+n {
+				if n < 0 || n > len(f)-2 {
 					return fmt.Errorf("blockage node %s lists %d layers, has %d", f[0], n, len(f)-2)
 				}
 				var layers []int
@@ -103,6 +103,11 @@ func ParseRoute(path string) (*RouteInfo, error) {
 			if err != nil || len(ns) < 3 {
 				return fmt.Errorf("bad Grid line")
 			}
+			for _, v := range ns[:3] {
+				if !isCount(v) {
+					return fmt.Errorf("bad Grid line: %v is not a count", v)
+				}
+			}
 			ri.GridX, ri.GridY, ri.NumLayers = int(ns[0]), int(ns[1]), int(ns[2])
 		case "VerticalCapacity":
 			var err error
@@ -144,14 +149,14 @@ func ParseRoute(path string) (*RouteInfo, error) {
 			ri.Porosity = ns[0]
 		case "NumNiTerminals":
 			ns, err := nums()
-			if err != nil || len(ns) < 1 {
+			if err != nil || len(ns) < 1 || !isCount(ns[0]) {
 				return fmt.Errorf("bad NumNiTerminals")
 			}
 			pending = int(ns[0])
 			mode = "ni"
 		case "NumBlockageNodes":
 			ns, err := nums()
-			if err != nil || len(ns) < 1 {
+			if err != nil || len(ns) < 1 || !isCount(ns[0]) {
 				return fmt.Errorf("bad NumBlockageNodes")
 			}
 			pending = int(ns[0])
@@ -165,6 +170,13 @@ func ParseRoute(path string) (*RouteInfo, error) {
 	return ri, nil
 }
 
+// isCount reports whether v is a whole number in [0, MaxInt32]: a count a
+// .route file can state. The counts are bounded by the data that backs
+// them afterwards; this only keeps the conversion to int exact.
+func isCount(v float64) bool {
+	return v >= 0 && v <= math.MaxInt32 && v == math.Trunc(v)
+}
+
 // Apply installs the routing-resource description into the design: the
 // metal stack is rebuilt from the per-layer capacities and wire rules, and
 // blockage-node annotations become layer blockages over the named cells'
@@ -172,6 +184,12 @@ func ParseRoute(path string) (*RouteInfo, error) {
 func (ri *RouteInfo) Apply(d *netlist.Design) error {
 	if ri.NumLayers <= 0 || ri.TileW <= 0 || ri.TileH <= 0 {
 		return fmt.Errorf("route: incomplete grid description")
+	}
+	// The layer count sizes the metal stack: it is bounded by the
+	// capacity lists that describe the layers.
+	if ri.NumLayers > len(ri.VertCap) || ri.NumLayers > len(ri.HorizCap) {
+		return fmt.Errorf("route: %d layers, capacities given for %d vertical and %d horizontal",
+			ri.NumLayers, len(ri.VertCap), len(ri.HorizCap))
 	}
 	layers := make([]netlist.Layer, 0, ri.NumLayers)
 	for l := 0; l < ri.NumLayers; l++ {

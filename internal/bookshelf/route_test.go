@@ -105,6 +105,39 @@ func TestRouteApply(t *testing.T) {
 	}
 }
 
+// hostileRoutes are .route files whose counts are not backed by data:
+// each used to crash the parser or Apply.
+var hostileRoutes = []string{
+	// 2+n overflowed, and the layer loop indexed past the line
+	"NumBlockageNodes : 1\nnode 9223372036854775807\n",
+	// the metal stack was allocated at the stated size
+	"Grid : 4 4 100000000000\nTileSize : 1 1\n",
+}
+
+func TestRouteRejectsUnbackedCounts(t *testing.T) {
+	for _, src := range append([]string{
+		"NumBlockageNodes : 1\nnode -1\n",
+		"NumBlockageNodes : 1\nnode 2 1\n",
+		"NumBlockageNodes : -3\n",
+		"NumNiTerminals : 1e300\n",
+		"Grid : 4 4 NaN\n",
+		"Grid : 4 4 2.5\n",
+		"Grid : 4 4 3\nVerticalCapacity : 0 40\nHorizontalCapacity : 30 0 30\nTileSize : 1 1\n",
+	}, hostileRoutes...) {
+		path := filepath.Join(t.TempDir(), "t.route")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ri, err := ParseRoute(path)
+		if err == nil {
+			err = ri.Apply(sampleDesign())
+		}
+		if err == nil {
+			t.Errorf("%q accepted", src)
+		}
+	}
+}
+
 func TestRouteApplyUnknownNode(t *testing.T) {
 	ri := &RouteInfo{
 		NumLayers: 2, TileW: 10, TileH: 10,

@@ -189,9 +189,10 @@ func allocsPerRun(runs int, f func()) uint64 {
 }
 
 // TestGPStepZeroAlloc guards the steady-state Nesterov iteration: a full
-// eval (wirelength gradient, rasterization, spectral solve, force sweep)
-// plus the overflow probe, the exact HPWL and the optimizer update
-// allocates nothing — serially, and on a started four-executor team whose
+// eval (wirelength gradient, rasterization, spectral solve, force sweep),
+// an eval that carries the wirelength gradient and reuses the forces, plus
+// the overflow probe, the exact HPWL and the optimizer update allocates
+// nothing — serially, and on a started four-executor team whose
 // helpers really run shards.
 func TestGPStepZeroAlloc(t *testing.T) {
 	withGOMAXPROCS(t, 4)
@@ -205,7 +206,7 @@ func TestGPStepZeroAlloc(t *testing.T) {
 		p.updateGamma()
 		p.initLambda()
 		p.opt.Step(p.projectFn) // warm up
-		reuses, handoffs := p.forceReuses, p.team.Handoffs()
+		reuses, carries, handoffs := p.forceReuses, p.wlCarries, p.team.Handoffs()
 		n := allocsPerRun(10, func() {
 			p.overflow = p.computeOverflow()
 			p.wl.HPWL()
@@ -217,6 +218,9 @@ func TestGPStepZeroAlloc(t *testing.T) {
 		}
 		if p.forceReuses == reuses {
 			t.Errorf("workers=%d: the measured iterations never took the force-reuse path", workers)
+		}
+		if p.wlCarries == carries {
+			t.Errorf("workers=%d: the measured iterations never carried the wirelength gradient", workers)
 		}
 		if sharded := p.team.Handoffs() > handoffs; sharded != (workers > 1) {
 			t.Errorf("workers=%d: helpers ran %d shards during the measured iterations",
@@ -291,8 +295,23 @@ func TestTeamLeak(t *testing.T) {
 // evalRecord is what one gradient evaluation looked like from outside.
 type evalRecord struct {
 	grad      uint64 // FNV-1a over the gradient's float bits
+	pos       uint64 // FNV-1a over the movable coordinates' float bits
 	solveSkip bool   // Solve was satisfied by the fingerprint
 	reused    bool   // the force gather was skipped
+	carried   bool   // the wirelength gradient was carried over
+}
+
+// hashBits is FNV-1a over the float bits of the given slices.
+func hashBits(vs ...[]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, s := range vs {
+		for _, v := range s {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 // recordEvals re-seats the placer's optimizer on a wrapper of p.eval that
@@ -300,21 +319,62 @@ type evalRecord struct {
 // NewChecked does).
 func recordEvals(p *Placer) *[]evalRecord {
 	log := new([]evalRecord)
+	nm := len(p.movable)
+	off := nm + p.nFill
 	opt := nesterov.New(append([]float64(nil), p.opt.Current()...), func(x, grad []float64) {
-		skips, reuses := p.g.SolveSkips(), p.forceReuses
+		skips, reuses, carries := p.g.SolveSkips(), p.forceReuses, p.wlCarries
 		p.eval(x, grad)
-		h := fnv.New64a()
-		var b [8]byte
-		for _, v := range grad {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-		*log = append(*log, evalRecord{h.Sum64(), p.g.SolveSkips() != skips, p.forceReuses != reuses})
+		*log = append(*log, evalRecord{
+			grad: hashBits(grad), pos: hashBits(x[:nm], x[off:off+nm]),
+			solveSkip: p.g.SolveSkips() != skips,
+			reused:    p.forceReuses != reuses,
+			carried:   p.wlCarries != carries,
+		})
 	}, p.binBase/4)
 	opt.MaxBacktrack = 1
 	opt.SetTeam(p.team)
 	p.opt = opt
 	return log
+}
+
+// runPadded is the padded 90-iteration GP run the reuse tests share: the
+// hook pads every cell at iterations 1, 40 and 60 (fillers retire, λ
+// re-anchors). It returns every eval's record, the index of the first eval
+// after each padding round (the restart's, right after initLambda) and
+// the placer. Padding at iteration 1 re-anchors λ at the start point:
+// initLambda solves the padded list there, and the restart evaluates that
+// very list.
+func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
+	t.Helper()
+	padAt := map[int]float64{1: 0.25, 40: 0.75, 60: 1} // iteration → PadW the hook sets on every cell
+	d := smallDesign(6, 200, false)
+	cfg := quickConfig()
+	cfg.MaxIters, cfg.MinIters = 90, 90
+	cfg.StopOverflow, cfg.PlateauIters = 0, 0
+	cfg.Workers = workers
+	p := New(d, cfg)
+	p.noReuse = noReuse
+	log := recordEvals(p)
+	var paddedEvals []int
+	fillBefore := p.activeFill
+	p.Run(HookFunc(func(iter int, overflow float64) bool {
+		w, ok := padAt[iter]
+		if !ok {
+			return false
+		}
+		for i := range d.Cells {
+			d.Cells[i].PadW = w
+		}
+		paddedEvals = append(paddedEvals, len(*log))
+		return true
+	}))
+	if p.activeFill >= fillBefore {
+		t.Fatal("padding retired no fillers")
+	}
+	if len(*log) != p.evals {
+		t.Fatalf("%d evals logged, counter %d", len(*log), p.evals)
+	}
+	return *log, paddedEvals, p
 }
 
 // TestEvalForceReuseIsExact runs GP with and without the raw-force reuse and
@@ -324,45 +384,13 @@ func recordEvals(p *Placer) *[]evalRecord {
 // the reuse key (the grid's solve count) is the only guard there.
 func TestEvalForceReuseIsExact(t *testing.T) {
 	withGOMAXPROCS(t, 4) // so the Workers=3 run below shards three ways
-	// Padding at iteration 1 re-anchors λ at the start point: initLambda
-	// solves the padded list there, and the restart evaluates that very
-	// list — a fingerprint hit against a field the kept forces were not
-	// read from. Only the solve count tells.
-	padAt := map[int]float64{1: 0.25, 40: 0.75} // iteration → PadW the hook sets on every cell
-	run := func(noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
-		d := smallDesign(6, 200, false)
-		cfg := quickConfig()
-		cfg.MaxIters, cfg.MinIters = 90, 90
-		cfg.StopOverflow, cfg.PlateauIters = 0, 0
-		cfg.Workers = workers
-		p := New(d, cfg)
-		p.noReuse = noReuse
-		log := recordEvals(p)
-		var paddedEvals []int // index of the first eval after each padding change
-		fillBefore := p.activeFill
-		p.Run(HookFunc(func(iter int, overflow float64) bool {
-			w, ok := padAt[iter]
-			if !ok {
-				return false
-			}
-			for i := range d.Cells {
-				d.Cells[i].PadW = w
-			}
-			paddedEvals = append(paddedEvals, len(*log))
-			return true
-		}))
-		if p.activeFill >= fillBefore {
-			t.Fatal("padding retired no fillers")
-		}
-		return *log, paddedEvals, p
-	}
-	got, padded, p := run(false, 1)
-	want, _, ref := run(true, 1)
+	got, padded, p := runPadded(t, false, 1)
+	want, _, ref := runPadded(t, true, 1)
 	if ref.forceReuses != 0 {
 		t.Fatalf("the reference run reused %d sweeps", ref.forceReuses)
 	}
-	if len(got) != len(want) || len(got) != p.evals {
-		t.Fatalf("%d evals logged, reference %d, counter %d", len(got), len(want), p.evals)
+	if len(got) != len(want) {
+		t.Fatalf("%d evals logged, reference %d", len(got), len(want))
 	}
 	guarded := 0
 	for i := range got {
@@ -389,7 +417,7 @@ func TestEvalForceReuseIsExact(t *testing.T) {
 	}
 
 	// The counters are part of the determinism contract.
-	gotW, _, pw := run(false, 3)
+	gotW, _, pw := runPadded(t, false, 3)
 	for i := range gotW {
 		if gotW[i].grad != got[i].grad || gotW[i].reused != got[i].reused {
 			t.Fatalf("eval %d differs between Workers 1 and 3", i)
@@ -398,6 +426,61 @@ func TestEvalForceReuseIsExact(t *testing.T) {
 	if pw.evals != p.evals || pw.forceReuses != p.forceReuses || pw.g.RasterSkips() != p.g.RasterSkips() {
 		t.Errorf("evals/force reuses/raster skips %d/%d/%d at Workers 3, %d/%d/%d at 1",
 			pw.evals, pw.forceReuses, pw.g.RasterSkips(), p.evals, p.forceReuses, p.g.RasterSkips())
+	}
+}
+
+// TestEvalCarriesWirelength pins the wirelength carry on the padded run:
+// it fires on the accepted look-ahead point's re-evaluation (30 % of all
+// evals here), only at movable coordinates bit-equal to those of the
+// last eval that ran the WA pass, never on the first eval after initLambda
+// (the run's start and each padding round's restart), and identically at
+// every worker count.
+func TestEvalCarriesWirelength(t *testing.T) {
+	withGOMAXPROCS(t, 4) // so the Workers=3 run below shards three ways
+	got, padded, p := runPadded(t, false, 1)
+	// 55 of 183 evals carry here (the step is accepted in 61 % of the
+	// iterations); wherever the force sweep is reused, the point is the
+	// previous eval's, so the carry fires there too.
+	if p.wlCarries < len(got)/4 || p.wlCarries < p.forceReuses {
+		t.Errorf("%d of %d evals carried the wirelength gradient, want >= 1/4 and >= the %d force reuses",
+			p.wlCarries, len(got), p.forceReuses)
+	}
+	carries, last := 0, -1 // last: the latest eval that ran the WA pass
+	for i, r := range got {
+		if !r.carried {
+			last = i
+			continue
+		}
+		carries++
+		if last < 0 || r.pos != got[last].pos {
+			t.Fatalf("eval %d carried the gradient of eval %d at other coordinates", i, last)
+		}
+	}
+	if carries != p.wlCarries {
+		t.Fatalf("%d carried evals logged, counter %d", carries, p.wlCarries)
+	}
+	voided := 0
+	for _, i := range append([]int{0}, padded...) {
+		if got[i].carried {
+			t.Fatalf("eval %d, the first after initLambda, carried the wirelength gradient", i)
+		}
+		if i > 0 && got[i].pos == got[i-1].pos {
+			voided++ // the restart re-evaluates the last point: only initLambda's void stops the carry
+		}
+	}
+	if voided == 0 {
+		t.Error("no padding round restarted at the last evaluated point; the scenario lost its point")
+	}
+
+	gotW, _, pw := runPadded(t, false, 3)
+	if len(gotW) != len(got) || pw.wlCarries != p.wlCarries {
+		t.Fatalf("%d evals, %d carries at Workers 3; %d, %d at 1",
+			len(gotW), pw.wlCarries, len(got), p.wlCarries)
+	}
+	for i := range gotW {
+		if gotW[i] != got[i] {
+			t.Fatalf("eval %d differs between Workers 1 and 3: %+v vs %+v", i, gotW[i], got[i])
+		}
 	}
 }
 

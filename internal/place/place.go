@@ -169,9 +169,14 @@ type Reuse struct {
 }
 
 // Hook is the routability-optimizer callback invoked once per iteration
-// with the current density overflow. It returns true when it changed cell
-// padding, so the engine refreshes charge areas and retires fillers to
-// compensate for the added padding area.
+// with the current density overflow. It returns true when it changed
+// anything the objective reads — cell padding or net weights — so the
+// engine refreshes charge areas, retires fillers to compensate for the
+// added padding area and re-anchors λ. The re-anchor also voids the carried
+// wirelength gradient, which the engine otherwise keeps across iterations
+// at an unchanged point: a hook that re-weights nets and returns false
+// leaves a gradient of the old weights in force. padding.Optimizer
+// re-weights nets only inside a round, and every round returns true.
 type Hook interface {
 	OnIteration(iter int, overflow float64) bool
 }
@@ -285,7 +290,16 @@ type Placer struct {
 	rawSolves    int
 	noReuse      bool // tests only: gather on every eval
 
-	evals, forceReuses int
+	// Wirelength carry: the movable coordinates ([x | y]) of the last eval
+	// that ran the WA pass, whose gradient gradWx/gradWy still hold. An
+	// eval at bit-equal movable coordinates keeps that gradient instead of
+	// recomputing it — the accepted look-ahead point re-evaluated as the
+	// next reference — which is stale only in γ. initLambda voids it
+	// (wlValid), as it overwrites the gradient at u.
+	wlX     []float64
+	wlValid bool
+
+	evals, forceReuses, wlCarries int
 
 	// cumulative per-phase walls across the run (exposed as obs span args
 	// and place.phase.* gauges)
@@ -400,6 +414,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	p.rawFx = make([]float64, nm+p.nFill)
 	p.rawFy = make([]float64, nm+p.nFill)
 	p.rawSolves = -1
+	p.wlX = make([]float64, 2*nm)
 	p.bindStage()
 	p.opt = nesterov.New(x0, p.eval, p.binBase/4)
 	p.opt.MaxBacktrack = 1
@@ -495,14 +510,20 @@ func (p *Placer) buildRects(x []float64, nFillActive int) {
 // ∇(W + λD) at positions x, preconditioned per variable. Its four phases —
 // wirelength gradient, density rasterization, spectral solve, force sweep —
 // run across the configured workers, and their cumulative walls feed the
-// place.phase.* telemetry. The force sweep reuses the raw forces of the
-// previous gathering sweep when the field and the rects are still the ones
-// it read (see rawFx).
+// place.phase.* telemetry. The wirelength gradient is carried over from the
+// previous WA pass when the movable coordinates are bit-equal to its (see
+// wlX), and the force sweep reuses the raw forces of the previous gathering
+// sweep when the field and the rects are still the ones it read (see
+// rawFx).
 func (p *Placer) eval(x, grad []float64) {
 	t := time.Now()
 	p.writePositions(x)
-	p.wl.Gamma = p.gamma
-	p.wl.WirelengthAndGrad(p.gradWx, p.gradWy)
+	if p.carryWL(x) {
+		p.wlCarries++
+	} else {
+		p.wl.Gamma = p.gamma
+		p.wl.WirelengthAndGrad(p.gradWx, p.gradWy)
+	}
 	p.wallWL += time.Since(t)
 
 	t = time.Now()
@@ -526,6 +547,33 @@ func (p *Placer) eval(x, grad []float64) {
 	p.team.Shards(len(p.movable)+p.nFill, p.stageForce)
 	p.evalGrad = nil
 	p.wallForce += time.Since(t)
+}
+
+// carryWL reports whether gradWx/gradWy were computed at x's movable
+// coordinates, bit for bit; when not, it records x's as the coordinates
+// the caller is about to compute them at.
+func (p *Placer) carryWL(x []float64) bool {
+	nm := len(p.movable)
+	off := nm + p.nFill
+	xs, ys := x[:nm], x[off:off+nm]
+	if p.wlValid && bitsEqual(xs, p.wlX[:nm]) && bitsEqual(ys, p.wlX[nm:]) {
+		return true
+	}
+	copy(p.wlX[:nm], xs)
+	copy(p.wlX[nm:], ys)
+	p.wlValid = true
+	return false
+}
+
+// bitsEqual reports whether a and b (of equal length) hold the same float
+// bits: unlike ==, it tells -0 from +0.
+func bitsEqual(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // project clamps every coordinate so cell centers stay inside the region
@@ -566,12 +614,16 @@ func (p *Placer) updateGamma() {
 }
 
 // initLambda balances the initial wirelength and density gradient norms.
+// It overwrites the wirelength gradient at u, so the next eval recomputes
+// it: no carry spans a re-anchor (a padding round may also have re-weighted
+// the nets).
 func (p *Placer) initLambda() {
 	x := p.opt.Current()
 
 	p.writePositions(x)
 	p.wl.Gamma = p.gamma
 	p.wl.WirelengthAndGrad(p.gradWx, p.gradWy)
+	p.wlValid = false
 	p.buildRects(x, p.activeFill)
 	p.g.DepositRects(p.rects)
 	p.g.Solve()
@@ -657,6 +709,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		span.SetArg("evals", p.evals)
 		span.SetArg("raster_skips", p.g.RasterSkips())
 		span.SetArg("force_reuses", p.forceReuses)
+		span.SetArg("wl_carries", p.wlCarries)
 		span.End()
 	}()
 	flushPhases := func() {
