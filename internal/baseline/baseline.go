@@ -190,9 +190,9 @@ func DefaultCommercialOpts() CommercialOpts {
 	return CommercialOpts{
 		Place: cfg,
 		// Many refinement milestones with light, router-guided padding:
-		// each one re-balances the penalty system (the λ re-init on
-		// optimizer rounds), which is where commercial engines recover
-		// wirelength while polishing congestion.
+		// each one restarts the engine's momentum against the new
+		// padding, which is where commercial engines recover wirelength
+		// while polishing congestion.
 		Thresholds:   []float64{0.13, 0.11, 0.09, 0.075},
 		Gain:         0.3,
 		SpreadRadius: 1,

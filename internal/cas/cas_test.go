@@ -50,14 +50,14 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical strategy: %v", err)
 	}
-	if d := Sum(canon); d != "sha256-207fc22fb74dc83ec2677e553c9ef10013ff079c16aa378845563e9dbed68213" {
+	if d := Sum(canon); d != "sha256-b851e822c1140ccd91d38d180d9a0dde65de50b11f53dba9e4a2e490e0dfd746" {
 		t.Errorf("canonical default strategy digest = %s\n(encoding: %s)", d, canon)
 	}
 	d2, err := (Config{Kind: "place", Route: true, Seed: 5, Strategy: json.RawMessage(`{}`)}).Digest()
 	if err != nil {
 		t.Fatalf("config digest with strategy: %v", err)
 	}
-	if d2 != "sha256-25d6cd4f04543ff2808fc8d8df68b8b31f878cee41043a2e0c7d1e92c87d2079" {
+	if d2 != "sha256-d695162171f7370b5e91a3f64d3993d0fbc812b4d71e92d76fa0a49e6d5015cf" {
 		t.Errorf("config digest (empty strategy json) = %s", d2)
 	}
 }

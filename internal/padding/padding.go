@@ -74,9 +74,13 @@ type Strategy struct {
 	// MaxIters is ξ, the maximum number of routability-optimizer calls.
 	MaxIters int
 	// CooldownIters is the minimum number of global-placement iterations
-	// between optimizer calls, so the engine can absorb each padding round
-	// before the next congestion estimate (otherwise all ξ calls fire on
-	// consecutive iterations against the same, still-clustered placement).
+	// between optimizer calls. It is not in the paper (Sec. III-B3 fires on
+	// τ, η and ξ only): without it all ξ calls would fire on consecutive
+	// iterations against the same, still-clustered placement. λ carries
+	// over a round, so the engine starts absorbing it at once; 10 is the
+	// shortest spacing at which every round of the calm CT_TOP still fires
+	// while the congested designs keep their wirelength (DESIGN.md §3f,
+	// "GP controller").
 	CooldownIters int
 
 	// Cong and Feat forward the estimator and extractor strategy knobs.
@@ -128,7 +132,7 @@ func DefaultStrategy() Strategy {
 		Tau:           0.18,
 		Eta:           0.10,
 		MaxIters:      10,
-		CooldownIters: 35,
+		CooldownIters: 10,
 		Cong:          c,
 		Feat:          f,
 		Theta:         6,
@@ -207,11 +211,13 @@ func (o *Optimizer) SetObs(rec *obs.Recorder) {
 	o.est.SetObs(rec)
 }
 
-// ShouldTrigger evaluates the trigger conditions of Sec. III-B3 at global
-// placement iteration gpIter: the cells have spread enough (overflow < τ),
-// the accumulated padding utilization is still converging (below η), the
-// call budget ξ is not exhausted, and the previous round has had
-// CooldownIters of placement to be absorbed.
+// ShouldTrigger evaluates the trigger conditions at global placement
+// iteration gpIter: the three of Sec. III-B3 — the cells have spread enough
+// (overflow < τ), the accumulated padding utilization is still converging
+// (below η), the call budget ξ is not exhausted — and the repo's own
+// spacing rule, that at least CooldownIters GP iterations have passed since
+// the previous call. A true result is recorded as that call's iteration.
+// The engine does not ask on the iteration it stops at.
 func (o *Optimizer) ShouldTrigger(gpIter int, densityOverflow float64) bool {
 	if densityOverflow >= o.S.Tau {
 		return false

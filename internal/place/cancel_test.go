@@ -41,6 +41,9 @@ func TestRunCtxCancelStopsWithinOneIteration(t *testing.T) {
 	if res == nil {
 		t.Fatal("canceled placement returned nil result")
 	}
+	if res.Stop != StopCanceled {
+		t.Errorf("stop = %q, want %q", res.Stop, StopCanceled)
+	}
 	if res.HPWL <= 0 {
 		t.Error("canceled placement did not report HPWL of the partial state")
 	}

@@ -56,8 +56,9 @@ type Config struct {
 	// MinIters prevents premature convergence checks.
 	MinIters int
 	// PlateauIters stops placement when the density overflow has not
-	// improved for this many iterations (the target StopOverflow may be
-	// unreachable once padding has grown the effective cell area).
+	// improved for this many iterations since the best iterate, which a
+	// padding round resets (the target StopOverflow may be unreachable
+	// once padding has grown the effective cell area).
 	PlateauIters int
 	// LambdaMu is the maximum per-iteration density-penalty multiplier.
 	// The actual multiplier adapts to the HPWL trajectory (ePlace-style):
@@ -169,14 +170,15 @@ type Reuse struct {
 }
 
 // Hook is the routability-optimizer callback invoked once per iteration
-// with the current density overflow. It returns true when it changed
-// anything the objective reads — cell padding or net weights — so the
-// engine refreshes charge areas, retires fillers to compensate for the
-// added padding area and re-anchors λ. The re-anchor also voids the carried
-// wirelength gradient, which the engine otherwise keeps across iterations
-// at an unchanged point: a hook that re-weights nets and returns false
-// leaves a gradient of the old weights in force. padding.Optimizer
-// re-weights nets only inside a round, and every round returns true.
+// with the current density overflow, except on the iteration GP stops at.
+// It returns true when it changed anything the objective reads — cell
+// padding or net weights — so the engine refreshes charge areas, retires
+// fillers to compensate for the added padding area, restarts the Nesterov
+// momentum and voids the carried wirelength gradient, which it otherwise
+// keeps across iterations at an unchanged point: a hook that re-weights
+// nets and returns false leaves a gradient of the old weights in force.
+// padding.Optimizer re-weights nets only inside a round, and every round
+// returns true. λ carries over a round.
 type Hook interface {
 	OnIteration(iter int, overflow float64) bool
 }
@@ -202,6 +204,16 @@ type Result struct {
 	HPWL     float64
 	Overflow float64
 	Iters    int
+	// Stop says why the run stopped: StopTarget, StopPlateau, StopLambda,
+	// StopMaxIters or StopCanceled.
+	Stop string
+	// BestIter is the iteration of the best-overflow iterate since the last
+	// padding round (since the start before the first), or that round's
+	// iteration when no iterate followed it.
+	BestIter int
+	// Restored reports that the placement is BestIter's iterate, written
+	// back because the final one's overflow was more than 1 % worse.
+	Restored bool
 	// Trace holds the retained per-iteration statistics in chronological
 	// order; when the run outlived DefaultTraceCap, only the most recent
 	// iterations survive and TraceDropped counts the evicted ones.
@@ -260,7 +272,7 @@ type Placer struct {
 	// [x of movables | x of fillers | y of movables | y of fillers].
 	nVar           int
 	gradWx, gradWy []float64 // per-cell wirelength gradients (all cells)
-	lambda         float64
+	ctl            control   // λ, stop rules, best iterate
 	gamma          float64
 	overflow       float64
 	binBase        float64
@@ -294,8 +306,9 @@ type Placer struct {
 	// that ran the WA pass, whose gradient gradWx/gradWy still hold. An
 	// eval at bit-equal movable coordinates keeps that gradient instead of
 	// recomputing it — the accepted look-ahead point re-evaluated as the
-	// next reference — which is stale only in γ. initLambda voids it
-	// (wlValid), as it overwrites the gradient at u.
+	// next reference — which is stale only in γ. initLambda and a padding
+	// round void it (wlValid): the first overwrites the gradient at u, the
+	// second may have re-weighted the nets.
 	wlX     []float64
 	wlValid bool
 
@@ -415,6 +428,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 	p.rawFy = make([]float64, nm+p.nFill)
 	p.rawSolves = -1
 	p.wlX = make([]float64, 2*nm)
+	p.ctl = newControl(cfg, nm)
 	p.bindStage()
 	p.opt = nesterov.New(x0, p.eval, p.binBase/4)
 	p.opt.MaxBacktrack = 1
@@ -450,7 +464,7 @@ func (p *Placer) bindStage() {
 		nm := len(p.movable)
 		off := nm + p.nFill
 		grad := p.evalGrad
-		lambda := p.lambda
+		lambda := p.ctl.lambda
 		hFill := math.Max(1, lambda*(p.fillerW*p.fillerH))
 		for k := lo; k < hi; k++ {
 			if k >= nm+p.activeFill { // retired filler
@@ -613,11 +627,10 @@ func (p *Placer) updateGamma() {
 	p.gamma = 8 * p.binBase * math.Pow(10, k*ovf+b)
 }
 
-// initLambda balances the initial wirelength and density gradient norms.
-// It overwrites the wirelength gradient at u, so the next eval recomputes
-// it: no carry spans a re-anchor (a padding round may also have re-weighted
-// the nets).
-func (p *Placer) initLambda() {
+// initLambda returns the λ that balances the wirelength and density
+// gradient norms at u. It overwrites the wirelength gradient at u, so the
+// next eval recomputes it.
+func (p *Placer) initLambda() float64 {
 	x := p.opt.Current()
 
 	p.writePositions(x)
@@ -635,10 +648,9 @@ func (p *Placer) initLambda() {
 		sumD += math.Abs(fx) + math.Abs(fy)
 	}
 	if sumD > 0 {
-		p.lambda = sumW / sumD
-	} else {
-		p.lambda = 1
+		return sumW / sumD
 	}
+	return 1
 }
 
 // retireFillers deactivates fillers to offset padArea of newly added cell
@@ -654,8 +666,9 @@ func (p *Placer) retireFillers(padArea float64) {
 	}
 }
 
-// Run executes global placement until convergence, calling hook (if any)
-// every iteration. Final positions are written back to the design.
+// Run executes global placement until it stops, calling hook (if any)
+// every iteration it goes on from. Final positions are written back to the
+// design.
 func (p *Placer) Run(hook Hook) *Result {
 	res, _ := p.RunCtx(context.Background(), hook)
 	return res
@@ -663,21 +676,28 @@ func (p *Placer) Run(hook Hook) *Result {
 
 // RunCtx is Run with cancellation: the context is checked once per
 // Nesterov iteration, so a cancel or deadline is observed within one
-// iteration of work. On cancellation the current major solution is still
-// written back to the design (every intermediate placement is a valid,
-// in-region placement) and the partial Result is returned alongside an
-// error wrapping flow.ErrCanceled.
+// iteration of work. A run that stops by its own rules writes back the
+// final iterate, or the best since the last padding round when the final
+// overflow is more than 1 % above its (see control). On cancellation the
+// current major solution is written back (every intermediate placement is
+// a valid, in-region placement) and the partial Result is returned
+// alongside an error wrapping flow.ErrCanceled.
 func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
-	res := &Result{}
+	res := &Result{Stop: StopMaxIters}
 	if len(p.movable) == 0 {
-		return res, flow.Check(ctx)
+		res.Stop = StopTarget // nothing to spread
+		if err := flow.Check(ctx); err != nil {
+			res.Stop = StopCanceled
+			return res, err
+		}
+		return res, nil
 	}
 	p.team.Start()
 	defer p.team.Stop()
 	p.overflow = 1
 	p.movArea, p.padArea = p.D.TotalMovableArea(), p.D.TotalPaddingArea()
 	p.updateGamma()
-	p.initLambda()
+	p.ctl.start(p.initLambda(), p.wl.HPWL())
 
 	// Telemetry instruments resolve once; with a nil recorder every
 	// Observe below is a nil-check no-op (0 allocs on this hot path —
@@ -700,6 +720,9 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	defer func() {
 		span.SetArg("workers", p.team.Size())
 		span.SetArg("iters", res.Iters)
+		span.SetArg("stop", res.Stop)
+		span.SetArg("best_iter", res.BestIter)
+		span.SetArg("restored", res.Restored)
 		span.SetArg("wl_grad_ms", p.wallWL.Seconds()*1e3)
 		span.SetArg("raster_ms", p.wallRaster.Seconds()*1e3)
 		span.SetArg("solve_ms", p.wallSolve.Seconds()*1e3)
@@ -725,87 +748,73 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	}
 
 	ring := newTraceRing(DefaultTraceCap)
-	flushTrace := func() {
-		res.Trace = ring.items()
-		res.TraceDropped = ring.dropped
-	}
-
-	prevHPWL := p.wl.HPWL()
-	bestOverflow := math.Inf(1)
-	bestIter := 0
+	nm := len(p.movable)
+	off := nm + p.nFill
+	var err error
 	for iter := 1; iter <= p.Cfg.MaxIters; iter++ {
-		if err := flow.Check(ctx); err != nil {
-			p.writePositions(p.opt.Current())
-			res.HPWL = p.D.HPWL()
-			res.Overflow = p.overflow
-			flushTrace()
-			return res, err
+		if err = flow.Check(ctx); err != nil {
+			res.Stop = StopCanceled
+			break
 		}
 		p.overflow = p.computeOverflow()
 		p.updateGamma()
+		x := p.opt.Current()
+		stop := p.ctl.observe(iter, p.overflow, x[:nm], x[off:off+nm])
 
-		padded := false
-		if hook != nil {
-			padded = hook.OnIteration(iter, p.overflow)
-			if padded {
-				newPad := p.D.TotalPaddingArea()
-				p.retireFillers(newPad - p.padArea)
-				p.padArea = newPad
-				// The objective changed shape: re-balance the density
-				// penalty against the wirelength gradient and drop the
-				// stale Nesterov momentum, otherwise λ keeps compounding
-				// through the absorption phase and shreds the wirelength.
-				p.initLambda()
-				p.opt.Restart()
-			}
+		padded := !stop && hook != nil && hook.OnIteration(iter, p.overflow)
+		if padded {
+			newPad := p.D.TotalPaddingArea()
+			p.retireFillers(newPad - p.padArea)
+			p.padArea = newPad
+			// The objective changed shape: drop the stale Nesterov
+			// momentum and the carried wirelength gradient (the round may
+			// have re-weighted the nets). λ carries over.
+			p.wlValid = false
+			p.opt.Restart()
+			p.ctl.round(iter)
 		}
 
 		hpwl := p.wl.HPWL()
 		if p.Cfg.Logf != nil && iter%50 == 0 {
 			p.Cfg.Logf("place: iter=%d overflow=%.4f hpwl=%.0f lambda=%.3g gamma=%.3g",
-				iter, p.overflow, hpwl, p.lambda, p.gamma)
+				iter, p.overflow, hpwl, p.ctl.lambda, p.gamma)
 		}
 		ring.add(IterStats{
 			Iter: iter, HPWL: hpwl, Overflow: p.overflow,
-			Lambda: p.lambda, Gamma: p.gamma, Padded: padded,
+			Lambda: p.ctl.lambda, Gamma: p.gamma, Padded: padded,
 		})
 		sHPWL.Observe(iter, hpwl)
 		sOvf.Observe(iter, p.overflow)
-		sLambda.Observe(iter, p.lambda)
+		sLambda.Observe(iter, p.ctl.lambda)
 		sGamma.Observe(iter, p.gamma)
 		sStep.Observe(iter, p.opt.Alpha())
 		cIters.Inc()
 		flushPhases()
 		res.Iters = iter
-
-		if iter >= p.Cfg.MinIters && p.overflow <= p.Cfg.StopOverflow {
-			break
-		}
-		// Plateau detection: padding can make StopOverflow unreachable;
-		// once overflow stops improving, more iterations only let λ
-		// compound and shred the wirelength.
-		if p.overflow < bestOverflow*0.999 {
-			bestOverflow = p.overflow
-			bestIter = iter
-		}
-		if p.Cfg.PlateauIters > 0 && iter >= p.Cfg.MinIters && iter-bestIter >= p.Cfg.PlateauIters {
+		if stop {
+			res.Stop = p.ctl.stop
 			break
 		}
 		p.opt.Step(p.projectFn)
-
-		// Adaptive penalty schedule: full LambdaMu growth while HPWL is
-		// steady, down to 1/LambdaMu when wirelength degrades faster than
-		// 3% per iteration (density force dominating). The 3% reference
-		// still lets the necessary spreading-phase HPWL growth happen.
-		ref := 0.03 * math.Max(hpwl, 1e-9)
-		arg := geom.Clamp(1-(hpwl-prevHPWL)/ref, -1, 1)
-		p.lambda *= math.Pow(p.Cfg.LambdaMu, arg)
-		prevHPWL = hpwl
+		p.ctl.adapt(hpwl)
 	}
 
-	p.writePositions(p.opt.Current())
+	res.BestIter = p.ctl.bestIter
+	if err == nil && p.ctl.snapped && res.Stop == StopMaxIters {
+		p.overflow = p.computeOverflow() // the last step's iterate was never measured
+	}
+	if err == nil && p.ctl.restore(p.overflow) {
+		for k, ci := range p.movable {
+			p.D.Cells[ci].SetCenter(geom.Pt(p.ctl.snap[k], p.ctl.snap[nm+k]))
+		}
+		p.overflow = p.ctl.best
+		res.Restored = true
+	} else {
+		p.writePositions(p.opt.Current())
+	}
 	res.HPWL = p.D.HPWL()
 	res.Overflow = p.overflow
-	flushTrace()
-	return res, nil
+	res.Trace = ring.items()
+	res.TraceDropped = ring.dropped
+	return res, err
 }

@@ -42,15 +42,13 @@ func TestInitLambdaBalances(t *testing.T) {
 	p := New(d, quickConfig())
 	p.overflow = 1
 	p.updateGamma()
-	p.initLambda()
-	if p.lambda <= 0 || math.IsInf(p.lambda, 0) || math.IsNaN(p.lambda) {
-		t.Fatalf("lambda = %v", p.lambda)
+	l1 := p.initLambda()
+	if l1 <= 0 || math.IsInf(l1, 0) || math.IsNaN(l1) {
+		t.Fatalf("lambda = %v", l1)
 	}
 	// Recomputing is deterministic.
-	l1 := p.lambda
-	p.initLambda()
-	if p.lambda != l1 {
-		t.Errorf("initLambda not deterministic: %v vs %v", l1, p.lambda)
+	if l2 := p.initLambda(); l2 != l1 {
+		t.Errorf("initLambda not deterministic: %v vs %v", l1, l2)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestWriteStageStatsGolden(t *testing.T) {
 var stageLogPatterns = []*regexp.Regexp{
 	regexp.MustCompile(`^stage: global placement \(engine=ePlace/Nesterov, grid auto\)$`),
 	regexp.MustCompile(`^stage: routability optimizer call \d+ at GP iter \d+ \(overflow=-?\d+\.\d{3}\): padded=\d+ recycled=\d+ util=\d+\.\d{3}/\d+\.\d{3} estHOF=\d+\.\d{2}% estVOF=\d+\.\d{2}%$`),
-	regexp.MustCompile(`^stage: global placement done \(iters=\d+ overflow=-?\d+\.\d{3} hpwl=\d+\)$`),
+	regexp.MustCompile(`^stage: global placement done \(iters=\d+ overflow=-?\d+\.\d{3} hpwl=\d+ stop=(?:target|plateau|lambda|max_iters) best_iter=\d+ restored=(?:true|false)\)$`),
 	regexp.MustCompile(`^stage: white-space-assisted legalization \(theta=\d+\.\d cap=\d+%\)$`),
 	regexp.MustCompile(`^stage: legalization done \(avg disp=\d+\.\d{3}, padding sites=\d+\)$`),
 	regexp.MustCompile(`^stage: detailed placement done \(moves=\d+ swaps=\d+ hpwl \d+ -> \d+, padding preserved=(?:true|false)\)$`),

@@ -392,3 +392,50 @@ func TestPipelineRejectsBadGridConfig(t *testing.T) {
 		t.Errorf("pipeline error = %v, want *place.ConfigError on GridM", err)
 	}
 }
+
+// TestGPEndsAtItsBestIterate is the run-level contract of GP's stop rules
+// on a seeded congested design whose padding rounds fire: the placement GP
+// hands to legalization has an overflow within 1 % of the best iterate's
+// since the last round, and an HPWL within 1 % of that iterate's.
+func TestGPEndsAtItsBestIterate(t *testing.T) {
+	p, err := synth.ProfileByName("MEDIA_SUBSYS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig()
+	cfg.Place.Seed = 1
+	rc, err := pipeline.NewRunContext(synth.Generate(p, 800, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipeline.New(pipeline.GlobalPlace()).Run(context.Background(), rc); err != nil {
+		t.Fatal(err)
+	}
+	gp := rc.Result.GP
+	if gp.TraceDropped > 0 {
+		t.Fatalf("trace dropped %d iterations", gp.TraceDropped)
+	}
+	last := -1 // the last round's trace index
+	for i, it := range gp.Trace {
+		if it.Padded {
+			last = i
+		}
+	}
+	if last < 0 || last == len(gp.Trace)-1 {
+		t.Fatalf("no iterate follows a padding round (last round at index %d of %d)", last, len(gp.Trace))
+	}
+	best := gp.Trace[last+1]
+	for _, it := range gp.Trace[last+1:] {
+		if it.Overflow < best.Overflow {
+			best = it
+		}
+	}
+	if gp.Overflow > best.Overflow*1.01 {
+		t.Errorf("GP ends at overflow %.4f after %d iterations; its best since the last round is %.4f at %d",
+			gp.Overflow, gp.Iters, best.Overflow, best.Iter)
+	}
+	if gp.HPWL > best.HPWL*1.01 {
+		t.Errorf("GP ends at HPWL %.0f after %d iterations; the best iterate's (%d) is %.0f",
+			gp.HPWL, gp.Iters, best.Iter, best.HPWL)
+	}
+}

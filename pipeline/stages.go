@@ -83,7 +83,8 @@ func GlobalPlace() Stage {
 		if err != nil {
 			return err
 		}
-		rc.Logf("stage: global placement done (iters=%d overflow=%.3f hpwl=%.0f)", gp.Iters, gp.Overflow, gp.HPWL)
+		rc.Logf("stage: global placement done (iters=%d overflow=%.3f hpwl=%.0f stop=%s best_iter=%d restored=%t)",
+			gp.Iters, gp.Overflow, gp.HPWL, gp.Stop, gp.BestIter, gp.Restored)
 		return nil
 	}}
 }

@@ -1,6 +1,9 @@
 package puffer
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"puffer/internal/explore"
@@ -104,4 +107,48 @@ func TestExploreStrategySmoke(t *testing.T) {
 	if best.Mu <= 0 {
 		t.Errorf("best mu invalid: %v", best.Mu)
 	}
+}
+
+// FuzzLoadStrategy feeds LoadStrategy arbitrary files: it must never
+// panic, and whatever it accepts must survive SaveStrategy → LoadStrategy
+// unchanged.
+func FuzzLoadStrategy(f *testing.F) {
+	def, err := json.Marshal(padding.DefaultStrategy())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(def),
+		`{"Mu": 3.5, "Smooth": 2, "Weights": [1, 2]}`,
+		`{"CooldownIters": -4, "Cong": {"ExpandRadius": 1e9}, "Feat": null}`,
+		`{"Weights": [1, 2, 3, 4, 5, 6, 7], "Tau": -0}`,
+		`{"Theta": 1e308, "Beta": 5e-324}`,
+		`{"MaxIters": 1.5}`,
+		`{nope`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadStrategy(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := SaveStrategy(out, s); err != nil {
+			t.Fatalf("a loaded strategy does not save: %v", err)
+		}
+		got, err := LoadStrategy(out)
+		if err != nil {
+			t.Fatalf("a saved strategy does not load: %v", err)
+		}
+		if got != s {
+			t.Fatalf("round trip changed the strategy:\n got %+v\nwant %+v", got, s)
+		}
+	})
 }
