@@ -259,10 +259,6 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		res := rc.Result
 		fmt.Fprintf(w, "PUFFER: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
 			res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
-		// Evaluate routing on the flow's congestion grid.
-		if rc.PadOptimizer().Iter() > 0 {
-			evalCfg.GridW, evalCfg.GridH = rc.GridW, rc.GridH
-		}
 		if *traceCSV != "" {
 			var b strings.Builder
 			b.WriteString("iter,hpwl,overflow,lambda,gamma,padded\n")

@@ -274,13 +274,6 @@ func RunCommercial(d *netlist.Design, opts CommercialOpts, gridW, gridH int) (*R
 	if _, err := dp.Refine(d, dcfg); err != nil {
 		return nil, err
 	}
-	// Signoff-style congestion analysis at fine resolution: commercial
-	// flows route and report QoR internally before handing off, which is
-	// a real fraction of their wall-clock time.
-	signoff := opts.RouterCfg
-	signoff.GridW, signoff.GridH = gridW*2, gridH*2
-	signoff.MaxRipup = 4
-	router.Route(d, signoff)
 	res.HPWL = d.HPWL()
 	return res, nil
 }

@@ -47,8 +47,6 @@ type Config struct {
 	// ≥ MinGridDim). Zero selects them automatically from the movable cell
 	// count.
 	GridM, GridN int
-	// TargetDensity is the placement target density in (0, 1].
-	TargetDensity float64
 	// MaxIters bounds the Nesterov iterations.
 	MaxIters int
 	// StopOverflow is the density overflow below which placement stops.
@@ -107,15 +105,19 @@ type Config struct {
 // retain their full trajectory.
 const DefaultTraceCap = 4096
 
+// targetDensity is the placement target density: the fillers bring the
+// movable area to this share of the free area, and overflow is measured
+// against it.
+const targetDensity = 0.9
+
 // DefaultConfig returns the engine defaults.
 func DefaultConfig() Config {
 	return Config{
-		TargetDensity: 0.9,
-		MaxIters:      600,
-		StopOverflow:  0.07,
-		MinIters:      40,
-		PlateauIters:  120,
-		LambdaMu:      1.05,
+		MaxIters:     600,
+		StopOverflow: 0.07,
+		MinIters:     40,
+		PlateauIters: 120,
+		LambdaMu:     1.05,
 	}
 }
 
@@ -130,10 +132,6 @@ func validGridDim(m int) bool {
 // are valid (automatic selection); New / NewChecked validate again after
 // resolving the automatic values.
 func (cfg *Config) Validate() error {
-	if cfg.TargetDensity <= 0 || cfg.TargetDensity > 1 {
-		return &ConfigError{Field: "TargetDensity",
-			Reason: fmt.Sprintf("%v out of (0, 1]", cfg.TargetDensity)}
-	}
 	if cfg.GridM != 0 && !validGridDim(cfg.GridM) {
 		return &ConfigError{Field: "GridM",
 			Reason: fmt.Sprintf("%d is not a power of two >= %d", cfg.GridM, MinGridDim)}
@@ -379,7 +377,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 
 	// Fillers: fill target whitespace with average-size dummy cells.
 	stats := d.Stats()
-	if fillArea := stats.FreeArea*cfg.TargetDensity - stats.CellArea; fillArea > 0 {
+	if fillArea := stats.FreeArea*targetDensity - stats.CellArea; fillArea > 0 {
 		avgW := 0.0
 		for _, ci := range p.movable {
 			avgW += d.Cells[ci].W
@@ -615,7 +613,7 @@ func (p *Placer) computeOverflow() float64 {
 	x := p.opt.Current()
 	p.writePositions(x)
 	p.buildRects(x, 0) // movables only: fillers are not congestion
-	return p.g.OverflowOf(p.rects, p.Cfg.TargetDensity, p.movArea+p.padArea)
+	return p.g.OverflowOf(p.rects, targetDensity, p.movArea+p.padArea)
 }
 
 // updateGamma applies the ePlace γ schedule: smooth when overflow is high,

@@ -207,18 +207,6 @@ func TestEmptyDesign(t *testing.T) {
 	}
 }
 
-func TestBadTargetDensityPanics(t *testing.T) {
-	d := smallDesign(8, 10, false)
-	cfg := DefaultConfig()
-	cfg.TargetDensity = 0
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero target density")
-		}
-	}()
-	New(d, cfg)
-}
-
 // TestConfigValidateRejects covers the typed rejection path: bad grid
 // parameters surface as *ConfigError from NewChecked instead of a panic
 // from the spectral setup.
@@ -228,7 +216,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		mod   func(*Config)
 		field string
 	}{
-		{"density", func(c *Config) { c.TargetDensity = 1.5 }, "TargetDensity"},
 		{"gridM-not-pow2", func(c *Config) { c.GridM = 48 }, "GridM"},
 		{"gridM-too-small", func(c *Config) { c.GridM = 8 }, "GridM"},
 		{"gridN", func(c *Config) { c.GridM = 32; c.GridN = 7 }, "GridN"},

@@ -20,7 +20,6 @@ func TestPatternRouteTakesLShape(t *testing.T) {
 	twoPin(d, 4, 4, 40, 40)
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
-	cfg.PatternFirst = true
 	res := Route(d, cfg)
 	// An L route on an empty chip: exactly Manhattan length, no overflow.
 	ai, aj := res.Map.GcellOf(d.PinPos(0))
@@ -45,10 +44,10 @@ func TestPatternMatchesMazeOnEmptyChip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
 
-	cfg.PatternFirst = true
 	pat := Route(build(), cfg)
-	cfg.PatternFirst = false
-	maze := Route(build(), cfg)
+	mazeOnly := evalCosts
+	mazeOnly.patternFirst = false
+	maze := routeCosts(build(), cfg, mazeOnly)
 	if math.Abs(pat.WL-maze.WL) > 1e-9 {
 		t.Errorf("pattern WL %v != maze WL %v on an empty chip", pat.WL, maze.WL)
 	}
@@ -67,7 +66,6 @@ func TestPatternFallsBackUnderCongestion(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
-	cfg.PatternFirst = true
 	res := Route(d, cfg)
 	// With 30 identical nets on ~4 tracks the chip overflows either way;
 	// the point is that fallback routing still happens and spreads demand

@@ -9,7 +9,7 @@ import (
 	"puffer/internal/netlist"
 )
 
-// TestPinCostDeposited verifies each pin adds PinCost demand in both
+// TestPinCostDeposited verifies each pin adds pinCost demand in both
 // directions in its Gcell.
 func TestPinCostDeposited(t *testing.T) {
 	d := testDesign()
@@ -20,16 +20,15 @@ func TestPinCostDeposited(t *testing.T) {
 	d.Connect(b, n, 0.4, 0.5)
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
-	cfg.PinCost = 0.7
 	res := Route(d, cfg)
 	i, j := res.Map.GcellOf(geom.Pt(4.5, 4.5))
 	idx := res.Map.Index(i, j)
 	// Two pins, local net (no wire demand since same Gcell).
-	if math.Abs(res.Map.DmdH[idx]-1.4) > 1e-9 {
-		t.Errorf("DmdH = %v, want 1.4", res.Map.DmdH[idx])
+	if math.Abs(res.Map.DmdH[idx]-2*pinCost) > 1e-9 {
+		t.Errorf("DmdH = %v, want %v", res.Map.DmdH[idx], 2*pinCost)
 	}
-	if math.Abs(res.Map.DmdV[idx]-1.4) > 1e-9 {
-		t.Errorf("DmdV = %v, want 1.4", res.Map.DmdV[idx])
+	if math.Abs(res.Map.DmdV[idx]-2*pinCost) > 1e-9 {
+		t.Errorf("DmdV = %v, want %v", res.Map.DmdV[idx], 2*pinCost)
 	}
 }
 

@@ -11,7 +11,6 @@ package router
 
 import (
 	"context"
-	"math"
 
 	"puffer/internal/cong"
 	"puffer/internal/flow"
@@ -22,34 +21,14 @@ import (
 	"puffer/internal/rsmt"
 )
 
-// Config controls the router.
+// Config controls the router. The cost model is fixed (the constants
+// below), so every caller judges placements with the same router.
 type Config struct {
-	// GridW/GridH are the Gcell grid dimensions; zero selects ~2 rows of
-	// cells per Gcell automatically.
+	// GridW/GridH are the Gcell grid dimensions; zero selects GridFor's.
 	GridW, GridH int
 	// MaxRipup is the number of negotiation iterations after the initial
 	// routing pass.
 	MaxRipup int
-	// HistoryGain is the history-cost increment per overflowed Gcell per
-	// negotiation round.
-	HistoryGain float64
-	// CongestWeight scales the present-congestion penalty.
-	CongestWeight float64
-	// BendPenalty is the extra cost per direction change, in Gcell units.
-	BendPenalty float64
-	// WindowMargin expands each segment's search window beyond its
-	// bounding box, in Gcells.
-	WindowMargin int
-	// PinCost is the local routing demand (tracks, per direction) each
-	// pin consumes in its Gcell for access/escape routing and local nets.
-	// This is what makes over-packed cell clusters unroutable even when
-	// the global wirelength is short.
-	PinCost float64
-	// PatternFirst tries the two L-shaped routes before invoking A*: if
-	// either introduces no overflow it is taken directly. This is the
-	// classic pattern-routing fast path; quality is unchanged where the
-	// chip has slack and A* still handles everything congested.
-	PatternFirst bool
 	// Workers caps the parallel net decomposition (0 = GOMAXPROCS).
 	Workers int
 	// Obs attaches telemetry: RouteCtx opens phase spans (decompose,
@@ -59,17 +38,56 @@ type Config struct {
 	Obs *obs.Recorder `json:"-"`
 }
 
+// The evaluation router's cost model.
+const (
+	// historyGain is the history-cost increment per overflowed Gcell per
+	// negotiation round.
+	historyGain = 1.5
+	// congestWeight scales the present-congestion penalty.
+	congestWeight = 4
+	// bendPenalty is the extra cost per direction change, in Gcell units.
+	bendPenalty = 0.5
+	// windowMargin expands each segment's search window beyond its
+	// bounding box, in Gcells.
+	windowMargin = 8
+	// pinCost is the local routing demand (tracks, per direction) each pin
+	// consumes in its Gcell for access/escape routing and local nets. This
+	// is what makes over-packed cell clusters unroutable even when the
+	// global wirelength is short.
+	pinCost = 0.4
+	// patternFirst tries the two L-shaped routes before invoking A*: if
+	// either introduces no overflow it is taken directly. This is the
+	// classic pattern-routing fast path; quality is unchanged where the
+	// chip has slack and A* still handles everything congested.
+	patternFirst = true
+)
+
+// costs are the cost-model constants a route can deviate from. Only the
+// package's own tests route with other values (routeWith), to isolate an
+// effect or to compare against the A*-only router.
+type costs struct {
+	pinCost      float64
+	windowMargin int
+	patternFirst bool
+}
+
+var evalCosts = costs{pinCost: pinCost, windowMargin: windowMargin, patternFirst: patternFirst}
+
 // DefaultConfig returns the evaluation settings.
 func DefaultConfig() Config {
-	return Config{
-		MaxRipup:      3,
-		HistoryGain:   1.5,
-		CongestWeight: 4,
-		BendPenalty:   0.5,
-		WindowMargin:  8,
-		PinCost:       0.4,
-		PatternFirst:  true,
+	return Config{MaxRipup: 3}
+}
+
+// GridFor picks the default congestion/routing grid for a design: roughly
+// two placement rows per Gcell, clamped to a practical range.
+func GridFor(d *netlist.Design) (int, int) {
+	rh := d.RowHeight
+	if rh <= 0 {
+		rh = 1
 	}
+	w := geom.ClampInt(int(d.Region.W()/(2*rh)), 16, 512)
+	h := geom.ClampInt(int(d.Region.H()/(2*rh)), 16, 512)
+	return w, h
 }
 
 // Result is the routing report.
@@ -109,30 +127,35 @@ const routeCheckEvery = 32
 // cancellation it simply returns a nil Result and an error wrapping
 // flow.ErrCanceled.
 func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, error) {
+	return routeWith(ctx, d, cfg, evalCosts)
+}
+
+// routeWith is RouteCtx under the cost model c.
+func routeWith(ctx context.Context, d *netlist.Design, cfg Config, c costs) (*Result, error) {
 	sp, ctx := obs.Start(ctx, cfg.Obs, "route")
 	defer sp.End()
+	gw, gh := GridFor(d)
 	if cfg.GridW == 0 {
-		cfg.GridW = geom.ClampInt(int(d.Region.W()/(2*math.Max(d.RowHeight, 1e-9))), 16, 512)
+		cfg.GridW = gw
 	}
 	if cfg.GridH == 0 {
-		cfg.GridH = geom.ClampInt(int(d.Region.H()/(2*math.Max(d.RowHeight, 1e-9))), 16, 512)
+		cfg.GridH = gh
 	}
 	r := &router{
-		cfg: cfg,
-		m:   cong.NewMap(d, cfg.GridW, cfg.GridH),
+		cfg:   cfg,
+		costs: c,
+		m:     cong.NewMap(d, cfg.GridW, cfg.GridH),
 	}
 	r.histH = make([]float64, cfg.GridW*cfg.GridH)
 	r.histV = make([]float64, cfg.GridW*cfg.GridH)
 
 	// Pin-access demand: routing a pin consumes local resources in its
 	// Gcell regardless of where the net goes.
-	if cfg.PinCost > 0 {
-		for p := range d.Pins {
-			i, j := r.m.GcellOf(d.PinPos(p))
-			idx := r.m.Index(i, j)
-			r.m.DmdH[idx] += cfg.PinCost
-			r.m.DmdV[idx] += cfg.PinCost
-		}
+	for p := range d.Pins {
+		i, j := r.m.GcellOf(d.PinPos(p))
+		idx := r.m.Index(i, j)
+		r.m.DmdH[idx] += c.pinCost
+		r.m.DmdV[idx] += c.pinCost
 	}
 
 	// Decompose all nets into segments via RSMT. Nets are independent, so
@@ -229,9 +252,10 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 }
 
 type router struct {
-	cfg  Config
-	m    *cong.Map
-	segs []segment
+	cfg   Config
+	costs costs
+	m     *cong.Map
+	segs  []segment
 
 	histH, histV []float64
 
@@ -307,10 +331,10 @@ func (r *router) crossesOverflow(s *segment) bool {
 func (r *router) bumpHistory() {
 	for i := range r.histH {
 		if r.m.OverflowH(i) > 0 {
-			r.histH[i] += r.cfg.HistoryGain
+			r.histH[i] += historyGain
 		}
 		if r.m.OverflowV(i) > 0 {
-			r.histV[i] += r.cfg.HistoryGain
+			r.histV[i] += historyGain
 		}
 	}
 }
@@ -318,27 +342,35 @@ func (r *router) bumpHistory() {
 // moveCost is the negotiated cost of crossing from Gcell a to adjacent
 // Gcell b in direction dir (true = horizontal).
 func (r *router) moveCost(a, b int, horiz bool) float64 {
-	var dmd, capA, capB, hist float64
+	dmdS, capS, histS := r.m.DmdV, r.m.CapV, r.histV
 	if horiz {
-		dmd = (r.m.DmdH[a]+r.m.DmdH[b])/2 + 1
-		capA, capB = r.m.CapH[a], r.m.CapH[b]
-		hist = (r.histH[a] + r.histH[b]) / 2
-	} else {
-		dmd = (r.m.DmdV[a]+r.m.DmdV[b])/2 + 1
-		capA, capB = r.m.CapV[a], r.m.CapV[b]
-		hist = (r.histV[a] + r.histV[b]) / 2
+		dmdS, capS, histS = r.m.DmdH, r.m.CapH, r.histH
 	}
-	capMin := math.Max(math.Min(capA, capB), 1e-6)
+	dmd := (dmdS[a]+dmdS[b])/2 + 1
+	hist := (histS[a] + histS[b]) / 2
+	// max(min(capA, capB), 1e-6) by plain comparisons: capacities are
+	// never NaN, and a ±0 minimum is clamped either way, so this equals
+	// math.Max(math.Min(...)) without its special-case branches.
+	capMin := capS[a]
+	if capS[b] < capMin {
+		capMin = capS[b]
+	}
+	if capMin < 1e-6 {
+		capMin = 1e-6
+	}
 	over := (dmd - capMin) / capMin
 	cost := 1.0 + hist
 	if over > 0 {
-		cost += r.cfg.CongestWeight * over
+		cost += congestWeight * over
 	}
 	return cost
 }
 
 // dir encoding for A* states: 0 = none, 1 = horizontal, 2 = vertical.
 const numDirs = 3
+
+// neighbours are A*'s four moves, in expansion order.
+var neighbours = [4]struct{ di, dj, dir int }{{1, 0, 1}, {-1, 0, 1}, {0, 1, 2}, {0, -1, 2}}
 
 // tryPattern attempts the two L-shaped routes for s and commits the first
 // one that adds no overflow. Straight segments have a single candidate.
@@ -410,10 +442,10 @@ func sign(v int) int {
 
 // routeSegment runs A* within the segment's expanded bounding-box window.
 func (r *router) routeSegment(s *segment) {
-	if r.cfg.PatternFirst && r.tryPattern(s) {
+	if r.costs.patternFirst && r.tryPattern(s) {
 		return
 	}
-	m := r.cfg.WindowMargin
+	m := r.costs.windowMargin
 	i0 := geom.ClampInt(min(s.ai, s.bi)-m, 0, r.m.W-1)
 	i1 := geom.ClampInt(max(s.ai, s.bi)+m, 0, r.m.W-1)
 	j0 := geom.ClampInt(min(s.aj, s.bj)-m, 0, r.m.H-1)
@@ -460,30 +492,26 @@ func (r *router) routeSegment(s *segment) {
 			break
 		}
 		g := r.gCost[it.state]
-		try := func(ni, nj, ndir int, horiz bool) {
+		a := r.m.Index(i, j)
+		for _, mv := range neighbours {
+			ni, nj := i+mv.di, j+mv.dj
 			if ni < i0 || ni > i1 || nj < j0 || nj > j1 {
-				return
+				continue
 			}
-			a := r.m.Index(i, j)
-			b := r.m.Index(ni, nj)
-			c := r.moveCost(a, b, horiz)
-			if dir != 0 && dir != ndir {
-				c += r.cfg.BendPenalty
+			c := r.moveCost(a, r.m.Index(ni, nj), mv.dir == 1)
+			if dir != 0 && dir != mv.dir {
+				c += bendPenalty
 			}
-			ns := state(ni, nj, ndir)
+			ns := state(ni, nj, mv.dir)
 			ng := g + c
 			if r.gen[ns] == genID && ng >= r.gCost[ns]-1e-12 {
-				return
+				continue
 			}
 			r.gCost[ns] = ng
 			r.came[ns] = it.state
 			r.gen[ns] = genID
 			r.open.push(pqItem{prio: ng + heurist(ni, nj), state: ns})
 		}
-		try(i+1, j, 1, true)
-		try(i-1, j, 1, true)
-		try(i, j+1, 2, false)
-		try(i, j-1, 2, false)
 	}
 	if goal < 0 {
 		// Window exhausted without reaching the sink (should not happen

@@ -2,6 +2,7 @@ package router
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,6 +27,12 @@ func sparseLayers() []netlist.Layer {
 		{Name: "M1", Dir: netlist.Horizontal, Width: 0.5, Spacing: 0.5},
 		{Name: "M2", Dir: netlist.Vertical, Width: 0.5, Spacing: 0.5},
 	}
+}
+
+// routeCosts routes d under the cost model c instead of the evaluation one.
+func routeCosts(d *netlist.Design, cfg Config, c costs) *Result {
+	res, _ := routeWith(context.Background(), d, cfg, c)
+	return res
 }
 
 func TestRouteSimpleNet(t *testing.T) {
@@ -134,8 +141,9 @@ func TestRouterDetoursAroundBlockage(t *testing.T) {
 	d.Connect(b, n, 0.5, 0.5)
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
-	cfg.WindowMargin = 32 // let it reach the gap
-	res := Route(d, cfg)
+	c := evalCosts
+	c.windowMargin = 32 // let it reach the gap
+	res := routeCosts(d, cfg, c)
 	// The straight path is 54; the detour through the top gap adds ~2×26
 	// vertical. Expect WL noticeably above straight-line.
 	if res.WL < 80 {
@@ -218,8 +226,9 @@ func TestDemandConservation(t *testing.T) {
 	d.Connect(b, n, 0.5, 0.5)
 	cfg := DefaultConfig()
 	cfg.GridW, cfg.GridH = 32, 32
-	cfg.PinCost = 0 // isolate wire demand
-	res := Route(d, cfg)
+	c := evalCosts
+	c.pinCost = 0 // isolate wire demand
+	res := routeCosts(d, cfg, c)
 	sum := 0.0
 	for i := range res.Map.DmdH {
 		sum += res.Map.DmdH[i] + res.Map.DmdV[i]

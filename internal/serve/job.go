@@ -44,7 +44,7 @@ const ManifestFormat = "puffer/job/v1"
 // coordinator never sends work to a worker whose engine disagrees). Bump
 // it with any change that can alter placement results; changes that only
 // affect speed or observability keep it.
-const EngineVersion = "puffer-engine/v12"
+const EngineVersion = "puffer-engine/v13"
 
 // JobKind selects what a job executes.
 const (

@@ -14,7 +14,6 @@ import (
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
 	"puffer/internal/padding"
-	"puffer/internal/router"
 	"puffer/internal/rsmt"
 	"puffer/internal/synth"
 	"puffer/pipeline"
@@ -258,7 +257,7 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 	}
 	stages := pipeline.Default()
 	if m.Spec.Route {
-		stages = append(stages, pipeline.Route(router.Config{}))
+		stages = append(stages, pipeline.Route())
 	}
 	pl := pipeline.New(stages...)
 	id := m.ID

@@ -13,6 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"puffer"
+	"puffer/internal/netlist"
+	"puffer/internal/router"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -601,6 +604,49 @@ func TestCrashResumeMatchesUninterruptedRun(t *testing.T) {
 			if got.Result.HPWL != refM.Result.HPWL {
 				t.Fatalf("resumed HPWL %v != uninterrupted HPWL %v",
 					got.Result.HPWL, refM.Result.HPWL)
+			}
+		})
+	}
+}
+
+// TestRoutedJobScoredByEvaluationRouter: a routed job — a profile job and an
+// upload — reports exactly the HOF, VOF and routed WL that
+// router.DefaultConfig gives on the flow's grid, the router puffer,
+// puffer explore and Table II judge with. A distributed-exploration trial
+// is such a job, so the farm optimizes what puffer explore does.
+func TestRoutedJobScoredByEvaluationRouter(t *testing.T) {
+	fx := newUploadFixture(t)
+	p, err := synth.ProfileByName("MEDIA_SUBSYS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	s.Start()
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		d    *netlist.Design // the job's design, as uploaded or generated
+	}{
+		{"profile", quickSpec(), synth.Generate(p, quickSpec().Scale, quickSpec().Seed)},
+		{"upload", fx.jobSpec(), fx.design(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Route = true
+			got := waitState(t, s, enqueue(t, s, tc.spec), StateDone).Result
+
+			cfg, err := flowConfig(tc.spec.Seed, tc.spec.MaxIters, tc.spec.Workers, tc.spec.Strategy, nil, NewHub())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := puffer.Run(tc.d, cfg); err != nil {
+				t.Fatal(err)
+			}
+			rcfg := router.DefaultConfig()
+			rcfg.GridW, rcfg.GridH = router.GridFor(tc.d)
+			want := router.Route(tc.d, rcfg)
+			if got.HOF != want.HOF || got.VOF != want.VOF || got.RoutedWL != want.WL {
+				t.Errorf("job HOF/VOF/WL %v/%v/%v, evaluation router %v/%v/%v",
+					got.HOF, got.VOF, got.RoutedWL, want.HOF, want.VOF, want.WL)
 			}
 		})
 	}

@@ -110,7 +110,7 @@ func watchManifests(root string) *manifestWatch {
 	go func() {
 		defer w.done.Done()
 		last := map[string]os.FileInfo{}
-		for {
+		for stopped := false; ; {
 			for _, family := range []string{"jobs", "sessions"} {
 				dirs, _ := os.ReadDir(filepath.Join(root, family))
 				for _, d := range dirs {
@@ -126,9 +126,14 @@ func watchManifests(root string) *manifestWatch {
 					w.max = max(w.max, fi.Size())
 				}
 			}
+			if stopped {
+				return
+			}
 			select {
 			case <-w.stop:
-				return
+				// One more pass: a rewrite that landed since the last one
+				// (the response that triggered check comes after it) counts.
+				stopped = true
 			case <-time.After(200 * time.Microsecond):
 			}
 		}

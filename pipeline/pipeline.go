@@ -29,7 +29,6 @@ import (
 
 	"puffer/internal/cong"
 	"puffer/internal/dp"
-	"puffer/internal/geom"
 	"puffer/internal/legal"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
@@ -129,18 +128,6 @@ type Result struct {
 	Route *router.Result
 }
 
-// GridFor picks the default congestion/routing grid for a design: roughly
-// two placement rows per Gcell, clamped to a practical range.
-func GridFor(d *netlist.Design) (int, int) {
-	rh := d.RowHeight
-	if rh <= 0 {
-		rh = 1
-	}
-	w := geom.ClampInt(int(d.Region.W()/(2*rh)), 16, 512)
-	h := geom.ClampInt(int(d.Region.H()/(2*rh)), 16, 512)
-	return w, h
-}
-
 // RunContext is the shared state one pipeline run threads through its
 // stages: the design being placed, the configuration, the congestion grid
 // dimensions, the lazily built routability optimizer, and the accumulating
@@ -166,7 +153,7 @@ func NewRunContext(d *netlist.Design, cfg Config) (*RunContext, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	gw, gh := GridFor(d)
+	gw, gh := router.GridFor(d)
 	// Propagate the flow-level worker cap into the engine layers that have
 	// their own knob, unless the caller tuned them individually.
 	if cfg.Workers != 0 {

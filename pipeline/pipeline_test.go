@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"puffer"
 	"puffer/internal/flow"
 	"puffer/internal/geom"
 	"puffer/internal/legal"
@@ -249,6 +250,56 @@ func TestCheckpointResumeReproducesHPWL(t *testing.T) {
 		if got := rc2.Result.HPWL; got != want {
 			t.Errorf("resume after %q: HPWL %.6f, want %.6f", stage, got, want)
 		}
+	}
+}
+
+// TestRouteStageMatchesEvaluate: the Route stage judges with the router
+// puffer.Evaluate uses by default, on the same grid, and a run resumed from
+// the checkpoint after dp with Route appended — the path a resumed routed
+// service job takes — reports the same HOF, VOF and routed WL.
+func TestRouteStageMatchesEvaluate(t *testing.T) {
+	cfg := quickConfig()
+	routed := func() *pipeline.Pipeline { return pipeline.New(append(pipeline.Default(), pipeline.Route())...) }
+
+	d := stressedDesign(t)
+	rc, err := pipeline.NewRunContext(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var afterDP *pipeline.Checkpoint
+	pl := routed()
+	pl.Checkpointer = func(cp *pipeline.Checkpoint) error {
+		if cp.Stage == pipeline.StageDP {
+			afterDP = cp
+		}
+		return nil
+	}
+	if err := pl.Run(context.Background(), rc); err != nil {
+		t.Fatal(err)
+	}
+	got := rc.Result.Route
+	if got == nil || afterDP == nil {
+		t.Fatalf("route report %v, dp checkpoint %v", got, afterDP)
+	}
+	want := puffer.Evaluate(d, puffer.EvalConfig())
+	if got.HOF != want.HOF || got.VOF != want.VOF || got.WL != want.WL || got.Rerouted != want.Rerouted {
+		t.Errorf("Route stage HOF/VOF/WL/rerouted %v/%v/%v/%d, Evaluate %v/%v/%v/%d",
+			got.HOF, got.VOF, got.WL, got.Rerouted, want.HOF, want.VOF, want.WL, want.Rerouted)
+	}
+
+	rc2, err := pipeline.NewRunContext(stressedDesign(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := routed().Resume(context.Background(), rc2, afterDP); err != nil {
+		t.Fatal(err)
+	}
+	r := rc2.Result.Route
+	if r == nil {
+		t.Fatal("resumed run has no route report")
+	}
+	if r.HOF != got.HOF || r.VOF != got.VOF || r.WL != got.WL {
+		t.Errorf("resumed HOF/VOF/WL %v/%v/%v, uninterrupted %v/%v/%v", r.HOF, r.VOF, r.WL, got.HOF, got.VOF, got.WL)
 	}
 }
 

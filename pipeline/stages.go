@@ -144,23 +144,17 @@ func DetailedPlace() Stage {
 
 // Route returns the evaluation-routing stage: the built-in global router
 // judges the placement the way the paper's commercial router does
-// (Sec. IV), storing the report in Result.Route. Unset GridW/GridH,
-// Workers and Obs are taken from the flow; every other field is used as
-// given, so router.Config{} routes with all cost weights zero (no
-// negotiation, no pin-access charge) — pass router.DefaultConfig() for the
-// router the CLIs and experiments judge with (DESIGN.md §3l).
-func Route(cfg router.Config) Stage {
+// (Sec. IV), storing the report in Result.Route. It routes with
+// router.DefaultConfig() on the flow's Gcell grid, worker cap and
+// recorder — the same router puffer.Evaluate, the CLIs and the
+// experiments judge with, so a routed service job (and with it every
+// distributed-exploration trial) is scored like any other run.
+func Route() Stage {
 	return StageFunc{StageName: StageRoute, Fn: func(ctx context.Context, rc *RunContext) error {
-		if cfg.GridW == 0 && cfg.GridH == 0 {
-			// Judge overflow on the Gcell grid the flow optimized for.
-			cfg.GridW, cfg.GridH = rc.GridW, rc.GridH
-		}
-		if cfg.Workers == 0 {
-			cfg.Workers = rc.Cfg.Workers
-		}
-		if cfg.Obs == nil {
-			cfg.Obs = rc.Cfg.Obs
-		}
+		cfg := router.DefaultConfig()
+		cfg.GridW, cfg.GridH = rc.GridW, rc.GridH
+		cfg.Workers = rc.Cfg.Workers
+		cfg.Obs = rc.Cfg.Obs
 		rr, err := router.RouteCtx(ctx, rc.Design, cfg)
 		if err != nil {
 			return err

@@ -56,7 +56,7 @@ func DefaultConfig() Config { return pipeline.DefaultConfig() }
 
 // CongGridFor picks the default congestion/routing grid for a design:
 // roughly two placement rows per Gcell, clamped to a practical range.
-func CongGridFor(d *netlist.Design) (int, int) { return pipeline.GridFor(d) }
+func CongGridFor(d *netlist.Design) (int, int) { return router.GridFor(d) }
 
 // Run executes the full PUFFER flow on d, mutating cell positions and
 // padding in place. It is the uncancelable compatibility wrapper over the

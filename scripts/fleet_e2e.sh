@@ -252,13 +252,13 @@ grep -q 'attempts: 2 (resumed 1 time(s))' "$work/xdiag.txt" \
 # --- worker failover ----------------------------------------------------
 
 log "failover reference: uninterrupted slow job"
-ref_id="$(ctl submit -profile MEDIA_SUBSYS -scale 400 -seed 5 | awk '{print $2}')"
+ref_id="$(ctl submit -profile MEDIA_SUBSYS -scale 200 -seed 5 | awk '{print $2}')"
 ctl wait -poll 200ms -timeout 180s "$ref_id"
 ref_hpwl="$(curl -s "$COORD/api/v1/jobs/$ref_id" | jq -r .result.hpwl)"
 [ -n "$ref_hpwl" ] && [ "$ref_hpwl" != "null" ] || { echo "reference job has no HPWL"; exit 1; }
 
 log "rerun the slow spec with -nocache and SIGKILL its worker mid-run"
-kill_id="$(ctl submit -profile MEDIA_SUBSYS -scale 400 -seed 5 -nocache | awk '{print $2}')"
+kill_id="$(ctl submit -profile MEDIA_SUBSYS -scale 200 -seed 5 -nocache | awk '{print $2}')"
 victim=""
 for _ in $(seq 1 100); do
     st="$(curl -s "$COORD/api/v1/jobs/$kill_id")"
@@ -268,7 +268,7 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$victim" ] || { echo "nocache job never started"; exit 1; }
-sleep 1 # let stages land so a mirrored checkpoint exists
+sleep 1 # the job runs ≈ 3 s on 2 vCPUs, so the kill lands mid-run
 victim_pid_var="${victim}_pid"
 log "SIGKILL worker $victim (pid ${!victim_pid_var})"
 kill -KILL "${!victim_pid_var}"

@@ -6,7 +6,8 @@
 #      /healthz, /readyz, and /metrics
 #   3. submit a quick job with -trace via pufferctl, stream it to
 #      completion, and assert the merged Chrome trace carries client and
-#      daemon spans under one trace ID
+#      daemon spans under one trace ID; submit a routed job and assert it
+#      reports the HOF/VOF/routed WL puffer prints for the same run
 #   4. submit a slow job, SIGTERM the daemon mid-run; /readyz must flip
 #      503 (draining) while /healthz stays 200
 #   5. assert the job parked at a checkpoint, restart the daemon
@@ -33,9 +34,10 @@ trap cleanup EXIT
 
 log() { echo "--- $*"; }
 
-log "build pufferd + pufferctl"
+log "build pufferd + pufferctl + puffer"
 go build -o "$work/pufferd" ./cmd/pufferd
 go build -o "$work/pufferctl" ./cmd/pufferctl
+go build -o "$work/puffer" ./cmd/puffer
 
 start_daemon() {
     rm -f "$work/addr"
@@ -89,6 +91,25 @@ ctl result "$quick_id" | tee "$work/result.json"
 grep -q '"hpwl"' "$work/result.json" || { echo "result carries no HPWL"; exit 1; }
 ctl artifact -o "$work/report.json" "$quick_id" report.json
 [ -s "$work/report.json" ] || { echo "empty report artifact"; exit 1; }
+
+log "routed job: judged by the router puffer evaluates with"
+routed_id="$(ctl submit -profile OR1200 -scale 800 -seed 7 -iters 200 -route | awk '{print $2}')"
+ctl wait -timeout 120s "$routed_id"
+ctl result "$routed_id" >"$work/routed.json"
+# The job's numbers, printed as puffer prints its routed: line (an
+# omitted field is 0).
+got="$(tr -d ' \n' <"$work/routed.json" | awk '{
+    n = split("hof vof routed_wl", k, " ")
+    for (i = 1; i <= n; i++) {
+        v[k[i]] = 0
+        if (match($0, "\"" k[i] "\":[-0-9.eE+]+")) v[k[i]] = substr($0, RSTART + length(k[i]) + 3, RLENGTH - length(k[i]) - 3)
+    }
+    printf "routed: HOF=%.2f%% VOF=%.2f%% WL=%.0f\n", v["hof"], v["vof"], v["routed_wl"]
+}')"
+want="$("$work/puffer" -design OR1200 -scale 800 -seed 7 -iters 200 | grep -o '^routed: HOF=[^ ]* VOF=[^ ]* WL=[0-9]*')"
+[ -n "$want" ] || { echo "puffer printed no routed: line"; exit 1; }
+[ "$got" = "$want" ] || { cat "$work/routed.json"; echo "routed job reports '$got', puffer '$want'"; exit 1; }
+log "routed job $routed_id and puffer agree: $want"
 
 log "submit a slow job and SIGTERM the daemon mid-run"
 slow_id="$(ctl submit -profile MEDIA_SUBSYS -scale 400 -seed 5 | awk '{print $2}')"
