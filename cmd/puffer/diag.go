@@ -317,9 +317,6 @@ func summarizeExploreState(w io.Writer, path string, data []byte) error {
 	if st.EarlyStop {
 		mode = "early-stop"
 	}
-	if st.WarmStart {
-		mode += "+warm-start"
-	}
 	fmt.Fprintf(w, "  schedule: seed=%d budget=%d (%s)\n", st.Seed, st.Budget, mode)
 	fmt.Fprintf(w, "  attempts: %d (resumed %d time(s))\n", st.Attempts, st.Attempts-1)
 	fmt.Fprintf(w, "  updated:  %s\n", st.UpdatedAt.Format(time.RFC3339))

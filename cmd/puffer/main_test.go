@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +19,7 @@ import (
 	"puffer/internal/eco"
 	"puffer/internal/synth"
 	"puffer/internal/xfarm"
+	"puffer/pipeline"
 )
 
 // runOK runs one command line in-process and returns what it printed.
@@ -56,7 +60,7 @@ func TestPlaceThenDiag(t *testing.T) {
 	rep := filepath.Join(dir, "run.json")
 	cp := filepath.Join(dir, "cp.json")
 	placed := filepath.Join(dir, "placed")
-	out := runOK(t, "-design", "OR1200", "-scale", "3000",
+	out := runOK(t, "-design", "OR1200", "-scale", "3000", "-workers", "2",
 		"-report", rep, "-checkpoint", cp, "-out", placed)
 	mustContain(t, "place", out,
 		"generated OR1200 at 1:3000", "PUFFER: GP iters=", "legality check: clean",
@@ -69,6 +73,8 @@ func TestPlaceThenDiag(t *testing.T) {
 	if len(d.Cells) == 0 {
 		t.Fatal("-out wrote an empty design")
 	}
+	mustContain(t, "place a Bookshelf design", runOK(t, "-aux", filepath.Join(placed, "OR1200_placed.aux"), "-iters", "30", "-noeval"),
+		"loaded OR1200_placed: ", "legality check: clean")
 
 	mustContain(t, "diag report", runOK(t, "diag", rep),
 		"run report "+rep+" (puffer/run-report/v1)", "design OR1200", "stage place", "round trip: ok")
@@ -153,6 +159,8 @@ func TestDiagSessionExploreStateAndCAS(t *testing.T) {
 	}
 	mustContain(t, "diag cas", runOK(t, "diag", filepath.Join(dir, "cas")), "1 blobs, 0 cached results", "BLOB")
 	mustContain(t, "diag cas -gc", runOK(t, "diag", "-gc", filepath.Join(dir, "cas")), "gc dry run: 1 blobs eligible")
+	mustContain(t, "diag cas -gc-apply", runOK(t, "diag", "-gc-apply", filepath.Join(dir, "cas")), "gc: removed 1 blobs")
+	mustContain(t, "diag cas after gc", runOK(t, "diag", filepath.Join(dir, "cas")), "0 blobs, 0 cached results")
 	msg, _ := runErr(t, "diag", filepath.Join(dir, "not-a-store"))
 	mustContain(t, "diag on a missing path", msg, "not-a-store")
 	if err := os.Mkdir(filepath.Join(dir, "plain"), 0o755); err != nil {
@@ -183,6 +191,91 @@ func TestBenchgenWritesParsableBookshelf(t *testing.T) {
 		t.Errorf("re-parsed %d cells, %d nets, %d pins; generated %d, %d, %d",
 			len(d.Cells), len(d.Nets), len(d.Pins), len(want.Cells), len(want.Nets), len(want.Pins))
 	}
+
+	// Custom mode: a bespoke profile, with its ISPD .route file.
+	out = runOK(t, "benchgen", "-dir", dir, "-cells", "400", "-nets", "380", "-pins", "1300",
+		"-macros", "2", "-stress", "0.3", "-locality", "0.7", "-route")
+	mustContain(t, "benchgen custom", out, "CUSTOM", "macros=2", "cells=400", "nets=380")
+	d, err = bookshelf.Parse(filepath.Join(dir, "CUSTOM.aux"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := d.Stats(); s.Cells != 400 || s.Macros != 2 || s.Nets != 380 {
+		t.Errorf("custom design re-parsed as %+v", s)
+	}
+	if _, err := bookshelf.ParseRoute(filepath.Join(dir, "CUSTOM.route")); err != nil {
+		t.Errorf("-route wrote no parsable .route file: %v", err)
+	}
+}
+
+// TestResumeEqualsUninterrupted checks item 11's contract at the command
+// line: a checkpoint saved after the place stage through the pipeline
+// API, resumed with -resume, ends where an uninterrupted run does.
+func TestResumeEqualsUninterrupted(t *testing.T) {
+	p, err := synth.ProfileByName("OR1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := puffer.DefaultConfig()
+	cfg.Place.Seed = 1
+	rc, err := pipeline.NewRunContext(synth.Generate(p, 3000, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(t.TempDir(), "place.json")
+	pl := pipeline.New(pipeline.GlobalPlace())
+	pl.Checkpointer = func(c *pipeline.Checkpoint) error { return c.Save(cp) }
+	if err := pl.Run(context.Background(), rc); err != nil {
+		t.Fatal(err)
+	}
+
+	whole := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1")
+	resumed := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-resume", cp)
+	mustContain(t, "resumed run", resumed, `resuming after stage "place" from `+cp)
+	hpwl := regexp.MustCompile(`(?m)^PUFFER: .*, HPWL=(\d+)$`)
+	routed := regexp.MustCompile(`(?m)^routed: .*$`)
+	for _, re := range []*regexp.Regexp{hpwl, routed} {
+		w, r := re.FindStringSubmatch(whole), re.FindStringSubmatch(resumed)
+		if w == nil || r == nil {
+			t.Fatalf("no %s line:\n%s\n%s", re, whole, resumed)
+		}
+		if w[len(w)-1] != r[len(r)-1] {
+			t.Errorf("uninterrupted %q, resumed %q", w[len(w)-1], r[len(r)-1])
+		}
+	}
+}
+
+// TestListTraceCSVAndVerbose reads -list, -trace-csv and -v: the CSV has
+// one row per GP iteration, its padded column one true per padding round,
+// and -v logs the stages.
+func TestListTraceCSVAndVerbose(t *testing.T) {
+	mustContain(t, "profile list", runOK(t, "-list"), "available profiles", "OR1200", "MEDIA_SUBSYS")
+
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	csv := filepath.Join(t.TempDir(), "gp.csv")
+	out := runOK(t, "-design", "OR1200", "-scale", "3000", "-noeval", "-trace-csv", csv, "-v")
+	mustContain(t, "iteration CSV", out, "iteration trace written to "+csv)
+	m := regexp.MustCompile(`GP iters=(\d+) .*, (\d+) padding rounds`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no PUFFER line:\n%s", out)
+	}
+	iters, _ := strconv.Atoi(m[1])
+	rounds, _ := strconv.Atoi(m[2])
+	data, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if lines[0] != "iter,hpwl,overflow,lambda,gamma,padded" || len(lines)-1 != iters {
+		t.Errorf("CSV header %q and %d rows, want %d rows", lines[0], len(lines)-1, iters)
+	}
+	if padded := strings.Count(string(data), ",true\n"); padded != rounds || rounds == 0 {
+		t.Errorf("%d padded rows, want the %d padding rounds", padded, rounds)
+	}
+	mustContain(t, "verbose log", logged.String(), "stage: global placement", "routability optimizer call 1 ")
 }
 
 // TestTimedOutRunKeepsItsTelemetry times a run out after more than one
@@ -283,5 +376,26 @@ func TestExperimentsRunsOnlySelectedSections(t *testing.T) {
 	mustContain(t, "experiments", out, "TABLE I:", "FIG 1")
 	if strings.Contains(out, "TABLE II") || strings.Contains(out, "ABLATIONS") {
 		t.Errorf("unselected sections ran:\n%s", out)
+	}
+}
+
+// TestExperimentsSections runs every other section once on a tiny
+// budget, then -all, which runs each but the runtime sweep.
+func TestExperimentsSections(t *testing.T) {
+	pgm := t.TempDir()
+	out := runOK(t, "experiments", "-fig2", "-fig3", "-fig4", "-table2", "-fig5", "-ablations", "-rtsweep",
+		"-designs", "OR1200", "-parallel", "-pgm", pgm, "-scale", "6000", "-iters", "20")
+	mustContain(t, "experiments sections", out, "FIG 2", "FIG 3", "FIG 4", "TABLE II", "FIG 5",
+		"PGM maps written to "+pgm, "ABLATIONS", "RUNTIME SCALING")
+	if strings.Contains(out, "TABLE I:") {
+		t.Errorf("unselected Table I ran:\n%s", out)
+	}
+	if maps, _ := filepath.Glob(filepath.Join(pgm, "*.pgm")); len(maps) == 0 {
+		t.Error("-pgm wrote no maps")
+	}
+	out = runOK(t, "experiments", "-all", "-designs", "OR1200", "-scale", "6000", "-iters", "20")
+	mustContain(t, "experiments -all", out, "TABLE I:", "FIG 1", "TABLE II", "FIG 5", "ABLATIONS")
+	if strings.Contains(out, "RUNTIME SCALING") {
+		t.Error("-all ran the runtime sweep")
 	}
 }

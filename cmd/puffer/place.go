@@ -22,7 +22,6 @@ import (
 	"puffer/internal/legal"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/report"
 	"puffer/internal/router"
 	"puffer/internal/synth"
 	"puffer/pipeline"
@@ -48,9 +47,7 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this path")
 		traceCSV = fs.String("trace-csv", "", "write the global-placement iteration trace (CSV) to this file")
 		repOut   = fs.String("report", "", "write the structured run report (JSON, consumed by puffer diag) to this file")
-		htmlOut  = fs.String("html", "", "write an HTML placement/congestion report to this file")
-		debug    = fs.String("debug-addr", "", "serve pprof, runtime expvar and Prometheus metrics on this address while the flow runs (e.g. :6060)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof); see also -debug-addr for live profiles")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 		metrics  = fs.String("metrics", "", "stream metric samples to this file as JSON lines as they are observed")
 		strategy = fs.String("strategy", "", "JSON strategy file from puffer explore -out")
@@ -126,14 +123,14 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		logf = log.Printf
 	}
 
-	// Telemetry: any of -trace/-report/-debug-addr/-metrics turns the
-	// recorder on; otherwise the flow runs with the nil (free) recorder.
+	// Telemetry: any of -trace/-report/-metrics turns the recorder on;
+	// otherwise the flow runs with the nil (free) recorder.
 	var (
 		rec    *obs.Recorder
 		reg    *obs.Registry
 		tracer *obs.Tracer
 	)
-	if *trace != "" || *repOut != "" || *debug != "" || *metrics != "" {
+	if *trace != "" || *repOut != "" || *metrics != "" {
 		var (
 			sinks    []obs.Sink
 			metricsF *os.File
@@ -168,19 +165,8 @@ func placeFlow(args []string, w io.Writer) (err error) {
 			}
 		}()
 	}
-	if *debug != "" {
-		ds, err := obs.StartDebug(*debug, reg)
-		if err != nil {
-			return err
-		}
-		defer ds.Close()
-		fmt.Fprintf(w, "debug endpoint: http://%s/ (pprof, /debug/vars, /metrics)\n", ds.Addr())
-	}
-
-	// Whole-run profiles (stdlib runtime/pprof). -debug-addr serves live
-	// profiles over HTTP instead; these flags capture a run end to end
-	// without a second terminal. Profiles are written when the flow exits
-	// normally.
+	// Whole-run profiles (stdlib runtime/pprof), written when the flow
+	// exits normally.
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -339,15 +325,6 @@ func placeFlow(args []string, w io.Writer) (err error) {
 			}
 			fmt.Fprintf(w, "congestion maps written to %s_{h,v}.pgm\n", base)
 		}
-	}
-
-	if *htmlOut != "" {
-		o := report.DefaultOptions()
-		o.Title = fmt.Sprintf("%s — %s", d.Name, *placer)
-		if err := report.Write(*htmlOut, d, rr, o); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "HTML report written to %s\n", *htmlOut)
 	}
 
 	if *outDir != "" {

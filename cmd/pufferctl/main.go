@@ -24,8 +24,8 @@
 // summary. submit additionally honors -tenant (fair-share lane) and
 // -nocache (bypass the coordinator's content-addressed result cache).
 //
-// submit honors the daemon's backpressure: with -retry N, a 429 response
-// is retried up to N times after the server's Retry-After hint.
+// A full queue answers 429 with a Retry-After hint; submit reports it and
+// exits non-zero rather than waiting.
 //
 // submit -trace out.json starts a client span, propagates its W3C
 // traceparent to the daemon, waits for the job, and merges the client and
@@ -41,6 +41,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,14 +58,26 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", envOr("PUFFERD_ADDR", "http://127.0.0.1:8080"), "pufferd base URL")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: pufferctl [-addr URL] {submit|explore|status|watch|result|artifact|cancel|list|wait|session|top|fleet} ...")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "pufferctl:", err)
+		os.Exit(1)
 	}
-	c := &cli{Client: client.New(*addr, nil), ctx: context.Background()}
+}
+
+// run executes one command line, writing its report to stdout and its
+// notes (and flag usage) to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("pufferctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", envOr("PUFFERD_ADDR", "http://127.0.0.1:8080"), "pufferd base URL")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	args = fs.Args()
+	if len(args) == 0 {
+		return errors.New("usage: pufferctl [-addr URL] {submit|explore|status|watch|result|artifact|cancel|list|wait|session|top|fleet} ...")
+	}
+	c := &cli{Client: client.New(*addr, nil), ctx: context.Background(), out: stdout, errOut: stderr}
 	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "submit":
@@ -94,10 +107,7 @@ func main() {
 	default:
 		err = fmt.Errorf("unknown command %q", cmd)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pufferctl:", err)
-		os.Exit(1)
-	}
+	return err
 }
 
 func envOr(key, def string) string {
@@ -110,7 +120,16 @@ func envOr(key, def string) string {
 // cli renders internal/client's calls for a terminal.
 type cli struct {
 	*client.Client
-	ctx context.Context
+	ctx         context.Context
+	out, errOut io.Writer
+}
+
+// flags starts a subcommand's flag set; usage and parse errors go to
+// stderr.
+func (c *cli) flags(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(c.errOut)
+	return fs
 }
 
 // designFlags are the flags every design-taking command shares; runFlags
@@ -167,26 +186,22 @@ func (f designFlags) spec() (map[string]any, error) {
 	return spec, nil
 }
 
-// post submits spec, announcing backpressure retries, and prints the
-// admission line ("job <id> <state>").
+// post submits spec and prints the admission line ("job <id> <state>").
 func (c *cli) post(noun string, spec map[string]any, o client.SubmitOptions) (*serve.Manifest, error) {
-	o.OnRetry = func(attempt int, wait time.Duration) {
-		fmt.Fprintf(os.Stderr, "pufferctl: queue full; retry %d/%d in %s\n", attempt, o.Retries, wait)
-	}
 	m, err := c.Submit(c.ctx, spec, o)
 	if err != nil {
 		return nil, err
 	}
 	if m.CacheHit {
-		fmt.Printf("%s %s %s (cache hit)\n", noun, m.ID, m.State)
+		fmt.Fprintf(c.out, "%s %s %s (cache hit)\n", noun, m.ID, m.State)
 	} else {
-		fmt.Printf("%s %s %s\n", noun, m.ID, m.State)
+		fmt.Fprintf(c.out, "%s %s %s\n", noun, m.ID, m.State)
 	}
 	return m, nil
 }
 
 func (c *cli) submit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+	fs := c.flags("submit")
 	df := addRunFlags(fs)
 	var (
 		kind    = fs.String("kind", "place", "job kind: place | explore")
@@ -194,12 +209,13 @@ func (c *cli) submit(args []string) error {
 		budget  = fs.Int("budget", 0, "exploration trial budget (explore jobs)")
 		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
 		watch   = fs.Bool("watch", false, "stream progress until the job finishes")
-		retry   = fs.Int("retry", 0, "retry a full queue up to N times, honoring Retry-After")
 		trace   = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
 		tenant  = fs.String("tenant", "", "tenant name for fair-share scheduling")
 		nocache = fs.Bool("nocache", false, "force a full run even if the coordinator has a cached result")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, err := df.spec()
 	if err != nil {
@@ -227,7 +243,7 @@ func (c *cli) submit(args []string) error {
 		tracer     *obs.Tracer
 		clientSpan *obs.Span
 	)
-	o := client.SubmitOptions{Retries: *retry, Tenant: *tenant}
+	o := client.SubmitOptions{Tenant: *tenant}
 	if *trace != "" {
 		tracer = obs.NewTracer()
 		clientSpan = tracer.StartSpan("client.submit")
@@ -271,21 +287,21 @@ func (c *cli) submit(args []string) error {
 // workers, the controller checkpoints for durable resume, and the tuned
 // strategy document comes back as an artifact (-out saves it locally).
 func (c *cli) explore(args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
+	fs := c.flags("explore")
 	df := addDesignFlags(fs)
 	var (
 		budget    = fs.Int("budget", 0, "trials per exploration call (0 = server default 8)")
 		earlyStop = fs.Bool("early-stop", false, "cancel dominated trials mid-flight (trades determinism for wall clock)")
-		warm      = fs.Bool("warm", false, "seed TPE priors/ranges from prior explorations of the same design family")
 		timeout   = fs.Duration("timeout", 0, "per-trial deadline (0 = server default)")
 		watch     = fs.Bool("watch", false, "stream exploration progress until it finishes")
 		wait      = fs.Duration("wait", 30*time.Minute, "give up waiting for the exploration after this long")
-		retry     = fs.Int("retry", 0, "retry a full queue up to N times, honoring Retry-After")
 		tenant    = fs.String("tenant", "", "tenant name for fleet fair-share scheduling")
 		nocache   = fs.Bool("nocache", false, "recompute the exploration even if a cached result exists (finished trials still dedupe through the result index)")
 		out       = fs.String("out", "", "write the tuned strategy JSON here when the exploration finishes")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, err := df.spec()
 	if err != nil {
@@ -298,16 +314,13 @@ func (c *cli) explore(args []string) error {
 	if *earlyStop {
 		spec["early_stop"] = true
 	}
-	if *warm {
-		spec["warm_start"] = true
-	}
 	if *timeout > 0 {
 		spec["timeout_sec"] = timeout.Seconds()
 	}
 	if *nocache {
 		spec["nocache"] = true
 	}
-	m, err := c.post("exploration", spec, client.SubmitOptions{Retries: *retry, Tenant: *tenant})
+	m, err := c.post("exploration", spec, client.SubmitOptions{Tenant: *tenant})
 	if err != nil {
 		return err
 	}
@@ -327,14 +340,14 @@ func (c *cli) explore(args []string) error {
 	if err != nil {
 		res = &serve.JobResult{}
 	}
-	fmt.Printf("exploration %s done: %d trials, best score %g, %.0fms\n",
+	fmt.Fprintf(c.out, "exploration %s done: %d trials, best score %g, %.0fms\n",
 		m.ID, res.Trials, res.BestScore, res.RuntimeMS)
 	if *out != "" {
 		n, err := c.Download(c.ctx, m.ID, "strategy.json", *out)
 		if err != nil {
 			return fmt.Errorf("fetch tuned strategy: %w", err)
 		}
-		fmt.Printf("tuned strategy: %s (%d bytes)\n", *out, n)
+		fmt.Fprintf(c.out, "tuned strategy: %s (%d bytes)\n", *out, n)
 	}
 	return watchErr
 }
@@ -352,7 +365,7 @@ func (c *cli) writeMergedTrace(tracer *obs.Tracer, clientSpan *obs.Span, id, des
 	parts := []obs.TracePart{{Process: "pufferctl", Data: clientBuf.Bytes()}}
 	server, err := c.Artifact(c.ctx, id, "trace.json")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pufferctl: no daemon trace for %s (%v); writing client spans only\n", id, err)
+		fmt.Fprintf(c.errOut, "pufferctl: no daemon trace for %s (%v); writing client spans only\n", id, err)
 	} else {
 		parts = append(parts, obs.TracePart{Process: "pufferd", Data: server})
 	}
@@ -367,7 +380,7 @@ func (c *cli) writeMergedTrace(tracer *obs.Tracer, clientSpan *obs.Span, id, des
 	if merr != nil {
 		return merr
 	}
-	fmt.Printf("trace: %s (%d processes, trace_id %s)\n", dest, len(parts), tracer.TraceID())
+	fmt.Fprintf(c.out, "trace: %s (%d processes, trace_id %s)\n", dest, len(parts), tracer.TraceID())
 	return nil
 }
 
@@ -408,7 +421,7 @@ func (c *cli) print(args []string, usage, method, pathFmt string) error {
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(data)
+	_, err = c.out.Write(data)
 	return err
 }
 
@@ -417,7 +430,7 @@ func (c *cli) list() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %-8s %-16s %-9s %-9s %3s  %s\n", "ID", "KIND", "DESIGN", "STATE", "STAGE", "TRY", "HPWL/ERROR")
+	fmt.Fprintf(c.out, "%-14s %-8s %-16s %-9s %-9s %3s  %s\n", "ID", "KIND", "DESIGN", "STATE", "STAGE", "TRY", "HPWL/ERROR")
 	for _, r := range rows {
 		detail := ""
 		if r.HPWL > 0 {
@@ -426,16 +439,18 @@ func (c *cli) list() error {
 		if r.Error != "" {
 			detail = r.Error
 		}
-		fmt.Printf("%-14s %-8s %-16s %-9s %-9s %3d  %s\n",
+		fmt.Fprintf(c.out, "%-14s %-8s %-16s %-9s %-9s %3d  %s\n",
 			r.ID, r.Kind, r.Design, r.State, r.Stage, r.Attempts, detail)
 	}
 	return nil
 }
 
 func (c *cli) artifact(args []string) error {
-	fs := flag.NewFlagSet("artifact", flag.ExitOnError)
+	fs := c.flags("artifact")
 	out := fs.String("o", "", "output path (default: the artifact name)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	rest := fs.Args()
 	if len(rest) != 2 {
 		return fmt.Errorf("usage: pufferctl artifact [-o path] <id> <name>")
@@ -448,7 +463,7 @@ func (c *cli) artifact(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d bytes\n", dest, n)
+	fmt.Fprintf(c.out, "%s: %d bytes\n", dest, n)
 	return nil
 }
 
@@ -466,14 +481,14 @@ func (c *cli) stream(path, id string) error {
 	err := c.Events(c.ctx, path, func(e serve.Event) error {
 		switch e.Type {
 		case "state":
-			fmt.Printf("state: %s %s\n", e.State, e.Error)
+			fmt.Fprintf(c.out, "state: %s %s\n", e.State, e.Error)
 			final = e
 		case "stage":
-			fmt.Printf("stage %s %s (iters=%d wall=%.0fms)\n", e.Stage, e.StageStatus, e.Iters, e.WallMS)
+			fmt.Fprintf(c.out, "stage %s %s (iters=%d wall=%.0fms)\n", e.Stage, e.StageStatus, e.Iters, e.WallMS)
 		case "sample":
-			fmt.Printf("  %s[%d] = %g\n", e.Series, e.Step, e.Value)
+			fmt.Fprintf(c.out, "  %s[%d] = %g\n", e.Series, e.Step, e.Value)
 		case "log":
-			fmt.Println(e.Line)
+			fmt.Fprintln(c.out, e.Line)
 		}
 		return nil
 	})
@@ -484,7 +499,7 @@ func (c *cli) stream(path, id string) error {
 	case "done", "open", "closed", "":
 		return nil
 	case "parked", "queued":
-		fmt.Println("interrupted; it will resume when the daemon restarts")
+		fmt.Fprintln(c.out, "interrupted; it will resume when the daemon restarts")
 		return nil
 	default:
 		return fmt.Errorf("%s %s: %s", id, final.State, final.Error)
@@ -514,34 +529,26 @@ func (c *cli) session(args []string) error {
 	}
 }
 
-// sessionOpen opens an ECO session and, by default, waits for its base
-// placement before returning the session ID on stdout.
+// sessionOpen opens an ECO session and waits for its base placement
+// before returning the session ID on stdout.
 func (c *cli) sessionOpen(args []string) error {
-	fs := flag.NewFlagSet("session open", flag.ExitOnError)
+	fs := c.flags("session open")
 	df := addRunFlags(fs)
-	var (
-		warmMax = fs.Int("warm-iters", 0, "max warm re-place iterations per delta (0 = derived)")
-		nowait  = fs.Bool("nowait", false, "return after admission without waiting for the base placement")
-		timeout = fs.Duration("timeout", 10*time.Minute, "give up waiting for the base placement after this long")
-	)
-	fs.Parse(args)
+	timeout := fs.Duration("timeout", 10*time.Minute, "give up waiting for the base placement after this long")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, err := df.spec()
 	if err != nil {
 		return err
-	}
-	if *warmMax > 0 {
-		spec["warm_max_iters"] = *warmMax
 	}
 	body, _ := json.Marshal(spec)
 	var m serve.SessionManifest
 	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/sessions", body, &m); err != nil {
 		return err
 	}
-	fmt.Printf("session %s %s\n", m.ID, m.State)
-	if *nowait {
-		return nil
-	}
+	fmt.Fprintf(c.out, "session %s %s\n", m.ID, m.State)
 	deadline := time.Now().Add(*timeout)
 	for {
 		if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions/"+m.ID, nil, &m); err != nil {
@@ -549,7 +556,7 @@ func (c *cli) sessionOpen(args []string) error {
 		}
 		switch m.State {
 		case serve.SessionOpen:
-			fmt.Printf("session %s open hpwl=%.0f\n", m.ID, m.LastHPWL)
+			fmt.Fprintf(c.out, "session %s open hpwl=%.0f\n", m.ID, m.LastHPWL)
 			return nil
 		case serve.SessionFailed, serve.SessionClosed:
 			return fmt.Errorf("session %s %s: %s", m.ID, m.State, m.Error)
@@ -594,7 +601,7 @@ func (c *cli) sessionDelta(args []string) error {
 	if dr.Rehydrated {
 		note = " (rehydrated)"
 	}
-	fmt.Printf("delta %d applied: hpwl=%.0f gp_iters=%d %.0fms%s\n",
+	fmt.Fprintf(c.out, "delta %d applied: hpwl=%.0f gp_iters=%d %.0fms%s\n",
 		dr.Deltas, dr.HPWL, dr.GPIters, dr.RuntimeMS, note)
 	return nil
 }
@@ -612,7 +619,7 @@ func (c *cli) sessionList() error {
 	if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions", nil, &rows); err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %-16s %-8s %6s %5s  %s\n", "ID", "DESIGN", "STATE", "DELTAS", "WARM", "HPWL/ERROR")
+	fmt.Fprintf(c.out, "%-14s %-16s %-8s %6s %5s  %s\n", "ID", "DESIGN", "STATE", "DELTAS", "WARM", "HPWL/ERROR")
 	for _, r := range rows {
 		detail := ""
 		if r.LastHPWL > 0 {
@@ -625,7 +632,7 @@ func (c *cli) sessionList() error {
 		if r.Warm {
 			warm = "yes"
 		}
-		fmt.Printf("%-14s %-16s %-8s %6d %5s  %s\n", r.ID, r.Design, r.State, r.Deltas, warm, detail)
+		fmt.Fprintf(c.out, "%-14s %-16s %-8s %6d %5s  %s\n", r.ID, r.Design, r.State, r.Deltas, warm, detail)
 	}
 	return nil
 }
@@ -642,25 +649,25 @@ func (c *cli) top() error {
 	if ops.Role != "" {
 		name += " " + ops.Role
 	}
-	fmt.Printf("%s %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
+	fmt.Fprintf(c.out, "%s %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
 		name, ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
 		ops.QueueDepth, ops.QueueCap, ops.Workers, ops.ActiveJobs,
 		ops.Sessions["tracked"], ops.Sessions["warm"])
 	if ops.Role != "" {
-		fmt.Printf("fleet: %d nodes; cache: %d results, %d blobs (%d bytes)\n",
+		fmt.Fprintf(c.out, "fleet: %d nodes; cache: %d results, %d blobs (%d bytes)\n",
 			len(ops.Nodes), ops.Cache["results"], ops.Cache["blobs"], ops.Cache["blob_bytes"])
 	}
 
 	if len(ops.Histograms) > 0 {
-		fmt.Printf("\n%-36s %8s %9s %9s %9s %9s\n", "LATENCY", "COUNT", "MEAN", "P50", "P95", "P99")
+		fmt.Fprintf(c.out, "\n%-36s %8s %9s %9s %9s %9s\n", "LATENCY", "COUNT", "MEAN", "P50", "P95", "P99")
 		for _, name := range sortedKeys(ops.Histograms) {
 			h := ops.Histograms[name]
-			fmt.Printf("%-36s %8d %9s %9s %9s %9s\n", name, h.Count,
+			fmt.Fprintf(c.out, "%-36s %8d %9s %9s %9s %9s\n", name, h.Count,
 				fmtSecs(h.Mean), fmtSecs(h.P50), fmtSecs(h.P95), fmtSecs(h.P99))
 		}
 	}
 	if len(ops.SLO) > 0 {
-		fmt.Printf("\n%-20s %6s %9s %9s %8s  %s\n", "SLO", "Q", "VALUE", "BOUND", "WINDOW", "STATUS")
+		fmt.Fprintf(c.out, "\n%-20s %6s %9s %9s %8s  %s\n", "SLO", "Q", "VALUE", "BOUND", "WINDOW", "STATUS")
 		for _, o := range ops.SLO {
 			status := "ok"
 			switch {
@@ -671,14 +678,14 @@ func (c *cli) top() error {
 			case !o.OK:
 				status = "failing"
 			}
-			fmt.Printf("%-20s %6.2f %9s %9s %8d  %s\n",
+			fmt.Fprintf(c.out, "%-20s %6.2f %9s %9s %8d  %s\n",
 				o.Name, o.Quantile, fmtSecs(o.Value), fmtSecs(o.Bound), o.Window, status)
 		}
 	}
 	if len(ops.Counters) > 0 {
-		fmt.Printf("\n%-36s %8s\n", "COUNTER", "VALUE")
+		fmt.Fprintf(c.out, "\n%-36s %8s\n", "COUNTER", "VALUE")
 		for _, name := range sortedKeys(ops.Counters) {
-			fmt.Printf("%-36s %8d\n", name, ops.Counters[name])
+			fmt.Fprintf(c.out, "%-36s %8d\n", name, ops.Counters[name])
 		}
 	}
 	return nil
@@ -691,7 +698,7 @@ func (c *cli) fleet() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-16s %-24s %-18s %-6s %9s %5s %7s %7s\n",
+	fmt.Fprintf(c.out, "%-16s %-24s %-18s %-6s %9s %5s %7s %7s\n",
 		"NODE", "ADDR", "ENGINE", "LIVE", "HEARTBEAT", "JOBS", "QUEUE", "ACTIVE")
 	for _, r := range rows {
 		live := "yes"
@@ -701,7 +708,7 @@ func (c *cli) fleet() error {
 		case r.Stats.Draining:
 			live = "drain"
 		}
-		fmt.Printf("%-16s %-24s %-18s %-6s %8.1fs %5d %3d/%-3d %7d\n",
+		fmt.Fprintf(c.out, "%-16s %-24s %-18s %-6s %8.1fs %5d %3d/%-3d %7d\n",
 			r.ID, r.Addr, r.Engine, live, r.HeartbeatAge, r.Jobs,
 			r.Stats.QueueDepth, r.Stats.QueueCap, r.Stats.ActiveJobs)
 	}
@@ -727,10 +734,12 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func (c *cli) wait(args []string) error {
-	fs := flag.NewFlagSet("wait", flag.ExitOnError)
+	fs := c.flags("wait")
 	poll := fs.Duration("poll", 2*time.Second, "poll interval")
 	timeout := fs.Duration("timeout", 10*time.Minute, "give up after this long")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	rest := fs.Args()
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: pufferctl wait [-poll d] [-timeout d] <id>")
@@ -742,6 +751,6 @@ func (c *cli) wait(args []string) error {
 	if m.State != serve.StateDone {
 		return fmt.Errorf("job %s %s: %s", m.ID, m.State, m.Error)
 	}
-	fmt.Println("done")
+	fmt.Fprintln(c.out, "done")
 	return nil
 }

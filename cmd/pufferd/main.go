@@ -53,7 +53,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
 		spool        = flag.String("spool", "pufferd-spool", "job spool directory (durable; holds manifests, checkpoints, artifacts)")
-		queueCap     = flag.Int("queue", 16, "admission queue capacity (excess submissions get 429 + Retry-After)")
+		queueCap     = flag.Int("queue", 0, "admission queue capacity; excess submissions get 429 + Retry-After (0 = 16, or 64 with -coordinator)")
 		workers      = flag.Int("workers", 2, "job worker pool size")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job deadline for jobs that set none (0 = none)")
 		sessionIdle  = flag.Duration("session-idle", 15*time.Minute, "evict an ECO session's in-memory warm state after this idle time (snapshot stays; 0 = never)")
@@ -74,7 +74,6 @@ func main() {
 		casDir      = flag.String("cas", "", "content-addressed store directory (coordinator; default <spool>/cas)")
 		deadAfter   = flag.Duration("dead-after", 10*time.Second, "heartbeat age past which a worker is dead and its jobs fail over (coordinator)")
 		poll        = flag.Duration("poll", time.Second, "re-check interval for a worker whose event stream broke off (coordinator)")
-		pendingCap  = flag.Int("pending", 64, "admission queue capacity when -coordinator (the same cap -queue sets for a worker)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant queue rate limit in jobs/sec (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 4, "per-tenant queue burst")
 		estopMargin = flag.Float64("early-stop-margin", 0, "exploration early-stop domination margin over the best trial's overflow envelope (coordinator; 0 = default 1.5)")
@@ -121,11 +120,9 @@ func main() {
 		srv    *serve.Server
 		err    error
 		role   string
-		detail = fmt.Sprintf("%d workers, queue %d", *workers, *queueCap)
+		detail = fmt.Sprintf("%d workers", *workers)
 	)
 	if *coordinator {
-		// -pending is the coordinator-side spelling of the one queue cap.
-		core.QueueCap = *pendingCap
 		var cs *coord.Server
 		cs, err = coord.New(coord.Config{
 			Config:          core,
@@ -144,6 +141,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	detail += fmt.Sprintf(", queue %d", srv.Stats().QueueCap)
 	if srv.Recovered > 0 {
 		logger.Info("recovered interrupted jobs", "count", srv.Recovered, "spool", *spool)
 	}

@@ -134,14 +134,11 @@ type Config struct {
 	// Distributed marks a farm-controlled exploration (explore jobs).
 	// Part of the digest so a distributed exploration and its in-process
 	// twin never share a cache entry: their trial schedules agree only
-	// when neither early stop nor warm start perturbs the scores.
+	// when early stop does not perturb the scores.
 	Distributed bool
 	// EarlyStop marks competitive mid-flight trial cancellation
 	// (nondeterministic across fleet load, so it splits the cache).
 	EarlyStop bool
-	// WarmStart marks TPE priors seeded from earlier explorations (the
-	// outcome depends on store history, so it splits the cache).
-	WarmStart bool
 }
 
 // Digest returns the config's content address over the canonical key=value
@@ -164,9 +161,6 @@ func (c Config) Digest() (Digest, error) {
 	}
 	if c.EarlyStop {
 		enc += "early_stop=true\n"
-	}
-	if c.WarmStart {
-		enc += "warm_start=true\n"
 	}
 	return Sum([]byte(enc)), nil
 }

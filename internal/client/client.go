@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,55 +143,32 @@ func (c *Client) JSON(ctx context.Context, method, path string, body []byte, v a
 	return nil
 }
 
-// SubmitOptions are the per-submission extras.
+// SubmitOptions are the per-submission extras: Tenant and Traceparent ride
+// the request as X-Puffer-Tenant and the W3C traceparent header.
 type SubmitOptions struct {
-	// Retries is how many times a 429 is retried after sleeping out the
-	// server's Retry-After hint (2s when absent, never under 1s).
-	Retries int
-	// Tenant and Traceparent ride every attempt as X-Puffer-Tenant and the
-	// W3C traceparent header.
 	Tenant      string
 	Traceparent string
-	// OnRetry, when set, is told about each backpressure wait.
-	OnRetry func(attempt int, wait time.Duration)
 }
 
 // Submit posts a job spec (anything that marshals to the JobSpec document)
-// and returns the admitted manifest.
+// and returns the admitted manifest. A full queue comes back as a 429
+// *StatusError carrying the server's Retry-After hint.
 func (c *Client) Submit(ctx context.Context, spec any, o SubmitOptions) (*serve.Manifest, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	hdr := map[string]string{serve.TenantHeader: o.Tenant, obs.TraceparentHeader: o.Traceparent}
-	for attempt := 0; ; attempt++ {
-		resp, err := c.do(ctx, c.unary, http.MethodPost, "/api/v1/jobs", body, hdr)
-		if err == nil {
-			defer resp.Body.Close()
-			m := &serve.Manifest{}
-			if err := json.NewDecoder(resp.Body).Decode(m); err != nil {
-				return nil, fmt.Errorf("decode response: %w", err)
-			}
-			return m, nil
-		}
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || attempt >= o.Retries {
-			return nil, err
-		}
-		wait := se.RetryAfter
-		if wait < 0 {
-			wait = 2 * time.Second
-		}
-		if wait < time.Second {
-			wait = time.Second
-		}
-		if o.OnRetry != nil {
-			o.OnRetry(attempt+1, wait)
-		}
-		if err := c.sleep(ctx, wait); err != nil {
-			return nil, err
-		}
+	resp, err := c.do(ctx, c.unary, http.MethodPost, "/api/v1/jobs", body, hdr)
+	if err != nil {
+		return nil, err
 	}
+	defer resp.Body.Close()
+	m := &serve.Manifest{}
+	if err := json.NewDecoder(resp.Body).Decode(m); err != nil {
+		return nil, fmt.Errorf("decode response: %w", err)
+	}
+	return m, nil
 }
 
 // Job fetches a job's durable manifest.

@@ -18,8 +18,8 @@ import (
 	"puffer/internal/serve"
 )
 
-// newTest returns a client for h whose backpressure sleeps are recorded
-// instead of slept.
+// newTest returns a client for h whose poll sleeps are recorded instead of
+// slept.
 func newTest(t *testing.T, h http.Handler) (*Client, *[]time.Duration) {
 	t.Helper()
 	ts := httptest.NewServer(h)
@@ -33,57 +33,28 @@ func newTest(t *testing.T, h http.Handler) (*Client, *[]time.Duration) {
 	return c, &slept
 }
 
-func TestSubmitRetriesBackpressure(t *testing.T) {
+// TestSubmitSurfacesBackpressure checks that a full queue's 429 comes back
+// at once as a StatusError carrying Retry-After, and that the tenant and
+// traceparent headers ride the POST.
+func TestSubmitSurfacesBackpressure(t *testing.T) {
 	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	for _, tc := range []struct {
-		name      string
-		full      int // leading 429 answers
-		retries   int
-		wantPosts int32
-		wantSlept []time.Duration
-		wantCode  int // 0 = admitted
-	}{
-		{"admitted after two waits", 2, 3, 3, []time.Duration{7 * time.Second, 7 * time.Second}, 0},
-		{"gives up after exactly -retries", 5, 2, 3, []time.Duration{7 * time.Second, 7 * time.Second}, http.StatusTooManyRequests},
-		{"no retries asked", 1, 0, 1, nil, http.StatusTooManyRequests},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var posts atomic.Int32
-			c, slept := newTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				n := posts.Add(1)
-				if r.Header.Get(serve.TenantHeader) != "alice" || r.Header.Get(obs.TraceparentHeader) != tp {
-					t.Errorf("attempt %d lost its headers: tenant %q traceparent %q",
-						n, r.Header.Get(serve.TenantHeader), r.Header.Get(obs.TraceparentHeader))
-				}
-				if int(n) <= tc.full {
-					w.Header().Set("Retry-After", "7")
-					serve.APIError(w, http.StatusTooManyRequests, "queue full (4/4)")
-					return
-				}
-				serve.WriteJSON(w, http.StatusAccepted, serve.Manifest{ID: "abc", State: serve.StateQueued})
-			}))
-			var announced int
-			m, err := c.Submit(context.Background(), serve.JobSpec{Profile: "OR1200"}, SubmitOptions{
-				Retries: tc.retries, Tenant: "alice", Traceparent: tp,
-				OnRetry: func(int, time.Duration) { announced++ },
-			})
-			if posts.Load() != tc.wantPosts {
-				t.Errorf("%d POSTs, want %d", posts.Load(), tc.wantPosts)
-			}
-			if fmt.Sprint(*slept) != fmt.Sprint(tc.wantSlept) || announced != len(tc.wantSlept) {
-				t.Errorf("slept %v (announced %d), want %v", *slept, announced, tc.wantSlept)
-			}
-			if tc.wantCode == 0 {
-				if err != nil || m.ID != "abc" {
-					t.Fatalf("Submit = %+v, %v", m, err)
-				}
-				return
-			}
-			var se *StatusError
-			if !errors.As(err, &se) || se.Code != tc.wantCode || se.RetryAfter != 7*time.Second {
-				t.Fatalf("err = %v, want a %d StatusError carrying Retry-After", err, tc.wantCode)
-			}
-		})
+	var posts atomic.Int32
+	c, slept := newTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		if r.Header.Get(serve.TenantHeader) != "alice" || r.Header.Get(obs.TraceparentHeader) != tp {
+			t.Errorf("POST lost its headers: tenant %q traceparent %q",
+				r.Header.Get(serve.TenantHeader), r.Header.Get(obs.TraceparentHeader))
+		}
+		w.Header().Set("Retry-After", "7")
+		serve.APIError(w, http.StatusTooManyRequests, "queue full (4/4)")
+	}))
+	_, err := c.Submit(context.Background(), serve.JobSpec{Profile: "OR1200"}, SubmitOptions{Tenant: "alice", Traceparent: tp})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 7*time.Second {
+		t.Fatalf("err = %v, want a 429 StatusError carrying Retry-After", err)
+	}
+	if posts.Load() != 1 || len(*slept) != 0 {
+		t.Errorf("%d POSTs and %d sleeps, want 1 and 0", posts.Load(), len(*slept))
 	}
 }
 

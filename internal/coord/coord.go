@@ -216,7 +216,6 @@ func (c *Server) Admit(m *serve.Manifest) (undo func(), err error) {
 		Strategy:    spec.Strategy,
 		Distributed: spec.Distributed,
 		EarlyStop:   spec.EarlyStop,
-		WarmStart:   spec.WarmStart,
 	}.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("%w: config digest: %v", serve.ErrInvalidSpec, err)
@@ -224,9 +223,9 @@ func (c *Server) Admit(m *serve.Manifest) (undo func(), err error) {
 	m.DesignDigest, m.ConfigDigest = string(design), string(config)
 	defer c.publishCacheRate()
 
-	// Early-stop and warm-start explorations are timing/history dependent,
-	// so they neither consult nor (see Explore) fill the cache.
-	if !spec.NoCache && !spec.EarlyStop && !spec.WarmStart {
+	// Early-stop explorations are timing dependent, so they neither
+	// consult nor (see Explore) fill the cache.
+	if !spec.NoCache && !spec.EarlyStop {
 		if hit, origin, ok := c.cacheHit(design, config); ok {
 			now := time.Now()
 			m.State = serve.StateDone

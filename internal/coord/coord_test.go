@@ -14,6 +14,7 @@ import (
 	"puffer/internal/bookshelf"
 	"puffer/internal/serve"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 // fleetWorker is one in-process worker: a real serve.Server behind a real
@@ -471,5 +472,32 @@ func TestPendingBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestMirrorFollowsEveryStage: a worker writes each stage's checkpoint
+// before it announces the stage, and the coordinator mirrors on every
+// stage event, so a job that ran to done has its dp checkpoint mirrored; a
+// failover from there would resume, not restart cold.
+func TestMirrorFollowsEveryStage(t *testing.T) {
+	w := newFleetWorker(t, "w1")
+	cs, ch := newCoordinator(t, Config{})
+	w.register(t, ch.URL)
+
+	m := submit(t, ch.URL, quickFleetSpec(), nil)
+	done := waitCoordState(t, ch.URL, m.ID, serve.StateDone)
+	if done.Stage != pipeline.StageDP {
+		t.Errorf("coordinator manifest stage %q, want %q", done.Stage, pipeline.StageDP)
+	}
+	path, err := cs.Spool().ArtifactPath(m.ID, "checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := pipeline.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("no mirrored checkpoint: %v", err)
+	}
+	if cp.Stage != done.Stage {
+		t.Errorf("mirrored checkpoint is at %q, manifest says %q", cp.Stage, done.Stage)
 	}
 }

@@ -61,7 +61,7 @@ func TestRouteTable(t *testing.T) {
 	shared := []string{
 		"POST /api/v1/jobs", "GET /api/v1/jobs", "GET /api/v1/jobs/x", "GET /api/v1/jobs/x/events",
 		"GET /api/v1/jobs/x/result", "GET /api/v1/jobs/x/artifacts/a", "POST /api/v1/jobs/x/cancel",
-		"DELETE /api/v1/jobs/x", "GET /healthz", "GET /readyz", "GET /api/v1/ops", "GET /metrics", "GET /debug/vars",
+		"GET /healthz", "GET /readyz", "GET /api/v1/ops", "GET /metrics", "GET /debug/vars",
 	}
 	sessions := []string{
 		"POST /api/v1/sessions", "GET /api/v1/sessions", "GET /api/v1/sessions/x",

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -66,16 +65,6 @@ func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 		}
 	}
 
-	var priors []explore.Observation
-	var seedRanges map[string]explore.Range
-	if m.Spec.WarmStart {
-		priors, seedRanges = c.warmPriors(m)
-		if len(priors) > 0 {
-			c.log.Info("warm-starting exploration", "job", m.ID,
-				"priors", len(priors), "seeded_ranges", len(seedRanges))
-		}
-	}
-
 	// The controller's per-trial scores (explore.trial.score) stream to
 	// the job's watchers.
 	rec := obs.NewRecorder(nil, obs.NewRegistry(serve.HubSink(j.Hub)))
@@ -87,9 +76,6 @@ func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 		Job:          m.ID,
 		EarlyStop:    m.Spec.EarlyStop,
 		Margin:       c.cfg.EarlyStopMargin,
-		WarmStart:    m.Spec.WarmStart,
-		Priors:       priors,
-		SeedRanges:   seedRanges,
 		Backend:      &farmBackend{c: c, parent: m},
 		Checkpoint: func(st *xfarm.State) error {
 			data, err := st.Encode()
@@ -133,86 +119,12 @@ func (c *Server) Explore(ctx context.Context, j *serve.Job) serve.Outcome {
 		"attempts", res.State.Attempts)
 	out := serve.Outcome{State: serve.StateDone, Result: result}
 	// Only deterministic explorations land in the result cache: early stop
-	// and warm start both make the scores depend on fleet timing or spool
-	// history, so their results must never answer a future submission.
-	if !m.Spec.EarlyStop && !m.Spec.WarmStart {
+	// makes the scores depend on fleet timing, so its results must never
+	// answer a future submission.
+	if !m.Spec.EarlyStop {
 		out.ResultDigest = resultDigest(m, result)
 	}
 	return out
-}
-
-// warmPriorCap bounds how many prior observations seed a warm start — the
-// best few shape TPE's good/bad split; hundreds would drown the new run.
-const warmPriorCap = 16
-
-// warmPriors scans the spool for the most recent finished distributed
-// exploration of the same design family (same synthetic profile, or the
-// byte-identical uploaded design) and returns its best observations as TPE
-// priors plus its final merged ranges as the starting search intervals.
-func (c *Server) warmPriors(m *serve.Manifest) ([]explore.Observation, map[string]explore.Range) {
-	all, err := c.Spool().List()
-	if err != nil {
-		return nil, nil
-	}
-	var newest *serve.Manifest
-	for _, c := range all {
-		if c.ID == m.ID || c.State != serve.StateDone ||
-			c.Spec.Kind != serve.KindExplore || !c.Spec.Distributed {
-			continue
-		}
-		if !sameDesignFamily(c, m) {
-			continue
-		}
-		if newest == nil || c.SubmittedAt.After(newest.SubmittedAt) {
-			newest = c
-		}
-	}
-	if newest == nil {
-		return nil, nil
-	}
-	path, err := c.Spool().ArtifactPath(newest.ID, ExploreStateArtifact)
-	if err != nil {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil
-	}
-	st, err := xfarm.ParseState(data)
-	if err != nil {
-		c.log.Warn("warm-start donor state unreadable", "donor", newest.ID, "error", err)
-		return nil, nil
-	}
-	var priors []explore.Observation
-	for _, t := range st.Trials {
-		if t.State != xfarm.TrialDone {
-			continue
-		}
-		priors = append(priors, explore.Observation{X: explore.Assignment(t.X), Y: t.Score})
-	}
-	sort.Slice(priors, func(i, j int) bool { return priors[i].Y < priors[j].Y })
-	if len(priors) > warmPriorCap {
-		priors = priors[:warmPriorCap]
-	}
-	var ranges map[string]explore.Range
-	if len(st.Ranges) > 0 {
-		ranges = make(map[string]explore.Range, len(st.Ranges))
-		for name, r := range st.Ranges {
-			ranges[name] = explore.Range{Lo: r.Lo, Hi: r.Hi}
-		}
-	}
-	return priors, ranges
-}
-
-// sameDesignFamily reports whether two exploration manifests tuned the same
-// design family: profile jobs match on the profile name (any scale/seed —
-// the paper tunes on a small instance and applies the strategy to larger
-// ones), uploads only on the identical design blob.
-func sameDesignFamily(a, b *serve.Manifest) bool {
-	if b.Spec.Profile != "" {
-		return a.Spec.Profile == b.Spec.Profile
-	}
-	return a.DesignDigest != "" && a.DesignDigest == b.DesignDigest
 }
 
 // farmBackend implements xfarm.Backend over the core: a trial is an

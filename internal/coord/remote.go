@@ -172,8 +172,7 @@ func (a *attempt) watch(ctx, actx context.Context) serve.Outcome {
 	c := a.c
 	var (
 		lastSeq, attempts, fails int
-		mirrored, stage          string
-		nextMirror               time.Time
+		mirrored                 string
 	)
 	for {
 		a.cl.JobEvents(actx, a.remoteID, func(e serve.Event) error {
@@ -181,14 +180,10 @@ func (a *attempt) watch(ctx, actx context.Context) serve.Outcome {
 				return nil
 			}
 			lastSeq = e.Seq
+			// The worker writes a stage's checkpoint before it announces
+			// the stage, so each stage event has one to mirror.
 			if e.Type == "stage" {
-				stage = e.Stage
-			}
-			// The stage event precedes the worker's checkpoint write, so
-			// keep fetching (paced) until the checkpoint has caught up.
-			if now := time.Now(); stage != mirrored && now.After(nextMirror) {
 				mirrored = a.mirrorCheckpoint(actx, mirrored)
-				nextMirror = now.Add(c.cfg.Poll / 2)
 			}
 			a.j.Hub.Publish(e)
 			return nil

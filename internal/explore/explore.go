@@ -287,19 +287,6 @@ type Explorer struct {
 	// declaration order wins).
 	Evaluate func(ctx context.Context, t Trial) (float64, error) `json:"-"`
 
-	// Priors seed the global pass's TPE observation list with outcomes
-	// from earlier explorations of the same design family. They steer
-	// Suggest past the random-startup phase and weigh into the global
-	// range update, but are not recorded in History and do not consume
-	// TimeLimit budget.
-	Priors []Observation `json:"-"`
-
-	// SeedRanges narrows the declared starting ranges per parameter
-	// (e.g. converged ranges from a prior exploration). Entries are
-	// clamped to the declared bounds; invalid or categorical overrides
-	// are ignored.
-	SeedRanges map[string]Range `json:"-"`
-
 	// TimeLimit is TC of Algorithm 2 (evaluations per exploration call);
 	// EarlyStop is EC (evaluations without improvement before stopping).
 	TimeLimit int
@@ -358,22 +345,13 @@ func (e *Explorer) record(o Observation) {
 	}
 }
 
-// initialRanges returns the declared full ranges, narrowed by any valid
-// SeedRanges overrides (warm-started explorations resume the converged
-// intervals of a prior run; the clamp keeps a stale or foreign seed from
-// escaping the declared bounds).
+// initialRanges returns the declared full ranges.
 func (e *Explorer) initialRanges() map[string]Range {
 	r := make(map[string]Range, len(e.Params))
 	for _, p := range e.Params {
 		base := Range{p.Lo, p.Hi}
 		if p.Kind == Categorical {
 			base = Range{0, float64(len(p.Choices) - 1)}
-		} else if sr, ok := e.SeedRanges[p.Name]; ok {
-			lo := math.Max(base.Lo, sr.Lo)
-			hi := math.Min(base.Hi, sr.Hi)
-			if lo < hi && !(p.Kind == LogUniform && lo <= 0) {
-				base = Range{lo, hi}
-			}
 		}
 		r[p.Name] = base
 	}
@@ -385,10 +363,8 @@ func (e *Explorer) initialRanges() map[string]Range {
 // whether the loop stopped early (converged). The context is checked
 // before every SMBO trial, so a cancel costs at most one objective
 // evaluation of extra work.
-func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, round int, group string, subset []Param, ranges map[string]Range, pinned Assignment, priors []Observation) (bool, map[string]Range, error) {
-	// Priors feed Suggest and the range update but do not count toward
-	// TimeLimit, EarlyStop, or History — they are someone else's trials.
-	obs := append([]Observation(nil), priors...)
+func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, round int, group string, subset []Param, ranges map[string]Range, pinned Assignment) (bool, map[string]Range, error) {
+	var obs []Observation
 	best := math.Inf(1)
 	npc := 0
 	for tc := 0; tc < e.TimeLimit && npc < e.EarlyStop; tc++ {
@@ -544,7 +520,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 	}
 	var gerr error
 	spGlobal := sp.Child("explore.global")
-	_, ranges, gerr = e.paramExploration(ctx, rng, 0, "", e.Params, ranges, Assignment{}, e.Priors)
+	_, ranges, gerr = e.paramExploration(ctx, rng, 0, "", e.Params, ranges, Assignment{})
 	spGlobal.End()
 	e.snapshot(ranges)
 
@@ -589,7 +565,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 			for _, p := range sub {
 				delete(pinned, p.Name)
 			}
-			flag, nr, err := e.paramExploration(ctx, grng, round+1, name, sub, ranges, pinned, nil)
+			flag, nr, err := e.paramExploration(ctx, grng, round+1, name, sub, ranges, pinned)
 			results[gi] = groupResult{name: name, flag: flag, ranges: nr, err: err}
 		}
 		if e.Parallel {

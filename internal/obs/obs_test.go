@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,14 +305,12 @@ func TestDebugServer(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("route.segments").Add(5)
 	reg.Gauge("explore.best_score").Set(1.25)
-	ds, err := StartDebug("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
+	mux := NewDebugMux(reg)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
 
 	get := func(path string) string {
-		resp, err := http.Get("http://" + ds.Addr() + path)
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -336,8 +335,29 @@ func TestDebugServer(t *testing.T) {
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Fatal("/debug/pprof/ index incomplete")
 	}
+	if cmdline := get("/debug/pprof/cmdline"); !strings.Contains(cmdline, "obs.test") {
+		t.Fatalf("/debug/pprof/cmdline: %q", cmdline)
+	}
+	if sym := get("/debug/pprof/symbol"); !strings.HasPrefix(sym, "num_symbols:") {
+		t.Fatalf("/debug/pprof/symbol: %q", sym)
+	}
 	if root := get("/"); !strings.Contains(root, "puffer debug endpoint") {
 		t.Fatalf("root page: %q", root)
+	}
+
+	// The recording endpoints sleep out their window unless the request
+	// ends first; an already-canceled one gets the profile at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for path, magic := range map[string]string{
+		"/debug/pprof/profile": "\x1f\x8b", // gzipped profile.proto
+		"/debug/pprof/trace":   "go 1.",    // runtime trace header
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Body.String(), magic) {
+			t.Fatalf("%s: status %d, body starts %q", path, rec.Code, rec.Body.String()[:min(rec.Body.Len(), 16)])
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ const TenantHeader = "X-Puffer-Tenant"
 //	GET    /api/v1/jobs/{id}/result       final result (409 until done)
 //	GET    /api/v1/jobs/{id}/artifacts/{name}  spooled artifact download
 //	POST   /api/v1/jobs/{id}/cancel       cancel (queued or running)
-//	DELETE /api/v1/jobs/{id}              alias for cancel
 //	POST   /api/v1/sessions               open an ECO session (202; cold place runs async)
 //	GET    /api/v1/sessions               list session summaries
 //	GET    /api/v1/sessions/{id}          session manifest
@@ -62,7 +61,6 @@ func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	if s.fleet != nil {
 		s.fleet.Mount(mux)
 	} else {
@@ -77,7 +75,7 @@ func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /api/v1/ops", s.handleOps)
 
-	// The former cmd/puffer -debug-addr surface, folded into the daemon.
+	// pprof, runtime expvar and the daemon registry in Prometheus text.
 	debug := obs.NewDebugMux(s.reg)
 	mux.Handle("/debug/", debug)
 	mux.Handle("/metrics", debug)

@@ -130,10 +130,6 @@ type JobSpec struct {
 	// It trades the deterministic trial scoring for wall clock, so such
 	// explorations never land in the result cache.
 	EarlyStop bool `json:"early_stop,omitempty"`
-	// WarmStart (distributed explorations only) seeds TPE priors and
-	// narrowed ranges from finished explorations of the same design
-	// family in the coordinator's spool.
-	WarmStart bool `json:"warm_start,omitempty"`
 
 	// TimeoutSec is the per-job deadline in seconds, enforced through the
 	// pipeline's context support (0 = the server's default, if any). The
@@ -183,11 +179,11 @@ func (s *JobSpec) Validate() error {
 	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.Budget < 0 || s.TimeoutSec < 0 {
 		return fmt.Errorf("negative scale/max_iters/workers/budget/timeout_sec")
 	}
-	if s.Kind != KindExplore && (s.Distributed || s.EarlyStop || s.WarmStart) {
-		return fmt.Errorf("distributed/early_stop/warm_start only apply to %q jobs", KindExplore)
+	if s.Kind != KindExplore && (s.Distributed || s.EarlyStop) {
+		return fmt.Errorf("distributed/early_stop only apply to %q jobs", KindExplore)
 	}
-	if !s.Distributed && (s.EarlyStop || s.WarmStart) {
-		return fmt.Errorf("early_stop and warm_start require distributed mode")
+	if !s.Distributed && s.EarlyStop {
+		return fmt.Errorf("early_stop requires distributed mode")
 	}
 	if len(s.Checkpoint) > 0 {
 		if s.Kind != KindPlace {

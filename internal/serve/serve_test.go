@@ -321,12 +321,12 @@ func TestSpoolManifestFormatEnforced(t *testing.T) {
 		run  func(*testing.T, *Spool)
 	}{
 		{"job", func(t *testing.T, sp *Spool) {
-			checkStore(t, &sp.jobs, ManifestFormat, func(id string, at time.Time) *Manifest {
+			checkStore(t, &sp.jobs, "puffer/job/v1", func(id string, at time.Time) *Manifest {
 				return &Manifest{ID: id, Spec: JobSpec{Profile: "OR1200"}, State: StateQueued, SubmittedAt: at}
 			})
 		}},
 		{"session", func(t *testing.T, sp *Spool) {
-			checkStore(t, &sp.sessions, SessionManifestFormat, func(id string, at time.Time) *SessionManifest {
+			checkStore(t, &sp.sessions, "puffer/session/v1", func(id string, at time.Time) *SessionManifest {
 				return &SessionManifest{ID: id, Spec: SessionSpec{Profile: "OR1200"}, State: SessionOpen, OpenedAt: at}
 			})
 		}},

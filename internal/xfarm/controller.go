@@ -69,13 +69,6 @@ type Config struct {
 	// trial is canceled when its overflow exceeds Margin × the best
 	// overflow any trial has shown at that step, by at least minGap.
 	Margin float64
-	// WarmStart marks that Priors/SeedRanges came from prior runs
-	// (recorded in the manifest for provenance).
-	WarmStart bool
-	// Priors seed the global pass's TPE observations.
-	Priors []explore.Observation
-	// SeedRanges narrow the starting parameter ranges.
-	SeedRanges map[string]explore.Range
 	// Backend runs the trials. Required.
 	Backend Backend
 	// Checkpoint persists the state manifest; it is called after every
@@ -154,7 +147,6 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 			Budget:       cfg.Budget,
 			Attempts:     1,
 			EarlyStop:    cfg.EarlyStop,
-			WarmStart:    cfg.WarmStart,
 		},
 	}
 	if prev != nil {
@@ -168,17 +160,15 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 		// Algorithm 2/3 knobs mirror the in-process explorer
 		// (puffer.ExploreStrategyOpts) exactly, so the trial schedule —
 		// and therefore the per-trial config digests — match.
-		TimeLimit:  cfg.Budget,
-		EarlyStop:  maxInt(cfg.Budget/3, 5),
-		Rounds:     2,
-		Parallel:   true,
-		Seed:       cfg.Seed,
-		Logf:       cfg.Logf,
-		Obs:        cfg.Obs,
-		Priors:     cfg.Priors,
-		SeedRanges: cfg.SeedRanges,
-		Evaluate:   c.evaluate,
-		Snapshot:   c.snapshotRanges,
+		TimeLimit: cfg.Budget,
+		EarlyStop: maxInt(cfg.Budget/3, 5),
+		Rounds:    2,
+		Parallel:  true,
+		Seed:      cfg.Seed,
+		Logf:      cfg.Logf,
+		Obs:       cfg.Obs,
+		Evaluate:  c.evaluate,
+		Snapshot:  c.snapshotRanges,
 	}
 	c.checkpoint()
 	final, best, err := ex.RunCtx(ctx)

@@ -69,7 +69,6 @@ type State struct {
 	// +1 per resume (the manifest's provenance trail).
 	Attempts  int                 `json:"attempts"`
 	EarlyStop bool                `json:"early_stop,omitempty"`
-	WarmStart bool                `json:"warm_start,omitempty"`
 	Trials    []TrialRecord       `json:"trials"`
 	Ranges    map[string]RangeRec `json:"ranges,omitempty"`
 	Best      map[string]float64  `json:"best,omitempty"`

@@ -40,12 +40,11 @@ var metricKinds = map[string]string{
 
 type metricEmit struct{ kind, at string }
 
-// metricEmits parses every non-test .go file outside benchmark/ and returns
-// its Counter/Gauge/Series/Histogram("name") calls by name.
-func metricEmits(t *testing.T) map[string][]metricEmit {
+// walkNonTestGo parses every non-test .go file outside benchmark/ and
+// hands each to fn with its slash-separated path.
+func walkNonTestGo(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
-	out := map[string][]metricEmit{}
 	err := filepath.WalkDir(".", func(path string, de fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -63,6 +62,20 @@ func metricEmits(t *testing.T) map[string][]metricEmit {
 		if err != nil {
 			return err
 		}
+		fn(filepath.ToSlash(path), fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// metricEmits returns the Counter/Gauge/Series/Histogram("name") calls of
+// every non-test .go file outside benchmark/ by name.
+func metricEmits(t *testing.T) map[string][]metricEmit {
+	t.Helper()
+	out := map[string][]metricEmit{}
+	walkNonTestGo(t, func(path string, fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
@@ -93,11 +106,7 @@ func metricEmits(t *testing.T) map[string][]metricEmit {
 			out[name] = append(out[name], metricEmit{kind, fset.Position(call.Pos()).String()})
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return out
 }
 

@@ -490,3 +490,35 @@ func TestGPEndsAtItsBestIterate(t *testing.T) {
 			gp.HPWL, gp.Iters, best.Iter, best.HPWL)
 	}
 }
+
+// TestStageEventFollowsItsCheckpoint: a stage that succeeds is checkpointed
+// before OnStage hears of it, so an observer told "stage S done" can fetch
+// S's checkpoint; a failed stage still reaches OnStage, with no checkpoint.
+func TestStageEventFollowsItsCheckpoint(t *testing.T) {
+	p, err := synth.ProfileByName("OR1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := pipeline.NewRunContext(synth.Generate(p, 12000, 1), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	stage := func(name string, err error) pipeline.Stage {
+		return pipeline.StageFunc{StageName: name, Fn: func(context.Context, *pipeline.RunContext) error { return err }}
+	}
+	var seen []string
+	pl := pipeline.New(stage("first", nil), stage("second", nil), stage("third", boom))
+	pl.Checkpointer = func(cp *pipeline.Checkpoint) error {
+		seen = append(seen, "checkpoint "+cp.Stage)
+		return nil
+	}
+	pl.OnStage = func(st pipeline.StageStats) { seen = append(seen, "stage "+st.Name) }
+	if err := pl.Run(context.Background(), rc); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the third stage's", err)
+	}
+	want := "checkpoint first, stage first, checkpoint second, stage second, stage third"
+	if got := strings.Join(seen, ", "); got != want {
+		t.Errorf("order:\n got %s\nwant %s", got, want)
+	}
+}

@@ -28,7 +28,8 @@ type Pipeline struct {
 	stages []Stage
 
 	// OnStage, when non-nil, observes each completed stage's stats
-	// (including stages that failed or were canceled mid-way).
+	// (including stages that failed or were canceled mid-way), after the
+	// Checkpointer has received a successful stage's checkpoint.
 	OnStage func(StageStats)
 	// Checkpointer, when non-nil, receives a Checkpoint after every
 	// successfully completed stage. Returning an error aborts the run —
@@ -119,17 +120,18 @@ func (p *Pipeline) runFrom(ctx context.Context, rc *RunContext, start int) error
 			Estimator:   rc.estStats,
 		}
 		rc.Result.Stages = append(rc.Result.Stages, stats)
+		// A stage that succeeded is durable before it is announced: an
+		// observer told "stage S done" can already fetch S's checkpoint.
+		if err == nil && p.Checkpointer != nil {
+			if cerr := p.Checkpointer(Capture(st.Name(), rc.Design)); cerr != nil {
+				err = fmt.Errorf("checkpoint: %w", cerr)
+			}
+		}
 		if p.OnStage != nil {
 			p.OnStage(stats)
 		}
 		if err != nil {
 			return &StageError{Stage: st.Name(), Err: err}
-		}
-		if p.Checkpointer != nil {
-			cp := Capture(st.Name(), rc.Design)
-			if err := p.Checkpointer(cp); err != nil {
-				return &StageError{Stage: st.Name(), Err: fmt.Errorf("checkpoint: %w", err)}
-			}
 		}
 	}
 	return nil

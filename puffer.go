@@ -27,7 +27,7 @@
 //
 // Strategy parameters can be hand-set (padding.DefaultStrategy) or
 // searched with the Bayesian strategy exploration in internal/explore via
-// ExploreStrategy. Placements are judged by the built-in evaluation
+// ExploreStrategyOpts. Placements are judged by the built-in evaluation
 // global router (Evaluate), which reports the HOF/VOF/WL metrics of the
 // paper's Table II.
 package puffer

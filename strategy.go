@@ -134,19 +134,7 @@ func StrategyObjective(d *netlist.Design, placeCfg place.Config, evalCfg router.
 	}
 }
 
-// ExploreStrategy runs the full Algorithm-3 strategy exploration against a
-// small design (the paper tunes on a small routability-challenged design
-// and applies the result to the large benchmarks) and returns the tuned
-// strategy plus the best observed one.
-func ExploreStrategy(d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any)) (final, best padding.Strategy, obs int) {
-	final, best, obs, _ = ExploreStrategyOpts(context.Background(), d, placeCfg, ExploreOptions{
-		Budget: budget, Seed: seed, Logf: logf,
-	})
-	return final, best, obs
-}
-
-// ExploreOptions parameterizes ExploreStrategyOpts beyond the positional
-// budget/seed pair.
+// ExploreOptions parameterizes ExploreStrategyOpts.
 type ExploreOptions struct {
 	// Budget is TC of Algorithm 2 (trials per exploration call).
 	Budget int
@@ -161,9 +149,12 @@ type ExploreOptions struct {
 	Obs     *telemetry.Recorder
 }
 
-// ExploreStrategyOpts runs Algorithm 3 with explicit options. It is the
-// common core of the in-process exploration paths; the distributed farm
-// mirrors its Explorer knobs so both produce identical trial schedules.
+// ExploreStrategyOpts runs the full Algorithm-3 strategy exploration
+// against a small design (the paper tunes on a small routability-challenged
+// design and applies the result to the large benchmarks) and returns the
+// tuned strategy plus the best observed one. It is the common core of the
+// in-process exploration paths; the distributed farm mirrors its Explorer
+// knobs so both produce identical trial schedules.
 // The context is observed between SMBO trials: on cancellation the best
 // strategies found so far are still returned, alongside an error wrapping
 // ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge

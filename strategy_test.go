@@ -1,6 +1,7 @@
 package puffer
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -97,7 +98,10 @@ func TestExploreStrategySmoke(t *testing.T) {
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 50
 	cfg.GridM, cfg.GridN = 16, 16
-	final, best, n := ExploreStrategy(d, cfg, 4, 7, nil)
+	final, best, n, err := ExploreStrategyOpts(context.Background(), d, cfg, ExploreOptions{Budget: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("no observations")
 	}
