@@ -7,6 +7,7 @@
 package puffer_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"puffer/internal/netlist"
 	"puffer/internal/router"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 // benchOptions keeps benchmark iterations affordable.
@@ -45,29 +47,19 @@ func table2Bench(b *testing.B, design string, placer experiments.PlacerName) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg, stages, err := baseline.Flow(placer.Flow(), o.PlaceIters)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var hof, vof, wl float64
 	for i := 0; i < b.N; i++ {
 		d := synth.Generate(p, o.Scale, o.Seed)
-		gw, gh := puffer.CongGridFor(d)
-		switch placer {
-		case experiments.PUFFER:
-			cfg := puffer.DefaultConfig()
-			cfg.Place.MaxIters = o.PlaceIters
-			if _, err := puffer.Run(d, cfg); err != nil {
-				b.Fatal(err)
-			}
-		case experiments.Commercial:
-			opts := baseline.DefaultCommercialOpts()
-			opts.Place.MaxIters = o.PlaceIters
-			if _, err := baseline.RunCommercial(d, opts, gw, gh); err != nil {
-				b.Fatal(err)
-			}
-		case experiments.RePlAce:
-			opts := baseline.DefaultRePlAceOpts()
-			opts.Place.MaxIters = o.PlaceIters
-			if _, err := baseline.RunRePlAce(d, opts, gw, gh); err != nil {
-				b.Fatal(err)
-			}
+		rc, err := pipeline.NewRunContext(d, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pipeline.New(stages...).Run(context.Background(), rc); err != nil {
+			b.Fatal(err)
 		}
 		rr := puffer.Evaluate(d, router.DefaultConfig())
 		hof, vof, wl = rr.HOF, rr.VOF, rr.WL

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"puffer"
+	"puffer/internal/baseline"
 	"puffer/internal/bookshelf"
 	"puffer/internal/cas"
 	"puffer/internal/eco"
@@ -330,9 +331,6 @@ func TestBaselinesRejectPufferOnlyFlags(t *testing.T) {
 	for _, placer := range []string{"replace", "commercial"} {
 		for _, name := range pufferOnly {
 			val := filepath.Join(dir, name+".out")
-			if name == "timeout" {
-				val = "1m"
-			}
 			msg, out := runErr(t, "-design", "OR1200", "-scale", "3000", "-placer", placer, "-"+name, val)
 			mustContain(t, placer+" -"+name, msg, "-"+name+" requires -placer puffer")
 			if out != "" {
@@ -352,12 +350,104 @@ func TestBaselinesRejectPufferOnlyFlags(t *testing.T) {
 	if _, err := os.Stat(pgm); err == nil {
 		t.Errorf("-pgm -noeval: created %s", pgm)
 	}
-	msg, _ = runErr(t, "-design", "OR1200", "-placer", "replace", "-report", "r.json", "-strategy", "s.json")
-	mustContain(t, "two flags", msg, "-report, -strategy requires")
+	rep := filepath.Join(dir, "r.json")
+	msg, _ = runErr(t, "-design", "OR1200", "-placer", "replace", "-report", rep, "-strategy", "s.json")
+	mustContain(t, "a shared flag next to -strategy", msg, "-strategy requires -placer puffer")
+	if _, err := os.Stat(rep); err == nil {
+		t.Errorf("rejected run wrote %s", rep)
+	}
 	msg, _ = runErr(t, "-design", "OR1200", "-placer", "annealing")
 	mustContain(t, "unknown placer", msg, `unknown placer "annealing"`)
 	msg, _ = runErr(t, "explor", "-design", "OR1200")
 	mustContain(t, "misspelt subcommand", msg, `unknown subcommand "explor"`)
+}
+
+// TestBaselinesRunThePipeline drives the comparators through the flags
+// they share with PUFFER: a commercial run writes a report, a metric
+// stream, a trace and checkpoints that diag reads; resuming it from its
+// legalize checkpoint ends where the uninterrupted run does; and -timeout
+// cuts a RePlAce run with its telemetry whole.
+func TestBaselinesRunThePipeline(t *testing.T) {
+	dir := t.TempDir()
+	rep, metrics, trace, cp := filepath.Join(dir, "run.json"), filepath.Join(dir, "m.jsonl"),
+		filepath.Join(dir, "t.json"), filepath.Join(dir, "cp.json")
+	whole := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-placer", "commercial", "-workers", "2",
+		"-report", rep, "-metrics", metrics, "-trace", trace, "-checkpoint", cp)
+	mustContain(t, "commercial run", whole, "Commercial: GP iters=", "legality check: clean",
+		"run report written to "+rep, "metric stream written to "+metrics, "trace written to "+trace)
+	if m := regexp.MustCompile(`, (\d+) padding rounds`).FindStringSubmatch(whole); m == nil || m[1] == "0" {
+		t.Errorf("no router-guided padding round recorded:\n%s", whole)
+	}
+	stream, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustContain(t, "metric stream", string(stream), `"series":"place.hpwl"`, `"series":"place.overflow"`)
+	doc, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustContain(t, "trace", string(doc), `"name":"run"`, `"name":"stage.place"`, `"name":"place.gp"`, `"name":"stage.dp"`)
+	var report struct {
+		Config struct{ Place struct{ Workers int } }
+	}
+	if data, err := os.ReadFile(rep); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Config.Place.Workers != 2 {
+		t.Errorf("-workers 2 reached the engine as %d", report.Config.Place.Workers)
+	}
+	mustContain(t, "diag report", runOK(t, "diag", rep), "design OR1200", "stage place", "stage dp", "round trip: ok")
+	mustContain(t, "diag checkpoint", runOK(t, "diag", cp), "stage: dp")
+
+	// The checkpoint file ends at dp; the run's legalize checkpoint comes
+	// from the same flow stopped after legalization.
+	p, err := synth.ProfileByName("OR1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, stages, err := baseline.Flow(baseline.Commercial, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Place.Seed = 1
+	rc, err := pipeline.NewRunContext(synth.Generate(p, 3000, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legal := filepath.Join(dir, "legalize.json")
+	pl := pipeline.New(stages[:2]...)
+	pl.Checkpointer = func(c *pipeline.Checkpoint) error { return c.Save(legal) }
+	if err := pl.Run(context.Background(), rc); err != nil {
+		t.Fatal(err)
+	}
+	resumed := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-placer", "commercial", "-resume", legal)
+	mustContain(t, "resumed run", resumed, `resuming after stage "legalize" from `+legal)
+	hpwl := regexp.MustCompile(`(?m)^Commercial: .*, HPWL=(\d+)$`)
+	routed := regexp.MustCompile(`(?m)^routed: .*$`)
+	for _, re := range []*regexp.Regexp{hpwl, routed} {
+		w, r := re.FindStringSubmatch(whole), re.FindStringSubmatch(resumed)
+		if w == nil || r == nil {
+			t.Fatalf("no %s line:\n%s\n%s", re, whole, resumed)
+		}
+		if w[len(w)-1] != r[len(r)-1] {
+			t.Errorf("uninterrupted %q, resumed %q", w[len(w)-1], r[len(r)-1])
+		}
+	}
+
+	cut, cutTrace := filepath.Join(dir, "cut.jsonl"), filepath.Join(dir, "cut.json")
+	msg, out := runErr(t, "-design", "MEDIA_SUBSYS", "-scale", "200", "-placer", "replace", "-timeout", "300ms", "-noeval",
+		"-metrics", cut, "-trace", cutTrace)
+	mustContain(t, "timed-out RePlAce run", msg, `flow timed out during stage "place"`)
+	mustContain(t, "timed-out RePlAce run", out, "trace written to "+cutTrace, "metric stream written to "+cut)
+	if stream, err := os.ReadFile(cut); err != nil || !bytes.HasSuffix(stream, []byte("\n")) {
+		t.Errorf("cut metric stream %q, %v", stream[len(stream)-min(len(stream), 80):], err)
+	}
+	if doc, err := os.ReadFile(cutTrace); err != nil || !json.Valid(doc) {
+		t.Errorf("cut trace is not JSON (%v)", err)
+	}
 }
 
 // TestExploreThenPlace runs the paper's loop in miniature: tune a strategy

@@ -28,8 +28,12 @@ import (
 )
 
 // pufferOnly lists the flags only the PUFFER flow reads; the baselines
-// reject them before placing.
-var pufferOnly = []string{"report", "trace-csv", "checkpoint", "resume", "strategy", "timeout"}
+// reject them before placing. Every other flag reaches all three flows
+// through the one pipeline they share.
+var pufferOnly = []string{"strategy"}
+
+// flowLabels names each flow in the summary line.
+var flowLabels = map[string]string{baseline.PUFFER: "PUFFER", baseline.RePlAce: "RePlAce", baseline.Commercial: "Commercial"}
 
 // placeFlow runs one placement flow, evaluates it and writes the artifacts
 // its flags ask for.
@@ -77,10 +81,11 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		}
 		return nil
 	}
-	if *placer != "puffer" {
-		if *placer != "replace" && *placer != "commercial" {
-			return fmt.Errorf("unknown placer %q", *placer)
-		}
+	cfg, stages, err := baseline.Flow(*placer, src.iters)
+	if err != nil {
+		return err
+	}
+	if *placer != baseline.PUFFER {
 		var set []string
 		fs.Visit(func(f *flag.Flag) {
 			if slices.Contains(pufferOnly, f.Name) {
@@ -186,107 +191,71 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	defer cancel()
 
 	start := time.Now()
-	gw, gh := puffer.CongGridFor(d)
 	evalCfg := router.DefaultConfig()
 	evalCfg.Workers = *workers
 	evalCfg.Obs = rec
-	var puffRC *pipeline.RunContext
-	switch *placer {
-	case "puffer":
-		cfg := puffer.DefaultConfig()
-		cfg.Place.Seed = src.seed
-		cfg.Workers = *workers
-		cfg.Logf = logf
-		cfg.Obs = rec
-		if src.iters > 0 {
-			cfg.Place.MaxIters = src.iters
-		}
-		if *strategy != "" {
-			s, err := puffer.LoadStrategy(*strategy)
-			if err != nil {
-				return err
-			}
-			cfg.Strategy = s
-		}
-		rc, err := pipeline.NewRunContext(d, cfg)
+	cfg.Place.Seed = src.seed
+	cfg.Workers = *workers
+	cfg.Logf = logf
+	cfg.Obs = rec
+	if *strategy != "" {
+		s, err := puffer.LoadStrategy(*strategy)
 		if err != nil {
 			return err
 		}
-		puffRC = rc
-		pl := pipeline.New()
-		if *ckpt != "" {
-			pl.Checkpointer = func(cp *pipeline.Checkpoint) error { return cp.Save(*ckpt) }
-		}
-		if *resume != "" {
-			var cp *pipeline.Checkpoint
-			if cp, err = pipeline.LoadCheckpoint(*resume); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "resuming after stage %q from %s\n", cp.Stage, *resume)
-			err = pl.Resume(ctx, rc, cp)
-		} else {
-			err = pl.Run(ctx, rc)
-		}
-		if *stats {
-			pipeline.WriteStageStats(w, rc.Result.Stages)
-		}
-		if errors.Is(err, pipeline.ErrCanceled) {
-			var se *pipeline.StageError
-			stage := "?"
-			if errors.As(err, &se) {
-				stage = se.Stage
-			}
-			return fmt.Errorf("flow timed out during stage %q after %s (design left valid; HPWL=%.0f)",
-				stage, time.Since(start).Round(time.Millisecond), rc.Result.HPWL)
-		}
-		if err != nil {
+		cfg.Strategy = s
+	}
+	rc, err := pipeline.NewRunContext(d, cfg)
+	if err != nil {
+		return err
+	}
+	pl := pipeline.New(stages...)
+	if *ckpt != "" {
+		pl.Checkpointer = func(cp *pipeline.Checkpoint) error { return cp.Save(*ckpt) }
+	}
+	if *resume != "" {
+		var cp *pipeline.Checkpoint
+		if cp, err = pipeline.LoadCheckpoint(*resume); err != nil {
 			return err
 		}
-		res := rc.Result
-		fmt.Fprintf(w, "PUFFER: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
-			res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
-		if *traceCSV != "" {
-			var b strings.Builder
-			b.WriteString("iter,hpwl,overflow,lambda,gamma,padded\n")
-			for _, it := range res.GP.Trace {
-				fmt.Fprintf(&b, "%d,%g,%g,%g,%g,%t\n",
-					it.Iter, it.HPWL, it.Overflow, it.Lambda, it.Gamma, it.Padded)
-			}
-			if res.GP.TraceDropped > 0 {
-				fmt.Fprintf(w, "note: this CSV holds the newest %d of %d iterations (the engine's fixed retention); -metrics streams the full per-iteration series\n",
-					len(res.GP.Trace), len(res.GP.Trace)+res.GP.TraceDropped)
-			}
-			if err := os.WriteFile(*traceCSV, []byte(b.String()), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "iteration trace written to %s\n", *traceCSV)
+		fmt.Fprintf(w, "resuming after stage %q from %s\n", cp.Stage, *resume)
+		err = pl.Resume(ctx, rc, cp)
+	} else {
+		err = pl.Run(ctx, rc)
+	}
+	if *stats {
+		pipeline.WriteStageStats(w, rc.Result.Stages)
+	}
+	if errors.Is(err, pipeline.ErrCanceled) {
+		var se *pipeline.StageError
+		stage := "?"
+		if errors.As(err, &se) {
+			stage = se.Stage
 		}
-	case "replace":
-		opts := baseline.DefaultRePlAceOpts()
-		opts.Place.Seed = src.seed
-		opts.Place.Logf = logf
-		if src.iters > 0 {
-			opts.Place.MaxIters = src.iters
+		return fmt.Errorf("flow timed out during stage %q after %s (design left valid; HPWL=%.0f)",
+			stage, time.Since(start).Round(time.Millisecond), rc.Result.HPWL)
+	}
+	if err != nil {
+		return err
+	}
+	res := rc.Result
+	fmt.Fprintf(w, "%s: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
+		flowLabels[*placer], res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
+	if *traceCSV != "" {
+		var b strings.Builder
+		b.WriteString("iter,hpwl,overflow,lambda,gamma,padded\n")
+		for _, it := range res.GP.Trace {
+			fmt.Fprintf(&b, "%d,%g,%g,%g,%g,%t\n",
+				it.Iter, it.HPWL, it.Overflow, it.Lambda, it.Gamma, it.Padded)
 		}
-		res, err := baseline.RunRePlAce(d, opts, gw, gh)
-		if err != nil {
+		if res.GP.TraceDropped > 0 {
+			fmt.Fprintf(w, "note: this CSV holds the newest %d of %d iterations (the engine's fixed retention); -metrics streams the full per-iteration series\n",
+				len(res.GP.Trace), len(res.GP.Trace)+res.GP.TraceDropped)
+		}
+		if err := os.WriteFile(*traceCSV, []byte(b.String()), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "RePlAce: GP iters=%d overflow=%.3f, %d inflation rounds, HPWL=%.0f\n",
-			res.GP.Iters, res.GP.Overflow, res.OptimizerCalls, res.HPWL)
-	case "commercial":
-		opts := baseline.DefaultCommercialOpts()
-		opts.Place.Seed = src.seed
-		opts.Place.Logf = logf
-		if src.iters > 0 {
-			opts.Place.MaxIters = src.iters
-		}
-		res, err := baseline.RunCommercial(d, opts, gw, gh)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "Commercial: GP iters=%d overflow=%.3f, %d optimizer calls, HPWL=%.0f\n",
-			res.GP.Iters, res.GP.Overflow, res.OptimizerCalls, res.HPWL)
+		fmt.Fprintf(w, "iteration trace written to %s\n", *traceCSV)
 	}
 	fmt.Fprintf(w, "placement runtime: %s\n", time.Since(start).Round(time.Millisecond))
 
@@ -336,8 +305,8 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	}
 
 	if *repOut != "" {
-		puffRC.Result.Route = rr
-		rep, err := pipeline.BuildReport(puffRC)
+		rc.Result.Route = rr
+		rep, err := pipeline.BuildReport(rc)
 		if err != nil {
 			return err
 		}

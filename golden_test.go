@@ -11,6 +11,7 @@
 package puffer
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -21,8 +22,10 @@ import (
 	"os"
 	"testing"
 
+	"puffer/internal/baseline"
 	"puffer/internal/netlist"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current engine")
@@ -30,22 +33,27 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 const goldenPath = "testdata/golden.json"
 
 // goldenCase pins the placement of one (profile, scale, seed) triple: the
-// sha256 over the float bits of every movable cell's (X, Y) after Run. The
-// engine is bit-deterministic, so the comparison is exact — the idiom of
-// OpenROAD's pad01.py diffing its DEF against pad01.defok.
+// sha256 over the float bits of every movable cell's (X, Y) after the flow
+// ran. The engine is bit-deterministic, so the comparison is exact — the
+// idiom of OpenROAD's pad01.py diffing its DEF against pad01.defok.
 type goldenCase struct {
 	Name    string `json:"name"`
 	Profile string `json:"profile"`
 	Scale   int    `json:"scale"`
 	Seed    int64  `json:"seed"`
 	Fenced  bool   `json:"fenced,omitempty"`
-	Digest  string `json:"digest"`
+	// Flow names a Table-II comparator (baseline.Flow), run at its own
+	// defaults; empty runs PUFFER under quickConfig.
+	Flow   string `json:"flow,omitempty"`
+	Digest string `json:"digest"`
 }
 
 var goldenCases = []goldenCase{
 	{Name: "fenced", Profile: "OR1200", Scale: 400, Seed: 5, Fenced: true},
 	{Name: "congested", Profile: "MEDIA_SUBSYS", Scale: 1500, Seed: 1},
 	{Name: "calm", Profile: "CT_TOP", Scale: 1500, Seed: 3},
+	{Name: "replace", Profile: "MEDIA_SUBSYS", Scale: 1500, Seed: 1, Flow: baseline.RePlAce},
+	{Name: "commercial", Profile: "MEDIA_SUBSYS", Scale: 1500, Seed: 1, Flow: baseline.Commercial},
 }
 
 // goldenDesign generates the case's design.
@@ -75,10 +83,31 @@ func placementDigest(d *netlist.Design) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenRun places d with the case's flow at the given worker cap.
+func goldenRun(d *netlist.Design, gc goldenCase, workers int) (*Result, error) {
+	if gc.Flow == "" {
+		cfg := quickConfig()
+		cfg.Workers = workers
+		return Run(d, cfg)
+	}
+	cfg, stages, err := baseline.Flow(gc.Flow, 0)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Place.Seed = gc.Seed
+	cfg.Workers = workers
+	rc, err := pipeline.NewRunContext(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rc.Result, pipeline.New(stages...).Run(context.Background(), rc)
+}
+
 // TestGoldenPlacements runs the full flow on three small designs — one
 // fenced, one congested enough that padding is inherited into
-// legalization, one calm — at Workers 1 and 3, and compares each final
-// placement bit-for-bit against the checked-in digest. `go test -run
+// legalization, one calm — and both Table-II comparators on the congested
+// one, at Workers 1 and 3, and compares each final placement bit-for-bit
+// against the checked-in digest. `go test -run
 // TestGoldenPlacements -update .` regenerates the file.
 func TestGoldenPlacements(t *testing.T) {
 	want := map[string]string{}
@@ -100,9 +129,7 @@ func TestGoldenPlacements(t *testing.T) {
 		got[k] = gc
 		for _, workers := range []int{1, 3} {
 			d := goldenDesign(t, gc)
-			cfg := quickConfig()
-			cfg.Workers = workers
-			res, err := Run(d, cfg)
+			res, err := goldenRun(d, gc, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", gc.Name, workers, err)
 			}

@@ -1,5 +1,9 @@
-// Package baseline implements the two comparison placers of the paper's
-// Table II on top of the same electrostatic engine:
+// Package baseline builds the three flows of the paper's Table II as
+// pipeline stage lists over one GP engine, legalizer and detailed placer.
+// Flow is the one switch from a flow name to its configuration and stages.
+// Each comparator keeps only what is its own: a global-placement round
+// plugged into pipeline.GlobalPlaceWith, and a configuration overlay on the
+// stock legalization and detailed-placement stages.
 //
 //   - RePlAce: the academic routability-driven placer [5], modeled by its
 //     published mechanism — truncated local cell inflation from a plain
@@ -15,128 +19,149 @@
 package baseline
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"puffer/internal/cong"
-	"puffer/internal/dp"
 	"puffer/internal/geom"
-	"puffer/internal/legal"
 	"puffer/internal/netlist"
-	"puffer/internal/place"
+	"puffer/internal/padding"
 	"puffer/internal/router"
+	"puffer/pipeline"
 )
 
-// Result summarizes a baseline run.
-type Result struct {
-	HPWL  float64
-	GP    place.Result
-	Legal legal.Result
-	// OptimizerCalls counts routability-optimizer invocations.
-	OptimizerCalls int
-}
+// Flow names, as `puffer -placer` spells them.
+const (
+	PUFFER     = "puffer"
+	RePlAce    = "replace"
+	Commercial = "commercial"
+)
 
-// RePlAceOpts tunes the RePlAce-style baseline.
-type RePlAceOpts struct {
-	Place place.Config
-	// Tau is the density overflow below which inflation rounds trigger.
-	Tau float64
-	// MaxRounds bounds inflation rounds.
-	MaxRounds int
-	// Gain converts positive local congestion into relative inflation.
-	Gain float64
-	// RoundCap is the maximum relative inflation added per round.
-	RoundCap float64
-	// TotalCap bounds total inflation area as a fraction of movable area.
-	TotalCap float64
-}
-
-// DefaultRePlAceOpts returns the baseline defaults.
-func DefaultRePlAceOpts() RePlAceOpts {
-	cfg := place.DefaultConfig()
-	// RePlAce converges further before stopping and pays for it in
-	// iterations.
-	cfg.StopOverflow = 0.065
-	cfg.MaxIters = 700
-	// RePlAce runs its engine to deep convergence without an aggressive
-	// plateau cut-off, which costs iterations on designs whose overflow
-	// floor sits above the stop target.
-	cfg.PlateauIters = 160
-	return RePlAceOpts{
-		Place:     cfg,
-		Tau:       0.10,
-		MaxRounds: 5,
-		Gain:      1.0,
-		RoundCap:  0.6,
-		TotalCap:  0.15,
+// Flow returns the configuration and stage list of the named flow. A
+// positive maxIters caps global placement at that many iterations for
+// every flow alike; 0 keeps the flow's own cap.
+func Flow(name string, maxIters int) (pipeline.Config, []pipeline.Stage, error) {
+	cfg := pipeline.DefaultConfig()
+	var stages []pipeline.Stage
+	switch name {
+	case PUFFER:
+		stages = pipeline.Default()
+	case RePlAce:
+		// RePlAce converges further before stopping and pays for it in
+		// iterations, without an aggressive plateau cut-off, which costs
+		// iterations on designs whose overflow floor sits above the stop
+		// target.
+		cfg.Place.StopOverflow = 0.065
+		cfg.Place.MaxIters = 700
+		cfg.Place.PlateauIters = 160
+		// RePlAce legalizes physical cells: the inflation is not inherited.
+		cfg.Legal.InheritPadding = false
+		cfg.DP.Passes = 2
+		cfg.DP.WindowSites = 100
+		cfg.DP.PreservePadding = false
+		stages = comparator(replaceRound(replaceInflation))
+	case Commercial:
+		// The commercial profile converges deepest and slowest, with a
+		// gentler density-weight ramp that favours wirelength.
+		cfg.Place.StopOverflow = 0.07
+		cfg.Place.MaxIters = 900
+		cfg.Place.LambdaMu = 1.04
+		// Commercial tools honour soft density screens at the legalizer's
+		// stock staircase resolution.
+		cfg.Strategy.Theta = 4
+		// It spends heavily on detailed placement — that is where its
+		// wirelength edge (and part of its runtime) comes from.
+		cfg.DP.Passes = 8
+		cfg.DP.WindowSites = 200
+		cfg.DP.PreservePadding = false
+		stages = comparator(commercialRound)
+	default:
+		return cfg, nil, fmt.Errorf("unknown placer %q", name)
 	}
+	if maxIters > 0 {
+		cfg.Place.MaxIters = maxIters
+	}
+	return cfg, stages, nil
 }
 
-// RunRePlAce places d with the RePlAce-style inflation flow.
-func RunRePlAce(d *netlist.Design, opts RePlAceOpts, gridW, gridH int) (*Result, error) {
-	res := &Result{}
-	// Plain probabilistic estimation: no detour expansion, and only a weak
-	// pin-density signal — RePlAce inflates from router-style wire-demand
-	// overflow, which sees pin/escape congestion only indirectly.
-	params := cong.DefaultParams()
-	params.ExpandRadius = 0
-	params.PinPenalty = 0.1
-	est := cong.NewEstimator(d, gridW, gridH, params)
+// comparator is a comparator's stage list: its own GP round, then the
+// stock legalization and detailed placement.
+func comparator(round func(rc *pipeline.RunContext) pipeline.Round) []pipeline.Stage {
+	return []pipeline.Stage{pipeline.GlobalPlaceWith(round), pipeline.Legalize(), pipeline.DetailedPlace()}
+}
 
-	rounds := 0
-	movableArea := d.TotalMovableArea()
-	hook := place.HookFunc(func(iter int, overflow float64) bool {
-		if overflow >= opts.Tau || rounds >= opts.MaxRounds {
-			return false
-		}
-		rounds++
-		res.OptimizerCalls++
-		m := est.Estimate()
-		changed := false
-		for ci := range d.Cells {
-			c := &d.Cells[ci]
-			if c.Fixed {
-				continue
+// inflation holds RePlAce's inflation constants; tests reach other values
+// through replaceRound.
+type inflation struct {
+	// tau is the density overflow below which inflation rounds trigger.
+	tau float64
+	// maxRounds bounds inflation rounds.
+	maxRounds int
+	// gain converts positive local congestion into relative inflation.
+	gain float64
+	// roundCap is the maximum relative inflation added per round.
+	roundCap float64
+	// totalCap bounds total inflation area as a fraction of movable area.
+	totalCap float64
+}
+
+var replaceInflation = inflation{tau: 0.10, maxRounds: 5, gain: 1.0, roundCap: 0.6, totalCap: 0.15}
+
+// replaceRound is RePlAce's GP round under the constants p: truncated
+// local inflation from a plain probabilistic estimate.
+func replaceRound(p inflation) func(rc *pipeline.RunContext) pipeline.Round {
+	return func(rc *pipeline.RunContext) pipeline.Round {
+		d := rc.Design
+		// Plain probabilistic estimation: no detour expansion, and only a
+		// weak pin-density signal — RePlAce inflates from router-style
+		// wire-demand overflow, which sees pin/escape congestion only
+		// indirectly.
+		params := cong.DefaultParams()
+		params.ExpandRadius = 0
+		params.PinPenalty = 0.1
+		params.Workers = rc.Cfg.Workers
+		est := cong.NewEstimator(d, rc.GridW, rc.GridH, params)
+		est.SetObs(rc.Cfg.Obs)
+		movableArea := d.TotalMovableArea()
+		rounds := 0
+		return func(ctx context.Context, iter int, overflow float64) (*padding.RunInfo, bool, error) {
+			if overflow >= p.tau || rounds >= p.maxRounds {
+				return nil, false, nil
 			}
-			lcg := localCongestion(m, c)
-			if lcg <= 0 {
-				continue // truncated: slack information discarded
+			m, err := est.EstimateCtx(ctx)
+			if err != nil {
+				return nil, false, err
 			}
-			infl := math.Min(lcg*opts.Gain, opts.RoundCap)
-			c.PadW += c.W * infl
-			changed = true
-		}
-		// Global cap.
-		if total := d.TotalPaddingArea(); total > opts.TotalCap*movableArea {
-			sr := opts.TotalCap * movableArea / total
+			rounds++
+			info := &padding.RunInfo{Iter: rounds}
 			for ci := range d.Cells {
-				if !d.Cells[ci].Fixed {
-					d.Cells[ci].PadW *= sr
+				c := &d.Cells[ci]
+				if c.Fixed {
+					continue
 				}
+				lcg := localCongestion(m, c)
+				if lcg <= 0 {
+					continue // truncated: slack information discarded
+				}
+				infl := math.Min(lcg*p.gain, p.roundCap)
+				c.PadW += c.W * infl
+				info.PaddedCells++
 			}
+			// Global cap.
+			if total := d.TotalPaddingArea(); total > p.totalCap*movableArea {
+				sr := p.totalCap * movableArea / total
+				for ci := range d.Cells {
+					if !d.Cells[ci].Fixed {
+						d.Cells[ci].PadW *= sr
+					}
+				}
+				info.Scaled = true
+			}
+			info.TotalArea = d.TotalPaddingArea()
+			return info, info.PaddedCells > 0, nil
 		}
-		return changed
-	})
-
-	placer := place.New(d, opts.Place)
-	gp := placer.Run(hook)
-	res.GP = *gp
-
-	// RePlAce legalizes physical cells: the inflation is not inherited.
-	lcfg := legal.DefaultConfig()
-	lcfg.InheritPadding = false
-	lres, err := legal.Legalize(d, lcfg)
-	if err != nil {
-		return nil, err
 	}
-	res.Legal = lres
-	dcfg := dp.DefaultConfig()
-	dcfg.Passes = 2
-	dcfg.WindowSites = 100
-	if _, err := dp.Refine(d, dcfg); err != nil {
-		return nil, err
-	}
-	res.HPWL = d.HPWL()
-	return res, nil
 }
 
 // localCongestion is the truncated max-over-footprint congestion used by
@@ -162,60 +187,49 @@ func localCongestion(m *cong.Map, c *netlist.Cell) float64 {
 	return best
 }
 
-// CommercialOpts tunes the commercial-profile baseline.
-type CommercialOpts struct {
-	Place place.Config
-	// Thresholds are the density overflows at which the router-in-the-
-	// loop optimizer fires (descending).
-	Thresholds []float64
-	// Gain converts router overflow into padding.
-	Gain float64
-	// SpreadRadius is the white-space allocation radius in Gcells.
-	SpreadRadius int
-	// RouterCfg is the in-loop routing configuration (coarser/cheaper
-	// than the final evaluation, but still the dominant cost).
-	RouterCfg router.Config
-}
+// Commercial's router-guided padding constants.
+const (
+	// Padding converts router overflow into relative padding, capped per
+	// cell and round.
+	commercialGain = 0.3
+	commercialCap  = 0.5
+	// commercialSpread is the white-space allocation radius in Gcells.
+	commercialSpread = 1
+	// commercialRipup is the in-loop router's rip-up budget: coarser and
+	// cheaper than the final evaluation, but still the dominant cost.
+	commercialRipup = 5
+)
 
-// DefaultCommercialOpts returns the commercial-profile defaults.
-func DefaultCommercialOpts() CommercialOpts {
-	cfg := place.DefaultConfig()
-	// The commercial profile converges deepest and slowest, with a gentler
-	// density-weight ramp that favours wirelength.
-	cfg.StopOverflow = 0.07
-	cfg.MaxIters = 900
-	cfg.LambdaMu = 1.04
-	r := router.DefaultConfig()
-	r.MaxRipup = 5
-	return CommercialOpts{
-		Place: cfg,
-		// Many refinement milestones with light, router-guided padding:
-		// each one restarts the engine's momentum against the new
-		// padding, which is where commercial engines recover wirelength
-		// while polishing congestion.
-		Thresholds:   []float64{0.13, 0.11, 0.09, 0.075},
-		Gain:         0.3,
-		SpreadRadius: 1,
-		RouterCfg:    r,
-	}
-}
+// commercialThresholds are the density overflows at which the router-in-
+// the-loop optimizer fires (descending). Many refinement milestones with
+// light, router-guided padding: each one restarts the engine's momentum
+// against the new padding, which is where commercial engines recover
+// wirelength while polishing congestion.
+var commercialThresholds = []float64{0.13, 0.11, 0.09, 0.075}
 
-// RunCommercial places d with the commercial-profile flow.
-func RunCommercial(d *netlist.Design, opts CommercialOpts, gridW, gridH int) (*Result, error) {
-	res := &Result{}
+// commercialRound is the commercial profile's GP round: route the current
+// placement and spread padding around the overflowing Gcells.
+func commercialRound(rc *pipeline.RunContext) pipeline.Round {
+	d := rc.Design
 	next := 0
-	hook := place.HookFunc(func(iter int, overflow float64) bool {
-		if next >= len(opts.Thresholds) || overflow >= opts.Thresholds[next] {
-			return false
+	return func(ctx context.Context, iter int, overflow float64) (*padding.RunInfo, bool, error) {
+		if next >= len(commercialThresholds) || overflow >= commercialThresholds[next] {
+			return nil, false, nil
 		}
-		next++
-		res.OptimizerCalls++
 		// Router-in-the-loop congestion oracle: accurate and expensive
 		// (finer grid than the estimator-based flows use).
-		rcfg := opts.RouterCfg
-		rcfg.GridW, rcfg.GridH = gridW*3/2, gridH*3/2
-		rr := router.Route(d, rcfg)
+		rcfg := router.DefaultConfig()
+		rcfg.MaxRipup = commercialRipup
+		rcfg.GridW, rcfg.GridH = rc.GridW*3/2, rc.GridH*3/2
+		rcfg.Workers = rc.Cfg.Workers
+		rcfg.Obs = rc.Cfg.Obs
+		rr, err := router.RouteCtx(ctx, d, rcfg)
+		if err != nil {
+			return nil, false, err
+		}
+		next++
 		m := rr.Map
+		info := &padding.RunInfo{Iter: next, EstHOF: rr.HOF, EstVOF: rr.VOF}
 
 		// White-space allocation: spread padding over a neighbourhood of
 		// each congested Gcell rather than only the cells inside it.
@@ -228,8 +242,8 @@ func RunCommercial(d *netlist.Design, opts CommercialOpts, gridW, gridH int) (*R
 				if ov <= 0 {
 					continue
 				}
-				for dj := -opts.SpreadRadius; dj <= opts.SpreadRadius; dj++ {
-					for di := -opts.SpreadRadius; di <= opts.SpreadRadius; di++ {
+				for dj := -commercialSpread; dj <= commercialSpread; dj++ {
+					for di := -commercialSpread; di <= commercialSpread; di++ {
 						ii := geom.ClampInt(i+di, 0, m.W-1)
 						jj := geom.ClampInt(j+dj, 0, m.H-1)
 						w := 1.0 / (1 + math.Abs(float64(di)) + math.Abs(float64(dj)))
@@ -238,7 +252,6 @@ func RunCommercial(d *netlist.Design, opts CommercialOpts, gridW, gridH int) (*R
 				}
 			}
 		}
-		changed := false
 		for ci := range d.Cells {
 			c := &d.Cells[ci]
 			if c.Fixed {
@@ -249,31 +262,10 @@ func RunCommercial(d *netlist.Design, opts CommercialOpts, gridW, gridH int) (*R
 			if h <= 0 {
 				continue
 			}
-			c.PadW += c.W * math.Min(h*opts.Gain, 0.5)
-			changed = true
+			c.PadW += c.W * math.Min(h*commercialGain, commercialCap)
+			info.PaddedCells++
 		}
-		return changed
-	})
-
-	placer := place.New(d, opts.Place)
-	gp := placer.Run(hook)
-	res.GP = *gp
-
-	lcfg := legal.DefaultConfig()
-	lcfg.InheritPadding = true // commercial tools honour soft density screens
-	lres, err := legal.Legalize(d, lcfg)
-	if err != nil {
-		return nil, err
+		info.TotalArea = d.TotalPaddingArea()
+		return info, info.PaddedCells > 0, nil
 	}
-	res.Legal = lres
-	// The commercial profile spends heavily on detailed placement — that
-	// is where its wirelength edge (and part of its runtime) comes from.
-	dcfg := dp.DefaultConfig()
-	dcfg.Passes = 8
-	dcfg.WindowSites = 200
-	if _, err := dp.Refine(d, dcfg); err != nil {
-		return nil, err
-	}
-	res.HPWL = d.HPWL()
-	return res, nil
 }

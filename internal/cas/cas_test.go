@@ -139,8 +139,8 @@ func TestStrategyCanonicalization(t *testing.T) {
 		t.Errorf("worker counts leaked into canonical strategy: %s", c)
 	}
 	// A strategy written before the estimator lost its RebuildEvery knob
-	// still decodes (the same lenient json.Unmarshal LoadStrategy and the
-	// job spec use), and the dead key does not split the cache.
+	// still decodes (padding.DecodeStrategy, which LoadStrategy and the job
+	// spec use too), and the dead key does not split the cache.
 	old, err := CanonicalStrategy(json.RawMessage(`{"Mu":1.3,"Tau":0.2,"Cong":{"RebuildEvery":4}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +150,9 @@ func TestStrategyCanonicalization(t *testing.T) {
 	}
 	if _, err := CanonicalStrategy(json.RawMessage(`{not json`)); err == nil {
 		t.Error("invalid strategy JSON accepted")
+	}
+	if _, err := CanonicalStrategy(json.RawMessage(`{"tua":0.3}`)); err == nil {
+		t.Error("a misspelt key got a digest of the default strategy")
 	}
 }
 

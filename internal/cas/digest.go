@@ -166,15 +166,15 @@ func (c Config) Digest() (Digest, error) {
 }
 
 // CanonicalStrategy normalizes a padding.Strategy JSON document: it is
-// decoded over the defaults (exactly as the job service does) and
-// re-marshaled with the struct's fixed field order, so formatting,
-// key order, and explicitly-spelled default values do not perturb the
-// config digest. Worker-count knobs are zeroed first — the engine is
+// decoded over the defaults by padding.DecodeStrategy (exactly as the job
+// service does) and re-marshaled with the struct's fixed field order, so
+// formatting, key order, and explicitly-spelled default values do not
+// perturb the config digest. Worker-count knobs are zeroed first — the engine is
 // bit-deterministic for any worker count, so parallelism must never
 // split the cache.
 func CanonicalStrategy(raw json.RawMessage) ([]byte, error) {
-	st := padding.DefaultStrategy()
-	if err := json.Unmarshal(raw, &st); err != nil {
+	st, err := padding.DecodeStrategy(raw)
+	if err != nil {
 		return nil, fmt.Errorf("cas: canonicalize strategy: %w", err)
 	}
 	st.Cong.Workers = 0

@@ -7,12 +7,10 @@ import (
 	"strings"
 
 	"puffer"
-	"puffer/internal/baseline"
 	"puffer/internal/cong"
 	"puffer/internal/feature"
 	"puffer/internal/geom"
 	"puffer/internal/netlist"
-	"puffer/internal/router"
 	"puffer/internal/synth"
 )
 
@@ -208,37 +206,10 @@ func Fig5(o Options) ([]Fig5Maps, error) {
 	var out []Fig5Maps
 	for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
 		d := synth.Generate(p, o.Scale, o.Seed)
-		gw, gh := puffer.CongGridFor(d)
-		switch placer {
-		case Commercial:
-			opts := baseline.DefaultCommercialOpts()
-			opts.Place.Seed = o.Seed
-			if o.PlaceIters > 0 {
-				opts.Place.MaxIters = o.PlaceIters
-			}
-			if _, err := baseline.RunCommercial(d, opts, gw, gh); err != nil {
-				return nil, err
-			}
-		case RePlAce:
-			opts := baseline.DefaultRePlAceOpts()
-			opts.Place.Seed = o.Seed
-			if o.PlaceIters > 0 {
-				opts.Place.MaxIters = o.PlaceIters
-			}
-			if _, err := baseline.RunRePlAce(d, opts, gw, gh); err != nil {
-				return nil, err
-			}
-		case PUFFER:
-			cfg := puffer.DefaultConfig()
-			cfg.Place.Seed = o.Seed
-			if o.PlaceIters > 0 {
-				cfg.Place.MaxIters = o.PlaceIters
-			}
-			if _, err := puffer.Run(d, cfg); err != nil {
-				return nil, err
-			}
+		_, rr, err := runOne(d, placer, o)
+		if err != nil {
+			return nil, err
 		}
-		rr := puffer.Evaluate(d, router.DefaultConfig())
 		m := rr.Map
 		fm := Fig5Maps{
 			Design: p.Name, Placer: placer, W: m.W, Ht: m.H,

@@ -34,7 +34,7 @@ func RTSweep(design string, scales []int, o Options) ([]RTSweepRow, error) {
 			row.Cells = d.Stats().Cells
 			oo := o
 			oo.Scale = scale
-			t2, err := runOne(d, placer, oo)
+			t2, _, err := runOne(d, placer, oo)
 			if err != nil {
 				return nil, fmt.Errorf("scale %d / %s: %w", scale, placer, err)
 			}

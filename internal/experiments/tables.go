@@ -19,9 +19,9 @@ import (
 	"puffer/internal/flow"
 	"puffer/internal/netlist"
 	"puffer/internal/par"
-	"puffer/internal/place"
 	"puffer/internal/router"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 // Options configure an experiment run.
@@ -40,8 +40,8 @@ type Options struct {
 	// column becomes noisy under contention, so runtime claims should use
 	// sequential runs.
 	Parallel bool
-	// Ctx, when non-nil, bounds the whole experiment run: PUFFER flows
-	// observe it within one iteration and the Table-II grid stops
+	// Ctx, when non-nil, bounds the whole experiment run: every flow
+	// observes it within one iteration and the Table-II grid stops
 	// scheduling new cells once it is canceled. Nil means background.
 	Ctx context.Context
 	// Logf receives progress lines.
@@ -152,51 +152,37 @@ type Table2Summary struct {
 	PassCountVOF int
 }
 
-// runOne places design d with the named placer and evaluates it with the
-// shared router, returning the Table-II metrics.
-func runOne(d *netlist.Design, placer PlacerName, o Options) (Table2Row, error) {
-	row := Table2Row{Design: d.Name, Placer: placer}
-	gw, gh := puffer.CongGridFor(d)
-	pcfg := place.DefaultConfig()
-	pcfg.Seed = o.Seed
-	if o.PlaceIters > 0 {
-		pcfg.MaxIters = o.PlaceIters
-	}
+// Flow returns the placer's baseline.Flow name.
+func (p PlacerName) Flow() string {
+	return map[PlacerName]string{
+		Commercial: baseline.Commercial,
+		RePlAce:    baseline.RePlAce,
+		PUFFER:     baseline.PUFFER,
+	}[p]
+}
 
+// runOne places design d with the named placer and evaluates it with the
+// shared router, returning the Table-II metrics and the routing report.
+func runOne(d *netlist.Design, placer PlacerName, o Options) (Table2Row, *router.Result, error) {
+	row := Table2Row{Design: d.Name, Placer: placer}
+	cfg, stages, err := baseline.Flow(placer.Flow(), o.PlaceIters)
+	if err != nil {
+		return row, nil, err
+	}
+	cfg.Place.Seed = o.Seed
+	rc, err := pipeline.NewRunContext(d, cfg)
+	if err != nil {
+		return row, nil, err
+	}
 	start := time.Now()
-	switch placer {
-	case Commercial:
-		opts := baseline.DefaultCommercialOpts()
-		opts.Place.Seed = o.Seed
-		if o.PlaceIters > 0 {
-			opts.Place.MaxIters = o.PlaceIters * 2 // deeper convergence profile
-		}
-		if _, err := baseline.RunCommercial(d, opts, gw, gh); err != nil {
-			return row, err
-		}
-	case RePlAce:
-		opts := baseline.DefaultRePlAceOpts()
-		opts.Place.Seed = o.Seed
-		if o.PlaceIters > 0 {
-			opts.Place.MaxIters = o.PlaceIters * 3 / 2
-		}
-		if _, err := baseline.RunRePlAce(d, opts, gw, gh); err != nil {
-			return row, err
-		}
-	case PUFFER:
-		cfg := puffer.DefaultConfig()
-		cfg.Place = pcfg
-		if _, err := puffer.RunCtx(o.ctx(), d, cfg); err != nil {
-			return row, err
-		}
-	default:
-		return row, fmt.Errorf("unknown placer %q", placer)
+	if err := pipeline.New(stages...).Run(o.ctx(), rc); err != nil {
+		return row, nil, err
 	}
 	row.RT = time.Since(start)
 
 	rr := puffer.Evaluate(d, router.DefaultConfig())
 	row.HOF, row.VOF, row.WL = rr.HOF, rr.VOF, rr.WL
-	return row, nil
+	return row, rr, nil
 }
 
 // Table2 runs all three placers over the benchmark suite.
@@ -217,7 +203,7 @@ func Table2(o Options) ([]Table2Row, []Table2Summary, error) {
 		t := tasks[i]
 		d := synth.Generate(t.profile, o.Scale, o.Seed)
 		o.log("table2: %s / %s ...", t.profile.Name, t.placer)
-		row, err := runOne(d, t.placer, o)
+		row, _, err := runOne(d, t.placer, o)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", t.profile.Name, t.placer, err)
 		}

@@ -8,8 +8,12 @@
 package padding
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"puffer/internal/cong"
@@ -137,6 +141,35 @@ func DefaultStrategy() Strategy {
 		Feat:          f,
 		Theta:         6,
 	}
+}
+
+// DecodeStrategy reads a strategy JSON document over DefaultStrategy: a
+// key the document leaves out keeps its default, and a key that names no
+// Strategy field is an error, so a misspelt "tua" cannot silently run the
+// default τ. The one retired key, Cong.RebuildEvery (an estimator knob
+// since deleted), still decodes as a no-op so strategies saved before its
+// removal keep loading.
+func DecodeStrategy(data []byte) (Strategy, error) {
+	var doc struct {
+		Strategy
+		Cong struct {
+			cong.Params
+			RebuildEvery json.RawMessage
+		}
+	}
+	doc.Strategy = DefaultStrategy()
+	doc.Cong.Params = doc.Strategy.Cong
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return DefaultStrategy(), err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return DefaultStrategy(), errors.New("padding: data after the strategy document")
+	}
+	s := doc.Strategy
+	s.Cong = doc.Cong.Params
+	return s, nil
 }
 
 // RunInfo reports what one optimizer invocation did.

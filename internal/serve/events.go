@@ -22,8 +22,10 @@ type Event struct {
 	// Error carries the failure message on a terminal state event.
 	Error string `json:"error,omitempty"`
 
-	// Stage and StageStatus accompany type=stage: status "done" with the
-	// stage's iteration count and wall milliseconds.
+	// Stage and StageStatus accompany type=stage, with the stage's
+	// iteration count and wall milliseconds: status "done" for a stage that
+	// completed (its checkpoint is already spooled), "canceled" for one a
+	// cancel, deadline or drain cut, "failed" for one whose engine failed.
 	Stage       string  `json:"stage,omitempty"`
 	StageStatus string  `json:"stage_status,omitempty"`
 	Iters       int     `json:"iters,omitempty"`

@@ -226,8 +226,7 @@ func checkSource(profile string, upload map[string]string, strategy json.RawMess
 		return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
 	}
 	if len(strategy) > 0 {
-		st := padding.DefaultStrategy()
-		if err := json.Unmarshal(strategy, &st); err != nil {
+		if _, err := padding.DecodeStrategy(strategy); err != nil {
 			return fmt.Errorf("decode strategy: %v", err)
 		}
 	}

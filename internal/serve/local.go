@@ -224,8 +224,8 @@ func flowConfig(seed int64, maxIters, workers int, strategy json.RawMessage, rec
 	}
 	cfg.Workers = workers
 	if len(strategy) > 0 {
-		st := padding.DefaultStrategy()
-		if err := json.Unmarshal(strategy, &st); err != nil {
+		st, err := padding.DecodeStrategy(strategy)
+		if err != nil {
 			return cfg, fmt.Errorf("decode strategy: %w", err)
 		}
 		cfg.Strategy = st
@@ -261,8 +261,15 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 	}
 	pl := pipeline.New(stages...)
 	id := m.ID
-	pl.OnStage = func(st pipeline.StageStats) {
-		hub.Publish(Event{Type: "stage", Stage: st.Name, StageStatus: "done",
+	pl.OnStage = func(st pipeline.StageStats, err error) {
+		status := "done"
+		switch {
+		case errors.Is(err, pipeline.ErrCanceled):
+			status = "canceled"
+		case err != nil:
+			status = "failed"
+		}
+		hub.Publish(Event{Type: "stage", Stage: st.Name, StageStatus: status,
 			Iters: st.Iters, WallMS: float64(st.Wall) / 1e6})
 	}
 	pl.Checkpointer = func(cp *pipeline.Checkpoint) error {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -173,6 +174,8 @@ func TestJobSpecValidate(t *testing.T) {
 			s.Bookshelf = map[string]string{"../evil.aux": ""}
 		}, "bare file name"},
 		{"negative", func(s *JobSpec) { s.Scale = -1 }, "negative"},
+		{"strategy ok", func(s *JobSpec) { s.Strategy = json.RawMessage(`{"Tau": 0.3}`) }, ""},
+		{"strategy typo", func(s *JobSpec) { s.Strategy = json.RawMessage(`{"tua": 0.3}`) }, "unknown field"},
 	}
 	for _, tc := range cases {
 		s := valid()

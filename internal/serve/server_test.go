@@ -457,6 +457,28 @@ func TestJobDeadlineFailsJob(t *testing.T) {
 	}
 }
 
+// TestDeadlineCutStageIsNotDone: the stage a job's deadline cuts is
+// announced as canceled, never as done — no checkpoint stands behind it.
+func TestDeadlineCutStageIsNotDone(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	spec := slowSpec()
+	spec.TimeoutSec = 0.5
+	id := enqueue(t, s, spec)
+	waitState(t, s, id, StateFailed)
+	replay, _, cancel := s.ensureJob(id).hub.Subscribe()
+	cancel()
+	var place []string
+	for _, e := range replay {
+		if e.Type == "stage" && e.Stage == pipeline.StagePlace {
+			place = append(place, e.StageStatus)
+		}
+	}
+	if len(place) != 1 || place[0] != "canceled" {
+		t.Errorf("place stage events %q, want one \"canceled\"", place)
+	}
+}
+
 func TestDrainParksRunningJobAndRestartFinishes(t *testing.T) {
 	spool := t.TempDir()
 	s := newTestServer(t, Config{SpoolDir: spool})

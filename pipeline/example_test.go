@@ -47,7 +47,11 @@ func Example_customStages() {
 		fmt.Println("checkpoint after", cp.Stage)
 		return nil // a job server would cp.Save(path) here
 	}
-	pl.OnStage = func(st pipeline.StageStats) { fmt.Println("stage", st.Name, "done") }
+	pl.OnStage = func(st pipeline.StageStats, err error) {
+		if err == nil {
+			fmt.Println("stage", st.Name, "done")
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

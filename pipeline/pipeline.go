@@ -115,7 +115,7 @@ type Result struct {
 	GP          place.Result // global placement summary
 	Legal       legal.Result
 	DP          dp.Result
-	PaddingRuns []padding.RunInfo
+	PaddingRuns []padding.RunInfo // one per GP round that ran (Round)
 	PaddingArea float64
 	Runtime     time.Duration
 	StageLog    []string // Fig. 2 flow trace

@@ -493,7 +493,8 @@ func TestGPEndsAtItsBestIterate(t *testing.T) {
 
 // TestStageEventFollowsItsCheckpoint: a stage that succeeds is checkpointed
 // before OnStage hears of it, so an observer told "stage S done" can fetch
-// S's checkpoint; a failed stage still reaches OnStage, with no checkpoint.
+// S's checkpoint; a failed stage still reaches OnStage, with its error and
+// no checkpoint.
 func TestStageEventFollowsItsCheckpoint(t *testing.T) {
 	p, err := synth.ProfileByName("OR1200")
 	if err != nil {
@@ -513,11 +514,17 @@ func TestStageEventFollowsItsCheckpoint(t *testing.T) {
 		seen = append(seen, "checkpoint "+cp.Stage)
 		return nil
 	}
-	pl.OnStage = func(st pipeline.StageStats) { seen = append(seen, "stage "+st.Name) }
+	pl.OnStage = func(st pipeline.StageStats, err error) {
+		if err != nil {
+			seen = append(seen, "stage "+st.Name+" failed: "+err.Error())
+			return
+		}
+		seen = append(seen, "stage "+st.Name)
+	}
 	if err := pl.Run(context.Background(), rc); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the third stage's", err)
 	}
-	want := "checkpoint first, stage first, checkpoint second, stage second, stage third"
+	want := "checkpoint first, stage first, checkpoint second, stage second, stage third failed: boom"
 	if got := strings.Join(seen, ", "); got != want {
 		t.Errorf("order:\n got %s\nwant %s", got, want)
 	}

@@ -27,10 +27,12 @@ type StageError = flow.StageError
 type Pipeline struct {
 	stages []Stage
 
-	// OnStage, when non-nil, observes each completed stage's stats
-	// (including stages that failed or were canceled mid-way), after the
-	// Checkpointer has received a successful stage's checkpoint.
-	OnStage func(StageStats)
+	// OnStage, when non-nil, observes each executed stage's stats with
+	// the error the stage ended on: nil for a stage that completed, after
+	// the Checkpointer has received its checkpoint; the engine or
+	// checkpoint error (wrapping ErrCanceled for a cancel or deadline) for
+	// one that failed or was cut mid-way.
+	OnStage func(StageStats, error)
 	// Checkpointer, when non-nil, receives a Checkpoint after every
 	// successfully completed stage. Returning an error aborts the run —
 	// a job server that cannot persist its checkpoint must not pretend
@@ -128,7 +130,7 @@ func (p *Pipeline) runFrom(ctx context.Context, rc *RunContext, start int) error
 			}
 		}
 		if p.OnStage != nil {
-			p.OnStage(stats)
+			p.OnStage(stats, err)
 		}
 		if err != nil {
 			return &StageError{Stage: st.Name(), Err: err}

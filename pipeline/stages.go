@@ -6,6 +6,7 @@ import (
 
 	"puffer/internal/dp"
 	"puffer/internal/legal"
+	"puffer/internal/padding"
 	"puffer/internal/place"
 	"puffer/internal/router"
 )
@@ -41,41 +42,72 @@ const (
 	StageRoute = "route"
 )
 
+// A Round is a flow's routability optimizer as global placement drives it:
+// the placement stage calls it from the engine's per-iteration hook with
+// the iteration and density overflow, and the round decides whether to
+// run. A round that ran returns what it did, recorded in
+// Result.PaddingRuns, and whether the padding the engine sees changed; a
+// round that did not run returns nil. An error (a cancel) ends placement.
+type Round func(ctx context.Context, iter int, overflow float64) (*padding.RunInfo, bool, error)
+
 // GlobalPlace returns the global-placement stage: the electrostatic engine
 // with the routability optimizer hooked into every Nesterov iteration
 // (paper Fig. 2, stages 1–2). It fills Result.GP and Result.PaddingRuns.
 func GlobalPlace() Stage {
+	return GlobalPlaceWith(func(rc *RunContext) Round {
+		opt := rc.PadOptimizer()
+		return func(ctx context.Context, iter int, overflow float64) (*padding.RunInfo, bool, error) {
+			if !opt.ShouldTrigger(iter, overflow) {
+				return nil, false, nil
+			}
+			info, err := opt.RunCtx(ctx)
+			if err != nil {
+				return nil, false, err
+			}
+			return &info, true, nil
+		}
+	})
+}
+
+// GlobalPlaceWith returns the global-placement stage with the round
+// newRound builds for the run in place of PUFFER's optimizer: the one GP
+// stage every flow runs, PUFFER's and the Table-II comparators' alike. It
+// fills Result.GP and Result.PaddingRuns.
+func GlobalPlaceWith(newRound func(rc *RunContext) Round) Stage {
 	return StageFunc{StageName: StagePlace, Fn: func(ctx context.Context, rc *RunContext) error {
 		rc.Logf("stage: global placement (engine=ePlace/Nesterov, grid auto)")
-		opt := rc.PadOptimizer()
+		round := newRound(rc)
 		placer, err := place.NewChecked(rc.Design, rc.Cfg.Place)
 		if err != nil {
 			return err
 		}
 		var hookErr error
 		hook := place.HookFunc(func(iter int, overflow float64) bool {
-			if hookErr != nil || !opt.ShouldTrigger(iter, overflow) {
+			if hookErr != nil {
 				return false
 			}
-			info, err := opt.RunCtx(ctx)
+			info, changed, err := round(ctx, iter, overflow)
 			if err != nil {
 				// Remember the cancel; the engine's own loop-top check
 				// terminates the iteration right after this hook returns.
 				hookErr = err
 				return false
 			}
-			rc.Result.PaddingRuns = append(rc.Result.PaddingRuns, info)
+			if info == nil {
+				return false
+			}
+			rc.Result.PaddingRuns = append(rc.Result.PaddingRuns, *info)
 			rc.Logf("stage: routability optimizer call %d at GP iter %d (overflow=%.3f): padded=%d recycled=%d util=%.3f/%.3f estHOF=%.2f%% estVOF=%.2f%%",
 				info.Iter, iter, overflow, info.PaddedCells, info.Recycled,
 				info.Utilization, info.TargetUtil, info.EstHOF, info.EstVOF)
-			return true
+			return changed
 		})
 		gp, err := placer.RunCtx(ctx, hook)
 		rc.Result.GP = *gp
 		rc.SetIters(gp.Iters)
 		rc.SetEngineReuse(placer.ReuseState())
-		if opt.Iter() > 0 {
-			rc.SetEstimatorStats(opt.Estimator().Stats())
+		if rc.opt != nil && rc.opt.Iter() > 0 {
+			rc.SetEstimatorStats(rc.opt.Estimator().Stats())
 		}
 		if err == nil {
 			err = hookErr

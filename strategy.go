@@ -26,14 +26,15 @@ func SaveStrategy(path string, s padding.Strategy) error {
 }
 
 // LoadStrategy reads a strategy saved by SaveStrategy. Fields absent from
-// the file keep their DefaultStrategy values.
+// the file keep their DefaultStrategy values; a key that names no field is
+// an error (padding.DecodeStrategy).
 func LoadStrategy(path string) (padding.Strategy, error) {
-	s := padding.DefaultStrategy()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return s, err
+		return padding.DefaultStrategy(), err
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := padding.DecodeStrategy(data)
+	if err != nil {
 		return s, fmt.Errorf("puffer: decode strategy %s: %w", path, err)
 	}
 	return s, nil

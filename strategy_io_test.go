@@ -58,3 +58,17 @@ func TestLoadStrategyBadJSON(t *testing.T) {
 		t.Error("no error for invalid JSON")
 	}
 }
+
+// TestLoadStrategyRejectsUnknownKey: a misspelt key is an error, not a
+// silent run of the default τ.
+func TestLoadStrategyRejectsUnknownKey(t *testing.T) {
+	for _, doc := range []string{`{"tua": 0.3}`, `{"Cong": {"PinPenalti": 0.2}}`} {
+		path := filepath.Join(t.TempDir(), "typo.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := LoadStrategy(path); err == nil {
+			t.Errorf("%s loaded as %+v", doc, s)
+		}
+	}
+}
