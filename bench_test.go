@@ -176,6 +176,12 @@ func BenchmarkAblationLegalPadding(b *testing.B) {
 	ablationBench(b, experiments.AblationLegalPadding)
 }
 
+// BenchmarkAblationDPPreserve: detailed placement's white-space
+// preservation on/off (this repo's choice, not Sec. III-D's).
+func BenchmarkAblationDPPreserve(b *testing.B) {
+	ablationBench(b, experiments.AblationDPPreserve)
+}
+
 // BenchmarkAblationTPE: TPE strategy exploration vs random search with the
 // same budget (Sec. III-C claim).
 func BenchmarkAblationTPE(b *testing.B) {

@@ -65,6 +65,7 @@ func experimentsCmd(args []string, w io.Writer) error {
 				experiments.AblationExpansion,
 				experiments.AblationRecycling,
 				experiments.AblationLegalPadding,
+				experiments.AblationDPPreserve,
 			} {
 				r, err := fn(o)
 				if err != nil {

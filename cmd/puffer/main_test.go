@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -54,6 +55,20 @@ func mustContain(t *testing.T, what, got string, want ...string) {
 	}
 }
 
+// reportStrategy reads config.Strategy from the run report at path.
+func reportStrategy(t *testing.T, path string) map[string]any {
+	t.Helper()
+	var report struct {
+		Config struct{ Strategy map[string]any }
+	}
+	if data, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	return report.Config.Strategy
+}
+
 // TestPlaceThenDiag drives the bare flag-only placement flow with every
 // artifact flag, then reads the artifacts back through diag.
 func TestPlaceThenDiag(t *testing.T) {
@@ -79,6 +94,9 @@ func TestPlaceThenDiag(t *testing.T) {
 
 	mustContain(t, "diag report", runOK(t, "diag", rep),
 		"run report "+rep+" (puffer/run-report/v1)", "design OR1200", "stage place", "round trip: ok")
+	if st := reportStrategy(t, rep); st["Tau"] == nil || st["Cong"] == nil {
+		t.Errorf("PUFFER report's strategy lost the optimizer's parameters: %v", st)
+	}
 	mustContain(t, "diag checkpoint", runOK(t, "diag", cp),
 		"checkpoint "+cp+" (puffer/checkpoint/v1)", "stage: dp", "bbox: [")
 
@@ -398,6 +416,11 @@ func TestBaselinesRunThePipeline(t *testing.T) {
 	}
 	if report.Config.Place.Workers != 2 {
 		t.Errorf("-workers 2 reached the engine as %d", report.Config.Place.Workers)
+	}
+	// The commercial round never reads PUFFER's strategy; its legalization
+	// reads θ alone.
+	if st := reportStrategy(t, rep); !reflect.DeepEqual(st, map[string]any{"Theta": 4.0}) {
+		t.Errorf("commercial report's strategy = %v, want only Theta 4", st)
 	}
 	mustContain(t, "diag report", runOK(t, "diag", rep), "design OR1200", "stage place", "stage dp", "round trip: ok")
 	mustContain(t, "diag checkpoint", runOK(t, "diag", cp), "stage: dp")

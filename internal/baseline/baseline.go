@@ -40,7 +40,8 @@ const (
 
 // Flow returns the configuration and stage list of the named flow. A
 // positive maxIters caps global placement at that many iterations for
-// every flow alike; 0 keeps the flow's own cap.
+// every flow alike; 0 keeps the flow's own cap. A flow's finish,
+// (Strategy.Theta, DP.PreservePadding), is stated here and nowhere else.
 func Flow(name string, maxIters int) (pipeline.Config, []pipeline.Stage, error) {
 	cfg := pipeline.DefaultConfig()
 	var stages []pipeline.Stage
@@ -55,10 +56,9 @@ func Flow(name string, maxIters int) (pipeline.Config, []pipeline.Stage, error) 
 		cfg.Place.StopOverflow = 0.065
 		cfg.Place.MaxIters = 700
 		cfg.Place.PlateauIters = 160
-		// RePlAce legalizes physical cells: the inflation is not inherited.
-		cfg.Legal.InheritPadding = false
-		cfg.DP.Passes = 2
-		cfg.DP.WindowSites = 100
+		// RePlAce legalizes physical cells: θ = 0 inherits none of the
+		// inflation, and DP does not keep white space.
+		cfg.Strategy.Theta = 0
 		cfg.DP.PreservePadding = false
 		stages = comparator(replaceRound(replaceInflation))
 	case Commercial:
@@ -68,13 +68,13 @@ func Flow(name string, maxIters int) (pipeline.Config, []pipeline.Stage, error) 
 		cfg.Place.MaxIters = 900
 		cfg.Place.LambdaMu = 1.04
 		// Commercial tools honour soft density screens at the legalizer's
-		// stock staircase resolution.
+		// stock staircase resolution, and DP does not keep white space.
 		cfg.Strategy.Theta = 4
+		cfg.DP.PreservePadding = false
 		// It spends heavily on detailed placement — that is where its
 		// wirelength edge (and part of its runtime) comes from.
 		cfg.DP.Passes = 8
 		cfg.DP.WindowSites = 200
-		cfg.DP.PreservePadding = false
 		stages = comparator(commercialRound)
 	default:
 		return cfg, nil, fmt.Errorf("unknown placer %q", name)

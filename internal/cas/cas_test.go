@@ -50,14 +50,14 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical strategy: %v", err)
 	}
-	if d := Sum(canon); d != "sha256-b851e822c1140ccd91d38d180d9a0dde65de50b11f53dba9e4a2e490e0dfd746" {
+	if d := Sum(canon); d != "sha256-359ab7acd7d5a18c0784ecb064242c08d339a3c832a111bc96a9a070cd43cc5f" {
 		t.Errorf("canonical default strategy digest = %s\n(encoding: %s)", d, canon)
 	}
 	d2, err := (Config{Kind: "place", Route: true, Seed: 5, Strategy: json.RawMessage(`{}`)}).Digest()
 	if err != nil {
 		t.Fatalf("config digest with strategy: %v", err)
 	}
-	if d2 != "sha256-d695162171f7370b5e91a3f64d3993d0fbc812b4d71e92d76fa0a49e6d5015cf" {
+	if d2 != "sha256-6620f6ecc24167586c7428f053419bfedbc4ad8b3181037541642023662cf289" {
 		t.Errorf("config digest (empty strategy json) = %s", d2)
 	}
 }
@@ -138,15 +138,21 @@ func TestStrategyCanonicalization(t *testing.T) {
 	if strings.Contains(string(c), `"Workers":7`) || strings.Contains(string(c), `"Workers":3`) {
 		t.Errorf("worker counts leaked into canonical strategy: %s", c)
 	}
-	// A strategy written before the estimator lost its RebuildEvery knob
-	// still decodes (padding.DecodeStrategy, which LoadStrategy and the job
-	// spec use too), and the dead key does not split the cache.
-	old, err := CanonicalStrategy(json.RawMessage(`{"Mu":1.3,"Tau":0.2,"Cong":{"RebuildEvery":4}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(old) != string(a) {
-		t.Errorf("retired Cong.RebuildEvery key perturbed canonical form:\n%s\n%s", old, a)
+	// A strategy written before the estimator lost its RebuildEvery,
+	// CongestThreshold and ZSamples knobs still decodes
+	// (padding.DecodeStrategy, which LoadStrategy and the job spec use
+	// too), and the dead keys do not split the cache.
+	for _, doc := range []string{
+		`{"Mu":1.3,"Tau":0.2,"Cong":{"RebuildEvery":4}}`,
+		`{"Mu":1.3,"Tau":0.2,"Cong":{"CongestThreshold":0},"Feat":{"ZSamples":4}}`,
+	} {
+		old, err := CanonicalStrategy(json.RawMessage(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(old) != string(a) {
+			t.Errorf("retired keys in %s perturbed canonical form:\n%s\n%s", doc, old, a)
+		}
 	}
 	if _, err := CanonicalStrategy(json.RawMessage(`{not json`)); err == nil {
 		t.Error("invalid strategy JSON accepted")

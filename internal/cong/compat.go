@@ -2,7 +2,7 @@ package cong
 
 // Names from the era of the incremental demand journal that the frozen
 // benchmark harness (benchmark/, its own module) still compiles against.
-// Delete with the harness's next revision (ROADMAP item 4).
+// Delete with the harness's next revision (ROADMAP item 9).
 
 // ForceRebuild is a no-op: every Estimate is from scratch. Reader:
 // benchmark/kernels.go.

@@ -27,9 +27,6 @@ type Params struct {
 	// TransferRatio is the fraction of a congested I-segment's demand
 	// moved to the surrounding region.
 	TransferRatio float64
-	// CongestThreshold is the per-Gcell overflow above which an I-segment
-	// counts as congested.
-	CongestThreshold float64
 
 	// Workers caps the estimator's data parallelism (0 = GOMAXPROCS).
 	// Results never depend on it: nets and pins are sharded statically by
@@ -51,12 +48,15 @@ type Params struct {
 // scheme replaces them with searched values.
 func DefaultParams() Params {
 	return Params{
-		PinPenalty:       0.3,
-		ExpandRadius:     3,
-		TransferRatio:    0.5,
-		CongestThreshold: 0,
+		PinPenalty:    0.3,
+		ExpandRadius:  3,
+		TransferRatio: 0.5,
 	}
 }
+
+// congestThreshold is the per-Gcell overflow above which an I-segment
+// counts as congested: any positive overflow.
+const congestThreshold = 0.0
 
 // Seg is an I-shaped two-point segment of a net topology in Gcell
 // coordinates. Horizontal segments have J0 == J1 and I0 <= I1; vertical
@@ -402,10 +402,10 @@ func (e *Estimator) buildOverflowBits() {
 		e.ovV[i] = 0
 	}
 	for g := range e.M.DmdH {
-		if e.M.OverflowH(g) > e.P.CongestThreshold {
+		if e.M.OverflowH(g) > congestThreshold {
 			e.ovH[g>>6] |= 1 << (uint(g) & 63)
 		}
-		if e.M.OverflowV(g) > e.P.CongestThreshold {
+		if e.M.OverflowV(g) > congestThreshold {
 			e.ovV[g>>6] |= 1 << (uint(g) & 63)
 		}
 	}
@@ -438,7 +438,7 @@ func anyBitInRange(bits []uint64, lo, hi int) bool {
 func (e *Estimator) addDmdH(idx int, delta float64) {
 	e.M.DmdH[idx] += delta
 	bit := uint64(1) << (uint(idx) & 63)
-	if e.M.OverflowH(idx) > e.P.CongestThreshold {
+	if e.M.OverflowH(idx) > congestThreshold {
 		e.ovH[idx>>6] |= bit
 	} else {
 		e.ovH[idx>>6] &^= bit
@@ -449,7 +449,7 @@ func (e *Estimator) addDmdH(idx int, delta float64) {
 func (e *Estimator) addDmdV(idx int, delta float64) {
 	e.M.DmdV[idx] += delta
 	bit := uint64(1) << (uint(idx) & 63)
-	if e.M.OverflowV(idx) > e.P.CongestThreshold {
+	if e.M.OverflowV(idx) > congestThreshold {
 		e.ovV[idx>>6] |= bit
 	} else {
 		e.ovV[idx>>6] &^= bit

@@ -39,11 +39,6 @@ type Config struct {
 	PreservePadding bool
 }
 
-// DefaultConfig returns a single-pass refinement.
-func DefaultConfig() Config {
-	return Config{Passes: 1, WindowSites: 40}
-}
-
 // Result reports what refinement did.
 type Result struct {
 	Moves      int

@@ -184,6 +184,47 @@ func TestPreservePaddingKeepsClearance(t *testing.T) {
 	}
 }
 
+// TestPreservePaddingHoldsAnalogClearance pins what DP preserves: the
+// analog GP padding, PadW/2 per side, not Eq. 17's legalized sites. Cell a
+// carries PadW 4 but the legalizer's 5 % cap relegates it to zero sites;
+// its neighbour b, pulled toward a by their net, still stops PadW/2 = 2
+// short of a with PreservePadding on, and abuts a with it off.
+func TestPreservePaddingHoldsAnalogClearance(t *testing.T) {
+	for _, preserve := range []bool{true, false} {
+		d := &netlist.Design{
+			Name:      "clearance",
+			Region:    geom.RectWH(0, 0, 40, 1),
+			RowHeight: 1,
+			SiteWidth: 1,
+			Layers:    netlist.DefaultLayers(),
+		}
+		a := d.AddCell(netlist.Cell{Name: "a", W: 4, H: 1, X: 20, PadW: 4})
+		b := d.AddCell(netlist.Cell{Name: "b", W: 4, H: 1, X: 2})
+		n := d.AddNet("ab", 1)
+		d.Connect(a, n, 0, 0.5) // a's left edge
+		d.Connect(b, n, 4, 0.5) // b's right edge
+		lres, err := legal.Legalize(d, legal.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lres.PaddingSites != 0 || d.Cells[a].X != 20 || d.Cells[b].X != 2 {
+			t.Fatalf("legalization: %d padding sites, a at %v, b at %v; want 0 sites and no move",
+				lres.PaddingSites, d.Cells[a].X, d.Cells[b].X)
+		}
+		if _, err := Refine(d, Config{Passes: 2, WindowSites: 100, PreservePadding: preserve}); err != nil {
+			t.Fatal(err)
+		}
+		gap := d.Cells[a].X - (d.Cells[b].X + d.Cells[b].W)
+		want := 0.0
+		if preserve {
+			want = d.Cells[a].PadW / 2
+		}
+		if d.Cells[a].X != 20 || gap != want {
+			t.Errorf("preserve=%t: a at %v, gap b→a %v, want a at 20 and gap %v", preserve, d.Cells[a].X, gap, want)
+		}
+	}
+}
+
 // findGapReference is the gap search findGap replaced, kept verbatim as
 // the oracle (the abacusRow pattern): it gathers the row's cells and
 // obstacles into a fresh slice and sorts it, on every call.
@@ -488,7 +529,7 @@ func randomDesign(rng *rand.Rand) *netlist.Design {
 
 func TestRefineRejectsBadGeometry(t *testing.T) {
 	d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10)}
-	if _, err := Refine(d, DefaultConfig()); err == nil {
+	if _, err := Refine(d, Config{Passes: 1, WindowSites: 40}); err == nil {
 		t.Error("no error for missing geometry")
 	}
 }

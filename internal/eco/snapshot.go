@@ -42,7 +42,7 @@ type Snapshot struct {
 	EstCalls int `json:"est_calls,omitempty"`
 	// EstHitRate is never set: the estimator's journal is gone. Reader:
 	// benchmark/eco.go (frozen); delete with the harness's next revision
-	// (ROADMAP item 4).
+	// (ROADMAP item 9).
 	EstHitRate float64 `json:"est_hit_rate,omitempty"`
 
 	// CellW/CellH are the current cell sizes, indexed by cell ID: deltas

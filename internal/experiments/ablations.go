@@ -55,16 +55,23 @@ func runConfigured(o Options, mutate func(*puffer.Config)) (float64, float64, er
 	return ovf, wl, nil
 }
 
-// AblationFeatures compares full multi-feature padding against padding
-// from local features only (Sec. III-B's claim that local information
-// cannot separate cells within a cluster).
-func AblationFeatures(o Options) (AblationResult, error) {
-	res := AblationResult{Name: "multi-feature vs local-only padding"}
+// ablate runs the named mechanism on (PUFFER as configured) and off (off
+// applied to the configuration).
+func ablate(o Options, name string, off func(*puffer.Config)) (AblationResult, error) {
+	res := AblationResult{Name: name}
 	var err error
 	if res.MetricOn, res.WLOn, err = runConfigured(o, nil); err != nil {
 		return res, err
 	}
-	res.MetricOff, res.WLOff, err = runConfigured(o, func(cfg *puffer.Config) {
+	res.MetricOff, res.WLOff, err = runConfigured(o, off)
+	return res, err
+}
+
+// AblationFeatures compares full multi-feature padding against padding
+// from local features only (Sec. III-B's claim that local information
+// cannot separate cells within a cluster).
+func AblationFeatures(o Options) (AblationResult, error) {
+	return ablate(o, "multi-feature vs local-only padding", func(cfg *puffer.Config) {
 		cfg.Strategy.Weights[feature.SurroundCg] = 0
 		cfg.Strategy.Weights[feature.SurroundPinDensity] = 0
 		cfg.Strategy.Weights[feature.PinCg] = 0
@@ -72,50 +79,40 @@ func AblationFeatures(o Options) (AblationResult, error) {
 		cfg.Strategy.Weights[feature.LocalCg] *= 2
 		cfg.Strategy.Weights[feature.LocalPinDensity] *= 2
 	})
-	return res, err
 }
 
 // AblationExpansion toggles the detour-imitating demand expansion
 // (Sec. III-A3).
 func AblationExpansion(o Options) (AblationResult, error) {
-	res := AblationResult{Name: "detour-imitating expansion"}
-	var err error
-	if res.MetricOn, res.WLOn, err = runConfigured(o, nil); err != nil {
-		return res, err
-	}
-	res.MetricOff, res.WLOff, err = runConfigured(o, func(cfg *puffer.Config) {
+	return ablate(o, "detour-imitating expansion", func(cfg *puffer.Config) {
 		cfg.Strategy.Cong.ExpandRadius = 0
 	})
-	return res, err
 }
 
 // AblationRecycling disables the padding recycle mechanism (Eq. 15): a
 // huge ζ drives the recycle rate to zero.
 func AblationRecycling(o Options) (AblationResult, error) {
-	res := AblationResult{Name: "padding recycling"}
-	var err error
-	if res.MetricOn, res.WLOn, err = runConfigured(o, nil); err != nil {
-		return res, err
-	}
-	res.MetricOff, res.WLOff, err = runConfigured(o, func(cfg *puffer.Config) {
+	return ablate(o, "padding recycling", func(cfg *puffer.Config) {
 		cfg.Strategy.Zeta = 1e12
 	})
-	return res, err
 }
 
 // AblationLegalPadding toggles white-space-assisted legalization
 // (Sec. III-D): same global placement, legalization with vs without the
-// inherited padding.
+// inherited padding (θ = 0). DP still preserves the GP padding.
 func AblationLegalPadding(o Options) (AblationResult, error) {
-	res := AblationResult{Name: "white-space-assisted legalization"}
-	var err error
-	if res.MetricOn, res.WLOn, err = runConfigured(o, nil); err != nil {
-		return res, err
-	}
-	res.MetricOff, res.WLOff, err = runConfigured(o, func(cfg *puffer.Config) {
-		cfg.Legal.InheritPadding = false
+	return ablate(o, "white-space-assisted legalization", func(cfg *puffer.Config) {
+		cfg.Strategy.Theta = 0
 	})
-	return res, err
+}
+
+// AblationDPPreserve toggles detailed placement's white-space preservation
+// (this repo's choice; Sec. III-D does not describe it): same global
+// placement and legalization, DP with vs without the PadW/2 clearance.
+func AblationDPPreserve(o Options) (AblationResult, error) {
+	return ablate(o, "DP white-space preservation", func(cfg *puffer.Config) {
+		cfg.DP.PreservePadding = false
+	})
 }
 
 // AblationTPE compares the TPE strategy exploration against pure random

@@ -183,7 +183,7 @@ func TestAblations(t *testing.T) {
 	}
 	o := tinyOptions()
 	for _, fn := range []func(Options) (AblationResult, error){
-		AblationFeatures, AblationExpansion, AblationRecycling, AblationLegalPadding,
+		AblationFeatures, AblationExpansion, AblationRecycling, AblationLegalPadding, AblationDPPreserve,
 	} {
 		r, err := fn(o)
 		if err != nil {

@@ -321,6 +321,21 @@ type Explorer struct {
 	best    float64 // best (lowest) Y seen; valid when len(history) > 0
 }
 
+// Production returns an Explorer on Algorithm 3's production schedule:
+// TC = budget, EC = max(budget/3, 5), two rounds, groups in parallel.
+// puffer.ExploreStrategyOpts and xfarm.Run both start from it, so their
+// trial schedules match. The caller attaches Eval or Evaluate.
+func Production(params []Param, budget int, seed int64) *Explorer {
+	return &Explorer{
+		Params:    params,
+		TimeLimit: budget,
+		EarlyStop: max(budget/3, 5),
+		Rounds:    2,
+		Parallel:  true,
+		Seed:      seed,
+	}
+}
+
 // History returns all observations made so far.
 func (e *Explorer) History() []Observation {
 	e.mu.Lock()

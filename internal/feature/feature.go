@@ -51,9 +51,6 @@ type Params struct {
 	// for the CNN-inspired surrounding features (the convolution kernel
 	// half-size).
 	KernelMargin int
-	// ZSamples caps how many interior Z-path bend positions are tried per
-	// two-point net when computing pin congestion.
-	ZSamples int
 	// Workers caps the extraction parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -61,8 +58,12 @@ type Params struct {
 // DefaultParams returns the hand-tuned defaults; the strategy exploration
 // replaces KernelMargin when searching.
 func DefaultParams() Params {
-	return Params{KernelMargin: 2, ZSamples: 4}
+	return Params{KernelMargin: 2}
 }
+
+// zSamples caps how many interior Z-path bend positions are tried per
+// two-point net when computing pin congestion.
+const zSamples = 4
 
 // Set holds the extracted per-cell features, indexed [cell][feature].
 type Set struct {
@@ -168,7 +169,7 @@ func ExtractCtx(ctx context.Context, d *netlist.Design, m *cong.Map, trees []rsm
 		net := &d.Nets[n]
 		for _, e := range tree.Edges {
 			a, b := tree.Nodes[e.A], tree.Nodes[e.B]
-			pc := pathCongestion(m, cg, a.P, b.P, p.ZSamples)
+			pc := pathCongestion(m, cg, a.P, b.P)
 			if a.Pin >= 0 {
 				pid := net.Pins[a.Pin]
 				if pc < pinCg[pid] {
@@ -210,7 +211,7 @@ func ExtractCtx(ctx context.Context, d *netlist.Design, m *cong.Map, trees []rsm
 // pathCongestion returns the minimum over candidate L- and Z-shaped paths
 // between the Gcells of points a and b of the maximum congestion along the
 // path (Eq. 13).
-func pathCongestion(m *cong.Map, cg []float64, a, b geom.Point, zsamples int) float64 {
+func pathCongestion(m *cong.Map, cg []float64, a, b geom.Point) float64 {
 	ai, aj := m.GcellOf(a)
 	bi, bj := m.GcellOf(b)
 	if ai == bi && aj == bj {
@@ -231,9 +232,9 @@ func pathCongestion(m *cong.Map, cg []float64, a, b geom.Point, zsamples int) fl
 	)
 
 	// Z-shaped candidates: HVH with an interior bend column, VHV with an
-	// interior bend row, sampled evenly up to zsamples positions each.
+	// interior bend row, sampled evenly up to zSamples positions each.
 	lo, hi := minInt(ai, bi), maxInt(ai, bi)
-	for _, c := range sampleInterior(lo, hi, zsamples) {
+	for _, c := range sampleInterior(lo, hi, zSamples) {
 		v := math.Max(maxAlongH(m, cg, aj, ai, c),
 			math.Max(maxAlongV(m, cg, c, aj, bj), maxAlongH(m, cg, bj, c, bi)))
 		if v < best {
@@ -241,7 +242,7 @@ func pathCongestion(m *cong.Map, cg []float64, a, b geom.Point, zsamples int) fl
 		}
 	}
 	lo, hi = minInt(aj, bj), maxInt(aj, bj)
-	for _, r := range sampleInterior(lo, hi, zsamples) {
+	for _, r := range sampleInterior(lo, hi, zSamples) {
 		v := math.Max(maxAlongV(m, cg, ai, aj, r),
 			math.Max(maxAlongH(m, cg, r, ai, bi), maxAlongV(m, cg, bi, r, bj)))
 		if v < best {

@@ -110,7 +110,7 @@ func TestLocalCongestionSeparatesCells(t *testing.T) {
 
 func TestSurroundingIsSmoother(t *testing.T) {
 	d, m := congestedCorner()
-	s := Extract(d, m, nil, Params{KernelMargin: 3, ZSamples: 2})
+	s := Extract(d, m, nil, Params{KernelMargin: 3})
 	// The surrounding mean over a window spanning hot and calm Gcells must
 	// lie strictly between the extremes.
 	hotLocal := s.Vec[0][LocalCg]
@@ -119,7 +119,7 @@ func TestSurroundingIsSmoother(t *testing.T) {
 		t.Errorf("surround %v not below local max %v", hotSurr, hotLocal)
 	}
 	// Kernel margin 0 degenerates to the cell's own Gcell mean.
-	s0 := Extract(d, m, nil, Params{KernelMargin: 0, ZSamples: 2})
+	s0 := Extract(d, m, nil, Params{KernelMargin: 0})
 	if s0.Vec[0][SurroundCg] < s.Vec[0][SurroundCg] {
 		t.Errorf("zero-margin surround %v below wide-margin %v", s0.Vec[0][SurroundCg], s.Vec[0][SurroundCg])
 	}

@@ -21,19 +21,17 @@ import (
 
 // Config controls legalization.
 type Config struct {
-	// Theta is the θ of Eq. 17 (staircase resolution).
+	// Theta is the θ of Eq. 17 (staircase resolution). θ <= 0 inherits
+	// no padding: the cells are legalized at their physical widths.
 	Theta float64
 	// MaxUtil caps total discrete padding area as a fraction of total
 	// movable cell area (the paper uses 5%).
 	MaxUtil float64
-	// InheritPadding applies the global-placement padding; baselines that
-	// legalize without white-space assistance set it false.
-	InheritPadding bool
 }
 
 // DefaultConfig matches the paper's settings.
 func DefaultConfig() Config {
-	return Config{Theta: 4, MaxUtil: 0.05, InheritPadding: true}
+	return Config{Theta: 4, MaxUtil: 0.05}
 }
 
 // Result reports legalization quality.
@@ -218,7 +216,7 @@ func writeBack(d *netlist.Design, segs []*segment, movable int, res *Result) err
 // returning the discrete padding (in sites) per movable cell.
 func discretizePadding(d *netlist.Design, movable []int, cfg Config) []int {
 	out := make([]int, len(movable))
-	if !cfg.InheritPadding || cfg.Theta <= 0 {
+	if cfg.Theta <= 0 {
 		return out
 	}
 	mp := 0.0

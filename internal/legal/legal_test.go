@@ -131,7 +131,9 @@ func TestPaddingCreatesWhiteSpace(t *testing.T) {
 			d.Cells[i].PadW = 1.0
 		}
 		cfg := DefaultConfig()
-		cfg.InheritPadding = pad
+		if !pad {
+			cfg.Theta = 0 // inherit nothing
+		}
 		cfg.MaxUtil = 1 // no cap, isolate the padding effect
 		if _, err := Legalize(d, cfg); err != nil {
 			t.Fatal(err)
@@ -176,7 +178,7 @@ func TestDiscretizePaddingStaircase(t *testing.T) {
 	d.Cells[movable[1]].PadW = 0.5
 	d.Cells[movable[2]].PadW = 1.0
 	d.Cells[movable[3]].PadW = 2.0 // mp
-	cfg := Config{Theta: 4, MaxUtil: 1, InheritPadding: true}
+	cfg := Config{Theta: 4, MaxUtil: 1}
 	got := discretizePadding(d, movable, cfg)
 	// Eq. 17 with θ=4, mp=2: floor(4·(p/2 + 0.5)).
 	want := []int{0, 3, 4, 6}
@@ -210,7 +212,7 @@ func TestDiscretizePaddingDisabled(t *testing.T) {
 	for _, ci := range movable {
 		d.Cells[ci].PadW = 1
 	}
-	got := discretizePadding(d, movable, Config{Theta: 4, MaxUtil: 0.05, InheritPadding: false})
+	got := discretizePadding(d, movable, Config{Theta: 0, MaxUtil: 0.05})
 	for k, v := range got {
 		if v != 0 {
 			t.Errorf("DisPad[%d] = %d with padding disabled", k, v)
@@ -535,7 +537,7 @@ func TestLegalizeMatchesReference(t *testing.T) {
 			}
 			if v.pad {
 				uncapped := 0
-				for _, s := range discretizePadding(start, start.MovableIDs(), Config{Theta: cfg.Theta, MaxUtil: 1, InheritPadding: true}) {
+				for _, s := range discretizePadding(start, start.MovableIDs(), Config{Theta: cfg.Theta, MaxUtil: 1}) {
 					uncapped += s
 				}
 				if gotRes.PaddingSites == 0 || gotRes.PaddingSites >= uncapped {

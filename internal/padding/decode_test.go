@@ -26,15 +26,26 @@ func TestDecodeStrategy(t *testing.T) {
 		t.Errorf("round trip: %+v, %v", s, err)
 	}
 
-	// The retired estimator knob decodes as a no-op.
-	if s, err := DecodeStrategy([]byte(`{"Cong": {"RebuildEvery": 4}}`)); err != nil || s != def {
-		t.Errorf("retired Cong.RebuildEvery: %+v, %v", s, err)
+	// The retired estimator knobs decode as no-ops.
+	for _, old := range []string{
+		`{"Cong": {"RebuildEvery": 4}}`,
+		`{"Cong": {"CongestThreshold": 0}}`,
+		`{"Feat": {"ZSamples": 4}}`,
+	} {
+		if s, err := DecodeStrategy([]byte(old)); err != nil || s != def {
+			t.Errorf("retired keys %s: %+v, %v", old, s, err)
+		}
+	}
+	old := `{"Tau": 0.3, "Cong": {"CongestThreshold": 0, "PinPenalty": 0.2}, "Feat": {"ZSamples": 4}}`
+	if s, err := DecodeStrategy([]byte(old)); err != nil || s != want {
+		t.Errorf("retired keys beside live ones: %+v, %v", s, err)
 	}
 
 	for _, bad := range []string{
 		`{"tua": 0.3}`,
 		`{"Cong": {"PinPenalti": 0.2}}`,
 		`{"Feat": {"RebuildEvery": 4}}`,
+		`{"Cong": {"ZSamples": 4}}`,
 		`{"Tau": 0.3} {"Tau": 0.4}`,
 		`{"Tau": "high"}`,
 		`{nope`,

@@ -146,19 +146,25 @@ func DefaultStrategy() Strategy {
 // DecodeStrategy reads a strategy JSON document over DefaultStrategy: a
 // key the document leaves out keeps its default, and a key that names no
 // Strategy field is an error, so a misspelt "tua" cannot silently run the
-// default τ. The one retired key, Cong.RebuildEvery (an estimator knob
-// since deleted), still decodes as a no-op so strategies saved before its
-// removal keep loading.
+// default τ. The retired estimator keys Cong.RebuildEvery,
+// Cong.CongestThreshold and Feat.ZSamples decode as no-ops, so strategies
+// saved before their removal keep loading.
 func DecodeStrategy(data []byte) (Strategy, error) {
 	var doc struct {
 		Strategy
 		Cong struct {
 			cong.Params
-			RebuildEvery json.RawMessage
+			RebuildEvery     json.RawMessage
+			CongestThreshold json.RawMessage
+		}
+		Feat struct {
+			feature.Params
+			ZSamples json.RawMessage
 		}
 	}
 	doc.Strategy = DefaultStrategy()
 	doc.Cong.Params = doc.Strategy.Cong
+	doc.Feat.Params = doc.Strategy.Feat
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
@@ -169,6 +175,7 @@ func DecodeStrategy(data []byte) (Strategy, error) {
 	}
 	s := doc.Strategy
 	s.Cong = doc.Cong.Params
+	s.Feat = doc.Feat.Params
 	return s, nil
 }
 

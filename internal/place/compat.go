@@ -4,7 +4,7 @@ import "puffer/internal/density"
 
 // Names from the era of the multi-resolution density pyramid that the
 // frozen benchmark harness (benchmark/, its own module) still compiles
-// against. Delete with the harness's next revision (ROADMAP item 6).
+// against. Delete with the harness's next revision (ROADMAP item 9).
 
 // Solver is Grid under its old name. Reader: benchmark/trace.go.
 func (p *Placer) Solver() *density.Grid { return p.g }

@@ -155,21 +155,13 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 			c.prev[trialKey{t.Round, t.Group, t.Index}] = t
 		}
 	}
-	ex := &explore.Explorer{
-		Params: cfg.Params,
-		// Algorithm 2/3 knobs mirror the in-process explorer
-		// (puffer.ExploreStrategyOpts) exactly, so the trial schedule —
-		// and therefore the per-trial config digests — match.
-		TimeLimit: cfg.Budget,
-		EarlyStop: maxInt(cfg.Budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Seed:      cfg.Seed,
-		Logf:      cfg.Logf,
-		Obs:       cfg.Obs,
-		Evaluate:  c.evaluate,
-		Snapshot:  c.snapshotRanges,
-	}
+	// The in-process explorer's schedule (puffer.ExploreStrategyOpts), so
+	// the trial schedule — and the per-trial config digests — match.
+	ex := explore.Production(cfg.Params, cfg.Budget, cfg.Seed)
+	ex.Logf = cfg.Logf
+	ex.Obs = cfg.Obs
+	ex.Evaluate = c.evaluate
+	ex.Snapshot = c.snapshotRanges
 	c.checkpoint()
 	final, best, err := ex.RunCtx(ctx)
 	if err != nil {
@@ -403,11 +395,4 @@ func sameAssignment(a map[string]float64, b explore.Assignment) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

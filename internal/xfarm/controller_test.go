@@ -206,65 +206,77 @@ func scheduleOf(t *testing.T, st *State) map[string]string {
 	return out
 }
 
-// TestControllerDeterminism is the ISSUE's determinism contract: same seed
-// and budget => the distributed controller proposes the same trials and
-// lands on the same final strategy as the in-process explorer, for any
-// worker count and any completion order.
+// TestControllerDeterminism is the determinism contract: same seed and
+// budget => the distributed controller proposes the same trial
+// assignments and lands on the same final strategy as the in-process
+// explorer (explore.Production, which puffer.ExploreStrategyOpts runs),
+// for any worker count and any completion order. At budget 18, EC — a
+// third of it — ends group chains early.
 func TestControllerDeterminism(t *testing.T) {
-	const seed, budget = 42, 3
 	params := testParams()
+	for _, tc := range []struct {
+		seed   int64
+		budget int
+	}{{42, 3}, {11, 18}} {
+		ref := explore.Production(params, tc.budget, tc.seed)
+		ref.Eval = testObjective
+		refFinal, refBest := ref.Run()
+		refTrials := map[string]int{}
+		for _, o := range ref.History() {
+			refTrials[fingerprint(o.X)]++
+		}
+		full := tc.budget + 2*2*tc.budget // global + rounds*groups*budget
+		if n := len(ref.History()); (tc.budget == 3) != (n == full) {
+			t.Fatalf("budget %d: %d trials in process; EC should end chains early only at budget 18", tc.budget, n)
+		}
 
-	// In-process reference: the plain explorer, exactly as
-	// ExploreStrategyOpts configures it.
-	ref := &explore.Explorer{
-		Params:    params,
-		Eval:      testObjective,
-		TimeLimit: budget,
-		EarlyStop: maxInt(budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Seed:      seed,
-	}
-	refFinal, refBest := ref.Run()
-
-	var schedules []map[string]string
-	for _, workers := range []int{1, 4} {
-		fleet := newFakeFleet(workers, testObjective)
-		res, err := Run(context.Background(), Config{
-			Params:  params,
-			Budget:  budget,
-			Seed:    seed,
-			Backend: fleet,
-		}, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res.Final) != len(refFinal) {
-			t.Fatalf("workers=%d: final size %d != %d", workers, len(res.Final), len(refFinal))
-		}
-		for k, v := range refFinal {
-			if res.Final[k] != v {
-				t.Errorf("workers=%d: final[%s] = %v, want %v", workers, k, res.Final[k], v)
+		var schedules []map[string]string
+		for _, workers := range []int{1, 4} {
+			fleet := newFakeFleet(workers, testObjective)
+			res, err := Run(context.Background(), Config{
+				Params:  params,
+				Budget:  tc.budget,
+				Seed:    tc.seed,
+				Backend: fleet,
+			}, nil)
+			if err != nil {
+				t.Fatalf("budget=%d workers=%d: %v", tc.budget, workers, err)
 			}
-		}
-		for k, v := range refBest {
-			if res.Best[k] != v {
-				t.Errorf("workers=%d: best[%s] = %v, want %v", workers, k, res.Best[k], v)
+			if len(res.Final) != len(refFinal) {
+				t.Fatalf("budget=%d workers=%d: final size %d != %d", tc.budget, workers, len(res.Final), len(refFinal))
 			}
+			for k, v := range refFinal {
+				if res.Final[k] != v {
+					t.Errorf("budget=%d workers=%d: final[%s] = %v, want %v", tc.budget, workers, k, res.Final[k], v)
+				}
+			}
+			for k, v := range refBest {
+				if res.Best[k] != v {
+					t.Errorf("budget=%d workers=%d: best[%s] = %v, want %v", tc.budget, workers, k, res.Best[k], v)
+				}
+			}
+			if res.Trials != len(ref.History()) {
+				t.Errorf("budget=%d workers=%d: %d trials, in process %d", tc.budget, workers, res.Trials, len(ref.History()))
+			}
+			got := map[string]int{}
+			for _, tr := range res.State.Trials {
+				got[fingerprint(tr.X)]++
+			}
+			for x, n := range refTrials {
+				if got[x] != n {
+					t.Errorf("budget=%d workers=%d: assignment %s: %d in process, %d through the farm", tc.budget, workers, x, n, got[x])
+				}
+			}
+			schedules = append(schedules, scheduleOf(t, res.State))
 		}
-		wantTrials := budget + 2*2*budget // global + rounds*groups*budget
-		if res.Trials != wantTrials {
-			t.Errorf("workers=%d: %d trials, want %d", workers, res.Trials, wantTrials)
-		}
-		schedules = append(schedules, scheduleOf(t, res.State))
-	}
-	for i := 1; i < len(schedules); i++ {
-		if len(schedules[i]) != len(schedules[0]) {
-			t.Fatalf("schedule %d has %d trials, schedule 0 has %d", i, len(schedules[i]), len(schedules[0]))
-		}
-		for k, v := range schedules[0] {
-			if schedules[i][k] != v {
-				t.Errorf("schedule diverged at %s:\n  %s\n  vs %s", k, v, schedules[i][k])
+		for i := 1; i < len(schedules); i++ {
+			if len(schedules[i]) != len(schedules[0]) {
+				t.Fatalf("budget=%d: schedule %d has %d trials, schedule 0 has %d", tc.budget, i, len(schedules[i]), len(schedules[0]))
+			}
+			for k, v := range schedules[0] {
+				if schedules[i][k] != v {
+					t.Errorf("budget=%d: schedule diverged at %s:\n  %s\n  vs %s", tc.budget, k, v, schedules[i][k])
+				}
 			}
 		}
 	}

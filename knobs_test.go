@@ -77,21 +77,17 @@ var knobCensus = []knob{
 	{field: "Strategy.Cong.PinPenalty", class: "wire"},
 	{field: "Strategy.Cong.ExpandRadius", class: "wire"},
 	{field: "Strategy.Cong.TransferRatio", class: "wire"},
-	{field: "Strategy.Cong.CongestThreshold", class: "wire"},
 	{field: "Strategy.Cong.Workers", class: "wire"},
 	{field: "Strategy.Feat.KernelMargin", class: "wire"},
-	{field: "Strategy.Feat.ZSamples", class: "wire"},
 	{field: "Strategy.Feat.Workers", class: "wire"},
 	{field: "Strategy.Theta", class: "wire"},
 	{field: "Strategy.NetWeightGain", class: "wire"},
 
-	// pipeline.Config.Legal / .DP / flow level
-	{field: "Legal.Theta", class: "set", where: "pipeline/stages.go"},
-	{field: "Legal.MaxUtil", class: "reference", where: "internal/legal/legal_test.go"},
-	{field: "Legal.InheritPadding", class: "set", where: "internal/baseline/baseline.go"},
+	// pipeline.Config.DP / flow level; a flow's finish is (Strategy.Theta,
+	// DP.PreservePadding), set in internal/baseline/baseline.go
 	{field: "DP.Passes", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "DP.WindowSites", class: "set", where: "internal/baseline/baseline.go"},
-	{field: "DP.PreservePadding", class: "reference", where: "internal/dp/dp_test.go"},
+	{field: "DP.PreservePadding", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "Workers", class: "set", where: "internal/serve/local.go"},
 
 	// router.Config

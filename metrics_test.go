@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// The metric census (ROADMAP item 10(a), DESIGN.md §3c): every metric name
+// The metric census (DESIGN.md §3c): every metric name
 // emitted from non-test code outside benchmark/ has exactly one row in the
 // catalog table of DESIGN.md §3c, naming its kind and one reader, and
 // TestMetricCensus checks each row's evidence against the tree. The table is

@@ -44,13 +44,10 @@ type Config struct {
 	// Place configures the global placement engine.
 	Place place.Config
 	// Strategy bundles every routability-optimizer strategy parameter.
+	// Its Theta (θ of Eq. 17) is the legalization stage's one input.
 	Strategy padding.Strategy
-	// Legal configures the legalization stage. Its Theta is not an input:
-	// the Legalize stage is the one place θ (Eq. 17) enters legalization,
-	// and it takes Strategy.Theta.
-	Legal legal.Config
-	// DP configures the post-legalization detailed placement; PUFFER runs
-	// it padding-preserving so the injected white space survives.
+	// DP configures the post-legalization detailed placement. A flow's
+	// finish is (Strategy.Theta, DP.PreservePadding).
 	DP dp.Config
 	// Workers caps the flow's data parallelism — the global-placement
 	// inner loop, congestion estimation, feature extraction, and router
@@ -74,15 +71,10 @@ type Config struct {
 
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
-	dcfg := dp.DefaultConfig()
-	dcfg.PreservePadding = true
-	dcfg.Passes = 2
-	dcfg.WindowSites = 100
 	return Config{
 		Place:    place.DefaultConfig(),
 		Strategy: padding.DefaultStrategy(),
-		Legal:    legal.DefaultConfig(),
-		DP:       dcfg,
+		DP:       dp.Config{Passes: 2, WindowSites: 100, PreservePadding: true},
 	}
 }
 

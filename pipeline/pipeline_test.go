@@ -71,40 +71,6 @@ func TestDefaultPipelineMatchesLegacyFlow(t *testing.T) {
 	}
 }
 
-// TestLegalizeStageIgnoresLegalTheta pins the one place θ (Eq. 17) enters
-// legalization: the Legalize stage takes Strategy.Theta, so whatever a
-// caller leaves in Legal.Theta cannot move a cell or a padding site.
-func TestLegalizeStageIgnoresLegalTheta(t *testing.T) {
-	run := func(legalTheta float64) (*netlist.Design, *pipeline.Result) {
-		d := stressedDesign(t)
-		cfg := quickConfig()
-		cfg.Legal.Theta = legalTheta
-		res, err := pipeline.Execute(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, res
-	}
-	strategyTheta := quickConfig().Strategy.Theta
-	if strategyTheta == 2 {
-		t.Fatal("test needs Legal.Theta != Strategy.Theta on one arm")
-	}
-	da, ra := run(2)
-	db, rb := run(strategyTheta)
-	if ra.Legal.PaddingSites == 0 {
-		t.Fatal("no padding reached legalization; the comparison is vacuous")
-	}
-	if ra.Legal.PaddingSites != rb.Legal.PaddingSites {
-		t.Errorf("PaddingSites %d vs %d", ra.Legal.PaddingSites, rb.Legal.PaddingSites)
-	}
-	for i := range da.Cells {
-		if da.Cells[i].X != db.Cells[i].X || da.Cells[i].Y != db.Cells[i].Y {
-			t.Fatalf("cell %d at (%v,%v) vs (%v,%v)", i,
-				da.Cells[i].X, da.Cells[i].Y, db.Cells[i].X, db.Cells[i].Y)
-		}
-	}
-}
-
 func TestPipelineDeterministic(t *testing.T) {
 	run := func() float64 {
 		d := stressedDesign(t)

@@ -14,8 +14,20 @@ import (
 // verbatim stage log, a snapshot of every metric the flow recorded, and
 // the final quality numbers. cmd/puffer -report saves it; puffer diag
 // consumes it.
+//
+// The configuration's Strategy is whole only when the run built PUFFER's
+// routability optimizer; otherwise it holds the one field the flow read,
+// Theta.
 func BuildReport(rc *RunContext) (*obs.RunReport, error) {
-	cfgJSON, err := json.Marshal(rc.Cfg)
+	var cfg any = rc.Cfg
+	if rc.opt == nil {
+		type theta struct{ Theta float64 }
+		cfg = struct {
+			Config
+			Strategy theta
+		}{rc.Cfg, theta{rc.Cfg.Strategy.Theta}}
+	}
+	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: encode config for report: %w", err)
 	}

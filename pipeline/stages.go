@@ -122,14 +122,15 @@ func GlobalPlaceWith(newRound func(rc *RunContext) Round) Stage {
 }
 
 // Legalize returns the white-space-assisted legalization stage (paper
-// Sec. III-D): padding discretized by Eq. 17 is inherited into an
-// Abacus-based row legalization. It fills Result.Legal.
+// Sec. III-D): padding discretized by Eq. 17 with θ = Strategy.Theta (<= 0
+// inherits nothing) feeds an Abacus-based row legalization. It fills
+// Result.Legal.
 func Legalize() Stage {
 	return StageFunc{StageName: StageLegal, Fn: func(ctx context.Context, rc *RunContext) error {
-		rc.Logf("stage: white-space-assisted legalization (theta=%.1f cap=%.0f%%)",
-			rc.Cfg.Strategy.Theta, 100*rc.Cfg.Legal.MaxUtil)
-		lcfg := rc.Cfg.Legal
+		lcfg := legal.DefaultConfig()
 		lcfg.Theta = rc.Cfg.Strategy.Theta
+		rc.Logf("stage: white-space-assisted legalization (theta=%.1f cap=%.0f%%)",
+			lcfg.Theta, 100*lcfg.MaxUtil)
 		lres, err := legal.LegalizeCtx(ctx, rc.Design, lcfg)
 		if err != nil {
 			return err

@@ -92,7 +92,7 @@ func TestPaddingImprovesRoutabilityOverNoPadding(t *testing.T) {
 		cfg := quickConfig()
 		if !withPadding {
 			cfg.Strategy.MaxIters = 0 // optimizer never triggers
-			cfg.Legal.InheritPadding = false
+			cfg.Strategy.Theta = 0    // legalization inherits nothing
 		}
 		if _, err := Run(d, cfg); err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCongGridFor(t *testing.T) {
 
 func TestDefaultConfigComplete(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Place.MaxIters == 0 || cfg.Strategy.MaxIters == 0 || cfg.Legal.MaxUtil == 0 {
+	if cfg.Place.MaxIters == 0 || cfg.Strategy.MaxIters == 0 || cfg.DP.Passes == 0 {
 		t.Error("default config has zero fields")
 	}
 	_ = place.DefaultConfig()

@@ -154,26 +154,19 @@ type ExploreOptions struct {
 // against a small design (the paper tunes on a small routability-challenged
 // design and applies the result to the large benchmarks) and returns the
 // tuned strategy plus the best observed one. It is the common core of the
-// in-process exploration paths; the distributed farm mirrors its Explorer
-// knobs so both produce identical trial schedules.
+// in-process exploration paths; it and the distributed farm both run
+// explore.Production, so both produce identical trial schedules.
 // The context is observed between SMBO trials: on cancellation the best
 // strategies found so far are still returned, alongside an error wrapping
 // ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge
 // land on its registry (explore.trial.score / explore.best_score) and the
 // exploration opens a trace span.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
-	e := &explore.Explorer{
-		Obs:       opt.Obs,
-		Params:    StrategyParams(),
-		Eval:      StrategyObjective(d, placeCfg, router.DefaultConfig()),
-		TimeLimit: opt.Budget,
-		EarlyStop: max(opt.Budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Workers:   opt.Workers,
-		Seed:      opt.Seed,
-		Logf:      opt.Logf,
-	}
+	e := explore.Production(StrategyParams(), opt.Budget, opt.Seed)
+	e.Eval = StrategyObjective(d, placeCfg, router.DefaultConfig())
+	e.Workers = opt.Workers
+	e.Logf = opt.Logf
+	e.Obs = opt.Obs
 	fa, ba, err := e.RunCtx(ctx)
 	final = padding.DefaultStrategy()
 	ApplyAssignment(&final, fa)

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// The surface census (ROADMAP item 18, DESIGN.md §3n): every flag a binary
+// The surface census (DESIGN.md §3n): every flag a binary
 // under cmd/ registers, every pattern an HTTP mux is handed and every
 // "puffer/<name>/vN" format literal in non-test code outside benchmark/ has
 // exactly one row in the table of DESIGN.md §3n, naming one reader, and
