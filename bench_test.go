@@ -17,7 +17,6 @@ import (
 	"puffer/internal/cong"
 	"puffer/internal/experiments"
 	"puffer/internal/netlist"
-	"puffer/internal/router"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -53,16 +52,11 @@ func table2Bench(b *testing.B, design string, placer experiments.PlacerName) {
 	}
 	var hof, vof, wl float64
 	for i := 0; i < b.N; i++ {
-		d := synth.Generate(p, o.Scale, o.Seed)
-		rc, err := pipeline.NewRunContext(d, cfg)
+		rec, _, err := pipeline.Judge(context.Background(), placer.Flow(), synth.Generate(p, o.Scale, o.Seed), cfg, stages)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pipeline.New(stages...).Run(context.Background(), rc); err != nil {
-			b.Fatal(err)
-		}
-		rr := puffer.Evaluate(d, router.DefaultConfig())
-		hof, vof, wl = rr.HOF, rr.VOF, rr.WL
+		hof, vof, wl = rec.Final.HOF, rec.Final.VOF, rec.Final.WL
 	}
 	b.ReportMetric(hof, "HOF%")
 	b.ReportMetric(vof, "VOF%")
@@ -138,19 +132,19 @@ func BenchmarkFig5Maps(b *testing.B) {
 
 // ablationBench runs one mechanism ablation per iteration and reports the
 // on/off quality metrics.
-func ablationBench(b *testing.B, fn func(experiments.Options) (experiments.AblationResult, error)) {
+func ablationBench(b *testing.B, a experiments.Ablation) {
 	b.Helper()
 	o := benchOptions()
-	var r experiments.AblationResult
+	var rows []experiments.AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = fn(o)
+		rows, err = experiments.Ablate(o, a)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.MetricOn, "ovf_on%")
-	b.ReportMetric(r.MetricOff, "ovf_off%")
+	b.ReportMetric(rows[0].MetricOn, "ovf_on%")
+	b.ReportMetric(rows[0].MetricOff, "ovf_off%")
 }
 
 // BenchmarkAblationFeatures: multi-feature vs local-only padding

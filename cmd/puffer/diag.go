@@ -16,7 +16,6 @@ import (
 
 	"puffer/internal/cas"
 	"puffer/internal/eco"
-	"puffer/internal/obs"
 	"puffer/internal/xfarm"
 	"puffer/pipeline"
 )
@@ -26,7 +25,7 @@ import (
 // or the bytes already read, with the owning package's strict loader and
 // summarizes it.
 var artifacts = map[string]func(w io.Writer, path string, data []byte) error{
-	obs.ReportSchema:          summarizeReport,
+	pipeline.RecordSchema:     summarizeRecord,
 	pipeline.CheckpointFormat: summarizeCheckpoint,
 	eco.SnapshotFormat:        summarizeSession,
 	xfarm.StateFormat:         summarizeExploreState,
@@ -74,35 +73,25 @@ func diag(args []string, w io.Writer) error {
 	return show(w, path, data)
 }
 
-// summarizeReport loads, prints, and round-trip-validates a run report.
-func summarizeReport(w io.Writer, path string, _ []byte) error {
-	rep, err := obs.LoadReport(path)
+// summarizeRecord loads, prints, and round-trip-validates a run record.
+func summarizeRecord(w io.Writer, path string, _ []byte) error {
+	rec, err := pipeline.LoadRecord(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "run report %s (%s)\n", path, rep.Schema)
-	fmt.Fprintf(w, "design %s: %d cells, %d nets, seed=%d\n", rep.Design, rep.Cells, rep.Nets, rep.Seed)
+	fmt.Fprintf(w, "run report %s (%s)\n", path, rec.Schema)
+	fmt.Fprintf(w, "%s flow on design %s: %d cells, %d nets, seed=%d\n", rec.Flow, rec.Design, rec.Cells, rec.Nets, rec.Seed)
 
 	// Stage table, through the same fixed-format writer puffer -stats
-	// uses (StageReport carries no estimator type after decoding, so the
-	// estimator detail lines are intentionally absent here).
-	stages := make([]pipeline.StageStats, len(rep.Stages))
-	for i, sr := range rep.Stages {
-		stages[i] = pipeline.StageStats{
-			Name:        sr.Name,
-			Wall:        time.Duration(sr.WallNs),
-			Iters:       sr.Iters,
-			AllocsDelta: sr.AllocsDelta,
-		}
-	}
-	pipeline.WriteStageStats(w, stages)
+	// uses.
+	pipeline.WriteStageStats(w, rec.Stages)
 
-	printKV(w, fmt.Sprintf("counters (%d):", len(rep.Metrics.Counters)), rep.Metrics.Counters)
-	printKV(w, fmt.Sprintf("gauges (%d):", len(rep.Metrics.Gauges)), rep.Metrics.Gauges)
-	if n := len(rep.Metrics.Series); n > 0 {
+	printKV(w, fmt.Sprintf("counters (%d):", len(rec.Metrics.Counters)), rec.Metrics.Counters)
+	printKV(w, fmt.Sprintf("gauges (%d):", len(rec.Metrics.Gauges)), rec.Metrics.Gauges)
+	if n := len(rec.Metrics.Series); n > 0 {
 		fmt.Fprintf(w, "series (%d):\n", n)
-		for _, k := range sortedKeys(rep.Metrics.Series) {
-			ss := rep.Metrics.Series[k]
+		for _, k := range sortedKeys(rec.Metrics.Series) {
+			ss := rec.Metrics.Series[k]
 			if len(ss) == 0 {
 				fmt.Fprintf(w, "  %-24s empty\n", k)
 				continue
@@ -111,24 +100,31 @@ func summarizeReport(w io.Writer, path string, _ []byte) error {
 				k, len(ss), ss[0].Value, ss[len(ss)-1].Value)
 		}
 	}
-	printKV(w, "final:", rep.Final)
-	fmt.Fprintf(w, "stage log: %d lines\n", len(rep.StageLog))
+	// The final numbers print by their JSON keys, in key order.
+	var final map[string]float64
+	if data, err := json.Marshal(rec.Final); err != nil {
+		return err
+	} else if err := json.Unmarshal(data, &final); err != nil {
+		return err
+	}
+	printKV(w, "final:", final)
+	fmt.Fprintf(w, "stage log: %d lines\n", len(rec.StageLog))
 
-	// Round trip: re-save and reload; a report diag cannot reproduce
+	// Round trip: re-save and reload; a record diag cannot reproduce
 	// losslessly is a bug in the schema.
 	tmp := filepath.Join(os.TempDir(), fmt.Sprintf("diag-report-%d.json", os.Getpid()))
 	defer os.Remove(tmp)
-	if err := rep.Save(tmp); err != nil {
+	if err := rec.Save(tmp); err != nil {
 		return fmt.Errorf("round trip save: %w", err)
 	}
-	again, err := obs.LoadReport(tmp)
+	again, err := pipeline.LoadRecord(tmp)
 	if err != nil {
 		return fmt.Errorf("round trip load: %w", err)
 	}
-	if again.Design != rep.Design || len(again.Stages) != len(rep.Stages) ||
-		len(again.Metrics.Series) != len(rep.Metrics.Series) {
-		return fmt.Errorf("round trip mismatch: %s/%d stages vs %s/%d stages",
-			again.Design, len(again.Stages), rep.Design, len(rep.Stages))
+	if again.Design != rec.Design || again.Flow != rec.Flow || len(again.Stages) != len(rec.Stages) ||
+		len(again.Metrics.Series) != len(rec.Metrics.Series) {
+		return fmt.Errorf("round trip mismatch: %s/%s/%d stages vs %s/%s/%d stages",
+			again.Flow, again.Design, len(again.Stages), rec.Flow, rec.Design, len(rec.Stages))
 	}
 	fmt.Fprintln(w, "round trip: ok")
 	return nil

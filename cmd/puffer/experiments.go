@@ -59,19 +59,9 @@ func experimentsCmd(args []string, w io.Writer) error {
 			return experiments.FormatRTSweep("MEDIA_SUBSYS", rows), err
 		}},
 		{"ablations", "ablation studies", func() (string, error) {
-			var rows []experiments.AblationResult
-			for _, fn := range []func(experiments.Options) (experiments.AblationResult, error){
-				experiments.AblationFeatures,
-				experiments.AblationExpansion,
-				experiments.AblationRecycling,
-				experiments.AblationLegalPadding,
-				experiments.AblationDPPreserve,
-			} {
-				r, err := fn(o)
-				if err != nil {
-					return "", err
-				}
-				rows = append(rows, r)
+			rows, err := experiments.Ablate(o, experiments.Ablations...)
+			if err != nil {
+				return "", err
 			}
 			return experiments.FormatAblations(append(rows, experiments.AblationTPE(src.seed))), nil
 		}},

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,8 +11,8 @@ import (
 	"puffer"
 	"puffer/internal/padding"
 	"puffer/internal/place"
-	"puffer/internal/router"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 // explore runs the Bayesian strategy exploration of Sec. III-C: it tunes
@@ -63,7 +64,8 @@ func explore(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "best strategy written to %s\n", *out)
 	}
 
-	// Verify the tuned strategy on the tuning design.
+	// Verify the tuned strategy on the tuning design. This runs after a
+	// timed-out exploration too, so it does not inherit ctx's deadline.
 	for _, cand := range []struct {
 		name     string
 		strategy padding.Strategy
@@ -71,15 +73,14 @@ func explore(args []string, w io.Writer) error {
 		{"default", puffer.DefaultConfig().Strategy},
 		{"tuned(best)", best},
 	} {
-		dd := d.Clone()
 		cfg := puffer.DefaultConfig()
 		cfg.Place = pcfg
 		cfg.Strategy = cand.strategy
-		if _, err := puffer.Run(dd, cfg); err != nil {
+		rec, _, err := pipeline.Judge(context.Background(), pipeline.PUFFER, d.Clone(), cfg, pipeline.Default())
+		if err != nil {
 			return err
 		}
-		rr := puffer.Evaluate(dd, router.DefaultConfig())
-		fmt.Fprintf(w, "%-12s total overflow (HOF+VOF) = %.3f%%\n", cand.name, rr.HOF+rr.VOF)
+		fmt.Fprintf(w, "%-12s total overflow (HOF+VOF) = %.3f%%\n", cand.name, rec.Final.HOF+rec.Final.VOF)
 	}
 	return nil
 }

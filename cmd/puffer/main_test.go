@@ -93,12 +93,12 @@ func TestPlaceThenDiag(t *testing.T) {
 		"loaded OR1200_placed: ", "legality check: clean")
 
 	mustContain(t, "diag report", runOK(t, "diag", rep),
-		"run report "+rep+" (puffer/run-report/v1)", "design OR1200", "stage place", "round trip: ok")
+		"run report "+rep+" (puffer/run-report/v2)", "puffer flow on design OR1200", "stage place", "stage route", "round trip: ok")
 	if st := reportStrategy(t, rep); st["Tau"] == nil || st["Cong"] == nil {
 		t.Errorf("PUFFER report's strategy lost the optimizer's parameters: %v", st)
 	}
 	mustContain(t, "diag checkpoint", runOK(t, "diag", cp),
-		"checkpoint "+cp+" (puffer/checkpoint/v1)", "stage: dp", "bbox: [")
+		"checkpoint "+cp+" (puffer/checkpoint/v1)", "stage: route", "bbox: [")
 
 	alien := filepath.Join(dir, "alien.json")
 	if err := os.WriteFile(alien, []byte(`{"format": "puffer/alien/v9"}`), 0o644); err != nil {
@@ -228,8 +228,10 @@ func TestBenchgenWritesParsableBookshelf(t *testing.T) {
 }
 
 // TestResumeEqualsUninterrupted checks item 11's contract at the command
-// line: a checkpoint saved after the place stage through the pipeline
-// API, resumed with -resume, ends where an uninterrupted run does.
+// line: checkpoints saved after the place and dp stages through the
+// pipeline API, resumed with -resume, end where an uninterrupted run does,
+// and a resumed run's report still names the PUFFER flow and its whole
+// strategy although it built no optimizer.
 func TestResumeEqualsUninterrupted(t *testing.T) {
 	p, err := synth.ProfileByName("OR1200")
 	if err != nil {
@@ -241,25 +243,35 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := filepath.Join(t.TempDir(), "place.json")
-	pl := pipeline.New(pipeline.GlobalPlace())
-	pl.Checkpointer = func(c *pipeline.Checkpoint) error { return c.Save(cp) }
+	dir := t.TempDir()
+	pl := pipeline.New()
+	pl.Checkpointer = func(c *pipeline.Checkpoint) error { return c.Save(filepath.Join(dir, c.Stage+".json")) }
 	if err := pl.Run(context.Background(), rc); err != nil {
 		t.Fatal(err)
 	}
 
 	whole := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1")
-	resumed := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-resume", cp)
-	mustContain(t, "resumed run", resumed, `resuming after stage "place" from `+cp)
 	hpwl := regexp.MustCompile(`(?m)^PUFFER: .*, HPWL=(\d+)$`)
 	routed := regexp.MustCompile(`(?m)^routed: .*$`)
-	for _, re := range []*regexp.Regexp{hpwl, routed} {
-		w, r := re.FindStringSubmatch(whole), re.FindStringSubmatch(resumed)
-		if w == nil || r == nil {
-			t.Fatalf("no %s line:\n%s\n%s", re, whole, resumed)
+	for _, stage := range []string{pipeline.StagePlace, pipeline.StageDP} {
+		cp, rep := filepath.Join(dir, stage+".json"), filepath.Join(dir, stage+"-report.json")
+		resumed := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-resume", cp, "-report", rep)
+		mustContain(t, "resumed run", resumed, `resuming after stage "`+stage+`" from `+cp)
+		for _, re := range []*regexp.Regexp{hpwl, routed} {
+			w, r := re.FindStringSubmatch(whole), re.FindStringSubmatch(resumed)
+			if w == nil || r == nil {
+				t.Fatalf("no %s line:\n%s\n%s", re, whole, resumed)
+			}
+			if w[len(w)-1] != r[len(r)-1] {
+				t.Errorf("after %s: uninterrupted %q, resumed %q", stage, w[len(w)-1], r[len(r)-1])
+			}
 		}
-		if w[len(w)-1] != r[len(r)-1] {
-			t.Errorf("uninterrupted %q, resumed %q", w[len(w)-1], r[len(r)-1])
+		rec, err := pipeline.LoadRecord(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := reportStrategy(t, rep); rec.Flow != "puffer" || st["Tau"] == nil {
+			t.Errorf("after %s: report of flow %q with strategy %v, want puffer's whole strategy", stage, rec.Flow, st)
 		}
 	}
 }
@@ -422,11 +434,11 @@ func TestBaselinesRunThePipeline(t *testing.T) {
 	if st := reportStrategy(t, rep); !reflect.DeepEqual(st, map[string]any{"Theta": 4.0}) {
 		t.Errorf("commercial report's strategy = %v, want only Theta 4", st)
 	}
-	mustContain(t, "diag report", runOK(t, "diag", rep), "design OR1200", "stage place", "stage dp", "round trip: ok")
-	mustContain(t, "diag checkpoint", runOK(t, "diag", cp), "stage: dp")
+	mustContain(t, "diag report", runOK(t, "diag", rep), "commercial flow on design OR1200", "stage place", "stage dp", "round trip: ok")
+	mustContain(t, "diag checkpoint", runOK(t, "diag", cp), "stage: route")
 
-	// The checkpoint file ends at dp; the run's legalize checkpoint comes
-	// from the same flow stopped after legalization.
+	// The checkpoint file ends at route; the run's legalize checkpoint
+	// comes from the same flow stopped after legalization.
 	p, err := synth.ProfileByName("OR1200")
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"puffer/internal/legal"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/router"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -191,9 +190,6 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	defer cancel()
 
 	start := time.Now()
-	evalCfg := router.DefaultConfig()
-	evalCfg.Workers = *workers
-	evalCfg.Obs = rec
 	cfg.Place.Seed = src.seed
 	cfg.Workers = *workers
 	cfg.Logf = logf
@@ -208,6 +204,9 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	rc, err := pipeline.NewRunContext(d, cfg)
 	if err != nil {
 		return err
+	}
+	if !*noEval {
+		stages = append(stages, pipeline.Route())
 	}
 	pl := pipeline.New(stages...)
 	if *ckpt != "" {
@@ -238,6 +237,10 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	record, err := pipeline.NewRecord(*placer, rc)
+	if err != nil {
+		return err
+	}
 	res := rc.Result
 	fmt.Fprintf(w, "%s: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
 		flowLabels[*placer], res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
@@ -257,7 +260,7 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		}
 		fmt.Fprintf(w, "iteration trace written to %s\n", *traceCSV)
 	}
-	fmt.Fprintf(w, "placement runtime: %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "placement runtime: %s\n", record.PlaceRuntime().Round(time.Millisecond))
 
 	if *verify {
 		if vs := legal.Check(d, 5); len(vs) > 0 {
@@ -267,16 +270,15 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		}
 	}
 
-	var rr *router.Result
-	if !*noEval {
-		rr = puffer.Evaluate(d, evalCfg)
+	if rr := res.Route; rr != nil {
+		f := record.Final
 		fmt.Fprintf(w, "routed: HOF=%.2f%% VOF=%.2f%% WL=%.0f (%d segments, %d rerouted)\n",
-			rr.HOF, rr.VOF, rr.WL, rr.Segments, rr.Rerouted)
+			f.HOF, f.VOF, f.WL, f.Segments, f.Rerouted)
 		peak, ace := rr.Map.StandardACE()
 		fmt.Fprintf(w, "ACE: peak=%.3f 0.5%%=%.3f 1%%=%.3f 2%%=%.3f 5%%=%.3f\n",
 			peak, ace[0], ace[1], ace[2], ace[3])
 		pass := "PASS"
-		if rr.HOF > 1 || rr.VOF > 1 {
+		if f.HOF > 1 || f.VOF > 1 {
 			pass = "FAIL"
 		}
 		fmt.Fprintf(w, "routability (1%% criterion): %s\n", pass)
@@ -305,12 +307,7 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	}
 
 	if *repOut != "" {
-		rc.Result.Route = rr
-		rep, err := pipeline.BuildReport(rc)
-		if err != nil {
-			return err
-		}
-		if err := rep.Save(*repOut); err != nil {
+		if err := record.Save(*repOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "run report written to %s\n", *repOut)

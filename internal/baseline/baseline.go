@@ -33,7 +33,7 @@ import (
 
 // Flow names, as `puffer -placer` spells them.
 const (
-	PUFFER     = "puffer"
+	PUFFER     = pipeline.PUFFER
 	RePlAce    = "replace"
 	Commercial = "commercial"
 )

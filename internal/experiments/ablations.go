@@ -6,11 +6,10 @@ import (
 	"math/rand"
 	"strings"
 
-	"puffer"
 	"puffer/internal/explore"
 	"puffer/internal/feature"
-	"puffer/internal/router"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 // AblationResult compares a PUFFER mechanism switched on vs off on the
@@ -24,95 +23,96 @@ type AblationResult struct {
 	WLOff     float64
 }
 
-// ablationSeeds is how many seeds each ablation averages over; single-seed
-// differences at these scales are dominated by placement noise.
-const ablationSeeds = 3
-
-// runConfigured places MEDIA_SUBSYS with a mutated config over several
-// seeds and returns the mean HOF+VOF and WL.
-func runConfigured(o Options, mutate func(*puffer.Config)) (float64, float64, error) {
-	o = mergeDefaults(o)
-	p, _ := synth.ProfileByName("MEDIA_SUBSYS")
-	var ovf, wl float64
-	for k := int64(0); k < ablationSeeds; k++ {
-		seed := o.Seed + k
-		d := synth.Generate(p, o.Scale, seed)
-		cfg := puffer.DefaultConfig()
-		cfg.Place.Seed = seed
-		if o.PlaceIters > 0 {
-			cfg.Place.MaxIters = o.PlaceIters
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		if _, err := puffer.Run(d, cfg); err != nil {
-			return 0, 0, err
-		}
-		rr := puffer.Evaluate(d, router.DefaultConfig())
-		ovf += (rr.HOF + rr.VOF) / ablationSeeds
-		wl += rr.WL / ablationSeeds
-	}
-	return ovf, wl, nil
+// An Ablation is one PUFFER mechanism switched off: Off edits the PUFFER
+// flow's configuration.
+type Ablation struct {
+	Name string
+	Off  func(*pipeline.Config)
 }
 
-// ablate runs the named mechanism on (PUFFER as configured) and off (off
-// applied to the configuration).
-func ablate(o Options, name string, off func(*puffer.Config)) (AblationResult, error) {
-	res := AblationResult{Name: name}
-	var err error
-	if res.MetricOn, res.WLOn, err = runConfigured(o, nil); err != nil {
-		return res, err
-	}
-	res.MetricOff, res.WLOff, err = runConfigured(o, off)
-	return res, err
-}
-
-// AblationFeatures compares full multi-feature padding against padding
-// from local features only (Sec. III-B's claim that local information
-// cannot separate cells within a cluster).
-func AblationFeatures(o Options) (AblationResult, error) {
-	return ablate(o, "multi-feature vs local-only padding", func(cfg *puffer.Config) {
+// The mechanism ablations, each a claim of the paper (or a choice of this
+// repo's) that Ablate tests.
+var (
+	// AblationFeatures compares full multi-feature padding against
+	// padding from local features only (Sec. III-B's claim that local
+	// information cannot separate cells within a cluster).
+	AblationFeatures = Ablation{"multi-feature vs local-only padding", func(cfg *pipeline.Config) {
 		cfg.Strategy.Weights[feature.SurroundCg] = 0
 		cfg.Strategy.Weights[feature.SurroundPinDensity] = 0
 		cfg.Strategy.Weights[feature.PinCg] = 0
 		// Rebalance so total padding pressure stays comparable.
 		cfg.Strategy.Weights[feature.LocalCg] *= 2
 		cfg.Strategy.Weights[feature.LocalPinDensity] *= 2
-	})
-}
-
-// AblationExpansion toggles the detour-imitating demand expansion
-// (Sec. III-A3).
-func AblationExpansion(o Options) (AblationResult, error) {
-	return ablate(o, "detour-imitating expansion", func(cfg *puffer.Config) {
+	}}
+	// AblationExpansion toggles the detour-imitating demand expansion
+	// (Sec. III-A3).
+	AblationExpansion = Ablation{"detour-imitating expansion", func(cfg *pipeline.Config) {
 		cfg.Strategy.Cong.ExpandRadius = 0
-	})
-}
-
-// AblationRecycling disables the padding recycle mechanism (Eq. 15): a
-// huge ζ drives the recycle rate to zero.
-func AblationRecycling(o Options) (AblationResult, error) {
-	return ablate(o, "padding recycling", func(cfg *puffer.Config) {
+	}}
+	// AblationRecycling disables the padding recycle mechanism (Eq. 15):
+	// a huge ζ drives the recycle rate to zero.
+	AblationRecycling = Ablation{"padding recycling", func(cfg *pipeline.Config) {
 		cfg.Strategy.Zeta = 1e12
-	})
-}
-
-// AblationLegalPadding toggles white-space-assisted legalization
-// (Sec. III-D): same global placement, legalization with vs without the
-// inherited padding (θ = 0). DP still preserves the GP padding.
-func AblationLegalPadding(o Options) (AblationResult, error) {
-	return ablate(o, "white-space-assisted legalization", func(cfg *puffer.Config) {
+	}}
+	// AblationLegalPadding toggles white-space-assisted legalization
+	// (Sec. III-D): same global placement, legalization with vs without
+	// the inherited padding (θ = 0). DP still preserves the GP padding.
+	AblationLegalPadding = Ablation{"white-space-assisted legalization", func(cfg *pipeline.Config) {
 		cfg.Strategy.Theta = 0
-	})
+	}}
+	// AblationDPPreserve toggles detailed placement's white-space
+	// preservation (this repo's choice; Sec. III-D does not describe it):
+	// same global placement and legalization, DP with vs without the
+	// PadW/2 clearance.
+	AblationDPPreserve = Ablation{"DP white-space preservation", func(cfg *pipeline.Config) {
+		cfg.DP.PreservePadding = false
+	}}
+)
+
+// Ablations lists the mechanism ablations in the order `puffer experiments
+// -ablations` prints them.
+var Ablations = []Ablation{AblationFeatures, AblationExpansion, AblationRecycling, AblationLegalPadding, AblationDPPreserve}
+
+// ablationSeeds is how many seeds each ablation averages over; single-seed
+// differences at these scales are dominated by placement noise.
+const ablationSeeds = 3
+
+// runConfigured places MEDIA_SUBSYS with the PUFFER flow, its
+// configuration passed through mutate when non-nil, over several seeds and
+// returns the mean HOF+VOF and WL of the judged records.
+func runConfigured(o Options, mutate func(*pipeline.Config)) (float64, float64, error) {
+	p, _ := synth.ProfileByName("MEDIA_SUBSYS")
+	var ovf, wl float64
+	for k := int64(0); k < ablationSeeds; k++ {
+		oo := o
+		oo.Seed = o.Seed + k
+		rec, _, err := runOne(synth.Generate(p, o.Scale, oo.Seed), PUFFER, oo, mutate)
+		if err != nil {
+			return 0, 0, err
+		}
+		ovf += (rec.Final.HOF + rec.Final.VOF) / ablationSeeds
+		wl += rec.Final.WL / ablationSeeds
+	}
+	return ovf, wl, nil
 }
 
-// AblationDPPreserve toggles detailed placement's white-space preservation
-// (this repo's choice; Sec. III-D does not describe it): same global
-// placement and legalization, DP with vs without the PadW/2 clearance.
-func AblationDPPreserve(o Options) (AblationResult, error) {
-	return ablate(o, "DP white-space preservation", func(cfg *puffer.Config) {
-		cfg.DP.PreservePadding = false
-	})
+// Ablate compares each ablation's mechanism on (PUFFER as configured) and
+// off. The "on" arm is the same for every row, so it is placed once.
+func Ablate(o Options, abls ...Ablation) ([]AblationResult, error) {
+	o = mergeDefaults(o)
+	on, wlOn, err := runConfigured(o, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationResult, 0, len(abls))
+	for _, a := range abls {
+		off, wlOff, err := runConfigured(o, a.Off)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+		rows = append(rows, AblationResult{Name: a.Name, MetricOn: on, MetricOff: off, WLOn: wlOn, WLOff: wlOff})
+	}
+	return rows, nil
 }
 
 // AblationTPE compares the TPE strategy exploration against pure random

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"puffer/pipeline"
 )
 
 // tinyOptions keeps experiment tests fast: ~100-cell designs.
@@ -43,14 +45,14 @@ func TestTable2SingleDesign(t *testing.T) {
 		t.Fatalf("rows = %d, want 3 (one per placer)", len(rows))
 	}
 	for _, r := range rows {
-		if r.WL <= 0 {
-			t.Errorf("%s: zero WL", r.Placer)
+		if r.Final.WL <= 0 {
+			t.Errorf("%s: zero WL", r.Flow)
 		}
-		if r.RT <= 0 {
-			t.Errorf("%s: zero RT", r.Placer)
+		if r.PlaceRuntime() <= 0 {
+			t.Errorf("%s: zero RT", r.Flow)
 		}
-		if r.HOF < 0 || r.VOF < 0 {
-			t.Errorf("%s: negative overflow", r.Placer)
+		if r.Final.HOF < 0 || r.Final.VOF < 0 {
+			t.Errorf("%s: negative overflow", r.Flow)
 		}
 	}
 	if len(sums) != 3 {
@@ -72,11 +74,17 @@ func TestTable2SingleDesign(t *testing.T) {
 }
 
 func TestSummarizePassCounts(t *testing.T) {
-	rows := []Table2Row{
-		{Design: "a", Placer: PUFFER, HOF: 0.5, VOF: 2.0, WL: 100, RT: time.Second},
-		{Design: "b", Placer: PUFFER, HOF: 1.0, VOF: 0.9, WL: 100, RT: time.Second},
-		{Design: "a", Placer: RePlAce, HOF: 1.5, VOF: 0.5, WL: 110, RT: 2 * time.Second},
-		{Design: "b", Placer: RePlAce, HOF: 0.2, VOF: 0.2, WL: 120, RT: 2 * time.Second},
+	cell := func(design string, placer PlacerName, hof, vof, wl float64, rt time.Duration) *pipeline.Record {
+		return &pipeline.Record{Design: design, Flow: placer.Flow(), Final: pipeline.Final{
+			RuntimeMS: float64(rt) / float64(time.Millisecond),
+			Routed:    &pipeline.Routed{HOF: hof, VOF: vof, WL: wl},
+		}}
+	}
+	rows := []*pipeline.Record{
+		cell("a", PUFFER, 0.5, 2.0, 100, time.Second),
+		cell("b", PUFFER, 1.0, 0.9, 100, time.Second),
+		cell("a", RePlAce, 1.5, 0.5, 110, 2*time.Second),
+		cell("b", RePlAce, 0.2, 0.2, 120, 2*time.Second),
 	}
 	sums := Summarize(rows)
 	for _, s := range sums {
@@ -100,16 +108,16 @@ func TestSummarizePassCounts(t *testing.T) {
 }
 
 func TestSortRows(t *testing.T) {
-	rows := []Table2Row{
-		{Design: "b", Placer: PUFFER},
-		{Design: "a", Placer: PUFFER},
-		{Design: "a", Placer: Commercial},
+	rows := []*pipeline.Record{
+		{Design: "b", Flow: PUFFER.Flow()},
+		{Design: "a", Flow: PUFFER.Flow()},
+		{Design: "a", Flow: Commercial.Flow()},
 	}
 	SortRows(rows)
-	if rows[0].Design != "a" || rows[0].Placer != Commercial {
+	if rows[0].Design != "a" || rows[0].Flow != Commercial.Flow() {
 		t.Errorf("sort order wrong: %+v", rows)
 	}
-	if rows[1].Design != "a" || rows[1].Placer != PUFFER {
+	if rows[1].Design != "a" || rows[1].Flow != PUFFER.Flow() {
 		t.Errorf("sort order wrong: %+v", rows)
 	}
 }
@@ -181,14 +189,14 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations in -short mode")
 	}
-	o := tinyOptions()
-	for _, fn := range []func(Options) (AblationResult, error){
-		AblationFeatures, AblationExpansion, AblationRecycling, AblationLegalPadding, AblationDPPreserve,
-	} {
-		r, err := fn(o)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
+	rows, err := Ablate(tinyOptions(), Ablations...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(Ablations) {
+		t.Fatalf("%d rows, want %d", len(rows), len(Ablations))
+	}
+	for _, r := range rows {
 		if r.MetricOn < 0 || r.MetricOff < 0 {
 			t.Errorf("%s: negative metric", r.Name)
 		}
@@ -215,9 +223,8 @@ func TestTable2ParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range seqRows {
 		a, b := seqRows[i], parRows[i]
-		if a.Design != b.Design || a.Placer != b.Placer ||
-			a.HOF != b.HOF || a.VOF != b.VOF || a.WL != b.WL {
-			t.Errorf("row %d differs: %+v vs %+v", i, a, b)
+		if a.Design != b.Design || a.Flow != b.Flow || *a.Final.Routed != *b.Final.Routed {
+			t.Errorf("row %d differs: %+v vs %+v", i, a.Final, b.Final)
 		}
 	}
 }

@@ -206,7 +206,7 @@ func Fig5(o Options) ([]Fig5Maps, error) {
 	var out []Fig5Maps
 	for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
 		d := synth.Generate(p, o.Scale, o.Seed)
-		_, rr, err := runOne(d, placer, o)
+		_, rr, err := runOne(d, placer, o, nil)
 		if err != nil {
 			return nil, err
 		}

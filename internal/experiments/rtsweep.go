@@ -34,11 +34,11 @@ func RTSweep(design string, scales []int, o Options) ([]RTSweepRow, error) {
 			row.Cells = d.Stats().Cells
 			oo := o
 			oo.Scale = scale
-			t2, _, err := runOne(d, placer, oo)
+			rec, _, err := runOne(d, placer, oo, nil)
 			if err != nil {
 				return nil, fmt.Errorf("scale %d / %s: %w", scale, placer, err)
 			}
-			row.RT[placer] = t2.RT // placement-only time, like Table II
+			row.RT[placer] = rec.PlaceRuntime() // like Table II
 			o.log("rtsweep: scale=%d cells=%d %s RT=%s", scale, row.Cells, placer,
 				row.RT[placer].Round(time.Millisecond))
 		}

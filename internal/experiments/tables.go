@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"puffer"
 	"puffer/internal/baseline"
 	"puffer/internal/flow"
 	"puffer/internal/netlist"
@@ -131,16 +130,6 @@ const (
 	PUFFER     PlacerName = "PUFFER"
 )
 
-// Table2Row is one (design, placer) cell group of Table II.
-type Table2Row struct {
-	Design string
-	Placer PlacerName
-	HOF    float64 // %
-	VOF    float64 // %
-	WL     float64 // routed wirelength
-	RT     time.Duration
-}
-
 // Table2Summary aggregates the per-placer averages the paper reports.
 type Table2Summary struct {
 	Placer       PlacerName
@@ -161,32 +150,28 @@ func (p PlacerName) Flow() string {
 	}[p]
 }
 
-// runOne places design d with the named placer and evaluates it with the
-// shared router, returning the Table-II metrics and the routing report.
-func runOne(d *netlist.Design, placer PlacerName, o Options) (Table2Row, *router.Result, error) {
-	row := Table2Row{Design: d.Name, Placer: placer}
+// runOne places design d with the named placer, its configuration passed
+// through mutate when non-nil, judges it with the Route stage, and returns
+// the run's record with the router's report (Fig. 5 draws its map).
+func runOne(d *netlist.Design, placer PlacerName, o Options, mutate func(*pipeline.Config)) (*pipeline.Record, *router.Result, error) {
 	cfg, stages, err := baseline.Flow(placer.Flow(), o.PlaceIters)
 	if err != nil {
-		return row, nil, err
+		return nil, nil, err
 	}
 	cfg.Place.Seed = o.Seed
-	rc, err := pipeline.NewRunContext(d, cfg)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	rec, res, err := pipeline.Judge(o.ctx(), placer.Flow(), d, cfg, stages)
 	if err != nil {
-		return row, nil, err
+		return nil, nil, err
 	}
-	start := time.Now()
-	if err := pipeline.New(stages...).Run(o.ctx(), rc); err != nil {
-		return row, nil, err
-	}
-	row.RT = time.Since(start)
-
-	rr := puffer.Evaluate(d, router.DefaultConfig())
-	row.HOF, row.VOF, row.WL = rr.HOF, rr.VOF, rr.WL
-	return row, rr, nil
+	return rec, res.Route, nil
 }
 
-// Table2 runs all three placers over the benchmark suite.
-func Table2(o Options) ([]Table2Row, []Table2Summary, error) {
+// Table2 runs all three placers over the benchmark suite, one record per
+// (design, placer) cell.
+func Table2(o Options) ([]*pipeline.Record, []Table2Summary, error) {
 	o = mergeDefaults(o)
 	type task struct {
 		profile synth.Profile
@@ -198,18 +183,18 @@ func Table2(o Options) ([]Table2Row, []Table2Summary, error) {
 			tasks = append(tasks, task{p, placer})
 		}
 	}
-	rows := make([]Table2Row, len(tasks))
+	rows := make([]*pipeline.Record, len(tasks))
 	run := func(i int) error {
 		t := tasks[i]
 		d := synth.Generate(t.profile, o.Scale, o.Seed)
 		o.log("table2: %s / %s ...", t.profile.Name, t.placer)
-		row, _, err := runOne(d, t.placer, o)
+		rec, _, err := runOne(d, t.placer, o, nil)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", t.profile.Name, t.placer, err)
 		}
 		o.log("table2: %s / %s -> HOF=%.2f%% VOF=%.2f%% WL=%.0f RT=%s",
-			t.profile.Name, t.placer, row.HOF, row.VOF, row.WL, row.RT.Round(time.Millisecond))
-		rows[i] = row
+			t.profile.Name, t.placer, rec.Final.HOF, rec.Final.VOF, rec.Final.WL, rec.PlaceRuntime().Round(time.Millisecond))
+		rows[i] = rec
 		return nil
 	}
 	if o.Parallel {
@@ -229,39 +214,40 @@ func Table2(o Options) ([]Table2Row, []Table2Summary, error) {
 	return rows, Summarize(rows), nil
 }
 
-// Summarize computes the per-placer aggregate rows of Table II.
-func Summarize(rows []Table2Row) []Table2Summary {
-	byPlacer := map[PlacerName][]Table2Row{}
+// Summarize computes the per-placer aggregate rows of Table II from the
+// judged records of its cells.
+func Summarize(rows []*pipeline.Record) []Table2Summary {
+	byFlow := map[string][]*pipeline.Record{}
 	for _, r := range rows {
-		byPlacer[r.Placer] = append(byPlacer[r.Placer], r)
+		byFlow[r.Flow] = append(byFlow[r.Flow], r)
 	}
 	// Geometric-mean normalization against PUFFER per design.
 	pufferWL := map[string]float64{}
 	pufferRT := map[string]float64{}
-	for _, r := range byPlacer[PUFFER] {
-		pufferWL[r.Design] = r.WL
-		pufferRT[r.Design] = r.RT.Seconds()
+	for _, r := range byFlow[PUFFER.Flow()] {
+		pufferWL[r.Design] = r.Final.WL
+		pufferRT[r.Design] = r.PlaceRuntime().Seconds()
 	}
 	var out []Table2Summary
 	for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		rs := byPlacer[placer]
+		rs := byFlow[placer.Flow()]
 		if len(rs) == 0 {
 			continue
 		}
 		s := Table2Summary{Placer: placer}
 		wlSum, rtSum, n := 0.0, 0.0, 0
 		for _, r := range rs {
-			s.AvgHOF += r.HOF
-			s.AvgVOF += r.VOF
-			if r.HOF <= 1.0 {
+			s.AvgHOF += r.Final.HOF
+			s.AvgVOF += r.Final.VOF
+			if r.Final.HOF <= 1.0 {
 				s.PassCountHOF++
 			}
-			if r.VOF <= 1.0 {
+			if r.Final.VOF <= 1.0 {
 				s.PassCountVOF++
 			}
 			if pw := pufferWL[r.Design]; pw > 0 {
-				wlSum += r.WL / pw
-				rtSum += r.RT.Seconds() / pufferRT[r.Design]
+				wlSum += r.Final.WL / pw
+				rtSum += r.PlaceRuntime().Seconds() / pufferRT[r.Design]
 				n++
 			}
 		}
@@ -277,7 +263,7 @@ func Summarize(rows []Table2Row) []Table2Summary {
 }
 
 // FormatTable2 renders the comparison table.
-func FormatTable2(rows []Table2Row, sums []Table2Summary) string {
+func FormatTable2(rows []*pipeline.Record, sums []Table2Summary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TABLE II: COMPARISON OF HOF, VOF, WL, AND RT\n")
 	designs := []string{}
@@ -288,9 +274,9 @@ func FormatTable2(rows []Table2Row, sums []Table2Summary) string {
 			designs = append(designs, r.Design)
 		}
 	}
-	byKey := map[string]Table2Row{}
+	byKey := map[string]*pipeline.Record{}
 	for _, r := range rows {
-		byKey[r.Design+"/"+string(r.Placer)] = r
+		byKey[r.Design+"/"+r.Flow] = r
 	}
 	fmt.Fprintf(&b, "%-16s", "Benchmark")
 	for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
@@ -304,8 +290,8 @@ func FormatTable2(rows []Table2Row, sums []Table2Summary) string {
 	for _, dn := range designs {
 		fmt.Fprintf(&b, "%-16s", dn)
 		for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
-			r := byKey[dn+"/"+string(p)]
-			fmt.Fprintf(&b, " | %7.2f %7.2f %10.0f %8.2f", r.HOF, r.VOF, r.WL, r.RT.Seconds())
+			r := byKey[dn+"/"+p.Flow()]
+			fmt.Fprintf(&b, " | %7.2f %7.2f %10.0f %8.2f", r.Final.HOF, r.Final.VOF, r.Final.WL, r.PlaceRuntime().Seconds())
 		}
 		fmt.Fprintf(&b, "\n")
 	}
@@ -341,12 +327,12 @@ func mergeDefaults(o Options) Options {
 }
 
 // SortRows orders rows by design then placer, for stable output.
-func SortRows(rows []Table2Row) {
-	order := map[PlacerName]int{Commercial: 0, RePlAce: 1, PUFFER: 2}
+func SortRows(rows []*pipeline.Record) {
+	order := map[string]int{Commercial.Flow(): 0, RePlAce.Flow(): 1, PUFFER.Flow(): 2}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Design != rows[j].Design {
 			return rows[i].Design < rows[j].Design
 		}
-		return order[rows[i].Placer] < order[rows[j].Placer]
+		return order[rows[i].Flow] < order[rows[j].Flow]
 	})
 }

@@ -242,62 +242,60 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestRunReportRoundTrip checks the part of a run report that this package
+// owns: the registry snapshot stored as the report's "metrics" section.
+// Written, read back and written again, it must keep every instrument and
+// reproduce the identical document (the round trip puffer diag relies on).
 func TestRunReportRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Series("place.hpwl").Observe(1, 10)
 	reg.Series("place.hpwl").Observe(2, 9)
 	reg.Counter("padding.calls").Add(2)
-	rep := &RunReport{
-		Design: "OR1200",
-		Cells:  100,
-		Nets:   120,
-		Seed:   7,
-		Config: json.RawMessage(`{"Workers":4}`),
-		Stages: []StageReport{
-			{Name: "place", WallNs: 12345, Iters: 250},
-			{Name: "legalize", WallNs: 42, Iters: 100, AllocsDelta: 9},
-		},
-		StageLog: []string{"stage: global placement done (iters=250 overflow=0.070 hpwl=1)"},
-		Metrics:  reg.Snapshot(),
-		Final:    map[string]float64{"hpwl": 9, "hof": 0.5},
+	reg.Gauge("place.overflow").Set(0.07)
+	reg.Histogram("serve.job_seconds").Observe(0.25)
+	snap := reg.Snapshot()
+
+	save := func(path string, s Snapshot) {
+		t.Helper()
+		data, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, path, string(data)+"\n")
 	}
-	path := filepath.Join(t.TempDir(), "run.json")
-	if err := rep.Save(path); err != nil {
-		t.Fatal(err)
+	load := func(path string) Snapshot {
+		t.Helper()
+		b, _ := readFile(t, path)
+		var s Snapshot
+		if err := json.Unmarshal(b, &s); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	got, err := LoadReport(path)
-	if err != nil {
-		t.Fatal(err)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "metrics.json")
+	save(path, snap)
+	got := load(path)
+	if !reflect.DeepEqual(got.Series["place.hpwl"], []Sample{{1, 10}, {2, 9}}) {
+		t.Fatalf("series lost: %+v", got.Series)
 	}
-	if got.Schema != ReportSchema {
-		t.Fatalf("schema %q", got.Schema)
+	if got.Counters["padding.calls"] != 2 || got.Gauges["place.overflow"] != 0.07 {
+		t.Fatalf("counters/gauges lost: %+v %+v", got.Counters, got.Gauges)
 	}
-	if got.Design != rep.Design || got.Seed != rep.Seed || len(got.Stages) != 2 {
-		t.Fatalf("round trip lost fields: %+v", got)
+	if h := got.Histograms["serve.job_seconds"]; h.Count != 1 || h.Sum != 0.25 {
+		t.Fatalf("histogram lost: %+v", h)
 	}
-	if !reflect.DeepEqual(got.Metrics.Series["place.hpwl"], []Sample{{1, 10}, {2, 9}}) {
-		t.Fatalf("series lost: %+v", got.Metrics)
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("round trip changed the snapshot:\n%+v\n----\n%+v", got, snap)
 	}
-	if got.Final["hpwl"] != 9 {
-		t.Fatalf("final lost: %+v", got.Final)
-	}
-	// Saving the loaded report reproduces the identical document (the
-	// round-trip property puffer diag relies on).
-	path2 := filepath.Join(t.TempDir(), "run2.json")
-	if err := got.Save(path2); err != nil {
-		t.Fatal(err)
-	}
+
+	path2 := filepath.Join(dir, "metrics2.json")
+	save(path2, got)
 	b1, _ := readFile(t, path)
 	b2, _ := readFile(t, path2)
 	if !bytes.Equal(b1, b2) {
-		t.Fatalf("re-saved report differs:\n%s\n----\n%s", b1, b2)
-	}
-
-	// Schema mismatch is rejected.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	writeFile(t, bad, `{"schema":"puffer/run-report/v0"}`)
-	if _, err := LoadReport(bad); err == nil {
-		t.Fatal("loaded report with wrong schema")
+		t.Fatalf("re-saved snapshot differs:\n%s\n----\n%s", b1, b2)
 	}
 }
 

@@ -308,46 +308,49 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 		}
 		runErr = pl.Run(ctx, rc)
 	}
+	record, err := pipeline.NewRecord(pipeline.PUFFER, rc)
+	if err != nil {
+		return nil, errors.Join(runErr, err)
+	}
 	if runErr != nil {
 		// A parked (or failed) attempt still reports what it did: the
 		// partial result lands in the manifest, and the next attempt merges
 		// it so a resumed job's statistics stay cumulative.
-		return buildResult(rc, m.Result), runErr
+		return buildResult(record, m.Result), runErr
 	}
 
-	// Artifacts of a completed job: the structured run report and the
-	// placed design in Bookshelf form.
+	// Artifacts of a completed job: the run record and the placed design
+	// in Bookshelf form.
 	if rp, perr := s.spool.ArtifactPath(id, "report.json"); perr == nil {
-		if rep, berr := pipeline.BuildReport(rc); berr == nil {
-			if werr := rep.Save(rp); werr != nil {
-				s.log.ErrorContext(ctx, "write report artifact", "job", id, "error", werr)
-			}
+		if werr := record.Save(rp); werr != nil {
+			s.log.ErrorContext(ctx, "write report artifact", "job", id, "error", werr)
 		}
 	}
 	if _, werr := bookshelf.Write(d, s.spool.JobDir(id), "placed"); werr != nil {
 		s.log.ErrorContext(ctx, "write placed design", "job", id, "error", werr)
 	}
-	return buildResult(rc, m.Result), nil
+	return buildResult(record, m.Result), nil
 }
 
-// buildResult summarizes rc.Result as the manifest's JobResult, folding in
-// the spooled result of prior interrupted attempts. pipeline.Resume replays
-// positions/padding/weights but not run statistics, so without the merge a
-// parked-then-resumed job would report gp_iters=0 and only the final
-// attempt's runtime. Runtime accumulates across attempts; GP and padding
-// counters are taken from whichever attempt actually ran those stages (a
-// resume past a completed stage leaves this attempt's counter at zero).
-func buildResult(rc *pipeline.RunContext, prior *JobResult) *JobResult {
-	res := rc.Result
+// buildResult projects the attempt's run record onto the manifest's
+// JobResult, folding in the spooled result of prior interrupted attempts.
+// pipeline.Resume replays positions/padding/weights but not run
+// statistics, so without the merge a parked-then-resumed job would report
+// gp_iters=0 and only the final attempt's runtime. Runtime accumulates
+// across attempts; GP and padding counters are taken from whichever
+// attempt actually ran those stages (a resume past a completed stage
+// leaves this attempt's counter at zero).
+func buildResult(rec *pipeline.Record, prior *JobResult) *JobResult {
+	f := rec.Final
 	out := &JobResult{
-		HPWL:        res.HPWL,
-		GPIters:     res.GP.Iters,
-		GPOverflow:  res.GP.Overflow,
-		PaddingRuns: len(res.PaddingRuns),
-		RuntimeMS:   float64(res.Runtime) / float64(time.Millisecond),
+		HPWL:        f.HPWL,
+		GPIters:     f.GPIters,
+		GPOverflow:  f.GPOverflow,
+		PaddingRuns: f.PaddingRuns,
+		RuntimeMS:   f.RuntimeMS,
 	}
-	if rr := res.Route; rr != nil {
-		out.HOF, out.VOF, out.RoutedWL = rr.HOF, rr.VOF, rr.WL
+	if f.Routed != nil {
+		out.HOF, out.VOF, out.RoutedWL = f.HOF, f.VOF, f.WL
 	}
 	if prior != nil {
 		out.RuntimeMS += prior.RuntimeMS

@@ -338,6 +338,11 @@ func TestStructuredRequestLog(t *testing.T) {
 	resp.Body.Close()
 	waitState(t, s, m.ID, StateDone)
 	sp.End()
+	// runJob logs "job finished" after it finalizes the manifest waitState
+	// polls.
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(buf.String(), `msg="job finished"`) &&
+		time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+	}
 
 	out := buf.String()
 	for _, want := range []string{

@@ -700,24 +700,10 @@ func TestResumeSurvivesCorruptCheckpoint(t *testing.T) {
 }
 
 func TestBuildResultMergesPriorAttempt(t *testing.T) {
-	p, err := synth.ProfileByName("MEDIA_SUBSYS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := synth.Generate(p, 3000, 1)
-	spec := quickSpec()
-	cfg, err := flowConfig(spec.Seed, spec.MaxIters, spec.Workers, spec.Strategy, nil, NewHub())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := pipeline.NewRunContext(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.Result.Runtime = 2 * time.Second
+	rec := &pipeline.Record{Final: pipeline.Final{RuntimeMS: 2000}}
 
 	// No prior attempt: the attempt's own numbers pass through.
-	out := buildResult(rc, nil)
+	out := buildResult(rec, nil)
 	if out.RuntimeMS != 2000 || out.GPIters != 0 {
 		t.Fatalf("fresh attempt result %+v", out)
 	}
@@ -725,7 +711,7 @@ func TestBuildResultMergesPriorAttempt(t *testing.T) {
 	// Resumed past GP and padding: this attempt's counters are zero, so the
 	// parked attempt's survive; runtime accumulates.
 	prior := &JobResult{GPIters: 42, GPOverflow: 0.07, PaddingRuns: 3, RuntimeMS: 1500}
-	out = buildResult(rc, prior)
+	out = buildResult(rec, prior)
 	if out.GPIters != 42 || out.GPOverflow != 0.07 || out.PaddingRuns != 3 {
 		t.Fatalf("merge dropped parked attempt's counters: %+v", out)
 	}
@@ -735,9 +721,9 @@ func TestBuildResultMergesPriorAttempt(t *testing.T) {
 
 	// Reran GP from scratch (no checkpoint landed before the park): the
 	// rerun's counters win, runtime still accumulates.
-	rc.Result.GP.Iters = 10
-	rc.Result.GP.Overflow = 0.5
-	out = buildResult(rc, prior)
+	rec.Final.GPIters = 10
+	rec.Final.GPOverflow = 0.5
+	out = buildResult(rec, prior)
 	if out.GPIters != 10 || out.GPOverflow != 0.5 {
 		t.Fatalf("rerun counters overridden by stale prior: %+v", out)
 	}

@@ -1,8 +1,11 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -169,8 +172,10 @@ func TestResumePreservesStatsAndTelemetry(t *testing.T) {
 	}
 }
 
-// TestBuildReportRoundTrip builds the run report from an instrumented run,
-// saves it, reloads it, and checks the fields puffer diag consumes.
+// TestBuildReportRoundTrip builds the run report (the Record) of an
+// instrumented judged run, saves it, reloads it, checks the fields puffer
+// diag consumes, and checks that re-saving reproduces the document and a
+// foreign schema is refused.
 func TestBuildReportRoundTrip(t *testing.T) {
 	d := stressedDesign(t)
 	reg := obs.NewRegistry()
@@ -180,40 +185,63 @@ func TestBuildReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipeline.New().Run(context.Background(), rc); err != nil {
+	if err := pipeline.New(append(pipeline.Default(), pipeline.Route())...).Run(context.Background(), rc); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pipeline.BuildReport(rc)
+	rec, err := pipeline.NewRecord(pipeline.PUFFER, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Design != d.Name || rep.Cells != len(d.Cells) || rep.Nets != len(d.Nets) {
-		t.Errorf("report identity wrong: %s %d/%d", rep.Design, rep.Cells, rep.Nets)
+	if rec.Flow != pipeline.PUFFER || rec.Design != d.Name || rec.Cells != len(d.Cells) || rec.Nets != len(d.Nets) {
+		t.Errorf("record identity wrong: %s %s %d/%d", rec.Flow, rec.Design, rec.Cells, rec.Nets)
 	}
-	if len(rep.Stages) != len(rc.Result.Stages) {
-		t.Errorf("report has %d stages, run had %d", len(rep.Stages), len(rc.Result.Stages))
+	if len(rec.Stages) != 4 || rec.Stages[0].Estimator == nil {
+		t.Errorf("record has %d stages (place estimator %v), want 4 with the estimator", len(rec.Stages), rec.Stages[0].Estimator)
 	}
-	if rep.Final["hpwl"] != rc.Result.HPWL {
-		t.Errorf("final hpwl %v != %v", rep.Final["hpwl"], rc.Result.HPWL)
+	if rec.Final.HPWL != rc.Result.HPWL || rec.Final.Routed == nil || rec.Final.WL != rc.Result.Route.WL {
+		t.Errorf("final %+v does not match the run", rec.Final)
 	}
-	if len(rep.Metrics.Series["place.hpwl"]) != rc.Result.GP.Iters {
-		t.Errorf("report lost the place.hpwl series: %d samples, want %d",
-			len(rep.Metrics.Series["place.hpwl"]), rc.Result.GP.Iters)
+	if rt := rec.PlaceRuntime(); rt <= 0 || rt >= rc.Result.Runtime {
+		t.Errorf("place runtime %v, want positive and below the run's %v", rt, rc.Result.Runtime)
 	}
-	if len(rep.Config) == 0 {
-		t.Error("report has no embedded config")
+	if len(rec.Metrics.Series["place.hpwl"]) != rc.Result.GP.Iters {
+		t.Errorf("record lost the place.hpwl series: %d samples, want %d",
+			len(rec.Metrics.Series["place.hpwl"]), rc.Result.GP.Iters)
+	}
+	if len(rec.Config) == 0 {
+		t.Error("record has no embedded config")
 	}
 
-	path := filepath.Join(t.TempDir(), "run.json")
-	if err := rep.Save(path); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.json")
+	if err := rec.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := obs.LoadReport(path)
+	loaded, err := pipeline.LoadRecord(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Design != rep.Design || len(loaded.Stages) != len(rep.Stages) ||
-		loaded.Final["hpwl"] != rep.Final["hpwl"] {
-		t.Errorf("report round trip lost data: %+v", loaded)
+	if loaded.Design != rec.Design || len(loaded.Stages) != len(rec.Stages) ||
+		!reflect.DeepEqual(loaded.Final, rec.Final) || !reflect.DeepEqual(loaded.Stages, rec.Stages) {
+		t.Errorf("record round trip lost data: %+v", loaded)
+	}
+	// Saving the loaded record reproduces the identical document (the
+	// round-trip property puffer diag relies on).
+	path2 := filepath.Join(dir, "run2.json")
+	if err := loaded.Save(path2); err != nil {
+		t.Fatal(err)
+	}
+	b1, err1 := os.ReadFile(path)
+	b2, err2 := os.ReadFile(path2)
+	if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
+		t.Errorf("re-saved record differs (%v, %v)", err1, err2)
+	}
+
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"schema":"puffer/run-report/v1"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.LoadRecord(bad); err == nil {
+		t.Error("loaded a record with the wrong schema")
 	}
 }

@@ -58,13 +58,13 @@ type Config struct {
 	// §3e).
 	Workers int
 	// Logf, when non-nil, receives stage-by-stage progress lines. Excluded
-	// from JSON (the run report embeds the Config) along with Obs.
+	// from JSON (the run record embeds the Config) along with Obs.
 	Logf func(format string, args ...any) `json:"-"`
 	// Obs, when non-nil, attaches the unified telemetry recorder
 	// (internal/obs) to the whole flow: the pipeline opens run and stage
 	// trace spans, the engines beneath add optimizer-call/estimate/shard
-	// spans and per-iteration metric series, and BuildReport snapshots the
-	// registry into the run report. Nil — the default — keeps every
+	// spans and per-iteration metric series, and NewRecord snapshots the
+	// registry into the run record. Nil — the default — keeps every
 	// instrument on its nil fast path.
 	Obs *obs.Recorder `json:"-"`
 }
@@ -82,22 +82,22 @@ func DefaultConfig() Config {
 // into Result.Stages after each executed stage.
 type StageStats struct {
 	// Name is the stage's Name().
-	Name string
+	Name string `json:"name"`
 	// Wall is the stage's wall-clock duration.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 	// Iters is the stage's own unit of work: GP iterations for the
 	// placement stage, legalized cells for legalization, executed passes
 	// for detailed placement, routed segments for the routing stage.
 	// Custom stages report whatever they pass to RunContext.SetIters.
-	Iters int
+	Iters int `json:"iters"`
 	// AllocsDelta is the number of heap objects allocated while the stage
 	// ran (process-wide mallocs delta; concurrent allocators inflate it).
-	AllocsDelta uint64
+	AllocsDelta uint64 `json:"allocs_delta"`
 	// Estimator, when non-nil, is a snapshot of the congestion estimator's
 	// statistics (call count, last net/pin counts, per-phase wall time)
 	// taken as the stage finished. The placement stage records it
 	// whenever the routability optimizer ran.
-	Estimator *cong.Stats
+	Estimator *cong.Stats `json:"estimator,omitempty"`
 }
 
 // Result reports a finished (or canceled) PUFFER run. It is the same type

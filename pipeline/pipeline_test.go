@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -220,52 +221,76 @@ func TestCheckpointResumeReproducesHPWL(t *testing.T) {
 }
 
 // TestRouteStageMatchesEvaluate: the Route stage judges with the router
-// puffer.Evaluate uses by default, on the same grid, and a run resumed from
-// the checkpoint after dp with Route appended — the path a resumed routed
-// service job takes — reports the same HOF, VOF and routed WL.
+// puffer.Evaluate uses by default, on the same grid, and a judged run
+// resumed from any of its checkpoints — the route checkpoint included, the
+// path a routed service job takes after a crash just before its terminal
+// manifest — records the same final placement and verdict.
 func TestRouteStageMatchesEvaluate(t *testing.T) {
 	cfg := quickConfig()
 	routed := func() *pipeline.Pipeline { return pipeline.New(append(pipeline.Default(), pipeline.Route())...) }
+	// Runtime and the GP counters describe the attempt, not the placement:
+	// a run resumed past GP did no GP.
+	final := func(rc *pipeline.RunContext) pipeline.Final {
+		t.Helper()
+		rec, err := pipeline.NewRecord(pipeline.PUFFER, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := rec.Final
+		f.RuntimeMS, f.GPIters, f.GPOverflow, f.PaddingRuns = 0, 0, 0, 0
+		return f
+	}
 
 	d := stressedDesign(t)
 	rc, err := pipeline.NewRunContext(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var afterDP *pipeline.Checkpoint
+	var cps []*pipeline.Checkpoint
 	pl := routed()
 	pl.Checkpointer = func(cp *pipeline.Checkpoint) error {
-		if cp.Stage == pipeline.StageDP {
-			afterDP = cp
-		}
+		cps = append(cps, cp)
 		return nil
 	}
 	if err := pl.Run(context.Background(), rc); err != nil {
 		t.Fatal(err)
 	}
 	got := rc.Result.Route
-	if got == nil || afterDP == nil {
-		t.Fatalf("route report %v, dp checkpoint %v", got, afterDP)
+	if got == nil || len(cps) != 4 {
+		t.Fatalf("route report %v, %d checkpoints", got, len(cps))
 	}
 	want := puffer.Evaluate(d, puffer.EvalConfig())
 	if got.HOF != want.HOF || got.VOF != want.VOF || got.WL != want.WL || got.Rerouted != want.Rerouted {
 		t.Errorf("Route stage HOF/VOF/WL/rerouted %v/%v/%v/%d, Evaluate %v/%v/%v/%d",
 			got.HOF, got.VOF, got.WL, got.Rerouted, want.HOF, want.VOF, want.WL, want.Rerouted)
 	}
+	whole := final(rc)
 
-	rc2, err := pipeline.NewRunContext(stressedDesign(t), cfg)
+	for _, cp := range cps {
+		rc2, err := pipeline.NewRunContext(stressedDesign(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := routed().Resume(context.Background(), rc2, cp); err != nil {
+			t.Fatal(err)
+		}
+		if f := final(rc2); !reflect.DeepEqual(f, whole) {
+			t.Errorf("resumed after %q: final %+v (routed %+v), uninterrupted %+v (routed %+v)",
+				cp.Stage, f, f.Routed, whole, whole.Routed)
+		}
+	}
+
+	// Without the judge, the route checkpoint is a finished placement.
+	rc3, err := pipeline.NewRunContext(stressedDesign(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := routed().Resume(context.Background(), rc2, afterDP); err != nil {
+	if err := pipeline.New().Resume(context.Background(), rc3, cps[3]); err != nil {
 		t.Fatal(err)
 	}
-	r := rc2.Result.Route
-	if r == nil {
-		t.Fatal("resumed run has no route report")
-	}
-	if r.HOF != got.HOF || r.VOF != got.VOF || r.WL != got.WL {
-		t.Errorf("resumed HOF/VOF/WL %v/%v/%v, uninterrupted %v/%v/%v", r.HOF, r.VOF, r.WL, got.HOF, got.VOF, got.WL)
+	if rc3.Result.HPWL != whole.HPWL || len(rc3.Result.Stages) != 0 {
+		t.Errorf("unjudged resume after route: HPWL %v after %d stages, want %v after none",
+			rc3.Result.HPWL, len(rc3.Result.Stages), whole.HPWL)
 	}
 }
 

@@ -49,9 +49,6 @@ func New(stages ...Stage) *Pipeline {
 	return &Pipeline{stages: stages}
 }
 
-// Stages returns the pipeline's stage list (shared slice; do not mutate).
-func (p *Pipeline) Stages() []Stage { return p.stages }
-
 // Run executes every stage in order against rc. The context is consulted
 // before each stage and threaded into every stage; on failure the error is
 // a *StageError naming the stage, wrapping the engine error (which wraps
@@ -66,13 +63,21 @@ func (p *Pipeline) Run(ctx context.Context, rc *RunContext) error {
 // cp.Stage. With identical configuration and design, resuming a
 // checkpoint taken after stage S reproduces the uninterrupted run's final
 // placement exactly: the captured positions, padding, and net weights are
-// the complete cross-stage state.
+// the complete cross-stage state. A checkpoint after Route holds the
+// finished placement but not its verdict: it resumes by routing again, or
+// runs nothing in a list without Route.
 func (p *Pipeline) Resume(ctx context.Context, rc *RunContext, cp *Checkpoint) error {
 	start := -1
 	for i, st := range p.stages {
 		if st.Name() == cp.Stage {
 			start = i + 1
 			break
+		}
+	}
+	if cp.Stage == StageRoute {
+		start--
+		if start < 0 {
+			start = len(p.stages)
 		}
 	}
 	if start < 0 {

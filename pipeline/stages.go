@@ -179,9 +179,9 @@ func DetailedPlace() Stage {
 // judges the placement the way the paper's commercial router does
 // (Sec. IV), storing the report in Result.Route. It routes with
 // router.DefaultConfig() on the flow's Gcell grid, worker cap and
-// recorder — the same router puffer.Evaluate, the CLIs and the
-// experiments judge with, so a routed service job (and with it every
-// distributed-exploration trial) is scored like any other run.
+// recorder. It is the one judge: the CLI, the experiments, the
+// exploration objective and routed service jobs (with them every
+// distributed-exploration trial) all append it to their stage list.
 func Route() Stage {
 	return StageFunc{StageName: StageRoute, Fn: func(ctx context.Context, rc *RunContext) error {
 		cfg := router.DefaultConfig()
@@ -200,10 +200,9 @@ func Route() Stage {
 	}}
 }
 
-// Default returns the paper's Fig. 2 stage list: global placement (with
-// the in-loop routability optimizer), legalization, detailed placement.
-// The evaluation Route stage is not part of the default list, matching
-// puffer.Run's historical contract of leaving routing to Evaluate.
+// Default returns the paper's Fig. 2 stage list — global placement (with
+// the in-loop routability optimizer), legalization, detailed placement —
+// the PUFFER flow. A caller that judges the placement appends Route.
 func Default() []Stage {
 	return []Stage{GlobalPlace(), Legalize(), DetailedPlace()}
 }

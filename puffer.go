@@ -27,9 +27,10 @@
 //
 // Strategy parameters can be hand-set (padding.DefaultStrategy) or
 // searched with the Bayesian strategy exploration in internal/explore via
-// ExploreStrategyOpts. Placements are judged by the built-in evaluation
-// global router (Evaluate), which reports the HOF/VOF/WL metrics of the
-// paper's Table II.
+// ExploreStrategyOpts. Placements are judged by the pipeline's Route
+// stage, the built-in evaluation global router, which reports the
+// HOF/VOF/WL metrics of the paper's Table II in the run's
+// pipeline.Record.
 package puffer
 
 import (
@@ -83,11 +84,13 @@ func RunCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, error)
 }
 
 // Evaluate routes the placed design with the evaluation global router and
-// returns its congestion report (HOF%, VOF%, routed wirelength) — the
-// stand-in for the commercial global router of the paper's Sec. IV.
+// returns its HOF/VOF/WL report. Flows judge with the pipeline's Route
+// stage instead; Evaluate and EvalConfig remain for the frozen benchmark
+// harness (ROADMAP item 9), and pipeline.TestRouteStageMatchesEvaluate
+// ties them to the stage.
 func Evaluate(d *netlist.Design, cfg router.Config) *router.Result {
 	return router.Route(d, cfg)
 }
 
-// EvalConfig returns the default evaluation-router configuration.
+// EvalConfig returns the evaluation router's defaults; see Evaluate.
 func EvalConfig() router.Config { return router.DefaultConfig() }

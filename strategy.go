@@ -12,7 +12,7 @@ import (
 	telemetry "puffer/internal/obs"
 	"puffer/internal/padding"
 	"puffer/internal/place"
-	"puffer/internal/router"
+	"puffer/pipeline"
 )
 
 // SaveStrategy writes a strategy as indented JSON, so tuned configurations
@@ -117,21 +117,20 @@ func ApplyAssignment(s *padding.Strategy, a explore.Assignment) {
 }
 
 // StrategyObjective builds the exploration objective the paper uses:
-// place the (small) design with the candidate strategy and return the
-// total overflow ratio of both directions reported by the evaluation
-// router. The design is cloned per evaluation, so the objective is safe
-// for the parallel group exploration.
-func StrategyObjective(d *netlist.Design, placeCfg place.Config, evalCfg router.Config) explore.Objective {
+// place the (small) design with the candidate strategy, judge it with the
+// Route stage, and return the total overflow ratio of both directions
+// from the run's record. The design is cloned per evaluation, so the
+// objective is safe for the parallel group exploration.
+func StrategyObjective(d *netlist.Design, placeCfg place.Config) explore.Objective {
 	return func(a explore.Assignment) float64 {
-		dd := d.Clone()
 		cfg := DefaultConfig()
 		cfg.Place = placeCfg
 		ApplyAssignment(&cfg.Strategy, a)
-		if _, err := Run(dd, cfg); err != nil {
+		rec, _, err := pipeline.Judge(context.Background(), pipeline.PUFFER, d.Clone(), cfg, pipeline.Default())
+		if err != nil {
 			return 1e9 // infeasible configuration
 		}
-		rr := Evaluate(dd, evalCfg)
-		return rr.HOF + rr.VOF
+		return rec.Final.HOF + rec.Final.VOF
 	}
 }
 
@@ -163,7 +162,7 @@ type ExploreOptions struct {
 // exploration opens a trace span.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
 	e := explore.Production(StrategyParams(), opt.Budget, opt.Seed)
-	e.Eval = StrategyObjective(d, placeCfg, router.DefaultConfig())
+	e.Eval = StrategyObjective(d, placeCfg)
 	e.Workers = opt.Workers
 	e.Logf = opt.Logf
 	e.Obs = opt.Obs

@@ -11,7 +11,6 @@ import (
 	"puffer/internal/feature"
 	"puffer/internal/padding"
 	"puffer/internal/place"
-	"puffer/internal/router"
 	"puffer/internal/synth"
 )
 
@@ -79,7 +78,7 @@ func TestStrategyObjectiveClonesDesign(t *testing.T) {
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 60
 	cfg.GridM, cfg.GridN = 16, 16
-	obj := StrategyObjective(d, cfg, router.DefaultConfig())
+	obj := StrategyObjective(d, cfg)
 	y := obj(explore.Assignment{"mu": 0.5})
 	if y < 0 {
 		t.Errorf("objective = %v, want >= 0", y)
