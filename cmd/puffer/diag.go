@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -12,11 +11,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
-	"puffer/internal/cas"
 	"puffer/internal/eco"
-	"puffer/internal/xfarm"
 	"puffer/pipeline"
 )
 
@@ -28,35 +24,16 @@ var artifacts = map[string]func(w io.Writer, path string, data []byte) error{
 	pipeline.RecordSchema:     summarizeRecord,
 	pipeline.CheckpointFormat: summarizeCheckpoint,
 	eco.SnapshotFormat:        summarizeSession,
-	xfarm.StateFormat:         summarizeExploreState,
 }
 
 // diag validates and summarizes one artifact: a run report (puffer
 // -report), a stage checkpoint (puffer -checkpoint or a pufferd job
-// spool), an ECO session snapshot (a pufferd session spool), an
-// explore-state checkpoint (a coordinator job's explore-state.json), or,
-// for a directory, a coordinator's content-addressed store.
+// spool) or an ECO session snapshot (a pufferd session spool).
 func diag(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("puffer diag", flag.ContinueOnError)
-	gc := fs.Bool("gc", false, "for a CAS store: also list the blobs a GC pass would delete (dry run)")
-	gcApply := fs.Bool("gc-apply", false, "for a CAS store: delete the unreferenced blobs")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) != 1 {
+		return errors.New("usage: puffer diag <artifact.json>")
 	}
-	if fs.NArg() != 1 {
-		return errors.New("usage: puffer diag [-gc|-gc-apply] <artifact.json | cas-dir>")
-	}
-	path := fs.Arg(0)
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if fi.IsDir() {
-		return summarizeCAS(w, path, *gc, *gcApply)
-	}
-	if *gc || *gcApply {
-		return fmt.Errorf("-gc and -gc-apply take a CAS store directory, not the file %s", path)
-	}
+	path := args[0]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -80,9 +57,10 @@ func summarizeRecord(w io.Writer, path string, _ []byte) error {
 		return err
 	}
 	fmt.Fprintf(w, "run report %s (%s)\n", path, rec.Schema)
-	fmt.Fprintf(w, "%s flow on design %s: %d cells, %d nets, seed=%d\n", rec.Flow, rec.Design, rec.Cells, rec.Nets, rec.Seed)
+	fmt.Fprintf(w, "%s flow on design %s: %d cells, %d nets, seed=%d, engine %s\n",
+		rec.Flow, rec.Design, rec.Cells, rec.Nets, rec.Seed, cmp.Or(rec.Engine, "unrecorded"))
 
-	// Stage table, through the same fixed-format writer puffer -stats
+	// Stage table, through the same fixed-format writer the puffer CLI
 	// uses.
 	pipeline.WriteStageStats(w, rec.Stages)
 
@@ -121,7 +99,7 @@ func summarizeRecord(w io.Writer, path string, _ []byte) error {
 	if err != nil {
 		return fmt.Errorf("round trip load: %w", err)
 	}
-	if again.Design != rec.Design || again.Flow != rec.Flow || len(again.Stages) != len(rec.Stages) ||
+	if again.Design != rec.Design || again.Flow != rec.Flow || again.Engine != rec.Engine || len(again.Stages) != len(rec.Stages) ||
 		len(again.Metrics.Series) != len(rec.Metrics.Series) {
 		return fmt.Errorf("round trip mismatch: %s/%s/%d stages vs %s/%s/%d stages",
 			again.Flow, again.Design, len(again.Stages), rec.Flow, rec.Design, len(rec.Stages))
@@ -195,82 +173,6 @@ func summarizeSession(w io.Writer, path string, _ []byte) error {
 	return nil
 }
 
-// summarizeCAS opens a content-addressed store read-mostly and prints its
-// inventory: every blob (size, refcount, GC eligibility), every cached
-// result with its (design, config, engine) triple, and any orphans — files
-// on disk the index doesn't know, or indexed blobs whose file is gone.
-func summarizeCAS(w io.Writer, dir string, gc, apply bool) error {
-	// cas.Open starts a fresh store in any directory; an inspector must
-	// not, so a directory without the store's blobs/ is refused.
-	if _, err := os.Stat(filepath.Join(dir, "blobs")); err != nil {
-		return fmt.Errorf("%s is not a CAS store: %w", dir, err)
-	}
-	store, err := cas.Open(dir)
-	if err != nil {
-		return err
-	}
-	idx := store.Snapshot()
-	garbage := store.Garbage()
-	eligible := make(map[cas.Digest]bool, len(garbage))
-	for _, d := range garbage {
-		eligible[d] = true
-	}
-
-	fmt.Fprintf(w, "cas store %s: %d blobs, %d cached results\n\n", dir, len(idx.Blobs), len(idx.Results))
-	if len(idx.Blobs) > 0 {
-		fmt.Fprintf(w, "%-22s %12s %5s  %s\n", "BLOB", "BYTES", "REFS", "GC")
-		var totalBytes int64
-		blobs := slices.Clone(idx.Blobs)
-		sort.Slice(blobs, func(i, j int) bool { return blobs[i].Digest < blobs[j].Digest })
-		for _, b := range blobs {
-			mark := ""
-			if eligible[b.Digest] {
-				mark = "eligible"
-			}
-			fmt.Fprintf(w, "%-22s %12d %5d  %s\n", b.Digest.Short(), b.Size, b.Refs, mark)
-			totalBytes += b.Size
-		}
-		fmt.Fprintf(w, "%-22s %12d\n\n", "total", totalBytes)
-	}
-
-	if len(idx.Results) > 0 {
-		fmt.Fprintf(w, "%-22s %-22s %-18s %-14s %12s\n", "DESIGN", "CONFIG", "ENGINE", "JOB", "HPWL")
-		results := slices.Clone(idx.Results)
-		sort.Slice(results, func(i, j int) bool { return results[i].Key() < results[j].Key() })
-		for _, r := range results {
-			fmt.Fprintf(w, "%-22s %-22s %-18s %-14s %12.0f\n",
-				r.Design.Short(), r.Config.Short(), r.Engine, r.Job, r.HPWL)
-		}
-		fmt.Fprintln(w)
-	}
-
-	onDisk, missing, err := store.Orphans()
-	if err != nil {
-		return err
-	}
-	for _, d := range onDisk {
-		fmt.Fprintf(w, "orphan on disk (not indexed): %s\n", d.Short())
-	}
-	for _, d := range missing {
-		fmt.Fprintf(w, "indexed but missing on disk:  %s\n", d.Short())
-	}
-
-	if gc || apply {
-		list, format := garbage, "gc dry run: %d blobs eligible\n"
-		if apply {
-			if list, err = store.GC(); err != nil {
-				return err
-			}
-			format = "gc: removed %d blobs\n"
-		}
-		fmt.Fprintf(w, format, len(list))
-		for _, d := range list {
-			fmt.Fprintf(w, "  %s\n", d.Short())
-		}
-	}
-	return nil
-}
-
 // sortedKeys returns the map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
@@ -290,70 +192,4 @@ func printKV[V int64 | float64](w io.Writer, header string, m map[string]V) {
 	for _, k := range sortedKeys(m) {
 		fmt.Fprintf(w, "  %-24s %v\n", k, m[k])
 	}
-}
-
-// summarizeExploreState validates and renders a puffer/explore-state/v1
-// checkpoint: provenance (attempts, design, schedule parameters), the trial
-// table in submission order, outcome tallies, the best assignment, and the
-// merged parameter ranges Algorithm 3 has narrowed to.
-func summarizeExploreState(w io.Writer, path string, data []byte) error {
-	st, err := xfarm.ParseState(data)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "explore state: %s\n", path)
-	fmt.Fprintf(w, "  format:   %s\n", st.Format)
-	if st.Job != "" {
-		fmt.Fprintf(w, "  job:      %s\n", st.Job)
-	}
-	if st.DesignDigest != "" {
-		fmt.Fprintf(w, "  design:   %s\n", cas.Digest(st.DesignDigest).Short())
-	}
-	mode := "deterministic"
-	if st.EarlyStop {
-		mode = "early-stop"
-	}
-	fmt.Fprintf(w, "  schedule: seed=%d budget=%d (%s)\n", st.Seed, st.Budget, mode)
-	fmt.Fprintf(w, "  attempts: %d (resumed %d time(s))\n", st.Attempts, st.Attempts-1)
-	fmt.Fprintf(w, "  updated:  %s\n", st.UpdatedAt.Format(time.RFC3339))
-
-	byState := map[string]int{}
-	cacheHits := 0
-	for _, t := range st.Trials {
-		byState[t.State]++
-		if t.CacheHit {
-			cacheHits++
-		}
-	}
-	fmt.Fprintf(w, "\ntrials: %d (done %d, submitted %d, canceled %d, failed %d; %d cache hits)\n",
-		len(st.Trials), byState[xfarm.TrialDone], byState[xfarm.TrialSubmitted],
-		byState[xfarm.TrialCanceled], byState[xfarm.TrialFailed], cacheHits)
-	fmt.Fprintf(w, "%4s %6s %-12s %5s %-9s %12s %6s %6s  %s\n",
-		"SEQ", "ROUND", "GROUP", "INDEX", "STATE", "SCORE", "CACHE", "ESTOP", "JOB")
-	yes := map[bool]string{true: "yes", false: "-"}
-	trials := slices.Clone(st.Trials)
-	sort.Slice(trials, func(i, j int) bool { return trials[i].Seq < trials[j].Seq })
-	for _, t := range trials {
-		group := t.Group
-		if group == "" {
-			group = "(global)"
-		}
-		score := "-"
-		if t.State == xfarm.TrialDone || t.State == xfarm.TrialFailed || t.State == xfarm.TrialCanceled {
-			score = fmt.Sprintf("%.6g", t.Score)
-		}
-		fmt.Fprintf(w, "%4d %6d %-12s %5d %-9s %12s %6s %6s  %s\n",
-			t.Seq, t.Round, group, t.Index, t.State, score,
-			yes[t.CacheHit], yes[t.EarlyStopped], t.JobID)
-	}
-
-	printKV(w, fmt.Sprintf("\nbest assignment (score %.6g):", st.BestScore), st.Best)
-	if len(st.Ranges) > 0 {
-		fmt.Fprintf(w, "\nmerged ranges:\n")
-		for _, k := range sortedKeys(st.Ranges) {
-			r := st.Ranges[k]
-			fmt.Fprintf(w, "  %-18s [%g, %g]  mid %g\n", k, r.Lo, r.Hi, (r.Lo+r.Hi)/2)
-		}
-	}
-	return nil
 }

@@ -14,7 +14,7 @@
 //	puffer -design CT_TOP -strategy s.json                 # place with the tuned strategy
 //	puffer benchgen -dir bench/ -scale 800                 # export the suite as Bookshelf
 //	puffer experiments -table2 -scale 800                  # regenerate tables and figures
-//	puffer diag run.json                                   # summarize an artifact or CAS store
+//	puffer diag run.json                                   # summarize an artifact
 package main
 
 import (

@@ -17,10 +17,8 @@ import (
 	"puffer"
 	"puffer/internal/baseline"
 	"puffer/internal/bookshelf"
-	"puffer/internal/cas"
 	"puffer/internal/eco"
 	"puffer/internal/synth"
-	"puffer/internal/xfarm"
 	"puffer/pipeline"
 )
 
@@ -93,7 +91,7 @@ func TestPlaceThenDiag(t *testing.T) {
 		"loaded OR1200_placed: ", "legality check: clean")
 
 	mustContain(t, "diag report", runOK(t, "diag", rep),
-		"run report "+rep+" (puffer/run-report/v2)", "puffer flow on design OR1200", "stage place", "stage route", "round trip: ok")
+		"run report "+rep+" (puffer/run-report/v2)", "puffer flow on design OR1200", "engine "+pipeline.EngineVersion, "stage place", "stage route", "round trip: ok")
 	if st := reportStrategy(t, rep); st["Tau"] == nil || st["Cong"] == nil {
 		t.Errorf("PUFFER report's strategy lost the optimizer's parameters: %v", st)
 	}
@@ -123,9 +121,9 @@ func TestPlaceThenDiag(t *testing.T) {
 	runErr(t, "diag", fake)
 }
 
-// TestDiagSessionExploreStateAndCAS covers the artifact kinds the daemon
-// and the coordinator write.
-func TestDiagSessionExploreStateAndCAS(t *testing.T) {
+// TestDiagSessionSnapshot covers the artifact kind only the daemon's
+// sessions write, and diag's refusals of what it does not read.
+func TestDiagSessionSnapshot(t *testing.T) {
 	dir := t.TempDir()
 
 	p, err := synth.ProfileByName("OR1200")
@@ -150,48 +148,10 @@ func TestDiagSessionExploreStateAndCAS(t *testing.T) {
 	mustContain(t, "diag session", runOK(t, "diag", snap),
 		"(puffer/eco-session/v1)", "deltas applied: 0", "stage: dp", "padding history:")
 
-	st := &xfarm.State{
-		Format: xfarm.StateFormat, Seed: 1, Budget: 3, Attempts: 2,
-		Trials: []xfarm.TrialRecord{
-			{Seq: 0, Round: 0, Index: 0, X: map[string]float64{"beta": 1}, State: xfarm.TrialDone, Score: 1.5},
-			{Seq: 1, Round: 1, Group: "cong", Index: 0, X: map[string]float64{"beta": 2}, State: xfarm.TrialSubmitted},
-		},
-		Best: map[string]float64{"beta": 1}, BestScore: 1.5,
-	}
-	data, err := st.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := filepath.Join(dir, "explore-state.json")
-	if err := os.WriteFile(state, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mustContain(t, "diag explore state", runOK(t, "diag", state),
-		"attempts: 2 (resumed 1 time(s))", "trials: 2 (done 1, submitted 1", "best assignment (score 1.5)")
-
-	store, err := cas.Open(filepath.Join(dir, "cas"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.Put([]byte("unreferenced blob")); err != nil {
-		t.Fatal(err)
-	}
-	mustContain(t, "diag cas", runOK(t, "diag", filepath.Join(dir, "cas")), "1 blobs, 0 cached results", "BLOB")
-	mustContain(t, "diag cas -gc", runOK(t, "diag", "-gc", filepath.Join(dir, "cas")), "gc dry run: 1 blobs eligible")
-	mustContain(t, "diag cas -gc-apply", runOK(t, "diag", "-gc-apply", filepath.Join(dir, "cas")), "gc: removed 1 blobs")
-	mustContain(t, "diag cas after gc", runOK(t, "diag", filepath.Join(dir, "cas")), "0 blobs, 0 cached results")
-	msg, _ := runErr(t, "diag", filepath.Join(dir, "not-a-store"))
-	mustContain(t, "diag on a missing path", msg, "not-a-store")
-	if err := os.Mkdir(filepath.Join(dir, "plain"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	msg, _ = runErr(t, "diag", filepath.Join(dir, "plain"))
-	mustContain(t, "diag on a plain directory", msg, "is not a CAS store")
-	if _, err := os.Stat(filepath.Join(dir, "plain", "blobs")); err == nil {
-		t.Error("diag on a plain directory created a store in it")
-	}
-	msg, _ = runErr(t, "diag", "-gc", state)
-	mustContain(t, "diag -gc on a file", msg, "CAS store directory")
+	msg, _ := runErr(t, "diag", filepath.Join(dir, "missing.json"))
+	mustContain(t, "diag on a missing path", msg, "missing.json")
+	msg, _ = runErr(t, "diag", dir)
+	mustContain(t, "diag on a directory", msg, "is a directory")
 	msg, _ = runErr(t, "diag")
 	mustContain(t, "diag without a path", msg, "usage: puffer diag")
 }

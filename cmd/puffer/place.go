@@ -46,7 +46,6 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		outDir   = fs.String("out", "", "write the placed design as Bookshelf into this directory")
 		pgmDir   = fs.String("pgm", "", "write routed congestion maps as PGM images into this directory")
 		noEval   = fs.Bool("noeval", false, "skip the global-routing evaluation")
-		verify   = fs.Bool("verify", true, "check placement legality after the flow")
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this path")
 		traceCSV = fs.String("trace-csv", "", "write the global-placement iteration trace (CSV) to this file")
 		repOut   = fs.String("report", "", "write the structured run report (JSON, consumed by puffer diag) to this file")
@@ -57,7 +56,6 @@ func placeFlow(args []string, w io.Writer) (err error) {
 		ckpt     = fs.String("checkpoint", "", "write a flow checkpoint (JSON) to this file after each stage")
 		resume   = fs.String("resume", "", "resume the flow from a checkpoint written by -checkpoint")
 		workers  = fs.Int("workers", 0, "cap flow parallelism (0 = GOMAXPROCS)")
-		stats    = fs.Bool("stats", true, "print per-stage pipeline statistics")
 		list     = fs.Bool("list", false, "list the synthetic benchmark profiles and exit")
 		verbose  = fs.Bool("v", false, "verbose progress")
 	)
@@ -222,9 +220,7 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	} else {
 		err = pl.Run(ctx, rc)
 	}
-	if *stats {
-		pipeline.WriteStageStats(w, rc.Result.Stages)
-	}
+	pipeline.WriteStageStats(w, rc.Result.Stages)
 	if errors.Is(err, pipeline.ErrCanceled) {
 		var se *pipeline.StageError
 		stage := "?"
@@ -262,12 +258,10 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	}
 	fmt.Fprintf(w, "placement runtime: %s\n", record.PlaceRuntime().Round(time.Millisecond))
 
-	if *verify {
-		if vs := legal.Check(d, 5); len(vs) > 0 {
-			fmt.Fprintf(w, "LEGALITY: %d violations, first: %s\n", len(vs), vs[0])
-		} else {
-			fmt.Fprintln(w, "legality check: clean")
-		}
+	if vs := legal.Check(d, 5); len(vs) > 0 {
+		fmt.Fprintf(w, "LEGALITY: %d violations, first: %s\n", len(vs), vs[0])
+	} else {
+		fmt.Fprintln(w, "legality check: clean")
 	}
 
 	if rr := res.Route; rr != nil {

@@ -7,7 +7,6 @@
 // Commands:
 //
 //	submit   submit a job (synthetic profile or Bookshelf upload); -watch streams it
-//	explore  run a distributed strategy exploration on the fleet; -out saves the tuned strategy
 //	status   print a job's durable manifest
 //	watch    stream a job's progress (SSE) until it finishes
 //	result   print a finished job's result summary
@@ -17,12 +16,10 @@
 //	wait     poll until a job reaches a terminal state
 //	session  interactive ECO sessions: open | delta | status | watch | close | list
 //	top      render the daemon's operational snapshot (/api/v1/ops)
-//	fleet    render a coordinator's worker registry (/api/v1/nodes)
 //
-// Against a fleet coordinator every job command works unchanged — it is the
-// same job service, run over a fleet — and top adds the fleet and cache
-// summary. submit additionally honors -tenant (fair-share lane) and
-// -nocache (bypass the coordinator's content-addressed result cache).
+// submit -kind explore runs Algorithm 3's strategy exploration as a job;
+// the tuned strategy is its strategy.json artifact. submit -tenant names
+// the fair-share queue lane the job waits in.
 //
 // A full queue answers 429 with a Retry-After hint; submit reports it and
 // exits non-zero rather than waiting.
@@ -75,15 +72,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	args = fs.Args()
 	if len(args) == 0 {
-		return errors.New("usage: pufferctl [-addr URL] {submit|explore|status|watch|result|artifact|cancel|list|wait|session|top|fleet} ...")
+		return errors.New("usage: pufferctl [-addr URL] {submit|status|watch|result|artifact|cancel|list|wait|session|top} ...")
 	}
 	c := &cli{Client: client.New(*addr, nil), ctx: context.Background(), out: stdout, errOut: stderr}
 	var err error
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "submit":
 		err = c.submit(rest)
-	case "explore":
-		err = c.explore(rest)
 	case "status":
 		err = c.print(rest, "status <id>", http.MethodGet, "/api/v1/jobs/%s")
 	case "result":
@@ -102,8 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		err = c.session(rest)
 	case "top":
 		err = c.top()
-	case "fleet":
-		err = c.fleet()
 	default:
 		err = fmt.Errorf("unknown command %q", cmd)
 	}
@@ -132,33 +125,27 @@ func (c *cli) flags(name string) *flag.FlagSet {
 	return fs
 }
 
-// designFlags are the flags every design-taking command shares; runFlags
-// the two more that submit and session open do.
-type designFlags struct {
+// runFlags are the flags submit and session open share.
+type runFlags struct {
 	profile, aux, strategy *string
 	scale, iters, workers  *int
 	seed                   *int64
 }
 
-func addDesignFlags(fs *flag.FlagSet) designFlags {
-	return designFlags{
-		profile: fs.String("profile", "", "synthetic benchmark profile name"),
-		scale:   fs.Int("scale", 800, "profile scale divisor"),
-		seed:    fs.Int64("seed", 1, "random seed"),
-		aux:     fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)"),
-		iters:   fs.Int("iters", 0, "max global placement iterations (0 = default)"),
+func addRunFlags(fs *flag.FlagSet) runFlags {
+	return runFlags{
+		profile:  fs.String("profile", "", "synthetic benchmark profile name"),
+		scale:    fs.Int("scale", 800, "profile scale divisor"),
+		seed:     fs.Int64("seed", 1, "random seed"),
+		aux:      fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)"),
+		iters:    fs.Int("iters", 0, "max global placement iterations (0 = default)"),
+		workers:  fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS; explore jobs: relevance groups at once)"),
+		strategy: fs.String("strategy", "", "JSON strategy file (puffer explore -out format)"),
 	}
 }
 
-func addRunFlags(fs *flag.FlagSet) designFlags {
-	f := addDesignFlags(fs)
-	f.workers = fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS)")
-	f.strategy = fs.String("strategy", "", "JSON strategy file (puffer explore -out format)")
-	return f
-}
-
 // spec starts the submission document from the shared flags.
-func (f designFlags) spec() (map[string]any, error) {
+func (f runFlags) spec() (map[string]any, error) {
 	spec := map[string]any{"scale": *f.scale, "seed": *f.seed}
 	if *f.profile != "" {
 		spec["profile"] = *f.profile
@@ -173,10 +160,10 @@ func (f designFlags) spec() (map[string]any, error) {
 	if *f.iters > 0 {
 		spec["max_iters"] = *f.iters
 	}
-	if f.workers != nil && *f.workers > 0 {
+	if *f.workers > 0 {
 		spec["workers"] = *f.workers
 	}
-	if f.strategy != nil && *f.strategy != "" {
+	if *f.strategy != "" {
 		data, err := os.ReadFile(*f.strategy)
 		if err != nil {
 			return nil, err
@@ -184,20 +171,6 @@ func (f designFlags) spec() (map[string]any, error) {
 		spec["strategy"] = json.RawMessage(data)
 	}
 	return spec, nil
-}
-
-// post submits spec and prints the admission line ("job <id> <state>").
-func (c *cli) post(noun string, spec map[string]any, o client.SubmitOptions) (*serve.Manifest, error) {
-	m, err := c.Submit(c.ctx, spec, o)
-	if err != nil {
-		return nil, err
-	}
-	if m.CacheHit {
-		fmt.Fprintf(c.out, "%s %s %s (cache hit)\n", noun, m.ID, m.State)
-	} else {
-		fmt.Fprintf(c.out, "%s %s %s\n", noun, m.ID, m.State)
-	}
-	return m, nil
 }
 
 func (c *cli) submit(args []string) error {
@@ -211,7 +184,6 @@ func (c *cli) submit(args []string) error {
 		watch   = fs.Bool("watch", false, "stream progress until the job finishes")
 		trace   = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
 		tenant  = fs.String("tenant", "", "tenant name for fair-share scheduling")
-		nocache = fs.Bool("nocache", false, "force a full run even if the coordinator has a cached result")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -231,9 +203,6 @@ func (c *cli) submit(args []string) error {
 	if *timeout > 0 {
 		spec["timeout_sec"] = timeout.Seconds()
 	}
-	if *nocache {
-		spec["nocache"] = true
-	}
 
 	// With -trace, this process becomes the root of the distributed trace:
 	// the submit span's traceparent rides the POST, the daemon roots its
@@ -250,10 +219,11 @@ func (c *cli) submit(args []string) error {
 		o.Traceparent = clientSpan.TraceContext().Traceparent()
 	}
 	postStart := time.Now()
-	m, err := c.post("job", spec, o)
+	m, err := c.Submit(c.ctx, spec, o)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(c.out, "job %s %s\n", m.ID, m.State)
 	clientSpan.RecordChild("client.request", postStart, time.Since(postStart))
 	clientSpan.SetArg("job", m.ID)
 
@@ -280,76 +250,6 @@ func (c *cli) submit(args []string) error {
 		return fmt.Errorf("job %s %s: %s", m.ID, final.State, final.Error)
 	}
 	return nil
-}
-
-// explore submits a distributed strategy exploration to a fleet
-// coordinator: every TPE trial runs as its own place job across the
-// workers, the controller checkpoints for durable resume, and the tuned
-// strategy document comes back as an artifact (-out saves it locally).
-func (c *cli) explore(args []string) error {
-	fs := c.flags("explore")
-	df := addDesignFlags(fs)
-	var (
-		budget    = fs.Int("budget", 0, "trials per exploration call (0 = server default 8)")
-		earlyStop = fs.Bool("early-stop", false, "cancel dominated trials mid-flight (trades determinism for wall clock)")
-		timeout   = fs.Duration("timeout", 0, "per-trial deadline (0 = server default)")
-		watch     = fs.Bool("watch", false, "stream exploration progress until it finishes")
-		wait      = fs.Duration("wait", 30*time.Minute, "give up waiting for the exploration after this long")
-		tenant    = fs.String("tenant", "", "tenant name for fleet fair-share scheduling")
-		nocache   = fs.Bool("nocache", false, "recompute the exploration even if a cached result exists (finished trials still dedupe through the result index)")
-		out       = fs.String("out", "", "write the tuned strategy JSON here when the exploration finishes")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	spec, err := df.spec()
-	if err != nil {
-		return err
-	}
-	spec["kind"], spec["distributed"] = "explore", true
-	if *budget > 0 {
-		spec["budget"] = *budget
-	}
-	if *earlyStop {
-		spec["early_stop"] = true
-	}
-	if *timeout > 0 {
-		spec["timeout_sec"] = timeout.Seconds()
-	}
-	if *nocache {
-		spec["nocache"] = true
-	}
-	m, err := c.post("exploration", spec, client.SubmitOptions{Tenant: *tenant})
-	if err != nil {
-		return err
-	}
-
-	var watchErr error
-	if *watch {
-		watchErr = c.stream("/api/v1/jobs/"+m.ID+"/events", m.ID)
-	}
-	final, err := c.WaitTerminal(c.ctx, m.ID, 500*time.Millisecond, *wait)
-	if err != nil {
-		return err
-	}
-	if final.State != serve.StateDone {
-		return fmt.Errorf("exploration %s %s: %s", m.ID, final.State, final.Error)
-	}
-	res, err := c.Result(c.ctx, m.ID)
-	if err != nil {
-		res = &serve.JobResult{}
-	}
-	fmt.Fprintf(c.out, "exploration %s done: %d trials, best score %g, %.0fms\n",
-		m.ID, res.Trials, res.BestScore, res.RuntimeMS)
-	if *out != "" {
-		n, err := c.Download(c.ctx, m.ID, "strategy.json", *out)
-		if err != nil {
-			return fmt.Errorf("fetch tuned strategy: %w", err)
-		}
-		fmt.Fprintf(c.out, "tuned strategy: %s (%d bytes)\n", *out, n)
-	}
-	return watchErr
 }
 
 // writeMergedTrace ends the client span and merges the client tracer with
@@ -638,25 +538,16 @@ func (c *cli) sessionList() error {
 }
 
 // top renders the daemon's one-call operational picture: lifecycle, queue
-// pressure, latency digests, live SLO status — and, against a coordinator,
-// the fleet behind it.
+// pressure, latency digests and live SLO status.
 func (c *cli) top() error {
 	ops, err := c.Ops(c.ctx)
 	if err != nil {
 		return err
 	}
-	name := "pufferd"
-	if ops.Role != "" {
-		name += " " + ops.Role
-	}
-	fmt.Fprintf(c.out, "%s %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
-		name, ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
+	fmt.Fprintf(c.out, "pufferd %s  up %s  queue %d/%d  workers %d  active %d  sessions %d (%d warm)\n",
+		ops.Status, time.Duration(ops.UptimeSeconds*float64(time.Second)).Round(time.Second),
 		ops.QueueDepth, ops.QueueCap, ops.Workers, ops.ActiveJobs,
 		ops.Sessions["tracked"], ops.Sessions["warm"])
-	if ops.Role != "" {
-		fmt.Fprintf(c.out, "fleet: %d nodes; cache: %d results, %d blobs (%d bytes)\n",
-			len(ops.Nodes), ops.Cache["results"], ops.Cache["blobs"], ops.Cache["blob_bytes"])
-	}
 
 	if len(ops.Histograms) > 0 {
 		fmt.Fprintf(c.out, "\n%-36s %8s %9s %9s %9s %9s\n", "LATENCY", "COUNT", "MEAN", "P50", "P95", "P99")
@@ -687,30 +578,6 @@ func (c *cli) top() error {
 		for _, name := range sortedKeys(ops.Counters) {
 			fmt.Fprintf(c.out, "%-36s %8d\n", name, ops.Counters[name])
 		}
-	}
-	return nil
-}
-
-// fleet renders a coordinator's worker registry: one row per known node
-// with liveness, heartbeat age, and the load snapshot dispatch sees.
-func (c *cli) fleet() error {
-	rows, err := c.Nodes(c.ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "%-16s %-24s %-18s %-6s %9s %5s %7s %7s\n",
-		"NODE", "ADDR", "ENGINE", "LIVE", "HEARTBEAT", "JOBS", "QUEUE", "ACTIVE")
-	for _, r := range rows {
-		live := "yes"
-		switch {
-		case !r.Live:
-			live = "no"
-		case r.Stats.Draining:
-			live = "drain"
-		}
-		fmt.Fprintf(c.out, "%-16s %-24s %-18s %-6s %8.1fs %5d %3d/%-3d %7d\n",
-			r.ID, r.Addr, r.Engine, live, r.HeartbeatAge, r.Jobs,
-			r.Stats.QueueDepth, r.Stats.QueueCap, r.Stats.ActiveJobs)
 	}
 	return nil
 }

@@ -2,20 +2,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"puffer"
-	"puffer/internal/client"
-	"puffer/internal/coord"
+	"puffer/internal/bookshelf"
 	"puffer/internal/padding"
 	"puffer/internal/serve"
+	"puffer/internal/synth"
 )
 
 // daemon starts an in-process pufferd core behind an httptest listener.
@@ -80,33 +78,42 @@ func TestSubmitStrategyWatch(t *testing.T) {
 	}
 }
 
-// TestExploreOut drives `pufferctl explore -out` against an in-process
-// coordinator with one worker: the tuned strategy artifact must land in
-// the -out file as a loadable strategy.
-func TestExploreOut(t *testing.T) {
-	w, wts := daemon(t)
-	cs, err := coord.New(coord.Config{Config: serve.Config{SpoolDir: t.TempDir()}, Poll: 50 * time.Millisecond})
+// TestSubmitExploreJob drives an exploration job through the submit
+// flags a fair-share, upload-backed submission uses — `submit -aux
+// -kind explore -budget -workers -tenant`, then `wait -poll` and
+// `artifact -o` — against an in-process daemon: the job must finish, its
+// manifest must carry the flags, and the tuned strategy artifact must
+// load.
+func TestSubmitExploreJob(t *testing.T) {
+	s, ts := daemon(t)
+	p, err := synth.ProfileByName("OR1200")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cs.Close() })
-	cs.Start()
-	cts := httptest.NewServer(cs.Handler())
-	t.Cleanup(cts.Close)
-	err = client.New(cts.URL, nil).Announce(context.Background(), coord.NodeManifest{
-		Format: coord.NodeManifestFormat, ID: "w1", Addr: wts.URL, Engine: serve.EngineVersion, Stats: w.Stats(),
-	})
+	aux, err := bookshelf.Write(synth.Generate(p, 6000, 3), t.TempDir(), "or1200")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tuned := filepath.Join(t.TempDir(), "tuned.json")
-	out := runCtl(t, "-addr", cts.URL, "explore", "-profile", "OR1200", "-scale", "6000", "-iters", "30",
-		"-budget", "1", "-out", tuned)
-	if !strings.Contains(out, "done: 11 trials") || !strings.Contains(out, "tuned strategy: "+tuned) {
-		t.Errorf("explore output:\n%s", out)
+	out := runCtl(t, "-addr", ts.URL, "submit", "-aux", aux, "-kind", "explore", "-budget", "1",
+		"-iters", "30", "-workers", "1", "-tenant", "alice")
+	id := regexp.MustCompile(`(?m)^job (\S+) queued`).FindStringSubmatch(out)
+	if id == nil {
+		t.Fatalf("no admission line in:\n%s", out)
 	}
+	runCtl(t, "-addr", ts.URL, "wait", "-poll", "50ms", "-timeout", "5m", id[1])
+	m, err := s.Spool().ReadManifest(id[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Spec.Kind != serve.KindExplore || m.Spec.Budget != 1 || m.Spec.Workers != 1 || m.Tenant != "alice" ||
+		m.Result == nil || m.Result.Trials == 0 {
+		t.Errorf("explore job manifest: %+v, result %+v", m, m.Result)
+	}
+
+	tuned := filepath.Join(t.TempDir(), "tuned.json")
+	runCtl(t, "-addr", ts.URL, "artifact", "-o", tuned, id[1], "strategy.json")
 	if _, err := puffer.LoadStrategy(tuned); err != nil {
-		t.Errorf("-out wrote no loadable strategy: %v", err)
+		t.Errorf("strategy.json artifact is no loadable strategy: %v", err)
 	}
 }

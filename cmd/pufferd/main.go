@@ -15,19 +15,11 @@
 // the cold wall. Session warm state idle longer than -session-idle is
 // evicted (the spooled snapshot remains; the next delta rehydrates it).
 //
-// Fleet mode: `pufferd -coordinator` runs the same job service over a fleet
-// of workers instead of the local pool — it owns a content-addressed result
-// cache and dispatches submissions to registered workers. A worker joins a fleet with
-// `pufferd -join http://coord:9090 -advertise http://me:8080`; it
-// heartbeats its load to the coordinator and otherwise behaves exactly as
-// stand-alone (the coordinator speaks the same job API any client does).
-//
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
 // (submissions get 503), cancels running jobs so they park at their last
-// checkpoint (a coordinator leaves dispatched jobs running on their
-// workers and re-attaches at the next boot), parks open ECO sessions at
-// their last applied delta, and exits once idle or -drain-timeout expires. Submit and watch
-// jobs with cmd/pufferctl.
+// checkpoint, parks open ECO sessions at their last applied delta, and
+// exits once idle or -drain-timeout expires. Submit and watch jobs with
+// cmd/pufferctl.
 package main
 
 import (
@@ -43,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"puffer/internal/coord"
 	"puffer/internal/obs"
 	"puffer/internal/serve"
 )
@@ -53,7 +44,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
 		spool        = flag.String("spool", "pufferd-spool", "job spool directory (durable; holds manifests, checkpoints, artifacts)")
-		queueCap     = flag.Int("queue", 0, "admission queue capacity; excess submissions get 429 + Retry-After (0 = 16, or 64 with -coordinator)")
+		queueCap     = flag.Int("queue", 0, "admission queue capacity; excess submissions get 429 + Retry-After (0 = 16)")
 		workers      = flag.Int("workers", 2, "job worker pool size")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job deadline for jobs that set none (0 = none)")
 		sessionIdle  = flag.Duration("session-idle", 15*time.Minute, "evict an ECO session's in-memory warm state after this idle time (snapshot stays; 0 = never)")
@@ -62,21 +53,8 @@ func main() {
 		drainGrace   = flag.Duration("drain-grace", 0, "hold /readyz at 503 this long before parking jobs on shutdown (lets load balancers drain)")
 		verbose      = flag.Bool("v", true, "log job lifecycle events")
 		debugLog     = flag.Bool("log-debug", false, "also log per-request and probe lines")
-
-		// Fleet: worker side.
-		join      = flag.String("join", "", "coordinator base URL to register this worker with (fleet mode)")
-		advertise = flag.String("advertise", "", "URL workers advertise to the coordinator (default http://<bound addr>)")
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat period when joined to a coordinator")
-		nodeID    = flag.String("node-id", "", "stable node ID for fleet registration (default: hostname)")
-
-		// Fleet: coordinator side.
-		coordinator = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
-		casDir      = flag.String("cas", "", "content-addressed store directory (coordinator; default <spool>/cas)")
-		deadAfter   = flag.Duration("dead-after", 10*time.Second, "heartbeat age past which a worker is dead and its jobs fail over (coordinator)")
-		poll        = flag.Duration("poll", time.Second, "re-check interval for a worker whose event stream broke off (coordinator)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant queue rate limit in jobs/sec (0 = unlimited)")
-		tenantBurst = flag.Int("tenant-burst", 4, "per-tenant queue burst")
-		estopMargin = flag.Float64("early-stop-margin", 0, "exploration early-stop domination margin over the best trial's overflow envelope (coordinator; 0 = default 1.5)")
+		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant queue rate limit in jobs/sec (0 = unlimited)")
+		tenantBurst  = flag.Int("tenant-burst", 4, "per-tenant queue burst")
 	)
 	flag.Parse()
 
@@ -92,18 +70,7 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 
-	if *coordinator && *join != "" {
-		log.Fatal("pufferd: -coordinator and -join are mutually exclusive")
-	}
-
-	// One daemon interface over both roles: a coordinator is the same
-	// job-service core running over the fleet instead of the local pool.
-	type daemon interface {
-		Start()
-		Handler() http.Handler
-		Drain(context.Context) error
-	}
-	core := serve.Config{
+	srv, err := serve.New(serve.Config{
 		SpoolDir:          *spool,
 		QueueCap:          *queueCap,
 		TenantRate:        *tenantRate,
@@ -114,41 +81,17 @@ func main() {
 		QueueWaitSLO:      *queueSLO,
 		DrainGrace:        *drainGrace,
 		Log:               logger,
-	}
-	var (
-		d      daemon
-		srv    *serve.Server
-		err    error
-		role   string
-		detail = fmt.Sprintf("%d workers", *workers)
-	)
-	if *coordinator {
-		var cs *coord.Server
-		cs, err = coord.New(coord.Config{
-			Config:          core,
-			CASDir:          *casDir,
-			DeadAfter:       *deadAfter,
-			Poll:            *poll,
-			EarlyStopMargin: *estopMargin,
-		})
-		if err == nil {
-			d, srv = cs, cs.Server
-		}
-		role, detail = " coordinator", fmt.Sprintf("dead-after %s", *deadAfter)
-	} else if srv, err = serve.New(core); err == nil {
-		d = srv
-	}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	detail += fmt.Sprintf(", queue %d", srv.Stats().QueueCap)
 	if srv.Recovered > 0 {
 		logger.Info("recovered interrupted jobs", "count", srv.Recovered, "spool", *spool)
 	}
 	if srv.RecoveredSessions > 0 {
 		logger.Info("parked ECO sessions; next delta rehydrates", "count", srv.RecoveredSessions)
 	}
-	d.Start()
+	srv.Start()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -161,44 +104,9 @@ func main() {
 		}
 	}
 	// The listening line is a stable interface: scripts scrape the port.
-	fmt.Printf("pufferd%s listening on %s (spool %s, %s)\n", role, bound, *spool, detail)
+	fmt.Printf("pufferd listening on %s (spool %s, %d workers, queue %d)\n", bound, *spool, *workers, srv.QueueCap())
 
-	// Joined to a fleet: announce until shutdown. The manifest callback
-	// snapshots live load per heartbeat so dispatch sees fresh depth.
-	annCtx, annCancel := context.WithCancel(context.Background())
-	defer annCancel()
-	if *join != "" {
-		id := *nodeID
-		if id == "" {
-			if h, err := os.Hostname(); err == nil {
-				id = h
-			} else {
-				id = "worker-" + bound
-			}
-		}
-		adv := *advertise
-		if adv == "" {
-			adv = "http://" + bound
-		}
-		ann := &coord.Announcer{
-			Coordinator: *join,
-			Interval:    *heartbeat,
-			Log:         logger,
-			Manifest: func() coord.NodeManifest {
-				return coord.NodeManifest{
-					Format: coord.NodeManifestFormat,
-					ID:     id,
-					Addr:   adv,
-					Engine: serve.EngineVersion,
-					Stats:  srv.Stats(),
-				}
-			},
-		}
-		go ann.Run(annCtx)
-		logger.Info("joined fleet", "coordinator", *join, "node", id, "advertise", adv)
-	}
-
-	hsrv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	hsrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hsrv.Serve(ln) }()
 
@@ -209,10 +117,9 @@ func main() {
 		logger.Info("signal received, draining", "signal", sig.String(), "timeout", *drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := d.Drain(ctx); err != nil {
+		if err := srv.Drain(ctx); err != nil {
 			logger.Error("drain", "error", err)
 		}
-		annCancel() // last heartbeats already carried Draining stats
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer shutCancel()
 		hsrv.Shutdown(shutCtx)

@@ -1,31 +1,20 @@
 package cas
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
-	"time"
 
 	"puffer/internal/fsx"
 )
 
-// Store is the on-disk content-addressed store. All methods are safe for
-// concurrent use; every mutation persists the index atomically before
-// returning, so a killed process never loses an acknowledged write.
+// Store is an on-disk content-addressed blob store: every blob lives under
+// blobs/ named by its own digest, so the directory is its own index.
 type Store struct {
 	root string
-
-	mu      sync.Mutex
-	blobs   map[Digest]*BlobInfo
-	results map[string]*ResultEntry
 }
 
-// Open creates (if necessary) and opens a store rooted at dir, loading and
-// validating the existing index when one is present. A corrupt index is an
-// error — the caller decides whether to rebuild, the store never guesses.
+// Open creates (if necessary) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cas: store directory must be set")
@@ -33,255 +22,24 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("cas: open store: %w", err)
 	}
-	s := &Store{
-		root:    dir,
-		blobs:   make(map[Digest]*BlobInfo),
-		results: make(map[string]*ResultEntry),
-	}
-	data, err := os.ReadFile(s.indexPath())
-	switch {
-	case os.IsNotExist(err):
-		// Fresh store.
-	case err != nil:
-		return nil, fmt.Errorf("cas: read index: %w", err)
-	default:
-		idx, perr := ParseIndex(data)
-		if perr != nil {
-			return nil, perr
-		}
-		for i := range idx.Blobs {
-			b := idx.Blobs[i]
-			s.blobs[b.Digest] = &b
-		}
-		for i := range idx.Results {
-			e := idx.Results[i]
-			s.results[e.Key()] = &e
-		}
-	}
-	return s, nil
+	return &Store{root: dir}, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
-func (s *Store) indexPath() string { return filepath.Join(s.root, "index.json") }
 
 // BlobPath returns where d's bytes live (whether or not they exist yet).
 func (s *Store) BlobPath(d Digest) string {
 	return filepath.Join(s.root, "blobs", string(d))
 }
 
-// saveLocked persists the index; the caller holds s.mu.
-func (s *Store) saveLocked() error {
-	idx := s.snapshotLocked()
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cas: encode index: %w", err)
-	}
-	return fsx.AtomicWriteFile(s.indexPath(), append(data, '\n'))
-}
-
-// snapshotLocked builds a sorted Index copy; the caller holds s.mu.
-func (s *Store) snapshotLocked() *Index {
-	idx := &Index{Format: IndexFormat}
-	for _, b := range s.blobs {
-		idx.Blobs = append(idx.Blobs, *b)
-	}
-	sort.Slice(idx.Blobs, func(i, j int) bool { return idx.Blobs[i].Digest < idx.Blobs[j].Digest })
-	for _, e := range s.results {
-		idx.Results = append(idx.Results, *e)
-	}
-	sort.Slice(idx.Results, func(i, j int) bool { return idx.Results[i].Key() < idx.Results[j].Key() })
-	return idx
-}
-
-// Snapshot returns a consistent copy of the index for diagnostics.
-func (s *Store) Snapshot() *Index {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
 // Put stores data under its own digest, deduplicating: a blob that already
-// exists is not rewritten (existed=true). Refcounts are unchanged — pair
-// Put with AddRef for each live referencing job.
+// exists is not rewritten (existed=true). The write is atomic (temp file,
+// fsync, rename), so a blob on disk is always whole.
 func (s *Store) Put(data []byte) (d Digest, existed bool, err error) {
 	d = Sum(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blobs[d]; ok {
+	if _, err := os.Stat(s.BlobPath(d)); err == nil {
 		return d, true, nil
 	}
 	if err := fsx.AtomicWriteFile(s.BlobPath(d), data); err != nil {
 		return d, false, fmt.Errorf("cas: write blob: %w", err)
 	}
-	s.blobs[d] = &BlobInfo{Digest: d, Size: int64(len(data))}
-	if err := s.saveLocked(); err != nil {
-		return d, false, err
-	}
 	return d, false, nil
-}
-
-// Blob reads a stored blob and verifies it against its digest — silent
-// on-disk corruption surfaces as an error, never as wrong design bytes.
-func (s *Store) Blob(d Digest) ([]byte, error) {
-	data, err := os.ReadFile(s.BlobPath(d))
-	if err != nil {
-		return nil, err
-	}
-	if got := Sum(data); got != d {
-		return nil, fmt.Errorf("cas: blob %s corrupt: content hashes to %s", d, got)
-	}
-	return data, nil
-}
-
-// AddRef records one more live job referencing d.
-func (s *Store) AddRef(d Digest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[d]
-	if !ok {
-		return fmt.Errorf("cas: addref: unknown blob %s", d)
-	}
-	b.Refs++
-	return s.saveLocked()
-}
-
-// Release drops one live reference to d. Releasing an unknown blob is a
-// no-op (the blob may have been GCed between the job's admit and retire).
-func (s *Store) Release(d Digest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[d]
-	if !ok {
-		return nil
-	}
-	if b.Refs > 0 {
-		b.Refs--
-	}
-	return s.saveLocked()
-}
-
-// PutResult records (or replaces) the cached result for e's key.
-func (s *Store) PutResult(e ResultEntry) error {
-	if !e.Design.Valid() || !e.Config.Valid() || e.Engine == "" || e.Job == "" {
-		return fmt.Errorf("cas: invalid result entry %+v", e)
-	}
-	if e.CreatedAt.IsZero() {
-		e.CreatedAt = time.Now().UTC()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.results[e.Key()] = &e
-	return s.saveLocked()
-}
-
-// Result looks up the cached result for (design, config, engine).
-func (s *Store) Result(design, config Digest, engine string) (ResultEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.results[ResultKey(design, config, engine)]
-	if !ok {
-		return ResultEntry{}, false
-	}
-	return *e, true
-}
-
-// DropResult removes a cached result entry (e.g. when its job's spool
-// record disappeared). Unknown keys are a no-op.
-func (s *Store) DropResult(design, config Digest, engine string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := ResultKey(design, config, engine)
-	if _, ok := s.results[key]; !ok {
-		return nil
-	}
-	delete(s.results, key)
-	return s.saveLocked()
-}
-
-// Garbage returns the blobs GC would delete: zero live references and not
-// pinned as any cached result's design. Sorted for stable output.
-func (s *Store) Garbage() []Digest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.garbageLocked()
-}
-
-func (s *Store) garbageLocked() []Digest {
-	pinned := make(map[Digest]struct{}, len(s.results))
-	for _, e := range s.results {
-		pinned[e.Design] = struct{}{}
-	}
-	var out []Digest
-	for d, b := range s.blobs {
-		if b.Refs == 0 {
-			if _, pin := pinned[d]; !pin {
-				out = append(out, d)
-			}
-		}
-	}
-	sortDigests(out)
-	return out
-}
-
-// GC deletes every garbage blob (zero refs, not pinned by a result) from
-// the index and from disk, returning what was removed.
-func (s *Store) GC() ([]Digest, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	victims := s.garbageLocked()
-	if len(victims) == 0 {
-		return nil, nil
-	}
-	for _, d := range victims {
-		delete(s.blobs, d)
-	}
-	// Persist the shrunken index before unlinking: a crash between the
-	// two leaves unreferenced files (reported by Orphans), never index
-	// entries pointing at deleted files.
-	if err := s.saveLocked(); err != nil {
-		return nil, err
-	}
-	for _, d := range victims {
-		if err := os.Remove(s.BlobPath(d)); err != nil && !os.IsNotExist(err) {
-			return victims, fmt.Errorf("cas: gc unlink %s: %w", d, err)
-		}
-	}
-	return victims, nil
-}
-
-// Orphans reports disagreements between the index and the blobs directory:
-// files present on disk but absent from the index (safe to delete), and
-// index entries whose blob file is missing (corruption — the entry's data
-// is gone).
-func (s *Store) Orphans() (onDisk []Digest, missing []Digest, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(filepath.Join(s.root, "blobs"))
-	if err != nil {
-		return nil, nil, err
-	}
-	disk := make(map[Digest]struct{}, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		d := Digest(e.Name())
-		if !d.Valid() {
-			continue // temp files mid-write
-		}
-		disk[d] = struct{}{}
-		if _, ok := s.blobs[d]; !ok {
-			onDisk = append(onDisk, d)
-		}
-	}
-	for d := range s.blobs {
-		if _, ok := disk[d]; !ok {
-			missing = append(missing, d)
-		}
-	}
-	sortDigests(onDisk)
-	sortDigests(missing)
-	return onDisk, missing, nil
 }

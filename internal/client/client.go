@@ -1,8 +1,6 @@
-// Package client is the one HTTP client of the pufferd job API. cmd/pufferctl
-// renders its results for a terminal; the fleet coordinator's remote backend
-// uses the same calls to dispatch to, watch and mirror from its workers, and
-// workers announce themselves through it. It owns the only server-sent-event
-// reader in the repo.
+// Package client is the one HTTP client of the pufferd job API;
+// cmd/pufferctl renders its results for a terminal. It owns the only
+// server-sent-event reader in the repo.
 package client
 
 import (
@@ -22,7 +20,7 @@ import (
 	"puffer/internal/serve"
 )
 
-// Client talks to one pufferd (worker, standalone daemon or coordinator).
+// Client talks to one pufferd.
 type Client struct {
 	base  string
 	unary *http.Client
@@ -189,11 +187,6 @@ func (c *Client) Result(ctx context.Context, id string) (*serve.JobResult, error
 	return r, c.JSON(ctx, http.MethodGet, "/api/v1/jobs/"+id+"/result", nil, r)
 }
 
-// Cancel requests cancellation and returns the server's answer document.
-func (c *Client) Cancel(ctx context.Context, id string) ([]byte, error) {
-	return c.Call(ctx, http.MethodPost, "/api/v1/jobs/"+id+"/cancel", nil)
-}
-
 // Artifact downloads one spooled artifact into memory.
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {
 	resp, err := c.do(ctx, c.stream, http.MethodGet, "/api/v1/jobs/"+id+"/artifacts/"+name, nil, nil)
@@ -263,11 +256,6 @@ func (c *Client) Events(ctx context.Context, path string, fn func(serve.Event) e
 	return nil
 }
 
-// JobEvents is Events on a job's stream.
-func (c *Client) JobEvents(ctx context.Context, id string, fn func(serve.Event) error) error {
-	return c.Events(ctx, "/api/v1/jobs/"+id+"/events", fn)
-}
-
 // WaitTerminal polls the job's manifest every poll until it is done, failed
 // or canceled, giving up after timeout.
 func (c *Client) WaitTerminal(ctx context.Context, id string, poll, timeout time.Duration) (*serve.Manifest, error) {
@@ -298,11 +286,9 @@ type HistogramDigest struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// Ops mirrors the /api/v1/ops document. Role, Nodes and Cache are set only
-// by a coordinator.
+// Ops mirrors the /api/v1/ops document.
 type Ops struct {
 	Status        string                     `json:"status"`
-	Role          string                     `json:"role"`
 	UptimeSeconds float64                    `json:"uptime_seconds"`
 	QueueDepth    int                        `json:"queue_depth"`
 	QueueCap      int                        `json:"queue_cap"`
@@ -314,39 +300,10 @@ type Ops struct {
 	Histograms    map[string]HistogramDigest `json:"histograms"`
 	SLO           []obs.ObjectiveStatus      `json:"slo"`
 	SLOHealthy    bool                       `json:"slo_healthy"`
-	Nodes         []NodeRow                  `json:"nodes"`
-	Cache         map[string]int64           `json:"cache"`
-}
-
-// NodeRow is one worker in a coordinator's fleet table.
-type NodeRow struct {
-	ID           string      `json:"id"`
-	Addr         string      `json:"addr"`
-	Engine       string      `json:"engine"`
-	Live         bool        `json:"live"`
-	HeartbeatAge float64     `json:"heartbeat_age_seconds"`
-	Jobs         int         `json:"jobs"`
-	Stats        serve.Stats `json:"stats"`
 }
 
 // Ops fetches the daemon's operational snapshot.
 func (c *Client) Ops(ctx context.Context) (*Ops, error) {
 	o := &Ops{}
 	return o, c.JSON(ctx, http.MethodGet, "/api/v1/ops", nil, o)
-}
-
-// Nodes fetches a coordinator's fleet table.
-func (c *Client) Nodes(ctx context.Context) ([]NodeRow, error) {
-	var rows []NodeRow
-	return rows, c.JSON(ctx, http.MethodGet, "/api/v1/nodes", nil, &rows)
-}
-
-// Announce posts a worker's node manifest (registration and heartbeat).
-func (c *Client) Announce(ctx context.Context, manifest any) error {
-	body, err := json.Marshal(manifest)
-	if err != nil {
-		return err
-	}
-	_, err = c.Call(ctx, http.MethodPost, "/api/v1/nodes", body)
-	return err
 }

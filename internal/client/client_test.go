@@ -115,7 +115,7 @@ func TestEventsReader(t *testing.T) {
 	ctx := context.Background()
 
 	var got []serve.Event
-	if err := c.JobEvents(ctx, "ok", func(e serve.Event) error { got = append(got, e); return nil }); err != nil {
+	if err := c.Events(ctx, "/api/v1/jobs/ok/events", func(e serve.Event) error { got = append(got, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 || got[0].State != serve.StateRunning || got[1].Stage != "gp" || got[1].Iters != 7 ||
@@ -126,7 +126,7 @@ func TestEventsReader(t *testing.T) {
 	// A stream that ends without a terminal event is not an error: the
 	// caller sees the last state it got and decides.
 	got = nil
-	if err := c.JobEvents(ctx, "cut", func(e serve.Event) error { got = append(got, e); return nil }); err != nil {
+	if err := c.Events(ctx, "/api/v1/jobs/cut/events", func(e serve.Event) error { got = append(got, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[1].Series != "place.hpwl" || got[1].Value != 3.5 {
@@ -135,14 +135,14 @@ func TestEventsReader(t *testing.T) {
 
 	// The callback's error stops the stream and comes back.
 	stop := errors.New("enough")
-	if err := c.JobEvents(ctx, "ok", func(serve.Event) error { return stop }); err != stop {
+	if err := c.Events(ctx, "/api/v1/jobs/ok/events", func(serve.Event) error { return stop }); err != stop {
 		t.Fatalf("callback error: %v", err)
 	}
 
 	// Cancellation ends a silent stream with the context's cause.
 	cctx, cancel := context.WithCancelCause(ctx)
 	why := errors.New("watcher went away")
-	err := c.JobEvents(cctx, "hang", func(serve.Event) error { cancel(why); return nil })
+	err := c.Events(cctx, "/api/v1/jobs/hang/events", func(serve.Event) error { cancel(why); return nil })
 	if !errors.Is(err, why) {
 		t.Fatalf("canceled stream: %v", err)
 	}

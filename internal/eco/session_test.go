@@ -102,7 +102,10 @@ func TestApplyRejectsEmptyAndInvalidDeltas(t *testing.T) {
 // delta chain through the estimator, padding, warm GP, legal, and detailed
 // placement — must produce bit-identical placements at any worker count.
 // Every warm run must adopt the previous run's wirelength model and density
-// grid, re-bind both to its own engine's team, and really shard on it.
+// grid and re-bind both to its own engine's team of the asked size. Over
+// the whole chain the helpers must really run shards with 4 workers and
+// none with 1; a single run's hand-offs depend on the scheduler, so they
+// are not asserted per delta.
 func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(workers int) (*netlist.Design, []float64) {
@@ -117,6 +120,7 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		hpwls = append(hpwls, res.HPWL)
+		handoffs := s.reuse.WL.Team().Handoffs()
 		for i, dl := range []*Delta{
 			moveDelta(d, 0.04, 3.0, -2.0),
 			{Weights: []NetReweight{{Net: 0, Weight: 3}, {Net: 5, Weight: 2}}},
@@ -135,10 +139,13 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 			if team == prev || den.Team() != team {
 				t.Fatalf("delta %d (workers=%d): adopted state still dispatches on a previous run's team", i, workers)
 			}
-			if team.Size() != workers || (workers > 1) != (team.Handoffs() > 0) {
-				t.Fatalf("delta %d (workers=%d): warm engine on %d executors, its helpers ran %d shards",
-					i, workers, team.Size(), team.Handoffs())
+			if team.Size() != workers {
+				t.Fatalf("delta %d (workers=%d): warm engine on %d executors", i, workers, team.Size())
 			}
+			handoffs += team.Handoffs()
+		}
+		if (workers > 1) != (handoffs > 0) {
+			t.Fatalf("workers=%d: the chain's helpers ran %d shards", workers, handoffs)
 		}
 		return d, hpwls
 	}

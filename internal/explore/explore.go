@@ -76,24 +76,6 @@ type Observation struct {
 // objective is the total overflow ratio of both routing directions.
 type Objective func(Assignment) float64
 
-// Trial identifies one objective evaluation inside Algorithm 3's schedule.
-// The identity (Round, Group, Index) is deterministic for a fixed seed and
-// budget: each group chain draws from its own seeded RNG and appends to its
-// own observation list, so the Index-th trial of a chain proposes the same
-// assignment no matter how many evaluations run concurrently elsewhere or
-// in what order they complete. Distributed controllers key resume and
-// dedupe on this identity.
-type Trial struct {
-	// Round is 0 for the global pass, 1..Rounds for group rounds.
-	Round int
-	// Group is the relevance-group name ("" for the global pass).
-	Group string
-	// Index is the 0-based trial position within its (Round, Group) chain.
-	Index int
-	// X is the full assignment to evaluate (subset proposal + pins).
-	X Assignment
-}
-
 // TPE is the tree-structured Parzen estimator sampler.
 type TPE struct {
 	// Gamma is the good/bad observation split quantile.
@@ -279,14 +261,6 @@ type Explorer struct {
 	Eval   Objective
 	TPE    TPE
 
-	// Evaluate, when non-nil, replaces Eval: every trial is handed over
-	// with its schedule identity so a remote controller can dispatch the
-	// evaluation as a job, await it, or replay a cached score. It must be
-	// goroutine-safe when Parallel is set. An error aborts the exploration
-	// the same way a context cancel does (the first error in group
-	// declaration order wins).
-	Evaluate func(ctx context.Context, t Trial) (float64, error) `json:"-"`
-
 	// TimeLimit is TC of Algorithm 2 (evaluations per exploration call);
 	// EarlyStop is EC (evaluations without improvement before stopping).
 	TimeLimit int
@@ -309,31 +283,9 @@ type Explorer struct {
 	// and each group exploration as spans. Nil disables everything.
 	Obs *obs.Recorder `json:"-"`
 
-	// Snapshot, when non-nil, receives a copy of the current merged ranges
-	// at every single-threaded point of Algorithm 3 (after the global pass
-	// and after each round's deterministic merge). Distributed controllers
-	// checkpoint these so an interrupted exploration's state is
-	// inspectable.
-	Snapshot func(ranges map[string]Range) `json:"-"`
-
 	mu      sync.Mutex
 	history []Observation
 	best    float64 // best (lowest) Y seen; valid when len(history) > 0
-}
-
-// Production returns an Explorer on Algorithm 3's production schedule:
-// TC = budget, EC = max(budget/3, 5), two rounds, groups in parallel.
-// puffer.ExploreStrategyOpts and xfarm.Run both start from it, so their
-// trial schedules match. The caller attaches Eval or Evaluate.
-func Production(params []Param, budget int, seed int64) *Explorer {
-	return &Explorer{
-		Params:    params,
-		TimeLimit: budget,
-		EarlyStop: max(budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Seed:      seed,
-	}
 }
 
 // History returns all observations made so far.
@@ -378,7 +330,7 @@ func (e *Explorer) initialRanges() map[string]Range {
 // whether the loop stopped early (converged). The context is checked
 // before every SMBO trial, so a cancel costs at most one objective
 // evaluation of extra work.
-func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, round int, group string, subset []Param, ranges map[string]Range, pinned Assignment) (bool, map[string]Range, error) {
+func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset []Param, ranges map[string]Range, pinned Assignment) (bool, map[string]Range, error) {
 	var obs []Observation
 	best := math.Inf(1)
 	npc := 0
@@ -394,16 +346,7 @@ func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, round i
 		for k, v := range x {
 			full[k] = v
 		}
-		var y float64
-		if e.Evaluate != nil {
-			var err error
-			y, err = e.Evaluate(ctx, Trial{Round: round, Group: group, Index: tc, X: full})
-			if err != nil {
-				return false, updateRanges(subset, ranges, obs, e.TPE.Gamma), err
-			}
-		} else {
-			y = e.Eval(full)
-		}
+		y := e.Eval(full)
 		o := Observation{X: full, Y: y}
 		obs = append(obs, o)
 		e.record(o)
@@ -535,9 +478,8 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 	}
 	var gerr error
 	spGlobal := sp.Child("explore.global")
-	_, ranges, gerr = e.paramExploration(ctx, rng, 0, "", e.Params, ranges, Assignment{})
+	_, ranges, gerr = e.paramExploration(ctx, rng, e.Params, ranges, Assignment{})
 	spGlobal.End()
-	e.snapshot(ranges)
 
 	// Group parameters by declared relevance (line 3).
 	groupNames := []string{}
@@ -580,7 +522,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 			for _, p := range sub {
 				delete(pinned, p.Name)
 			}
-			flag, nr, err := e.paramExploration(ctx, grng, round+1, name, sub, ranges, pinned)
+			flag, nr, err := e.paramExploration(ctx, grng, sub, ranges, pinned)
 			results[gi] = groupResult{name: name, flag: flag, ranges: nr, err: err}
 		}
 		if e.Parallel {
@@ -625,7 +567,6 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 				gerr = results[gi].err
 			}
 		}
-		e.snapshot(ranges)
 		if e.Logf != nil {
 			e.Logf("explore: round %d done, converged=%v", round+1, earlyStop)
 		}
@@ -643,18 +584,6 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 		}
 	}
 	return final, bestSeen, gerr
-}
-
-// snapshot hands a defensive copy of the ranges to the Snapshot hook.
-func (e *Explorer) snapshot(ranges map[string]Range) {
-	if e.Snapshot == nil {
-		return
-	}
-	cp := make(map[string]Range, len(ranges))
-	for k, v := range ranges {
-		cp[k] = v
-	}
-	e.Snapshot(cp)
 }
 
 func min(a, b int) int {

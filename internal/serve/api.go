@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"puffer/internal/cas"
 	"puffer/internal/obs"
 )
 
@@ -22,9 +21,7 @@ const maxSpecBytes = 64 << 20
 // the job waits in that tenant's queue lane. Absent means DefaultTenant.
 const TenantHeader = "X-Puffer-Tenant"
 
-// Handler builds the daemon's HTTP surface — the only one in the repo;
-// a fleet mounts its extra routes on the same mux in place of the
-// (local-only) session routes:
+// Handler builds the daemon's HTTP surface — the only one in the repo:
 //
 //	POST   /api/v1/jobs                   submit (202; 429+Retry-After when full; 503 draining)
 //	GET    /api/v1/jobs                   list job summaries
@@ -40,8 +37,8 @@ const TenantHeader = "X-Puffer-Tenant"
 //	GET    /api/v1/sessions/{id}/events   SSE progress stream (replay + live)
 //	DELETE /api/v1/sessions/{id}          close the session
 //	GET    /healthz                       liveness (always 200 while the process serves)
-//	GET    /readyz                        readiness (503 while draining / saturated / SLO burning / no workers)
-//	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs, fleet)
+//	GET    /readyz                        readiness (503 while draining / saturated / SLO burning)
+//	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs, sessions)
 //	GET    /metrics, /debug/...           daemon registry (Prometheus), pprof, runtime expvar
 //
 // Every route passes through withTelemetry: request latency lands in the
@@ -61,16 +58,12 @@ func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	if s.fleet != nil {
-		s.fleet.Mount(mux)
-	} else {
-		mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
-		mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
-		mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
-		mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
-		mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
-		mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
-	}
+	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
+	mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
+	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
+	mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
+	mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
+	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /api/v1/ops", s.handleOps)
@@ -116,21 +109,15 @@ func refuse(status int, format string, args ...any) *submitError {
 	return &submitError{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Origin is who a submission came from: the tenant lane it waits in, the
-// trace it joins, and — for the trial jobs an exploration farm submits on
-// its own behalf, which are exempt from the queue cap as the controller
-// limits itself to one in-flight trial per relevance group — the parent
-// exploration.
+// Origin is who a submission came from: the tenant lane it waits in and
+// the trace it joins.
 type Origin struct {
 	Tenant      string
 	TraceParent string
-	Parent      string
 }
 
-// Submit is the one admission path, for the HTTP handler and for a farm's
-// trial jobs alike: validate, content-address (fleet), answer from the
-// result cache (fleet), spool, enqueue. A refusal leaves
-// nothing behind — no job directory, no queue entry, no store reference.
+// Submit is the one admission path: validate, spool, enqueue. A refusal
+// leaves nothing behind — no job directory, no queue entry.
 func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 	if s.Draining() {
 		return nil, refuse(http.StatusServiceUnavailable, "daemon is draining; not admitting jobs")
@@ -139,16 +126,11 @@ func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, refuse(http.StatusBadRequest, "invalid job spec: %v", err)
 	}
-	if spec.Distributed && s.fleet == nil {
-		return nil, refuse(http.StatusBadRequest,
-			"distributed exploration requires a fleet coordinator; this is a worker daemon")
-	}
 	m := &Manifest{
 		ID:          newJobID(),
 		Spec:        spec,
 		State:       StateQueued,
 		Tenant:      o.Tenant,
-		Parent:      o.Parent,
 		SubmittedAt: time.Now().UTC(),
 	}
 	// Persist a valid incoming trace context with the job: whoever runs it
@@ -157,52 +139,26 @@ func (s *Server) Submit(spec JobSpec, o Origin) (*Manifest, error) {
 	if _, err := obs.ParseTraceparent(o.TraceParent); err == nil {
 		m.TraceParent = o.TraceParent
 	}
-	undo := func() {}
-	if s.fleet != nil {
-		u, err := s.fleet.Admit(m)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, ErrInvalidSpec) {
-				status = http.StatusBadRequest
-			}
-			return nil, refuse(status, "%v", err)
-		}
-		if u != nil {
-			undo = u
-		}
-	}
 	abort := func() {
 		os.RemoveAll(s.spool.JobDir(m.ID))
 		s.mu.Lock()
 		delete(s.jobs, m.ID)
 		s.mu.Unlock()
-		undo()
 	}
 	if err := s.spool.CreateJob(m); err != nil {
 		abort()
 		return nil, refuse(http.StatusInternalServerError, "spool job: %v", err)
 	}
-	switch {
-	case m.State.Terminal(): // answered from the result cache
-	case spec.Distributed:
-		s.ensureJob(m.ID)
-		s.launch(func() { s.runJob(m.ID, s.fleet.Explore, false) })
-	default:
-		s.ensureJob(m.ID)
-		push := s.queue.TryPush
-		if o.Parent != "" {
-			push = s.queue.ForcePush
+	s.ensureJob(m.ID)
+	if err := s.queue.TryPush(m.Tenant, m.ID); err != nil {
+		abort()
+		if errors.Is(err, ErrQueueFull) {
+			s.reg.Counter("serve.jobs_rejected").Inc()
+			e := refuse(http.StatusTooManyRequests, "queue full (%d/%d)", s.queue.Len(), s.queue.Cap())
+			e.RetryAfter = s.queue.RetryAfter(cap(s.slots))
+			return nil, e
 		}
-		if err := push(m.Tenant, m.ID); err != nil {
-			abort()
-			if errors.Is(err, ErrQueueFull) {
-				s.reg.Counter("serve.jobs_rejected").Inc()
-				e := refuse(http.StatusTooManyRequests, "queue full (%d/%d)", s.queue.Len(), s.queue.Cap())
-				e.RetryAfter = s.queue.RetryAfter(s.backend.Slots())
-				return nil, e
-			}
-			return nil, refuse(http.StatusServiceUnavailable, "%v", err)
-		}
+		return nil, refuse(http.StatusServiceUnavailable, "%v", err)
 	}
 	s.reg.Counter("serve.jobs_submitted").Inc()
 	return m, nil
@@ -232,11 +188,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		APIError(w, se.Status, "%s", se.Msg)
 		return
 	}
-	if m.CacheHit {
-		s.log.InfoContext(r.Context(), "cache hit", "job", m.ID, "origin", m.Origin)
-	} else {
-		s.log.InfoContext(r.Context(), "job queued", "job", m.ID, "kind", m.Spec.Kind)
-	}
+	s.log.InfoContext(r.Context(), "job queued", "job", m.ID, "kind", m.Spec.Kind)
 	WriteJSON(w, http.StatusAccepted, m)
 }
 
@@ -255,9 +207,8 @@ func sanitizeTenant(t string) string {
 	return b.String()
 }
 
-// JobSummary is one row of the list endpoint — the same row on a
-// standalone daemon and a coordinator (which fills the fleet fields), and
-// never the manifest's inlined design.
+// JobSummary is one row of the list endpoint — never the manifest's
+// inlined design.
 type JobSummary struct {
 	ID          string     `json:"id"`
 	Kind        string     `json:"kind"`
@@ -270,10 +221,6 @@ type JobSummary struct {
 	HPWL        float64    `json:"hpwl,omitempty"`
 	Error       string     `json:"error,omitempty"`
 	Tenant      string     `json:"tenant,omitempty"`
-	Node        string     `json:"node,omitempty"`
-	Parent      string     `json:"parent,omitempty"`
-	CacheHit    bool       `json:"cache_hit,omitempty"`
-	Origin      string     `json:"origin,omitempty"`
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -284,15 +231,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]JobSummary, 0, len(ms))
 	for _, m := range ms {
-		design := designName(m.Spec.Profile, s.spool.JobDir(m.ID))
-		if design == "" { // an upload whose files live in the fleet's store
-			design = cas.Digest(m.DesignDigest).Short()
-		}
 		row := JobSummary{
-			ID: m.ID, Kind: m.Spec.Kind, Design: design, State: m.State,
-			Stage: m.Stage, Attempts: m.Attempts,
+			ID: m.ID, Kind: m.Spec.Kind, Design: designName(m.Spec.Profile, s.spool.JobDir(m.ID)),
+			State: m.State, Stage: m.Stage, Attempts: m.Attempts,
 			SubmittedAt: m.SubmittedAt, FinishedAt: m.FinishedAt, Error: m.Error,
-			Tenant: m.Tenant, Node: m.Node, Parent: m.Parent, CacheHit: m.CacheHit, Origin: m.Origin,
+			Tenant: m.Tenant,
 		}
 		if m.Result != nil {
 			row.HPWL = m.Result.HPWL
@@ -317,16 +260,6 @@ func loadRecord[T any, M interface {
 	return m
 }
 
-// resolveOrigin follows a cache hit to the job that computed the result.
-func (s *Server) resolveOrigin(m *Manifest) *Manifest {
-	if m.CacheHit && m.Origin != "" {
-		if origin, err := s.spool.ReadManifest(m.Origin); err == nil {
-			return origin
-		}
-	}
-	return m
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if m := loadRecord(w, r, &s.spool.jobs); m != nil {
 		WriteJSON(w, http.StatusOK, m)
@@ -342,45 +275,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		APIError(w, http.StatusConflict, "job %s is %s, not done", m.ID, m.State)
 		return
 	}
-	if m.Result == nil {
-		m = s.resolveOrigin(m)
-	}
 	WriteJSON(w, http.StatusOK, m.Result)
 }
 
-// handleArtifact serves an artifact from the job's own directory, then —
-// for a cache hit — from the job that computed the result, then — for a
-// job still running on a fleet worker — from that worker.
+// handleArtifact serves an artifact from the job's directory.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	m := loadRecord(w, r, &s.spool.jobs)
 	if m == nil {
 		return
 	}
 	name := r.PathValue("name")
-	for _, cand := range []*Manifest{m, s.resolveOrigin(m)} {
-		path, err := s.spool.ArtifactPath(cand.ID, name)
-		if err != nil {
-			APIError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if st, serr := os.Stat(path); serr == nil && !st.IsDir() {
-			http.ServeFile(w, r, path)
-			return
-		}
+	path, err := s.spool.ArtifactPath(m.ID, name)
+	if err != nil {
+		APIError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	if s.fleet != nil && m.RemoteID != "" && !m.State.Terminal() {
-		if data, err := s.fleet.Artifact(r.Context(), m, name); err == nil {
-			w.Write(data)
-			return
-		}
+	if st, serr := os.Stat(path); serr == nil && !st.IsDir() {
+		http.ServeFile(w, r, path)
+		return
 	}
 	APIError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, name)
 }
 
 // Cancel cancels a job with the given reason. A job still waiting (queued
 // or parked) is canceled durably on the spot and its final manifest
-// returned; a running one is canceled through its context — the backend
-// winds it down and the core records the state — and (nil, nil) returned.
+// returned; a running one is canceled through its context — its run winds
+// down and runJob records the state — and (nil, nil) returned.
 func (s *Server) Cancel(id, reason string) (*Manifest, error) {
 	waiting := false
 	m, err := s.spool.Update(id, func(mm *Manifest) error {
@@ -409,12 +329,11 @@ func (s *Server) Cancel(id, reason string) (*Manifest, error) {
 		return nil, nil
 	}
 	s.reg.Counter("serve.jobs_canceled").Inc()
-	s.onTerminal(m)
 	if live {
 		a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
 		a.hub.Close()
 	}
-	// The job never reached a backend, so no runJob call will retire it;
+	// The job never ran, so no runJob call will retire it;
 	// enroll the hub in retention here or it leaks forever.
 	retire(s, &s.finished, s.jobs, id)
 	return m, nil
@@ -445,13 +364,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":      s.status(),
 		"queue_depth": s.queue.Len(),
 		"queue_cap":   s.queue.Cap(),
-		"workers":     s.backend.Slots(),
+		"workers":     cap(s.slots),
 		"active_jobs": s.activeCount(),
-	}
-	if s.fleet != nil {
-		for k, v := range s.fleet.Ops(false) {
-			doc[k] = v
-		}
 	}
 	WriteJSON(w, http.StatusOK, doc)
 }

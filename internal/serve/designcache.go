@@ -9,10 +9,10 @@ import (
 )
 
 // designEntry is the expensive per-design state shared by every job
-// touching one design on this worker: the pristine parsed/generated
+// touching one design on this daemon: the pristine parsed/generated
 // netlist (jobs run on clones) and a memo of RSMT topologies keyed by
-// exact pin positions. Exploration trials of one design all start from
-// the same initial placement and walk identical global-placement
+// exact pin positions. Jobs of one design under different strategies all
+// start from the same initial placement and walk identical global-placement
 // trajectories until their first strategy-dependent divergence, so the
 // memo turns that shared prefix's full-netlist topology stamps into
 // lookups.
@@ -31,9 +31,8 @@ type designCache struct {
 	order   []string // insertion order; oldest evicts first
 }
 
-// designCacheCap is how many designs a worker keeps warm. Exploration
-// traffic concentrates on one design per farm; a handful covers mixed
-// workloads without holding every historical netlist alive.
+// designCacheCap is how many designs a daemon keeps warm. A handful covers
+// mixed workloads without holding every historical netlist alive.
 const designCacheCap = 4
 
 func newDesignCache() *designCache {
@@ -67,14 +66,9 @@ func (c *designCache) insert(key string, e *designEntry) *designEntry {
 }
 
 // designKey returns the content address under which a job's design may be
-// cached ("" = uncacheable). Coordinator-dispatched jobs carry the design
-// digest in the manifest; standalone profile jobs derive the same identity
-// locally. Standalone uploads have no digest without re-encoding the
-// files, so they skip the cache.
+// cached ("" = uncacheable): a profile job's identity. Uploads have no
+// digest without re-encoding the files, so they skip the cache.
 func designKey(m *Manifest) string {
-	if m.DesignDigest != "" {
-		return m.DesignDigest
-	}
 	if m.Spec.Profile != "" {
 		return string(cas.ProfileDesignDigest(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed))
 	}

@@ -1,25 +1,23 @@
-// Package serve is the placement job service — the only one in the repo.
-// A standalone cmd/pufferd and a fleet coordinator are the same Server: one
-// HTTP surface, one admission path, one bounded tenant-lane queue with
-// explicit backpressure, one durable spool with crash-safe recovery and
-// graceful drain, one progress hub per job streamed to subscribers as
-// server-sent events. Where a claimed job runs is behind Backend: the
-// in-process worker pool here (each job through the staged pipeline with
-// per-stage checkpoints into the spool), or a fleet of remote workers
-// (internal/coord, which also plugs in the fleet-only hooks of Fleet).
+// Package serve is the placement job service behind cmd/pufferd — the only
+// one in the repo: one HTTP surface, one admission path, one bounded
+// tenant-lane queue with explicit backpressure, one durable spool with
+// crash-safe recovery and graceful drain, one progress hub per job streamed
+// to subscribers as server-sent events. Claimed jobs run on an in-process
+// worker pool, each through the staged pipeline with per-stage checkpoints
+// into the spool.
 //
 // The package layers are:
 //
-//	job.go     — the job vocabulary: JobSpec, JobState, Manifest, JobResult
-//	spool.go   — the on-disk job and session store (manifests, designs, checkpoints, artifacts)
-//	queue.go   — the admission queue: tenant lanes, cap, rate limit, Retry-After
-//	events.go  — the per-job progress hub (ring buffer + live subscribers)
-//	backend.go — Backend, Fleet, and the job lifecycle around a backend run
-//	local.go   — the local backend: jobs through pipeline/explore in process,
-//	             and the run telemetry and design loading sessions share
-//	server.go  — construction, recovery, drain, daemon metrics
-//	api.go     — the HTTP surface (admission, REST, SSE, artifacts, debug)
-//	session*.go — the ECO session runtime and API (standalone only)
+//	job.go       — the job vocabulary: JobSpec, JobState, Manifest, JobResult
+//	spool.go     — the on-disk job and session store (manifests, designs, checkpoints, artifacts)
+//	queue.go     — the admission queue: tenant lanes, cap, rate limit, Retry-After
+//	events.go    — the per-job progress hub (ring buffer + live subscribers)
+//	lifecycle.go — the scheduler and the job lifecycle around one run
+//	local.go     — the run itself: jobs through pipeline/explore in process,
+//	               and the run telemetry and design loading sessions share
+//	server.go    — construction, recovery, drain, daemon metrics
+//	api.go       — the HTTP surface (admission, REST, SSE, artifacts, debug)
+//	session*.go  — the ECO session runtime and API
 package serve
 
 import (
@@ -32,19 +30,10 @@ import (
 
 	"puffer/internal/padding"
 	"puffer/internal/synth"
-	"puffer/pipeline"
 )
 
 // ManifestFormat identifies the job manifest JSON document version.
 const ManifestFormat = "puffer/job/v1"
-
-// EngineVersion names the placement engine revision. It partitions the
-// fleet's content-addressed result cache — a cached result is only reused
-// by a daemon running the same engine version — and gates dispatch (a
-// coordinator never sends work to a worker whose engine disagrees). Bump
-// it with any change that can alter placement results; changes that only
-// affect speed or observability keep it.
-const EngineVersion = "puffer-engine/v13"
 
 // JobKind selects what a job executes.
 const (
@@ -52,13 +41,9 @@ const (
 	// evaluation routing stage). Place jobs checkpoint after every stage
 	// and resume from the spool after a daemon restart.
 	KindPlace = "place"
-	// KindExplore runs the Algorithm-3 strategy exploration. An in-process
-	// exploration (the default) holds no cross-trial design state worth
-	// spooling, so parked or crashed in-process explorations restart from
-	// scratch on re-admission. A Distributed exploration runs as a farm
-	// controller on the coordinator instead: it checkpoints a
-	// puffer/explore-state/v1 manifest after every observation and resumes
-	// without re-running finished trials.
+	// KindExplore runs the Algorithm-3 strategy exploration in process. It
+	// holds no cross-trial design state worth spooling, so a parked or
+	// crashed exploration restarts from scratch on re-admission.
 	KindExplore = "explore"
 )
 
@@ -102,15 +87,15 @@ type JobSpec struct {
 	// Bookshelf inlines an uploaded design as filename → file content.
 	// Exactly one name must end in .aux; the referenced sibling files
 	// must be present under the names the aux line uses. It is a
-	// submission field only: a daemon stores the files once (a worker in
-	// the job's design/, a coordinator in its content-addressed store)
-	// and spools, echoes and serves the manifest without them.
+	// submission field only: the daemon stores the files once, in the
+	// job's design/, and spools, echoes and serves the manifest without
+	// them.
 	Bookshelf map[string]string `json:"bookshelf,omitempty"`
 
 	// MaxIters caps global-placement iterations (0 = engine default).
 	MaxIters int `json:"max_iters,omitempty"`
 	// Workers caps the job's data parallelism (0 = GOMAXPROCS). For
-	// in-process explore jobs it instead caps how many relevance groups
+	// explore jobs it instead caps how many relevance groups
 	// evaluate concurrently (1 = the fully serial baseline).
 	Workers int `json:"workers,omitempty"`
 	// Route appends the evaluation-routing stage to place jobs.
@@ -120,34 +105,11 @@ type JobSpec struct {
 	Strategy json.RawMessage `json:"strategy,omitempty"`
 	// Budget is the exploration trial budget for explore jobs (default 8).
 	Budget int `json:"budget,omitempty"`
-	// Distributed runs an explore job as a farm controller on the fleet
-	// coordinator: every TPE trial dispatches as its own place job across
-	// the workers, with cross-trial result caching and durable resume.
-	// Coordinator-only — a plain worker rejects it.
-	Distributed bool `json:"distributed,omitempty"`
-	// EarlyStop (distributed explorations only) cancels trials mid-flight
-	// once their streamed overflow is dominated by a finished competitor.
-	// It trades the deterministic trial scoring for wall clock, so such
-	// explorations never land in the result cache.
-	EarlyStop bool `json:"early_stop,omitempty"`
 
 	// TimeoutSec is the per-job deadline in seconds, enforced through the
 	// pipeline's context support (0 = the server's default, if any). The
 	// clock restarts when a parked job resumes.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-
-	// Checkpoint, when non-empty, is a pipeline checkpoint document
-	// (puffer/checkpoint/v1) seeded into the job's spool before it first
-	// runs, so the job resumes mid-flow instead of starting cold. The
-	// fleet coordinator uses it to re-admit a job on a surviving worker
-	// from the dead worker's last mirrored checkpoint; it composes with
-	// the single-node resume path unchanged.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	// NoCache forces a full run even when the coordinator's result cache
-	// already holds this (design, config, engine) triple. Single-node
-	// daemons ignore it. It is excluded from the config digest — a forced
-	// run refreshes the same cache slot it bypassed.
-	NoCache bool `json:"nocache,omitempty"`
 }
 
 // Normalize fills defaulted fields in place.
@@ -178,24 +140,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.Budget < 0 || s.TimeoutSec < 0 {
 		return fmt.Errorf("negative scale/max_iters/workers/budget/timeout_sec")
-	}
-	if s.Kind != KindExplore && (s.Distributed || s.EarlyStop) {
-		return fmt.Errorf("distributed/early_stop only apply to %q jobs", KindExplore)
-	}
-	if !s.Distributed && s.EarlyStop {
-		return fmt.Errorf("early_stop requires distributed mode")
-	}
-	if len(s.Checkpoint) > 0 {
-		if s.Kind != KindPlace {
-			return fmt.Errorf("checkpoint seeding only applies to %q jobs", KindPlace)
-		}
-		cp := &pipeline.Checkpoint{}
-		if err := json.Unmarshal(s.Checkpoint, cp); err != nil {
-			return fmt.Errorf("checkpoint: not a checkpoint document: %v", err)
-		}
-		if err := cp.Validate(); err != nil {
-			return fmt.Errorf("checkpoint: %v", err)
-		}
 	}
 	return nil
 }
@@ -235,8 +179,7 @@ func checkSource(profile string, upload map[string]string, strategy json.RawMess
 
 // designName names a design source in list rows and logs: the profile, or
 // the name of the .aux file among the upload spooled under dir/design
-// (admission allows exactly one). It is "" for an upload whose files live
-// in a coordinator's store.
+// (admission allows exactly one); "" when dir/design holds no .aux.
 func designName(profile string, dir string) string {
 	if profile != "" {
 		return profile
@@ -286,40 +229,15 @@ type Manifest struct {
 	// Stage is the last stage a checkpoint was spooled after; a re-admitted
 	// job resumes from it via Checkpoint.Apply.
 	Stage string `json:"stage,omitempty"`
-	// Attempts counts claims (1 on first run; +1 per park/crash resume and
-	// per hand-off to another fleet worker).
+	// Attempts counts claims (1 on first run; +1 per park/crash resume).
 	Attempts int `json:"attempts"`
 	// TraceParent is the W3C traceparent header the submission carried, if
 	// any; the worker adopts it so the job's trace joins the client's.
 	TraceParent string `json:"traceparent,omitempty"`
 
-	// Tenant is the queue lane the job waits in (X-Puffer-Tenant). A
-	// coordinator records "default" when the header is absent; a standalone
-	// daemon leaves it empty.
-	//
-	// The remaining fields below are set only on coordinator-spooled
-	// manifests.
+	// Tenant is the queue lane the job waits in (X-Puffer-Tenant); empty
+	// when the header is absent.
 	Tenant string `json:"tenant,omitempty"`
-	// Node/NodeAddr identify the worker the job was dispatched to.
-	Node     string `json:"node,omitempty"`
-	NodeAddr string `json:"node_addr,omitempty"`
-	// RemoteID is the job's ID on that worker (workers mint their own IDs).
-	RemoteID string `json:"remote_id,omitempty"`
-	// CacheHit marks a job satisfied from the result cache without
-	// dispatching; Origin is the coordinator job ID that computed it, and
-	// result/artifact/event reads follow Origin.
-	CacheHit bool   `json:"cache_hit,omitempty"`
-	Origin   string `json:"origin,omitempty"`
-	// Parent is the controlling exploration job's ID for trial jobs the
-	// farm controller submits on its own behalf (provenance: a trial's
-	// manifest points back at the exploration that spawned it).
-	Parent string `json:"parent,omitempty"`
-	// DesignDigest/ConfigDigest/ResultDigest are the job's content
-	// addresses (design blob or profile identity, normalized config, and
-	// canonical result JSON once done).
-	DesignDigest string `json:"design_digest,omitempty"`
-	ConfigDigest string `json:"config_digest,omitempty"`
-	ResultDigest string `json:"result_digest,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`

@@ -19,38 +19,15 @@ import (
 	"puffer/pipeline"
 )
 
-// localBackend runs jobs in this process: a pool of cfg.Workers slots,
-// each job through the staged pipeline (or the in-process explorer) with
-// per-stage checkpoints in the spool.
-type localBackend struct {
-	*Server
-	sem chan struct{}
-}
-
-func newLocalBackend(s *Server) *localBackend {
-	return &localBackend{Server: s, sem: make(chan struct{}, s.cfg.Workers)}
-}
-
-// Acquire takes one pool slot.
-func (b *localBackend) Acquire(ctx context.Context) (func(), error) {
-	select {
-	case b.sem <- struct{}{}:
-		return func() { <-b.sem }, nil
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
-	}
-}
-
-// Slots is the pool size.
-func (b *localBackend) Slots() int { return cap(b.sem) }
-
-// Run executes one claimed job in process: telemetry setup, kind dispatch,
-// artifact spooling, outcome classification.
-func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
+// runLocal executes one claimed job in process — through the staged
+// pipeline with per-stage checkpoints in the spool, or the in-process
+// explorer: telemetry setup, kind dispatch, artifact spooling, outcome
+// classification.
+func (s *Server) runLocal(jobCtx context.Context, j *Job) Outcome {
 	m, id := j.M, j.M.ID
 	timeout := time.Duration(m.Spec.TimeoutSec * float64(time.Second))
 	if timeout == 0 {
-		timeout = b.cfg.DefaultJobTimeout
+		timeout = s.cfg.DefaultJobTimeout
 	}
 	runCtx := jobCtx
 	if timeout > 0 {
@@ -63,7 +40,7 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 	// under it the whole pipeline) into the client's trace, so a merged
 	// Chrome trace shows client request, queue wait, and shard work as one
 	// tree under one trace ID.
-	tel := openTelemetry(b.spool.JobDir(id), j.Hub, m.TraceParent)
+	tel := openTelemetry(s.spool.JobDir(id), j.Hub, m.TraceParent)
 
 	// The job span opens retroactively at submission, so the trace shows
 	// the full client-observed wall; the queue wait (submission → claim)
@@ -85,16 +62,16 @@ func (b *localBackend) Run(jobCtx context.Context, j *Job) Outcome {
 	)
 	switch m.Spec.Kind {
 	case KindExplore:
-		result, err = b.execExplore(runCtx, m, j.Hub, tel.rec)
+		result, err = s.execExplore(runCtx, m, j.Hub, tel.rec)
 	default:
-		result, err = b.execPlace(runCtx, m, j.Hub, tel.rec)
+		result, err = s.execPlace(runCtx, m, j.Hub, tel.rec)
 	}
 	jobSpan.End()
 
 	// Spool the telemetry regardless of outcome — a parked or failed job's
 	// partial trace and metrics are exactly what the operator wants to see.
 	if werr := tel.close(); werr != nil {
-		b.log.ErrorContext(runCtx, "spool job telemetry", "error", werr)
+		s.log.ErrorContext(runCtx, "spool job telemetry", "error", werr)
 	}
 	state, errMsg := classifyOutcome(runCtx, err)
 	return Outcome{State: state, Error: errMsg, Result: result}
@@ -171,11 +148,11 @@ func (s *Server) activeCount() int {
 	return n
 }
 
-// buildDesign materializes the job's design through the per-worker design
+// buildDesign materializes the job's design through the daemon's design
 // cache: the first job of a design parses (or generates) it and later jobs
-// clone the pristine copy, sharing one RSMT topology memo — the farm's
-// per-(design digest, worker) reuse. The returned design is always the
-// job's own mutable instance; the memo is nil for uncacheable designs.
+// clone the pristine copy, sharing one RSMT topology memo. The returned
+// design is always the job's own mutable instance; the memo is nil for
+// uncacheable designs.
 func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 	key := designKey(m)
 	if key != "" {
@@ -248,8 +225,8 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 	if err != nil {
 		return nil, err
 	}
-	// Share the design's RSMT memo across every trial/job of this design
-	// on this worker. rsmt.Build is pure, so this never changes results.
+	// Share the design's RSMT memo across every job of this design on this
+	// daemon. rsmt.Build is pure, so this never changes results.
 	cfg.Strategy.Cong.Topo = topo
 	rc, err := pipeline.NewRunContext(d, cfg)
 	if err != nil {
@@ -364,10 +341,9 @@ func buildResult(rec *pipeline.Record, prior *JobResult) *JobResult {
 	return out
 }
 
-// execExplore runs an in-process strategy-exploration job (distributed
-// explorations never reach a worker — the coordinator rejects them into
-// its farm controller instead). In-process exploration carries no
-// resumable design state, so a re-admitted exploration starts over.
+// execExplore runs a strategy-exploration job in process. Exploration
+// carries no resumable design state, so a re-admitted exploration starts
+// over.
 func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
 	d, _, err := s.buildDesign(m)
 	if err != nil {

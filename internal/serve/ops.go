@@ -7,18 +7,14 @@ import (
 	"puffer/internal/obs"
 )
 
-// handleReady is readiness, distinct from /healthz liveness: a draining,
-// queue-saturated or worker-less daemon (a coordinator whose fleet is
-// empty would only queue) is alive but should stop receiving traffic, so
-// it answers 503 here while /healthz stays 200. The body carries the live
+// handleReady is readiness, distinct from /healthz liveness: a draining or
+// queue-saturated daemon is alive but should stop receiving traffic, so it
+// answers 503 here while /healthz stays 200. The body carries the live
 // SLO evaluation so a probe failure is diagnosable from the probe itself.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if s.Draining() {
 		reasons = append(reasons, "draining")
-	}
-	if s.backend.Slots() == 0 {
-		reasons = append(reasons, "no_workers")
 	}
 	if s.queue.Len() >= s.queue.Cap() {
 		reasons = append(reasons, "queue saturated")
@@ -58,8 +54,8 @@ func summarize(snap obs.HistogramSnapshot) histogramSummary {
 }
 
 // handleOps is the one-call operational picture `pufferctl top` renders:
-// lifecycle, queue pressure, counters, latency digests, the SLO statuses,
-// and — on a coordinator — role, node table and cache size.
+// lifecycle, queue pressure, sessions, counters, latency digests and the
+// SLO statuses.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	snap := s.reg.Snapshot()
 	hists := make(map[string]histogramSummary, len(snap.Histograms))
@@ -78,7 +74,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.startedAt).Round(time.Second).Seconds(),
 		"queue_depth":    s.queue.Len(),
 		"queue_cap":      s.queue.Cap(),
-		"workers":        s.backend.Slots(),
+		"workers":        cap(s.slots),
 		"active_jobs":    s.activeCount(),
 		"sessions":       map[string]int{"tracked": len(sessions), "warm": warm},
 		"counters":       snap.Counters,
@@ -86,11 +82,6 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		"histograms":     hists,
 		"slo":            s.slo.Eval(),
 		"slo_healthy":    s.slo.Healthy(),
-	}
-	if s.fleet != nil {
-		for k, v := range s.fleet.Ops(true) {
-			doc[k] = v
-		}
 	}
 	WriteJSON(w, http.StatusOK, doc)
 }

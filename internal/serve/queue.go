@@ -16,8 +16,7 @@ var ErrQueueFull = errors.New("serve: job queue full")
 // ErrQueueClosed is returned once the queue has been closed for draining.
 var ErrQueueClosed = errors.New("serve: job queue closed")
 
-// DefaultTenant is the lane of submissions that name no tenant — the only
-// lane a standalone daemon ever has.
+// DefaultTenant is the lane of submissions that name no tenant.
 const DefaultTenant = "default"
 
 // lane is one tenant's FIFO plus its dispatch token bucket.
@@ -44,7 +43,7 @@ func (l *lane) take(r float64, b int, now time.Time) (ok bool, wait time.Duratio
 }
 
 // Queue is the one bounded admission queue between the HTTP surface and
-// the backend. It carries job IDs only — the durable job state lives in
+// the worker pool. It carries job IDs only — the durable job state lives in
 // the spool — so a canceled-while-queued job is simply skipped when it is
 // popped and its manifest checked. IDs wait in per-tenant FIFO lanes
 // served round-robin, so one tenant flooding the daemon delays only
@@ -62,7 +61,7 @@ type Queue struct {
 	burst  int
 	closed bool
 
-	// Completion-time EWMA, fed by the backend runs, used to estimate a
+	// Completion-time EWMA, fed by the job runs, used to estimate a
 	// Retry-After hint for rejected submitters.
 	ewmaSec float64
 }
@@ -92,7 +91,11 @@ func (q *Queue) Len() int {
 // Cap returns the queue capacity.
 func (q *Queue) Cap() int { return q.cap }
 
-func (q *Queue) push(tenant, id string, force, front bool) error {
+// push admits id to the tenant's lane; force admits it even beyond
+// capacity, which recovery uses so a spool holding more interrupted jobs
+// than the configured capacity still re-admits every one of them (the
+// memory is already accounted for: the jobs exist on disk).
+func (q *Queue) push(tenant, id string, force bool) error {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -110,11 +113,7 @@ func (q *Queue) push(tenant, id string, force, front bool) error {
 		q.lanes[tenant] = l
 		q.order = append(q.order, tenant)
 	}
-	if front {
-		l.ids = append([]string{id}, l.ids...)
-	} else {
-		l.ids = append(l.ids, id)
-	}
+	l.ids = append(l.ids, id)
 	q.n++
 	q.cond.Signal()
 	return nil
@@ -123,17 +122,7 @@ func (q *Queue) push(tenant, id string, force, front bool) error {
 // TryPush admits id to the tenant's lane, or fails fast with ErrQueueFull /
 // ErrQueueClosed. The capacity check and the append are one critical
 // section: concurrent submitters can never overshoot the cap.
-func (q *Queue) TryPush(tenant, id string) error { return q.push(tenant, id, false, false) }
-
-// ForcePush admits id even beyond capacity. Recovery uses it so a spool
-// holding more interrupted jobs than the configured capacity still
-// re-admits every one of them (the memory is already accounted for: the
-// jobs exist on disk).
-func (q *Queue) ForcePush(tenant, id string) error { return q.push(tenant, id, true, false) }
-
-// PushFront returns id to the head of its lane, beyond capacity: a job the
-// backend handed back ("retry elsewhere") keeps its place in line.
-func (q *Queue) PushFront(tenant, id string) error { return q.push(tenant, id, true, true) }
+func (q *Queue) TryPush(tenant, id string) error { return q.push(tenant, id, false) }
 
 // Pop blocks until an ID is available (returning ok=true) or the queue is
 // closed and empty (ok=false). Lanes are served round-robin; a lane whose

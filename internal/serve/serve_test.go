@@ -23,8 +23,8 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("third push: got %v, want ErrQueueFull", err)
 	}
 	// Recovery re-admission is exempt from the cap.
-	if err := q.ForcePush(DefaultTenant, "c"); err != nil {
-		t.Fatalf("ForcePush beyond cap: %v", err)
+	if err := q.push(DefaultTenant, "c", true); err != nil {
+		t.Fatalf("forced push beyond cap: %v", err)
 	}
 	if got := q.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
@@ -217,7 +217,7 @@ func TestSpoolRecoverRequeuesInterrupted(t *testing.T) {
 			mk("aaaaaaaaaaa4", StateDone, false)
 			mk("aaaaaaaaaaa5", StateCanceled, false)
 
-			recovered, _, err := sp.Recover()
+			recovered, err := sp.Recover()
 			if err != nil {
 				t.Fatal(err)
 			}

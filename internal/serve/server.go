@@ -17,7 +17,7 @@ type Config struct {
 	SpoolDir string
 	// QueueCap bounds the admission queue across all tenant lanes (default
 	// 16). Submissions beyond it receive 429 + Retry-After; recovery
-	// re-admission and a farm's own trial jobs are exempt.
+	// re-admission is exempt.
 	QueueCap int
 	// TenantRate limits how fast each tenant lane is popped, in jobs/second
 	// (0 = unlimited); TenantBurst is the bucket size (default 4).
@@ -25,7 +25,6 @@ type Config struct {
 	TenantBurst int
 	// Workers is the size of the local worker pool (default 2). Each worker
 	// runs one staged pipeline at a time with its own telemetry registry.
-	// Unused under a fleet, whose capacity is its workers'.
 	Workers int
 	// DefaultJobTimeout applies to jobs that do not set their own
 	// timeout_sec (0 = no deadline). The clock restarts on resume.
@@ -57,18 +56,21 @@ type activeJob struct {
 	cancel context.CancelCauseFunc // nil unless the job is running
 }
 
-// Server is the placement job service: spool + queue + backend + per-job
-// progress hubs + daemon-level metrics. Construct with New (standalone) or
-// NewFleet (coordinator), start scheduling with Start, attach the HTTP
-// surface via Handler, and stop with Drain or Close.
+// Server is the placement job service: spool + queue + worker pool +
+// per-job progress hubs + daemon-level metrics. Construct with New, start
+// scheduling with Start, attach the HTTP surface via Handler, and stop with
+// Drain or Close.
 type Server struct {
-	cfg     Config
-	spool   *Spool
-	queue   *Queue
-	backend Backend
-	fleet   Fleet         // nil on a standalone daemon
-	reg     *obs.Registry // daemon-level metrics (queue depth, job counts)
-	log     *slog.Logger
+	cfg   Config
+	spool *Spool
+	queue *Queue
+	// slots is the worker pool: one token per running job.
+	slots chan struct{}
+	// run executes one claimed job (runLocal; lifecycle tests substitute a
+	// fake).
+	run func(context.Context, *Job) Outcome
+	reg *obs.Registry // daemon-level metrics (queue depth, job counts)
+	log *slog.Logger
 
 	// Service latency histograms, resolved once from reg so the hot paths
 	// skip the registry map. Exposed on /metrics and fed to the SLOs.
@@ -85,9 +87,6 @@ type Server struct {
 	schedCtx  context.Context // ends when Drain begins
 	stopSched context.CancelFunc
 	wg        sync.WaitGroup
-	// resume lists what Start launches outside the queue: jobs a remote
-	// worker kept running (re-attach) and distributed explorations.
-	resume []func()
 
 	// designs shares parsed netlists and RSMT topology memos across jobs
 	// of the same design (keyed by content address).
@@ -112,17 +111,10 @@ type Server struct {
 // spooled manifest/artifacts.
 const hubRetention = 128
 
-// New builds a standalone daemon: jobs run on the in-process worker pool.
-func New(cfg Config) (*Server, error) { return newServer(cfg, nil) }
-
-// NewFleet builds a coordinator's core: jobs run wherever f dispatches
-// them, admission passes through f's content-addressing hook, and f's
-// routes replace the (local-only) session routes.
-func NewFleet(cfg Config, f Fleet) (*Server, error) { return newServer(cfg, f) }
-
-// newServer opens the spool, re-admits interrupted jobs, and prepares the
-// scheduler (not yet started).
-func newServer(cfg Config, fleet Fleet) (*Server, error) {
+// New opens the spool, re-admits interrupted jobs and parks inherited
+// sessions, and prepares the scheduler (not yet started). Jobs run on the
+// in-process worker pool.
+func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 16
 	}
@@ -147,7 +139,7 @@ func newServer(cfg Config, fleet Fleet) (*Server, error) {
 		cfg:       cfg,
 		spool:     sp,
 		queue:     NewQueue(cfg.QueueCap, cfg.TenantRate, cfg.TenantBurst),
-		fleet:     fleet,
+		slots:     make(chan struct{}, cfg.Workers),
 		reg:       obs.NewRegistry(),
 		log:       cfg.Log,
 		startedAt: time.Now(),
@@ -158,11 +150,7 @@ func newServer(cfg Config, fleet Fleet) (*Server, error) {
 		sessions:  make(map[string]*sessionRuntime),
 	}
 	s.schedCtx, s.stopSched = context.WithCancel(ctx)
-	if fleet != nil {
-		s.backend = fleet
-	} else {
-		s.backend = newLocalBackend(s)
-	}
+	s.run = s.runLocal
 	s.hHTTP = s.reg.Histogram("serve.http_request_seconds")
 	s.hQueueWait = s.reg.Histogram("serve.queue_wait_seconds")
 	s.hJobWall = s.reg.Histogram("serve.job_wall_seconds")
@@ -184,45 +172,29 @@ func newServer(cfg Config, fleet Fleet) (*Server, error) {
 		cancel()
 		return nil, fmt.Errorf("serve: recover spool: %w", err)
 	}
-	if fleet == nil {
-		if err := s.recoverSessions(); err != nil {
-			cancel()
-			return nil, err
-		}
+	if err := s.recoverSessions(); err != nil {
+		cancel()
+		return nil, err
 	}
 	return s, nil
 }
 
-// recover picks the spool's interrupted jobs up again (Spool.Recover):
-// re-admitted ones go back in line, remote ones are re-attached at Start,
-// and a distributed exploration restarts its controller at Start, resuming
-// from its own checkpoint artifact.
+// recover puts the spool's interrupted jobs (Spool.Recover) back in line.
 func (s *Server) recover() error {
-	requeue, attached, err := s.spool.Recover()
+	requeue, err := s.spool.Recover()
 	if err != nil {
 		return err
 	}
-	for _, m := range attached {
-		id := m.ID
-		s.ensureJob(id)
-		s.resume = append(s.resume, func() { s.runJob(id, s.backend.Run, true) })
-		s.log.Info("re-attaching remote job", "job", id, "node", m.Node)
-	}
 	for _, m := range requeue {
-		id := m.ID
-		s.ensureJob(id)
-		if m.Spec.Distributed && s.fleet != nil {
-			s.resume = append(s.resume, func() { s.runJob(id, s.fleet.Explore, false) })
-			continue
-		}
-		// ForcePush: every interrupted job gets back in line even if the
-		// spool holds more than one queue's worth.
-		if err := s.queue.ForcePush(m.Tenant, id); err != nil {
+		s.ensureJob(m.ID)
+		// Forced past the cap: every interrupted job gets back in line even
+		// if the spool holds more than one queue's worth.
+		if err := s.queue.push(m.Tenant, m.ID, true); err != nil {
 			return err
 		}
-		s.log.Info("re-admitted interrupted job", "job", id, "attempt", m.Attempts, "stage", m.Stage)
+		s.log.Info("re-admitted interrupted job", "job", m.ID, "attempt", m.Attempts, "stage", m.Stage)
 	}
-	s.Recovered = len(requeue) + len(attached)
+	s.Recovered = len(requeue)
 	return nil
 }
 
@@ -253,54 +225,22 @@ func (s *Server) recoverSessions() error {
 // Spool exposes the server's spool (read-only use).
 func (s *Server) Spool() *Spool { return s.spool }
 
-// Stats is a point-in-time load summary of the job service. Fleet workers
-// report it in every heartbeat so the coordinator can dispatch to the
-// least-loaded live node; it is node-agnostic — nothing in it names the
-// fleet.
-type Stats struct {
-	Draining   bool `json:"draining"`
-	QueueDepth int  `json:"queue_depth"`
-	QueueCap   int  `json:"queue_cap"`
-	Workers    int  `json:"workers"`
-	ActiveJobs int  `json:"active_jobs"`
-}
-
-// Stats captures the server's current load.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Draining:   s.Draining(),
-		QueueDepth: s.queue.Len(),
-		QueueCap:   s.queue.Cap(),
-		Workers:    s.backend.Slots(),
-		ActiveJobs: s.activeCount(),
-	}
-}
+// QueueCap is the admission queue's capacity in effect (Config.QueueCap
+// after defaulting).
+func (s *Server) QueueCap() int { return s.queue.Cap() }
 
 // Registry exposes the daemon-level metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Start launches the scheduler, whatever recovery left to resume outside
-// the queue, and, when configured, the idle-session janitor.
+// Start launches the scheduler and, when configured, the idle-session
+// janitor.
 func (s *Server) Start() {
 	s.wg.Add(1)
 	go s.schedule()
-	for _, fn := range s.resume {
-		s.launch(fn)
-	}
-	s.resume = nil
-	if s.cfg.SessionIdle > 0 && s.fleet == nil {
+	if s.cfg.SessionIdle > 0 {
 		s.wg.Add(1)
 		go s.sessionJanitor(s.cfg.SessionIdle)
 	}
-}
-
-// launch runs fn on a goroutine Drain waits for.
-func (s *Server) launch(fn func()) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		fn()
-	}()
 }
 
 // Draining reports whether the server has stopped admitting jobs.
@@ -331,17 +271,6 @@ func lookup[R any](s *Server, live map[string]R, id string) (R, bool) {
 	return rt, ok
 }
 
-// Watch subscribes to a job's progress hub (Hub.Subscribe); ok is false when
-// this boot holds none for it (never seen, or retention expired).
-func (s *Server) Watch(id string) (replay []Event, live <-chan Event, cancel func(), ok bool) {
-	a, ok := lookup(s, s.jobs, id)
-	if !ok {
-		return nil, nil, nil, false
-	}
-	replay, ch, cancel := a.hub.Subscribe()
-	return replay, ch, cancel, true
-}
-
 // retire enrolls a terminal job's or session's runtime in hub retention:
 // it stays in live, for late watchers, until hubRetention later ones have
 // retired, then drops (reads fall back to the spooled manifest).
@@ -356,10 +285,9 @@ func retire[R any](s *Server, order *[]string, live map[string]R, id string) {
 }
 
 // Drain gracefully stops the server: admission closes (submissions get
-// 503), running jobs are canceled with cause ErrParked — the local backend
-// parks them at their last stage-boundary checkpoint within one pipeline
-// iteration; a remote backend leaves them running on their workers, to be
-// re-attached at the next boot — and everything is awaited up to ctx's
+// 503), running jobs are canceled with cause ErrParked — they park at
+// their last stage-boundary checkpoint within one pipeline iteration — and
+// everything is awaited up to ctx's
 // deadline. Queued jobs stay queued in the spool; the next boot re-admits
 // queued and parked jobs alike.
 func (s *Server) Drain(ctx context.Context) error {

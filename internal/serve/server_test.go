@@ -634,8 +634,7 @@ func TestCrashResumeMatchesUninterruptedRun(t *testing.T) {
 // TestRoutedJobScoredByEvaluationRouter: a routed job — a profile job and an
 // upload — reports exactly the HOF, VOF and routed WL that
 // router.DefaultConfig gives on the flow's grid, the router puffer,
-// puffer explore and Table II judge with. A distributed-exploration trial
-// is such a job, so the farm optimizes what puffer explore does.
+// puffer explore and Table II judge with.
 func TestRoutedJobScoredByEvaluationRouter(t *testing.T) {
 	fx := newUploadFixture(t)
 	p, err := synth.ProfileByName("MEDIA_SUBSYS")
@@ -878,7 +877,7 @@ func TestRetryAfterEstimateUsesObservedDurations(t *testing.T) {
 	s.Start()
 	id := enqueue(t, s, quickSpec())
 	waitState(t, s, id, StateDone)
-	ra := s.queue.RetryAfter(s.backend.Slots())
+	ra := s.queue.RetryAfter(cap(s.slots))
 	if ra < time.Second || ra > 10*time.Minute {
 		t.Fatalf("RetryAfter out of range: %s", ra)
 	}

@@ -260,19 +260,12 @@ func TestSessionIdleEviction(t *testing.T) {
 	spec := quickSessionSpec()
 	m := openSessionHTTP(t, ts, s, spec)
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		rt, ok := lookup(s, s.sessions, m.ID)
-		if !ok {
-			t.Fatal("session runtime missing")
-		}
-		if rt.warm() == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle session never evicted")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The janitor counts an eviction after it releases the session's run
+	// lock; the warm state reads nil earlier, while the lock is still held
+	// and a delta would get 409.
+	waitCount(t, s, "serve.sessions_evicted", 1)
+	if rt, ok := lookup(s, s.sessions, m.ID); !ok || rt.warm() != nil {
+		t.Fatal("evicted session still holds its warm state")
 	}
 
 	code, dr := postDelta(t, ts, m.ID, sessionDelta(t, spec, 3, 0))

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"puffer/internal/fsx"
-	"puffer/pipeline"
 )
 
 // Spool is the daemon's on-disk store of jobs and ECO sessions. Layout
@@ -32,11 +31,9 @@ import (
 //	sessions/<id>/trace.json, metrics.jsonl  session telemetry
 //
 // Both manifest families go through one store; sessions/ appears with the
-// first session, so a coordinator's spool never has one. An upload is
-// stored once: its files land in design/ and the manifest is persisted
-// without them, so the document every transition and status read
-// round-trips stays small (a coordinator keeps uploads in its content-
-// addressed store instead, and its spool has no design/ at all). Every
+// first session. An upload is stored once: its files land in design/ and
+// the manifest is persisted without them, so the document every transition
+// and status read round-trips stays small. Every
 // manifest, checkpoint and design file write goes through a temp file +
 // fsync + rename, so a daemon killed mid-write leaves either the previous
 // or the next complete document — never a truncated one. Recovery only
@@ -267,16 +264,6 @@ func bareName(name string) bool {
 	return name != "" && !strings.ContainsAny(name, `/\`) && !strings.Contains(name, "..")
 }
 
-// WriteArtifact atomically writes a named artifact into the job's
-// directory (the fleet coordinator mirrors worker artifacts through it).
-func (sp *Spool) WriteArtifact(id, name string, data []byte) error {
-	path, err := sp.ArtifactPath(id, name)
-	if err != nil {
-		return err
-	}
-	return fsx.AtomicWriteFile(path, data)
-}
-
 // newJobID returns a fresh 12-hex-digit job or session ID.
 func newJobID() string {
 	var b [6]byte
@@ -287,27 +274,8 @@ func newJobID() string {
 }
 
 // CreateJob allocates a job directory, writes the uploaded design files
-// (if any) and the seeded checkpoint (if any), and persists the manifest.
+// (if any), and persists the manifest.
 func (sp *Spool) CreateJob(m *Manifest) error {
-	if len(m.Spec.Checkpoint) > 0 {
-		// Seed the spooled checkpoint so the first run resumes mid-flow —
-		// exactly the file a parked job of this daemon would have left.
-		// The document was validated at submission; its stage gates how
-		// much of the flow is skipped.
-		cp := &pipeline.Checkpoint{}
-		if err := json.Unmarshal(m.Spec.Checkpoint, cp); err != nil {
-			return fmt.Errorf("serve: seed checkpoint: %w", err)
-		}
-		if err := os.MkdirAll(sp.JobDir(m.ID), 0o755); err != nil {
-			return fmt.Errorf("serve: create job dir: %w", err)
-		}
-		if err := cp.Save(sp.CheckpointPath(m.ID)); err != nil {
-			return fmt.Errorf("serve: seed checkpoint: %w", err)
-		}
-		if m.Stage == "" {
-			m.Stage = cp.Stage
-		}
-	}
 	return sp.jobs.create(m, m.Spec.Bookshelf)
 }
 
@@ -328,26 +296,20 @@ func (sp *Spool) List() ([]*Manifest, error) { return sp.jobs.list() }
 // first. requeue holds queued ones (never started), parked ones (gracefully
 // drained) and running ones (the previous daemon crashed mid-job), all
 // rewritten to queued: claiming them counts a new attempt, and they resume
-// from their spooled checkpoint if one exists. attached holds the started
-// jobs whose manifest names a remote worker — they kept running there while
-// this server was down, so they are left as they are, to be re-attached
-// rather than run again.
-func (sp *Spool) Recover() (requeue, attached []*Manifest, err error) {
+// from their spooled checkpoint if one exists.
+func (sp *Spool) Recover() (requeue []*Manifest, err error) {
 	err = sp.jobs.sweep(func(m *Manifest) func(*Manifest) error {
-		switch {
-		case m.State.Terminal():
-		case m.RemoteID != "" && m.State != StateQueued:
-			attached = append(attached, m)
-		default:
-			requeue = append(requeue, m)
-			if m.State != StateQueued {
-				return func(mm *Manifest) error {
-					mm.State, mm.StartedAt = StateQueued, nil
-					return nil
-				}
-			}
+		if m.State.Terminal() {
+			return nil
 		}
-		return nil
+		requeue = append(requeue, m)
+		if m.State == StateQueued {
+			return nil
+		}
+		return func(mm *Manifest) error {
+			mm.State, mm.StartedAt = StateQueued, nil
+			return nil
+		}
 	})
-	return requeue, attached, err
+	return requeue, err
 }

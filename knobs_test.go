@@ -28,7 +28,7 @@ import (
 //	           that declares the field assigns it (a package's own
 //	           DefaultConfig is not a setter)
 //	wire       a padding.Strategy field: reachable from strategy JSON and
-//	           the exploration search space, frozen with serve.EngineVersion;
+//	           the exploration search space, frozen with pipeline.EngineVersion;
 //	           a row whose default is not the paper's cites the measurement
 //	           behind it (where + mention)
 //	reference  a _test.go file sets a non-default value as an oracle or to

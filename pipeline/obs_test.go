@@ -17,7 +17,7 @@ import (
 	"puffer/pipeline"
 )
 
-// TestWriteStageStatsGolden locks the exact `cmd/puffer -stats` output
+// TestWriteStageStatsGolden locks the exact `cmd/puffer` stage-table output
 // format, including the nil-Estimator case: a stage that never ran the
 // congestion engine must print its stage line and nothing else, not panic.
 func TestWriteStageStatsGolden(t *testing.T) {

@@ -374,6 +374,29 @@ func TestCheckpointerErrorAbortsRun(t *testing.T) {
 	}
 }
 
+// TestRuntimeIsTheStagesWall: Result.Runtime is the sum of the executed
+// stages' walls. Work between stages — a Checkpointer that takes its time
+// here — is the caller's, not the run's.
+func TestRuntimeIsTheStagesWall(t *testing.T) {
+	rc, err := pipeline.NewRunContext(stressedDesign(t), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := pipeline.New()
+	const nap = 20 * time.Millisecond
+	pl.Checkpointer = func(*pipeline.Checkpoint) error { time.Sleep(nap); return nil }
+	if err := pl.Run(context.Background(), rc); err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for _, st := range rc.Result.Stages {
+		sum += st.Wall
+	}
+	if n := len(rc.Result.Stages); n == 0 || rc.Result.Runtime != sum {
+		t.Fatalf("Runtime %s over %d stages, want their wall sum %s", rc.Result.Runtime, n, sum)
+	}
+}
+
 // TestIllegalPlacementFailsItsStage: legality is an enforced
 // post-condition of the stages that hand on a legal placement. The row
 // legalizer cannot seat a two-row-high cell whose nearest row is the top

@@ -19,6 +19,12 @@ const RecordSchema = "puffer/run-report/v2"
 // PUFFER is the flow name of the Default stage list.
 const PUFFER = "puffer"
 
+// EngineVersion names the placement engine revision. Every Record carries
+// it, so a report says which engine produced it. Bump it with any change
+// that can alter placement results; changes that only affect speed or
+// observability keep it.
+const EngineVersion = "puffer-engine/v13"
+
 // Record is the one outcome of a run: the flow and design, the
 // configuration the flow read, per-stage statistics, the stage log, every
 // metric recorded and the final quality numbers. puffer -report, a job's
@@ -26,6 +32,8 @@ const PUFFER = "puffer"
 // exploration trial read one.
 type Record struct {
 	Schema string `json:"schema"`
+	// Engine is the EngineVersion that produced the run.
+	Engine string `json:"engine"`
 	// Flow names the flow that ran, as baseline.Flow spells it.
 	Flow   string `json:"flow"`
 	Design string `json:"design"`
@@ -88,6 +96,7 @@ func NewRecord(flow string, rc *RunContext) (*Record, error) {
 	res := rc.Result
 	rec := &Record{
 		Schema:   RecordSchema,
+		Engine:   EngineVersion,
 		Flow:     flow,
 		Design:   rc.Design.Name,
 		Cells:    len(rc.Design.Cells),
@@ -166,7 +175,7 @@ func LoadRecord(path string) (*Record, error) {
 }
 
 // WriteStageStats prints the per-stage pipeline statistics in the fixed
-// `cmd/puffer -stats` format, including the congestion engine's counters
+// `cmd/puffer` stage-table format, including the congestion engine's counters
 // for stages that ran the estimator; a stage without an estimator snapshot
 // (the optimizer never triggered) prints only its stage line.
 func WriteStageStats(w io.Writer, stages []StageStats) {

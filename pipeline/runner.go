@@ -52,9 +52,9 @@ func New(stages ...Stage) *Pipeline {
 // Run executes every stage in order against rc. The context is consulted
 // before each stage and threaded into every stage; on failure the error is
 // a *StageError naming the stage, wrapping the engine error (which wraps
-// ErrCanceled when the cause was cancellation). Result.Runtime, HPWL and
-// PaddingArea are updated even on early exit, so a canceled run still
-// reports what it did.
+// ErrCanceled when the cause was cancellation). Result.Runtime — the sum
+// of the executed stages' walls — HPWL and PaddingArea are updated even on
+// early exit, so a canceled run still reports what it did.
 func (p *Pipeline) Run(ctx context.Context, rc *RunContext) error {
 	return p.runFrom(ctx, rc, 0)
 }
@@ -96,9 +96,7 @@ func (p *Pipeline) runFrom(ctx context.Context, rc *RunContext, start int) error
 	// optimizer-call, estimate, and shard spans.
 	runSpan, ctx := obs.Start(ctx, rc.Cfg.Obs, "run")
 	defer runSpan.End()
-	t0 := time.Now()
 	defer func() {
-		rc.Result.Runtime += time.Since(t0)
 		rc.Result.HPWL = rc.Design.HPWL()
 		rc.Result.PaddingArea = rc.Design.TotalPaddingArea()
 	}()
@@ -127,6 +125,7 @@ func (p *Pipeline) runFrom(ctx context.Context, rc *RunContext, start int) error
 			Estimator:   rc.estStats,
 		}
 		rc.Result.Stages = append(rc.Result.Stages, stats)
+		rc.Result.Runtime += wall
 		// A stage that succeeded is durable before it is announced: an
 		// observer told "stage S done" can already fetch S's checkpoint.
 		if err == nil && p.Checkpointer != nil {

@@ -180,8 +180,8 @@ func DetailedPlace() Stage {
 // (Sec. IV), storing the report in Result.Route. It routes with
 // router.DefaultConfig() on the flow's Gcell grid, worker cap and
 // recorder. It is the one judge: the CLI, the experiments, the
-// exploration objective and routed service jobs (with them every
-// distributed-exploration trial) all append it to their stage list.
+// exploration objective and routed service jobs all append it to their
+// stage list.
 func Route() Stage {
 	return StageFunc{StageName: StageRoute, Fn: func(ctx context.Context, rc *RunContext) error {
 		cfg := router.DefaultConfig()

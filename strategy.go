@@ -142,8 +142,8 @@ type ExploreOptions struct {
 	Seed int64
 	// Workers caps how many relevance groups evaluate concurrently
 	// (0 = all at once). Every trial runs a full placement flow, so this
-	// is the exploration's peak-memory/CPU knob — and Workers=1 is the
-	// serial baseline a distributed farm is benchmarked against.
+	// is the exploration's peak-memory/CPU knob; Workers=1 is the serial
+	// baseline.
 	Workers int
 	Logf    func(format string, args ...any)
 	Obs     *telemetry.Recorder
@@ -152,20 +152,26 @@ type ExploreOptions struct {
 // ExploreStrategyOpts runs the full Algorithm-3 strategy exploration
 // against a small design (the paper tunes on a small routability-challenged
 // design and applies the result to the large benchmarks) and returns the
-// tuned strategy plus the best observed one. It is the common core of the
-// in-process exploration paths; it and the distributed farm both run
-// explore.Production, so both produce identical trial schedules.
-// The context is observed between SMBO trials: on cancellation the best
+// tuned strategy plus the best observed one, on Algorithm 3's production
+// schedule: TC = budget, EC = max(budget/3, 5), two rounds, groups in
+// parallel. It is the common core of every exploration path. The context is observed between SMBO trials: on cancellation the best
 // strategies found so far are still returned, alongside an error wrapping
 // ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge
 // land on its registry (explore.trial.score / explore.best_score) and the
 // exploration opens a trace span.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
-	e := explore.Production(StrategyParams(), opt.Budget, opt.Seed)
-	e.Eval = StrategyObjective(d, placeCfg)
-	e.Workers = opt.Workers
-	e.Logf = opt.Logf
-	e.Obs = opt.Obs
+	e := &explore.Explorer{
+		Params:    StrategyParams(),
+		Eval:      StrategyObjective(d, placeCfg),
+		TimeLimit: opt.Budget,
+		EarlyStop: max(opt.Budget/3, 5),
+		Rounds:    2,
+		Parallel:  true,
+		Workers:   opt.Workers,
+		Seed:      opt.Seed,
+		Logf:      opt.Logf,
+		Obs:       opt.Obs,
+	}
 	fa, ba, err := e.RunCtx(ctx)
 	final = padding.DefaultStrategy()
 	ApplyAssignment(&final, fa)
