@@ -28,7 +28,7 @@ var artifacts = map[string]func(w io.Writer, path string, data []byte) error{
 
 // diag validates and summarizes one artifact: a run report (puffer
 // -report), a stage checkpoint (puffer -checkpoint or a pufferd job
-// spool) or an ECO session snapshot (a pufferd session spool).
+// spool) or an ECO session snapshot (a pufferd session job's spool).
 func diag(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return errors.New("usage: puffer diag <artifact.json>")

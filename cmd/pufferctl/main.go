@@ -11,15 +11,17 @@
 //	watch    stream a job's progress (SSE) until it finishes
 //	result   print a finished job's result summary
 //	artifact download a spooled artifact (report.json, trace.json, …)
-//	cancel   cancel a queued or running job
+//	cancel   cancel a queued or running job, or close a session
 //	list     list all jobs the daemon knows
-//	wait     poll until a job reaches a terminal state
-//	session  interactive ECO sessions: open | delta | status | watch | close | list
+//	wait     poll until a job reaches a terminal state, or a session opens
+//	delta    apply an ECO delta document (file or - for stdin) to a session
 //	top      render the daemon's operational snapshot (/api/v1/ops)
 //
 // submit -kind explore runs Algorithm 3's strategy exploration as a job;
-// the tuned strategy is its strategy.json artifact. submit -tenant names
-// the fair-share queue lane the job waits in.
+// the tuned strategy is its strategy.json artifact. submit -kind session
+// opens an interactive ECO session: its job places the design once and
+// stays open, and each delta re-places it warm. submit -tenant names the
+// fair-share queue lane the job waits in.
 //
 // A full queue answers 429 with a Retry-After hint; submit reports it and
 // exits non-zero rather than waiting.
@@ -72,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	args = fs.Args()
 	if len(args) == 0 {
-		return errors.New("usage: pufferctl [-addr URL] {submit|status|watch|result|artifact|cancel|list|wait|session|top} ...")
+		return errors.New("usage: pufferctl [-addr URL] {submit|status|watch|result|artifact|cancel|list|wait|delta|top} ...")
 	}
 	c := &cli{Client: client.New(*addr, nil), ctx: context.Background(), out: stdout, errOut: stderr}
 	var err error
@@ -84,7 +86,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "result":
 		err = c.print(rest, "result <id>", http.MethodGet, "/api/v1/jobs/%s/result")
 	case "watch":
-		err = c.watch(rest, "watch <id>", "/api/v1/jobs/%s/events")
+		if len(rest) != 1 {
+			return errors.New("usage: pufferctl watch <id>")
+		}
+		err = c.stream(rest[0], false)
 	case "artifact":
 		err = c.artifact(rest)
 	case "cancel":
@@ -93,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		err = c.list()
 	case "wait":
 		err = c.wait(rest)
-	case "session":
-		err = c.session(rest)
+	case "delta":
+		err = c.delta(rest)
 	case "top":
 		err = c.top()
 	default:
@@ -125,75 +130,52 @@ func (c *cli) flags(name string) *flag.FlagSet {
 	return fs
 }
 
-// runFlags are the flags submit and session open share.
-type runFlags struct {
-	profile, aux, strategy *string
-	scale, iters, workers  *int
-	seed                   *int64
-}
-
-func addRunFlags(fs *flag.FlagSet) runFlags {
-	return runFlags{
-		profile:  fs.String("profile", "", "synthetic benchmark profile name"),
-		scale:    fs.Int("scale", 800, "profile scale divisor"),
-		seed:     fs.Int64("seed", 1, "random seed"),
-		aux:      fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)"),
-		iters:    fs.Int("iters", 0, "max global placement iterations (0 = default)"),
-		workers:  fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS; explore jobs: relevance groups at once)"),
-		strategy: fs.String("strategy", "", "JSON strategy file (puffer explore -out format)"),
-	}
-}
-
-// spec starts the submission document from the shared flags.
-func (f runFlags) spec() (map[string]any, error) {
-	spec := map[string]any{"scale": *f.scale, "seed": *f.seed}
-	if *f.profile != "" {
-		spec["profile"] = *f.profile
-	}
-	if *f.aux != "" {
-		files, err := inlineBookshelf(*f.aux)
-		if err != nil {
-			return nil, err
-		}
-		spec["bookshelf"] = files
-	}
-	if *f.iters > 0 {
-		spec["max_iters"] = *f.iters
-	}
-	if *f.workers > 0 {
-		spec["workers"] = *f.workers
-	}
-	if *f.strategy != "" {
-		data, err := os.ReadFile(*f.strategy)
-		if err != nil {
-			return nil, err
-		}
-		spec["strategy"] = json.RawMessage(data)
-	}
-	return spec, nil
-}
-
 func (c *cli) submit(args []string) error {
 	fs := c.flags("submit")
-	df := addRunFlags(fs)
 	var (
-		kind    = fs.String("kind", "place", "job kind: place | explore")
-		route   = fs.Bool("route", false, "append the evaluation-routing stage")
-		budget  = fs.Int("budget", 0, "exploration trial budget (explore jobs)")
-		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
-		watch   = fs.Bool("watch", false, "stream progress until the job finishes")
-		trace   = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
-		tenant  = fs.String("tenant", "", "tenant name for fair-share scheduling")
+		profile  = fs.String("profile", "", "synthetic benchmark profile name")
+		scale    = fs.Int("scale", 800, "profile scale divisor")
+		seed     = fs.Int64("seed", 1, "random seed")
+		aux      = fs.String("aux", "", "Bookshelf .aux file to upload (with its sibling files)")
+		iters    = fs.Int("iters", 0, "max global placement iterations (0 = default)")
+		workers  = fs.Int("workers", 0, "cap parallelism (0 = GOMAXPROCS; explore jobs: relevance groups at once)")
+		strategy = fs.String("strategy", "", "JSON strategy file (puffer explore -out format)")
+		kind     = fs.String("kind", "place", "job kind: place | explore | session")
+		route    = fs.Bool("route", false, "append the evaluation-routing stage")
+		budget   = fs.Int("budget", 0, "exploration trial budget (explore jobs)")
+		timeout  = fs.Duration("timeout", 0, "per-job deadline (0 = server default)")
+		watch    = fs.Bool("watch", false, "stream progress until the job finishes (a session: until it opens)")
+		trace    = fs.String("trace", "", "wait for the job and write a merged client+daemon Chrome trace here")
+		tenant   = fs.String("tenant", "", "tenant name for fair-share scheduling")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	spec, err := df.spec()
-	if err != nil {
-		return err
+	spec := map[string]any{"kind": *kind, "scale": *scale, "seed": *seed}
+	if *profile != "" {
+		spec["profile"] = *profile
 	}
-	spec["kind"] = *kind
+	if *aux != "" {
+		files, err := inlineBookshelf(*aux)
+		if err != nil {
+			return err
+		}
+		spec["bookshelf"] = files
+	}
+	if *iters > 0 {
+		spec["max_iters"] = *iters
+	}
+	if *workers > 0 {
+		spec["workers"] = *workers
+	}
+	if *strategy != "" {
+		data, err := os.ReadFile(*strategy)
+		if err != nil {
+			return err
+		}
+		spec["strategy"] = json.RawMessage(data)
+	}
 	if *route {
 		spec["route"] = true
 	}
@@ -230,12 +212,12 @@ func (c *cli) submit(args []string) error {
 	var watchErr error
 	waitStart := time.Now()
 	if *watch {
-		watchErr = c.stream("/api/v1/jobs/"+m.ID+"/events", m.ID)
+		watchErr = c.stream(m.ID, true)
 	}
 	if *trace == "" {
 		return watchErr
 	}
-	final, err := c.WaitTerminal(c.ctx, m.ID, 500*time.Millisecond, 15*time.Minute)
+	final, err := c.Wait(c.ctx, m.ID, 500*time.Millisecond, 15*time.Minute)
 	if err != nil {
 		return err
 	}
@@ -246,7 +228,7 @@ func (c *cli) submit(args []string) error {
 	if watchErr != nil {
 		return watchErr
 	}
-	if final.State != serve.StateDone {
+	if final.State.Terminal() && final.State != serve.StateDone {
 		return fmt.Errorf("job %s %s: %s", m.ID, final.State, final.Error)
 	}
 	return nil
@@ -367,22 +349,22 @@ func (c *cli) artifact(args []string) error {
 	return nil
 }
 
-func (c *cli) watch(args []string, usage, pathFmt string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: pufferctl %s", usage)
-	}
-	return c.stream(fmt.Sprintf(pathFmt, args[0]), args[0])
-}
+// errOpen ends a stream at a session's open state.
+var errOpen = errors.New("session open")
 
-// stream consumes an SSE progress stream (job or session), rendering
-// progress lines until the stream ends; the final state decides the error.
-func (c *cli) stream(path, id string) error {
+// stream consumes the job's SSE progress stream, rendering progress lines
+// until the stream ends — or, with untilOpen, until a session opens; the
+// final state decides the error.
+func (c *cli) stream(id string, untilOpen bool) error {
 	var final serve.Event
-	err := c.Events(c.ctx, path, func(e serve.Event) error {
+	err := c.Events(c.ctx, "/api/v1/jobs/"+id+"/events", func(e serve.Event) error {
 		switch e.Type {
 		case "state":
 			fmt.Fprintf(c.out, "state: %s %s\n", e.State, e.Error)
 			final = e
+			if untilOpen && e.State == serve.StateOpen {
+				return errOpen
+			}
 		case "stage":
 			fmt.Fprintf(c.out, "stage %s %s (iters=%d wall=%.0fms)\n", e.Stage, e.StageStatus, e.Iters, e.WallMS)
 		case "sample":
@@ -392,13 +374,13 @@ func (c *cli) stream(path, id string) error {
 		}
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errOpen) {
 		return err
 	}
 	switch final.State {
-	case "done", "open", "closed", "":
+	case serve.StateDone, serve.StateOpen, "":
 		return nil
-	case "parked", "queued":
+	case serve.StateParked, serve.StateQueued:
 		fmt.Fprintln(c.out, "interrupted; it will resume when the daemon restarts")
 		return nil
 	default:
@@ -406,73 +388,11 @@ func (c *cli) stream(path, id string) error {
 	}
 }
 
-// session dispatches the interactive ECO session subcommands.
-func (c *cli) session(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: pufferctl session {open|delta|status|watch|close|list} ...")
-	}
-	switch cmd, rest := args[0], args[1:]; cmd {
-	case "open":
-		return c.sessionOpen(rest)
-	case "delta":
-		return c.sessionDelta(rest)
-	case "status":
-		return c.print(rest, "session status <id>", http.MethodGet, "/api/v1/sessions/%s")
-	case "watch":
-		return c.watch(rest, "session watch <id>", "/api/v1/sessions/%s/events")
-	case "close":
-		return c.print(rest, "session close <id>", http.MethodDelete, "/api/v1/sessions/%s")
-	case "list":
-		return c.sessionList()
-	default:
-		return fmt.Errorf("unknown session command %q", cmd)
-	}
-}
-
-// sessionOpen opens an ECO session and waits for its base placement
-// before returning the session ID on stdout.
-func (c *cli) sessionOpen(args []string) error {
-	fs := c.flags("session open")
-	df := addRunFlags(fs)
-	timeout := fs.Duration("timeout", 10*time.Minute, "give up waiting for the base placement after this long")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	spec, err := df.spec()
-	if err != nil {
-		return err
-	}
-	body, _ := json.Marshal(spec)
-	var m serve.SessionManifest
-	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/sessions", body, &m); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "session %s %s\n", m.ID, m.State)
-	deadline := time.Now().Add(*timeout)
-	for {
-		if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions/"+m.ID, nil, &m); err != nil {
-			return err
-		}
-		switch m.State {
-		case serve.SessionOpen:
-			fmt.Fprintf(c.out, "session %s open hpwl=%.0f\n", m.ID, m.LastHPWL)
-			return nil
-		case serve.SessionFailed, serve.SessionClosed:
-			return fmt.Errorf("session %s %s: %s", m.ID, m.State, m.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("session %s still %s after %s", m.ID, m.State, *timeout)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// sessionDelta applies a delta document (a file path, or "-" for stdin)
-// and prints the new placement summary.
-func (c *cli) sessionDelta(args []string) error {
+// delta applies a delta document (a file path, or "-" for stdin) to a
+// session job and prints the new placement summary.
+func (c *cli) delta(args []string) error {
 	if len(args) != 2 {
-		return fmt.Errorf("usage: pufferctl session delta <id> <delta.json|->")
+		return fmt.Errorf("usage: pufferctl delta <id> <delta.json|->")
 	}
 	id, src := args[0], args[1]
 	var (
@@ -494,7 +414,7 @@ func (c *cli) sessionDelta(args []string) error {
 		RuntimeMS  float64 `json:"runtime_ms"`
 		Rehydrated bool    `json:"rehydrated"`
 	}
-	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/sessions/"+id+"/deltas", data, &dr); err != nil {
+	if err := c.JSON(c.ctx, http.MethodPost, "/api/v1/jobs/"+id+"/deltas", data, &dr); err != nil {
 		return err
 	}
 	note := ""
@@ -503,37 +423,6 @@ func (c *cli) sessionDelta(args []string) error {
 	}
 	fmt.Fprintf(c.out, "delta %d applied: hpwl=%.0f gp_iters=%d %.0fms%s\n",
 		dr.Deltas, dr.HPWL, dr.GPIters, dr.RuntimeMS, note)
-	return nil
-}
-
-func (c *cli) sessionList() error {
-	var rows []struct {
-		ID       string  `json:"id"`
-		Design   string  `json:"design"`
-		State    string  `json:"state"`
-		Deltas   int     `json:"deltas"`
-		LastHPWL float64 `json:"last_hpwl"`
-		Warm     bool    `json:"warm"`
-		Error    string  `json:"error"`
-	}
-	if err := c.JSON(c.ctx, http.MethodGet, "/api/v1/sessions", nil, &rows); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "%-14s %-16s %-8s %6s %5s  %s\n", "ID", "DESIGN", "STATE", "DELTAS", "WARM", "HPWL/ERROR")
-	for _, r := range rows {
-		detail := ""
-		if r.LastHPWL > 0 {
-			detail = fmt.Sprintf("%.0f", r.LastHPWL)
-		}
-		if r.Error != "" {
-			detail = r.Error
-		}
-		warm := "no"
-		if r.Warm {
-			warm = "yes"
-		}
-		fmt.Fprintf(c.out, "%-14s %-16s %-8s %6d %5s  %s\n", r.ID, r.Design, r.State, r.Deltas, warm, detail)
-	}
 	return nil
 }
 
@@ -611,13 +500,13 @@ func (c *cli) wait(args []string) error {
 	if len(rest) != 1 {
 		return fmt.Errorf("usage: pufferctl wait [-poll d] [-timeout d] <id>")
 	}
-	m, err := c.WaitTerminal(c.ctx, rest[0], *poll, *timeout)
+	m, err := c.Wait(c.ctx, rest[0], *poll, *timeout)
 	if err != nil {
 		return err
 	}
-	if m.State != serve.StateDone {
+	if m.State.Terminal() && m.State != serve.StateDone {
 		return fmt.Errorf("job %s %s: %s", m.ID, m.State, m.Error)
 	}
-	fmt.Fprintln(c.out, "done")
+	fmt.Fprintln(c.out, m.State)
 	return nil
 }

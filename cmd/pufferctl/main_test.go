@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -115,5 +116,32 @@ func TestSubmitExploreJob(t *testing.T) {
 	runCtl(t, "-addr", ts.URL, "artifact", "-o", tuned, id[1], "strategy.json")
 	if _, err := puffer.LoadStrategy(tuned); err != nil {
 		t.Errorf("strategy.json artifact is no loadable strategy: %v", err)
+	}
+}
+
+// TestSessionVerbs drives an ECO session through the job verbs against an
+// in-process daemon: `submit -kind session -watch` returns once the
+// session opens, `delta` applies a document and `cancel` closes it, and
+// `list` shows it canceled.
+func TestSessionVerbs(t *testing.T) {
+	_, ts := daemon(t)
+	out := runCtl(t, "-addr", ts.URL, "submit", "-kind", "session", "-profile", "OR1200", "-scale", "3000", "-watch")
+	id := regexp.MustCompile(`(?m)^job (\S+) queued`).FindStringSubmatch(out)
+	if id == nil || !strings.Contains(out, "state: open") {
+		t.Fatalf("submit -kind session -watch:\n%s", out)
+	}
+	if got := runCtl(t, "-addr", ts.URL, "wait", "-poll", "50ms", id[1]); got != "open\n" {
+		t.Errorf("wait on an open session printed %q", got)
+	}
+	delta := filepath.Join(t.TempDir(), "delta.json")
+	if err := os.WriteFile(delta, []byte(`{"format":"puffer/delta/v1","weights":[{"net":0,"weight":3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := runCtl(t, "-addr", ts.URL, "delta", id[1], delta); !strings.HasPrefix(got, "delta 1 applied: hpwl=") {
+		t.Errorf("delta printed %q", got)
+	}
+	runCtl(t, "-addr", ts.URL, "cancel", id[1])
+	if got := runCtl(t, "-addr", ts.URL, "list"); !regexp.MustCompile(`(?m)^` + id[1] + ` +session +OR1200 +canceled`).MatchString(got) {
+		t.Errorf("list after cancel:\n%s", got)
 	}
 }

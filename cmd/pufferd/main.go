@@ -9,11 +9,12 @@
 //
 //	pufferd -addr :8080 -spool /var/lib/pufferd -workers 4 -queue 32
 //
-// Besides one-shot jobs, the daemon serves interactive ECO sessions under
-// /api/v1/sessions: open a design once (cold place), then stream small
-// deltas against the warm engine state — each re-places in a fraction of
-// the cold wall. Session warm state idle longer than -session-idle is
-// evicted (the spooled snapshot remains; the next delta rehydrates it).
+// Besides one-shot jobs, the daemon serves interactive ECO sessions as jobs
+// of kind session: the job places the design once (cold place) and stays
+// open, and each delta posted to /api/v1/jobs/{id}/deltas re-places it
+// against the warm engine state in a fraction of the cold wall. Session
+// warm state idle longer than -session-idle is evicted (the session parks:
+// the spooled snapshot remains, and the next delta rehydrates it).
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
 // (submissions get 503), cancels running jobs so they park at their last
@@ -59,7 +60,7 @@ func main() {
 	flag.Parse()
 
 	// Structured logs on stderr: every record under a request or worker
-	// carries trace/span/job/session attrs (obs.LogHandler). -v=false keeps
+	// carries trace/span/job attrs (obs.LogHandler). -v=false keeps
 	// only warnings; -log-debug adds the per-request lines.
 	level := slog.LevelInfo
 	switch {

@@ -219,8 +219,8 @@ func (c *Client) Download(ctx context.Context, id, name, dest string) (int64, er
 // a log line quoting a parser error can run to kilobytes).
 const maxEventBytes = 4 << 20
 
-// Events reads the server-sent-event stream at path (a job's or a
-// session's /events), calling fn for every event in order. It returns nil
+// Events reads the server-sent-event stream at path (a job's /events),
+// calling fn for every event in order. It returns nil
 // when the server ends the stream — which, without a terminal state event
 // having been seen, means the daemon went away mid-job — fn's error if it
 // returns one, or the context's cause when ctx ends first. Undecodable
@@ -256,16 +256,18 @@ func (c *Client) Events(ctx context.Context, path string, fn func(serve.Event) e
 	return nil
 }
 
-// WaitTerminal polls the job's manifest every poll until it is done, failed
-// or canceled, giving up after timeout.
-func (c *Client) WaitTerminal(ctx context.Context, id string, poll, timeout time.Duration) (*serve.Manifest, error) {
+// Wait polls the job's manifest every poll until it is done, failed or
+// canceled — or, for a session, placed: open, or parked with the result
+// of its base placement — giving up after timeout.
+func (c *Client) Wait(ctx context.Context, id string, poll, timeout time.Duration) (*serve.Manifest, error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		m, err := c.Job(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		if m.State.Terminal() {
+		placed := m.State == serve.StateOpen || (m.State == serve.StateParked && m.Spec.Kind == serve.KindSession && m.Result != nil)
+		if m.State.Terminal() || placed {
 			return m, nil
 		}
 		if time.Now().After(deadline) {

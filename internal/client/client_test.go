@@ -160,16 +160,29 @@ func TestWaitTerminal(t *testing.T) {
 	var polls atomic.Int32
 	c, slept := newTest(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m := serve.Manifest{ID: "j", State: serve.StateRunning}
-		if r.URL.Path == "/api/v1/jobs/finishes" && polls.Add(1) >= 3 {
+		switch {
+		case r.URL.Path == "/api/v1/jobs/finishes" && polls.Add(1) >= 3:
 			m.State, m.Error = serve.StateFailed, "boom"
+		case r.URL.Path == "/api/v1/jobs/opens":
+			m.State = serve.StateOpen
+		case r.URL.Path == "/api/v1/jobs/evicted":
+			m.Spec.Kind, m.State, m.Result = serve.KindSession, serve.StateParked, &serve.JobResult{HPWL: 1}
 		}
 		serve.WriteJSON(w, http.StatusOK, m)
 	}))
-	m, err := c.WaitTerminal(context.Background(), "finishes", time.Second, time.Minute)
+	m, err := c.Wait(context.Background(), "finishes", time.Second, time.Minute)
 	if err != nil || m.State != serve.StateFailed || m.Error != "boom" || len(*slept) != 2 {
-		t.Fatalf("WaitTerminal = %+v, %v after %d sleeps", m, err, len(*slept))
+		t.Fatalf("Wait = %+v, %v after %d sleeps", m, err, len(*slept))
 	}
-	_, err = c.WaitTerminal(context.Background(), "never", time.Second, 0)
+	// A session is waited for until it is placed: open, or parked (its
+	// warm state evicted) with the base placement's result.
+	if m, err := c.Wait(context.Background(), "opens", time.Second, time.Minute); err != nil || m.State != serve.StateOpen {
+		t.Fatalf("Wait on a session = %+v, %v", m, err)
+	}
+	if m, err := c.Wait(context.Background(), "evicted", time.Second, time.Minute); err != nil || m.State != serve.StateParked {
+		t.Fatalf("Wait on an evicted session = %+v, %v", m, err)
+	}
+	_, err = c.Wait(context.Background(), "never", time.Second, 0)
 	if err == nil || !strings.Contains(err.Error(), "still running after") {
 		t.Fatalf("timeout: %v", err)
 	}

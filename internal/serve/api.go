@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,13 +30,8 @@ const TenantHeader = "X-Puffer-Tenant"
 //	GET    /api/v1/jobs/{id}/events       SSE progress stream (replay + live)
 //	GET    /api/v1/jobs/{id}/result       final result (409 until done)
 //	GET    /api/v1/jobs/{id}/artifacts/{name}  spooled artifact download
-//	POST   /api/v1/jobs/{id}/cancel       cancel (queued or running)
-//	POST   /api/v1/sessions               open an ECO session (202; cold place runs async)
-//	GET    /api/v1/sessions               list session summaries
-//	GET    /api/v1/sessions/{id}          session manifest
-//	POST   /api/v1/sessions/{id}/deltas   apply one ECO delta (synchronous warm re-place)
-//	GET    /api/v1/sessions/{id}/events   SSE progress stream (replay + live)
-//	DELETE /api/v1/sessions/{id}          close the session
+//	POST   /api/v1/jobs/{id}/cancel       cancel (queued, running, or an open or parked session)
+//	POST   /api/v1/jobs/{id}/deltas       apply one ECO delta to a session (synchronous warm re-place)
 //	GET    /healthz                       liveness (always 200 while the process serves)
 //	GET    /readyz                        readiness (503 while draining / saturated / SLO burning)
 //	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs, sessions)
@@ -58,12 +54,7 @@ func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
-	mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
-	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
-	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
+	mux.HandleFunc("POST /api/v1/jobs/{id}/deltas", s.handleDelta)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /api/v1/ops", s.handleOps)
@@ -245,29 +236,25 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// loadRecord fetches the job or session manifest for the path's {id},
-// writing the 404.
-func loadRecord[T any, M interface {
-	*T
-	record
-}](w http.ResponseWriter, r *http.Request, st *store[T, M]) M {
+// loadJob fetches the job manifest for the path's {id}, writing the 404.
+func (s *Server) loadJob(w http.ResponseWriter, r *http.Request) *Manifest {
 	id := r.PathValue("id")
-	m, err := st.read(id)
+	m, err := s.spool.ReadManifest(id)
 	if err != nil {
-		APIError(w, http.StatusNotFound, "%s %s: %v", st.noun, id, err)
+		APIError(w, http.StatusNotFound, "job %s: %v", id, err)
 		return nil
 	}
 	return m
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if m := loadRecord(w, r, &s.spool.jobs); m != nil {
+	if m := s.loadJob(w, r); m != nil {
 		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	m := loadRecord(w, r, &s.spool.jobs)
+	m := s.loadJob(w, r)
 	if m == nil {
 		return
 	}
@@ -280,7 +267,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleArtifact serves an artifact from the job's directory.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	m := loadRecord(w, r, &s.spool.jobs)
+	m := s.loadJob(w, r)
 	if m == nil {
 		return
 	}
@@ -297,50 +284,70 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	APIError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, name)
 }
 
-// Cancel cancels a job with the given reason. A job still waiting (queued
-// or parked) is canceled durably on the spot and its final manifest
-// returned; a running one is canceled through its context — its run winds
-// down and runJob records the state — and (nil, nil) returned.
+// errNotWaiting leaves a running (or finished) job's manifest to its run.
+var errNotWaiting = errors.New("serve: job is not waiting")
+
+// Cancel cancels a job with the given reason. A job that is not running —
+// queued, parked, or an open session — is canceled durably on the spot
+// (a session keeps its last result, and a delta in flight is canceled too)
+// and its final manifest returned; a running one is canceled through its
+// context — its run winds down and runJob records the state — and (nil,
+// nil) returned.
 func (s *Server) Cancel(id, reason string) (*Manifest, error) {
-	waiting := false
-	m, err := s.spool.Update(id, func(mm *Manifest) error {
-		if waiting = mm.State == StateQueued || mm.State == StateParked; waiting {
+	for pass := 0; ; pass++ {
+		m, err := s.spool.Update(id, func(mm *Manifest) error {
+			if mm.State != StateQueued && mm.State != StateParked && mm.State != StateOpen {
+				return errNotWaiting
+			}
 			now := time.Now()
 			mm.State = StateCanceled
 			mm.Error = reason
 			mm.FinishedAt = &now
+			return nil
+		})
+		waiting := err == nil
+		if err != nil && !errors.Is(err, errNotWaiting) {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	a, live := lookup(s, s.jobs, id)
-	if !waiting {
-		// Running (a claim may have raced the read): only its context acts.
+		a, live := s.job(id)
+		var inflight context.CancelCauseFunc
 		if live {
 			s.mu.Lock()
-			cancel := a.cancel
+			inflight = a.cancel
 			s.mu.Unlock()
-			if cancel != nil {
-				cancel(ErrCanceled)
-			}
 		}
-		return nil, nil
+		if inflight != nil {
+			inflight(ErrCanceled)
+		}
+		if !waiting {
+			// Running (a claim may have raced the read): only its context
+			// acts — unless the run ended a session open before the cancel
+			// reached it, which the second pass finds.
+			if pass == 0 && inflight != nil {
+				continue
+			}
+			return nil, nil
+		}
+		s.reg.Counter("serve.jobs_canceled").Inc()
+		if m.Spec.Kind == KindSession {
+			s.reg.Counter("serve.sessions_closed").Inc()
+		}
+		if live {
+			if ws := s.warmOf(a); ws != nil {
+				ws.drop(s)
+			}
+			a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
+			a.hub.Close()
+		}
+		// No runJob call will retire the job now; enroll the hub in
+		// retention here or it leaks forever.
+		s.retire(id)
+		return m, nil
 	}
-	s.reg.Counter("serve.jobs_canceled").Inc()
-	if live {
-		a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
-		a.hub.Close()
-	}
-	// The job never ran, so no runJob call will retire it;
-	// enroll the hub in retention here or it leaks forever.
-	retire(s, &s.finished, s.jobs, id)
-	return m, nil
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	m := loadRecord(w, r, &s.spool.jobs)
+	m := s.loadJob(w, r)
 	if m == nil {
 		return
 	}
@@ -382,12 +389,12 @@ func (s *Server) status() string {
 // client disconnects. Terminal jobs with no retained hub get a single
 // synthetic state event so `pufferctl watch` always terminates.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	m := loadRecord(w, r, &s.spool.jobs)
+	m := s.loadJob(w, r)
 	if m == nil {
 		return
 	}
 	var hub *Hub
-	if a, ok := lookup(s, s.jobs, m.ID); ok {
+	if a, ok := s.job(m.ID); ok {
 		hub = a.hub
 	}
 	s.streamHub(w, r, hub, Event{Type: "state", State: m.State, Error: m.Error})

@@ -69,22 +69,23 @@ func uploadFiles(t *testing.T) map[string]string {
 	return files
 }
 
-// TestRouteTable: the daemon registers exactly the job routes, the session
-// routes, the probes and the debug surface — one mux, probed from outside.
-// An unregistered pattern (the retired node registry's among them) falls
-// through to the mux's plain-text 404; every registered one answers with
-// something else.
+// TestRouteTable: the daemon registers exactly the job routes, the
+// session's deltas route, the probes and the debug surface — one mux,
+// probed from outside. An unregistered pattern (the retired node registry's
+// and session family's among them) falls through to the mux's plain-text
+// 404; every registered one answers with something else.
 func TestRouteTable(t *testing.T) {
 	shared := []string{
 		"POST /api/v1/jobs", "GET /api/v1/jobs", "GET /api/v1/jobs/x", "GET /api/v1/jobs/x/events",
 		"GET /api/v1/jobs/x/result", "GET /api/v1/jobs/x/artifacts/a", "POST /api/v1/jobs/x/cancel",
 		"GET /healthz", "GET /readyz", "GET /api/v1/ops", "GET /metrics", "GET /debug/vars",
 	}
-	sessions := []string{
+	sessions := []string{"POST /api/v1/jobs/x/deltas"}
+	unregistered := []string{
+		"POST /api/v1/nodes", "GET /api/v1/nodes",
 		"POST /api/v1/sessions", "GET /api/v1/sessions", "GET /api/v1/sessions/x",
 		"POST /api/v1/sessions/x/deltas", "GET /api/v1/sessions/x/events", "DELETE /api/v1/sessions/x",
 	}
-	unregistered := []string{"POST /api/v1/nodes", "GET /api/v1/nodes"}
 
 	_, hs := newUnstarted(t, serve.Config{})
 	var got []string

@@ -9,15 +9,14 @@
 // The package layers are:
 //
 //	job.go       — the job vocabulary: JobSpec, JobState, Manifest, JobResult
-//	spool.go     — the on-disk job and session store (manifests, designs, checkpoints, artifacts)
+//	spool.go     — the on-disk job store (manifests, designs, checkpoints, snapshots, artifacts)
 //	queue.go     — the admission queue: tenant lanes, cap, rate limit, Retry-After
 //	events.go    — the per-job progress hub (ring buffer + live subscribers)
 //	lifecycle.go — the scheduler and the job lifecycle around one run
-//	local.go     — the run itself: jobs through pipeline/explore in process,
-//	               and the run telemetry and design loading sessions share
+//	local.go     — the run itself: jobs through pipeline/explore/eco in process
 //	server.go    — construction, recovery, drain, daemon metrics
 //	api.go       — the HTTP surface (admission, REST, SSE, artifacts, debug)
-//	session*.go  — the ECO session runtime and API
+//	session.go   — what a session job adds: warm state, deltas, eviction
 package serve
 
 import (
@@ -45,6 +44,10 @@ const (
 	// holds no cross-trial design state worth spooling, so a parked or
 	// crashed exploration restarts from scratch on re-admission.
 	KindExplore = "explore"
+	// KindSession opens an interactive ECO session: its run is the cold
+	// base placement, after which the job stays open and accepts deltas
+	// (POST /api/v1/jobs/{id}/deltas) until it is canceled.
+	KindSession = "session"
 )
 
 // JobState is the lifecycle state of a job. Transitions:
@@ -53,7 +56,14 @@ const (
 //	running → parked (graceful drain) → queued (next boot)
 //
 // A crashed daemon leaves jobs in running; recovery treats them like
-// parked ones and re-admits them.
+// parked ones and re-admits them. A session job ends its run open
+// instead of done, and stays open while its warm state is in memory:
+//
+//	running → open ⇄ parked (eviction or drain ⇄ the next delta)
+//	open | parked → canceled
+//
+// A session parks only once its snapshot is spooled; one interrupted
+// before that is re-admitted like any job and placed again.
 type JobState string
 
 // Job lifecycle states.
@@ -61,6 +71,7 @@ const (
 	StateQueued   JobState = "queued"
 	StateRunning  JobState = "running"
 	StateParked   JobState = "parked"
+	StateOpen     JobState = "open"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
@@ -74,7 +85,7 @@ func (s JobState) Terminal() bool {
 // JobSpec is what a client submits: the design source (a synthetic profile
 // or inlined Bookshelf files), the flow knobs, and the job's own deadline.
 type JobSpec struct {
-	// Kind is KindPlace (default) or KindExplore.
+	// Kind is KindPlace (default), KindExplore or KindSession.
 	Kind string `json:"kind,omitempty"`
 
 	// Profile names a synthetic benchmark profile (internal/synth);
@@ -131,34 +142,21 @@ func (s *JobSpec) Normalize() {
 // Validate rejects malformed specs with a client-presentable error.
 func (s *JobSpec) Validate() error {
 	switch s.Kind {
-	case KindPlace, KindExplore:
+	case KindPlace, KindExplore, KindSession:
 	default:
-		return fmt.Errorf("unknown job kind %q (want %q or %q)", s.Kind, KindPlace, KindExplore)
+		return fmt.Errorf("unknown job kind %q (want %q, %q or %q)", s.Kind, KindPlace, KindExplore, KindSession)
 	}
-	if err := checkSource(s.Profile, s.Bookshelf, s.Strategy); err != nil {
-		return err
-	}
-	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.Budget < 0 || s.TimeoutSec < 0 {
-		return fmt.Errorf("negative scale/max_iters/workers/budget/timeout_sec")
-	}
-	return nil
-}
-
-// checkSource is the admission check jobs and sessions share: exactly one
-// design source — a known synthetic profile, or a Bookshelf upload of bare
-// file names with exactly one .aux — and a strategy document, when set,
-// that decodes the way the run will decode it.
-func checkSource(profile string, upload map[string]string, strategy json.RawMessage) error {
-	if (profile == "") == (len(upload) == 0) {
+	if (s.Profile == "") == (len(s.Bookshelf) == 0) {
 		return fmt.Errorf("exactly one of profile and bookshelf must be set")
 	}
-	if profile != "" {
-		if _, err := synth.ProfileByName(profile); err != nil {
+	if s.Profile != "" {
+		if _, err := synth.ProfileByName(s.Profile); err != nil {
 			return err
 		}
 	}
+	// A Bookshelf upload is bare file names with exactly one .aux.
 	aux := 0
-	for name := range upload {
+	for name := range s.Bookshelf {
 		if !bareName(name) {
 			return fmt.Errorf("bookshelf file name %q must be a bare file name", name)
 		}
@@ -166,13 +164,17 @@ func checkSource(profile string, upload map[string]string, strategy json.RawMess
 			aux++
 		}
 	}
-	if len(upload) > 0 && aux != 1 {
+	if len(s.Bookshelf) > 0 && aux != 1 {
 		return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
 	}
-	if len(strategy) > 0 {
-		if _, err := padding.DecodeStrategy(strategy); err != nil {
+	// A strategy document must decode the way the run will decode it.
+	if len(s.Strategy) > 0 {
+		if _, err := padding.DecodeStrategy(s.Strategy); err != nil {
 			return fmt.Errorf("decode strategy: %v", err)
 		}
+	}
+	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.Budget < 0 || s.TimeoutSec < 0 {
+		return fmt.Errorf("negative scale/max_iters/workers/budget/timeout_sec")
 	}
 	return nil
 }
@@ -194,7 +196,9 @@ func designName(profile string, dir string) string {
 }
 
 // JobResult is the final quality summary of a finished job, stored in the
-// manifest and served by the result endpoint. The full run report, trace,
+// manifest and served by the result endpoint. A session's is its latest
+// placement (the base placement, then each applied delta's), kept when the
+// session is canceled. The full run report, trace,
 // and metric stream live next to it as downloadable artifacts. For a job
 // that was parked and resumed, the statistics are cumulative across
 // attempts: RuntimeMS sums every attempt, and the GP/padding counters come

@@ -27,8 +27,9 @@ type Job struct {
 }
 
 // Outcome is what a run reports when it returns: done, failed or canceled
-// (the manifest is finalized and the stream ends) or parked (the next boot
-// re-admits the job).
+// (the manifest is finalized and the stream ends), parked (the next boot
+// re-admits the job) or, for a session whose base placement finished, open
+// (the stream goes on with its deltas).
 type Outcome struct {
 	State JobState
 	// Error is the failure or cancel message.
@@ -69,7 +70,8 @@ func (s *Server) schedule() {
 // runJob owns one job's lifecycle around its run: claim, cancel
 // registration, the running event, then — once the run returns — the
 // durable manifest transition, and only after it the state event watchers
-// act on.
+// act on. The worker slot is released when runJob returns, an open
+// session's included.
 func (s *Server) runJob(id string) {
 	start := time.Now()
 	m, err := s.spool.Update(id, func(mm *Manifest) error {
@@ -89,15 +91,7 @@ func (s *Server) runJob(id string) {
 	}
 
 	a := s.ensureJob(id)
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	s.mu.Lock()
-	a.cancel = cancel
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		cancel(ErrParked) // drain began between Pop and registration
-	}
-	defer cancel(nil)
+	ctx, untrack := s.track(a, s.baseCtx)
 	ctx = obs.ContextWithLabels(ctx, slog.String("job", id))
 
 	queueWait := start.Sub(m.SubmittedAt)
@@ -117,10 +111,18 @@ func (s *Server) runJob(id string) {
 	}
 	now := time.Now()
 	if _, err := s.spool.Update(id, func(mm *Manifest) error {
+		if out.State == StateOpen && ctx.Err() != nil {
+			// Canceled or drained as its base placement finished: the
+			// session ends the way its context says. Under the spool lock,
+			// a Cancel that read the job running lands before this edit
+			// (and is seen here) or after it (and finds the session open).
+			out.State, out.Error = classifyOutcome(ctx, context.Canceled)
+		}
 		mm.State = out.State
-		if out.State.Terminal() {
+		switch {
+		case out.State.Terminal():
 			mm.FinishedAt = &now
-		} else {
+		case out.State == StateParked:
 			mm.StartedAt = nil
 		}
 		mm.Error = out.Error
@@ -129,6 +131,7 @@ func (s *Server) runJob(id string) {
 	}); err != nil {
 		s.log.ErrorContext(ctx, "finalize manifest", "error", err)
 	}
+	untrack()
 	s.queue.ObserveJobDuration(time.Since(start))
 	s.hJobWall.ObserveSince(start)
 	switch out.State {
@@ -142,13 +145,43 @@ func (s *Server) runJob(id string) {
 		s.reg.Counter("serve.jobs_parked").Inc()
 	}
 	a.hub.Publish(Event{Type: "state", State: out.State, Error: out.Error})
-	a.hub.Close()
-	s.mu.Lock()
-	a.cancel = nil
-	s.mu.Unlock()
-	if out.State.Terminal() {
-		retire(s, &s.finished, s.jobs, id)
-	}
 	s.log.InfoContext(ctx, "job finished",
 		"state", out.State, "wall", time.Since(start).Round(time.Millisecond), "error", out.Error)
+	if out.State == StateOpen {
+		return // the session's stream goes on with its deltas
+	}
+	if ws := s.warmOf(a); ws != nil {
+		ws.drop(s)
+	}
+	a.hub.Close()
+	if out.State.Terminal() {
+		s.retire(id)
+	}
+}
+
+// track derives the context of a job's in-flight work — its run, or a
+// session's delta — from parent and registers its cancel for Cancel and
+// Drain; untrack cancels and unregisters it.
+func (s *Server) track(a *activeJob, parent context.Context) (ctx context.Context, untrack func()) {
+	ctx, cancel := context.WithCancelCause(parent)
+	s.mu.Lock()
+	a.cancel = cancel
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
+		cancel(ErrParked) // drain began before registration
+	}
+	return ctx, func() {
+		cancel(nil)
+		s.mu.Lock()
+		a.cancel = nil
+		s.mu.Unlock()
+	}
+}
+
+// warmOf returns the job's session warm state, nil for other kinds.
+func (s *Server) warmOf(a *activeJob) *warmSession {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return a.eco
 }

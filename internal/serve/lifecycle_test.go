@@ -1,14 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"puffer/internal/eco"
+	"puffer/internal/obs"
+	"puffer/internal/synth"
 )
 
 // fakeRun is an in-memory stand-in for the local run: a job "runs" until
@@ -176,12 +184,16 @@ func TestBackendContract(t *testing.T) {
 	}
 }
 
-// TestRecoverParentSpools: spools as the parent commit's daemons left them
-// recover. A standalone daemon's queued, crashed-running and parked jobs
-// are re-admitted and finish. A coordinator's spool boots too: its done
-// cache hit is left alone, and its upload — whose files lived in the
+// TestRecoverParentSpools: spools as earlier daemons left them recover. A
+// standalone daemon's queued, crashed-running and parked jobs are
+// re-admitted and finish. A coordinator's spool boots too: its done cache
+// hit is left alone, and its upload — whose files lived in the
 // coordinator's content-addressed store, not under the job's design/ —
 // fails with an error naming the missing design instead of hanging.
+// Session jobs recover by their snapshot: one that crashed in its base
+// placement is placed again and opens, one that crashed open boots parked
+// and its next delta rehydrates. Sessions of the retired sessions/ layout
+// are left untouched, with one warning naming their count.
 func TestRecoverParentSpools(t *testing.T) {
 	dir := t.TempDir()
 	sp, err := OpenSpool(dir)
@@ -207,6 +219,41 @@ func TestRecoverParentSpools(t *testing.T) {
 	mk("standalone-q", StateQueued, nil)
 	mk("standalone-r", StateRunning, nil)
 	mk("standalone-p", StateParked, func(m *Manifest) { m.StartedAt = nil; m.Stage = "gp" })
+	sessionSpec := quickSessionSpec()
+	mk("session-r", StateRunning, func(m *Manifest) { m.Spec = sessionSpec })
+	mk("session-open", StateOpen, func(m *Manifest) { m.Spec = sessionSpec })
+	cfg, err := flowConfig(sessionSpec.Seed, 0, 0, nil, nil, NewHub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := synth.ProfileByName(sessionSpec.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := eco.New(synth.Generate(p, sessionSpec.Scale, sessionSpec.Seed), cfg, eco.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Place(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sn.Save(sp.SnapshotPath("session-open")); err != nil {
+		t.Fatal(err)
+	}
+	// A session as daemons wrote them before sessions were jobs.
+	parent := filepath.Join(dir, "sessions", "0ld5e5510n00")
+	parentDoc := []byte(`{"format":"puffer/session/v1","id":"0ld5e5510n00","spec":{"profile":"OR1200","scale":800,"seed":1},
+		"state":"open","deltas":1,"last_hpwl":3100,"opened_at":"2026-01-01T00:00:00Z"}`)
+	if err := os.MkdirAll(parent, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(parent, "manifest.json"), parentDoc, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// Manifests as a coordinator wrote them, fields this daemon no longer
 	// has included.
 	coord := map[string]string{
@@ -227,9 +274,22 @@ func TestRecoverParentSpools(t *testing.T) {
 		}
 	}
 
-	s := newTestServer(t, Config{SpoolDir: dir})
-	if s.Recovered != 4 {
-		t.Fatalf("recovered %d jobs, want 4", s.Recovered)
+	var logs syncBuffer
+	s := newTestServer(t, Config{SpoolDir: dir, Log: obs.NewLogger(&logs, slog.LevelInfo)})
+	if s.Recovered != 5 || s.RecoveredSessions != 1 {
+		t.Fatalf("recovered %d jobs and %d sessions, want 5 and 1", s.Recovered, s.RecoveredSessions)
+	}
+	if m, _ := sp.ReadManifest("session-open"); m.State != StateParked {
+		t.Fatalf("open session with a snapshot booted %s, want parked", m.State)
+	}
+	if n := strings.Count(logs.String(), "retired sessions/ layout"); n != 1 || !strings.Contains(logs.String(), "count=1") {
+		t.Errorf("boot logged %d warnings about the retired sessions/ layout, want one with count=1:\n%s", n, logs.String())
+	}
+	if got, err := os.ReadFile(filepath.Join(parent, "manifest.json")); err != nil || !bytes.Equal(got, parentDoc) {
+		t.Errorf("parent session manifest touched at boot: %v", err)
+	}
+	if entries, _ := os.ReadDir(parent); len(entries) != 1 {
+		t.Errorf("parent session dir holds %d entries after boot, want its one manifest", len(entries))
 	}
 	s.Start()
 	for id, attempts := range map[string]int{"standalone-q": 1, "standalone-r": 2, "standalone-p": 2} {
@@ -242,5 +302,17 @@ func TestRecoverParentSpools(t *testing.T) {
 	}
 	if m, err := sp.ReadManifest("coord-cached"); err != nil || m.State != StateDone || m.Attempts != 0 {
 		t.Errorf("coordinator cache hit after boot: %+v, %v", m, err)
+	}
+	if m := waitState(t, s, "session-r", StateOpen); m.Attempts != 2 || m.Result == nil || m.Result.HPWL != sn.LastHPWL {
+		t.Errorf("re-admitted session: attempts %d, result %+v; want 2 attempts and HPWL %v", m.Attempts, m.Result, sn.LastHPWL)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, dr := postDelta(t, ts, "session-open", sessionDelta(t, sessionSpec, 3, 0))
+	if code != http.StatusOK || !dr.Rehydrated || dr.Deltas != 1 {
+		t.Fatalf("delta on the parked session: status %d, %+v", code, dr)
+	}
+	if m, _ := sp.ReadManifest("session-open"); m.State != StateOpen {
+		t.Errorf("rehydrated session is %s, want open", m.State)
 	}
 }

@@ -20,9 +20,9 @@ import (
 )
 
 // runLocal executes one claimed job in process — through the staged
-// pipeline with per-stage checkpoints in the spool, or the in-process
-// explorer: telemetry setup, kind dispatch, artifact spooling, outcome
-// classification.
+// pipeline with per-stage checkpoints in the spool, the in-process
+// explorer, or a session's base placement: telemetry setup, kind
+// dispatch, artifact spooling, outcome classification.
 func (s *Server) runLocal(jobCtx context.Context, j *Job) Outcome {
 	m, id := j.M, j.M.ID
 	timeout := time.Duration(m.Spec.TimeoutSec * float64(time.Second))
@@ -63,10 +63,16 @@ func (s *Server) runLocal(jobCtx context.Context, j *Job) Outcome {
 	switch m.Spec.Kind {
 	case KindExplore:
 		result, err = s.execExplore(runCtx, m, j.Hub, tel.rec)
+	case KindSession:
+		result, err = s.execSession(runCtx, m, j.Hub, tel)
 	default:
 		result, err = s.execPlace(runCtx, m, j.Hub, tel.rec)
 	}
 	jobSpan.End()
+	if m.Spec.Kind == KindSession && err == nil {
+		// The session keeps its telemetry open for the deltas.
+		return Outcome{State: StateOpen, Result: result}
+	}
 
 	// Spool the telemetry regardless of outcome — a parked or failed job's
 	// partial trace and metrics are exactly what the operator wants to see.
@@ -77,8 +83,8 @@ func (s *Server) runLocal(jobCtx context.Context, j *Job) Outcome {
 	return Outcome{State: state, Error: errMsg, Result: result}
 }
 
-// runTelemetry is the telemetry of one job attempt or one warm ECO
-// session: an isolated registry whose samples stream to the run's hub and
+// runTelemetry is the telemetry of one job attempt, or of a session's
+// warm period (its base placement or rehydrate, and the deltas after it): an isolated registry whose samples stream to the run's hub and
 // to the spooled metrics.jsonl, and a tracer for the trace.json artifact.
 type runTelemetry struct {
 	rec     *obs.Recorder
@@ -135,7 +141,8 @@ func classifyOutcome(ctx context.Context, err error) (JobState, string) {
 	return StateFailed, err.Error()
 }
 
-// activeCount returns how many jobs are currently cancelable (running).
+// activeCount returns how many jobs are currently cancelable: running, or
+// a session applying a delta.
 func (s *Server) activeCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,10 +177,10 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 	return e.base.Clone(), e.topo, nil
 }
 
-// loadDesign materializes a job's or session's design: the synthetic
-// profile generated from scale and seed, or the upload spooled under
-// dir/design. Both rebuild bit-identically, which job resume and session
-// rehydration rely on.
+// loadDesign materializes a job's design: the synthetic profile generated
+// from scale and seed, or the upload spooled under dir/design. Both
+// rebuild bit-identically, which job resume and session rehydration rely
+// on.
 func loadDesign(profile string, scale int, seed int64, dir string) (*netlist.Design, error) {
 	if profile != "" {
 		p, err := synth.ProfileByName(profile)
@@ -189,10 +196,9 @@ func loadDesign(profile string, scale int, seed int64, dir string) (*netlist.Des
 	return bookshelf.Parse(filepath.Join(dir, "design", aux))
 }
 
-// flowConfig builds the pipeline configuration for a job or a session from
-// the spec fields the two share. It must be deterministic in its inputs: a
-// rehydrated session rebuilds the exact configuration its snapshot was
-// captured under.
+// flowConfig builds the pipeline configuration of a job from its spec. It
+// must be deterministic in its inputs: a rehydrated session rebuilds the
+// exact configuration its snapshot was captured under.
 func flowConfig(seed int64, maxIters, workers int, strategy json.RawMessage, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Place.Seed = seed

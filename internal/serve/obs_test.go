@@ -46,32 +46,25 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 
 	spec := quickSessionSpec()
 	m := openSessionHTTP(t, ts, s, spec)
-	trace := s.spool.sessions.dir(m.ID) + "/trace.json"
+	trace := s.spool.JobDir(m.ID) + "/trace.json"
+	_, ws := s.session(m.ID)
 	telemetry := func() *runTelemetry {
-		rt, ok := lookup(s, s.sessions, m.ID)
-		if !ok {
-			return nil
-		}
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return rt.tel
+		ws.mu.Lock()
+		defer ws.mu.Unlock()
+		return ws.tel
 	}
 	if telemetry() == nil {
 		t.Fatalf("open session %s has no telemetry", m.ID)
 	}
 
 	// Idle eviction must drop the warm state AND the telemetry.
-	rt, ok := lookup(s, s.sessions, m.ID)
-	if !ok {
-		t.Fatal("no runtime for open session")
-	}
-	rt.mu.Lock()
-	rt.lastUsed = time.Now().Add(-time.Hour)
-	rt.mu.Unlock()
+	ws.mu.Lock()
+	ws.lastUsed = time.Now().Add(-time.Hour)
+	ws.mu.Unlock()
 	s.evictIdleSessions(time.Minute)
-	rt.mu.Lock()
-	evicted := rt.sess == nil && rt.tel == nil
-	rt.mu.Unlock()
+	ws.mu.Lock()
+	evicted := ws.sess == nil && ws.tel == nil
+	ws.mu.Unlock()
 	if !evicted {
 		t.Fatal("eviction left warm state or telemetry behind")
 	}
@@ -100,15 +93,7 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 
 	// Close releases the telemetry, spools the delta's span tree, and
 	// enrolls the session in hub retention.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+m.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("close status %d", resp.StatusCode)
-	}
+	cancelHTTP(t, ts, m.ID)
 	if telemetry() != nil {
 		t.Fatal("closed session kept its telemetry")
 	}
@@ -123,7 +108,7 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	retained := len(s.finishedSessions)
+	retained := len(s.finished)
 	s.mu.Unlock()
 	if retained == 0 {
 		t.Fatal("closed session not enrolled in retention")
@@ -141,6 +126,9 @@ func TestReadyzAndOps(t *testing.T) {
 
 	id := enqueue(t, s, quickSpec())
 	waitState(t, s, id, StateDone)
+	// runJob observes the job wall after the manifest waitState polls,
+	// and counts the outcome after that.
+	waitCount(t, s, "serve.jobs_completed", 1)
 
 	get := func(path string) (int, []byte) {
 		t.Helper()
@@ -228,72 +216,81 @@ func TestSubmitAdoptsTraceparent(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	client := obs.NewTracer()
-	clientSpan := client.StartSpan("client.submit")
-	tc := clientSpan.TraceContext()
+	var body []byte
+	for _, spec := range []JobSpec{quickSpec(), quickSessionSpec()} {
+		client := obs.NewTracer()
+		clientSpan := client.StartSpan("client.submit")
+		tc := clientSpan.TraceContext()
 
-	body, _ := json.Marshal(quickSpec())
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/jobs", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Manifest
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if m.TraceParent != tc.Traceparent() {
-		t.Fatalf("manifest traceparent %q, want %q", m.TraceParent, tc.Traceparent())
-	}
-	waitState(t, s, m.ID, StateDone)
-	clientSpan.End()
+		body, _ = json.Marshal(spec)
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/jobs", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Manifest
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if m.TraceParent != tc.Traceparent() {
+			t.Fatalf("%s: manifest traceparent %q, want %q", spec.Kind, m.TraceParent, tc.Traceparent())
+		}
+		if spec.Kind == KindSession {
+			// A session spools its span tree when its telemetry closes.
+			waitState(t, s, m.ID, StateOpen)
+			cancelHTTP(t, ts, m.ID)
+		} else {
+			waitState(t, s, m.ID, StateDone)
+		}
+		clientSpan.End()
 
-	data, err := os.ReadFile(s.spool.JobDir(m.ID) + "/trace.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	spans := map[string]map[string]any{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
+		data, err := os.ReadFile(s.spool.JobDir(m.ID) + "/trace.json")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := ev.Args["trace_id"]; got != tc.TraceID.String() {
-			t.Fatalf("span %s trace_id %v, want %s", ev.Name, got, tc.TraceID)
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Ph   string         `json:"ph"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
 		}
-		spans[ev.Name] = ev.Args
-	}
-	job, ok := spans["serve.job"]
-	if !ok {
-		t.Fatalf("no serve.job span in %v", spans)
-	}
-	if job["parent_span_id"] != tc.SpanID.String() {
-		t.Fatalf("serve.job parent %v, want client span %s", job["parent_span_id"], tc.SpanID)
-	}
-	jobID := job["span_id"]
-	if spans["serve.queue_wait"]["parent_span_id"] != jobID {
-		t.Fatal("queue wait not parented under serve.job")
-	}
-	if spans["run"]["parent_span_id"] != jobID {
-		t.Fatal("pipeline run not parented under serve.job")
-	}
-	if spans["stage.place"]["parent_span_id"] != spans["run"]["span_id"] {
-		t.Fatal("stage.place not parented under run")
-	}
-	if _, ok := spans["place.gp"]; !ok {
-		t.Fatalf("no place.gp engine span among %d spans", len(spans))
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]map[string]any{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph != "X" {
+				continue
+			}
+			if got := ev.Args["trace_id"]; got != tc.TraceID.String() {
+				t.Fatalf("%s: span %s trace_id %v, want %s", spec.Kind, ev.Name, got, tc.TraceID)
+			}
+			spans[ev.Name] = ev.Args
+		}
+		job, ok := spans["serve.job"]
+		if !ok {
+			t.Fatalf("%s: no serve.job span in %v", spec.Kind, spans)
+		}
+		if job["parent_span_id"] != tc.SpanID.String() {
+			t.Fatalf("%s: serve.job parent %v, want client span %s", spec.Kind, job["parent_span_id"], tc.SpanID)
+		}
+		jobID := job["span_id"]
+		if spans["serve.queue_wait"]["parent_span_id"] != jobID {
+			t.Fatalf("%s: queue wait not parented under serve.job", spec.Kind)
+		}
+		if spans["run"]["parent_span_id"] != jobID {
+			t.Fatalf("%s: pipeline run not parented under serve.job", spec.Kind)
+		}
+		if spans["stage.place"]["parent_span_id"] != spans["run"]["span_id"] {
+			t.Fatalf("%s: stage.place not parented under run", spec.Kind)
+		}
+		if _, ok := spans["place.gp"]; !ok {
+			t.Fatalf("%s: no place.gp engine span among %d spans", spec.Kind, len(spans))
+		}
 	}
 
 	// A malformed traceparent is ignored, not rejected: the job still runs
@@ -314,7 +311,7 @@ func TestSubmitAdoptsTraceparent(t *testing.T) {
 }
 
 // TestStructuredRequestLog pins the serve log contract the e2e script
-// greps: slog text lines with msg/job/session attrs, correlated with the
+// greps: slog text lines with msg/job attrs, correlated with the
 // incoming traceparent.
 func TestStructuredRequestLog(t *testing.T) {
 	var buf syncBuffer

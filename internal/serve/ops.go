@@ -64,8 +64,8 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	}
 	sessions := s.liveSessions()
 	warm := 0
-	for _, rt := range sessions {
-		if rt.warm() != nil {
+	for _, ws := range sessions {
+		if ws.warm() != nil {
 			warm++
 		}
 	}

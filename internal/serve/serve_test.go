@@ -217,12 +217,12 @@ func TestSpoolRecoverRequeuesInterrupted(t *testing.T) {
 			mk("aaaaaaaaaaa4", StateDone, false)
 			mk("aaaaaaaaaaa5", StateCanceled, false)
 
-			recovered, err := sp.Recover()
+			recovered, parked, err := sp.Recover()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recovered) != 3 {
-				t.Fatalf("recovered %d jobs, want 3", len(recovered))
+			if len(recovered) != 3 || len(parked) != 0 {
+				t.Fatalf("recovered %d jobs and parked %d, want 3 and 0", len(recovered), len(parked))
 			}
 			for _, m := range recovered {
 				if m.State != StateQueued {
@@ -244,45 +244,61 @@ func TestSpoolRecoverRequeuesInterrupted(t *testing.T) {
 			}
 		}},
 		{"session", func(t *testing.T, sp *Spool) {
+			// A session whose snapshot is spooled parks for its next delta;
+			// one without is placed again like any job; a finished one is
+			// left alone.
 			now := time.Now().UTC().Add(-time.Hour)
-			states := []SessionState{SessionOpening, SessionOpen, SessionParked, SessionFailed, SessionClosed}
+			cases := []struct {
+				state    JobState
+				snapshot bool
+				want     JobState
+			}{
+				{StateQueued, false, StateQueued},
+				{StateRunning, false, StateQueued}, // crashed in its base placement
+				{StateRunning, true, StateParked},  // crashed before the open edit
+				{StateParked, false, StateQueued},  // drained in its base placement
+				{StateParked, true, StateParked},
+				{StateOpen, true, StateParked}, // crashed while open
+				{StateCanceled, true, StateCanceled},
+			}
 			before := map[string][]byte{}
-			for i, st := range states {
-				m := &SessionManifest{ID: fmt.Sprintf("bbbbbbbbbbb%d", i), Spec: SessionSpec{Profile: "OR1200"},
-					State: st, OpenedAt: now.Add(time.Duration(i) * time.Second)}
-				if st == SessionFailed {
-					m.Error = "engine failure"
+			for i, c := range cases {
+				m := &Manifest{ID: fmt.Sprintf("bbbbbbbbbbb%d", i), Spec: JobSpec{Kind: KindSession, Profile: "OR1200"},
+					State: c.state, SubmittedAt: now.Add(time.Duration(i) * time.Second)}
+				if c.state != StateQueued {
+					m.StartedAt, m.Attempts = &now, 1
 				}
-				if err := sp.sessions.create(m, nil); err != nil {
+				if err := sp.CreateJob(m); err != nil {
 					t.Fatal(err)
 				}
-				before[m.ID], _ = os.ReadFile(filepath.Join(sp.sessions.dir(m.ID), "manifest.json"))
+				if c.snapshot {
+					if err := os.WriteFile(sp.SnapshotPath(m.ID), []byte("{}"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before[m.ID], _ = os.ReadFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"))
 			}
 
-			if s := newTestServer(t, Config{SpoolDir: sp.Root()}); s.RecoveredSessions != 2 {
-				t.Fatalf("recovered %d sessions, want the open and the parked one", s.RecoveredSessions)
+			requeue, parked, err := sp.Recover()
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := []struct {
-				state SessionState
-				err   string
-			}{
-				{SessionFailed, "daemon restarted before the base placement finished"},
-				{SessionParked, ""}, {SessionParked, ""},
-				{SessionFailed, "engine failure"}, {SessionClosed, ""},
+			if len(requeue) != 3 || len(parked) != 3 {
+				t.Fatalf("requeued %d and parked %d sessions, want 3 and 3", len(requeue), len(parked))
 			}
-			for i, w := range want {
+			for i, c := range cases {
 				id := fmt.Sprintf("bbbbbbbbbbb%d", i)
-				m, err := sp.sessions.read(id)
+				m, err := sp.ReadManifest(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.State != w.state || m.Error != w.err {
-					t.Errorf("session %s on disk: %s %q, want %s %q", id, m.State, m.Error, w.state, w.err)
+				if m.State != c.want || (c.want == StateQueued && m.StartedAt != nil) {
+					t.Errorf("session %s (%s, snapshot %v) on disk: %s started %v, want %s",
+						id, c.state, c.snapshot, m.State, m.StartedAt, c.want)
 				}
-				if states[i].Terminal() {
-					after, _ := os.ReadFile(filepath.Join(sp.sessions.dir(id), "manifest.json"))
-					if !bytes.Equal(after, before[id]) {
-						t.Errorf("terminal session %s rewritten by recovery", id)
+				if c.state == c.want {
+					if after, _ := os.ReadFile(filepath.Join(sp.JobDir(id), "manifest.json")); !bytes.Equal(after, before[id]) {
+						t.Errorf("session %s rewritten by recovery though its state holds", id)
 					}
 				}
 			}
@@ -316,50 +332,56 @@ func TestSpoolArtifactPathRejectsEscape(t *testing.T) {
 	}
 }
 
-// TestSpoolManifestFormatEnforced runs the store contract over both
-// manifest families.
+// TestSpoolManifestFormatEnforced runs the store contract over the jobs
+// of each kind; a session manifest of the retired puffer/session/v1
+// family does not read as a job.
 func TestSpoolManifestFormatEnforced(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T, *Spool)
 	}{
 		{"job", func(t *testing.T, sp *Spool) {
-			checkStore(t, &sp.jobs, "puffer/job/v1", func(id string, at time.Time) *Manifest {
+			checkStore(t, sp, func(id string, at time.Time) *Manifest {
 				return &Manifest{ID: id, Spec: JobSpec{Profile: "OR1200"}, State: StateQueued, SubmittedAt: at}
 			})
 		}},
 		{"session", func(t *testing.T, sp *Spool) {
-			checkStore(t, &sp.sessions, "puffer/session/v1", func(id string, at time.Time) *SessionManifest {
-				return &SessionManifest{ID: id, Spec: SessionSpec{Profile: "OR1200"}, State: SessionOpen, OpenedAt: at}
+			checkStore(t, sp, func(id string, at time.Time) *Manifest {
+				return &Manifest{ID: id, Spec: JobSpec{Kind: KindSession, Profile: "OR1200"}, State: StateOpen, SubmittedAt: at}
 			})
+			id := "dddddddddddd"
+			doc := `{"format":"puffer/session/v1","id":"dddddddddddd","spec":{"profile":"OR1200"},"state":"open","deltas":2}`
+			if err := os.WriteFile(filepath.Join(sp.JobDir(id), "manifest.json"), []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.ReadManifest(id); err == nil {
+				t.Error("a puffer/session/v1 manifest read as a job")
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, openTestSpool(t)) })
 	}
 }
 
-// checkStore checks one family's store: the stored format string, that a
+// checkStore checks the job store: the stored format string, that a
 // foreign-format, a truncated and a misplaced manifest do not read, and
-// that list skips them and orders the rest oldest first, ID breaking ties.
-func checkStore[T any, M interface {
-	*T
-	record
-}](t *testing.T, st *store[T, M], format string, mk func(id string, at time.Time) M) {
+// that List skips them and orders the rest oldest first, ID breaking ties.
+func checkStore(t *testing.T, sp *Spool, mk func(id string, at time.Time) *Manifest) {
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	// Directory order (aaa, bbb, ccc) is not list order (bbb, aaa, ccc).
-	for _, m := range []M{mk("cccccccccccc", at.Add(time.Second)), mk("bbbbbbbbbbbb", at), mk("aaaaaaaaaaaa", at.Add(time.Second))} {
-		if err := st.create(m, nil); err != nil {
+	for _, m := range []*Manifest{mk("cccccccccccc", at.Add(time.Second)), mk("bbbbbbbbbbbb", at), mk("aaaaaaaaaaaa", at.Add(time.Second))} {
+		if err := sp.CreateJob(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := st.read("aaaaaaaaaaaa")
+	got, err := sp.ReadManifest("aaaaaaaaaaaa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, _, _ := got.header(); *f != format {
-		t.Fatalf("stored format %q, want %q", *f, format)
+	if got.Format != "puffer/job/v1" {
+		t.Fatalf("stored format %q, want puffer/job/v1", got.Format)
 	}
-	good, err := os.ReadFile(filepath.Join(st.dir("aaaaaaaaaaaa"), "manifest.json"))
+	good, err := os.ReadFile(filepath.Join(sp.JobDir("aaaaaaaaaaaa"), "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,24 +390,23 @@ func checkStore[T any, M interface {
 		"eeeeeeeeeeee": good[:len(good)/2],
 		"ffffffffffff": good, // names aaaaaaaaaaaa
 	} {
-		if err := os.MkdirAll(st.dir(id), 0o755); err != nil {
+		if err := os.MkdirAll(sp.JobDir(id), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(st.dir(id), "manifest.json"), doc, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(sp.JobDir(id), "manifest.json"), doc, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.read(id); err == nil {
+		if _, err := sp.ReadManifest(id); err == nil {
 			t.Errorf("manifest %s accepted:\n%s", id, doc)
 		}
 	}
-	all, err := st.list()
+	all, err := sp.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
 	for _, m := range all {
-		_, id, _ := m.header()
-		ids = append(ids, id)
+		ids = append(ids, m.ID)
 	}
 	if got, want := strings.Join(ids, " "), "bbbbbbbbbbbb aaaaaaaaaaaa cccccccccccc"; got != want {
 		t.Fatalf("list order %s, want %s", got, want)
@@ -394,7 +415,7 @@ func checkStore[T any, M interface {
 
 // FuzzReadManifest: whatever a manifest file holds, reading it either
 // fails or yields a manifest the store rewrites to a fixed point — read,
-// write and read again give the same document — for both families.
+// write and read again give the same document.
 func FuzzReadManifest(f *testing.F) {
 	sp, err := OpenSpool(f.TempDir())
 	if err != nil {
@@ -403,16 +424,14 @@ func FuzzReadManifest(f *testing.F) {
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	job := &Manifest{ID: "aaaaaaaaaaaa", Spec: quickSpec(), State: StateDone, Attempts: 2,
 		SubmittedAt: at, StartedAt: &at, FinishedAt: &at, Result: &JobResult{HPWL: 1.5, Artifacts: []string{"trace.json"}}}
-	sess := &SessionManifest{ID: "aaaaaaaaaaaa", Spec: quickSessionSpec(), State: SessionOpen, Deltas: 3,
-		LastHPWL: 2.5, OpenedAt: at, LastDeltaAt: &at}
-	if err := sp.jobs.create(job, map[string]string{"d.aux": "RowBasedPlacement : d.nodes"}); err != nil {
-		f.Fatal(err)
-	}
-	if err := sp.sessions.create(sess, nil); err != nil {
-		f.Fatal(err)
-	}
-	for _, dir := range []string{sp.jobs.dir(job.ID), sp.sessions.dir(sess.ID)} {
-		data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	sess := &Manifest{ID: "bbbbbbbbbbbb", Spec: quickSessionSpec(), State: StateOpen, Attempts: 1,
+		SubmittedAt: at, StartedAt: &at, Result: &JobResult{HPWL: 2.5}}
+	job.Spec.Bookshelf = map[string]string{"d.aux": "RowBasedPlacement : d.nodes"}
+	for _, m := range []*Manifest{job, sess} {
+		if err := sp.CreateJob(m); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -425,16 +444,14 @@ func FuzzReadManifest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rewriteFixedPoint(t, &sp.jobs, data)
-		rewriteFixedPoint(t, &sp.sessions, data)
+		for _, id := range []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"} {
+			rewriteFixedPoint(t, sp, id, data)
+		}
 	})
 }
 
-func rewriteFixedPoint[T any, M interface {
-	*T
-	record
-}](t *testing.T, st *store[T, M], data []byte) {
-	path := filepath.Join(st.dir("aaaaaaaaaaaa"), "manifest.json")
+func rewriteFixedPoint(t *testing.T, sp *Spool, id string, data []byte) {
+	path := filepath.Join(sp.JobDir(id), "manifest.json")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -443,21 +460,21 @@ func rewriteFixedPoint[T any, M interface {
 	}
 	var docs [2][]byte
 	for i := range docs {
-		m, err := st.read("aaaaaaaaaaaa")
+		m, err := sp.ReadManifest(id)
 		if err != nil {
 			if i == 0 {
 				return
 			}
-			t.Fatalf("rewritten %s manifest does not read: %v\n%s", st.noun, err, docs[0])
+			t.Fatalf("rewritten manifest does not read: %v\n%s", err, docs[0])
 		}
-		if err := st.write(m); err != nil {
-			t.Fatalf("%s manifest read but does not write: %v", st.noun, err)
+		if err := sp.write(m); err != nil {
+			t.Fatalf("manifest read but does not write: %v", err)
 		}
 		if docs[i], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
-		t.Fatalf("%s manifest changed on its second rewrite:\n%s\n---\n%s", st.noun, docs[0], docs[1])
+		t.Fatalf("manifest changed on its second rewrite:\n%s\n---\n%s", docs[0], docs[1])
 	}
 }

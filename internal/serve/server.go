@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -42,7 +44,7 @@ type Config struct {
 	// work still completes normally. 0 cancels immediately.
 	DrainGrace time.Duration
 	// Log receives the daemon's structured log records. Every record
-	// carries trace/span/job/session correlation attrs when emitted under
+	// carries trace/span/job correlation attrs when emitted under
 	// a request or worker context (obs.LogHandler). Nil means silent.
 	Log *slog.Logger
 }
@@ -52,8 +54,13 @@ var errJobDeadline = errors.New("job deadline exceeded")
 
 // activeJob is the in-memory runtime of one admitted job.
 type activeJob struct {
-	hub    *Hub
-	cancel context.CancelCauseFunc // nil unless the job is running
+	hub *Hub
+	// cancel is non-nil while the job's run or, for a session, a delta is
+	// in flight.
+	cancel context.CancelCauseFunc
+	// eco is a session's warm state; nil for other kinds, and for a
+	// session until its base placement finishes or a delta rehydrates it.
+	eco *warmSession
 }
 
 // Server is the placement job service: spool + queue + worker pool +
@@ -92,12 +99,10 @@ type Server struct {
 	// of the same design (keyed by content address).
 	designs *designCache
 
-	mu               sync.Mutex
-	jobs             map[string]*activeJob // every job seen this boot, incl. finished
-	sessions         map[string]*sessionRuntime
-	finished         []string // finished-job hub retention order
-	finishedSessions []string // closed/failed-session hub retention order
-	draining         bool
+	mu       sync.Mutex
+	jobs     map[string]*activeJob // every job seen this boot, incl. finished
+	finished []string              // finished-job hub retention order
+	draining bool
 
 	// Recovered is the number of interrupted jobs re-admitted at boot.
 	Recovered int
@@ -111,7 +116,7 @@ type Server struct {
 // spooled manifest/artifacts.
 const hubRetention = 128
 
-// New opens the spool, re-admits interrupted jobs and parks inherited
+// New opens the spool, re-admits interrupted jobs and parks placed
 // sessions, and prepares the scheduler (not yet started). Jobs run on the
 // in-process worker pool.
 func New(cfg Config) (*Server, error) {
@@ -147,7 +152,6 @@ func New(cfg Config) (*Server, error) {
 		stopBase:  cancel,
 		designs:   newDesignCache(),
 		jobs:      make(map[string]*activeJob),
-		sessions:  make(map[string]*sessionRuntime),
 	}
 	s.schedCtx, s.stopSched = context.WithCancel(ctx)
 	s.run = s.runLocal
@@ -172,18 +176,27 @@ func New(cfg Config) (*Server, error) {
 		cancel()
 		return nil, fmt.Errorf("serve: recover spool: %w", err)
 	}
-	if err := s.recoverSessions(); err != nil {
-		cancel()
-		return nil, err
-	}
 	return s, nil
 }
 
-// recover puts the spool's interrupted jobs (Spool.Recover) back in line.
+// recover puts the spool's interrupted jobs back in line and counts the
+// sessions it parked (Spool.Recover).
 func (s *Server) recover() error {
-	requeue, err := s.spool.Recover()
+	requeue, parked, err := s.spool.Recover()
 	if err != nil {
 		return err
+	}
+	for _, m := range parked {
+		s.log.Info("session parked at boot; next delta rehydrates", "job", m.ID)
+	}
+	s.RecoveredSessions = len(parked)
+	// Sessions had a manifest family of their own under sessions/ until
+	// they became jobs; such a spool still boots, but its sessions are not
+	// carried over.
+	dir := filepath.Join(s.spool.Root(), "sessions")
+	if old, _ := os.ReadDir(dir); len(old) > 0 {
+		s.log.Warn("ignoring sessions spooled in the retired sessions/ layout; reopen them as session jobs",
+			"count", len(old), "dir", dir)
 	}
 	for _, m := range requeue {
 		s.ensureJob(m.ID)
@@ -195,30 +208,6 @@ func (s *Server) recover() error {
 		s.log.Info("re-admitted interrupted job", "job", m.ID, "attempt", m.Attempts, "stage", m.Stage)
 	}
 	s.Recovered = len(requeue)
-	return nil
-}
-
-// recoverSessions marks the sessions a booting daemon inherits: sessions
-// still opening when the previous daemon died have no snapshot and fail;
-// open or parked ones park, for the next delta to rehydrate them from the
-// spooled snapshot.
-func (s *Server) recoverSessions() error {
-	const msg = "daemon restarted before the base placement finished"
-	err := s.spool.sessions.sweep(func(m *SessionManifest) func(*SessionManifest) error {
-		switch m.State {
-		case SessionOpening:
-			s.log.Warn("session failed at boot", "session", m.ID, "error", msg)
-			return failSession(msg)
-		case SessionOpen, SessionParked:
-			s.RecoveredSessions++
-			s.log.Info("session parked at boot; next delta rehydrates", "session", m.ID, "deltas", m.Deltas)
-			return parkSession
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("serve: recover sessions: %w", err)
-	}
 	return nil
 }
 
@@ -262,34 +251,34 @@ func (s *Server) ensureJob(id string) *activeJob {
 	return a
 }
 
-// lookup returns the job or session runtime entry for id in live, if this
-// boot has one.
-func lookup[R any](s *Server, live map[string]R, id string) (R, bool) {
+// job returns the job's runtime entry, if this boot has one.
+func (s *Server) job(id string) (*activeJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rt, ok := live[id]
-	return rt, ok
+	a, ok := s.jobs[id]
+	return a, ok
 }
 
-// retire enrolls a terminal job's or session's runtime in hub retention:
-// it stays in live, for late watchers, until hubRetention later ones have
-// retired, then drops (reads fall back to the spooled manifest).
-func retire[R any](s *Server, order *[]string, live map[string]R, id string) {
+// retire enrolls a terminal job's runtime in hub retention: it stays, for
+// late watchers, until hubRetention later ones have retired, then drops
+// (reads fall back to the spooled manifest).
+func (s *Server) retire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	*order = append(*order, id)
-	for len(*order) > hubRetention {
-		delete(live, (*order)[0])
-		*order = (*order)[1:]
+	s.finished = append(s.finished, id)
+	for len(s.finished) > hubRetention {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
 }
 
 // Drain gracefully stops the server: admission closes (submissions get
-// 503), running jobs are canceled with cause ErrParked — they park at
-// their last stage-boundary checkpoint within one pipeline iteration — and
-// everything is awaited up to ctx's
-// deadline. Queued jobs stay queued in the spool; the next boot re-admits
-// queued and parked jobs alike.
+// 503), running jobs and in-flight deltas are canceled with cause
+// ErrParked — a job parks at its last stage-boundary checkpoint within one
+// pipeline iteration, a delta is lost — and everything is awaited up to
+// ctx's deadline; then open sessions park at their last applied delta.
+// Queued jobs stay queued in the spool; the next boot re-admits queued and
+// parked jobs alike.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -318,18 +307,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	for _, c := range cancels {
 		c(ErrParked)
 	}
-	s.parkSessions()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("serve: drain timed out: %w", context.Cause(ctx))
+		err = fmt.Errorf("serve: drain timed out: %w", context.Cause(ctx))
 	}
+	s.parkSessions()
+	return err
 }
 
 // Close force-stops the server (Drain with a generous default window,

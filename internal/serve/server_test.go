@@ -296,39 +296,39 @@ func TestHTTPSurface(t *testing.T) {
 }
 
 func TestSubmitBackpressure429(t *testing.T) {
-	// One-slot queue and a pool that is never started: the second
-	// submission must be rejected with 429 and a Retry-After hint, and must
-	// leave nothing behind in the spool.
-	s := newTestServer(t, Config{QueueCap: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	// One-slot queue and a pool that is never started: a submission past
+	// the first — a session as much as a job — must be rejected with 429
+	// and a Retry-After hint, and must leave nothing behind in the spool.
+	for _, spec := range []JobSpec{quickSpec(), quickSessionSpec()} {
+		t.Run(spec.Kind, func(t *testing.T) {
+			s := newTestServer(t, Config{QueueCap: 1})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	submit := func() *http.Response {
-		body, _ := json.Marshal(quickSpec())
-		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	if resp := submit(); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %d", resp.StatusCode)
-	}
-	resp := submit()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submit: %d, want 429", resp.StatusCode)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
-	}
-	ms, err := s.spool.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 {
-		t.Fatalf("spool holds %d jobs after rejection, want 1", len(ms))
+			submit := func(spec JobSpec) *http.Response {
+				body, _ := json.Marshal(spec)
+				resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { resp.Body.Close() })
+				return resp
+			}
+			if resp := submit(quickSpec()); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("first submit: %d", resp.StatusCode)
+			}
+			resp := submit(spec)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("second submit: %d, want 429", resp.StatusCode)
+			}
+			ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if err != nil || ra < 1 {
+				t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
+			}
+			if dirs, err := os.ReadDir(s.spool.jobs); err != nil || len(dirs) != 1 {
+				t.Fatalf("spool holds %d job dirs after rejection, want 1 (%v)", len(dirs), err)
+			}
+		})
 	}
 }
 

@@ -2,28 +2,30 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"puffer/internal/eco"
 	"puffer/internal/netlist"
 	"puffer/internal/synth"
 )
 
 // quickSessionSpec opens a session over the same small-but-complete design
 // quickSpec uses for jobs.
-func quickSessionSpec() SessionSpec {
-	s := SessionSpec{Profile: "MEDIA_SUBSYS", Scale: 3000, Seed: 5}
+func quickSessionSpec() JobSpec {
+	s := JobSpec{Kind: KindSession, Profile: "MEDIA_SUBSYS", Scale: 3000, Seed: 5}
 	s.Normalize()
 	return s
 }
 
 // sessionDelta builds a delta document moving n movable cells of the
 // spec's design to scattered absolute positions inside the region.
-func sessionDelta(t *testing.T, spec SessionSpec, n int, slot int) []byte {
+func sessionDelta(t *testing.T, spec JobSpec, n int, slot int) []byte {
 	t.Helper()
 	p, err := synth.ProfileByName(spec.Profile)
 	if err != nil {
@@ -67,55 +69,57 @@ func designDelta(t *testing.T, d *netlist.Design, n int, slot int) []byte {
 	return data
 }
 
-// openSessionHTTP posts spec and waits until the session reaches open.
-func openSessionHTTP(t *testing.T, ts *httptest.Server, s *Server, spec SessionSpec) *SessionManifest {
+// submitHTTP posts spec to the job API and returns the admitted manifest.
+func submitHTTP(t *testing.T, ts *httptest.Server, spec JobSpec) *Manifest {
 	t.Helper()
 	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("open status %d", resp.StatusCode)
+		t.Fatalf("submit status %d", resp.StatusCode)
 	}
-	var m SessionManifest
+	var m Manifest
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.ID == "" || m.State != SessionOpening {
-		t.Fatalf("open returned %+v", m)
+	if m.ID == "" || m.State != StateQueued {
+		t.Fatalf("submit returned %+v", m)
 	}
-	return waitSessionState(t, s, m.ID, SessionOpen)
+	return &m
 }
 
-// waitSessionState polls the durable session manifest until it reaches want.
-func waitSessionState(t *testing.T, s *Server, id string, want SessionState) *SessionManifest {
+// openSessionHTTP submits a session job and waits until it is open.
+func openSessionHTTP(t *testing.T, ts *httptest.Server, s *Server, spec JobSpec) *Manifest {
 	t.Helper()
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		m, err := s.spool.sessions.read(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.State == want {
-			return m
-		}
-		if m.State.Terminal() {
-			t.Fatalf("session %s reached %s (error %q) while waiting for %s", id, m.State, m.Error, want)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("session %s stuck in %s waiting for %s", id, m.State, want)
-		}
-		time.Sleep(20 * time.Millisecond)
+	return waitState(t, s, submitHTTP(t, ts, spec).ID, StateOpen)
+}
+
+// cancelHTTP closes a session through the job API's cancel route.
+func cancelHTTP(t *testing.T, ts *httptest.Server, id string) *Manifest {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs/"+id+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel status %d", resp.StatusCode)
+	}
+	var m Manifest
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
 }
 
 // postDelta applies a delta document, returning the HTTP status and the
 // decoded success body (zero-valued on non-200).
 func postDelta(t *testing.T, ts *httptest.Server, id string, delta []byte) (int, deltaResponse) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/api/v1/sessions/"+id+"/deltas", "application/json", bytes.NewReader(delta))
+	resp, err := http.Post(ts.URL+"/api/v1/jobs/"+id+"/deltas", "application/json", bytes.NewReader(delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +133,56 @@ func postDelta(t *testing.T, ts *httptest.Server, id string, delta []byte) (int,
 	return resp.StatusCode, dr
 }
 
+// snapshotOf loads the session's spooled eco snapshot.
+func snapshotOf(t *testing.T, s *Server, id string) *eco.Snapshot {
+	t.Helper()
+	sn, err := eco.LoadSnapshot(s.spool.SnapshotPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// warmState returns the session's in-memory warm state, nil when it has
+// none (or no runtime this boot).
+func warmState(s *Server, id string) *eco.Session {
+	if a, ok := s.job(id); ok {
+		if ws := s.warmOf(a); ws != nil {
+			return ws.warm()
+		}
+	}
+	return nil
+}
+
+// TestSessionLifecycleHTTP walks a session job through the job routes:
+// it waits for a worker slot like any job, opens, takes deltas, lists,
+// and closes through cancel with its last result kept.
 func TestSessionLifecycleHTTP(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{}) // one worker
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// A session is admitted like any job: with the one slot held, it
+	// stays queued until the slot frees.
+	busy := submitHTTP(t, ts, slowSpec())
+	waitEvent(t, s, busy.ID, isState(StateRunning))
 	spec := quickSessionSpec()
-	m := openSessionHTTP(t, ts, s, spec)
-	if m.LastHPWL <= 0 || m.DesignHash == "" {
+	queued := submitHTTP(t, ts, spec)
+	time.Sleep(200 * time.Millisecond)
+	if m, _ := s.spool.ReadManifest(queued.ID); m.State != StateQueued {
+		t.Fatalf("session behind a running job is %s, want queued", m.State)
+	}
+	if _, err := s.Cancel(busy.ID, ""); err != nil {
+		t.Fatal(err)
+	}
+	m := waitState(t, s, queued.ID, StateOpen)
+	if m.Result == nil || m.Result.HPWL <= 0 || snapshotOf(t, s, m.ID).DesignHash == "" {
 		t.Fatalf("open session manifest %+v", m)
+	}
+	// Deltas are a session's: a place job refuses them.
+	if code, _ := postDelta(t, ts, busy.ID, sessionDelta(t, spec, 3, 0)); code != http.StatusConflict {
+		t.Fatalf("delta on a place job status %d", code)
 	}
 
 	// Malformed deltas are rejected by the strict decoder before any
@@ -162,19 +206,21 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 		t.Fatalf("delta response %+v", dr)
 	}
 
-	// The list endpoint shows the session warm with one delta applied.
-	resp, err := http.Get(ts.URL + "/api/v1/sessions")
+	// The list shows the session open (warm) with the delta's placement,
+	// and its snapshot holds the one delta.
+	resp, err := http.Get(ts.URL + "/api/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []sessionSummary
+	var rows []JobSummary
 	json.NewDecoder(resp.Body).Decode(&rows)
 	resp.Body.Close()
 	found := false
 	for _, row := range rows {
 		if row.ID == m.ID {
 			found = true
-			if row.Deltas != 1 || !row.Warm || row.State != SessionOpen {
+			if row.Kind != KindSession || row.State != StateOpen || row.HPWL != dr.HPWL ||
+				snapshotOf(t, s, m.ID).Deltas != 1 || warmState(s, m.ID) == nil {
 				t.Fatalf("session row %+v", row)
 			}
 		}
@@ -183,18 +229,66 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 		t.Fatalf("session %s missing from list %+v", m.ID, rows)
 	}
 
-	// Close, then verify no further deltas are accepted.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+m.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("close status %d", resp.StatusCode)
+	// Close through cancel: the session ends canceled with its last
+	// result, and no further deltas are accepted.
+	closed := cancelHTTP(t, ts, m.ID)
+	if closed.State != StateCanceled || closed.Result == nil || closed.Result.HPWL != dr.HPWL {
+		t.Fatalf("closed session manifest %+v", closed)
 	}
 	if code, _ := postDelta(t, ts, m.ID, sessionDelta(t, spec, 3, 1)); code != http.StatusConflict {
 		t.Fatalf("delta on closed session status %d", code)
+	}
+}
+
+// TestSessionCancelDuringDelta: a cancel that lands after a delta's warm
+// re-place returns but before the delta's manifest edit wins. The edit
+// refuses the terminal manifest, the durable state stays canceled with the
+// last acknowledged result, and the runtime holds no warm session.
+func TestSessionCancelDuringDelta(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := quickSessionSpec()
+	m := openSessionHTTP(t, ts, s, spec)
+	a, ws := s.session(m.ID)
+
+	// The delta's own steps, as handleDelta takes them, with the cancel
+	// between Apply and the manifest edit.
+	ws.run.Lock()
+	dl, err := eco.ParseDelta(sessionDelta(t, spec, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, untrack := s.track(a, context.Background())
+	sess := ws.warm()
+	res, err := sess.Apply(ctx, dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := cancelHTTP(t, ts, m.ID)
+	if closed.State != StateCanceled {
+		t.Fatalf("cancel during a delta: %+v", closed)
+	}
+	if err := s.commitDelta(ws, sess, &JobResult{HPWL: res.HPWL}); !errors.Is(err, errSessionEnded) {
+		t.Fatalf("delta's manifest edit after the cancel: %v, want %v", err, errSessionEnded)
+	}
+	untrack()
+	ws.run.Unlock()
+
+	got, err := s.spool.ReadManifest(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateCanceled || got.Result == nil || got.Result.HPWL != m.Result.HPWL {
+		t.Fatalf("manifest after the refused delta: %+v, want canceled with the base result", got)
+	}
+	if warmState(s, m.ID) != nil {
+		t.Fatal("canceled session holds warm state")
+	}
+	if code, _ := postDelta(t, ts, m.ID, sessionDelta(t, spec, 3, 1)); code != http.StatusConflict {
+		t.Fatalf("delta on the canceled session status %d", code)
 	}
 }
 
@@ -217,19 +311,19 @@ func TestSessionParkRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pm, err := s.spool.sessions.read(m.ID)
+	pm, err := s.spool.ReadManifest(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm.State != SessionParked {
+	if pm.State != StateParked {
 		t.Fatalf("drained session state %s, want parked", pm.State)
 	}
 
 	// A second daemon on the same spool inherits the parked session.
 	s2 := newTestServer(t, Config{SpoolDir: spool})
 	s2.Start()
-	if s2.RecoveredSessions != 1 {
-		t.Fatalf("recovered sessions %d, want 1", s2.RecoveredSessions)
+	if s2.RecoveredSessions != 1 || s2.Recovered != 0 {
+		t.Fatalf("recovered sessions %d, jobs %d; want 1 and 0", s2.RecoveredSessions, s2.Recovered)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -240,17 +334,18 @@ func TestSessionParkRestart(t *testing.T) {
 	if dr.Deltas != 2 || !dr.Rehydrated || dr.HPWL <= 0 {
 		t.Fatalf("post-restart delta response %+v", dr)
 	}
-	fm, err := s2.spool.sessions.read(m.ID)
+	fm, err := s2.spool.ReadManifest(m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fm.State != SessionOpen || fm.Deltas != 2 {
+	if fm.State != StateOpen || snapshotOf(t, s2, m.ID).Deltas != 2 {
 		t.Fatalf("post-restart manifest %+v", fm)
 	}
 }
 
-// TestSessionIdleEviction proves the janitor drops idle warm state and the
-// next delta transparently rehydrates from the snapshot.
+// TestSessionIdleEviction proves the janitor drops idle warm state — the
+// session parks — and the next delta transparently rehydrates from the
+// snapshot.
 func TestSessionIdleEviction(t *testing.T) {
 	s := newTestServer(t, Config{SessionIdle: 50 * time.Millisecond})
 	s.Start()
@@ -264,8 +359,11 @@ func TestSessionIdleEviction(t *testing.T) {
 	// lock; the warm state reads nil earlier, while the lock is still held
 	// and a delta would get 409.
 	waitCount(t, s, "serve.sessions_evicted", 1)
-	if rt, ok := lookup(s, s.sessions, m.ID); !ok || rt.warm() != nil {
+	if warmState(s, m.ID) != nil {
 		t.Fatal("evicted session still holds its warm state")
+	}
+	if pm, _ := s.spool.ReadManifest(m.ID); pm.State != StateParked {
+		t.Fatalf("evicted session is %s, want parked", pm.State)
 	}
 
 	code, dr := postDelta(t, ts, m.ID, sessionDelta(t, spec, 3, 0))
@@ -275,9 +373,13 @@ func TestSessionIdleEviction(t *testing.T) {
 	if !dr.Rehydrated || dr.Deltas != 1 {
 		t.Fatalf("post-eviction delta response %+v", dr)
 	}
+	if om, _ := s.spool.ReadManifest(m.ID); om.State != StateOpen {
+		t.Fatalf("rehydrated session is %s, want open", om.State)
+	}
 }
 
-// TestSessionOpenValidation exercises the spec validation surface.
+// TestSessionOpenValidation exercises the spec validation surface of a
+// session submission.
 func TestSessionOpenValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	s.Start()
@@ -285,14 +387,16 @@ func TestSessionOpenValidation(t *testing.T) {
 	defer ts.Close()
 
 	for i, body := range []string{
-		`{"profile":"MEDIA_SUBSYS","bookshelf":{"a.aux":"x"}}`, // both sources
-		`{}`,                            // no source
-		`{"profile":"NO_SUCH_CHIP"}`,    // unknown profile
-		`{"profile":"OR1200","junk":1}`, // unknown field
-		`{"profile":"OR1200","scale":-1}`,
-		`{"profile":"OR1200","strategy":{"Theta":"x"}}`, // strategy does not decode
+		`{"kind":"session","profile":"MEDIA_SUBSYS","bookshelf":{"a.aux":"x"}}`, // both sources
+		`{"kind":"session"}`,                             // no source
+		`{"kind":"session","profile":"NO_SUCH_CHIP"}`,    // unknown profile
+		`{"kind":"session","profile":"OR1200","junk":1}`, // unknown field
+		`{"kind":"session","profile":"OR1200","scale":-1}`,
+		`{"kind":"session","profile":"OR1200","strategy":{"Theta":"x"}}`, // strategy does not decode
+		`{"kind":"session","profile":"OR1200","warm_max_iters":5}`,       // retired warm re-place caps
+		`{"kind":"session","profile":"OR1200","warm_min_iters":5}`,
 	} {
-		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,8 +407,8 @@ func TestSessionOpenValidation(t *testing.T) {
 	}
 
 	// Deltas against a nonexistent session 404.
-	resp, err := http.Post(ts.URL+"/api/v1/sessions/abcdef012345/deltas", "application/json",
-		bytes.NewReader([]byte(fmt.Sprintf(`{"moves":[{"cell":0,"x":1,"y":1}]}`))))
+	resp, err := http.Post(ts.URL+"/api/v1/jobs/abcdef012345/deltas", "application/json",
+		bytes.NewReader([]byte(`{"moves":[{"cell":0,"x":1,"y":1}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

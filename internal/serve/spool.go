@@ -10,70 +10,33 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"puffer/internal/fsx"
 )
 
-// Spool is the daemon's on-disk store of jobs and ECO sessions. Layout
-// under the root:
+// Spool is the daemon's on-disk store of jobs, ECO sessions included.
+// Layout under the root:
 //
 //	jobs/<id>/manifest.json      durable job record (atomic rewrite per transition)
 //	jobs/<id>/design/            uploaded Bookshelf files, verbatim (the upload's one copy)
 //	jobs/<id>/checkpoint.json    latest stage-boundary pipeline checkpoint
+//	jobs/<id>/snapshot.json      eco snapshot of a session's last completed placement
 //	jobs/<id>/report.json        structured run report (done place jobs)
 //	jobs/<id>/trace.json         Chrome trace-event JSON
 //	jobs/<id>/metrics.jsonl      streamed metric samples
 //	jobs/<id>/strategy.json      tuned strategy (done explore jobs)
-//	sessions/<id>/manifest.json  durable session record
-//	sessions/<id>/design/        uploaded Bookshelf files, verbatim (the upload's one copy)
-//	sessions/<id>/snapshot.json  eco snapshot of the last completed delta
-//	sessions/<id>/trace.json, metrics.jsonl  session telemetry
 //
-// Both manifest families go through one store; sessions/ appears with the
-// first session. An upload is stored once: its files land in design/ and
-// the manifest is persisted without them, so the document every transition
-// and status read round-trips stays small. Every
-// manifest, checkpoint and design file write goes through a temp file +
-// fsync + rename, so a daemon killed mid-write leaves either the previous
-// or the next complete document — never a truncated one. Recovery only
-// trusts manifests and the design files they stand on; anything else is
-// an artifact it can live without.
+// An upload is stored once: its files land in design/ and the manifest is
+// persisted without them, so the document every transition and status read
+// round-trips stays small. Every manifest, checkpoint and design file
+// write goes through a temp file + fsync + rename, so a daemon killed
+// mid-write leaves either the previous or the next complete document —
+// never a truncated one. Recovery only trusts manifests and the design
+// files and snapshots they stand on; anything else is an artifact it can
+// live without.
 type Spool struct {
-	root     string
-	jobs     store[Manifest, *Manifest]
-	sessions store[SessionManifest, *SessionManifest]
-}
-
-// record is what the store needs of a manifest: the format field it
-// stamps and checks, the ID, the time lists are ordered by, and a way to
-// drop the inline upload create has stored under design/.
-type record interface {
-	header() (format *string, id string, at time.Time)
-	dropUpload()
-}
-
-func (m *Manifest) header() (*string, string, time.Time) {
-	return &m.Format, m.ID, m.SubmittedAt
-}
-
-func (m *Manifest) dropUpload() { m.Spec.Bookshelf = nil }
-
-func (m *SessionManifest) header() (*string, string, time.Time) {
-	return &m.Format, m.ID, m.OpenedAt
-}
-
-func (m *SessionManifest) dropUpload() { m.Spec.Bookshelf = nil }
-
-// store is one manifest family: a directory per record under root, each
-// holding a manifest.json that carries format.
-type store[T any, M interface {
-	*T
-	record
-}] struct {
-	root   string
-	format string
-	noun   string // "job" or "session", for error messages
+	root string
+	jobs string
 
 	mu sync.Mutex // serializes read-modify-write cycles
 }
@@ -87,34 +50,27 @@ func OpenSpool(dir string) (*Spool, error) {
 	if err := os.MkdirAll(jobs, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open spool: %w", err)
 	}
-	return &Spool{
-		root:     dir,
-		jobs:     store[Manifest, *Manifest]{root: jobs, format: ManifestFormat, noun: "job"},
-		sessions: store[SessionManifest, *SessionManifest]{root: filepath.Join(dir, "sessions"), format: SessionManifestFormat, noun: "session"},
-	}, nil
+	return &Spool{root: dir, jobs: jobs}, nil
 }
 
-func (st *store[T, M]) dir(id string) string { return filepath.Join(st.root, id) }
-
-// create makes m's directory, writes the uploaded design files into its
-// design/ subdirectory, and persists m without its inline copy of them:
-// design/ is the upload's only copy on this daemon. The design files, and
-// the directory entries that reach them, are fsynced before the manifest
-// is written, so not even a power loss leaves a manifest over a torn or
-// missing design.
-func (st *store[T, M]) create(m M, upload map[string]string) error {
-	_, id, _ := m.header()
-	dir := st.dir(id)
+// CreateJob makes the job's directory, writes the uploaded design files
+// into its design/ subdirectory, and persists m without its inline copy of
+// them: design/ is the upload's only copy on this daemon. The design
+// files, and the directory entries that reach them, are fsynced before the
+// manifest is written, so not even a power loss leaves a manifest over a
+// torn or missing design.
+func (sp *Spool) CreateJob(m *Manifest) error {
+	dir := sp.JobDir(m.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: create %s dir: %w", st.noun, err)
+		return fmt.Errorf("serve: create job dir: %w", err)
 	}
-	if len(upload) > 0 {
-		if err := writeDesign(dir, upload); err != nil {
-			return fmt.Errorf("serve: spool %s design: %w", st.noun, err)
+	if len(m.Spec.Bookshelf) > 0 {
+		if err := writeDesign(dir, m.Spec.Bookshelf); err != nil {
+			return fmt.Errorf("serve: spool job design: %w", err)
 		}
-		m.dropUpload()
+		m.Spec.Bookshelf = nil
 	}
-	return st.write(m)
+	return sp.write(m)
 }
 
 // writeDesign writes an upload's files into dir/design, then fsyncs
@@ -135,118 +91,96 @@ func writeDesign(dir string, upload map[string]string) error {
 	return fsx.SyncDir(dir)
 }
 
-// write persists m atomically, stamped with the family's format.
-func (st *store[T, M]) write(m M) error {
-	format, id, _ := m.header()
-	*format = st.format
+// write persists m atomically, stamped with ManifestFormat.
+func (sp *Spool) write(m *Manifest) error {
+	m.Format = ManifestFormat
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("serve: encode %s manifest: %w", st.noun, err)
+		return fmt.Errorf("serve: encode job manifest: %w", err)
 	}
-	return fsx.AtomicWriteFile(filepath.Join(st.dir(id), "manifest.json"), append(data, '\n'))
+	return fsx.AtomicWriteFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"), append(data, '\n'))
 }
 
-// read loads one manifest, rejecting any that does not carry the family's
-// format or that names another ID than its directory (every rewrite goes
-// to the directory the manifest names).
-func (st *store[T, M]) read(id string) (M, error) {
-	data, err := os.ReadFile(filepath.Join(st.dir(id), "manifest.json"))
+// ReadManifest loads one job's manifest, rejecting any that does not carry
+// ManifestFormat or that names another ID than its directory (every
+// rewrite goes to the directory the manifest names).
+func (sp *Spool) ReadManifest(id string) (*Manifest, error) {
+	data, err := os.ReadFile(filepath.Join(sp.JobDir(id), "manifest.json"))
 	if err != nil {
 		return nil, err
 	}
-	m := M(new(T))
+	m := &Manifest{}
 	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("serve: decode manifest for %s %s: %w", st.noun, id, err)
+		return nil, fmt.Errorf("serve: decode manifest for job %s: %w", id, err)
 	}
-	format, mid, _ := m.header()
-	if *format != st.format {
-		return nil, fmt.Errorf("serve: %s %s: manifest format %q, want %q", st.noun, id, *format, st.format)
+	if m.Format != ManifestFormat {
+		return nil, fmt.Errorf("serve: job %s: manifest format %q, want %q", id, m.Format, ManifestFormat)
 	}
-	if mid != id {
-		return nil, fmt.Errorf("serve: %s %s: manifest names %s %q", st.noun, id, st.noun, mid)
+	if m.ID != id {
+		return nil, fmt.Errorf("serve: job %s: manifest names job %q", id, m.ID)
 	}
 	return m, nil
 }
 
-// update applies fn to the manifest under the store lock and persists the
-// result — the one safe way to make a state transition.
-func (st *store[T, M]) update(id string, fn func(M) error) (M, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m, err := st.read(id)
+// Update applies fn to the job's manifest under the spool lock and
+// persists the result — the one safe way to make a state transition.
+func (sp *Spool) Update(id string, fn func(*Manifest) error) (*Manifest, error) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	m, err := sp.ReadManifest(id)
 	if err != nil {
 		return nil, err
 	}
 	if err := fn(m); err != nil {
 		return m, err
 	}
-	if err := st.write(m); err != nil {
+	if err := sp.write(m); err != nil {
 		return m, err
 	}
 	return m, nil
 }
 
-// list returns every manifest of the family, oldest first with the ID
-// breaking ties, so the order is stable across boots. Unreadable manifests
-// (foreign files, interrupted pre-hardening writes) are skipped.
-func (st *store[T, M]) list() ([]M, error) {
-	entries, err := os.ReadDir(st.root)
-	if err != nil && !os.IsNotExist(err) {
+// List returns every job manifest in the spool, oldest submission first
+// with the ID breaking ties, so the order is stable across boots.
+// Unreadable manifests (foreign files, interrupted pre-hardening writes)
+// are skipped.
+func (sp *Spool) List() ([]*Manifest, error) {
+	entries, err := os.ReadDir(sp.jobs)
+	if err != nil {
 		return nil, err
 	}
-	var out []M
+	var out []*Manifest
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		if m, err := st.read(e.Name()); err == nil {
+		if m, err := sp.ReadManifest(e.Name()); err == nil {
 			out = append(out, m)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		_, a, at := out[i].header()
-		_, b, bt := out[j].header()
-		if !at.Equal(bt) {
-			return at.Before(bt)
+		if a, b := out[i].SubmittedAt, out[j].SubmittedAt; !a.Equal(b) {
+			return a.Before(b)
 		}
-		return a < b
+		return out[i].ID < out[j].ID
 	})
 	return out, nil
-}
-
-// sweep passes every manifest of the family, in list order, to rule, which
-// returns the edit to make durable (nil leaves the manifest alone). Each
-// edit goes through update and the listed manifest becomes what was
-// written, so whatever rule kept matches the disk.
-func (st *store[T, M]) sweep(rule func(M) func(M) error) error {
-	all, err := st.list()
-	if err != nil {
-		return err
-	}
-	for _, m := range all {
-		edit := rule(m)
-		if edit == nil {
-			continue
-		}
-		_, id, _ := m.header()
-		um, err := st.update(id, edit)
-		if err != nil {
-			return err
-		}
-		*m = *um
-	}
-	return nil
 }
 
 // Root returns the spool's root directory.
 func (sp *Spool) Root() string { return sp.root }
 
 // JobDir returns the directory of one job.
-func (sp *Spool) JobDir(id string) string { return sp.jobs.dir(id) }
+func (sp *Spool) JobDir(id string) string { return filepath.Join(sp.jobs, id) }
 
 // CheckpointPath returns the job's pipeline checkpoint path.
 func (sp *Spool) CheckpointPath(id string) string {
 	return filepath.Join(sp.JobDir(id), "checkpoint.json")
+}
+
+// SnapshotPath returns a session job's eco snapshot path.
+func (sp *Spool) SnapshotPath(id string) string {
+	return filepath.Join(sp.JobDir(id), "snapshot.json")
 }
 
 // ArtifactPath resolves a named artifact inside the job directory,
@@ -273,43 +207,44 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// CreateJob allocates a job directory, writes the uploaded design files
-// (if any), and persists the manifest.
-func (sp *Spool) CreateJob(m *Manifest) error {
-	return sp.jobs.create(m, m.Spec.Bookshelf)
-}
-
-// ReadManifest loads one job's manifest.
-func (sp *Spool) ReadManifest(id string) (*Manifest, error) { return sp.jobs.read(id) }
-
-// Update applies fn to the job's manifest under the spool lock and
-// persists the result — the one safe way to make a state transition.
-func (sp *Spool) Update(id string, fn func(*Manifest) error) (*Manifest, error) {
-	return sp.jobs.update(id, fn)
-}
-
-// List returns every job manifest in the spool, oldest submission first.
-// Jobs whose manifests are unreadable are skipped.
-func (sp *Spool) List() ([]*Manifest, error) { return sp.jobs.list() }
-
 // Recover returns the jobs a booting daemon must pick up again, oldest
 // first. requeue holds queued ones (never started), parked ones (gracefully
 // drained) and running ones (the previous daemon crashed mid-job), all
 // rewritten to queued: claiming them counts a new attempt, and they resume
-// from their spooled checkpoint if one exists.
-func (sp *Spool) Recover() (requeue []*Manifest, err error) {
-	err = sp.jobs.sweep(func(m *Manifest) func(*Manifest) error {
+// from their spooled checkpoint if one exists. A session whose snapshot is
+// spooled is not placed again: it is rewritten to parked and returned in
+// parked, for its next delta to rehydrate.
+func (sp *Spool) Recover() (requeue, parked []*Manifest, err error) {
+	all, err := sp.List()
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, m := range all {
 		if m.State.Terminal() {
-			return nil
+			continue
 		}
-		requeue = append(requeue, m)
-		if m.State == StateQueued {
-			return nil
+		next := StateQueued
+		if m.Spec.Kind == KindSession {
+			if _, err := os.Stat(sp.SnapshotPath(m.ID)); err == nil {
+				next = StateParked
+			}
 		}
-		return func(mm *Manifest) error {
-			mm.State, mm.StartedAt = StateQueued, nil
-			return nil
+		if m.State != next {
+			if m, err = sp.Update(m.ID, func(mm *Manifest) error {
+				mm.State = next
+				if next == StateQueued {
+					mm.StartedAt = nil
+				}
+				return nil
+			}); err != nil {
+				return nil, nil, err
+			}
 		}
-	})
-	return requeue, err
+		if next == StateParked {
+			parked = append(parked, m)
+		} else {
+			requeue = append(requeue, m)
+		}
+	}
+	return requeue, parked, nil
 }

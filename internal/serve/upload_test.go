@@ -21,7 +21,8 @@ import (
 	"puffer/internal/synth"
 )
 
-// maxUploadManifest bounds every manifest an upload job or session spools:
+// maxUploadManifest bounds every manifest an upload job spools, a
+// session's included:
 // about what a profile job's manifest takes, far below the upload itself.
 const maxUploadManifest = 8 << 10
 
@@ -111,20 +112,18 @@ func watchManifests(root string) *manifestWatch {
 		defer w.done.Done()
 		last := map[string]os.FileInfo{}
 		for stopped := false; ; {
-			for _, family := range []string{"jobs", "sessions"} {
-				dirs, _ := os.ReadDir(filepath.Join(root, family))
-				for _, d := range dirs {
-					path := filepath.Join(root, family, d.Name(), "manifest.json")
-					fi, err := os.Stat(path)
-					if err != nil {
-						continue
-					}
-					if prev, ok := last[path]; !ok || !os.SameFile(prev, fi) {
-						w.versions++
-					}
-					last[path] = fi
-					w.max = max(w.max, fi.Size())
+			dirs, _ := os.ReadDir(filepath.Join(root, "jobs"))
+			for _, d := range dirs {
+				path := filepath.Join(root, "jobs", d.Name(), "manifest.json")
+				fi, err := os.Stat(path)
+				if err != nil {
+					continue
 				}
+				if prev, ok := last[path]; !ok || !os.SameFile(prev, fi) {
+					w.versions++
+				}
+				last[path] = fi
+				w.max = max(w.max, fi.Size())
 			}
 			if stopped {
 				return
@@ -252,15 +251,15 @@ func TestUploadSessionStoredOnce(t *testing.T) {
 	defer ts.Close()
 	watch := watchManifests(spool)
 
-	spec := SessionSpec{Bookshelf: fx.files, Seed: 3, MaxIters: 100, Workers: 1}
+	spec := JobSpec{Kind: KindSession, Bookshelf: fx.files, Seed: 3, MaxIters: 100, Workers: 1}
 	spec.Normalize()
-	body := postRaw(t, ts.URL+"/api/v1/sessions", spec)
-	noUpload(t, "202 session open body", body)
-	var opened SessionManifest
+	body := postRaw(t, ts.URL+"/api/v1/jobs", spec)
+	noUpload(t, "202 session submit body", body)
+	var opened Manifest
 	if err := json.Unmarshal(body, &opened); err != nil {
 		t.Fatal(err)
 	}
-	m := waitSessionState(t, s, opened.ID, SessionOpen)
+	m := waitState(t, s, opened.ID, StateOpen)
 	ref := fx.design(t)
 	var deltas [][]byte
 	var hpwl []float64
@@ -272,14 +271,14 @@ func TestUploadSessionStoredOnce(t *testing.T) {
 		}
 		deltas, hpwl = append(deltas, delta), append(hpwl, dr.HPWL)
 	}
-	watch.check(t, 4) // opening, open, one per delta
+	watch.check(t, 5) // queued, running, open, one per delta
 
-	noUpload(t, "GET /api/v1/sessions/{id}", getRaw(t, ts.URL+"/api/v1/sessions/"+m.ID))
-	var rows []sessionSummary
-	if err := json.Unmarshal(getRaw(t, ts.URL+"/api/v1/sessions"), &rows); err != nil {
+	noUpload(t, "GET /api/v1/jobs/{id}", getRaw(t, ts.URL+"/api/v1/jobs/"+m.ID))
+	var rows []JobSummary
+	if err := json.Unmarshal(getRaw(t, ts.URL+"/api/v1/jobs"), &rows); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Design != "or1200.aux" || rows[0].Deltas != 2 {
+	if len(rows) != 1 || rows[0].Design != "or1200.aux" || rows[0].Kind != KindSession || snapshotOf(t, s, m.ID).Deltas != 2 {
 		t.Errorf("session rows %+v, want one naming or1200.aux with 2 deltas", rows)
 	}
 
@@ -295,8 +294,8 @@ func TestUploadSessionStoredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HPWL != m.LastHPWL {
-		t.Errorf("base placement HPWL %v, in-process %v", m.LastHPWL, res.HPWL)
+	if res.HPWL != m.Result.HPWL {
+		t.Errorf("base placement HPWL %v, in-process %v", m.Result.HPWL, res.HPWL)
 	}
 	for i, delta := range deltas {
 		dl, err := eco.ParseDelta(delta)
@@ -335,7 +334,7 @@ func TestParentUploadManifestRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sp.jobs.write(m); err != nil {
+	if err := sp.write(m); err != nil {
 		t.Fatal(err)
 	}
 	if raw, _ := os.ReadFile(filepath.Join(sp.JobDir(m.ID), "manifest.json")); !strings.Contains(string(raw), `"bookshelf"`) {

@@ -12,9 +12,11 @@
 #      503 (draining) while /healthz stays 200
 #   5. assert the job parked at a checkpoint, restart the daemon
 #   6. assert the parked job was re-admitted, resumed, and finished
-#   7. open an ECO session, apply a delta, and check the SSE stream
+#   7. submit an ECO session job, wait for it to open, apply a delta,
+#      and check its SSE stream
 #   8. SIGTERM the daemon, restart, and apply a second delta — the session
-#      must rehydrate from its spooled snapshot and continue the chain
+#      must rehydrate from its spooled snapshot and continue the chain;
+#      cancel closes it
 #
 # The script is self-contained: everything lives under a temp dir that is
 # removed on exit, and any failure (or a daemon that dies early) fails it.
@@ -162,24 +164,25 @@ grep -q '"attempts": 2' "$work/status.json" || { echo "resume did not count a se
 grep -q '"hpwl"' "$work/status.json" || { echo "resumed job has no result"; exit 1; }
 
 log "open an ECO session"
-ctl session open -profile MEDIA_SUBSYS -scale 3000 -seed 5 | tee "$work/session.log"
-sess_id="$(awk '/^session /{print $2; exit}' "$work/session.log")"
-grep -q "session $sess_id open" "$work/session.log" || { echo "session never opened"; exit 1; }
+ctl submit -kind session -profile MEDIA_SUBSYS -scale 3000 -seed 5 | tee "$work/session.log"
+sess_id="$(awk '/^job /{print $2; exit}' "$work/session.log")"
+ctl wait -poll 200ms -timeout 120s "$sess_id" | tee -a "$work/session.log"
+grep -q "^open$" "$work/session.log" || { echo "session never opened"; exit 1; }
 
 log "apply a first delta to session $sess_id"
 cat >"$work/delta1.json" <<'EOF'
 {"format":"puffer/delta/v1","weights":[{"net":0,"weight":3},{"net":1,"weight":2}]}
 EOF
-ctl session delta "$sess_id" "$work/delta1.json" | tee "$work/delta1.log"
+ctl delta "$sess_id" "$work/delta1.json" | tee "$work/delta1.log"
 grep -q "delta 1 applied" "$work/delta1.log" || { echo "first delta not applied"; exit 1; }
 
 log "check the session's SSE stream replays progress"
-timeout 10 curl -sf "$PUFFERD_ADDR/api/v1/sessions/$sess_id/events" --max-time 5 >"$work/sse.log" || true
+timeout 10 curl -sf "$PUFFERD_ADDR/api/v1/jobs/$sess_id/events" --max-time 5 >"$work/sse.log" || true
 grep -q '"type":"log"' "$work/sse.log" || { cat "$work/sse.log"; echo "session SSE carries no progress"; exit 1; }
 
 log "malformed deltas are rejected"
 echo '{"movez":[]}' >"$work/bad.json"
-if ctl session delta "$sess_id" "$work/bad.json" >"$work/bad.log" 2>&1; then
+if ctl delta "$sess_id" "$work/bad.json" >"$work/bad.log" 2>&1; then
     echo "malformed delta accepted"; exit 1
 fi
 grep -q "unknown field" "$work/bad.log" || { cat "$work/bad.log"; echo "unexpected rejection"; exit 1; }
@@ -188,9 +191,9 @@ log "SIGTERM the daemon with the session open"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || true
 daemon_pid=""
-smanifest="$spool/sessions/$sess_id/manifest.json"
+smanifest="$spool/jobs/$sess_id/manifest.json"
 grep -q '"state": "parked"' "$smanifest" || { cat "$smanifest"; echo "session did not park on SIGTERM"; exit 1; }
-[ -s "$spool/sessions/$sess_id/snapshot.json" ] || { echo "session has no spooled snapshot"; exit 1; }
+[ -s "$spool/jobs/$sess_id/snapshot.json" ] || { echo "session has no spooled snapshot"; exit 1; }
 
 log "restart and apply a second delta — session must rehydrate"
 start_daemon
@@ -198,13 +201,13 @@ grep -q 'msg="parked ECO sessions; next delta rehydrates" count=1' "$work/puffer
 cat >"$work/delta2.json" <<'EOF'
 {"format":"puffer/delta/v1","weights":[{"net":2,"weight":4}],"padding":[{"cell":0,"pad_w":0}]}
 EOF
-ctl session delta "$sess_id" "$work/delta2.json" | tee "$work/delta2.log"
+ctl delta "$sess_id" "$work/delta2.json" | tee "$work/delta2.log"
 grep -q "delta 2 applied" "$work/delta2.log" || { echo "second delta did not continue the chain"; exit 1; }
 grep -q "rehydrated" "$work/delta2.log" || { echo "second delta did not rehydrate from the snapshot"; exit 1; }
 
-log "close the session"
-ctl session close "$sess_id" >/dev/null
-ctl session list | tee "$work/sessions.log"
-grep -q "closed" "$work/sessions.log" || { echo "session not closed in list"; exit 1; }
+log "close the session: cancel ends it, and the list shows it canceled"
+ctl cancel "$sess_id" >/dev/null
+ctl list | tee "$work/sessions.log"
+grep -Eq "^$sess_id +session +MEDIA_SUBSYS +canceled" "$work/sessions.log" || { echo "session not closed in list"; exit 1; }
 
 log "serve e2e OK"
