@@ -32,10 +32,6 @@ func TestGoldenDigests(t *testing.T) {
 		t.Errorf("bookshelf digest = %s", d)
 	}
 
-	if d := ProfileDesignDigest("media_subsys", 3000, 5); d != "sha256-f2b255018ca371cfed4bad9a341d8b785f8464caf277fd2b0eefa28a813760f6" {
-		t.Errorf("profile digest = %s", d)
-	}
-
 	d1, err := (Config{Kind: "place", Route: true, Seed: 5}).Digest()
 	if err != nil {
 		t.Fatalf("config digest: %v", err)

@@ -1,7 +1,12 @@
 // Package cas content-addresses placement inputs: uploaded designs and
 // normalized job configurations hash to stable SHA-256 digests, and a
-// small on-disk store keeps blobs under their own digest. The job daemon
-// keys its design cache by a profile design's digest.
+// small on-disk store keeps blobs under their own digest.
+//
+// No program path uses the package: its one reader is the frozen benchmark
+// harness (benchmark/probes.go, its own module), which times
+// EncodeBookshelf, Sum and Config.Digest as cas.digest_ms and Store.Put as
+// cas.put_ms. It is held for that harness and goes with its next revision
+// (ROADMAP item 9).
 //
 // Layout under the store root:
 //
@@ -50,13 +55,6 @@ func EncodeBookshelf(files map[string]string) ([]byte, error) {
 		return nil, fmt.Errorf("cas: empty bookshelf upload")
 	}
 	return json.Marshal(designBlob{Format: BlobFormat, Files: files})
-}
-
-// ProfileDesignDigest is the content address of a synthetic design: the
-// generator is deterministic, so (profile, scale, seed) fully identifies
-// the netlist without materializing it.
-func ProfileDesignDigest(profile string, scale int, seed int64) Digest {
-	return Sum([]byte(fmt.Sprintf("puffer/design-profile/v1\nprofile=%s\nscale=%d\nseed=%d\n", profile, scale, seed)))
 }
 
 // Config is the normalized, result-determining part of a job submission.

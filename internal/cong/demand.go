@@ -35,13 +35,6 @@ type Params struct {
 	// any-worker-count bit-determinism contract the GP inner loop keeps
 	// (DESIGN.md §3e).
 	Workers int
-
-	// Topo, when non-nil, memoizes RSMT construction across estimators
-	// sharing one design (exploration trials on the same worker). It is
-	// runtime wiring, not a strategy parameter: rsmt.Build is pure, so
-	// attaching a memo never changes results, and the field is excluded
-	// from strategy JSON and canonical config digests.
-	Topo *rsmt.Memo `json:"-"`
 }
 
 // DefaultParams returns the hand-tuned defaults; the strategy exploration
@@ -93,8 +86,7 @@ type Estimator struct {
 	// (GNN-inspired pin congestion) walks the same topology. The trees
 	// are views into slabs the shards own and are valid until the next
 	// Estimate call, which rebuilds them in place: read them before it,
-	// or copy what must outlive it. (With P.Topo set they are the memo's
-	// trees, shared and immutable.)
+	// or copy what must outlive it.
 	Trees []rsmt.Tree
 
 	shards   []shard
@@ -281,11 +273,10 @@ func (e *Estimator) build(ctx context.Context) error {
 	return nil
 }
 
-// stampNet builds net n's RSMT topology from the current pin positions —
-// into sh's slabs, or through the memo when one is attached — and deposits
-// the demand of every I- and L-shaped edge into sh, recording the
-// I-segments the detour expansion consumes. It writes only Trees[n] and
-// sh, so distinct shards stamp in parallel.
+// stampNet builds net n's RSMT topology from the current pin positions
+// into sh's slabs and deposits the demand of every I- and L-shaped edge
+// into sh, recording the I-segments the detour expansion consumes. It
+// writes only Trees[n] and sh, so distinct shards stamp in parallel.
 func (e *Estimator) stampNet(n int, sh *shard) {
 	net := &e.d.Nets[n]
 	e.Trees[n] = rsmt.Tree{}
@@ -296,16 +287,11 @@ func (e *Estimator) stampNet(n int, sh *shard) {
 	for _, pid := range net.Pins {
 		sh.pts = append(sh.pts, e.d.PinPos(pid))
 	}
-	var tree rsmt.Tree
-	if e.P.Topo != nil {
-		tree = e.P.Topo.Build(sh.pts)
-	} else {
-		n0, e0 := len(sh.nodes), len(sh.edges)
-		sh.nodes, sh.edges = sh.topo.Append(sh.nodes, sh.edges, sh.pts)
-		// Clipped views: an append through Trees[n] must not reach the
-		// next net's nodes.
-		tree = rsmt.Tree{Nodes: slices.Clip(sh.nodes[n0:]), Edges: slices.Clip(sh.edges[e0:])}
-	}
+	n0, e0 := len(sh.nodes), len(sh.edges)
+	sh.nodes, sh.edges = sh.topo.Append(sh.nodes, sh.edges, sh.pts)
+	// Clipped views: an append through Trees[n] must not reach the next
+	// net's nodes.
+	tree := rsmt.Tree{Nodes: slices.Clip(sh.nodes[n0:]), Edges: slices.Clip(sh.edges[e0:])}
 	e.Trees[n] = tree
 
 	for _, edge := range tree.Edges {

@@ -402,36 +402,26 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEstimateSteadyStateAllocs: a reused estimator owns all its buffers,
 // the RSMT builders and the topology slabs included. A serial Estimate
-// allocates a handful of closures whatever the net count — on the path
-// every flow takes (no memo, cells moving between calls, every moved net's
-// topology rebuilt) and with every topology served by a warm rsmt.Memo.
+// allocates a handful of closures whatever the net count, with cells
+// moving between calls and every moved net's topology rebuilt.
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	for _, size := range []struct{ cells, nets int }{{400, 700}, {1600, 2800}} {
-		for _, memo := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(23))
-			d := randomDesign(rng, size.cells, size.nets)
-			p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 1}
-			if memo {
-				p.Topo = rsmt.NewMemo(0)
-			}
-			e := NewEstimator(d, 16, 16, p)
-			// Size the buffers. Without a memo the slabs then have seen
-			// three placements' worth of Steiner points.
-			for warm := 0; warm < 3; warm++ {
-				e.Estimate()
-				if !memo {
-					moveSomeCells(rng, d, 0.1)
-				}
-			}
-			got := testing.AllocsPerRun(5, func() {
-				if !memo { // a memo only ever hits on an unchanged placement
-					moveSomeCells(rng, d, 0.1)
-				}
-				e.Estimate()
-			})
-			if got > 4 {
-				t.Errorf("%d nets, memo=%v: steady-state Estimate allocates %v objects, want <= 4", size.nets, memo, got)
-			}
+		rng := rand.New(rand.NewSource(23))
+		d := randomDesign(rng, size.cells, size.nets)
+		p := Params{PinPenalty: 0.2, ExpandRadius: 3, TransferRatio: 0.5, Workers: 1}
+		e := NewEstimator(d, 16, 16, p)
+		// Size the buffers: the slabs then have seen three placements'
+		// worth of Steiner points.
+		for warm := 0; warm < 3; warm++ {
+			e.Estimate()
+			moveSomeCells(rng, d, 0.1)
+		}
+		got := testing.AllocsPerRun(5, func() {
+			moveSomeCells(rng, d, 0.1)
+			e.Estimate()
+		})
+		if got > 4 {
+			t.Errorf("%d nets: steady-state Estimate allocates %v objects, want <= 4", size.nets, got)
 		}
 	}
 }

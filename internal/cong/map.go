@@ -211,15 +211,6 @@ func (m *Map) OverflowRatios() (hof, vof float64) {
 	return hof, vof
 }
 
-// ResetDemand clears all demand and pin counts.
-func (m *Map) ResetDemand() {
-	for i := range m.DmdH {
-		m.DmdH[i] = 0
-		m.DmdV[i] = 0
-		m.Pins[i] = 0
-	}
-}
-
 // PinDensity returns pins per available site in Gcell idx.
 func (m *Map) PinDensity(idx int) float64 {
 	return m.Pins[idx] / math.Max(m.Sites[idx], 1)

@@ -126,13 +126,6 @@ func (s *Session) LastHPWL() float64 {
 	return s.lastHPWL
 }
 
-// Placed reports whether the session has a base placement.
-func (s *Session) Placed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.placed
-}
-
 // Place runs the cold pipeline once to establish the base placement. It
 // must be called (or the session restored from a snapshot) before Apply.
 func (s *Session) Place(ctx context.Context) (*pipeline.Result, error) {

@@ -6,7 +6,7 @@
 //
 // Two kinds of parallel section use them. Sections that run a few times
 // per flow stage — congestion estimation, feature extraction, routing, the
-// experiment harness — spawn goroutines per call: For/ForN/ForShards, and
+// experiment harness — spawn goroutines per call: ForN/ForShards, and
 // ForErr, the context-aware variant that stops scheduling new work on
 // cancellation or first error (which is what lets the pipeline observe a
 // cancel within one net batch / feature chunk). The global-placement hot
@@ -53,12 +53,9 @@ func ShardRange(w, k, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// For runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n) workers.
-// fn must be safe to call concurrently for distinct indices. For blocks
-// until all calls complete.
-func For(n int, fn func(i int)) { ForN(0, n, fn) }
-
-// ForN is For with an explicit worker cap (0 = GOMAXPROCS).
+// ForN runs fn(i) for every i in [0, n) across min(workers, n) workers
+// (workers 0 = GOMAXPROCS). fn must be safe to call concurrently for
+// distinct indices. ForN blocks until all calls complete.
 func ForN(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -97,7 +94,7 @@ func ForN(workers, n int, fn func(i int)) {
 
 // ForShards splits [0, n) into min(Workers(workers), n) contiguous shards
 // and runs fn(w, lo, hi) for each shard w on its own goroutine, blocking
-// until all return. Unlike For/ForN, fn receives the shard index, so
+// until all return. Unlike ForN, fn receives the shard index, so
 // callers can hand each executor private scratch (per-worker FFT buffers,
 // per-worker accumulators) without synchronization.
 //

@@ -14,7 +14,7 @@ func TestForParallelBranch(t *testing.T) {
 	const n = 997 // not divisible by the worker count
 	var hits [n]int32
 	var total int32
-	For(n, func(i int) {
+	ForN(0, n, func(i int) {
 		atomic.AddInt32(&hits[i], 1)
 		atomic.AddInt32(&total, 1)
 	})
@@ -28,7 +28,7 @@ func TestForParallelBranch(t *testing.T) {
 	}
 	// More workers than items: each item still visited once.
 	var small int32
-	For(2, func(i int) { atomic.AddInt32(&small, 1) })
+	ForN(0, 2, func(i int) { atomic.AddInt32(&small, 1) })
 	if small != 2 {
 		t.Fatalf("small run total = %d", small)
 	}
@@ -37,7 +37,7 @@ func TestForParallelBranch(t *testing.T) {
 func TestForCoversAllIndices(t *testing.T) {
 	const n = 1000
 	var hits [n]int32
-	For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	ForN(0, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
@@ -47,17 +47,17 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForSmallAndEmpty(t *testing.T) {
 	var count int32
-	For(0, func(i int) { atomic.AddInt32(&count, 1) })
+	ForN(0, 0, func(i int) { atomic.AddInt32(&count, 1) })
 	if count != 0 {
-		t.Error("For(0) invoked fn")
+		t.Error("ForN(0, 0) invoked fn")
 	}
-	For(1, func(i int) { atomic.AddInt32(&count, 1) })
+	ForN(0, 1, func(i int) { atomic.AddInt32(&count, 1) })
 	if count != 1 {
-		t.Errorf("For(1) invoked fn %d times", count)
+		t.Errorf("ForN(0, 1) invoked fn %d times", count)
 	}
-	For(3, func(i int) { atomic.AddInt32(&count, 1) })
+	ForN(0, 3, func(i int) { atomic.AddInt32(&count, 1) })
 	if count != 4 {
-		t.Errorf("For(3) total = %d, want 4", count)
+		t.Errorf("ForN(0, 3) total = %d, want 4", count)
 	}
 }
 

@@ -13,15 +13,12 @@ func floatBits(v float64) uint64 { return math.Float64bits(v) }
 // Memo is a bounded, concurrency-safe cache over Build keyed by the exact
 // pin-position sequence. Build is a pure function of its input, so a hit
 // is result-transparent: it returns the identical topology the miss path
-// would have constructed, and cached Tree values are never mutated in
-// place by any consumer (estimators replace whole entries).
+// would have constructed; cached Tree values are shared, so a consumer
+// must not mutate them in place.
 //
-// The intended use is cross-trial sharing inside an exploration farm:
-// every trial of one design starts from the same initial placement and
-// walks an identical global-placement trajectory until its first
-// strategy-dependent padding trigger, so the topologies of that shared
-// prefix — the expensive full-netlist stamps — are built once per
-// (design, worker) and replayed by every sibling trial.
+// No program path uses it: the one reader is the frozen benchmark harness
+// (benchmark/kernels.go, its own module), which reports its hit rate as
+// rsmt.memo_hit_rate. Delete with the harness's next revision (ROADMAP item 9).
 //
 // A nil *Memo is valid and degrades to plain Build.
 type Memo struct {

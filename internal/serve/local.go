@@ -14,7 +14,6 @@ import (
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
 	"puffer/internal/padding"
-	"puffer/internal/rsmt"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -155,26 +154,18 @@ func (s *Server) activeCount() int {
 	return n
 }
 
-// buildDesign materializes the job's design through the daemon's design
-// cache: the first job of a design parses (or generates) it and later jobs
-// clone the pristine copy, sharing one RSMT topology memo. The returned
-// design is always the job's own mutable instance; the memo is nil for
-// uncacheable designs.
-func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
-	key := designKey(m)
-	if key != "" {
-		if e := s.designs.lookup(key); e != nil {
-			s.reg.Counter("serve.design_cache_hits").Inc()
-			return e.base.Clone(), e.topo, nil
-		}
-	}
+// jobFlow builds a job's design and flow configuration. Both are
+// deterministic in the spec, so a resumed job or a rehydrated session runs
+// under exactly the configuration its checkpoint or snapshot was captured
+// under, and eco.Restore verifies the design by hash.
+func (s *Server) jobFlow(m *Manifest, hub *Hub, rec *obs.Recorder) (*netlist.Design, pipeline.Config, error) {
 	s.reg.Counter("serve.design_parses").Inc()
 	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, s.spool.JobDir(m.ID))
-	if err != nil || key == "" {
-		return d, nil, err
+	if err != nil {
+		return nil, pipeline.Config{}, fmt.Errorf("build design: %w", err)
 	}
-	e := s.designs.insert(key, &designEntry{base: d, topo: rsmt.NewMemo(0)})
-	return e.base.Clone(), e.topo, nil
+	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
+	return d, cfg, err
 }
 
 // loadDesign materializes a job's design: the synthetic profile generated
@@ -223,17 +214,10 @@ func flowConfig(seed int64, maxIters, workers int, strategy json.RawMessage, rec
 // execPlace runs (or resumes) a placement job through the staged pipeline,
 // checkpointing into the spool after every stage.
 func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
-	d, topo, err := s.buildDesign(m)
-	if err != nil {
-		return nil, fmt.Errorf("build design: %w", err)
-	}
-	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
+	d, cfg, err := s.jobFlow(m, hub, rec)
 	if err != nil {
 		return nil, err
 	}
-	// Share the design's RSMT memo across every job of this design on this
-	// daemon. rsmt.Build is pure, so this never changes results.
-	cfg.Strategy.Cong.Topo = topo
 	rc, err := pipeline.NewRunContext(d, cfg)
 	if err != nil {
 		return nil, err
@@ -277,7 +261,7 @@ func (s *Server) execPlace(ctx context.Context, m *Manifest, hub *Hub, rec *obs.
 		if runErr != nil && !errors.Is(runErr, pipeline.ErrCanceled) {
 			hub.Publish(Event{Type: "log", Line: fmt.Sprintf("resume failed (%v); restarting from scratch", runErr)})
 			os.Remove(ckptPath)
-			if d, _, err = s.buildDesign(m); err != nil {
+			if d, cfg, err = s.jobFlow(m, hub, rec); err != nil {
 				return nil, err
 			}
 			if rc, err = pipeline.NewRunContext(d, cfg); err != nil {
@@ -351,11 +335,7 @@ func buildResult(rec *pipeline.Record, prior *JobResult) *JobResult {
 // carries no resumable design state, so a re-admitted exploration starts
 // over.
 func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
-	d, _, err := s.buildDesign(m)
-	if err != nil {
-		return nil, fmt.Errorf("build design: %w", err)
-	}
-	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
+	d, cfg, err := s.jobFlow(m, hub, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -95,10 +95,6 @@ type Server struct {
 	stopSched context.CancelFunc
 	wg        sync.WaitGroup
 
-	// designs shares parsed netlists and RSMT topology memos across jobs
-	// of the same design (keyed by content address).
-	designs *designCache
-
 	mu       sync.Mutex
 	jobs     map[string]*activeJob // every job seen this boot, incl. finished
 	finished []string              // finished-job hub retention order
@@ -150,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 		startedAt: time.Now(),
 		baseCtx:   ctx,
 		stopBase:  cancel,
-		designs:   newDesignCache(),
 		jobs:      make(map[string]*activeJob),
 	}
 	s.schedCtx, s.stopSched = context.WithCancel(ctx)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,6 +166,56 @@ func TestServerRunsJobEndToEnd(t *testing.T) {
 	}
 	if cp.Stage != "dp" {
 		t.Fatalf("final checkpoint after stage %q, want dp", cp.Stage)
+	}
+}
+
+// TestRepeatedDesignParsedPerJob: the daemon keeps no state per design.
+// Two jobs of one profile, scale and seed each load the design, and the
+// second places exactly as the first did.
+func TestRepeatedDesignParsedPerJob(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := quickSpec()
+	spec.Route = true
+	var results []*JobResult
+	var placed [][]byte
+	for range 2 {
+		id := enqueue(t, s, spec)
+		m := waitState(t, s, id, StateDone)
+		m.Result.RuntimeMS = 0
+		results = append(results, m.Result)
+		pl, err := os.ReadFile(filepath.Join(s.spool.JobDir(id), "placed.pl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed = append(placed, pl)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("results differ:\n%+v\n%+v", results[0], results[1])
+	}
+	if !bytes.Equal(placed[0], placed[1]) {
+		t.Error("placed.pl differs between the two jobs")
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ops struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := ops.Counters["serve.design_parses"]; got != 2 {
+		t.Errorf("serve.design_parses = %d, want 2", got)
+	}
+	if got, ok := ops.Counters["serve.design_cache_hits"]; ok {
+		t.Errorf("serve.design_cache_hits = %d, want no such counter", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"puffer/internal/eco"
-	"puffer/internal/netlist"
 	"puffer/internal/obs"
 	"puffer/pipeline"
 )
@@ -101,25 +100,12 @@ func (s *Server) recorder(ws *warmSession, m *Manifest, hub *Hub) *obs.Recorder 
 	return ws.tel.rec
 }
 
-// sessionFlow rebuilds the session's design and flow configuration. Both
-// are deterministic in the spec, so a rehydrated session runs under
-// exactly the configuration its snapshot was captured under, and
-// eco.Restore verifies the design by hash.
-func (s *Server) sessionFlow(m *Manifest, hub *Hub, rec *obs.Recorder) (*netlist.Design, pipeline.Config, error) {
-	d, err := loadDesign(m.Spec.Profile, m.Spec.Scale, m.Spec.Seed, s.spool.JobDir(m.ID))
-	if err != nil {
-		return nil, pipeline.Config{}, fmt.Errorf("build design: %w", err)
-	}
-	cfg, err := flowConfig(m.Spec.Seed, m.Spec.MaxIters, m.Spec.Workers, m.Spec.Strategy, rec, hub)
-	return d, cfg, err
-}
-
 // execSession runs a session job's base placement and spools its
 // snapshot. On success the session's warm state — the eco.Session and tel,
 // which stays open for the deltas to record into — is installed.
 func (s *Server) execSession(ctx context.Context, m *Manifest, hub *Hub, tel *runTelemetry) (*JobResult, error) {
 	start := time.Now()
-	d, cfg, err := s.sessionFlow(m, hub, tel.rec)
+	d, cfg, err := s.jobFlow(m, hub, tel.rec)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +146,7 @@ func placementResult(res *pipeline.Result, start time.Time) *JobResult {
 // rehydrate rebuilds the in-memory eco.Session of a parked or evicted
 // session from the spooled snapshot. Caller holds ws.run.
 func (s *Server) rehydrate(m *Manifest, hub *Hub, ws *warmSession) (*eco.Session, error) {
-	d, cfg, err := s.sessionFlow(m, hub, s.recorder(ws, m, hub))
+	d, cfg, err := s.jobFlow(m, hub, s.recorder(ws, m, hub))
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ want="$("$work/puffer" -design OR1200 -scale 800 -seed 7 -iters 200 | grep -o '^
 log "routed job $routed_id and puffer agree: $want"
 
 log "submit a slow job and SIGTERM the daemon mid-run"
-slow_id="$(ctl submit -profile MEDIA_SUBSYS -scale 400 -seed 5 | awk '{print $2}')"
+slow_id="$(ctl submit -profile MEDIA_SUBSYS -scale 200 -seed 5 | awk '{print $2}')"
 for _ in $(seq 1 100); do
     ctl status "$slow_id" | grep -q '"state": "running"' && break
     sleep 0.1
