@@ -30,29 +30,32 @@ func benchOptions() experiments.Options {
 // ten designs).
 func BenchmarkTable1Stats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(benchOptions())
+		rows, err := experiments.Table1(benchOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rows) != 10 {
 			b.Fatalf("rows = %d", len(rows))
 		}
 	}
 }
 
-// table2Bench runs one (design, placer) cell of Table II per iteration and
+// table2Bench runs one (design, flow) cell of Table II per iteration and
 // reports the routed quality metrics.
-func table2Bench(b *testing.B, design string, placer experiments.PlacerName) {
+func table2Bench(b *testing.B, design, flow string) {
 	b.Helper()
 	o := benchOptions()
 	p, err := synth.ProfileByName(design)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, stages, err := baseline.Flow(placer.Flow(), o.PlaceIters)
+	cfg, stages, err := baseline.Flow(flow, o.PlaceIters)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var hof, vof, wl float64
 	for i := 0; i < b.N; i++ {
-		rec, _, err := pipeline.Judge(context.Background(), placer.Flow(), synth.Generate(p, o.Scale, o.Seed), cfg, stages)
+		rec, _, err := pipeline.Judge(context.Background(), flow, synth.Generate(p, o.Scale, o.Seed), cfg, stages)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,19 +70,19 @@ func table2Bench(b *testing.B, design string, placer experiments.PlacerName) {
 // calm CT_TOP under PUFFER (full per-design sweeps run via
 // puffer experiments -table2).
 func BenchmarkTable2PUFFERMediaSubsys(b *testing.B) {
-	table2Bench(b, "MEDIA_SUBSYS", experiments.PUFFER)
+	table2Bench(b, "MEDIA_SUBSYS", baseline.PUFFER)
 }
 
 func BenchmarkTable2CommercialMediaSubsys(b *testing.B) {
-	table2Bench(b, "MEDIA_SUBSYS", experiments.Commercial)
+	table2Bench(b, "MEDIA_SUBSYS", baseline.Commercial)
 }
 
 func BenchmarkTable2RePlAceMediaSubsys(b *testing.B) {
-	table2Bench(b, "MEDIA_SUBSYS", experiments.RePlAce)
+	table2Bench(b, "MEDIA_SUBSYS", baseline.RePlAce)
 }
 
 func BenchmarkTable2PUFFERCtTop(b *testing.B) {
-	table2Bench(b, "CT_TOP", experiments.PUFFER)
+	table2Bench(b, "CT_TOP", baseline.PUFFER)
 }
 
 // BenchmarkFig2Flow regenerates the algorithm-flow trace (Fig. 2).

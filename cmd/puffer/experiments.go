@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"puffer/internal/baseline"
 	"puffer/internal/experiments"
 )
 
@@ -20,7 +21,7 @@ func experimentsCmd(args []string, w io.Writer) error {
 	src.register(fs, "", true)
 	var (
 		all      = fs.Bool("all", false, "run every table, figure and ablation (the default when none is selected)")
-		parallel = fs.Bool("parallel", false, "run Table-II cells concurrently (RT column becomes noisy)")
+		parallel = fs.Bool("parallel", false, "run the judged cells of Table II, Fig 5, the RT sweep and the ablations concurrently (runtimes become noisy)")
 		pgmDir   = fs.String("pgm", "", "write Fig-5 maps as PGM images into this directory")
 		subset   = fs.String("designs", "", "comma-separated design subset for Table II")
 		o        experiments.Options
@@ -31,7 +32,8 @@ func experimentsCmd(args []string, w io.Writer) error {
 		run         func() (string, error)
 	}{
 		{"table1", "Table I: benchmark statistics", func() (string, error) {
-			return experiments.FormatTable1(experiments.Table1(o)), nil
+			rows, err := experiments.Table1(o)
+			return experiments.FormatTable1(rows), err
 		}},
 		{"fig1", "Fig 1: grid-graph model", func() (string, error) { return experiments.Fig1(), nil }},
 		{"fig2", "Fig 2: algorithm flow trace", func() (string, error) { return experiments.Fig2(o), nil }},
@@ -48,7 +50,7 @@ func experimentsCmd(args []string, w io.Writer) error {
 				return experiments.FormatFig5(maps), err
 			}
 			for _, m := range maps {
-				if err := writePGMPair(filepath.Join(*pgmDir, fmt.Sprintf("%s_%s", m.Design, m.Placer)), m.H, m.V, m.W, m.Ht); err != nil {
+				if err := writePGMPair(filepath.Join(*pgmDir, m.Design+"_"+baseline.Label(m.Flow)), m.H, m.V, m.W, m.Ht); err != nil {
 					return "", err
 				}
 			}

@@ -363,7 +363,7 @@ func TestBaselinesRunThePipeline(t *testing.T) {
 		filepath.Join(dir, "t.json"), filepath.Join(dir, "cp.json")
 	whole := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-placer", "commercial", "-workers", "2",
 		"-report", rep, "-metrics", metrics, "-trace", trace, "-checkpoint", cp)
-	mustContain(t, "commercial run", whole, "Commercial: GP iters=", "legality check: clean",
+	mustContain(t, "commercial run", whole, "Commercial_Inn: GP iters=", "legality check: clean",
 		"run report written to "+rep, "metric stream written to "+metrics, "trace written to "+trace)
 	if m := regexp.MustCompile(`, (\d+) padding rounds`).FindStringSubmatch(whole); m == nil || m[1] == "0" {
 		t.Errorf("no router-guided padding round recorded:\n%s", whole)
@@ -420,7 +420,7 @@ func TestBaselinesRunThePipeline(t *testing.T) {
 	}
 	resumed := runOK(t, "-design", "OR1200", "-scale", "3000", "-seed", "1", "-placer", "commercial", "-resume", legal)
 	mustContain(t, "resumed run", resumed, `resuming after stage "legalize" from `+legal)
-	hpwl := regexp.MustCompile(`(?m)^Commercial: .*, HPWL=(\d+)$`)
+	hpwl := regexp.MustCompile(`(?m)^Commercial_Inn: .*, HPWL=(\d+)$`)
 	routed := regexp.MustCompile(`(?m)^routed: .*$`)
 	for _, re := range []*regexp.Regexp{hpwl, routed} {
 		w, r := re.FindStringSubmatch(whole), re.FindStringSubmatch(resumed)

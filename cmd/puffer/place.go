@@ -31,9 +31,6 @@ import (
 // through the one pipeline they share.
 var pufferOnly = []string{"strategy"}
 
-// flowLabels names each flow in the summary line.
-var flowLabels = map[string]string{baseline.PUFFER: "PUFFER", baseline.RePlAce: "RePlAce", baseline.Commercial: "Commercial"}
-
 // placeFlow runs one placement flow, evaluates it and writes the artifacts
 // its flags ask for.
 func placeFlow(args []string, w io.Writer) (err error) {
@@ -239,7 +236,7 @@ func placeFlow(args []string, w io.Writer) (err error) {
 	}
 	res := rc.Result
 	fmt.Fprintf(w, "%s: GP iters=%d overflow=%.3f, %d padding rounds, legal avg disp=%.3f, HPWL=%.0f\n",
-		flowLabels[*placer], res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
+		baseline.Label(*placer), res.GP.Iters, res.GP.Overflow, len(res.PaddingRuns), res.Legal.AvgDisplacement, res.HPWL)
 	if *traceCSV != "" {
 		var b strings.Builder
 		b.WriteString("iter,hpwl,overflow,lambda,gamma,padded\n")

@@ -38,6 +38,14 @@ const (
 	Commercial = "commercial"
 )
 
+// Flows lists the three flows in Table II's column order.
+var Flows = []string{Commercial, RePlAce, PUFFER}
+
+// Label returns a flow's display name, as the paper's Table II spells it.
+func Label(name string) string {
+	return map[string]string{Commercial: "Commercial_Inn", RePlAce: "RePlAce", PUFFER: "PUFFER"}[name]
+}
+
 // Flow returns the configuration and stage list of the named flow. A
 // positive maxIters caps global placement at that many iterations for
 // every flow alike; 0 keeps the flow's own cap. A flow's finish,

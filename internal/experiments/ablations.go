@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"puffer/internal/baseline"
 	"puffer/internal/explore"
 	"puffer/internal/feature"
 	"puffer/internal/synth"
@@ -77,40 +78,45 @@ var Ablations = []Ablation{AblationFeatures, AblationExpansion, AblationRecyclin
 // differences at these scales are dominated by placement noise.
 const ablationSeeds = 3
 
-// runConfigured places MEDIA_SUBSYS with the PUFFER flow, its
-// configuration passed through mutate when non-nil, over several seeds and
-// returns the mean HOF+VOF and WL of the judged records.
-func runConfigured(o Options, mutate func(*pipeline.Config)) (float64, float64, error) {
+// ablationCells lists the "on" arm's cells, then each ablation's "off"
+// arm's: ablationSeeds PUFFER runs of MEDIA_SUBSYS from o.Seed up.
+func ablationCells(o Options, abls []Ablation) []cell {
 	p, _ := synth.ProfileByName("MEDIA_SUBSYS")
-	var ovf, wl float64
-	for k := int64(0); k < ablationSeeds; k++ {
-		oo := o
-		oo.Seed = o.Seed + k
-		rec, _, err := runOne(synth.Generate(p, o.Scale, oo.Seed), PUFFER, oo, mutate)
-		if err != nil {
-			return 0, 0, err
-		}
-		ovf += (rec.Final.HOF + rec.Final.VOF) / ablationSeeds
-		wl += rec.Final.WL / ablationSeeds
+	offs := []func(*pipeline.Config){nil}
+	for _, a := range abls {
+		offs = append(offs, a.Off)
 	}
-	return ovf, wl, nil
+	var cells []cell
+	for _, off := range offs {
+		for k := int64(0); k < ablationSeeds; k++ {
+			cells = append(cells, cell{profile: p, flow: baseline.PUFFER, scale: o.Scale, seed: o.Seed + k, off: off})
+		}
+	}
+	return cells
 }
 
 // Ablate compares each ablation's mechanism on (PUFFER as configured) and
-// off. The "on" arm is the same for every row, so it is placed once.
+// off, each arm averaged over ablationSeeds seeds of MEDIA_SUBSYS. The "on"
+// arm is the same for every row, so it is placed once.
 func Ablate(o Options, abls ...Ablation) ([]AblationResult, error) {
 	o = mergeDefaults(o)
-	on, wlOn, err := runConfigured(o, nil)
+	recs, _, err := o.judge("ablations", ablationCells(o, abls))
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationResult, 0, len(abls))
-	for _, a := range abls {
-		off, wlOff, err := runConfigured(o, a.Off)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
+	// mean is arm i's mean HOF+VOF and WL over its seeds.
+	mean := func(i int) (ovf, wl float64) {
+		for _, r := range recs[i*ablationSeeds : (i+1)*ablationSeeds] {
+			ovf += (r.Final.HOF + r.Final.VOF) / ablationSeeds
+			wl += r.Final.WL / ablationSeeds
 		}
-		rows = append(rows, AblationResult{Name: a.Name, MetricOn: on, MetricOff: off, WLOn: wlOn, WLOff: wlOff})
+		return ovf, wl
+	}
+	on, wlOn := mean(0)
+	rows := make([]AblationResult, len(abls))
+	for i, a := range abls {
+		off, wlOff := mean(i + 1)
+		rows[i] = AblationResult{Name: a.Name, MetricOn: on, MetricOff: off, WLOn: wlOn, WLOff: wlOff}
 	}
 	return rows, nil
 }
@@ -153,7 +159,7 @@ func ablationTPEOnce(seed int64) AblationResult {
 	}
 	e := &explore.Explorer{
 		Params: params, Eval: objective,
-		TimeLimit: 40, EarlyStop: 40, Rounds: 2, Seed: seed,
+		TimeLimit: 40, EarlyStop: 40, Rounds: 2, Workers: 1, Seed: seed,
 	}
 	_, best := e.Run()
 	res.MetricOn = objective(best)

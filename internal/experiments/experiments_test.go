@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"puffer/internal/baseline"
+	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -14,7 +17,10 @@ func tinyOptions() Options {
 }
 
 func TestTable1AllDesigns(t *testing.T) {
-	rows := Table1(tinyOptions())
+	rows, err := Table1(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
@@ -59,7 +65,7 @@ func TestTable2SingleDesign(t *testing.T) {
 		t.Fatalf("summaries = %d, want 3", len(sums))
 	}
 	for _, s := range sums {
-		if s.Placer == PUFFER {
+		if s.Flow == baseline.PUFFER {
 			if s.WLNorm != 1.0 || s.RTNorm != 1.0 {
 				t.Errorf("PUFFER normalization = %v/%v, want 1/1", s.WLNorm, s.RTNorm)
 			}
@@ -74,26 +80,26 @@ func TestTable2SingleDesign(t *testing.T) {
 }
 
 func TestSummarizePassCounts(t *testing.T) {
-	cell := func(design string, placer PlacerName, hof, vof, wl float64, rt time.Duration) *pipeline.Record {
-		return &pipeline.Record{Design: design, Flow: placer.Flow(), Final: pipeline.Final{
+	cell := func(design, flow string, hof, vof, wl float64, rt time.Duration) *pipeline.Record {
+		return &pipeline.Record{Design: design, Flow: flow, Final: pipeline.Final{
 			RuntimeMS: float64(rt) / float64(time.Millisecond),
 			Routed:    &pipeline.Routed{HOF: hof, VOF: vof, WL: wl},
 		}}
 	}
 	rows := []*pipeline.Record{
-		cell("a", PUFFER, 0.5, 2.0, 100, time.Second),
-		cell("b", PUFFER, 1.0, 0.9, 100, time.Second),
-		cell("a", RePlAce, 1.5, 0.5, 110, 2*time.Second),
-		cell("b", RePlAce, 0.2, 0.2, 120, 2*time.Second),
+		cell("a", baseline.PUFFER, 0.5, 2.0, 100, time.Second),
+		cell("b", baseline.PUFFER, 1.0, 0.9, 100, time.Second),
+		cell("a", baseline.RePlAce, 1.5, 0.5, 110, 2*time.Second),
+		cell("b", baseline.RePlAce, 0.2, 0.2, 120, 2*time.Second),
 	}
 	sums := Summarize(rows)
 	for _, s := range sums {
-		switch s.Placer {
-		case PUFFER:
+		switch s.Flow {
+		case baseline.PUFFER:
 			if s.PassCountHOF != 2 || s.PassCountVOF != 1 {
 				t.Errorf("PUFFER pass counts = %d/%d, want 2/1", s.PassCountHOF, s.PassCountVOF)
 			}
-		case RePlAce:
+		case baseline.RePlAce:
 			if s.PassCountHOF != 1 || s.PassCountVOF != 2 {
 				t.Errorf("RePlAce pass counts = %d/%d, want 1/2", s.PassCountHOF, s.PassCountVOF)
 			}
@@ -109,15 +115,15 @@ func TestSummarizePassCounts(t *testing.T) {
 
 func TestSortRows(t *testing.T) {
 	rows := []*pipeline.Record{
-		{Design: "b", Flow: PUFFER.Flow()},
-		{Design: "a", Flow: PUFFER.Flow()},
-		{Design: "a", Flow: Commercial.Flow()},
+		{Design: "b", Flow: baseline.PUFFER},
+		{Design: "a", Flow: baseline.PUFFER},
+		{Design: "a", Flow: baseline.Commercial},
 	}
 	SortRows(rows)
-	if rows[0].Design != "a" || rows[0].Flow != Commercial.Flow() {
+	if rows[0].Design != "a" || rows[0].Flow != baseline.Commercial {
 		t.Errorf("sort order wrong: %+v", rows)
 	}
-	if rows[1].Design != "a" || rows[1].Flow != PUFFER.Flow() {
+	if rows[1].Design != "a" || rows[1].Flow != baseline.PUFFER {
 		t.Errorf("sort order wrong: %+v", rows)
 	}
 }
@@ -172,7 +178,7 @@ func TestFig5AndPGM(t *testing.T) {
 	}
 	for _, m := range maps {
 		if len(m.H) != m.W*m.Ht || len(m.V) != m.W*m.Ht {
-			t.Errorf("%s: map size mismatch", m.Placer)
+			t.Errorf("%s: map size mismatch", m.Flow)
 		}
 	}
 	text := FormatFig5(maps)
@@ -206,26 +212,68 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestTable2ParallelMatchesSequential(t *testing.T) {
+// TestJudgeParallelMatchesSerial: the runner gives every cell the same
+// record and routed map whether the cells run concurrently or in order,
+// for a Table II list, an ablation list with "off" edits and the Fig. 5
+// list.
+func TestJudgeParallelMatchesSerial(t *testing.T) {
 	o := tinyOptions()
-	o.Designs = []string{"OR1200"}
-	seqRows, _, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
+	or1200, _ := synth.ProfileByName("OR1200")
+	media, _ := synth.ProfileByName("MEDIA_SUBSYS")
+	for _, tc := range []struct {
+		name  string
+		cells []cell
+	}{
+		{"table2", append(o.flowCells(or1200, o.Scale), o.flowCells(media, o.Scale)...)},
+		{"ablations", ablationCells(o, []Ablation{AblationRecycling, AblationDPPreserve})},
+		{"fig5", o.flowCells(media, o.Scale)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seqRecs, seqRoutes, err := o.judge(tc.name, tc.cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			po := o
+			po.Parallel = true
+			parRecs, parRoutes, err := po.judge(tc.name, tc.cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parRecs) != len(tc.cells) || len(seqRecs) != len(tc.cells) {
+				t.Fatalf("%d serial and %d parallel records for %d cells", len(seqRecs), len(parRecs), len(tc.cells))
+			}
+			for i := range tc.cells {
+				a, b := *seqRecs[i], *parRecs[i]
+				if a.Design != b.Design || a.Flow != b.Flow || a.Seed != b.Seed || string(a.Config) != string(b.Config) {
+					t.Errorf("cell %d: serial %s/%s seed %d, parallel %s/%s seed %d", i, a.Design, a.Flow, a.Seed, b.Design, b.Flow, b.Seed)
+				}
+				fa, fb := a.Final, b.Final
+				fa.RuntimeMS, fb.RuntimeMS = 0, 0
+				if fa.Routed == nil || fb.Routed == nil || *fa.Routed != *fb.Routed {
+					t.Errorf("cell %d: routed %+v vs %+v", i, fa.Routed, fb.Routed)
+				}
+				fa.Routed, fb.Routed = nil, nil
+				if fa != fb {
+					t.Errorf("cell %d: final %+v vs %+v", i, fa, fb)
+				}
+				if !reflect.DeepEqual(seqRoutes[i], parRoutes[i]) {
+					t.Errorf("cell %d: routed maps differ", i)
+				}
+			}
+		})
 	}
-	o.Parallel = true
-	parRows, _, err := Table2(o)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestUnknownDesignIsAnError: a -designs name that names no profile fails
+// the section instead of shrinking it.
+func TestUnknownDesignIsAnError(t *testing.T) {
+	o := tinyOptions()
+	o.Designs = []string{"OR1200", "FOO"}
+	if _, _, err := Table2(o); err == nil || !strings.Contains(err.Error(), `"FOO"`) {
+		t.Errorf("Table2 with an unknown design: err %v, want one naming FOO", err)
 	}
-	if len(parRows) != len(seqRows) {
-		t.Fatalf("row counts differ: %d vs %d", len(parRows), len(seqRows))
-	}
-	for i := range seqRows {
-		a, b := seqRows[i], parRows[i]
-		if a.Design != b.Design || a.Flow != b.Flow || *a.Final.Routed != *b.Final.Routed {
-			t.Errorf("row %d differs: %+v vs %+v", i, a.Final, b.Final)
-		}
+	if _, err := Table1(o); err == nil || !strings.Contains(err.Error(), `"FOO"`) {
+		t.Errorf("Table1 with an unknown design: err %v, want one naming FOO", err)
 	}
 }
 
@@ -242,7 +290,7 @@ func TestRTSweepTiny(t *testing.T) {
 		if r.Cells <= 0 {
 			t.Error("zero cells")
 		}
-		for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
+		for _, p := range baseline.Flows {
 			if r.RT[p] <= 0 {
 				t.Errorf("scale %d: zero RT for %s", r.Scale, p)
 			}

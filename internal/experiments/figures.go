@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"puffer"
+	"puffer/internal/baseline"
 	"puffer/internal/cong"
 	"puffer/internal/feature"
 	"puffer/internal/geom"
@@ -91,37 +92,19 @@ func Fig3() string {
 	}
 	_ = ids
 
-	render := func(m *cong.Map, grid []float64, title string) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s\n", title)
-		maxV := 0.0
-		for _, v := range grid {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		shades := " .:-=+*#%@"
-		for j := m.H - 1; j >= 0; j-- {
-			for i := 0; i < m.W; i++ {
-				v := grid[m.Index(i, j)]
-				k := 0
-				if maxV > 0 {
-					k = int(v / maxV * float64(len(shades)-1))
-				}
-				b.WriteByte(shades[k])
-			}
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-
 	var b strings.Builder
+	render := func(m *cong.Map, grid []float64, title string) {
+		fmt.Fprintf(&b, "%s\n", title)
+		shade(&b, grid, m.W, m.H)
+	}
 	fmt.Fprintf(&b, "FIG 3: congestion estimation for one 4-pin net (16x16 Gcells)\n\n")
 
 	e := cong.NewEstimator(d, 16, 16, cong.Params{PinPenalty: 0})
 	m := e.Estimate()
-	fmt.Fprintf(&b, "%s\n", render(m, m.DmdH, "(a) horizontal routing demand"))
-	fmt.Fprintf(&b, "%s\n", render(m, m.DmdV, "(b) vertical routing demand"))
+	render(m, m.DmdH, "(a) horizontal routing demand")
+	b.WriteByte('\n')
+	render(m, m.DmdV, "(b) vertical routing demand")
+	b.WriteByte('\n')
 
 	// Congest the trunk row and re-estimate with expansion enabled.
 	e2 := cong.NewEstimator(d, 16, 16, cong.Params{PinPenalty: 0, ExpandRadius: 3, TransferRatio: 0.5})
@@ -130,7 +113,7 @@ func Fig3() string {
 		e2.M.CapH[idx] = 0.1
 	}
 	m2 := e2.Estimate()
-	fmt.Fprintf(&b, "%s", render(m2, m2.DmdH, "(c) horizontal demand after detour-imitating expansion (row 6 congested)"))
+	render(m2, m2.DmdH, "(c) horizontal demand after detour-imitating expansion (row 6 congested)")
 	return b.String()
 }
 
@@ -187,10 +170,10 @@ func Fig4() string {
 }
 
 // Fig5Maps holds the six congestion maps of Fig. 5: horizontal and
-// vertical, for each of the three placers, on the MEDIA_SUBSYS profile.
+// vertical, for each of the three flows, on the MEDIA_SUBSYS profile.
 type Fig5Maps struct {
 	Design string
-	Placer PlacerName
+	Flow   string    // as baseline.Flow spells it
 	H, V   []float64 // per-Gcell overflow
 	W, Ht  int
 	Stats  cong.MapStats
@@ -198,31 +181,30 @@ type Fig5Maps struct {
 	VOF    float64
 }
 
-// Fig5 places MEDIA_SUBSYS with all three placers and collects routed
+// Fig5 places MEDIA_SUBSYS with all three flows and collects routed
 // congestion maps.
 func Fig5(o Options) ([]Fig5Maps, error) {
 	o = mergeDefaults(o)
 	p, _ := synth.ProfileByName("MEDIA_SUBSYS")
-	var out []Fig5Maps
-	for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		d := synth.Generate(p, o.Scale, o.Seed)
-		_, rr, err := runOne(d, placer, o, nil)
-		if err != nil {
-			return nil, err
-		}
+	cells := o.flowCells(p, o.Scale)
+	_, routes, err := o.judge("fig5", cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Fig5Maps, len(routes))
+	for i, rr := range routes {
 		m := rr.Map
 		fm := Fig5Maps{
-			Design: p.Name, Placer: placer, W: m.W, Ht: m.H,
+			Design: p.Name, Flow: cells[i].flow, W: m.W, Ht: m.H,
 			Stats: m.Stats(), HOF: rr.HOF, VOF: rr.VOF,
 		}
 		fm.H = make([]float64, m.W*m.H)
 		fm.V = make([]float64, m.W*m.H)
-		for i := range fm.H {
-			fm.H[i] = m.OverflowH(i)
-			fm.V[i] = m.OverflowV(i)
+		for j := range fm.H {
+			fm.H[j] = m.OverflowH(j)
+			fm.V[j] = m.OverflowV(j)
 		}
-		out = append(out, fm)
-		o.log("fig5: %s routed, HOF=%.2f%% VOF=%.2f%%", placer, rr.HOF, rr.VOF)
+		out[i] = fm
 	}
 	return out, nil
 }
@@ -231,39 +213,42 @@ func Fig5(o Options) ([]Fig5Maps, error) {
 func FormatFig5(maps []Fig5Maps) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIG 5: congestion maps for MEDIA_SUBSYS (overflow heat, darker = worse)\n\n")
-	shades := " .:-=+*#%@"
-	render := func(grid []float64, w, h int) {
-		maxV := 0.0
-		for _, v := range grid {
-			maxV = math.Max(maxV, v)
-		}
-		// Downsample tall maps to keep the output readable.
-		step := 1
-		for h/step > 32 || w/step > 64 {
-			step++
-		}
-		for j := h - 1; j >= 0; j -= step {
-			for i := 0; i < w; i += step {
-				v := grid[j*w+i]
-				k := 0
-				if maxV > 0 {
-					k = int(v / maxV * float64(len(shades)-1))
-				}
-				b.WriteByte(shades[k])
-			}
-			b.WriteByte('\n')
-		}
-	}
 	for _, fm := range maps {
+		label := baseline.Label(fm.Flow)
 		fmt.Fprintf(&b, "-- %s: HOF=%.2f%% VOF=%.2f%% hot Gcells H/V=%d/%d worst overflow H/V=%.1f/%.1f tracks --\n",
-			fm.Placer, fm.HOF, fm.VOF, fm.Stats.HotH, fm.Stats.HotV, fm.Stats.WorstH, fm.Stats.WorstV)
-		fmt.Fprintf(&b, "-- %s: horizontal overflow --\n", fm.Placer)
-		render(fm.H, fm.W, fm.Ht)
-		fmt.Fprintf(&b, "-- %s: vertical overflow --\n", fm.Placer)
-		render(fm.V, fm.W, fm.Ht)
+			label, fm.HOF, fm.VOF, fm.Stats.HotH, fm.Stats.HotV, fm.Stats.WorstH, fm.Stats.WorstV)
+		fmt.Fprintf(&b, "-- %s: horizontal overflow --\n", label)
+		shade(&b, fm.H, fm.W, fm.Ht)
+		fmt.Fprintf(&b, "-- %s: vertical overflow --\n", label)
+		shade(&b, fm.V, fm.W, fm.Ht)
 		fmt.Fprintf(&b, "\n")
 	}
 	return b.String()
+}
+
+// shade renders a w×h Gcell grid (row-major, row 0 at the bottom) as an
+// ASCII heat map scaled to its peak, downsampling maps larger than 64×32
+// to keep the output readable.
+func shade(b *strings.Builder, grid []float64, w, h int) {
+	const shades = " .:-=+*#%@"
+	maxV := 0.0
+	for _, v := range grid {
+		maxV = math.Max(maxV, v)
+	}
+	step := 1
+	for h/step > 32 || w/step > 64 {
+		step++
+	}
+	for j := h - 1; j >= 0; j -= step {
+		for i := 0; i < w; i += step {
+			k := 0
+			if maxV > 0 {
+				k = int(grid[j*w+i] / maxV * float64(len(shades)-1))
+			}
+			b.WriteByte(shades[k])
+		}
+		b.WriteByte('\n')
+	}
 }
 
 // WritePGM writes a congestion map as a portable graymap image so the maps

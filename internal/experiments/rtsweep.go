@@ -5,17 +5,18 @@ import (
 	"strings"
 	"time"
 
+	"puffer/internal/baseline"
 	"puffer/internal/synth"
 )
 
-// RTSweepRow reports per-placer runtime at one design scale.
+// RTSweepRow reports per-flow runtime at one design scale.
 type RTSweepRow struct {
 	Scale int
 	Cells int
-	RT    map[PlacerName]time.Duration
+	RT    map[string]time.Duration // by flow, as baseline.Flow spells it
 }
 
-// RTSweep measures the runtime of the three placers on one design profile
+// RTSweep measures the runtime of the three flows on one design profile
 // across scales, substantiating the Table-II claim that the runtime ratios
 // grow with design size: the commercial profile's router-in-the-loop and
 // deep refinement scale super-linearly with the netlist, while PUFFER's
@@ -26,23 +27,20 @@ func RTSweep(design string, scales []int, o Options) ([]RTSweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []RTSweepRow
+	var cells []cell
 	for _, scale := range scales {
-		row := RTSweepRow{Scale: scale, RT: map[PlacerName]time.Duration{}}
-		for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
-			d := synth.Generate(p, scale, o.Seed)
-			row.Cells = d.Stats().Cells
-			oo := o
-			oo.Scale = scale
-			rec, _, err := runOne(d, placer, oo, nil)
-			if err != nil {
-				return nil, fmt.Errorf("scale %d / %s: %w", scale, placer, err)
-			}
-			row.RT[placer] = rec.PlaceRuntime() // like Table II
-			o.log("rtsweep: scale=%d cells=%d %s RT=%s", scale, row.Cells, placer,
-				row.RT[placer].Round(time.Millisecond))
-		}
-		rows = append(rows, row)
+		cells = append(cells, o.flowCells(p, scale)...)
+	}
+	recs, _, err := o.judge("rtsweep", cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]RTSweepRow, len(scales))
+	for i, scale := range scales {
+		rows[i] = RTSweepRow{Scale: scale, Cells: synth.Generate(p, scale, o.Seed).Stats().Cells, RT: map[string]time.Duration{}}
+	}
+	for i, rec := range recs {
+		rows[i/len(baseline.Flows)].RT[rec.Flow] = rec.PlaceRuntime() // like Table II
 	}
 	return rows, nil
 }
@@ -51,21 +49,16 @@ func RTSweep(design string, scales []int, o Options) ([]RTSweepRow, error) {
 func FormatRTSweep(design string, rows []RTSweepRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "RUNTIME SCALING on %s (ratios vs PUFFER)\n", design)
-	fmt.Fprintf(&b, "%8s %8s %12s %12s %12s %8s %8s\n",
-		"scale", "cells", "Commercial", "RePlAce", "PUFFER", "C/P", "R/P")
+	fmt.Fprintf(&b, "%8s %8s %12s %12s %12s %8s %8s\n", "scale", "cells", baseline.Label(baseline.Commercial),
+		baseline.Label(baseline.RePlAce), baseline.Label(baseline.PUFFER), "C/P", "R/P")
 	for _, r := range rows {
-		pt := r.RT[PUFFER].Seconds()
-		cp, rp := 0.0, 0.0
-		if pt > 0 {
-			cp = r.RT[Commercial].Seconds() / pt
-			rp = r.RT[RePlAce].Seconds() / pt
+		c, rp, p := r.RT[baseline.Commercial], r.RT[baseline.RePlAce], r.RT[baseline.PUFFER]
+		cpr, rpr := 0.0, 0.0
+		if p > 0 {
+			cpr, rpr = c.Seconds()/p.Seconds(), rp.Seconds()/p.Seconds()
 		}
-		fmt.Fprintf(&b, "%8d %8d %12s %12s %12s %8.2f %8.2f\n",
-			r.Scale, r.Cells,
-			r.RT[Commercial].Round(time.Millisecond),
-			r.RT[RePlAce].Round(time.Millisecond),
-			r.RT[PUFFER].Round(time.Millisecond),
-			cp, rp)
+		fmt.Fprintf(&b, "%8d %8d %12s %12s %12s %8.2f %8.2f\n", r.Scale, r.Cells,
+			c.Round(time.Millisecond), rp.Round(time.Millisecond), p.Round(time.Millisecond), cpr, rpr)
 	}
 	return b.String()
 }

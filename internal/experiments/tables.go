@@ -8,15 +8,16 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"puffer/internal/baseline"
 	"puffer/internal/flow"
-	"puffer/internal/netlist"
 	"puffer/internal/par"
 	"puffer/internal/router"
 	"puffer/internal/synth"
@@ -34,14 +35,14 @@ type Options struct {
 	Designs []string
 	// PlaceIters caps global placement iterations (0 = engine default).
 	PlaceIters int
-	// Parallel runs the (design, placer) grid of Table II concurrently.
-	// Results are identical (each run is independently seeded); the RT
-	// column becomes noisy under contention, so runtime claims should use
-	// sequential runs.
+	// Parallel runs the judged cells of each section (Table II, the RT
+	// sweep, Fig. 5, the ablations) concurrently. Results are identical
+	// (each cell is independently seeded); runtimes become noisy under
+	// contention, so runtime claims should use sequential runs.
 	Parallel bool
 	// Ctx, when non-nil, bounds the whole experiment run: every flow
-	// observes it within one iteration and the Table-II grid stops
-	// scheduling new cells once it is canceled. Nil means background.
+	// observes it within one iteration and a section stops scheduling new
+	// cells once it is canceled. Nil means background.
 	Ctx context.Context
 	// Logf receives progress lines.
 	Logf func(format string, args ...any)
@@ -52,30 +53,85 @@ func DefaultOptions() Options {
 	return Options{Scale: 3000, Seed: 1}
 }
 
-func (o Options) log(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-func (o Options) profiles() []synth.Profile {
+func (o Options) profiles() ([]synth.Profile, error) {
 	if len(o.Designs) == 0 {
-		return synth.Profiles
+		return synth.Profiles, nil
 	}
 	var out []synth.Profile
 	for _, name := range o.Designs {
-		if p, err := synth.ProfileByName(name); err == nil {
-			out = append(out, p)
+		p, err := synth.ProfileByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+// A cell is one judged run of the evaluation grid: profile placed by flow
+// at scale and seed, its configuration passed through off when non-nil
+// (an ablation's "off" arm).
+type cell struct {
+	profile synth.Profile
+	flow    string
+	scale   int
+	seed    int64
+	off     func(*pipeline.Config)
+}
+
+// flowCells is one cell per flow of baseline.Flows, in that order, for
+// profile p at scale and o.Seed.
+func (o Options) flowCells(p synth.Profile, scale int) []cell {
+	var cells []cell
+	for _, f := range baseline.Flows {
+		cells = append(cells, cell{profile: p, flow: f, scale: scale, seed: o.Seed})
+	}
+	return cells
+}
+
+// judge places and routes every cell, concurrently under o.Parallel and
+// in order otherwise, and returns each cell's record and router report in
+// cell order. section prefixes the progress lines.
+func (o Options) judge(section string, cells []cell) ([]*pipeline.Record, []*router.Result, error) {
+	ctx := cmp.Or(o.Ctx, context.Background())
+	recs := make([]*pipeline.Record, len(cells))
+	routes := make([]*router.Result, len(cells))
+	run := func(i int) error {
+		c := cells[i]
+		name := fmt.Sprintf("%s/%d seed %d %s", c.profile.Name, c.scale, c.seed, baseline.Label(c.flow))
+		cfg, stages, err := baseline.Flow(c.flow, o.PlaceIters)
+		if err != nil {
+			return err
+		}
+		cfg.Place.Seed = c.seed
+		if c.off != nil {
+			c.off(&cfg)
+		}
+		rec, res, err := pipeline.Judge(ctx, c.flow, synth.Generate(c.profile, c.scale, c.seed), cfg, stages)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if o.Logf != nil {
+			o.Logf("%s: %s -> HOF=%.2f%% VOF=%.2f%% WL=%.0f RT=%s",
+				section, name, rec.Final.HOF, rec.Final.VOF, rec.Final.WL, rec.PlaceRuntime().Round(time.Millisecond))
+		}
+		recs[i], routes[i] = rec, res.Route
+		return nil
+	}
+	var err error
+	if o.Parallel {
+		err = par.ForErr(ctx, len(cells), run)
+	} else {
+		for i := 0; i < len(cells) && err == nil; i++ {
+			if err = flow.Check(ctx); err == nil {
+				err = run(i)
+			}
 		}
 	}
-	return out
+	if err != nil {
+		return nil, nil, err
+	}
+	return recs, routes, nil
 }
 
 // Table1Row is one line of Table I, carrying both the generated statistics
@@ -87,12 +143,16 @@ type Table1Row struct {
 }
 
 // Table1 generates the benchmark suite and collects its statistics.
-func Table1(o Options) []Table1Row {
+func Table1(o Options) ([]Table1Row, error) {
 	if o.Scale == 0 {
 		o = mergeDefaults(o)
 	}
+	ps, err := o.profiles()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Table1Row
-	for _, p := range o.profiles() {
+	for _, p := range ps {
 		d := synth.Generate(p, o.Scale, o.Seed)
 		s := d.Stats()
 		rows = append(rows, Table1Row{
@@ -100,7 +160,7 @@ func Table1(o Options) []Table1Row {
 			PaperMacros: p.Macros, PaperCells: p.Cells, PaperNets: p.Nets, PaperPins: p.Pins,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatTable1 renders Table I with generated and paper values side by
@@ -120,19 +180,9 @@ func FormatTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// PlacerName identifies the three compared flows.
-type PlacerName string
-
-// The three placers of Table II.
-const (
-	Commercial PlacerName = "Commercial_Inn"
-	RePlAce    PlacerName = "RePlAce"
-	PUFFER     PlacerName = "PUFFER"
-)
-
 // Table2Summary aggregates the per-placer averages the paper reports.
 type Table2Summary struct {
-	Placer       PlacerName
+	Flow         string // as baseline.Flow spells it
 	AvgHOF       float64
 	AvgVOF       float64
 	WLNorm       float64 // vs PUFFER = 1.000
@@ -141,75 +191,21 @@ type Table2Summary struct {
 	PassCountVOF int
 }
 
-// Flow returns the placer's baseline.Flow name.
-func (p PlacerName) Flow() string {
-	return map[PlacerName]string{
-		Commercial: baseline.Commercial,
-		RePlAce:    baseline.RePlAce,
-		PUFFER:     baseline.PUFFER,
-	}[p]
-}
-
-// runOne places design d with the named placer, its configuration passed
-// through mutate when non-nil, judges it with the Route stage, and returns
-// the run's record with the router's report (Fig. 5 draws its map).
-func runOne(d *netlist.Design, placer PlacerName, o Options, mutate func(*pipeline.Config)) (*pipeline.Record, *router.Result, error) {
-	cfg, stages, err := baseline.Flow(placer.Flow(), o.PlaceIters)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Place.Seed = o.Seed
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	rec, res, err := pipeline.Judge(o.ctx(), placer.Flow(), d, cfg, stages)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, res.Route, nil
-}
-
-// Table2 runs all three placers over the benchmark suite, one record per
-// (design, placer) cell.
+// Table2 places and judges every design of the suite with all three
+// flows, one record per (design, flow) cell.
 func Table2(o Options) ([]*pipeline.Record, []Table2Summary, error) {
 	o = mergeDefaults(o)
-	type task struct {
-		profile synth.Profile
-		placer  PlacerName
+	ps, err := o.profiles()
+	if err != nil {
+		return nil, nil, err
 	}
-	var tasks []task
-	for _, p := range o.profiles() {
-		for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
-			tasks = append(tasks, task{p, placer})
-		}
+	var cells []cell
+	for _, p := range ps {
+		cells = append(cells, o.flowCells(p, o.Scale)...)
 	}
-	rows := make([]*pipeline.Record, len(tasks))
-	run := func(i int) error {
-		t := tasks[i]
-		d := synth.Generate(t.profile, o.Scale, o.Seed)
-		o.log("table2: %s / %s ...", t.profile.Name, t.placer)
-		rec, _, err := runOne(d, t.placer, o, nil)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", t.profile.Name, t.placer, err)
-		}
-		o.log("table2: %s / %s -> HOF=%.2f%% VOF=%.2f%% WL=%.0f RT=%s",
-			t.profile.Name, t.placer, rec.Final.HOF, rec.Final.VOF, rec.Final.WL, rec.PlaceRuntime().Round(time.Millisecond))
-		rows[i] = rec
-		return nil
-	}
-	if o.Parallel {
-		if err := par.ForErr(o.ctx(), len(tasks), run); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for i := range tasks {
-			if err := flow.Check(o.ctx()); err != nil {
-				return nil, nil, err
-			}
-			if err := run(i); err != nil {
-				return nil, nil, err
-			}
-		}
+	rows, _, err := o.judge("table2", cells)
+	if err != nil {
+		return nil, nil, err
 	}
 	return rows, Summarize(rows), nil
 }
@@ -224,17 +220,17 @@ func Summarize(rows []*pipeline.Record) []Table2Summary {
 	// Geometric-mean normalization against PUFFER per design.
 	pufferWL := map[string]float64{}
 	pufferRT := map[string]float64{}
-	for _, r := range byFlow[PUFFER.Flow()] {
+	for _, r := range byFlow[baseline.PUFFER] {
 		pufferWL[r.Design] = r.Final.WL
 		pufferRT[r.Design] = r.PlaceRuntime().Seconds()
 	}
 	var out []Table2Summary
-	for _, placer := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		rs := byFlow[placer.Flow()]
+	for _, f := range baseline.Flows {
+		rs := byFlow[f]
 		if len(rs) == 0 {
 			continue
 		}
-		s := Table2Summary{Placer: placer}
+		s := Table2Summary{Flow: f}
 		wlSum, rtSum, n := 0.0, 0.0, 0
 		for _, r := range rs {
 			s.AvgHOF += r.Final.HOF
@@ -266,21 +262,17 @@ func Summarize(rows []*pipeline.Record) []Table2Summary {
 func FormatTable2(rows []*pipeline.Record, sums []Table2Summary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TABLE II: COMPARISON OF HOF, VOF, WL, AND RT\n")
-	designs := []string{}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Design] {
-			seen[r.Design] = true
-			designs = append(designs, r.Design)
-		}
-	}
+	var designs []string
 	byKey := map[string]*pipeline.Record{}
 	for _, r := range rows {
+		if !slices.Contains(designs, r.Design) {
+			designs = append(designs, r.Design)
+		}
 		byKey[r.Design+"/"+r.Flow] = r
 	}
 	fmt.Fprintf(&b, "%-16s", "Benchmark")
-	for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		fmt.Fprintf(&b, " | %-37s", p)
+	for _, f := range baseline.Flows {
+		fmt.Fprintf(&b, " | %-37s", baseline.Label(f))
 	}
 	fmt.Fprintf(&b, "\n%-16s", "")
 	for range 3 {
@@ -289,27 +281,20 @@ func FormatTable2(rows []*pipeline.Record, sums []Table2Summary) string {
 	fmt.Fprintf(&b, "\n")
 	for _, dn := range designs {
 		fmt.Fprintf(&b, "%-16s", dn)
-		for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
-			r := byKey[dn+"/"+p.Flow()]
+		for _, f := range baseline.Flows {
+			r := byKey[dn+"/"+f]
 			fmt.Fprintf(&b, " | %7.2f %7.2f %10.0f %8.2f", r.Final.HOF, r.Final.VOF, r.Final.WL, r.PlaceRuntime().Seconds())
 		}
 		fmt.Fprintf(&b, "\n")
 	}
+	// Summarize lists the flows in baseline.Flows order.
 	fmt.Fprintf(&b, "%-16s", "Average")
-	for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		for _, s := range sums {
-			if s.Placer == p {
-				fmt.Fprintf(&b, " | %7.3f %7.3f %10.3f %8.3f", s.AvgHOF, s.AvgVOF, s.WLNorm, s.RTNorm)
-			}
-		}
+	for _, s := range sums {
+		fmt.Fprintf(&b, " | %7.3f %7.3f %10.3f %8.3f", s.AvgHOF, s.AvgVOF, s.WLNorm, s.RTNorm)
 	}
 	fmt.Fprintf(&b, "\n%-16s", "Pass Count")
-	for _, p := range []PlacerName{Commercial, RePlAce, PUFFER} {
-		for _, s := range sums {
-			if s.Placer == p {
-				fmt.Fprintf(&b, " | %7d %7d %10s %8s", s.PassCountHOF, s.PassCountVOF, "-", "-")
-			}
-		}
+	for _, s := range sums {
+		fmt.Fprintf(&b, " | %7d %7d %10s %8s", s.PassCountHOF, s.PassCountVOF, "-", "-")
 	}
 	fmt.Fprintf(&b, "\n")
 	return b.String()
@@ -317,22 +302,18 @@ func FormatTable2(rows []*pipeline.Record, sums []Table2Summary) string {
 
 func mergeDefaults(o Options) Options {
 	def := DefaultOptions()
-	if o.Scale == 0 {
-		o.Scale = def.Scale
-	}
-	if o.Seed == 0 {
-		o.Seed = def.Seed
-	}
+	o.Scale = cmp.Or(o.Scale, def.Scale)
+	o.Seed = cmp.Or(o.Seed, def.Seed)
 	return o
 }
 
-// SortRows orders rows by design then placer, for stable output.
+// SortRows orders rows by design, then by flow in baseline.Flows order,
+// for stable output.
 func SortRows(rows []*pipeline.Record) {
-	order := map[string]int{Commercial.Flow(): 0, RePlAce.Flow(): 1, PUFFER.Flow(): 2}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].Design != rows[j].Design {
 			return rows[i].Design < rows[j].Design
 		}
-		return order[rows[i].Flow] < order[rows[j].Flow]
+		return slices.Index(baseline.Flows, rows[i].Flow) < slices.Index(baseline.Flows, rows[j].Flow)
 	})
 }

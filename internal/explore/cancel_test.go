@@ -40,7 +40,7 @@ func TestRunCtxCancelStopsWithinOneTrial(t *testing.T) {
 			}
 			return sumsq(a)
 		},
-		TimeLimit: 50, EarlyStop: 50, Rounds: 3, Seed: 11,
+		TimeLimit: 50, EarlyStop: 50, Rounds: 3, Workers: 1, Seed: 11,
 	}
 	final, best, err := e.RunCtx(ctx)
 	if !errors.Is(err, flow.ErrCanceled) || !errors.Is(err, context.Canceled) {
@@ -66,7 +66,7 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	e := &Explorer{
 		Params:    twoGroupParams(),
 		Eval:      func(a Assignment) float64 { evals.Add(1); return sumsq(a) },
-		TimeLimit: 20, EarlyStop: 20, Rounds: 2, Seed: 3,
+		TimeLimit: 20, EarlyStop: 20, Rounds: 2, Workers: 1, Seed: 3,
 	}
 	_, _, err := e.RunCtx(ctx)
 	if !errors.Is(err, flow.ErrCanceled) {

@@ -12,7 +12,9 @@
 package explore
 
 import (
+	"cmp"
 	"context"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -20,6 +22,7 @@ import (
 
 	"puffer/internal/flow"
 	"puffer/internal/obs"
+	"puffer/internal/par"
 )
 
 // Kind describes a parameter's domain.
@@ -267,12 +270,10 @@ type Explorer struct {
 	EarlyStop int
 	// Rounds is the outer TC of Algorithm 3.
 	Rounds int
-	// Parallel explores parameter groups concurrently (Sec. III-C notes
-	// group exploration can run in parallel). Eval must then be
-	// goroutine-safe.
-	Parallel bool
-	// Workers caps how many groups run concurrently when Parallel is set
-	// (0 = all at once). Each group's trials run full placement flows, so
+	// Workers caps how many parameter groups explore concurrently (Sec.
+	// III-C notes group exploration can run in parallel): 0 runs every
+	// group at once, 1 runs them in order. Above 1, Eval must be
+	// goroutine-safe. Each group's trials run full placement flows, so
 	// deployments bound peak memory with this knob.
 	Workers int
 	Seed    int64
@@ -499,7 +500,6 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 		pin := mids()
 		earlyStop := true
 		type groupResult struct {
-			name   string
 			flag   bool
 			ranges map[string]Range
 			err    error
@@ -515,50 +515,19 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 			gsp.SetArg("round", round+1)
 			defer gsp.End()
 			grng := rand.New(rand.NewSource(groupSeed(e.Seed, round, gi)))
-			pinned := make(Assignment, len(pin))
-			for k, v := range pin {
-				pinned[k] = v
-			}
+			pinned := maps.Clone(pin)
 			for _, p := range sub {
 				delete(pinned, p.Name)
 			}
 			flag, nr, err := e.paramExploration(ctx, grng, sub, ranges, pinned)
-			results[gi] = groupResult{name: name, flag: flag, ranges: nr, err: err}
+			results[gi] = groupResult{flag: flag, ranges: nr, err: err}
 		}
-		if e.Parallel {
-			var wg sync.WaitGroup
-			var sem chan struct{}
-			if e.Workers > 0 {
-				sem = make(chan struct{}, e.Workers)
-			}
-			for gi := range groupNames {
-				wg.Add(1)
-				go func(gi int) {
-					defer wg.Done()
-					if sem != nil {
-						sem <- struct{}{}
-						defer func() { <-sem }()
-					}
-					runGroup(gi)
-				}(gi)
-			}
-			wg.Wait()
-		} else {
-			for gi := range groupNames {
-				runGroup(gi)
-				if results[gi].err != nil {
-					break
-				}
-			}
-		}
+		par.ForN(cmp.Or(e.Workers, len(groupNames)), len(groupNames), runGroup)
 		// Deterministic merge in group declaration order: each group owns
 		// its own parameters' ranges. A canceled group contributes the
 		// ranges it had converged so far; the first error (deterministic
 		// in group order) aborts the remaining rounds.
 		for gi, name := range groupNames {
-			if results[gi].ranges == nil {
-				continue // never ran (sequential early break)
-			}
 			for _, p := range groups[name] {
 				ranges[p.Name] = results[gi].ranges[p.Name]
 			}
@@ -584,11 +553,4 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 		}
 	}
 	return final, bestSeen, gerr
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

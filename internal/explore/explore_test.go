@@ -30,6 +30,7 @@ func TestExplorerImprovesSphere(t *testing.T) {
 		TimeLimit: 40,
 		EarlyStop: 40,
 		Rounds:    2,
+		Workers:   1,
 		Seed:      1,
 		Obs:       obs.NewRecorder(nil, reg),
 	}
@@ -67,7 +68,7 @@ func TestTPEBeatsRandomSearch(t *testing.T) {
 
 	tpeBest := 0.0
 	{
-		e := &Explorer{Params: params, Eval: sphere, TimeLimit: budget, EarlyStop: budget, Rounds: 1, Seed: 7}
+		e := &Explorer{Params: params, Eval: sphere, TimeLimit: budget, EarlyStop: budget, Rounds: 1, Workers: 1, Seed: 7}
 		_, best := e.Run()
 		tpeBest = sphere(best)
 	}
@@ -108,7 +109,7 @@ func TestIntAndLogParams(t *testing.T) {
 	obj := func(x Assignment) float64 {
 		return math.Abs(x["n"]-7) + math.Abs(math.Log10(x["s"])-0) // optimum n=7, s=1
 	}
-	e := &Explorer{Params: params, Eval: obj, TimeLimit: 50, EarlyStop: 50, Rounds: 2, Seed: 3}
+	e := &Explorer{Params: params, Eval: obj, TimeLimit: 50, EarlyStop: 50, Rounds: 2, Workers: 1, Seed: 3}
 	_, best := e.Run()
 	if best["n"] != math.Round(best["n"]) {
 		t.Errorf("int param not integral: %v", best["n"])
@@ -130,7 +131,7 @@ func TestCategoricalSelection(t *testing.T) {
 		base := []float64{5, 8, 0, 12}[int(a["mode"])]
 		return base + a["x"]
 	}
-	e := &Explorer{Params: params, Eval: obj, TimeLimit: 60, EarlyStop: 60, Rounds: 1, Seed: 5}
+	e := &Explorer{Params: params, Eval: obj, TimeLimit: 60, EarlyStop: 60, Rounds: 1, Workers: 1, Seed: 5}
 	_, best := e.Run()
 	if int(best["mode"]) != 2 {
 		t.Errorf("best mode = %v (%s), want 2 (good)",
@@ -146,6 +147,7 @@ func TestEarlyStopTerminates(t *testing.T) {
 		TimeLimit: 1000,
 		EarlyStop: 5,
 		Rounds:    1,
+		Workers:   1,
 		Seed:      1,
 	}
 	e.Run()
@@ -171,7 +173,6 @@ func TestParallelGroupsAreSafeAndDeterministicMerge(t *testing.T) {
 		TimeLimit: 20,
 		EarlyStop: 20,
 		Rounds:    2,
-		Parallel:  true,
 		Seed:      11,
 	}
 	final, _ := e.Run()
@@ -244,6 +245,7 @@ func TestRunIsDeterministicSequential(t *testing.T) {
 			TimeLimit: 25,
 			EarlyStop: 25,
 			Rounds:    2,
+			Workers:   1,
 			Seed:      99,
 		}
 		final, _ := e.Run()

@@ -37,16 +37,15 @@ func TestGroupSeedOldSchemeCollided(t *testing.T) {
 	}
 }
 
-// TestRunIsDeterministicParallel pins parallel-mode determinism: the
-// group seeds derive only from (Seed, round, group index), so concurrent
-// execution order cannot change the result.
+// TestRunIsDeterministicParallel pins parallel-mode determinism (Workers
+// 0, every group at once): the group seeds derive only from (Seed, round,
+// group index), so concurrent execution order cannot change the result.
 func TestRunIsDeterministicParallel(t *testing.T) {
 	run := func() (Assignment, int) {
 		e := &Explorer{
 			Params:    twoGroupParams(),
 			Eval:      sumsq,
 			TimeLimit: 30, EarlyStop: 30, Rounds: 2, Seed: 9,
-			Parallel: true,
 		}
 		final, _ := e.Run()
 		return final, len(e.History())

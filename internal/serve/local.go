@@ -331,16 +331,17 @@ func buildResult(rec *pipeline.Record, prior *JobResult) *JobResult {
 	return out
 }
 
-// execExplore runs a strategy-exploration job in process. Exploration
-// carries no resumable design state, so a re-admitted exploration starts
-// over.
+// execExplore runs a strategy-exploration job in process and spools its
+// best observed strategy, the one whose score is the job's best_score (as
+// `puffer explore -out` writes it). Exploration carries no resumable
+// design state, so a re-admitted exploration starts over.
 func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
 	d, cfg, err := s.jobFlow(m, hub, rec)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	final, _, trials, err := puffer.ExploreStrategyOpts(ctx, d, cfg.Place, puffer.ExploreOptions{
+	_, best, trials, err := puffer.ExploreStrategyOpts(ctx, d, cfg.Place, puffer.ExploreOptions{
 		Budget:  m.Spec.Budget,
 		Seed:    m.Spec.Seed,
 		Workers: m.Spec.Workers,
@@ -351,7 +352,7 @@ func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *ob
 		return nil, err
 	}
 	if sp, perr := s.spool.ArtifactPath(m.ID, "strategy.json"); perr == nil {
-		if werr := puffer.SaveStrategy(sp, final); werr != nil {
+		if werr := puffer.SaveStrategy(sp, best); werr != nil {
 			s.log.ErrorContext(ctx, "write strategy artifact", "job", m.ID, "error", werr)
 		}
 	}

@@ -803,6 +803,46 @@ func TestExploreJobRuns(t *testing.T) {
 	}
 }
 
+// TestExploreJobShipsItsBestScore: the strategy an explore job spools,
+// judged on the job's design with the job's place configuration, scores
+// exactly the job's best_score.
+func TestExploreJobShipsItsBestScore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration budget too slow for -short")
+	}
+	s := newTestServer(t, Config{})
+	s.Start()
+	// No MaxIters: a GP capped before its first padding round scores every
+	// strategy alike, and any strategy would match best_score.
+	spec := JobSpec{Kind: KindExplore, Profile: "MEDIA_SUBSYS", Scale: 6000, Seed: 3, Budget: 2}
+	spec.Normalize()
+	id := enqueue(t, s, spec)
+	got := waitState(t, s, id, StateDone).Result
+
+	st, err := puffer.LoadStrategy(filepath.Join(s.spool.JobDir(id), "strategy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobCfg, err := flowConfig(spec.Seed, spec.MaxIters, spec.Workers, nil, nil, NewHub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig()
+	cfg.Place = jobCfg.Place
+	cfg.Strategy = st
+	p, err := synth.ProfileByName(spec.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := pipeline.Judge(context.Background(), pipeline.PUFFER, synth.Generate(p, spec.Scale, spec.Seed), cfg, pipeline.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if score := rec.Final.HOF + rec.Final.VOF; score != got.BestScore {
+		t.Errorf("spooled strategy scores HOF+VOF %v, job best_score %v", score, got.BestScore)
+	}
+}
+
 func TestConcurrentJobsIsolatedRegistries(t *testing.T) {
 	// Two jobs running simultaneously on separate workers must keep their
 	// telemetry apart: each hub sees only its own job's samples, and the

@@ -166,7 +166,6 @@ func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.
 		TimeLimit: opt.Budget,
 		EarlyStop: max(opt.Budget/3, 5),
 		Rounds:    2,
-		Parallel:  true,
 		Workers:   opt.Workers,
 		Seed:      opt.Seed,
 		Logf:      opt.Logf,
