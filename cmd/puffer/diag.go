@@ -161,9 +161,6 @@ func summarizeSession(w io.Writer, path string, _ []byte) error {
 	fmt.Fprintf(w, "design hash: %s\n", sn.DesignHash)
 	fmt.Fprintf(w, "deltas applied: %d\n", sn.Deltas)
 	fmt.Fprintf(w, "last hpwl: %.2f  last overflow: %.4f\n", sn.LastHPWL, sn.LastOverflow)
-	if sn.GridM > 0 {
-		fmt.Fprintf(w, "warm density grid: %dx%d\n", sn.GridM, sn.GridN)
-	}
 	if sn.EstCalls > 0 {
 		fmt.Fprintf(w, "estimator: %d calls\n", sn.EstCalls)
 	}

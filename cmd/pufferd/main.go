@@ -12,9 +12,9 @@
 // Besides one-shot jobs, the daemon serves interactive ECO sessions as jobs
 // of kind session: the job places the design once (cold place) and stays
 // open, and each delta posted to /api/v1/jobs/{id}/deltas re-places it
-// against the warm engine state in a fraction of the cold wall. Session
-// warm state idle longer than -session-idle is evicted (the session parks:
-// the spooled snapshot remains, and the next delta rehydrates it).
+// from its last placement in a fraction of the cold wall. Session warm
+// state idle longer than -session-idle is evicted (the session parks: the
+// spooled snapshot remains, and the next delta rehydrates it).
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
 // (submissions get 503), cancels running jobs so they park at their last

@@ -19,15 +19,13 @@ func quick(t *testing.T) *netlist.Design {
 	return synth.Generate(p, 3000, 1)
 }
 
-// fastFlow is the named flow on a coarse density grid with a 400-iteration
-// cap.
+// fastFlow is the named flow with a 400-iteration cap.
 func fastFlow(t *testing.T, name string) (pipeline.Config, []pipeline.Stage) {
 	t.Helper()
 	cfg, stages, err := Flow(name, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Place.GridM, cfg.Place.GridN = 32, 32
 	return cfg, stages
 }
 

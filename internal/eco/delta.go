@@ -1,15 +1,13 @@
 // Package eco implements incremental ECO (engineering change order)
-// sessions over the PUFFER flow: a Session owns the warm state one
-// placement run leaves behind — the parsed design, the routability
-// optimizer with its congestion estimator, the density solver with its
-// fixed baseline and deposit fingerprints, the wirelength model, the
-// padding history, and the last placement — and
-// re-enters the staged pipeline from that state for each submitted Delta
-// instead of starting from scratch. A small delta re-places in a fraction
-// of cold wall (BenchmarkECOCold vs BenchmarkECOWarm) while preserving the
-// engine contracts: results are bit-deterministic for any worker count,
-// and an N-delta chain lands in the same quality band as a cold run on the
-// final design. See DESIGN.md §3g.
+// sessions over the PUFFER flow: a Session keeps the results one placement
+// run leaves behind — the parsed design with its last placement, and the
+// routability optimizer with its padding history — and re-enters the
+// staged pipeline from that placement for each submitted Delta instead of
+// starting from scratch. Each run builds its placement engine afresh. A
+// small delta re-places in a fraction of cold wall (BenchmarkECOCold vs
+// BenchmarkECOWarm) while preserving the engine contracts: results are
+// bit-deterministic for any worker count, and an N-delta chain lands in the
+// same quality band as a cold run on the final design. See DESIGN.md §3g.
 package eco
 
 import (
@@ -105,10 +103,13 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Validate checks every id and value in the delta against design d:
 // cell/net ids must be in range, coordinates finite, sizes positive,
-// weights finite and non-negative, padding non-negative. Moved cells must
-// land with their outline inside the placement region (fixed macros
-// included — a macro shoved off-core is a client error, not a placement
-// problem).
+// weights finite and non-negative, padding non-negative. It also checks
+// the geometry the delta leaves, each touched cell at its final size (its
+// last resize of each dimension): a resized cell must fit the placement
+// region, a moved cell's outline must land inside it, and so must a fixed
+// cell's final outline after its move and resize (a macro shoved off-core
+// is a client error, not a placement problem). A movable cell resized in
+// place may cross the region's edge; placement pulls it back in.
 func (dl *Delta) Validate(d *netlist.Design) error {
 	for i, m := range dl.Moves {
 		if m.Cell < 0 || m.Cell >= len(d.Cells) {
@@ -116,11 +117,6 @@ func (dl *Delta) Validate(d *netlist.Design) error {
 		}
 		if !finite(m.X) || !finite(m.Y) {
 			return fmt.Errorf("eco: moves[%d]: non-finite target (%v, %v)", i, m.X, m.Y)
-		}
-		c := &d.Cells[m.Cell]
-		if m.X-c.W/2 < d.Region.Lo.X || m.X+c.W/2 > d.Region.Hi.X ||
-			m.Y-c.H/2 < d.Region.Lo.Y || m.Y+c.H/2 > d.Region.Hi.Y {
-			return fmt.Errorf("eco: moves[%d]: cell %d at (%v, %v) leaves the region", i, m.Cell, m.X, m.Y)
 		}
 	}
 	for i, r := range dl.Resizes {
@@ -150,36 +146,68 @@ func (dl *Delta) Validate(d *netlist.Design) error {
 			return fmt.Errorf("eco: padding[%d]: invalid pad_w %v", i, p.PadW)
 		}
 	}
+
+	// The touched cells as the delta leaves them.
+	final := make(map[int]*netlist.Cell, len(dl.Moves)+len(dl.Resizes))
+	touch := func(i int) *netlist.Cell {
+		if c, ok := final[i]; ok {
+			return c
+		}
+		c := d.Cells[i]
+		final[i] = &c
+		return &c
+	}
+	for _, m := range dl.Moves {
+		m.apply(touch(m.Cell))
+	}
+	for _, r := range dl.Resizes {
+		r.apply(touch(r.Cell))
+	}
+	in := d.Region
+	for i, m := range dl.Moves {
+		c := final[m.Cell]
+		if m.X-c.W/2 < in.Lo.X || m.X+c.W/2 > in.Hi.X || m.Y-c.H/2 < in.Lo.Y || m.Y+c.H/2 > in.Hi.Y {
+			return fmt.Errorf("eco: moves[%d]: cell %d at (%v, %v) leaves the region", i, m.Cell, m.X, m.Y)
+		}
+	}
+	for i, r := range dl.Resizes {
+		c := final[r.Cell]
+		if c.W > in.W() || c.H > in.H() {
+			return fmt.Errorf("eco: resizes[%d]: cell %d at %v x %v does not fit the %v x %v region",
+				i, r.Cell, c.W, c.H, in.W(), in.H())
+		}
+		if c.Fixed && in.Intersect(c.Rect()) != c.Rect() {
+			return fmt.Errorf("eco: resizes[%d]: fixed cell %d at %v x %v leaves the region", i, r.Cell, c.W, c.H)
+		}
+	}
 	return nil
 }
 
-// apply mutates d with the delta's changes and reports whether any fixed
-// cell moved or resized — the caller must then invalidate warm state that
-// bakes the fixed landscape in (the density solver's baseline). Validate
-// must have passed.
-func (dl *Delta) apply(d *netlist.Design) (touchedFixed bool) {
+// apply moves c to the target center.
+func (m CellMove) apply(c *netlist.Cell) {
+	c.X = m.X - c.W/2
+	c.Y = m.Y - c.H/2
+}
+
+// apply resizes c about its center, so the cell does not drift.
+func (r CellResize) apply(c *netlist.Cell) {
+	cx, cy := c.X+c.W/2, c.Y+c.H/2
+	if r.W > 0 {
+		c.W = r.W
+	}
+	if r.H > 0 {
+		c.H = r.H
+	}
+	c.X, c.Y = cx-c.W/2, cy-c.H/2
+}
+
+// apply mutates d with the delta's changes. Validate must have passed.
+func (dl *Delta) apply(d *netlist.Design) {
 	for _, m := range dl.Moves {
-		c := &d.Cells[m.Cell]
-		c.X = m.X - c.W/2
-		c.Y = m.Y - c.H/2
-		if c.Fixed {
-			touchedFixed = true
-		}
+		m.apply(&d.Cells[m.Cell])
 	}
 	for _, r := range dl.Resizes {
-		c := &d.Cells[r.Cell]
-		// Resize about the center so the cell does not drift.
-		cx, cy := c.X+c.W/2, c.Y+c.H/2
-		if r.W > 0 {
-			c.W = r.W
-		}
-		if r.H > 0 {
-			c.H = r.H
-		}
-		c.X, c.Y = cx-c.W/2, cy-c.H/2
-		if c.Fixed {
-			touchedFixed = true
-		}
+		r.apply(&d.Cells[r.Cell])
 	}
 	for _, w := range dl.Weights {
 		d.Nets[w.Net].Weight = w.Weight
@@ -187,7 +215,6 @@ func (dl *Delta) apply(d *netlist.Design) (touchedFixed bool) {
 	for _, p := range dl.Padding {
 		d.Cells[p.Cell].PadW = p.PadW
 	}
-	return touchedFixed
 }
 
 // Size returns the number of individual changes in the delta, the measure

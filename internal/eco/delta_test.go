@@ -36,8 +36,25 @@ func TestParseDeltaStrict(t *testing.T) {
 	}
 }
 
+// TestDeltaValidateHostileValues: Validate rejects bad ids and values, and
+// judges geometry at each touched cell's final size: a resize must fit the
+// region, a move is checked at the cell's final size, and a fixed cell's
+// final outline must stay inside the region. A movable cell resized in
+// place may cross the edge (placement pulls it back), so that validates.
 func TestDeltaValidateHostileValues(t *testing.T) {
 	d := testDesign(2000, 1)
+	mov, fixed := d.MovableIDs()[0], -1
+	for i := range d.Cells {
+		if d.Cells[i].Fixed {
+			fixed = i
+			break
+		}
+	}
+	// The movable cell sits against the right edge, so growing it by one
+	// site about its center crosses the edge by half a site.
+	d.Cells[mov].X = d.Region.Hi.X - d.Cells[mov].W
+	c, m := d.Cells[mov], d.Cells[fixed]
+	edge := d.Region.Hi.X - c.W/2 // its rightmost center at its current width
 	bad := []*Delta{
 		{Moves: []CellMove{{Cell: -1, X: 1, Y: 1}}},
 		{Moves: []CellMove{{Cell: len(d.Cells), X: 1, Y: 1}}},
@@ -49,10 +66,28 @@ func TestDeltaValidateHostileValues(t *testing.T) {
 		{Weights: []NetReweight{{Net: 0, Weight: -1}}},
 		{Padding: []PadOverride{{Cell: 1 << 40, PadW: 0}}},
 		{Padding: []PadOverride{{Cell: 0, PadW: -0.5}}},
+		{Resizes: []CellResize{{Cell: mov, W: 2 * d.Region.W()}}},
+		{Resizes: []CellResize{{Cell: mov, H: 2 * d.Region.H()}}},
+		{Moves: []CellMove{{Cell: mov, X: edge, Y: 5}}, Resizes: []CellResize{{Cell: mov, W: 2 * c.W}}},
+		{Resizes: []CellResize{{Cell: fixed, W: d.Region.W()}}},
+		{
+			Moves:   []CellMove{{Cell: fixed, X: d.Region.Hi.X - m.W/2, Y: 5}},
+			Resizes: []CellResize{{Cell: fixed, W: 1.5 * m.W}},
+		},
 	}
 	for i, dl := range bad {
 		if err := dl.Validate(d); err == nil {
 			t.Errorf("case %d: hostile delta validated", i)
+		}
+	}
+	good := []*Delta{
+		{Resizes: []CellResize{{Cell: mov, W: c.W + d.SiteWidth}}},
+		{Moves: []CellMove{{Cell: mov, X: edge, Y: 5}}},
+		{Resizes: []CellResize{{Cell: fixed, W: m.W / 2}}},
+	}
+	for i, dl := range good {
+		if err := dl.Validate(d); err != nil {
+			t.Errorf("good case %d: %v", i, err)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
 	"puffer/internal/padding"
-	"puffer/internal/place"
 	"puffer/pipeline"
 )
 
@@ -55,34 +54,27 @@ func (o Options) warmMin() int {
 	return 8
 }
 
-// Session owns the warm state of one design across an ECO conversation:
-// the design itself (mutated in place by deltas and re-placements), the
-// shared routability optimizer — its padding history and its congestion
-// estimator's buffers — and the placement engine state harvested after
-// every run (density solver with its fixed baseline and deposit
-// fingerprints, wirelength model with its per-worker scratch). Place runs the cold pipeline once; Apply then re-enters the
-// staged pipeline per delta from warm state.
+// Session owns one design across an ECO conversation and keeps only
+// results: the design itself (mutated in place by deltas and
+// re-placements), the shared routability optimizer with its padding history
+// (pt(c) of Eq. 15), the delta count and the last run's summary. Place runs
+// the cold pipeline once; Apply then warm-starts GP from the previous
+// placement and re-enters the staged pipeline per delta. Every run builds
+// its placement engine afresh, so no engine state outlives a run and a
+// delta never has to invalidate any.
 //
-// Ownership and invalidation rules (DESIGN.md §3g): the Session is the
-// sole owner of its design and engine state — callers must not mutate the
-// design between calls. Warm state is dropped selectively: a delta that
-// moves or resizes a FIXED cell invalidates the density solver (its
-// baseline bakes the fixed landscape in) but keeps the wirelength model.
-// The estimator needs no invalidation: it reads every pin position afresh
-// on each call.
+// Ownership (DESIGN.md §3g): the Session is the sole owner of its design —
+// callers must not mutate it between calls.
 //
 // All methods are safe for concurrent use; they serialize on one mutex
-// (the warm state is inherently single-writer).
+// (the session is inherently single-writer).
 type Session struct {
 	mu   sync.Mutex
 	d    *netlist.Design
 	cfg  pipeline.Config
 	opts Options
 
-	opt          *padding.Optimizer
-	gridW, gridH int // congestion Gcell grid
-	gridM, gridN int // density grid of the base placement
-	reuse        *place.Reuse
+	opt *padding.Optimizer
 
 	placed       bool
 	deltas       int
@@ -98,14 +90,7 @@ func New(d *netlist.Design, cfg pipeline.Config, opts Options) (*Session, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		d:     d,
-		cfg:   cfg,
-		opts:  opts,
-		gridW: rc.GridW,
-		gridH: rc.GridH,
-		opt:   rc.PadOptimizer(),
-	}, nil
+	return &Session{d: d, cfg: cfg, opts: opts, opt: rc.PadOptimizer()}, nil
 }
 
 // Design returns the session's design. The session owns it — read-only
@@ -147,13 +132,12 @@ func (s *Session) Place(ctx context.Context) (*pipeline.Result, error) {
 	return rc.Result, nil
 }
 
-// Apply atomically applies dl to the design and re-places it from warm
-// state: the previous placement seeds GP (WarmStart), and the density
-// solver and wirelength model are adopted from the previous run when still
-// valid. The pipeline stages (place, legalize, dp) run as in a cold run,
-// so the result honors the same legality contract. On error the design may
-// hold partially re-placed positions; the session stays usable — the next
-// Apply re-enters from whatever state the design is in.
+// Apply atomically applies dl to the design and re-places it: the previous
+// placement seeds GP (WarmStart) and the session's optimizer keeps its
+// padding history. The pipeline stages (place, legalize, dp) run as in a
+// cold run, so the result honors the same legality contract. On error the
+// design may hold partially re-placed positions; the session stays usable —
+// the next Apply re-enters from whatever state the design is in.
 func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,11 +160,7 @@ func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error
 	span.SetArg("resizes", len(dl.Resizes))
 	span.SetArg("weights", len(dl.Weights))
 	span.SetArg("padding", len(dl.Padding))
-	if dl.apply(s.d) && s.reuse != nil {
-		// The fixed landscape changed: the density baseline is stale.
-		// The wirelength model only reads positions — keep it.
-		s.reuse.Den = nil
-	}
+	dl.apply(s.d)
 	s.opt.ReArm()
 
 	rc, err := pipeline.NewRunContext(s.d, s.warmConfig())
@@ -207,16 +187,11 @@ func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error
 }
 
 // warmConfig derives the per-delta pipeline configuration from the cold
-// one: warm-started GP at the base placement's grid
-// resolution, with the engine-state reuse handles attached and the
-// iteration budget cut to the warm caps.
+// one: warm-started GP with the iteration budget cut to the warm caps.
 func (s *Session) warmConfig() pipeline.Config {
 	cfg := s.cfg
 	p := &cfg.Place
 	p.WarmStart = true
-	if s.gridM > 0 {
-		p.GridM, p.GridN = s.gridM, s.gridN
-	}
 	p.MaxIters = s.opts.warmMax(p.MaxIters)
 	p.MinIters = s.opts.warmMin()
 	// A warm run starts on a plateau by construction — the previous
@@ -226,16 +201,11 @@ func (s *Session) warmConfig() pipeline.Config {
 	if p.PlateauIters > 12 {
 		p.PlateauIters = 12
 	}
-	p.Reuse = s.reuse
 	return cfg
 }
 
-// harvest records the finished run's warm state and summary.
+// harvest records the finished run's summary.
 func (s *Session) harvest(rc *pipeline.RunContext) {
-	if r := rc.EngineReuse(); r != nil && r.Den != nil {
-		s.reuse = r
-		s.gridM, s.gridN = r.Den.M, r.Den.N
-	}
 	s.lastHPWL = rc.Result.HPWL
 	s.lastOverflow = rc.Result.GP.Overflow
 	if s.opt.Iter() > 0 {

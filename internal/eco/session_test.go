@@ -3,6 +3,9 @@ package eco
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"testing"
 
 	"puffer/internal/netlist"
+	"puffer/internal/obs"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -101,16 +105,19 @@ func TestApplyRejectsEmptyAndInvalidDeltas(t *testing.T) {
 // TestGPDeterminismAcrossWorkers: the whole ECO path — cold place, then a
 // delta chain through the estimator, padding, warm GP, legal, and detailed
 // placement — must produce bit-identical placements at any worker count.
-// Every warm run must adopt the previous run's wirelength model and density
-// grid and re-bind both to its own engine's team of the asked size. Over
-// the whole chain the helpers must really run shards with 4 workers and
-// none with 1; a single run's hand-offs depend on the scheduler, so they
-// are not asserted per delta.
+// Every run's engine must run on a team of the asked size (its place.gp
+// span's workers arg). Over the whole chain the helpers must really run
+// shards with 4 workers and none with 1 (the spans' handoffs args); a
+// single run's hand-offs depend on the scheduler, so they are not asserted
+// per run.
 func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(workers int) (*netlist.Design, []float64) {
 		d := testDesign(300, 7)
-		s, err := New(d, testConfig(workers), Options{})
+		tr := obs.NewTracer()
+		cfg := testConfig(workers)
+		cfg.Obs = obs.NewRecorder(tr, nil)
+		s, err := New(d, cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,32 +127,33 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		hpwls = append(hpwls, res.HPWL)
-		handoffs := s.reuse.WL.Team().Handoffs()
 		for i, dl := range []*Delta{
 			moveDelta(d, 0.04, 3.0, -2.0),
 			{Weights: []NetReweight{{Net: 0, Weight: 3}, {Net: 5, Weight: 2}}},
 		} {
-			wl, den := s.reuse.WL, s.reuse.Den
-			prev := wl.Team()
 			res, err := s.Apply(context.Background(), dl)
 			if err != nil {
 				t.Fatalf("delta %d (workers=%d): %v", i, workers, err)
 			}
 			hpwls = append(hpwls, res.HPWL)
-			if s.reuse.WL != wl || s.reuse.Den != den {
-				t.Fatalf("delta %d (workers=%d): the warm run rebuilt its engine state instead of adopting it", i, workers)
+		}
+		gp := gpSpans(t, tr)
+		if len(gp) != 3 {
+			t.Fatalf("workers=%d: %d place.gp spans, want one per run (3)", workers, len(gp))
+		}
+		handoffs := 0.0
+		for i, args := range gp {
+			if args["workers"] != float64(workers) {
+				t.Fatalf("run %d (workers=%d): engine on %v executors", i, workers, args["workers"])
 			}
-			team := wl.Team()
-			if team == prev || den.Team() != team {
-				t.Fatalf("delta %d (workers=%d): adopted state still dispatches on a previous run's team", i, workers)
+			h, ok := args["handoffs"].(float64)
+			if !ok {
+				t.Fatalf("run %d (workers=%d): place.gp span has no handoffs arg", i, workers)
 			}
-			if team.Size() != workers {
-				t.Fatalf("delta %d (workers=%d): warm engine on %d executors", i, workers, team.Size())
-			}
-			handoffs += team.Handoffs()
+			handoffs += h
 		}
 		if (workers > 1) != (handoffs > 0) {
-			t.Fatalf("workers=%d: the chain's helpers ran %d shards", workers, handoffs)
+			t.Fatalf("workers=%d: the chain's helpers ran %v shards", workers, handoffs)
 		}
 		return d, hpwls
 	}
@@ -162,6 +170,32 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 				i, d1.Cells[i].X, d1.Cells[i].Y, d4.Cells[i].X, d4.Cells[i].Y)
 		}
 	}
+}
+
+// gpSpans returns the args of every place.gp span tr recorded, in the
+// order the spans ended.
+func gpSpans(t *testing.T, tr *obs.Tracer) []map[string]any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]any
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "place.gp" {
+			out = append(out, ev.Args)
+		}
+	}
+	return out
 }
 
 // TestChainConvergesToColdQuality: after an N-delta chain, the session's
@@ -233,78 +267,100 @@ func TestChainConvergesToColdQuality(t *testing.T) {
 // session lacks (engine buffers, fingerprints) feeds a result. The design
 // is small and the warm budget one iteration, so the placement barely
 // moves between the two deltas: the regime in which an estimator that
-// carried per-net state across calls would diverge from a cold one.
+// carried per-net state across calls would diverge from a cold one. The
+// second delta moves movable cells, or a fixed macro, which changes the
+// density grid's fixed baseline.
 func TestParkRestoreNextDeltaExact(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Place.Seed = 1
 	cfg.Workers = 2
 	opts := Options{WarmMaxIters: 1, WarmMinIters: 1}
 
-	d1 := testDesign(500, 11) // ~390 nets
-	s1, err := New(d1, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Place(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Apply(context.Background(), moveDelta(d1, 0.004, 2.5, -1.5)); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		delta2 func(d *netlist.Design) *Delta
+	}{
+		{"movable", func(d *netlist.Design) *Delta { return moveDelta(d, 0.004, -3.0, 2.0) }},
+		{"fixed", func(d *netlist.Design) *Delta {
+			for i := range d.Cells {
+				if d.Cells[i].Fixed {
+					ctr := d.Cells[i].Rect().Center()
+					return &Delta{Moves: []CellMove{{Cell: i, X: ctr.X + 1, Y: ctr.Y}}}
+				}
+			}
+			t.Fatal("the design has no fixed cell")
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d1 := testDesign(500, 11) // ~390 nets
+			s1, err := New(d1, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Place(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Apply(context.Background(), moveDelta(d1, 0.004, 2.5, -1.5)); err != nil {
+				t.Fatal(err)
+			}
 
-	// Park: snapshot, round-trip through disk like the service does.
-	sn, err := s1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	if err := sn.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	sn2, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Park: snapshot, round-trip through disk like the service does.
+			sn, err := s1.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "snapshot.json")
+			if err := sn.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			sn2, err := LoadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Both sessions apply the same second delta. The delta is built
-	// against s1's current placement; the restored design holds identical
-	// positions (checkpoint), so it validates there too.
-	delta2 := moveDelta(d1, 0.004, -3.0, 2.0)
+			// Both sessions apply the same second delta. The delta is built
+			// against s1's current placement; the restored design holds
+			// identical positions (checkpoint), so it validates there too.
+			delta2 := tc.delta2(d1)
 
-	resU, err := s1.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
+			resU, err := s1.Apply(context.Background(), delta2)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	d2 := testDesign(500, 11)
-	s2, err := Restore(d2, cfg, opts, sn2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Deltas() != 1 {
-		t.Fatalf("restored session reports %d deltas, want 1", s2.Deltas())
-	}
-	resR, err := s2.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
+			d2 := testDesign(500, 11)
+			s2, err := Restore(d2, cfg, opts, sn2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.Deltas() != 1 {
+				t.Fatalf("restored session reports %d deltas, want 1", s2.Deltas())
+			}
+			resR, err := s2.Apply(context.Background(), delta2)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if resU.HPWL != resR.HPWL {
-		t.Fatalf("restored session HPWL %v != uninterrupted %v (diff %g)",
-			resR.HPWL, resU.HPWL, resR.HPWL-resU.HPWL)
-	}
-	for i := range d1.Cells {
-		if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
-			t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
-				i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
-		}
+			if resU.HPWL != resR.HPWL {
+				t.Fatalf("restored session HPWL %v != uninterrupted %v (diff %g)",
+					resR.HPWL, resU.HPWL, resR.HPWL-resU.HPWL)
+			}
+			for i := range d1.Cells {
+				if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
+					t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
+						i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
+				}
+			}
+		})
 	}
 }
 
-// TestLoadSnapshotIgnoresLegacyGridLevel: a v1 snapshot that carries the
-// retired "grid_level" key (every snapshot written before the density
-// pyramid went did, always as 0) still loads, validates and restores to the
-// same session as the document without it.
+// TestLoadSnapshotIgnoresLegacyGridLevel: a v1 snapshot that carries a
+// retired key still loads, validates and restores to the same session as
+// the document without it: "grid_level" (every snapshot written before the
+// density pyramid went had it, always 0) and "grid_m"/"grid_n" (the density
+// grid a session pinned before every run derived its own).
 func TestLoadSnapshotIgnoresLegacyGridLevel(t *testing.T) {
 	s, err := New(testDesign(1200, 11), testConfig(1), Options{})
 	if err != nil {
@@ -318,19 +374,12 @@ func TestLoadSnapshotIgnoresLegacyGridLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	plain, legacy := filepath.Join(dir, "plain.json"), filepath.Join(dir, "legacy.json")
+	plain := filepath.Join(dir, "plain.json")
 	if err := sn.Save(plain); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(plain)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte("grid_level")) {
-		t.Fatal("Save still writes grid_level")
-	}
-	data = bytes.Replace(data, []byte(`"last_hpwl"`), []byte(`"grid_level":0,"last_hpwl"`), 1)
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,11 +394,24 @@ func TestLoadSnapshotIgnoresLegacyGridLevel(t *testing.T) {
 		}
 		return d
 	}
-	want, got := restore(plain), restore(legacy)
-	for i := range want.Cells {
-		w, g := want.Cells[i], got.Cells[i]
-		if w.X != g.X || w.Y != g.Y || w.PadW != g.PadW {
-			t.Fatalf("cell %d: legacy (%v,%v,%v) != plain (%v,%v,%v)", i, g.X, g.Y, g.PadW, w.X, w.Y, w.PadW)
+	for _, k := range []string{"grid_level", "grid_m", "grid_n"} {
+		if bytes.Contains(data, []byte(k)) {
+			t.Fatalf("Save still writes %s", k)
+		}
+	}
+	want := restore(plain)
+	for i, keys := range []string{`"grid_level":0,`, `"grid_m":32,"grid_n":32,`} {
+		legacy := filepath.Join(dir, fmt.Sprintf("legacy%d.json", i))
+		doc := bytes.Replace(data, []byte(`"last_hpwl"`), []byte(keys+`"last_hpwl"`), 1)
+		if err := os.WriteFile(legacy, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := restore(legacy)
+		for i := range want.Cells {
+			w, g := want.Cells[i], got.Cells[i]
+			if w.X != g.X || w.Y != g.Y || w.PadW != g.PadW {
+				t.Fatalf("%s: cell %d: legacy (%v,%v,%v) != plain (%v,%v,%v)", keys, i, g.X, g.Y, g.PadW, w.X, w.Y, w.PadW)
+			}
 		}
 	}
 }
@@ -373,18 +435,11 @@ func TestRestoreRejectsWrongDesign(t *testing.T) {
 	}
 }
 
-func TestDeltaTouchingFixedCellInvalidatesDensityReuse(t *testing.T) {
-	d := testDesign(1200, 5)
-	fixed := -1
-	for i := range d.Cells {
-		if d.Cells[i].Fixed {
-			fixed = i
-			break
-		}
-	}
-	if fixed < 0 {
-		t.Skip("profile generated no fixed cells")
-	}
+// TestApplyRejectsUnplaceableResize: a resize wider than the region is an
+// ErrBadDelta, rejected before the delta touches the design, so the next
+// delta re-places as if it had not been sent.
+func TestApplyRejectsUnplaceableResize(t *testing.T) {
+	d := testDesign(3000, 1) // region 11.5 x 10
 	s, err := New(d, testConfig(1), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -392,18 +447,18 @@ func TestDeltaTouchingFixedCellInvalidatesDensityReuse(t *testing.T) {
 	if _, err := s.Place(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.reuse == nil || s.reuse.Den == nil {
-		t.Fatal("no density reuse harvested after cold place")
-	}
-	ctr := d.Cells[fixed].Rect().Center()
-	dl := &Delta{Moves: []CellMove{{Cell: fixed, X: ctr.X + 1, Y: ctr.Y}}}
-	if _, err := s.Apply(context.Background(), dl); err != nil {
+	dl, err := ParseDelta([]byte(`{"resizes":[{"cell":3,"w":23}]}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The stale solver must have been dropped before the warm run; the
-	// run then harvested a fresh one built with the new fixed baseline.
-	if s.reuse == nil || s.reuse.Den == nil {
-		t.Fatal("no density reuse harvested after delta")
+	if _, err := s.Apply(context.Background(), dl); !errors.Is(err, ErrBadDelta) {
+		t.Fatalf("oversize resize: got %v, want ErrBadDelta", err)
+	}
+	if _, err := s.Apply(context.Background(), moveDelta(d, 0.1, 1.0, 0.5)); err != nil {
+		t.Fatalf("the delta after a rejected one: %v", err)
+	}
+	if s.Deltas() != 1 {
+		t.Fatalf("session counts %d deltas, want 1", s.Deltas())
 	}
 }
 

@@ -18,15 +18,14 @@ import (
 const SnapshotFormat = "puffer/eco-session/v1"
 
 // Snapshot is the durable state of a parked session: enough to rebuild a
-// Session that continues the delta chain with the same results. Pure
-// caches — density fingerprints, wirelength scratch, the estimator's
-// buffers — are deliberately NOT captured: they are rebuilt on the first
-// warm run after restore, and rebuilding them never changes results (the
-// congestion estimate is from scratch on every call anyway).
-// What IS captured is everything that would change results if lost: the
-// placement (cell positions, padding, net weights via the embedded
-// pipeline checkpoint), delta-applied cell sizes, the padding history
-// (Eq. 15 recycling depends on it), and the warm-grid resolution.
+// Session that continues the delta chain with the same results. It holds
+// everything that would change results if lost: the placement (cell
+// positions, padding, net weights via the embedded pipeline checkpoint),
+// delta-applied cell sizes and the padding history (Eq. 15 recycling
+// depends on it). Nothing else outlives a run: the placement engine and the
+// congestion estimate are built afresh on every one. Keys of earlier
+// writers that no longer mean anything ("grid_level", "grid_m", "grid_n")
+// are ignored on load.
 type Snapshot struct {
 	Format     string `json:"format"`
 	DesignHash string `json:"design_hash"`
@@ -34,8 +33,6 @@ type Snapshot struct {
 
 	LastHPWL     float64 `json:"last_hpwl"`
 	LastOverflow float64 `json:"last_overflow"`
-	GridM        int     `json:"grid_m,omitempty"`
-	GridN        int     `json:"grid_n,omitempty"`
 
 	// EstCalls is the session estimator's call count, for inspection
 	// (puffer diag); not needed for restore.
@@ -102,8 +99,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		Deltas:       s.deltas,
 		LastHPWL:     s.lastHPWL,
 		LastOverflow: s.lastOverflow,
-		GridM:        s.gridM,
-		GridN:        s.gridN,
 		CellW:        make([]float64, len(s.d.Cells)),
 		CellH:        make([]float64, len(s.d.Cells)),
 		Checkpoint:   pipeline.Capture(pipeline.StageDP, s.d),
@@ -178,9 +173,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 // Restore rebuilds a parked session: d must be a fresh instance of the
 // design the snapshot was captured from (same source the session was
 // opened with — verified by DesignHash). The snapshot's cell sizes,
-// placement checkpoint, and padding history are re-installed; engine
-// caches rebuild on the first Apply. The restored session continues the
-// delta chain where the parked one stopped.
+// placement checkpoint, and padding history are re-installed. The restored
+// session continues the delta chain where the parked one stopped.
 func Restore(d *netlist.Design, cfg pipeline.Config, opts Options, sn *Snapshot) (*Session, error) {
 	if err := sn.Validate(); err != nil {
 		return nil, err
@@ -209,6 +203,5 @@ func Restore(d *netlist.Design, cfg pipeline.Config, opts Options, sn *Snapshot)
 	s.deltas = sn.Deltas
 	s.lastHPWL = sn.LastHPWL
 	s.lastOverflow = sn.LastOverflow
-	s.gridM, s.gridN = sn.GridM, sn.GridN
 	return s, nil
 }

@@ -40,6 +40,23 @@ func TestTable1AllDesigns(t *testing.T) {
 	}
 }
 
+// TestTable1DefaultsTheSeed: Table I fills in the default seed like every
+// judged section does, so at an unset seed it describes the designs Table
+// II places.
+func TestTable1DefaultsTheSeed(t *testing.T) {
+	got, err := Table1(Options{Scale: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Table1(Options{Scale: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Table1 at an unset seed differs from seed 1:\n%s\nwant\n%s", FormatTable1(got), FormatTable1(want))
+	}
+}
+
 func TestTable2SingleDesign(t *testing.T) {
 	o := tinyOptions()
 	o.Designs = []string{"OR1200"}

@@ -144,9 +144,7 @@ type Table1Row struct {
 
 // Table1 generates the benchmark suite and collects its statistics.
 func Table1(o Options) ([]Table1Row, error) {
-	if o.Scale == 0 {
-		o = mergeDefaults(o)
-	}
+	o = mergeDefaults(o)
 	ps, err := o.profiles()
 	if err != nil {
 		return nil, err

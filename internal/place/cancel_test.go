@@ -16,7 +16,7 @@ func TestRunCtxCancelStopsWithinOneIteration(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxIters = 400
 	cfg.StopOverflow = 1e-9 // never converge on its own
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const cancelAt = 5
@@ -61,7 +61,7 @@ func TestRunCtxCancelStopsWithinOneIteration(t *testing.T) {
 
 func TestRunCtxPreCanceled(t *testing.T) {
 	d := smallDesign(2, 30, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.RunCtx(ctx, nil); !errors.Is(err, flow.ErrCanceled) {

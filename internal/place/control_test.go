@@ -210,7 +210,7 @@ func TestNoRoundOnTheStopIteration(t *testing.T) {
 	cfg := quickConfig()
 	cfg.StopOverflow = 0.1
 	last := 0
-	res := New(d, cfg).Run(HookFunc(func(iter int, overflow float64) bool {
+	res := mustNew(d, cfg).Run(HookFunc(func(iter int, overflow float64) bool {
 		last = iter
 		return overflow < 0.15
 	}))
@@ -280,7 +280,12 @@ func TestRunSummaryMatchesTrace(t *testing.T) {
 		want  string
 	}{
 		{name: "target", edit: func(c *Config) { c.StopOverflow = 0.1 }, want: StopTarget},
-		{name: "plateau", want: StopPlateau},
+		{
+			// Half the default window, so the plateau rule fires well
+			// inside MaxIters.
+			name: "plateau", want: StopPlateau,
+			edit: func(c *Config) { c.PlateauIters = 60 },
+		},
 		{name: "max_iters", edit: func(c *Config) { c.MaxIters = 30 }, want: StopMaxIters},
 		{
 			// A steep λ schedule, so λ grows 4× past the post-round best
@@ -290,7 +295,7 @@ func TestRunSummaryMatchesTrace(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := smallDesign(8, 200, false)
+			d := smallDesign(8, 300, false)
 			cfg := quickConfig()
 			if tc.edit != nil {
 				tc.edit(&cfg)
@@ -299,7 +304,7 @@ func TestRunSummaryMatchesTrace(t *testing.T) {
 			if tc.round > 0 {
 				hook = padOnce(d, tc.round)
 			}
-			res := New(d, cfg).Run(hook)
+			res := mustNew(d, cfg).Run(hook)
 			// λ follows its schedule through every iteration, a round's
 			// included: nothing re-derives it.
 			tr := res.Trace

@@ -43,9 +43,8 @@ func gpBenchDesign(seed int64, nc int, side float64) *netlist.Design {
 	return d
 }
 
-func gpBenchConfig(iters, workers, grid int) Config {
+func gpBenchConfig(iters, workers int) Config {
 	cfg := DefaultConfig()
-	cfg.GridM, cfg.GridN = grid, grid
 	cfg.MaxIters = iters
 	cfg.MinIters = iters
 	cfg.StopOverflow = 0
@@ -67,7 +66,7 @@ func withGOMAXPROCS(tb testing.TB, n int) {
 // workloads as wirelength.par_speedup and density.par_speedup.
 func BenchmarkGPIterSerial(b *testing.B) {
 	b.ReportAllocs()
-	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 1, 64))
+	p := mustNew(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 1))
 	b.ResetTimer()
 	p.Run(nil)
 }
@@ -76,7 +75,7 @@ func BenchmarkGPIterSerial(b *testing.B) {
 // placement it produces is bit-identical to the serial run.
 func BenchmarkGPIterParallel(b *testing.B) {
 	b.ReportAllocs()
-	p := New(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 0, 64))
+	p := mustNew(gpBenchDesign(1, 4000, 128), gpBenchConfig(b.N, 0))
 	b.ResetTimer()
 	p.Run(nil)
 }
@@ -87,7 +86,7 @@ func BenchmarkGPIterParallel(b *testing.B) {
 // the share of gradient evaluations that reused the previous force sweep.
 func BenchmarkGPIter256(b *testing.B) {
 	b.ReportAllocs()
-	p := New(gpBenchDesign(1, 17000, 256), gpBenchConfig(b.N, 0, 256))
+	p := mustNew(gpBenchDesign(1, 17000, 256), gpBenchConfig(b.N, 0))
 	b.ResetTimer()
 	p.Run(nil)
 	b.ReportMetric(float64(p.forceReuses)/float64(p.evals), "reuse/eval")
@@ -104,7 +103,7 @@ func runGP(t *testing.T, workers int) ([]geom.Point, float64) {
 	cfg.StopOverflow = 0
 	cfg.PlateauIters = 0
 	cfg.Workers = workers
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 	res := p.Run(nil)
 	pos := make([]geom.Point, len(d.Cells))
 	for i := range d.Cells {
@@ -140,12 +139,12 @@ func TestGPDeterminismAcrossWorkers(t *testing.T) {
 func TestEngineTakesOfferedExecutors(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	for _, size := range []struct {
-		cells, grid int
-		side        float64
-	}{{200, 32, 64}, {4000, 64, 128}, {17000, 256, 256}} {
+		cells int
+		side  float64
+	}{{300, 64}, {4000, 128}, {17000, 256}} {
 		run := func(workers int) []geom.Point {
 			d := gpBenchDesign(1, size.cells, size.side)
-			p := New(d, gpBenchConfig(6, workers, size.grid))
+			p := mustNew(d, gpBenchConfig(6, workers))
 			if p.Workers() != workers || p.wl.Team() != p.team || p.g.Team() != p.team || p.opt.Team() != p.team {
 				t.Fatalf("%d cells, Workers=%d: engine runs on %d executors, kernels not all on its team",
 					size.cells, workers, p.Workers())
@@ -200,7 +199,7 @@ func TestGPStepZeroAlloc(t *testing.T) {
 		d := smallDesign(5, 200, false)
 		cfg := quickConfig()
 		cfg.Workers = workers
-		p := New(d, cfg)
+		p := mustNew(d, cfg)
 		p.team.Start()
 		p.overflow = 1
 		p.updateGamma()
@@ -266,7 +265,7 @@ func TestTeamLeak(t *testing.T) {
 	cfg.MaxIters = 20
 	base := runtime.NumGoroutine()
 
-	p := New(smallDesign(1, 200, false), cfg)
+	p := mustNew(smallDesign(1, 200, false), cfg)
 	if _, err := p.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestTeamLeak(t *testing.T) {
 	settle("after RunCtx", base)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	p = New(smallDesign(2, 200, false), cfg)
+	p = mustNew(smallDesign(2, 200, false), cfg)
 	if _, err := p.RunCtx(ctx, HookFunc(func(iter int, _ float64) bool {
 		if iter == 3 {
 			cancel()
@@ -287,7 +286,7 @@ func TestTeamLeak(t *testing.T) {
 	}
 	settle("after a canceled RunCtx", base)
 
-	New(smallDesign(3, 200, false), cfg)
+	mustNew(smallDesign(3, 200, false), cfg)
 	runtime.GC()
 	settle("after a Placer dropped without Run", base)
 }
@@ -350,7 +349,7 @@ func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *P
 	cfg.MaxIters, cfg.MinIters = 90, 90
 	cfg.StopOverflow, cfg.PlateauIters = 0, 0
 	cfg.Workers = workers
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 	p.noReuse = noReuse
 	log := recordEvals(p)
 	var paddedEvals []int
@@ -491,7 +490,7 @@ func TestSolveSkipDuringRun(t *testing.T) {
 	d := smallDesign(5, 200, false)
 	cfg := quickConfig()
 	cfg.MaxIters = 10
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 	p.Run(nil)
 	if skips := p.Grid().SolveSkips(); skips < 1 {
 		t.Errorf("run performed %d fingerprint solve skips, want >= 1", skips)

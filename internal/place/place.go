@@ -8,7 +8,6 @@ package place
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -23,30 +22,13 @@ import (
 	"puffer/internal/wirelength"
 )
 
-// MinGridDim is the smallest density-grid dimension the engine accepts
-// (and the floor of the automatic selection). Below it the spectral model
-// has too few modes to produce a useful spreading force.
+// MinGridDim is the floor of the density-grid size rule (see NewChecked).
+// Below it the spectral model has too few modes to produce a useful
+// spreading force.
 const MinGridDim = 16
-
-// ConfigError reports a Config field that failed validation. It is a typed
-// error so callers can distinguish a bad configuration from a runtime
-// failure (errors.As(&place.ConfigError{})) instead of catching a panic
-// from deep inside the spectral setup.
-type ConfigError struct {
-	Field  string // the offending Config field
-	Reason string // human-readable constraint violation
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("place: invalid Config.%s: %s", e.Field, e.Reason)
-}
 
 // Config controls the global placement engine.
 type Config struct {
-	// GridM/GridN are the density grid dimensions (powers of two,
-	// ≥ MinGridDim). Zero selects them automatically from the movable cell
-	// count.
-	GridM, GridN int
 	// MaxIters bounds the Nesterov iterations.
 	MaxIters int
 	// StopOverflow is the density overflow below which placement stops.
@@ -73,12 +55,6 @@ type Config struct {
 	// so the engine only has to absorb the change. Fillers are still
 	// seeded uniformly from Seed (they carry no state worth keeping).
 	WarmStart bool
-	// Reuse, when non-nil, offers warm engine state harvested from a
-	// previous Placer via ReuseState. NewChecked adopts each piece only
-	// when it still matches this design and configuration (see Reuse);
-	// a mismatched piece is silently rebuilt, so offering stale state is
-	// safe but wasteful, never wrong.
-	Reuse *Reuse `json:"-"`
 	// Seed drives the deterministic initial placement jitter.
 	Seed int64
 	// Workers caps the engine's data parallelism across the per-iteration
@@ -119,52 +95,6 @@ func DefaultConfig() Config {
 		PlateauIters: 120,
 		LambdaMu:     1.05,
 	}
-}
-
-// validGridDim reports whether m is an acceptable density-grid dimension:
-// a power of two no smaller than MinGridDim.
-func validGridDim(m int) bool {
-	return m >= MinGridDim && m&(m-1) == 0
-}
-
-// Validate checks the configuration's structural constraints and returns a
-// *ConfigError naming the first violated field, or nil. Zero GridM/GridN
-// are valid (automatic selection); New / NewChecked validate again after
-// resolving the automatic values.
-func (cfg *Config) Validate() error {
-	if cfg.GridM != 0 && !validGridDim(cfg.GridM) {
-		return &ConfigError{Field: "GridM",
-			Reason: fmt.Sprintf("%d is not a power of two >= %d", cfg.GridM, MinGridDim)}
-	}
-	if cfg.GridN != 0 && !validGridDim(cfg.GridN) {
-		return &ConfigError{Field: "GridN",
-			Reason: fmt.Sprintf("%d is not a power of two >= %d", cfg.GridN, MinGridDim)}
-	}
-	return nil
-}
-
-// Reuse carries warm engine state harvested from a finished Placer via
-// ReuseState, for adoption by a later NewChecked on the SAME design
-// instance (the ECO session path). Each piece is adopted independently and
-// only when it still matches:
-//
-//   - Den is adopted when it has the resolved GridM×GridN dimensions over
-//     the design region. Adoption skips the fixed-cell baseline rebuild —
-//     the grid already carries it — so the caller must drop Den whenever
-//     a fixed cell moved or resized. Deposit fingerprints survive
-//     adoption: re-depositing an identical rect list still skips the
-//     rasterize and solve, which is exactness-safe because skips only
-//     fire on bit-identical input.
-//   - WL is adopted when it was built for this design instance (pointer
-//     equality); γ is (re)set per run, so a model outlives any particular
-//     schedule.
-//
-// A mismatched piece is rebuilt from scratch — offering stale state never
-// changes results, it only wastes the rebuild. An adopted piece is re-bound
-// to the new engine's team.
-type Reuse struct {
-	Den *density.Grid
-	WL  *wirelength.Model
 }
 
 // Hook is the routability-optimizer callback invoked once per iteration
@@ -317,61 +247,29 @@ type Placer struct {
 	wallWL, wallRaster, wallSolve, wallForce time.Duration
 }
 
-// New builds a placer for d, panicking on an invalid configuration. The
-// initial placement gathers movable cells near the region center with
-// deterministic jitter.
-func New(d *netlist.Design, cfg Config) *Placer {
-	p, err := NewChecked(d, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// NewChecked is New returning configuration problems as a *ConfigError
-// instead of panicking — the form pipeline stages and services use, so a
-// bad grid size is rejected at normalization rather than detonating inside
-// the spectral setup.
+// NewChecked builds the engine for d. The density grid is square, sized
+// from the movable cell count (NextPow2(√n) clamped to [MinGridDim, 512]),
+// and carries the fixed cells' baseline charge. The initial placement
+// gathers movable cells near the region center with deterministic jitter
+// (or, warm-started, keeps their current centers). It returns no error;
+// the error result stays for the frozen benchmark harness, which compiles
+// against it (ROADMAP item 9).
 func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	p := &Placer{D: d, Cfg: cfg, movable: d.MovableIDs(), team: par.NewTeam(cfg.Workers)}
 	n := len(p.movable)
 	if n == 0 {
 		return p, nil
 	}
 
-	if cfg.GridM == 0 {
-		g := geom.NextPow2(int(math.Sqrt(float64(n))))
-		cfg.GridM = geom.ClampInt(g, MinGridDim, 512)
-	}
-	if cfg.GridN == 0 {
-		cfg.GridN = cfg.GridM
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p.Cfg = cfg
-
-	if r := cfg.Reuse; r != nil && r.Den != nil &&
-		r.Den.M == cfg.GridM && r.Den.N == cfg.GridN && r.Den.Region == d.Region {
-		p.g = r.Den
-	}
-	if p.g == nil {
-		p.g = density.NewGrid(d.Region, cfg.GridM, cfg.GridN)
-		for i := range d.Cells {
-			if d.Cells[i].Fixed {
-				p.g.AddFixedRect(d.Cells[i].Rect(), 1)
-			}
+	m := geom.ClampInt(geom.NextPow2(int(math.Sqrt(float64(n)))), MinGridDim, 512)
+	p.g = density.NewGrid(d.Region, m, m)
+	for i := range d.Cells {
+		if d.Cells[i].Fixed {
+			p.g.AddFixedRect(d.Cells[i].Rect(), 1)
 		}
 	}
 	p.binBase = (p.g.BinW + p.g.BinH) / 2
-	if r := cfg.Reuse; r != nil && r.WL != nil && r.WL.Design() == d {
-		p.wl = r.WL
-	} else {
-		p.wl = wirelength.New(d, 8*p.binBase)
-	}
+	p.wl = wirelength.New(d, 8*p.binBase)
 	p.gradWx = make([]float64, len(d.Cells))
 	p.gradWy = make([]float64, len(d.Cells))
 
@@ -438,18 +336,6 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 // Workers reports the engine's executor count: min(Config.Workers,
 // GOMAXPROCS).
 func (p *Placer) Workers() int { return p.team.Size() }
-
-// ReuseState harvests the engine state worth carrying into a later run on
-// the same design: the density grid (fixed baseline, fingerprints, FFT
-// plans) and the wirelength model (per-worker scratch). See Reuse for the
-// adoption rules. The Placer must not be used concurrently with a new
-// engine that adopted its state.
-func (p *Placer) ReuseState() *Reuse {
-	if p.g == nil {
-		return nil
-	}
-	return &Reuse{Den: p.g, WL: p.wl}
-}
 
 // bindStage constructs the force-sweep body once. It runs over the rect
 // index space [movables | fillers], which is also the layout of each half of
@@ -717,6 +603,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
 		span.SetArg("workers", p.team.Size())
+		span.SetArg("handoffs", p.team.Handoffs())
 		span.SetArg("iters", res.Iters)
 		span.SetArg("stop", res.Stop)
 		span.SetArg("best_iter", res.BestIter)

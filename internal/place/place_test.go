@@ -1,7 +1,6 @@
 package place
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,16 +42,24 @@ func smallDesign(seed int64, nc int, withMacro bool) *netlist.Design {
 	return d
 }
 
+// mustNew builds a placer for a test; NewChecked returns no error.
+func mustNew(d *netlist.Design, cfg Config) *Placer {
+	p, err := NewChecked(d, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func quickConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MaxIters = 300
-	cfg.GridM, cfg.GridN = 32, 32
 	return cfg
 }
 
 func TestPlacementSpreadsCells(t *testing.T) {
 	d := smallDesign(1, 300, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	res := p.Run(nil)
 	if res.Overflow > 0.12 {
 		t.Errorf("final overflow = %v, want <= 0.12", res.Overflow)
@@ -79,7 +86,7 @@ func TestPlacementSpreadsCells(t *testing.T) {
 
 func TestCellsStayInsideRegion(t *testing.T) {
 	d := smallDesign(2, 200, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	p.Run(nil)
 	for i := range d.Cells {
 		c := &d.Cells[i]
@@ -91,7 +98,7 @@ func TestCellsStayInsideRegion(t *testing.T) {
 
 func TestMacroRepelsCells(t *testing.T) {
 	d := smallDesign(3, 300, true)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	p.Run(nil)
 	macro := geom.RectWH(24, 24, 16, 16)
 	overlap := 0.0
@@ -109,7 +116,7 @@ func TestMacroRepelsCells(t *testing.T) {
 
 func TestConnectedCellsEndUpCloser(t *testing.T) {
 	d := smallDesign(4, 300, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	p.Run(nil)
 
 	// Average distance between connected pairs vs random pairs.
@@ -139,7 +146,7 @@ func TestConnectedCellsEndUpCloser(t *testing.T) {
 
 func TestOverflowDecreasesOverall(t *testing.T) {
 	d := smallDesign(5, 250, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	res := p.Run(nil)
 	first := res.Trace[0].Overflow
 	last := res.Trace[len(res.Trace)-1].Overflow
@@ -149,8 +156,8 @@ func TestOverflowDecreasesOverall(t *testing.T) {
 }
 
 func TestHookInvokedAndPaddingRetiresFillers(t *testing.T) {
-	d := smallDesign(6, 200, false)
-	p := New(d, quickConfig())
+	d := smallDesign(6, 300, false)
+	p := mustNew(d, quickConfig())
 	if p.nFill == 0 {
 		t.Fatal("expected fillers in a sparse design")
 	}
@@ -183,7 +190,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		cfg := quickConfig()
 		cfg.MaxIters = 80
 		cfg.Seed = 42
-		New(d, cfg).Run(nil)
+		mustNew(d, cfg).Run(nil)
 		out := make([]float64, 0, 2*len(d.Cells))
 		for i := range d.Cells {
 			out = append(out, d.Cells[i].X, d.Cells[i].Y)
@@ -200,59 +207,10 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 func TestEmptyDesign(t *testing.T) {
 	d := &netlist.Design{Region: geom.RectWH(0, 0, 10, 10), RowHeight: 1, SiteWidth: 0.2}
-	p := New(d, DefaultConfig())
+	p := mustNew(d, DefaultConfig())
 	res := p.Run(nil)
 	if res.Iters != 0 {
 		t.Errorf("empty design ran %d iters", res.Iters)
-	}
-}
-
-// TestConfigValidateRejects covers the typed rejection path: bad grid
-// parameters surface as *ConfigError from NewChecked instead of a panic
-// from the spectral setup.
-func TestConfigValidateRejects(t *testing.T) {
-	cases := []struct {
-		name  string
-		mod   func(*Config)
-		field string
-	}{
-		{"gridM-not-pow2", func(c *Config) { c.GridM = 48 }, "GridM"},
-		{"gridM-too-small", func(c *Config) { c.GridM = 8 }, "GridM"},
-		{"gridN", func(c *Config) { c.GridM = 32; c.GridN = 7 }, "GridN"},
-	}
-	d := smallDesign(1, 50, false)
-	for _, tc := range cases {
-		cfg := DefaultConfig()
-		tc.mod(&cfg)
-		_, err := NewChecked(d, cfg)
-		var ce *ConfigError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s: NewChecked err = %v, want *ConfigError", tc.name, err)
-			continue
-		}
-		if ce.Field != tc.field {
-			t.Errorf("%s: rejected field %q, want %q", tc.name, ce.Field, tc.field)
-		}
-	}
-
-	// New must panic with the same typed error.
-	func() {
-		defer func() {
-			r := recover()
-			if _, ok := r.(*ConfigError); !ok {
-				t.Errorf("New panic = %v, want *ConfigError", r)
-			}
-		}()
-		cfg := DefaultConfig()
-		cfg.GridM = 10
-		New(smallDesign(1, 10, false), cfg)
-	}()
-
-	// A valid config with an explicit non-square grid passes.
-	cfg := DefaultConfig()
-	cfg.GridM, cfg.GridN = 64, 32
-	if _, err := NewChecked(d, cfg); err != nil {
-		t.Errorf("valid config rejected: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // high overflow, sharp (small γ) near convergence, monotone in between.
 func TestGammaSchedule(t *testing.T) {
 	d := smallDesign(11, 50, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	prev := math.Inf(1)
 	for _, ovf := range []float64{1.0, 0.5, 0.25, 0.1, 0.0} {
 		p.overflow = ovf
@@ -39,7 +39,7 @@ func TestGammaSchedule(t *testing.T) {
 // and density gradient magnitudes.
 func TestInitLambdaBalances(t *testing.T) {
 	d := smallDesign(12, 200, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	p.overflow = 1
 	p.updateGamma()
 	l1 := p.initLambda()
@@ -60,7 +60,7 @@ func TestPlateauStops(t *testing.T) {
 	cfg.MaxIters = 5000
 	cfg.StopOverflow = 0.000001 // unreachable
 	cfg.PlateauIters = 60
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 	res := p.Run(nil)
 	if res.Iters >= 5000 {
 		t.Errorf("plateau detection never engaged: %d iters", res.Iters)
@@ -74,7 +74,7 @@ func TestLambdaAdaptiveBounded(t *testing.T) {
 	d := smallDesign(14, 150, false)
 	cfg := quickConfig()
 	cfg.MaxIters = 150
-	p := New(d, cfg)
+	p := mustNew(d, cfg)
 	res := p.Run(nil)
 	last := res.Trace[len(res.Trace)-1]
 	if math.IsInf(last.Lambda, 0) || math.IsNaN(last.Lambda) {
@@ -90,7 +90,7 @@ func TestLambdaAdaptiveBounded(t *testing.T) {
 // TestFillerRetirement checks the padding/filler area exchange.
 func TestFillerRetirement(t *testing.T) {
 	d := smallDesign(15, 200, false)
-	p := New(d, quickConfig())
+	p := mustNew(d, quickConfig())
 	if p.nFill == 0 {
 		t.Skip("no fillers")
 	}

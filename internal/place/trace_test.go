@@ -48,7 +48,7 @@ func TestRunTraceBounded(t *testing.T) {
 	cfg.MinIters = 50
 	cfg.StopOverflow = 0 // never converge early
 	cfg.PlateauIters = 0
-	res := New(d, cfg).Run(nil)
+	res := mustNew(d, cfg).Run(nil)
 	if res.Iters != 50 {
 		t.Fatalf("iters = %d", res.Iters)
 	}
@@ -73,7 +73,7 @@ func TestRunRecordsSeries(t *testing.T) {
 	cfg.StopOverflow = 0
 	cfg.PlateauIters = 0
 	cfg.Obs = obs.NewRecorder(nil, reg)
-	res := New(d, cfg).Run(nil)
+	res := mustNew(d, cfg).Run(nil)
 
 	for _, name := range []string{"place.hpwl", "place.overflow", "place.lambda", "place.gamma", "place.step_len"} {
 		s := reg.Series(name).Samples()
@@ -101,13 +101,12 @@ func TestRunRecordsSeries(t *testing.T) {
 func benchPlacer(iters int, rec *obs.Recorder) *Placer {
 	d := smallDesign(1, 400, false)
 	cfg := DefaultConfig()
-	cfg.GridM, cfg.GridN = 32, 32
 	cfg.MaxIters = iters
 	cfg.MinIters = iters
 	cfg.StopOverflow = 0
 	cfg.PlateauIters = 0
 	cfg.Obs = rec
-	return New(d, cfg)
+	return mustNew(d, cfg)
 }
 
 // BenchmarkPlaceIterObsDisabled is the place-iteration hot path with

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -790,7 +792,9 @@ func TestExploreJobRuns(t *testing.T) {
 	s := newTestServer(t, Config{})
 	s.Start()
 	// MaxIters keeps each exploration trial's placement cheap — the test
-	// exercises the job plumbing, not the SMBO's convergence.
+	// exercises the job plumbing, not the SMBO's convergence. The cap is
+	// below GP's first padding round, so every trial scores the same, and
+	// the job's event stream must say so.
 	spec := JobSpec{Kind: KindExplore, Profile: "MEDIA_SUBSYS", Scale: 6000, Seed: 3, Budget: 2, MaxIters: 60}
 	spec.Normalize()
 	id := enqueue(t, s, spec)
@@ -800,6 +804,12 @@ func TestExploreJobRuns(t *testing.T) {
 	}
 	if _, err := os.Stat(s.spool.JobDir(id) + "/strategy.json"); err != nil {
 		t.Fatalf("tuned strategy artifact: %v", err)
+	}
+	replay, _, cancel := s.ensureJob(id).hub.Subscribe()
+	cancel()
+	want := fmt.Sprintf("explore: all %d trials scored", m.Result.Trials)
+	if !slices.ContainsFunc(replay, func(e Event) bool { return e.Type == "log" && strings.HasPrefix(e.Line, want) }) {
+		t.Errorf("no %q line in the job's event stream", want)
 	}
 }
 

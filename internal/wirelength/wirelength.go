@@ -159,11 +159,6 @@ func (m *Model) SetTeam(t *par.Team) {
 // Team reports the team the model dispatches on.
 func (m *Model) Team() *par.Team { return m.team }
 
-// Design reports the design this model was built for. Callers that cache a
-// Model across runs (warm ECO sessions) use it to check the model still
-// matches the design instance before reusing it.
-func (m *Model) Design() *netlist.Design { return m.d }
-
 func (m *Model) bindStages() {
 	// Pre-pass: snapshot the cell origins the net passes read.
 	m.stageOrigins = func(w, lo, hi int) {

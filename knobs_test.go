@@ -47,8 +47,6 @@ type knob struct {
 
 var knobCensus = []knob{
 	// pipeline.Config.Place — place.Config
-	{field: "Place.GridM", class: "set", where: "internal/eco/session.go"},
-	{field: "Place.GridN", class: "set", where: "internal/eco/session.go"},
 	{field: "Place.MaxIters", class: "set", where: "internal/serve/local.go"},
 	{field: "Place.StopOverflow", class: "set", where: "internal/baseline/baseline.go"},
 	{field: "Place.MinIters", class: "set", where: "internal/eco/session.go"},

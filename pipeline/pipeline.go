@@ -135,7 +135,6 @@ type RunContext struct {
 	Result *Result
 
 	opt        *padding.Optimizer
-	reuse      *place.Reuse
 	stageIters int
 	estStats   *cong.Stats
 }
@@ -203,12 +202,3 @@ func (rc *RunContext) PadOptimizer() *padding.Optimizer {
 // many runs. It must be called before the first
 // PadOptimizer use; the optimizer must have been built for rc.Design.
 func (rc *RunContext) UsePadOptimizer(opt *padding.Optimizer) { rc.opt = opt }
-
-// EngineReuse returns the warm engine state the placement stage harvested
-// when the run finished (nil before the stage ran). An ECO session feeds
-// it into the next run's place.Config.Reuse.
-func (rc *RunContext) EngineReuse() *place.Reuse { return rc.reuse }
-
-// SetEngineReuse records harvested engine state; the placement stage calls
-// it after the engine runs.
-func (rc *RunContext) SetEngineReuse(r *place.Reuse) { rc.reuse = r }

@@ -15,7 +15,6 @@ import (
 	"puffer/internal/legal"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/place"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -23,7 +22,6 @@ import (
 func quickConfig() pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	cfg.Place.MaxIters = 250
-	cfg.Place.GridM, cfg.Place.GridN = 32, 32
 	cfg.Place.StopOverflow = 0.09
 	return cfg
 }
@@ -437,24 +435,6 @@ func TestIllegalPlacementFailsItsStage(t *testing.T) {
 		if n := reg.Snapshot().Counters["legal.violations"]; n != 1 {
 			t.Errorf("%s: legal.violations = %d, want 1", tc.stage.Name(), n)
 		}
-	}
-}
-
-// TestPipelineRejectsBadGridConfig: an invalid grid dimension surfaces
-// from the placement stage as a typed *place.ConfigError instead of a
-// panic.
-func TestPipelineRejectsBadGridConfig(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Place.GridM = 48 // not a power of two
-	d := stressedDesign(t)
-	rc, err := pipeline.NewRunContext(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = pipeline.New().Run(context.Background(), rc)
-	var ce *place.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "GridM" {
-		t.Errorf("pipeline error = %v, want *place.ConfigError on GridM", err)
 	}
 }
 

@@ -105,7 +105,6 @@ func GlobalPlaceWith(newRound func(rc *RunContext) Round) Stage {
 		gp, err := placer.RunCtx(ctx, hook)
 		rc.Result.GP = *gp
 		rc.SetIters(gp.Iters)
-		rc.SetEngineReuse(placer.ReuseState())
 		if rc.opt != nil && rc.opt.Iter() > 0 {
 			rc.SetEstimatorStats(rc.opt.Estimator().Stats())
 		}

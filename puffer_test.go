@@ -12,7 +12,6 @@ import (
 func quickConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Place.MaxIters = 250
-	cfg.Place.GridM, cfg.Place.GridN = 32, 32
 	cfg.Place.StopOverflow = 0.09
 	return cfg
 }

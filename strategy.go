@@ -154,11 +154,14 @@ type ExploreOptions struct {
 // design and applies the result to the large benchmarks) and returns the
 // tuned strategy plus the best observed one, on Algorithm 3's production
 // schedule: TC = budget, EC = max(budget/3, 5), two rounds, groups in
-// parallel. It is the common core of every exploration path. The context is observed between SMBO trials: on cancellation the best
-// strategies found so far are still returned, alongside an error wrapping
+// parallel. It is the common core of every exploration path. The context
+// is observed between SMBO trials: on cancellation the best strategies
+// found so far are still returned, alongside an error wrapping
 // ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge
 // land on its registry (explore.trial.score / explore.best_score) and the
-// exploration opens a trace span.
+// exploration opens a trace span. When every trial scored the same, one
+// line through opt.Logf says so: the exploration had nothing to choose
+// between.
 func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
 	e := &explore.Explorer{
 		Params:    StrategyParams(),
@@ -172,9 +175,23 @@ func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.
 		Obs:       opt.Obs,
 	}
 	fa, ba, err := e.RunCtx(ctx)
+	if h := e.History(); len(h) > 1 && opt.Logf != nil && flat(h) {
+		opt.Logf("explore: all %d trials scored %.4f: no strategy changed the placement (a GP iteration cap below the first padding round does this)",
+			len(h), h[0].Y)
+	}
 	final = padding.DefaultStrategy()
 	ApplyAssignment(&final, fa)
 	best = padding.DefaultStrategy()
 	ApplyAssignment(&best, ba)
 	return final, best, len(e.History()), err
+}
+
+// flat reports whether every observation in h has the same score.
+func flat(h []explore.Observation) bool {
+	for _, o := range h[1:] {
+		if o.Y != h[0].Y {
+			return false
+		}
+	}
+	return true
 }

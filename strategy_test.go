@@ -77,7 +77,6 @@ func TestStrategyObjectiveClonesDesign(t *testing.T) {
 	origX := d.Cells[len(d.Cells)-1].X
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 60
-	cfg.GridM, cfg.GridN = 16, 16
 	obj := StrategyObjective(d, cfg)
 	y := obj(explore.Assignment{"mu": 0.5})
 	if y < 0 {
@@ -96,7 +95,6 @@ func TestExploreStrategySmoke(t *testing.T) {
 	d := synth.Generate(p, 12000, 2)
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 50
-	cfg.GridM, cfg.GridN = 16, 16
 	final, best, n, err := ExploreStrategyOpts(context.Background(), d, cfg, ExploreOptions{Budget: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
