@@ -24,9 +24,11 @@
 //     replaces the per-worker-accumulator-plus-merge design: it needs no
 //     extra grids, no zeroing, no merge pass, and is worker-count
 //     independent rather than merely fixed-worker-count reproducible.
-//   - Solve batches independent 1-D row/column transforms (each writes a
-//     disjoint output range) over per-worker fft.Transform scratch cloned
-//     from one precomputed plan, so scheduling cannot change any value.
+//   - Solve runs three stages of independent 1-D transforms — row
+//     analysis, one fused column pass per panel of adjacent columns, row
+//     synthesis — and every shard writes a disjoint output range through
+//     per-worker fft.Transform scratch cloned from one precomputed plan, so
+//     scheduling cannot change any value.
 //   - Overflow reduces over a FIXED shard count derived from the grid size
 //     (never from the worker count) and sums the per-shard partials in
 //     shard order.
@@ -39,7 +41,6 @@ package density
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"puffer/internal/fft"
 	"puffer/internal/geom"
@@ -47,10 +48,22 @@ import (
 )
 
 // maxGridWorkers caps the fixed overflow shard count and SetWorkers' team,
-// whose executors each own two spectral clones plus three vectors of
-// transform scratch: many-core hosts need not trade memory for shards the
-// row/column batches cannot use anyway.
+// whose executors each own two spectral clones plus a row and three panels
+// of transform scratch: many-core hosts need not trade memory for shards
+// the row/panel batches cannot use anyway.
 const maxGridWorkers = 16
+
+// panelCols is the width of the column stage's panel: 8 float64s are one
+// 64-byte cache line, so gathering a panel reads one line per bin row where
+// a single-column gather reads a line for every one of its values.
+// panelPad spaces the panel's columns in scratch one cache line further
+// apart than their length N: at a stride of exactly N (a power of two) they
+// would all map to the same few L1 sets, and the row-by-row gather and
+// scatter would evict one another.
+const (
+	panelCols = 8
+	panelPad  = 8
+)
 
 // ovfBinsPerShard sizes the fixed overflow-reduction shards. The shard
 // count depends only on the grid size, so the partial-sum structure — and
@@ -58,12 +71,24 @@ const maxGridWorkers = 16
 const ovfBinsPerShard = 4096
 
 // solveScratch is one worker's private transform state: transform clones
-// sharing the grid's precomputed FFT plans, plus gather/scatter vectors.
+// sharing the grid's precomputed FFT plans, a row for the in-place x
+// synthesis, and three panels of panelCols columns, column k starting at
+// k·(N+panelPad), so each 1-D transform reads a contiguous vector.
 type solveScratch struct {
-	sx, sy fft.Transform
-	row    []float64 // length M, x-direction staging
-	col    []float64 // length N, y-direction gather
-	colOut []float64 // length N, y-direction result
+	sx, sy     fft.Transform
+	row        []float64 // length M
+	pa, pb, pc []float64 // length panelCols·(N+panelPad) each
+}
+
+func newSolveScratch(sx, sy fft.Transform) solveScratch {
+	m, ps := sx.Size(), sy.Size()+panelPad
+	return solveScratch{
+		sx: sx, sy: sy,
+		row: make([]float64, m),
+		pa:  make([]float64, panelCols*ps),
+		pb:  make([]float64, panelCols*ps),
+		pc:  make([]float64, panelCols*ps),
+	}
 }
 
 // Grid is the electrostatic bin grid. Bins are indexed [j*M+i] with i the
@@ -82,8 +107,6 @@ type Grid struct {
 
 	// scratch buffers reused across Solve calls
 	coef           []float64 // charge spectrum of the last executed Solve
-	bufEx, bufEy   []float64
-	psi            []float64 // potential, built on demand by Potential
 	probeRho       []float64 // OverflowOf's raster target; Rho stays intact
 	fixedRho       []float64 // baseline charge from fixed cells
 	hasFixed       bool
@@ -105,15 +128,12 @@ type Grid struct {
 	solveSkips      int  // Solve calls satisfied by the fingerprint
 	rasterSkips     int  // DepositRects calls satisfied by the fingerprint
 
-	// Per-phase walls of the spectral solve, cumulative across the grid's
-	// lifetime (exposed through PhaseWalls into the place.phase.*
-	// density gauges).
-	wallAnalysis, wallFreq, wallSynth time.Duration
-
-	// Precomputed frequency-response tables, flat [v*M+u], with the
-	// 4/(M·N) analysis normalization and the u=0 / v=0 halving folded in:
-	// ψ̂ = coef·psiTab, Êx = coef·exTab, Êy = coef·eyTab.
-	psiTab, exTab, eyTab []float64
+	// Precomputed frequency response: Êx = ρ̂·(a·ku), Êy = ρ̂·(a·kv), where
+	// a = c/k² folds the 4/(M·N) analysis normalization and the u=0 / v=0
+	// halving into c. invK2 holds a for every mode in the order the column
+	// stage reads it — panel by panel, then bin row by bin row, then column
+	// — so that stage streams it front to back; kx and ky hold ku and kv.
+	invK2, kx, ky []float64
 
 	// parallel execution state
 	team       *par.Team
@@ -124,21 +144,15 @@ type Grid struct {
 	ovfRho     []float64   // charge the in-flight overflow reduction reads
 	depRects   []geom.Rect // operands of the in-flight raster
 	depDst     []float64
-	synCoef    []float64 // operands of the in-flight synthesize
-	synOut     []float64
-	synSinX    bool
-	synSinY    bool
 
 	// Stage bodies are bound once here so the team can run them without
 	// constructing a closure — and therefore without allocating — on every
 	// Solve/Deposit call.
-	stageFwdRows func(w, lo, hi int)
-	stageFwdCols func(w, lo, hi int)
-	stageFreq    func(w, lo, hi int)
-	stageSynCols func(w, lo, hi int)
-	stageSynRows func(w, lo, hi int)
-	stageDeposit func(w, lo, hi int)
-	stageOvf     func(s int)
+	stageAnalyzeRows func(w, lo, hi int)
+	stageColumns     func(w, lo, hi int)
+	stageSynthRows   func(w, lo, hi int)
+	stageDeposit     func(w, lo, hi int)
+	stageOvf         func(s int)
 }
 
 // NewGrid creates an M×N grid over region. M and N must be powers of two,
@@ -168,20 +182,21 @@ func newGrid(region geom.Rect, sx, sy fft.Transform) *Grid {
 	g.Ex = make([]float64, size)
 	g.Ey = make([]float64, size)
 	g.coef = make([]float64, size)
-	g.bufEx = make([]float64, size)
-	g.bufEy = make([]float64, size)
 	g.probeRho = make([]float64, size)
 	g.fixedRho = make([]float64, size)
 
-	g.psiTab = make([]float64, size)
-	g.exTab = make([]float64, size)
-	g.eyTab = make([]float64, size)
+	g.invK2 = make([]float64, size)
+	g.kx, g.ky = make([]float64, m), make([]float64, n)
+	for u := range g.kx {
+		g.kx[u] = g.sx.Freq(u) / g.BinW
+	}
+	for v := range g.ky {
+		g.ky[v] = g.sy.Freq(v) / g.BinH
+	}
 	norm := 4 / (float64(m) * float64(n))
-	for v := 0; v < n; v++ {
-		kv := g.sy.Freq(v) / g.BinH
-		for u := 0; u < m; u++ {
-			ku := g.sx.Freq(u) / g.BinW
-			k2 := ku*ku + kv*kv
+	for v, kv := range g.ky {
+		for u, ku := range g.kx {
+			k2 := float64(ku*ku) + float64(kv*kv)
 			if k2 <= 0 {
 				continue // DC mode: neutralizing background, no force
 			}
@@ -192,20 +207,13 @@ func newGrid(region geom.Rect, sx, sy fft.Transform) *Grid {
 			if v == 0 {
 				c /= 2
 			}
-			idx := v*m + u
-			a := c / k2
-			g.psiTab[idx] = a
-			g.exTab[idx] = a * ku
-			g.eyTab[idx] = a * kv
+			u0 := u - u%panelCols
+			g.invK2[u0*n+v*min(panelCols, m-u0)+u-u0] = c / k2
 		}
 	}
 
 	g.team = par.NewTeam(1)
-	g.scratch = []solveScratch{{
-		sx:  g.sx,
-		sy:  g.sy,
-		row: make([]float64, m), col: make([]float64, n), colOut: make([]float64, n),
-	}}
+	g.scratch = []solveScratch{newSolveScratch(g.sx, g.sy)}
 	g.ovfShards = size / ovfBinsPerShard
 	if g.ovfShards < 1 {
 		g.ovfShards = 1
@@ -231,11 +239,7 @@ func (g *Grid) SetWorkers(n int) {
 func (g *Grid) SetTeam(t *par.Team) {
 	g.team = t
 	for len(g.scratch) < t.Size() {
-		g.scratch = append(g.scratch, solveScratch{
-			sx:  g.sx.CloneTransform(),
-			sy:  g.sy.CloneTransform(),
-			row: make([]float64, g.M), col: make([]float64, g.N), colOut: make([]float64, g.N),
-		})
+		g.scratch = append(g.scratch, newSolveScratch(g.sx.CloneTransform(), g.sy.CloneTransform()))
 	}
 }
 
@@ -246,79 +250,78 @@ func (g *Grid) Team() *par.Team { return g.team }
 // bindStages constructs the worker bodies once, capturing g, so the hot
 // path never builds a closure per call.
 func (g *Grid) bindStages() {
-	// Forward analysis along x: one independent DCT per bin row.
-	g.stageFwdRows = func(w, lo, hi int) {
+	// Rows: the forward DCT of each bin row of the charge.
+	g.stageAnalyzeRows = func(w, lo, hi int) {
 		s := &g.scratch[w]
 		m := g.M
 		for j := lo; j < hi; j++ {
 			s.sx.CosCoeffs(g.Rho[j*m:(j+1)*m], g.coef[j*m:(j+1)*m])
 		}
 	}
-	// Forward analysis along y: one independent DCT per coefficient column.
-	g.stageFwdCols = func(w, lo, hi int) {
+	// Columns, one panel of up to panelCols adjacent columns at a time:
+	// gather the panel row by row, take each column's DCT (the charge
+	// spectrum ρ̂, written back to coef), form both field spectra from it
+	// while the panel is in scratch, and synthesize them along
+	// y — Ex with cosines, Ey with sines (the derivative of cos(kv·y) is
+	// -kv·sin(kv·y), and E = -∇ψ cancels the sign) — scattering the results
+	// into Ex/Ey row by row.
+	g.stageColumns = func(w, lo, hi int) {
 		s := &g.scratch[w]
 		m, n := g.M, g.N
-		for u := lo; u < hi; u++ {
+		ps := n + panelPad
+		for p := lo; p < hi; p++ {
+			u0 := p * panelCols
+			pw := min(panelCols, m-u0)
 			for j := 0; j < n; j++ {
-				s.col[j] = g.coef[j*m+u]
+				for k, c := range g.coef[j*m+u0 : j*m+u0+pw] {
+					s.pa[k*ps+j] = c
+				}
 			}
-			s.sy.CosCoeffs(s.col, s.colOut)
-			for v := 0; v < n; v++ {
-				g.coef[v*m+u] = s.colOut[v]
+			for k := 0; k < pw; k++ {
+				s.sy.CosCoeffs(s.pa[k*ps:k*ps+n], s.pb[k*ps:k*ps+n])
 			}
-		}
-	}
-	// Frequency-domain solve: Êx = ρ̂·ku/k², Êy = ρ̂·kv/k², via the
-	// precomputed response tables; disjoint per coefficient row. (ψ̂ = ρ̂/k²
-	// is only formed by Potential.)
-	g.stageFreq = func(w, lo, hi int) {
-		m := g.M
-		for v := lo; v < hi; v++ {
-			for idx := v * m; idx < (v+1)*m; idx++ {
-				c := g.coef[idx]
-				g.bufEx[idx] = c * g.exTab[idx]
-				g.bufEy[idx] = c * g.eyTab[idx]
+			tab, kx := g.invK2[u0*n:(u0+pw)*n], g.kx[u0:u0+pw]
+			for v, ky := range g.ky {
+				spec := g.coef[v*m+u0 : v*m+u0+pw]
+				for k, a := range tab[v*pw : (v+1)*pw] {
+					c := s.pb[k*ps+v]
+					spec[k] = c
+					s.pa[k*ps+v] = c * (a * kx[k])
+					s.pb[k*ps+v] = c * (a * ky)
+				}
 			}
-		}
-	}
-	// Synthesis along y (columns) into the output grid.
-	g.stageSynCols = func(w, lo, hi int) {
-		s := &g.scratch[w]
-		m, n := g.M, g.N
-		coef, out := g.synCoef, g.synOut
-		for u := lo; u < hi; u++ {
-			for v := 0; v < n; v++ {
-				s.col[v] = coef[v*m+u]
-			}
-			if g.synSinY {
-				s.sy.EvalSin(s.col, s.colOut)
-			} else {
-				s.sy.EvalCos(s.col, s.colOut)
+			for k := 0; k < pw; k++ {
+				s.sy.EvalCos(s.pa[k*ps:k*ps+n], s.pc[k*ps:k*ps+n])
+				s.sy.EvalSin(s.pb[k*ps:k*ps+n], s.pa[k*ps:k*ps+n])
 			}
 			for j := 0; j < n; j++ {
-				out[j*m+u] = s.colOut[j]
+				at := j*m + u0
+				ex, ey := g.Ex[at:at+pw], g.Ey[at:at+pw]
+				for k := range ex {
+					ex[k] = s.pc[k*ps+j]
+					ey[k] = s.pa[k*ps+j]
+				}
 			}
 		}
 	}
-	// Synthesis along x (rows), in place row by row.
-	g.stageSynRows = func(w, lo, hi int) {
+	// Rows again, in place: Ex = -∂ψ/∂x takes sines in x, Ey cosines.
+	g.stageSynthRows = func(w, lo, hi int) {
 		s := &g.scratch[w]
 		m := g.M
-		out := g.synOut
 		for j := lo; j < hi; j++ {
-			row := out[j*m : (j+1)*m]
-			copy(s.row, row)
-			if g.synSinX {
-				s.sx.EvalSin(s.row, row)
-			} else {
-				s.sx.EvalCos(s.row, row)
-			}
+			ex := g.Ex[j*m : (j+1)*m]
+			copy(s.row, ex)
+			s.sx.EvalSin(s.row, ex)
+			ey := g.Ey[j*m : (j+1)*m]
+			copy(s.row, ey)
+			s.sx.EvalCos(s.row, ey)
 		}
 	}
 	// Banded rasterization: the executor owns bin rows [lo, hi), restores
 	// the fixed baseline there, then scans the rectangle list in order and
 	// deposits only the rows it owns. Per-bin addition order equals the
-	// serial rectangle order for any band partition.
+	// serial rectangle order for any band partition. A rectangle's rows are
+	// resolved first, so one outside the band costs no column work.
 	g.stageDeposit = func(w, lo, hi int) {
 		m := g.M
 		dst := g.depDst
@@ -326,7 +329,7 @@ func (g *Grid) bindStages() {
 		invArea := 1 / (g.BinW * g.BinH)
 		var f footprint
 		for _, r := range g.depRects {
-			if g.footprint(r, &f) {
+			if g.clipRows(r, &f) && f.j0 < hi && f.j1 > lo && g.clipCols(r, &f) {
 				g.depositRows(dst, &f, max(f.j0, lo), min(f.j1, hi), invArea)
 			}
 		}
@@ -356,11 +359,14 @@ func (g *Grid) Index(i, j int) int { return j*g.M + i }
 
 // BinRect returns the geometric extent of bin (i, j).
 func (g *Grid) BinRect(i, j int) geom.Rect {
-	return geom.RectWH(
-		g.Region.Lo.X+float64(i)*g.BinW,
-		g.Region.Lo.Y+float64(j)*g.BinH,
-		g.BinW, g.BinH)
+	return geom.RectWH(g.binX(i), g.binY(j), g.BinW, g.BinH)
 }
+
+// binX and binY return the low edge of bin column i and bin row j. The
+// conversion keeps the product rounded on its own, so no architecture fuses
+// it into the add.
+func (g *Grid) binX(i int) float64 { return g.Region.Lo.X + float64(float64(i)*g.BinW) }
+func (g *Grid) binY(j int) float64 { return g.Region.Lo.Y + float64(float64(j)*g.BinH) }
 
 // BinOf returns the bin coordinates containing point p, clamped to the grid.
 func (g *Grid) BinOf(p geom.Point) (int, int) {
@@ -419,15 +425,31 @@ type footprint struct {
 // footprint clips r to the region and resolves its bin ranges into f,
 // reporting false when nothing of r lies inside.
 func (g *Grid) footprint(r geom.Rect, f *footprint) bool {
-	f.xlo, f.xhi = max(r.Lo.X, g.Region.Lo.X), min(r.Hi.X, g.Region.Hi.X)
+	return g.clipRows(r, f) && g.clipCols(r, f)
+}
+
+// clipRows resolves the y half of r's footprint (ylo, yhi, j0, j1),
+// reporting false when r lies wholly above or below the region.
+func (g *Grid) clipRows(r geom.Rect, f *footprint) bool {
 	f.ylo, f.yhi = max(r.Lo.Y, g.Region.Lo.Y), min(r.Hi.Y, g.Region.Hi.Y)
-	if f.xhi <= f.xlo || f.yhi <= f.ylo {
+	if f.yhi <= f.ylo {
+		return false
+	}
+	f.j0 = geom.ClampInt(int((f.ylo-g.Region.Lo.Y)/g.BinH), 0, g.N-1)
+	f.j1 = geom.ClampInt(int(math.Ceil((f.yhi-g.Region.Lo.Y)/g.BinH)), f.j0+1, g.N)
+	return true
+}
+
+// clipCols resolves the x half of r's footprint (xlo, xhi, i0, i1) and
+// empties its column buffer, reporting false when r lies wholly left or
+// right of the region.
+func (g *Grid) clipCols(r geom.Rect, f *footprint) bool {
+	f.xlo, f.xhi = max(r.Lo.X, g.Region.Lo.X), min(r.Hi.X, g.Region.Hi.X)
+	if f.xhi <= f.xlo {
 		return false
 	}
 	f.i0 = geom.ClampInt(int((f.xlo-g.Region.Lo.X)/g.BinW), 0, g.M-1)
 	f.i1 = geom.ClampInt(int(math.Ceil((f.xhi-g.Region.Lo.X)/g.BinW)), f.i0+1, g.M)
-	f.j0 = geom.ClampInt(int((f.ylo-g.Region.Lo.Y)/g.BinH), 0, g.N-1)
-	f.j1 = geom.ClampInt(int(math.Ceil((f.yhi-g.Region.Lo.Y)/g.BinH)), f.j0+1, g.N)
 	f.ox0 = -1
 	return true
 }
@@ -447,7 +469,7 @@ func (g *Grid) cols(f *footprint, c0 int) []float64 {
 	if f.ox0 != c0 {
 		f.ox0 = c0
 		for k := 0; k < n; k++ {
-			f.ox[k] = overlap(g.Region.Lo.X+float64(c0+k)*g.BinW, g.BinW, f.xlo, f.xhi)
+			f.ox[k] = overlap(g.binX(c0+k), g.BinW, f.xlo, f.xhi)
 		}
 	}
 	return f.ox[:n]
@@ -457,7 +479,7 @@ func (g *Grid) cols(f *footprint, c0 int) []float64 {
 // footprint covers in rows [j0, j1).
 func (g *Grid) depositRows(dst []float64, f *footprint, j0, j1 int, invArea float64) {
 	for j := j0; j < j1; j++ {
-		oy := overlap(g.Region.Lo.Y+float64(j)*g.BinH, g.BinH, f.ylo, f.yhi)
+		oy := overlap(g.binY(j), g.BinH, f.ylo, f.yhi)
 		if oy <= 0 {
 			continue
 		}
@@ -465,7 +487,7 @@ func (g *Grid) depositRows(dst []float64, f *footprint, j0, j1 int, invArea floa
 			row := dst[j*g.M+c0:]
 			for k, ox := range g.cols(f, c0) {
 				if ox > 0 {
-					row[k] += ox * oy * invArea
+					row[k] += float64(ox * oy * invArea)
 				}
 			}
 		}
@@ -484,7 +506,7 @@ func (g *Grid) AddRect(r geom.Rect, scale float64) {
 func (g *Grid) AddFixedRect(r geom.Rect, scale float64) {
 	g.addRectTo(g.fixedRho, r, scale)
 	g.hasFixed = true
-	g.totalFixedArea += r.Intersect(g.Region).Area() * scale
+	g.totalFixedArea += float64(r.Intersect(g.Region).Area() * scale)
 	// A new baseline changes what any rect list deposits to, so both the
 	// raster and the solve fingerprints are stale.
 	g.voidFingerprint()
@@ -529,9 +551,13 @@ func (g *Grid) DepositRects(rects []geom.Rect) {
 // Solve computes the field from the current charge. The DC component of the
 // charge is removed first (the u=v=0 mode has no force and corresponds to
 // the neutralizing background of the electrostatic analogy).
-// The row/column transform batches run across the team with per-executor
-// spectral scratch; every batch writes a disjoint output range,
-// so the solution is bit-identical for any worker count.
+// Three stages run across the team with per-executor spectral scratch: the
+// forward DCT of every row; one fused pass per panel of adjacent columns
+// that takes the column DCTs, forms both field spectra from the one shared
+// charge spectrum and synthesizes them along y; and the x synthesis of
+// every row of Ex and Ey. Every shard writes a disjoint output range, so
+// the solution is bit-identical for any worker count. The potential itself
+// is not synthesized: nothing on the placement path reads it.
 // When the most recent DepositRects matched the list the current field was
 // solved from, the charge — and therefore the solution — is unchanged, and
 // Solve returns immediately (see SolveSkips). Mutating the charge by any
@@ -542,72 +568,15 @@ func (g *Grid) Solve() {
 		g.solveSkips++
 		return
 	}
-
-	// Forward analysis: cosine coefficients along x for each row, then
-	// along y for each column, then the per-mode frequency response.
-	t := time.Now()
-	g.team.Shards(g.N, g.stageFwdRows)
-	g.team.Shards(g.M, g.stageFwdCols)
-	t = g.lap(t, &g.wallAnalysis)
-	g.team.Shards(g.N, g.stageFreq)
-	t = g.lap(t, &g.wallFreq)
-
-	// Synthesis. Ex = -∂ψ/∂x uses sin in x (the derivative of cos(ku·x) is
-	// -ku·sin(ku·x), and E = -∇ψ cancels the sign); Ey symmetric. The
-	// potential itself is not synthesized here: nothing on the placement
-	// path reads it (see Potential).
-	g.synthesize(g.bufEx, g.Ex, true, false)
-	g.synthesize(g.bufEy, g.Ey, false, true)
-	g.lap(t, &g.wallSynth)
+	g.team.Shards(g.N, g.stageAnalyzeRows)
+	g.team.Shards((g.M+panelCols-1)/panelCols, g.stageColumns)
+	g.team.Shards(g.N, g.stageSynthRows)
 
 	g.solves++
 	g.solvedFromRects = g.rhoFromRects
 	if g.solvedFromRects {
 		g.solvedRects = append(g.solvedRects[:0], g.lastRects...)
 	}
-}
-
-// lap accumulates the time since t into *wall and returns the new mark.
-func (g *Grid) lap(t time.Time, wall *time.Duration) time.Time {
-	now := time.Now()
-	*wall += now.Sub(t)
-	return now
-}
-
-// synthesize evaluates the 2-D series with sine evaluation in x and/or y.
-// coef and out may be the same slice: the column pass gathers a whole
-// column before writing it back.
-func (g *Grid) synthesize(coef, out []float64, sinX, sinY bool) {
-	g.synCoef, g.synOut, g.synSinX, g.synSinY = coef, out, sinX, sinY
-	g.team.Shards(g.M, g.stageSynCols)
-	g.team.Shards(g.N, g.stageSynRows)
-	g.synCoef, g.synOut = nil, nil
-}
-
-// Potential synthesizes the electric potential ψ (cos·cos) of the last
-// executed Solve from its retained charge spectrum. It is a diagnostic: the
-// placement path needs only the field, so ψ costs nothing until asked for,
-// and every call recomputes it. The returned slice is reused by the next
-// call.
-func (g *Grid) Potential() []float64 {
-	if g.psi == nil {
-		g.psi = make([]float64, len(g.coef))
-	}
-	for i, c := range g.coef {
-		g.psi[i] = c * g.psiTab[i]
-	}
-	g.synthesize(g.psi, g.psi, false, false)
-	return g.psi
-}
-
-// Energy returns the total potential energy Σ ρ·ψ·binArea (Eq. 3 up to the
-// constant factor absorbed by λ).
-func (g *Grid) Energy() float64 {
-	e := 0.0
-	for i, psi := range g.Potential() {
-		e += g.Rho[i] * psi
-	}
-	return e * (g.BinW * g.BinH)
 }
 
 // ForceOnRect returns the overlap-weighted electric force on a rectangle of
@@ -626,7 +595,7 @@ func (g *Grid) ForceOnRect(r geom.Rect) (fx, fy float64) {
 		return g.Ex[idx] * r.Area(), g.Ey[idx] * r.Area()
 	}
 	for j := f.j0; j < f.j1; j++ {
-		oy := overlap(g.Region.Lo.Y+float64(j)*g.BinH, g.BinH, f.ylo, f.yhi)
+		oy := overlap(g.binY(j), g.BinH, f.ylo, f.yhi)
 		if oy <= 0 {
 			continue
 		}
@@ -635,8 +604,8 @@ func (g *Grid) ForceOnRect(r geom.Rect) (fx, fy float64) {
 			for k, ox := range g.cols(&f, c0) {
 				if ox > 0 {
 					a := ox * oy
-					fx += a * ex[k]
-					fy += a * ey[k]
+					fx += float64(a * ex[k])
+					fy += float64(a * ey[k])
 				}
 			}
 		}
@@ -687,10 +656,3 @@ func (g *Grid) SolveSkips() int { return g.solveSkips }
 // RasterSkips reports how many DepositRects calls left Rho untouched because
 // the list was bitwise identical to the one already deposited.
 func (g *Grid) RasterSkips() int { return g.rasterSkips }
-
-// PhaseWalls returns the cumulative wall time of the spectral solve split
-// by phase: forward analysis (row+column DCTs), the frequency-domain
-// response, and the two field synthesis passes.
-func (g *Grid) PhaseWalls() (analysis, freq, synth time.Duration) {
-	return g.wallAnalysis, g.wallFreq, g.wallSynth
-}

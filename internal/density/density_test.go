@@ -123,7 +123,7 @@ func TestPoissonResidual(t *testing.T) {
 	}
 	mean /= float64(m * m)
 	g.Solve()
-	psi := g.Potential()
+	psi := potential(g)
 
 	h2 := g.BinW * g.BinH
 	maxErr, maxRho := 0.0, 0.0
@@ -158,11 +158,11 @@ func TestEnergyFavorsSpreading(t *testing.T) {
 	spread.AddRect(geom.RectWH(0, 0, 32, 32), 64.0/1024.0)
 	spread.Solve()
 
-	if conc.Energy() <= spread.Energy() {
-		t.Errorf("energy concentrated %v <= spread %v", conc.Energy(), spread.Energy())
+	if energy(conc) <= energy(spread) {
+		t.Errorf("energy concentrated %v <= spread %v", energy(conc), energy(spread))
 	}
-	if spread.Energy() > 1e-9 {
-		t.Errorf("uniform charge energy = %v, want ~0", spread.Energy())
+	if energy(spread) > 1e-9 {
+		t.Errorf("uniform charge energy = %v, want ~0", energy(spread))
 	}
 }
 
@@ -318,14 +318,14 @@ func TestSolveParallelMatchesSerial(t *testing.T) {
 	ref := NewGrid(region, 32, 32)
 	ref.DepositRects(rects)
 	ref.Solve()
-	refPsi := ref.Potential()
+	refPsi := potential(ref)
 
 	for _, workers := range []int{2, 3, 4, 16} {
 		g := NewGrid(region, 32, 32)
 		g.SetTeam(startedTeam(t, workers))
 		g.DepositRects(rects)
 		g.Solve()
-		psi := g.Potential()
+		psi := potential(g)
 		for i := range psi {
 			if psi[i] != refPsi[i] || g.Ex[i] != ref.Ex[i] || g.Ey[i] != ref.Ey[i] {
 				t.Fatalf("workers=%d: bin %d solve mismatch psi %v/%v ex %v/%v ey %v/%v",
@@ -374,7 +374,6 @@ func TestGridSteadyStateZeroAlloc(t *testing.T) {
 		g.Solve()
 
 		wide := geom.RectWH(1.5, 20.25, 2*footCols+9, 3) // > footCols columns at BinW 2
-		g.Potential()                                    // first call allocates ψ
 		if n := testing.AllocsPerRun(10, func() {
 			g.DepositRects(rects)
 			g.Solve()
@@ -384,7 +383,6 @@ func TestGridSteadyStateZeroAlloc(t *testing.T) {
 			g.ForceOnRect(wide)
 			g.OverflowOf(rects[:32], 0.8, 100)
 			g.Overflow(0.8, 100)
-			g.Energy()
 			g.AddRect(wide, 1) // voids the fingerprints: the next run rasterizes and solves
 		}); n != 0 {
 			t.Errorf("workers=%d: steady-state iteration allocates %v per run, want 0", workers, n)

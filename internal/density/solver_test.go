@@ -23,7 +23,7 @@ func TestGridComplexVsRealSolve(t *testing.T) {
 	g.DepositRects(rects)
 	g.Solve()
 
-	psi, refPsi := g.Potential(), ref.Potential()
+	psi, refPsi := potential(g), potential(ref)
 	scale := 0.0
 	for _, v := range refPsi {
 		if a := math.Abs(v); a > scale {
@@ -57,10 +57,7 @@ func TestSolveSkipOnRedeposit(t *testing.T) {
 	if g.Solves() != 1 || g.SolveSkips() != 0 {
 		t.Fatalf("after first solve: solves=%d skips=%d", g.Solves(), g.SolveSkips())
 	}
-	if a, f, s := g.PhaseWalls(); a <= 0 || f < 0 || s <= 0 {
-		t.Errorf("PhaseWalls = %v/%v/%v, want positive analysis and synthesis", a, f, s)
-	}
-	psi := append([]float64(nil), g.Potential()...)
+	psi := potential(g)
 	ex := append([]float64(nil), g.Ex...)
 	ey := append([]float64(nil), g.Ey...)
 
@@ -70,7 +67,7 @@ func TestSolveSkipOnRedeposit(t *testing.T) {
 	if g.Solves() != 1 || g.SolveSkips() != 1 {
 		t.Fatalf("after redeposit solve: solves=%d skips=%d, want 1/1", g.Solves(), g.SolveSkips())
 	}
-	for i, v := range g.Potential() {
+	for i, v := range potential(g) {
 		if v != psi[i] || g.Ex[i] != ex[i] || g.Ey[i] != ey[i] {
 			t.Fatalf("skipped solve changed bin %d: psi %v/%v ex %v/%v ey %v/%v",
 				i, v, psi[i], g.Ex[i], ex[i], g.Ey[i], ey[i])

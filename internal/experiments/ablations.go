@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,8 +125,10 @@ func Ablate(o Options, abls ...Ablation) ([]AblationResult, error) {
 // AblationTPE compares the TPE strategy exploration against pure random
 // search on a synthetic padding-strategy landscape with the same
 // evaluation budget (the Sec. III-C claim), averaged over a few seeds so
-// single-run luck does not decide the verdict.
+// single-run luck does not decide the verdict. A zero seed means the
+// default seed, as it does in every section's Options.
 func AblationTPE(seed int64) AblationResult {
+	seed = cmp.Or(seed, DefaultOptions().Seed)
 	agg := AblationResult{Name: "TPE vs random search (strategy landscape)"}
 	const trials = 3
 	for k := int64(0); k < trials; k++ {

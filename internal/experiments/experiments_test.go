@@ -325,6 +325,15 @@ func TestRTSweepUnknownDesign(t *testing.T) {
 	}
 }
 
+// TestAblationTPEDefaultsTheSeed: the TPE row maps an unset seed to the
+// default like every other section, so `puffer experiments -seed 0` runs
+// the same three landscape seeds as `-seed 1`.
+func TestAblationTPEDefaultsTheSeed(t *testing.T) {
+	if got, want := AblationTPE(0), AblationTPE(DefaultOptions().Seed); got != want {
+		t.Errorf("AblationTPE(0) = %+v, want the default seed's %+v", got, want)
+	}
+}
+
 func TestAblationTPEBeatsRandom(t *testing.T) {
 	r := AblationTPE(3)
 	if r.MetricOn >= r.MetricOff {

@@ -9,8 +9,20 @@
 // edges: charge does not push across the placement boundary. The package
 // provides the three one-dimensional primitives the 2-D Poisson solver
 // needs — the forward cosine analysis (a DCT-II), cosine evaluation for the
-// potential, and sine evaluation for the electric field — all computed via
-// a radix-2 complex FFT on the 2M mirror extension, O(M log M).
+// potential, and sine evaluation for the electric field — in O(M log M).
+//
+// RealPlan, the engine the solver runs on, computes each primitive with
+// one radix-2 complex FFT of size M/2 (Makhoul's permutation plus
+// real-input packing; see RealPlan). Its input is packed straight into the
+// bit-reversed order the FFT's stages read, the stages run two at a time
+// over twiddles laid out contiguously per stage, and the synthesis halves
+// through half, which reproduces Go's complex division by 2 bit for bit.
+// Spectral, the reference the tests compare against, computes each
+// primitive as a complex FFT of size 2M over the mirror extension.
+//
+// Every product that feeds an add is converted (float64(x*y) + z) or goes
+// through mul, so no architecture fuses it into a multiply-add and every
+// platform computes the bits amd64 does.
 package fft
 
 import (
@@ -27,10 +39,13 @@ import (
 // wraps a Plan together with per-instance scratch; use Spectral.Clone to
 // fan one precomputed Plan out across workers.
 type Plan struct {
-	n       int
-	logn    int
-	rev     []int
-	twiddle []complex128 // twiddle[k] = exp(-2πi k / n), k < n/2
+	n    int
+	logn int
+	rev  []int
+	// stw lays each radix-2 stage's twiddles out contiguously: the stage
+	// of span 2h reads stw[h-1 : 2h-1], where stw[h-1+j] = exp(-2πi·j/(2h))
+	// is taken from the size-n table exp(-2πi·k/n) at k = j·n/(2h).
+	stw []complex128
 }
 
 // NewPlan creates a plan for complex FFTs of size n, which must be a power
@@ -44,10 +59,13 @@ func NewPlan(n int) *Plan {
 	for i := 0; i < n; i++ {
 		p.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - p.logn))
 	}
-	p.twiddle = make([]complex128, n/2)
-	for k := range p.twiddle {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		p.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
+	p.stw = make([]complex128, max(n-1, 0))
+	for h := 1; h < n; h <<= 1 {
+		step := n / (2 * h)
+		for j := 0; j < h; j++ {
+			ang := -2 * math.Pi * float64(j*step) / float64(n)
+			p.stw[h-1+j] = complex(math.Cos(ang), math.Sin(ang))
+		}
 	}
 	return p
 }
@@ -67,20 +85,90 @@ func (p *Plan) Forward(x []complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= p.n; size <<= 1 {
-		half := size >> 1
-		step := p.n / size
-		for start := 0; start < p.n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				tw += step
-				t := w * x[k+half]
-				x[k+half] = x[k] - t
-				x[k] = x[k] + t
+	p.stages(x)
+}
+
+// stages runs the radix-2 decimation-in-time butterflies on x, which must
+// hold the input in bit-reversed order (Forward permutes it; RealPlan packs
+// straight into those slots), and leaves the DFT in natural order. Two
+// stages at a time share one pass over x: each group of four values takes
+// its two butterflies of the first stage and its two of the second while
+// in registers. Every butterfly still computes t = w·b, then a+t and a−t,
+// on the operands a radix-2 stage at a time would give it, so the bits are
+// those of one stage after another.
+func (p *Plan) stages(x []complex128) {
+	n := p.n
+	if n < 2 {
+		return
+	}
+	x = x[:n]
+	if n == 2 {
+		x[0], x[1] = butterfly(p.stw[0], x[0], x[1])
+		return
+	}
+	// The first two stages: spans 2 and 4, twiddles stw[0] and stw[1:3].
+	w, w0, w1 := p.stw[0], p.stw[1], p.stw[2]
+	for k := 0; k < n; k += 4 {
+		g := x[k : k+4]
+		y0, y1 := butterfly(w, g[0], g[1])
+		y2, y3 := butterfly(w, g[2], g[3])
+		g[0], g[2] = butterfly(w0, y0, y2)
+		g[1], g[3] = butterfly(w1, y1, y3)
+	}
+	h := 4
+	for ; 4*h <= n; h *= 4 {
+		// Spans 2h and 4h; tb's first half serves (y0, y2), its second
+		// half (y1, y3).
+		ta, tb := p.stw[h-1:2*h-1], p.stw[2*h-1:4*h-1]
+		for s := 0; s < n; s += 4 * h {
+			q0, q1, q2, q3 := x[s:s+h], x[s+h:s+2*h], x[s+2*h:s+3*h], x[s+3*h:s+4*h]
+			q0, q1, q2, q3 = q0[:len(ta)], q1[:len(ta)], q2[:len(ta)], q3[:len(ta)]
+			tb0, tb1 := tb[:len(ta)], tb[len(ta):2*len(ta)]
+			for j, wa := range ta {
+				y0, y1 := butterfly(wa, q0[j], q1[j])
+				y2, y3 := butterfly(wa, q2[j], q3[j])
+				q0[j], q2[j] = butterfly(tb0[j], y0, y2)
+				q1[j], q3[j] = butterfly(tb1[j], y1, y3)
 			}
 		}
 	}
+	if h < n {
+		// One stage left over, of span n = 2h.
+		ta := p.stw[h-1 : 2*h-1]
+		a, b := x[:h], x[h:]
+		a, b = a[:len(ta)], b[:len(ta)]
+		for j, wa := range ta {
+			a[j], b[j] = butterfly(wa, a[j], b[j])
+		}
+	}
+}
+
+// butterfly returns a + w·b and a − w·b.
+func butterfly(w, a, b complex128) (complex128, complex128) {
+	t := mul(w, b)
+	return a + t, a - t
+}
+
+// mul returns w·z with the operations of Go's complex multiply,
+// (wr·zr − wi·zi) + i(wr·zi + wi·zr), each product rounded on its own: the
+// conversions forbid the fused multiply-adds some architectures would
+// otherwise emit, so every platform computes the same bits.
+func mul(w, z complex128) complex128 {
+	wr, wi, zr, zi := real(w), imag(w), real(z), imag(z)
+	return complex(float64(wr*zr)-float64(wi*zi), float64(wr*zi)+float64(wi*zr))
+}
+
+// half returns z/2 bit for bit as Go's complex division by 2 computes it,
+// for finite z, without the runtime call. The division is Smith's
+// algorithm with divisor 2+0i: ratio 0/2 = +0 and denominator 2, so it
+// evaluates ((re + im·0)/2, (im − re·0)/2). Those ±0 terms are kept on
+// purpose: halving each component alone differs on signed zeros (for
+// re = −0 and im ≥ +0 the division yields +0, not −0). The outer
+// conversions keep the halving, which compiles to a multiply by 0.5, from
+// fusing into the caller's next add.
+func half(z complex128) complex128 {
+	re, im := real(z), imag(z)
+	return complex(float64((re+float64(im*0))/2), float64((im-float64(re*0))/2))
 }
 
 // Inverse computes the in-place inverse DFT with 1/n normalization:
@@ -159,7 +247,7 @@ func (s *Spectral) CosCoeffs(x, out []float64) {
 		// Xe[u] = exp(iπu/(2M)) · 2·Σ x cos(πu(m+1/2)/M)
 		// Xe[u] = exp(iπu/(2M))·2·Σ x cos(πu(m+1/2)/M), so multiplying by
 		// phase[u] = exp(-iπu/(2M)) leaves twice the cosine sum.
-		out[u] = 0.5 * real(s.phase[u]*s.buf[u])
+		out[u] = 0.5 * real(mul(s.phase[u], s.buf[u]))
 	}
 }
 
@@ -175,7 +263,7 @@ func (s *Spectral) EvalCos(a, out []float64) {
 	// Compute the positive-exponent sum as conj(FFT(conj(B))).
 	for u := 0; u < s.m; u++ {
 		// conj(B[u]) where B[u] = a[u]·exp(iπu/(2M)) = a[u]·conj(phase[u]).
-		s.buf[u] = complex(a[u], 0) * s.phase[u]
+		s.buf[u] = mul(complex(a[u], 0), s.phase[u])
 	}
 	for u := s.m; u < 2*s.m; u++ {
 		s.buf[u] = 0
@@ -198,7 +286,7 @@ func (s *Spectral) EvalSin(c, out []float64) {
 	// the positive-exponent sum equals conj(FFT(conj(B))), whose imaginary
 	// part is the negation of the computed FFT's imaginary part.
 	for u := 0; u < s.m; u++ {
-		s.buf[u] = complex(c[u], 0) * s.phase[u]
+		s.buf[u] = mul(complex(c[u], 0), s.phase[u])
 	}
 	for u := s.m; u < 2*s.m; u++ {
 		s.buf[u] = 0

@@ -99,7 +99,7 @@ func NewRealPlan(m int) *RealPlan {
 		tAng := -2 * math.Pi * float64(u) / float64(m)
 		p.pa[u] = complex(math.Cos(aAng), math.Sin(aAng))
 		p.tw[u] = complex(math.Cos(tAng), math.Sin(tAng))
-		p.pb[u] = p.pa[u] * p.tw[u]
+		p.pb[u] = mul(p.pa[u], p.tw[u])
 	}
 	return p
 }
@@ -136,15 +136,6 @@ func (p *RealPlan) check(in, out []float64) {
 	}
 }
 
-// vIndex maps Makhoul-permutation index j to the source index in x:
-// v[j] = x[2j] for j < M/2, v[j] = x[2M-2j-1] otherwise.
-func (p *RealPlan) vIndex(j int) int {
-	if j < p.m/2 {
-		return 2 * j
-	}
-	return 2*p.m - 2*j - 1
-}
-
 // CosCoeffs computes the unnormalized DCT-II analysis
 //
 //	a[u] = Σ_{m=0}^{M-1} x[m]·cos(πu(m+1/2)/M),  u = 0..M-1,
@@ -153,106 +144,130 @@ func (p *RealPlan) vIndex(j int) int {
 // alias x.
 func (p *RealPlan) CosCoeffs(x, out []float64) {
 	p.check(x, out)
-	h := p.m / 2
+	h, m := p.m/2, p.m
+	buf, rev := p.buf, p.half.rev
 
-	// Fused permutation + real-input pack: z[k] = v[2k] + i·v[2k+1].
-	for k := 0; k < h; k++ {
-		p.buf[k] = complex(x[p.vIndex(2*k)], x[p.vIndex(2*k+1)])
+	// Fused permutation + real-input pack, z[k] = v[2k] + i·v[2k+1], with
+	// v[j] = x[2j] for j < M/2 and x[2M-2j-1] otherwise, written straight
+	// into bit-reversed order: slot i takes z[rev[i]]. For even i, k =
+	// rev[i] < M/4 and rev[i+1] = k + M/4, whose v indices fold to
+	// x[M-4k-1] and x[M-4k-3].
+	if h == 1 {
+		buf[0] = complex(x[0], x[1])
+	} else {
+		for i := 0; i < h; i += 2 {
+			k := 4 * rev[i]
+			buf[i] = complex(x[k], x[k+2])
+			buf[i+1] = complex(x[m-k-1], x[m-k-3])
+		}
 	}
-	p.half.Forward(p.buf)
+	p.half.stages(buf)
 
 	// Unpack V[u] of the real DFT from Z and apply the fused DCT twiddle:
 	// with Fe/Fo the even/odd half-spectra, V[u] = Fe[u] + tw[u]·Fo[u] and
 	// W = pa[u]·V[u] yields a[u] = Re(W) and, by Hermitian symmetry of V,
 	// a[M-u] = Re(pa[M-u]·conj(V[u])) = -Im(W).
 	for u := 0; u <= h; u++ {
-		zu := p.buf[u%h]
-		zr := p.buf[(h-u)%h]
-		sum := zu + complex(real(zr), -imag(zr)) // Z[u] + conj(Z[M/2-u])
-		dif := zu - complex(real(zr), -imag(zr))
+		zu := buf[u&(h-1)]
+		zr := buf[(h-u)&(h-1)]
+		sum := zu + conj(zr) // Z[u] + conj(Z[M/2-u])
+		dif := zu - conj(zr)
 		fe := complex(real(sum)/2, imag(sum)/2)
 		fo := complex(imag(dif)/2, -real(dif)/2) // -i·(Z[u]-conj(Z[M/2-u]))/2
-		w := p.pa[u]*fe + p.pb[u]*fo
+		w := mul(p.pa[u], fe) + mul(p.pb[u], fo)
 		out[u] = real(w)
 		if u > 0 {
-			out[p.m-u] = -imag(w)
+			out[m-u] = -imag(w)
 		}
 	}
 }
 
+// spec returns the Hermitian spectrum entry V[u] = e^{iπu/(2M)}·(a'[u] -
+// i·a'[M-u]), 0 < u ≤ M/2, where a' is a read forward (cosine) or
+// index-reversed (sine, per sin(uθ_m) = (-1)^m·cos((M-u)θ_m)).
+func (p *RealPlan) spec(a []float64, u int, sine bool) complex128 {
+	re, im := a[u], -a[p.m-u]
+	if sine {
+		re, im = a[p.m-u], -a[u]
+	}
+	q := p.pa[u] // conj(q)·(re + i·im)
+	return complex(float64(real(q)*re)+float64(imag(q)*im), float64(real(q)*im)-float64(imag(q)*re))
+}
+
+// zConj returns conj(Z[u]) of the half-size spectrum Z[u] = Fe[u] +
+// i·Fo[u], given Fe[u] = (V[u] + conj(V[M/2-u]))/2, d = (V[u] −
+// conj(V[M/2-u]))/2 and t = tw[u], so that Fo[u] = e^{2πiu/M}·d =
+// conj(t)·d.
+func zConj(t, fe, d complex128) complex128 {
+	fo := complex(float64(real(t)*real(d))+float64(imag(t)*imag(d)), float64(real(t)*imag(d))-float64(imag(t)*real(d)))
+	z := fe + complex(-imag(fo), real(fo))
+	return conj(z)
+}
+
+func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }
+
 // synth is the shared half-size inverse path behind EvalCos and EvalSin.
 // It evaluates y[m] = Σ_u a'[u]·cos(πu(m+1/2)/M) + dc, where a' is the
-// coefficient vector read forward (cosine) or index-reversed (sine, per
-// the identity sin(uθ_m) = (-1)^m·cos((M-u)θ_m)), and writes the result
-// through the inverse Makhoul permutation with the sine sign alternation
-// folded into the odd output slots.
+// coefficient vector read forward (cosine) or index-reversed (sine), and
+// writes the result through the inverse Makhoul permutation with the sine
+// sign alternation folded into the odd output slots.
 func (p *RealPlan) synth(a, out []float64, sine bool) {
 	h, m := p.m/2, p.m
+	buf, rev := p.buf, p.half.rev
 
-	// Rebuild the Hermitian spectrum V[u] = e^{iπu/(2M)}·(a'[u] - i·a'[M-u])
-	// (V[0] = a'[0]) and collapse it to the half-size spectrum
-	// Z[u] = Fe[u] + i·Fo[u]; buf holds conj(Z) so one forward FFT computes
-	// the un-normalized inverse transform.
-	vAt := func(u int) complex128 {
-		// conj(pa[u]) = e^{iπu/(2M)}; a'[u] = a[u] or reversed for sine.
-		var re, im float64
-		if sine {
-			if u == 0 {
-				return 0
-			}
-			re, im = a[m-u], -a[u]
-		} else {
-			if u == 0 {
-				return complex(a[0], 0)
-			}
-			re, im = a[u], -a[m-u]
-		}
-		q := p.pa[u]
-		// conj(q) · (re + i·im)
-		return complex(real(q)*re+imag(q)*im, real(q)*im-imag(q)*re)
+	// Rebuild the Hermitian spectrum V (V[0] = a'[0]) and collapse it to
+	// conj(Z), packed into bit-reversed slots so one forward FFT computes
+	// the un-normalized inverse transform. Each V[u] is formed once and
+	// serves both Z[u] and Z[M/2-u].
+	var v0 complex128
+	if !sine {
+		v0 = complex(a[0], 0)
 	}
-	for u := 0; u < h; u++ {
-		vu := vAt(u)
-		vr := vAt(h - u)
-		cvr := complex(real(vr), -imag(vr)) // conj(V[M/2-u])
-		fe := (vu + cvr) / 2
-		d := (vu - cvr) / 2
-		// Fo[u] = e^{2πiu/M}·d = conj(tw[u])·d
-		t := p.tw[u]
-		fo := complex(real(t)*real(d)+imag(t)*imag(d), real(t)*imag(d)-imag(t)*real(d))
-		// store conj(Z[u]) = conj(Fe[u] + i·Fo[u])
-		z := fe + complex(-imag(fo), real(fo))
-		p.buf[u] = complex(real(z), -imag(z))
+	vh := conj(p.spec(a, h, sine))
+	buf[0] = zConj(p.tw[0], half(v0+vh), half(v0-vh))
+	for u := 1; u < h-u; u++ {
+		vu, vr := p.spec(a, u, sine), p.spec(a, h-u, sine)
+		cu, cr := conj(vu), conj(vr)
+		buf[rev[u]] = zConj(p.tw[u], half(vu+cr), half(vu-cr))
+		buf[rev[h-u]] = zConj(p.tw[h-u], half(vr+cu), half(vr-cu))
 	}
-	p.half.Forward(p.buf)
+	if h > 1 {
+		vq := p.spec(a, h/2, sine)
+		cq := conj(vq)
+		buf[rev[h/2]] = zConj(p.tw[h/2], half(vq+cq), half(vq-cq))
+	}
+	p.half.stages(buf)
 
 	// De-permute: conj(buf[k]) carries w[2k] (real) and w[2k+1] (imag) of
 	// the inverse real FFT; output index j maps w[n] to y[2n] for n < M/2
 	// and to y[2M-2n-1] otherwise. The scaling works out to exactly 1 (the
 	// M/2 synthesis factor cancels the FFT's missing 1/(M/2)), leaving
 	// only the a'[0]/2 DC half-term of the plain (un-halved) cosine sum.
+	// The first half adds dc (+0 for the sine) in both directions.
 	dc := 0.0
 	if !sine {
 		dc = a[0] / 2
 	}
-	for k := 0; k < h; k++ {
-		re := real(p.buf[k])
-		im := -imag(p.buf[k])
-		n := 2 * k
-		if n < h {
-			out[2*n] = re + dc
-		} else if sine {
-			out[2*m-2*n-1] = -re
+	if h == 1 {
+		out[0] = real(buf[0]) + dc
+		if sine {
+			out[1] = imag(buf[0])
 		} else {
-			out[2*m-2*n-1] = re + dc
+			out[1] = -imag(buf[0]) + dc
 		}
-		n = 2*k + 1
-		if n < h {
-			out[2*n] = im + dc
-		} else if sine {
-			out[2*m-2*n-1] = -im
+		return
+	}
+	for k := 0; k < h/2; k++ {
+		out[4*k] = real(buf[k]) + dc
+		out[4*k+2] = -imag(buf[k]) + dc
+	}
+	for k := h / 2; k < h; k++ {
+		if sine {
+			out[2*m-4*k-1] = -real(buf[k])
+			out[2*m-4*k-3] = imag(buf[k])
 		} else {
-			out[2*m-2*n-1] = im + dc
+			out[2*m-4*k-1] = real(buf[k]) + dc
+			out[2*m-4*k-3] = -imag(buf[k]) + dc
 		}
 	}
 }

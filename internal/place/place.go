@@ -597,9 +597,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	gPhaseRaster := rec.Gauge("place.phase.raster_ms")
 	gPhaseSolve := rec.Gauge("place.phase.solve_ms")
 	gPhaseForce := rec.Gauge("place.phase.force_ms")
-	gDenAnalysis := rec.Gauge("place.phase.density_analysis_ms")
-	gDenSolve := rec.Gauge("place.phase.density_solve_ms")
-	gDenSynth := rec.Gauge("place.phase.density_synthesis_ms")
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
 		span.SetArg("workers", p.team.Size())
@@ -625,11 +622,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		gPhaseRaster.Set(p.wallRaster.Seconds() * 1e3)
 		gPhaseSolve.Set(p.wallSolve.Seconds() * 1e3)
 		gPhaseForce.Set(p.wallForce.Seconds() * 1e3)
-		// The spectral solve split by phase, from the grid's own clocks.
-		da, df, ds := p.g.PhaseWalls()
-		gDenAnalysis.Set(da.Seconds() * 1e3)
-		gDenSolve.Set(df.Seconds() * 1e3)
-		gDenSynth.Set(ds.Seconds() * 1e3)
 	}
 
 	ring := newTraceRing(DefaultTraceCap)
