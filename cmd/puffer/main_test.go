@@ -18,6 +18,7 @@ import (
 	"puffer/internal/baseline"
 	"puffer/internal/bookshelf"
 	"puffer/internal/eco"
+	"puffer/internal/place"
 	"puffer/internal/synth"
 	"puffer/pipeline"
 )
@@ -451,9 +452,37 @@ func TestExploreThenPlace(t *testing.T) {
 	s := filepath.Join(t.TempDir(), "s.json")
 	out := runOK(t, "explore", "-scale", "6000", "-budget", "2", "-iters", "40", "-out", s)
 	mustContain(t, "explore", out, "tuning on OR1200 at 1:6000", "observations made",
-		"best strategy written to "+s, "tuned(best)  total overflow")
+		"tuned strategy written to "+s, "tuned        total overflow")
 	out = runOK(t, "-design", "OR1200", "-scale", "3000", "-strategy", s, "-noeval")
 	mustContain(t, "place with the tuned strategy", out, "PUFFER: GP iters=", "legality check: clean")
+}
+
+// TestExploreFlagDefaults: -iters 0 is the engine's GP cap, as the flag's
+// help says, not a cap of zero iterations; a budget below one trial is a
+// usage error.
+func TestExploreFlagDefaults(t *testing.T) {
+	judged := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "default ") {
+				return line
+			}
+		}
+		t.Fatalf("no default line in:\n%s", out)
+		return ""
+	}
+	engine := strconv.Itoa(place.DefaultConfig().MaxIters)
+	zero := runOK(t, "explore", "-scale", "6000", "-budget", "1", "-iters", "0")
+	capped := runOK(t, "explore", "-scale", "6000", "-budget", "1", "-iters", engine)
+	if a, b := judged(zero), judged(capped); a != b {
+		t.Errorf("-iters 0 judged the default strategy as\n  %s\nwant the engine cap's (-iters %s)\n  %s", a, engine, b)
+	}
+	for _, budget := range []string{"0", "-2"} {
+		msg, out := runErr(t, "explore", "-scale", "6000", "-budget", budget)
+		mustContain(t, "explore -budget "+budget, msg, "-budget "+budget+": want at least 1")
+		if out != "" {
+			t.Errorf("-budget %s ran before failing:\n%s", budget, out)
+		}
+	}
 }
 
 func TestExperimentsRunsOnlySelectedSections(t *testing.T) {

@@ -4,7 +4,13 @@
 // loop of Algorithm 2 (early stop + range update), and the grouped
 // strategy exploration of Algorithm 3 (global pass, then relevance groups
 // explored in parallel, final values from the median of the converged
-// ranges).
+// ranges). The range median is the one answer: on held-out designs and
+// seeds it transferred as well as the best single observation, within the
+// spread between exploration seeds (EXPERIMENTS.md).
+//
+// Each product that feeds an addition is converted, as in float64(x*y) +
+// z, so arm64 does not fuse it into a multiply-add: the TPE proposes the
+// same bits on every architecture.
 //
 // The scheme is deliberately generic: any black-box objective with
 // continuous, log-scaled, integer, or categorical strategy parameters can
@@ -173,7 +179,7 @@ func (t TPE) suggestNumeric(rng *rand.Rand, p Param, r Range, below, above []Obs
 	bestX, bestScore := 0.0, math.Inf(-1)
 	for k := 0; k < t.Candidates; k++ {
 		c := cb[rng.Intn(len(cb))]
-		x := c + rng.NormFloat64()*bw
+		x := c + float64(rng.NormFloat64()*bw)
 		if x < lo {
 			x = lo
 		} else if x > hi {
@@ -247,14 +253,14 @@ func sampleUniform(rng *rand.Rand, p Param, r Range) float64 {
 	switch p.Kind {
 	case LogUniform:
 		lo, hi := math.Log(r.Lo), math.Log(r.Hi)
-		return math.Exp(lo + rng.Float64()*(hi-lo))
+		return math.Exp(lo + float64(rng.Float64()*(hi-lo)))
 	case IntUniform:
-		return math.Round(r.Lo + rng.Float64()*(r.Hi-r.Lo))
+		return math.Round(r.Lo + float64(rng.Float64()*(r.Hi-r.Lo)))
 	case Categorical:
 		n := int(r.Hi-r.Lo) + 1
 		return r.Lo + float64(rng.Intn(n))
 	default:
-		return r.Lo + rng.Float64()*(r.Hi-r.Lo)
+		return r.Lo + float64(rng.Float64()*(r.Hi-r.Lo))
 	}
 }
 
@@ -262,10 +268,10 @@ func sampleUniform(rng *rand.Rand, p Param, r Range) float64 {
 type Explorer struct {
 	Params []Param
 	Eval   Objective
-	TPE    TPE
 
 	// TimeLimit is TC of Algorithm 2 (evaluations per exploration call);
 	// EarlyStop is EC (evaluations without improvement before stopping).
+	// Both must be positive.
 	TimeLimit int
 	EarlyStop int
 	// Rounds is the outer TC of Algorithm 3.
@@ -284,9 +290,9 @@ type Explorer struct {
 	// and each group exploration as spans. Nil disables everything.
 	Obs *obs.Recorder `json:"-"`
 
-	mu      sync.Mutex
-	history []Observation
-	best    float64 // best (lowest) Y seen; valid when len(history) > 0
+	mu          sync.Mutex
+	history     []Observation
+	best, worst float64 // lowest and highest Y seen; valid when len(history) > 0
 }
 
 // History returns all observations made so far.
@@ -303,6 +309,9 @@ func (e *Explorer) record(o Observation) {
 	improved := trial == 1 || o.Y < e.best
 	if improved {
 		e.best = o.Y
+	}
+	if trial == 1 || o.Y > e.worst {
+		e.worst = o.Y
 	}
 	best := e.best
 	e.mu.Unlock()
@@ -332,14 +341,15 @@ func (e *Explorer) initialRanges() map[string]Range {
 // before every SMBO trial, so a cancel costs at most one objective
 // evaluation of extra work.
 func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset []Param, ranges map[string]Range, pinned Assignment) (bool, map[string]Range, error) {
+	tpe := DefaultTPE()
 	var obs []Observation
 	best := math.Inf(1)
 	npc := 0
 	for tc := 0; tc < e.TimeLimit && npc < e.EarlyStop; tc++ {
 		if err := flow.Check(ctx); err != nil {
-			return false, updateRanges(subset, ranges, obs, e.TPE.Gamma), err
+			return false, updateRanges(subset, ranges, obs, tpe.Gamma), err
 		}
-		x := e.TPE.Suggest(rng, subset, ranges, obs)
+		x := tpe.Suggest(rng, subset, ranges, obs)
 		full := make(Assignment, len(e.Params))
 		for k, v := range pinned {
 			full[k] = v
@@ -357,7 +367,7 @@ func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset 
 			npc = 0
 		}
 	}
-	return npc >= e.EarlyStop, updateRanges(subset, ranges, obs, e.TPE.Gamma), nil
+	return npc >= e.EarlyStop, updateRanges(subset, ranges, obs, tpe.Gamma), nil
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap bijective mixer whose
@@ -419,7 +429,7 @@ func updateRanges(subset []Param, ranges map[string]Range, obs []Observation, ga
 		if math.IsInf(lo, 1) {
 			continue
 		}
-		margin := 0.1 * (ranges[p.Name].Hi - ranges[p.Name].Lo)
+		margin := float64(0.1 * (ranges[p.Name].Hi - ranges[p.Name].Lo))
 		nr := Range{
 			Lo: math.Max(ranges[p.Name].Lo, lo-margin),
 			Hi: math.Min(ranges[p.Name].Hi, hi+margin),
@@ -435,36 +445,37 @@ func updateRanges(subset []Param, ranges map[string]Range, obs []Observation, ga
 	return out
 }
 
-// Run executes Algorithm 3 and returns the final configuration (median of
-// the converged ranges) along with the best observed assignment.
-func (e *Explorer) Run() (final, bestSeen Assignment) {
-	final, bestSeen, _ = e.RunCtx(context.Background())
-	return final, bestSeen
+// tied reports whether there are at least two observations and all of
+// them scored the same: the objective has not told any two apart.
+func (e *Explorer) tied() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.history) > 1 && e.best == e.worst
+}
+
+// Run executes Algorithm 3 and returns its answer: the median of each
+// parameter's converged range.
+func (e *Explorer) Run() Assignment {
+	final, _ := e.RunCtx(context.Background())
+	return final
 }
 
 // RunCtx is Run with cancellation: every SMBO trial boundary — in the
 // global pass and inside each (possibly parallel) group exploration —
 // checks the context. On cancellation the error wraps flow.ErrCanceled
-// and the returned assignments are still usable: final is the range
-// median and bestSeen the best observation at the moment of the cancel.
-func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err error) {
-	if e.TimeLimit <= 0 {
-		e.TimeLimit = 30
-	}
-	if e.EarlyStop <= 0 {
-		e.EarlyStop = 10
-	}
-	if e.Rounds <= 0 {
-		e.Rounds = 3
-	}
-	if e.TPE.Candidates == 0 {
-		e.TPE = DefaultTPE()
-	}
+// and the returned assignment is still usable: the median of the ranges
+// at the moment of the cancel. The answer is not itself a trial; a caller
+// that needs its score evaluates it. The run also ends early when, at the
+// end of the global pass or of a round, every observation so far scored
+// the same: more trials of an objective that has not varied cannot move a
+// range.
+func (e *Explorer) RunCtx(ctx context.Context) (Assignment, error) {
 	sp, ctx := obs.Start(ctx, e.Obs, "explore")
 	defer sp.End()
 	rng := rand.New(rand.NewSource(e.Seed))
 	ranges := e.initialRanges()
 
+	// mids pins the groups not being explored, and is the answer.
 	mids := func() Assignment {
 		a := make(Assignment, len(e.Params))
 		for _, p := range e.Params {
@@ -497,6 +508,13 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 	}
 
 	for round := 0; gerr == nil && round < e.Rounds; round++ {
+		if e.tied() {
+			if e.Logf != nil {
+				h := e.History()
+				e.Logf("explore: all %d trials scored %.4f: stopping, the objective told no two apart", len(h), h[0].Y)
+			}
+			break
+		}
 		pin := mids()
 		earlyStop := true
 		type groupResult struct {
@@ -544,13 +562,5 @@ func (e *Explorer) RunCtx(ctx context.Context) (final, bestSeen Assignment, err 
 		}
 	}
 
-	final = mids()
-	best := math.Inf(1)
-	for _, o := range e.History() {
-		if o.Y < best {
-			best = o.Y
-			bestSeen = o.X
-		}
-	}
-	return final, bestSeen, gerr
+	return mids(), gerr
 }

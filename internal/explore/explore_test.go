@@ -34,10 +34,7 @@ func TestExplorerImprovesSphere(t *testing.T) {
 		Seed:      1,
 		Obs:       obs.NewRecorder(nil, reg),
 	}
-	final, best := e.Run()
-	if sphere(best) > 3 {
-		t.Errorf("best observed objective %v, want < 3", sphere(best))
-	}
+	final := e.Run()
 	if sphere(final) > 15 {
 		t.Errorf("final (range-median) objective %v, want < 15", sphere(final))
 	}
@@ -57,9 +54,21 @@ func TestExplorerImprovesSphere(t *testing.T) {
 		}
 		low = math.Min(low, o.Y)
 	}
+	if low > 3 {
+		t.Errorf("best observed objective %v, want < 3", low)
+	}
 	if got := reg.Gauge("explore.best_score").Value(); got != low {
 		t.Fatalf("explore.best_score = %v, want %v", got, low)
 	}
+}
+
+// lowest is the best score among the observations.
+func lowest(h []Observation) float64 {
+	low := math.Inf(1)
+	for _, o := range h {
+		low = math.Min(low, o.Y)
+	}
+	return low
 }
 
 func TestTPEBeatsRandomSearch(t *testing.T) {
@@ -69,8 +78,8 @@ func TestTPEBeatsRandomSearch(t *testing.T) {
 	tpeBest := 0.0
 	{
 		e := &Explorer{Params: params, Eval: sphere, TimeLimit: budget, EarlyStop: budget, Rounds: 1, Workers: 1, Seed: 7}
-		_, best := e.Run()
-		tpeBest = sphere(best)
+		e.Run()
+		tpeBest = lowest(e.History())
 	}
 
 	// Random search with the same total evaluation count, averaged over a
@@ -110,15 +119,15 @@ func TestIntAndLogParams(t *testing.T) {
 		return math.Abs(x["n"]-7) + math.Abs(math.Log10(x["s"])-0) // optimum n=7, s=1
 	}
 	e := &Explorer{Params: params, Eval: obj, TimeLimit: 50, EarlyStop: 50, Rounds: 2, Workers: 1, Seed: 3}
-	_, best := e.Run()
-	if best["n"] != math.Round(best["n"]) {
-		t.Errorf("int param not integral: %v", best["n"])
+	final := e.Run()
+	if final["n"] != math.Round(final["n"]) {
+		t.Errorf("int param not integral: %v", final["n"])
 	}
-	if best["s"] < 0.001 || best["s"] > 100 {
-		t.Errorf("log param out of range: %v", best["s"])
+	if final["s"] < 0.001 || final["s"] > 100 {
+		t.Errorf("log param out of range: %v", final["s"])
 	}
-	if obj(best) > 4 {
-		t.Errorf("best objective %v, want < 4", obj(best))
+	if obj(final) > 4 {
+		t.Errorf("final objective %v, want < 4", obj(final))
 	}
 }
 
@@ -131,19 +140,30 @@ func TestCategoricalSelection(t *testing.T) {
 		base := []float64{5, 8, 0, 12}[int(a["mode"])]
 		return base + a["x"]
 	}
+	// Categorical ranges stay full, so the range median is the middle
+	// choice whatever the search found; the sampler is judged by its
+	// best trial.
 	e := &Explorer{Params: params, Eval: obj, TimeLimit: 60, EarlyStop: 60, Rounds: 1, Workers: 1, Seed: 5}
-	_, best := e.Run()
-	if int(best["mode"]) != 2 {
-		t.Errorf("best mode = %v (%s), want 2 (good)",
-			best["mode"], params[0].Choices[int(best["mode"])])
+	e.Run()
+	h := e.History()
+	best := h[0]
+	for _, o := range h[1:] {
+		if o.Y < best.Y {
+			best = o
+		}
+	}
+	if mode := int(best.X["mode"]); mode != 2 {
+		t.Errorf("best mode = %d (%s), want 2 (good)", mode, params[0].Choices[mode])
 	}
 }
 
 func TestEarlyStopTerminates(t *testing.T) {
 	evals := 0
 	e := &Explorer{
-		Params:    []Param{{Name: "a", Kind: Uniform, Lo: 0, Hi: 1}},
-		Eval:      func(Assignment) float64 { evals++; return 1.0 }, // flat: never improves
+		Params: []Param{{Name: "a", Kind: Uniform, Lo: 0, Hi: 1}},
+		// Improves on the first trial only, then never: the scores
+		// differ, so the run is not a tie.
+		Eval:      func(Assignment) float64 { evals++; return float64(min(evals, 2)) },
 		TimeLimit: 1000,
 		EarlyStop: 5,
 		Rounds:    1,
@@ -153,8 +173,47 @@ func TestEarlyStopTerminates(t *testing.T) {
 	e.Run()
 	// Global pass: first eval improves (from +inf), then 5 non-improving.
 	// One group pass behaves the same. Far fewer than TimeLimit each.
-	if evals > 40 {
-		t.Errorf("early stop did not engage: %d evals", evals)
+	if evals != 12 {
+		t.Errorf("early stop: %d evals, want 6 + 6", evals)
+	}
+}
+
+// TestTiesEndTheRun: when every trial so far scored the same at the end
+// of the global pass or of a round, no further round runs.
+func TestTiesEndTheRun(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		timeLimit int
+		want      int
+	}{
+		// The global pass ties: its TimeLimit trials are all there is.
+		{"global pass", 4, 4},
+		// One global trial is no tie; the first round's three groups
+		// make one, so the other two rounds never run.
+		{"first round", 1, 1 + 3},
+	} {
+		var mu sync.Mutex
+		evals := 0
+		e := &Explorer{
+			Params: []Param{
+				{Name: "a", Kind: Uniform, Lo: 0, Hi: 1, Group: "g1"},
+				{Name: "b", Kind: Uniform, Lo: 0, Hi: 1, Group: "g2"},
+				{Name: "c", Kind: Uniform, Lo: 0, Hi: 1, Group: "g3"},
+			},
+			Eval: func(Assignment) float64 {
+				mu.Lock()
+				evals++
+				mu.Unlock()
+				return 7
+			},
+			TimeLimit: c.timeLimit, EarlyStop: 10, Rounds: 3, Seed: 1,
+		}
+		if final := e.Run(); len(final) != 3 {
+			t.Errorf("%s: final %v, want an assignment of every parameter", c.name, final)
+		}
+		if evals != c.want || len(e.History()) != c.want {
+			t.Errorf("%s: %d evals, %d observations; want %d", c.name, evals, len(e.History()), c.want)
+		}
 	}
 }
 
@@ -175,7 +234,7 @@ func TestParallelGroupsAreSafeAndDeterministicMerge(t *testing.T) {
 		Rounds:    2,
 		Seed:      11,
 	}
-	final, _ := e.Run()
+	final := e.Run()
 	if calls == 0 {
 		t.Fatal("no evaluations")
 	}
@@ -248,8 +307,7 @@ func TestRunIsDeterministicSequential(t *testing.T) {
 			Workers:   1,
 			Seed:      99,
 		}
-		final, _ := e.Run()
-		return final
+		return e.Run()
 	}
 	a, b := run(), run()
 	for k, v := range a {

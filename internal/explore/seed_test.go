@@ -47,8 +47,7 @@ func TestRunIsDeterministicParallel(t *testing.T) {
 			Eval:      sumsq,
 			TimeLimit: 30, EarlyStop: 30, Rounds: 2, Seed: 9,
 		}
-		final, _ := e.Run()
-		return final, len(e.History())
+		return e.Run(), len(e.History())
 	}
 	f1, n1 := run()
 	f2, n2 := run()

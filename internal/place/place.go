@@ -242,8 +242,8 @@ type Placer struct {
 
 	evals, forceReuses, wlCarries int
 
-	// cumulative per-phase walls across the run (exposed as obs span args
-	// and place.phase.* gauges)
+	// cumulative per-phase walls across the run (exposed as place.gp span
+	// args)
 	wallWL, wallRaster, wallSolve, wallForce time.Duration
 }
 
@@ -407,8 +407,8 @@ func (p *Placer) buildRects(x []float64, nFillActive int) {
 // eval is the gradient oracle for the Nesterov optimizer: it computes
 // ∇(W + λD) at positions x, preconditioned per variable. Its four phases —
 // wirelength gradient, density rasterization, spectral solve, force sweep —
-// run across the configured workers, and their cumulative walls feed the
-// place.phase.* telemetry. The wirelength gradient is carried over from the
+// run across the configured workers, and their cumulative walls land in the
+// place.gp span args. The wirelength gradient is carried over from the
 // previous WA pass when the movable coordinates are bit-equal to its (see
 // wlX), and the force sweep reuses the raw forces of the previous gathering
 // sweep when the field and the rects are still the ones it read (see
@@ -593,10 +593,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	sGamma := rec.Series("place.gamma")
 	sStep := rec.Series("place.step_len")
 	cIters := rec.Counter("place.iters")
-	gPhaseWL := rec.Gauge("place.phase.wl_grad_ms")
-	gPhaseRaster := rec.Gauge("place.phase.raster_ms")
-	gPhaseSolve := rec.Gauge("place.phase.solve_ms")
-	gPhaseForce := rec.Gauge("place.phase.force_ms")
 	span, ctx := obs.Start(ctx, rec, "place.gp")
 	defer func() {
 		span.SetArg("workers", p.team.Size())
@@ -617,12 +613,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		span.SetArg("wl_carries", p.wlCarries)
 		span.End()
 	}()
-	flushPhases := func() {
-		gPhaseWL.Set(p.wallWL.Seconds() * 1e3)
-		gPhaseRaster.Set(p.wallRaster.Seconds() * 1e3)
-		gPhaseSolve.Set(p.wallSolve.Seconds() * 1e3)
-		gPhaseForce.Set(p.wallForce.Seconds() * 1e3)
-	}
 
 	ring := newTraceRing(DefaultTraceCap)
 	nm := len(p.movable)
@@ -666,7 +656,6 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		sGamma.Observe(iter, p.gamma)
 		sStep.Observe(iter, p.opt.Alpha())
 		cIters.Inc()
-		flushPhases()
 		res.Iters = iter
 		if stop {
 			res.Stop = p.ctl.stop

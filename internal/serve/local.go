@@ -332,16 +332,17 @@ func buildResult(rec *pipeline.Record, prior *JobResult) *JobResult {
 }
 
 // execExplore runs a strategy-exploration job in process and spools its
-// best observed strategy, the one whose score is the job's best_score (as
-// `puffer explore -out` writes it). Exploration carries no resumable
-// design state, so a re-admitted exploration starts over.
+// tuned strategy, Algorithm 3's range median, as `puffer explore -out`
+// writes it; the job's best_score is that strategy's judged score.
+// Exploration carries no resumable design state, so a re-admitted
+// exploration starts over.
 func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *obs.Recorder) (*JobResult, error) {
 	d, cfg, err := s.jobFlow(m, hub, rec)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	_, best, trials, err := puffer.ExploreStrategyOpts(ctx, d, cfg.Place, puffer.ExploreOptions{
+	tuned, score, trials, err := puffer.ExploreStrategyOpts(ctx, d, cfg.Place, puffer.ExploreOptions{
 		Budget:  m.Spec.Budget,
 		Seed:    m.Spec.Seed,
 		Workers: m.Spec.Workers,
@@ -352,13 +353,13 @@ func (s *Server) execExplore(ctx context.Context, m *Manifest, hub *Hub, rec *ob
 		return nil, err
 	}
 	if sp, perr := s.spool.ArtifactPath(m.ID, "strategy.json"); perr == nil {
-		if werr := puffer.SaveStrategy(sp, best); werr != nil {
+		if werr := puffer.SaveStrategy(sp, tuned); werr != nil {
 			s.log.ErrorContext(ctx, "write strategy artifact", "job", m.ID, "error", werr)
 		}
 	}
 	return &JobResult{
 		Trials:    trials,
-		BestScore: rec.Registry().Gauge("explore.best_score").Value(),
+		BestScore: score,
 		RuntimeMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}, nil
 }

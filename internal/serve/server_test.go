@@ -793,14 +793,15 @@ func TestExploreJobRuns(t *testing.T) {
 	s.Start()
 	// MaxIters keeps each exploration trial's placement cheap — the test
 	// exercises the job plumbing, not the SMBO's convergence. The cap is
-	// below GP's first padding round, so every trial scores the same, and
-	// the job's event stream must say so.
+	// below GP's first padding round, so every trial scores the same: the
+	// run ends after the global pass's two trials, and the job's event
+	// stream must say so.
 	spec := JobSpec{Kind: KindExplore, Profile: "MEDIA_SUBSYS", Scale: 6000, Seed: 3, Budget: 2, MaxIters: 60}
 	spec.Normalize()
 	id := enqueue(t, s, spec)
 	m := waitState(t, s, id, StateDone)
-	if m.Result == nil || m.Result.Trials < 1 {
-		t.Fatalf("explore result %+v", m.Result)
+	if m.Result == nil || m.Result.Trials != 2 {
+		t.Fatalf("explore result %+v, want the global pass's 2 trials", m.Result)
 	}
 	if _, err := os.Stat(s.spool.JobDir(id) + "/strategy.json"); err != nil {
 		t.Fatalf("tuned strategy artifact: %v", err)

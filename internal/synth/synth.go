@@ -11,7 +11,9 @@
 // profile's locality, producing the Rent-style clustering real designs
 // exhibit.
 //
-// Everything is deterministic given (profile, scale, seed).
+// Everything is deterministic given (profile, scale, seed), on every
+// architecture: each product that feeds an addition is converted, as in
+// float64(x*y) + z, so arm64 does not fuse it into a multiply-add.
 package synth
 
 import (
@@ -116,7 +118,7 @@ func Generate(p Profile, scale int, seed int64) *netlist.Design {
 			sites += rng.Intn(8) // occasional wide cell
 		}
 		widths[i] = float64(sites) * d.SiteWidth
-		cellArea += widths[i] * d.RowHeight
+		cellArea += float64(widths[i] * d.RowHeight)
 	}
 
 	// Region sizing: macros get ~18% of the die; rows hold cells at Util.
@@ -125,20 +127,23 @@ func Generate(p Profile, scale int, seed int64) *netlist.Design {
 	side := math.Sqrt(regionArea)
 	rows := maxInt(int(side/d.RowHeight), 8)
 	width := regionArea / (float64(rows) * d.RowHeight)
-	width = math.Ceil(width/d.SiteWidth) * d.SiteWidth
-	d.Region = geom.RectWH(0, 0, width, float64(rows)*d.RowHeight)
+	width = float64(math.Ceil(width/d.SiteWidth) * d.SiteWidth)
+	d.Region = geom.RectWH(0, 0, width, float64(float64(rows)*d.RowHeight))
 
 	placeMacros(d, rng, nMacros, macroFrac, p.Style)
 
 	// Movable cells; initial positions at the region center (global
-	// placement provides the real initial state).
+	// placement provides the real initial state). Center halves a sum, a
+	// product arm64 would fuse into the subtractions below; the
+	// conversions round it on its own.
 	c := d.Region.Center()
+	cx, cy := float64(c.X), float64(c.Y)
 	firstCell := len(d.Cells)
 	for i := 0; i < nCells; i++ {
 		d.AddCell(netlist.Cell{
 			Name: fmt.Sprintf("c%d", i),
 			W:    widths[i], H: d.RowHeight,
-			X: c.X - widths[i]/2, Y: c.Y - d.RowHeight/2,
+			X: cx - float64(widths[i]/2), Y: cy - float64(d.RowHeight/2),
 		})
 	}
 
@@ -190,8 +195,8 @@ func calibrateLayers(d *netlist.Design, p Profile, firstCell, nCells int) {
 		k := float64(len(pins))
 		c := (k - 1) / (k + 1)
 		side := math.Sqrt(f)
-		hx += side * d.Region.W() * c
-		hy += side * d.Region.H() * c
+		hx += float64(side * d.Region.W() * c)
+		hy += float64(side * d.Region.H() * c)
 	}
 
 	// Gcell grid matching the evaluation router's default sizing.
@@ -210,8 +215,8 @@ func calibrateLayers(d *netlist.Design, p Profile, firstCell, nCells int) {
 	// hotspots. The factor was measured against the evaluation router on
 	// the generated suite.
 	const routedVsEstimate = 2.2
-	demandH *= routedVsEstimate
-	demandV *= routedVsEstimate
+	demandH = float64(demandH * routedVsEstimate)
+	demandV = float64(demandV * routedVsEstimate)
 
 	// Pin-access demand (matching the evaluation router's PinCost model):
 	// every pin consumes local tracks in both directions.
@@ -222,7 +227,7 @@ func calibrateLayers(d *netlist.Design, p Profile, firstCell, nCells int) {
 
 	// Target average utilization: calm designs have headroom, stressed
 	// ones run hot before the PG grid eats more.
-	util := 0.38 + 0.30*p.Stress
+	util := 0.38 + float64(0.30*p.Stress)
 	capH := math.Max(demandH/util, 2)
 	capV := math.Max(demandV/util, 2)
 
@@ -270,16 +275,16 @@ func placeMacros(d *netlist.Design, rng *rand.Rand, n int, areaFrac float64, sty
 		for r := 0; r < rows && len(spots) < n; r++ {
 			for cc := 0; cc < cols && len(spots) < n; cc++ {
 				spots = append(spots, geom.Pt(
-					region.Lo.X+(float64(cc)+0.5)*dx,
-					region.Lo.Y+(float64(r)+0.5)*dy))
+					region.Lo.X+float64((float64(cc)+0.5)*dx),
+					region.Lo.Y+float64((float64(r)+0.5)*dy)))
 			}
 		}
 	default: // MacroRing: perimeter band
 		per := 2 * (region.W() + region.H())
 		step := per / float64(n)
-		inset := base * 0.75
+		inset := float64(base * 0.75)
 		for k := 0; k < n; k++ {
-			t := (float64(k) + 0.5) * step
+			t := float64((float64(k) + 0.5) * step)
 			var pt geom.Point
 			switch {
 			case t < region.W():
@@ -297,11 +302,11 @@ func placeMacros(d *netlist.Design, rng *rand.Rand, n int, areaFrac float64, sty
 
 	var placed []geom.Rect
 	for k, pt := range spots {
-		w := base * (0.7 + 0.6*rng.Float64())
+		w := float64(base * (0.7 + float64(0.6*rng.Float64())))
 		h := each / w
 		// Snap to rows and keep inside the region.
 		h = math.Max(2*d.RowHeight, math.Round(h/d.RowHeight)*d.RowHeight)
-		r := geom.RectWH(pt.X-w/2, pt.Y-h/2, w, h)
+		r := geom.RectWH(pt.X-float64(w/2), pt.Y-float64(h/2), w, h)
 		shift := r.Intersect(region)
 		if shift.Area() < r.Area() {
 			// Push back inside.
@@ -387,7 +392,7 @@ func generateNets(d *netlist.Design, rng *rand.Rand, p Profile, firstCell, nCell
 
 	pinOffset := func(ci int) (float64, float64) {
 		c := &d.Cells[ci]
-		return c.W * (0.1 + 0.8*rng.Float64()), c.H * (0.25 + 0.5*rng.Float64())
+		return c.W * (0.1 + float64(0.8*rng.Float64())), c.H * (0.25 + float64(0.5*rng.Float64()))
 	}
 
 	for n := 0; n < nNets; n++ {
@@ -414,13 +419,13 @@ func generateNets(d *netlist.Design, rng *rand.Rand, p Profile, firstCell, nCell
 		switch u := rng.Float64(); {
 		case u < p.Locality:
 			win = smallWin
-		case u < p.Locality+0.7*(1-p.Locality):
+		case u < p.Locality+float64(0.7*(1-p.Locality)):
 			win = midWin
 		default:
 			win = nCells
 		}
 		center := rng.Intn(nCells)
-		if rng.Float64() < 0.28+0.18*p.Stress {
+		if rng.Float64() < 0.28+float64(0.18*p.Stress) {
 			center = hotCenter()
 		}
 		nid := d.AddNet(fmt.Sprintf("n%d", n), 1)
@@ -453,28 +458,28 @@ func addPowerGrid(d *netlist.Design, rng *rand.Rand, stress float64) {
 	}
 	region := d.Region
 	// Vertical stripes on M4 (vertical layer) and horizontal on M3.
-	cover := 0.10 + 0.55*stress // fraction of the layer consumed
+	cover := 0.10 + float64(0.55*stress) // fraction of the layer consumed
 	pitchV := math.Max(region.W()/80, 4*d.SiteWidth) / math.Max(cover*2, 0.2)
-	wV := pitchV * cover
-	for x := region.Lo.X + pitchV/2; x < region.Hi.X; x += pitchV {
+	wV := float64(pitchV * cover)
+	for x := region.Lo.X + float64(pitchV/2); x < region.Hi.X; x += pitchV {
 		d.Blockages = append(d.Blockages, netlist.Blockage{
-			Rect: geom.RectWH(x-wV/2, region.Lo.Y, wV, region.H()), Layer: 3,
+			Rect: geom.RectWH(x-float64(wV/2), region.Lo.Y, wV, region.H()), Layer: 3,
 		})
 	}
 	pitchH := math.Max(region.H()/80, 4*d.RowHeight) / math.Max(cover*2, 0.2)
-	wH := pitchH * cover
-	for y := region.Lo.Y + pitchH/2; y < region.Hi.Y; y += pitchH {
+	wH := float64(pitchH * cover)
+	for y := region.Lo.Y + float64(pitchH/2); y < region.Hi.Y; y += pitchH {
 		d.Blockages = append(d.Blockages, netlist.Blockage{
-			Rect: geom.RectWH(region.Lo.X, y-wH/2, region.W(), wH), Layer: 2,
+			Rect: geom.RectWH(region.Lo.X, y-float64(wH/2), region.W(), wH), Layer: 2,
 		})
 	}
 	// High-stress designs additionally lose part of the top layers to
 	// pre-routed special nets.
 	if stress > 0.6 {
 		for k := 0; k < int(10*stress); k++ {
-			x := region.Lo.X + rng.Float64()*region.W()*0.9
+			x := region.Lo.X + float64(rng.Float64()*region.W()*0.9)
 			d.Blockages = append(d.Blockages, netlist.Blockage{
-				Rect: geom.RectWH(x, region.Lo.Y, region.W()*0.02, region.H()), Layer: 5,
+				Rect: geom.RectWH(x, region.Lo.Y, float64(region.W()*0.02), region.H()), Layer: 5,
 			})
 		}
 	}

@@ -40,80 +40,63 @@ func LoadStrategy(path string) (padding.Strategy, error) {
 	return s, nil
 }
 
-// StrategyParams declares the searchable strategy-parameter space of the
-// routability optimizer for the Bayesian exploration (paper Sec. III-C).
+// strategyParams is the searchable strategy-parameter space of the
+// routability optimizer for the Bayesian exploration (paper Sec. III-C),
+// one row per parameter: its declaration and the Strategy field it sets.
 // Parameters are grouped by relevance as Algorithm 3 requires: the Eq.-14
 // padding formula, the recycle/utilization control, the congestion
-// estimator, and the trigger thresholds.
+// estimator, and the trigger thresholds. The row order is the order the
+// TPE draws in, so it fixes every exploration's random stream.
+var strategyParams = []struct {
+	explore.Param
+	set func(*padding.Strategy, float64)
+}{
+	// Eq. 14: feature weights and formula constants.
+	{explore.Param{Name: "w_local_cg", Kind: explore.Uniform, Lo: 0, Hi: 3, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Weights[feature.LocalCg] = v }},
+	{explore.Param{Name: "w_local_pin", Kind: explore.Uniform, Lo: 0, Hi: 2, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Weights[feature.LocalPinDensity] = v }},
+	{explore.Param{Name: "w_surround_cg", Kind: explore.Uniform, Lo: 0, Hi: 3, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Weights[feature.SurroundCg] = v }},
+	{explore.Param{Name: "w_surround_pin", Kind: explore.Uniform, Lo: 0, Hi: 2, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Weights[feature.SurroundPinDensity] = v }},
+	{explore.Param{Name: "w_pin_cg", Kind: explore.Uniform, Lo: 0, Hi: 1.5, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Weights[feature.PinCg] = v }},
+	{explore.Param{Name: "beta", Kind: explore.Uniform, Lo: -1, Hi: 3, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Beta = v }},
+	{explore.Param{Name: "mu", Kind: explore.LogUniform, Lo: 0.1, Hi: 5, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Mu = v }},
+	{explore.Param{Name: "smoothing", Kind: explore.Categorical, Choices: padding.SmoothingNames, Group: "formula"}, func(s *padding.Strategy, v float64) { s.Smooth = padding.Smoothing(int(v)) }},
+	// Recycling and utilization control.
+	{explore.Param{Name: "zeta", Kind: explore.LogUniform, Lo: 0.5, Hi: 20, Group: "control"}, func(s *padding.Strategy, v float64) { s.Zeta = v }},
+	{explore.Param{Name: "pu_low", Kind: explore.Uniform, Lo: 0.005, Hi: 0.06, Group: "control"}, func(s *padding.Strategy, v float64) { s.PuLow = v }},
+	{explore.Param{Name: "pu_high", Kind: explore.Uniform, Lo: 0.06, Hi: 0.25, Group: "control"}, func(s *padding.Strategy, v float64) { s.PuHigh = v }},
+	// Trigger thresholds.
+	{explore.Param{Name: "tau", Kind: explore.Uniform, Lo: 0.08, Hi: 0.30, Group: "trigger"}, func(s *padding.Strategy, v float64) { s.Tau = v }},
+	{explore.Param{Name: "xi", Kind: explore.IntUniform, Lo: 3, Hi: 14, Group: "trigger"}, func(s *padding.Strategy, v float64) { s.MaxIters = int(v) }},
+	{explore.Param{Name: "cooldown", Kind: explore.IntUniform, Lo: 5, Hi: 60, Group: "trigger"}, func(s *padding.Strategy, v float64) { s.CooldownIters = int(v) }},
+	// Congestion estimation strategy.
+	{explore.Param{Name: "pin_penalty", Kind: explore.LogUniform, Lo: 0.01, Hi: 0.5, Group: "estimation"}, func(s *padding.Strategy, v float64) { s.Cong.PinPenalty = v }},
+	{explore.Param{Name: "expand_radius", Kind: explore.IntUniform, Lo: 0, Hi: 6, Group: "estimation"}, func(s *padding.Strategy, v float64) { s.Cong.ExpandRadius = int(v) }},
+	{explore.Param{Name: "transfer_ratio", Kind: explore.Uniform, Lo: 0.1, Hi: 0.9, Group: "estimation"}, func(s *padding.Strategy, v float64) { s.Cong.TransferRatio = v }},
+	{explore.Param{Name: "kernel_margin", Kind: explore.IntUniform, Lo: 1, Hi: 5, Group: "estimation"}, func(s *padding.Strategy, v float64) { s.Feat.KernelMargin = int(v) }},
+	// Legalization discretization.
+	{explore.Param{Name: "theta", Kind: explore.IntUniform, Lo: 2, Hi: 8, Group: "legal"}, func(s *padding.Strategy, v float64) { s.Theta = v }},
+	// Optional congestion-aware net weighting (0 disables).
+	{explore.Param{Name: "net_weight_gain", Kind: explore.Uniform, Lo: 0, Hi: 1.5, Group: "formula"}, func(s *padding.Strategy, v float64) { s.NetWeightGain = v }},
+}
+
+// StrategyParams declares the searchable strategy-parameter space, in
+// strategyParams' order.
 func StrategyParams() []explore.Param {
-	return []explore.Param{
-		// Eq. 14: feature weights and formula constants.
-		{Name: "w_local_cg", Kind: explore.Uniform, Lo: 0, Hi: 3, Group: "formula"},
-		{Name: "w_local_pin", Kind: explore.Uniform, Lo: 0, Hi: 2, Group: "formula"},
-		{Name: "w_surround_cg", Kind: explore.Uniform, Lo: 0, Hi: 3, Group: "formula"},
-		{Name: "w_surround_pin", Kind: explore.Uniform, Lo: 0, Hi: 2, Group: "formula"},
-		{Name: "w_pin_cg", Kind: explore.Uniform, Lo: 0, Hi: 1.5, Group: "formula"},
-		{Name: "beta", Kind: explore.Uniform, Lo: -1, Hi: 3, Group: "formula"},
-		{Name: "mu", Kind: explore.LogUniform, Lo: 0.1, Hi: 5, Group: "formula"},
-		{Name: "smoothing", Kind: explore.Categorical, Choices: padding.SmoothingNames, Group: "formula"},
-		// Recycling and utilization control.
-		{Name: "zeta", Kind: explore.LogUniform, Lo: 0.5, Hi: 20, Group: "control"},
-		{Name: "pu_low", Kind: explore.Uniform, Lo: 0.005, Hi: 0.06, Group: "control"},
-		{Name: "pu_high", Kind: explore.Uniform, Lo: 0.06, Hi: 0.25, Group: "control"},
-		// Trigger thresholds.
-		{Name: "tau", Kind: explore.Uniform, Lo: 0.08, Hi: 0.30, Group: "trigger"},
-		{Name: "xi", Kind: explore.IntUniform, Lo: 3, Hi: 14, Group: "trigger"},
-		{Name: "cooldown", Kind: explore.IntUniform, Lo: 5, Hi: 60, Group: "trigger"},
-		// Congestion estimation strategy.
-		{Name: "pin_penalty", Kind: explore.LogUniform, Lo: 0.01, Hi: 0.5, Group: "estimation"},
-		{Name: "expand_radius", Kind: explore.IntUniform, Lo: 0, Hi: 6, Group: "estimation"},
-		{Name: "transfer_ratio", Kind: explore.Uniform, Lo: 0.1, Hi: 0.9, Group: "estimation"},
-		{Name: "kernel_margin", Kind: explore.IntUniform, Lo: 1, Hi: 5, Group: "estimation"},
-		// Legalization discretization.
-		{Name: "theta", Kind: explore.IntUniform, Lo: 2, Hi: 8, Group: "legal"},
-		// Optional congestion-aware net weighting (0 disables).
-		{Name: "net_weight_gain", Kind: explore.Uniform, Lo: 0, Hi: 1.5, Group: "formula"},
+	ps := make([]explore.Param, len(strategyParams))
+	for i, r := range strategyParams {
+		ps[i] = r.Param
 	}
+	return ps
 }
 
 // ApplyAssignment writes an exploration assignment into a Strategy,
 // leaving parameters absent from the assignment untouched.
 func ApplyAssignment(s *padding.Strategy, a explore.Assignment) {
-	set := func(dst *float64, key string) {
-		if v, ok := a[key]; ok {
-			*dst = v
+	for _, r := range strategyParams {
+		if v, ok := a[r.Name]; ok {
+			r.set(s, v)
 		}
 	}
-	set(&s.Weights[feature.LocalCg], "w_local_cg")
-	set(&s.Weights[feature.LocalPinDensity], "w_local_pin")
-	set(&s.Weights[feature.SurroundCg], "w_surround_cg")
-	set(&s.Weights[feature.SurroundPinDensity], "w_surround_pin")
-	set(&s.Weights[feature.PinCg], "w_pin_cg")
-	set(&s.Beta, "beta")
-	set(&s.Mu, "mu")
-	if v, ok := a["smoothing"]; ok {
-		s.Smooth = padding.Smoothing(int(v))
-	}
-	set(&s.Zeta, "zeta")
-	set(&s.PuLow, "pu_low")
-	set(&s.PuHigh, "pu_high")
-	set(&s.Tau, "tau")
-	if v, ok := a["xi"]; ok {
-		s.MaxIters = int(v)
-	}
-	if v, ok := a["cooldown"]; ok {
-		s.CooldownIters = int(v)
-	}
-	set(&s.Cong.PinPenalty, "pin_penalty")
-	if v, ok := a["expand_radius"]; ok {
-		s.Cong.ExpandRadius = int(v)
-	}
-	set(&s.Cong.TransferRatio, "transfer_ratio")
-	if v, ok := a["kernel_margin"]; ok {
-		s.Feat.KernelMargin = int(v)
-	}
-	set(&s.Theta, "theta")
-	set(&s.NetWeightGain, "net_weight_gain")
 }
 
 // StrategyObjective builds the exploration objective the paper uses:
@@ -151,21 +134,29 @@ type ExploreOptions struct {
 
 // ExploreStrategyOpts runs the full Algorithm-3 strategy exploration
 // against a small design (the paper tunes on a small routability-challenged
-// design and applies the result to the large benchmarks) and returns the
-// tuned strategy plus the best observed one, on Algorithm 3's production
-// schedule: TC = budget, EC = max(budget/3, 5), two rounds, groups in
-// parallel. It is the common core of every exploration path. The context
-// is observed between SMBO trials: on cancellation the best strategies
-// found so far are still returned, alongside an error wrapping
-// ErrCanceled. With opt.Obs set, per-trial scores and the best-score gauge
-// land on its registry (explore.trial.score / explore.best_score) and the
-// exploration opens a trace span. When every trial scored the same, one
-// line through opt.Logf says so: the exploration had nothing to choose
-// between.
-func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
+// design and applies the result to the large benchmarks), on Algorithm 3's
+// production schedule: TC = budget, EC = max(budget/3, 5), two rounds,
+// groups in parallel. It returns the tuned strategy — the median of the
+// converged ranges — with its score, judged once more on d after the last
+// round exactly as a trial is, and the number of trials. It is the common
+// core of every exploration path; a budget below one trial is an error.
+// The context is observed between SMBO trials: on cancellation the range
+// median so far is still returned, unjudged (score 0), alongside an error
+// wrapping ErrCanceled. With opt.Obs set, per-trial scores and the
+// best-trial gauge land on its registry (explore.trial.score /
+// explore.best_score) and the exploration opens a trace span. When every
+// trial so far scored the same at the end of a pass, the exploration
+// stops and says so through opt.Logf; a GP iteration cap below the first
+// padding round does this.
+func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (tuned padding.Strategy, score float64, trials int, err error) {
+	tuned = padding.DefaultStrategy()
+	if opt.Budget < 1 {
+		return tuned, 0, 0, fmt.Errorf("puffer: exploration budget %d, want at least 1 trial per call", opt.Budget)
+	}
+	judge := StrategyObjective(d, placeCfg)
 	e := &explore.Explorer{
 		Params:    StrategyParams(),
-		Eval:      StrategyObjective(d, placeCfg),
+		Eval:      judge,
 		TimeLimit: opt.Budget,
 		EarlyStop: max(opt.Budget/3, 5),
 		Rounds:    2,
@@ -174,24 +165,10 @@ func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.
 		Logf:      opt.Logf,
 		Obs:       opt.Obs,
 	}
-	fa, ba, err := e.RunCtx(ctx)
-	if h := e.History(); len(h) > 1 && opt.Logf != nil && flat(h) {
-		opt.Logf("explore: all %d trials scored %.4f: no strategy changed the placement (a GP iteration cap below the first padding round does this)",
-			len(h), h[0].Y)
+	final, err := e.RunCtx(ctx)
+	ApplyAssignment(&tuned, final)
+	if err == nil {
+		score = judge(final)
 	}
-	final = padding.DefaultStrategy()
-	ApplyAssignment(&final, fa)
-	best = padding.DefaultStrategy()
-	ApplyAssignment(&best, ba)
-	return final, best, len(e.History()), err
-}
-
-// flat reports whether every observation in h has the same score.
-func flat(h []explore.Observation) bool {
-	for _, o := range h[1:] {
-		if o.Y != h[0].Y {
-			return false
-		}
-	}
-	return true
+	return tuned, score, len(e.History()), err
 }

@@ -12,6 +12,7 @@ import (
 	"puffer/internal/padding"
 	"puffer/internal/place"
 	"puffer/internal/synth"
+	"puffer/pipeline"
 )
 
 func TestStrategyParamsGrouped(t *testing.T) {
@@ -39,35 +40,64 @@ func TestStrategyParamsGrouped(t *testing.T) {
 	}
 }
 
+// TestApplyAssignmentRoundTrip sets every declared parameter to a value
+// off its default and checks each lands in the field it names, and that
+// an absent parameter leaves its field alone.
 func TestApplyAssignmentRoundTrip(t *testing.T) {
-	s := padding.DefaultStrategy()
-	a := explore.Assignment{
-		"w_local_cg": 2.5, "beta": -0.5, "mu": 0.7,
-		"zeta": 9, "pu_low": 0.03, "pu_high": 0.2,
-		"tau": 0.22, "xi": 11,
-		"pin_penalty": 0.2, "expand_radius": 5, "transfer_ratio": 0.33,
-		"kernel_margin": 4, "theta": 6,
-	}
-	ApplyAssignment(&s, a)
-	if s.Weights[feature.LocalCg] != 2.5 || s.Beta != -0.5 || s.Mu != 0.7 {
-		t.Error("formula params not applied")
-	}
-	if s.Zeta != 9 || s.PuLow != 0.03 || s.PuHigh != 0.2 {
-		t.Error("control params not applied")
-	}
-	if s.Tau != 0.22 || s.MaxIters != 11 {
-		t.Error("trigger params not applied")
-	}
-	if s.Cong.PinPenalty != 0.2 || s.Cong.ExpandRadius != 5 || s.Cong.TransferRatio != 0.33 {
-		t.Error("estimator params not applied")
-	}
-	if s.Feat.KernelMargin != 4 || s.Theta != 6 {
-		t.Error("kernel/theta not applied")
-	}
-	// Untouched parameters stay at defaults.
 	def := padding.DefaultStrategy()
-	if s.Weights[feature.SurroundCg] != def.Weights[feature.SurroundCg] {
-		t.Error("absent param was modified")
+	fields := map[string]func(*padding.Strategy) float64{
+		"w_local_cg":      func(s *padding.Strategy) float64 { return s.Weights[feature.LocalCg] },
+		"w_local_pin":     func(s *padding.Strategy) float64 { return s.Weights[feature.LocalPinDensity] },
+		"w_surround_cg":   func(s *padding.Strategy) float64 { return s.Weights[feature.SurroundCg] },
+		"w_surround_pin":  func(s *padding.Strategy) float64 { return s.Weights[feature.SurroundPinDensity] },
+		"w_pin_cg":        func(s *padding.Strategy) float64 { return s.Weights[feature.PinCg] },
+		"beta":            func(s *padding.Strategy) float64 { return s.Beta },
+		"mu":              func(s *padding.Strategy) float64 { return s.Mu },
+		"smoothing":       func(s *padding.Strategy) float64 { return float64(s.Smooth) },
+		"zeta":            func(s *padding.Strategy) float64 { return s.Zeta },
+		"pu_low":          func(s *padding.Strategy) float64 { return s.PuLow },
+		"pu_high":         func(s *padding.Strategy) float64 { return s.PuHigh },
+		"tau":             func(s *padding.Strategy) float64 { return s.Tau },
+		"xi":              func(s *padding.Strategy) float64 { return float64(s.MaxIters) },
+		"cooldown":        func(s *padding.Strategy) float64 { return float64(s.CooldownIters) },
+		"pin_penalty":     func(s *padding.Strategy) float64 { return s.Cong.PinPenalty },
+		"expand_radius":   func(s *padding.Strategy) float64 { return float64(s.Cong.ExpandRadius) },
+		"transfer_ratio":  func(s *padding.Strategy) float64 { return s.Cong.TransferRatio },
+		"kernel_margin":   func(s *padding.Strategy) float64 { return float64(s.Feat.KernelMargin) },
+		"theta":           func(s *padding.Strategy) float64 { return s.Theta },
+		"net_weight_gain": func(s *padding.Strategy) float64 { return s.NetWeightGain },
+	}
+	params := StrategyParams()
+	if len(params) != len(fields) {
+		t.Fatalf("%d parameters declared, the test checks %d", len(params), len(fields))
+	}
+	for _, p := range params {
+		get, ok := fields[p.Name]
+		if !ok {
+			t.Errorf("parameter %q has no field check", p.Name)
+			continue
+		}
+		// A value inside the declared range that differs from the
+		// default: the top of the range, or its bottom when the default
+		// sits at the top.
+		v := p.Hi
+		if p.Kind == explore.Categorical {
+			v = float64(len(p.Choices) - 1)
+		}
+		if get(&def) == v {
+			v = p.Lo
+		}
+		s := padding.DefaultStrategy()
+		ApplyAssignment(&s, explore.Assignment{p.Name: v})
+		if got := get(&s); got != v {
+			t.Errorf("%s = %v: field reads %v", p.Name, v, got)
+		}
+		// Every other field keeps its default.
+		for name, other := range fields {
+			if name != p.Name && other(&s) != other(&def) {
+				t.Errorf("setting %s moved %s: %v, default %v", p.Name, name, other(&s), other(&def))
+			}
+		}
 	}
 }
 
@@ -95,18 +125,41 @@ func TestExploreStrategySmoke(t *testing.T) {
 	d := synth.Generate(p, 12000, 2)
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 50
-	final, best, n, err := ExploreStrategyOpts(context.Background(), d, cfg, ExploreOptions{Budget: 4, Seed: 7})
+	tuned, score, n, err := ExploreStrategyOpts(context.Background(), d, cfg, ExploreOptions{Budget: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("no observations")
 	}
-	if final.MaxIters < 3 || final.MaxIters > 14 {
-		t.Errorf("final xi out of declared range: %d", final.MaxIters)
+	if tuned.MaxIters < 3 || tuned.MaxIters > 14 {
+		t.Errorf("tuned xi out of declared range: %d", tuned.MaxIters)
 	}
-	if best.Mu <= 0 {
-		t.Errorf("best mu invalid: %v", best.Mu)
+	if tuned.Mu <= 0 {
+		t.Errorf("tuned mu invalid: %v", tuned.Mu)
+	}
+	// The score is the tuned strategy's, judged as a trial is.
+	jcfg := DefaultConfig()
+	jcfg.Place, jcfg.Strategy = cfg, tuned
+	rec, _, err := pipeline.Judge(context.Background(), pipeline.PUFFER, d.Clone(), jcfg, pipeline.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Final.HOF + rec.Final.VOF; got != score {
+		t.Errorf("tuned strategy judges to %v, ExploreStrategyOpts scored it %v", got, score)
+	}
+}
+
+// TestExploreStrategyRejectsEmptyBudget: a budget below one trial is an
+// error, not a silent default schedule, and runs no trial.
+func TestExploreStrategyRejectsEmptyBudget(t *testing.T) {
+	p, _ := synth.ProfileByName("OR1200")
+	d := synth.Generate(p, 12000, 2)
+	for _, budget := range []int{0, -3} {
+		_, _, n, err := ExploreStrategyOpts(context.Background(), d, place.DefaultConfig(), ExploreOptions{Budget: budget, Seed: 7})
+		if err == nil || n != 0 {
+			t.Errorf("budget %d: %d trials, err %v; want an error and no trial", budget, n, err)
+		}
 	}
 }
 
