@@ -274,12 +274,13 @@ func TestListTraceCSVAndVerbose(t *testing.T) {
 // 4 KiB sink buffer of samples: the metric stream must still be whole JSON
 // lines ending in a newline, and the trace must still be written. A host
 // too slow to fill the buffer before the timeout retries with a doubled
-// one; the uninterrupted run takes seconds even on a fast host.
+// one. The first timeout is well under the uninterrupted run (≈ 1.6 s on
+// a fast 2-vCPU host), so the run is cut there too.
 func TestTimedOutRunKeepsItsTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	metrics, trace := filepath.Join(dir, "cut.jsonl"), filepath.Join(dir, "cut.json")
 	var stream []byte
-	for timeout := 2 * time.Second; len(stream) <= 4096; timeout *= 2 {
+	for timeout := 500 * time.Millisecond; len(stream) <= 4096; timeout *= 2 {
 		if timeout > 16*time.Second {
 			t.Fatalf("metric stream is %d bytes; the case needs more than one 4 KiB buffer", len(stream))
 		}

@@ -7,7 +7,11 @@
 // fuse x*y+z into one instruction that rounds once instead of twice (the
 // language spec permits it). The same source then computes slightly
 // different floats, the placement drifts, and every digest differs.
-// Check and regenerate them on amd64.
+// Check and regenerate them on amd64. They are also facts of the host's
+// math.Exp: Go's amd64 math.Exp picks one of two code paths at run time by
+// the CPU's FMA support, and the paths differ in the last bit of some
+// results (TestExpTakesTheFMAPath); the digests hold on hosts with
+// AVX2 and FMA.
 package puffer
 
 import (
@@ -157,5 +161,20 @@ func TestGoldenPlacements(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Println("wrote", goldenPath)
+	}
+}
+
+// TestExpTakesTheFMAPath is the goldens' canary. Go's amd64 math.Exp takes
+// an FMA code path when the CPU has AVX2 and FMA and a plain one otherwise;
+// the two disagree in the last bit on about 9 % of inputs in [−30, 0]. Every
+// WA weight, and math.Pow in the γ and λ schedules, goes through it, so the
+// goldens, the Table II cells and the bit-pinned engine tests hold only
+// where the FMA path runs. This pins one value the paths tell apart.
+func TestExpTakesTheFMAPath(t *testing.T) {
+	const want = 0x3fed91bc2cf61425 // the plain path gives 0x3fed91bc2cf61424
+	if got := math.Float64bits(math.Exp(-0.079)); got != want {
+		t.Fatalf("math.Exp(-0.079) = %#x, want %#x: this host's math.Exp does not take the amd64 FMA path "+
+			"(no AVX2+FMA, or not amd64), so every placement differs from the goldens in the last bits; "+
+			"see DESIGN.md §3e, determinism across hosts", got, uint64(want))
 	}
 }

@@ -17,13 +17,17 @@
 // grid's par.Team (SetWorkers, SetTeam).
 // All of them are bit-deterministic regardless of the worker count:
 //
-//   - DepositRects shards the OUTPUT (bands of bin rows): each band owner
-//     scans the rectangle list in order and accumulates only its own rows,
-//     so every bin receives its contributions in the same rectangle order a
-//     serial sweep would use — identical bits for any band count. This
-//     replaces the per-worker-accumulator-plus-merge design: it needs no
-//     extra grids, no zeroing, no merge pass, and is worker-count
-//     independent rather than merely fixed-worker-count reproducible.
+//   - DepositRects first resolves every rectangle's bin ranges once,
+//     sharded by rectangle, then shards the OUTPUT (bands of bin rows):
+//     each band owner scans the rectangles in order and accumulates only
+//     its own rows, so every bin receives its contributions in the same
+//     rectangle order a serial sweep would use — identical bits for any
+//     band count.
+//     This replaces the per-worker-accumulator-plus-merge design: it needs
+//     no extra grids, no zeroing, no merge pass, and is worker-count
+//     independent rather than merely fixed-worker-count reproducible. The
+//     force readout of the list just deposited (DepositedForce) reads the
+//     same footprints.
 //   - Solve runs three stages of independent 1-D transforms — row
 //     analysis, one fused column pass per panel of adjacent columns, row
 //     synthesis — and every shard writes a disjoint output range through
@@ -114,16 +118,19 @@ type Grid struct {
 
 	// Deposit fingerprint: lastRects retains the operand of the most
 	// recent DepositRects (so an identical re-deposit skips the raster)
-	// and solvedRects the operand whose deposit the current Ex/Ey
+	// and the solved list the operand whose deposit the current Ex/Ey
 	// were solved from (so an identical re-deposit lets Solve skip the
-	// spectral work entirely). rhoFromRects / solvedFromRects record
-	// whether those fingerprints are authoritative — any AddRect /
-	// AddFixedRect / Reset in between voids them.
+	// spectral work entirely): lastRects itself while solvedIsLast, else
+	// solvedRects, the buffer a raster swaps it into instead of copying.
+	// rhoFromRects / solvedFromRects record whether those fingerprints are
+	// authoritative — any AddRect / AddFixedRect / Reset in between voids
+	// them.
 	lastRects       []geom.Rect
 	solvedRects     []geom.Rect
+	solvedIsLast    bool
 	rhoFromRects    bool
 	solvedFromRects bool
-	fieldCurrent    bool // the latest deposit matched solvedRects
+	fieldCurrent    bool // the latest deposit matched the solved list
 	solves          int  // spectral solves actually executed
 	solveSkips      int  // Solve calls satisfied by the fingerprint
 	rasterSkips     int  // DepositRects calls satisfied by the fingerprint
@@ -144,6 +151,12 @@ type Grid struct {
 	ovfRho     []float64   // charge the in-flight overflow reduction reads
 	depRects   []geom.Rect // operands of the in-flight raster
 	depDst     []float64
+	depFoot    *footprints
+	depCopy    []geom.Rect // where the raster copies its operand, if anywhere
+
+	// Resolved footprints of the last DepositRects list (read by
+	// DepositedForce) and of the last OverflowOf probe.
+	foot, probeFoot footprints
 
 	// Stage bodies are bound once here so the team can run them without
 	// constructing a closure — and therefore without allocating — on every
@@ -151,6 +164,7 @@ type Grid struct {
 	stageAnalyzeRows func(w, lo, hi int)
 	stageColumns     func(w, lo, hi int)
 	stageSynthRows   func(w, lo, hi int)
+	stageFoot        func(w, lo, hi int)
 	stageDeposit     func(w, lo, hi int)
 	stageOvf         func(s int)
 }
@@ -317,19 +331,34 @@ func (g *Grid) bindStages() {
 			s.sx.EvalCos(s.row, ey)
 		}
 	}
+	// Footprints, sharded by rectangle: each rectangle's bin ranges,
+	// written to its own slot (and the rectangle itself into the
+	// fingerprint, when the raster keeps one).
+	g.stageFoot = func(w, lo, hi int) {
+		fp := g.depFoot
+		var f footprint
+		for k, r := range g.depRects[lo:hi] {
+			fp.set(lo+k, g.footprint(r, &f), &f)
+		}
+		if g.depCopy != nil {
+			copy(g.depCopy[lo:hi], g.depRects[lo:hi])
+		}
+	}
 	// Banded rasterization: the executor owns bin rows [lo, hi), restores
-	// the fixed baseline there, then scans the rectangle list in order and
-	// deposits only the rows it owns. Per-bin addition order equals the
-	// serial rectangle order for any band partition. A rectangle's rows are
-	// resolved first, so one outside the band costs no column work.
+	// the fixed baseline there, then scans the rectangles' row ranges in
+	// order and deposits only the rows it owns. Per-bin addition order
+	// equals the serial rectangle order for any band partition. The row
+	// range is read first, so a rectangle outside the band costs no more.
 	g.stageDeposit = func(w, lo, hi int) {
 		m := g.M
 		dst := g.depDst
 		copy(dst[lo*m:hi*m], g.fixedRho[lo*m:hi*m])
 		invArea := 1 / (g.BinW * g.BinH)
+		fp := g.depFoot
 		var f footprint
-		for _, r := range g.depRects {
-			if g.clipRows(r, &f) && f.j0 < hi && f.j1 > lo && g.clipCols(r, &f) {
+		for k, rs := range fp.rows {
+			if int(rs.lo) < hi && int(rs.hi) > lo {
+				g.load(fp, k, g.depRects[k], &f)
 				g.depositRows(dst, &f, max(f.j0, lo), min(f.j1, hi), invArea)
 			}
 		}
@@ -387,6 +416,7 @@ func (g *Grid) Reset() {
 func (g *Grid) voidFingerprint() {
 	g.rhoFromRects = false
 	g.solvedFromRects = false
+	g.solvedIsLast = false
 	g.fieldCurrent = false
 }
 
@@ -420,6 +450,49 @@ type footprint struct {
 	i0, i1, j0, j1     int
 	ox0                int
 	ox                 [footCols]float64
+}
+
+// footprints holds a rectangle list's resolved bin ranges, one slot per
+// rectangle: the row range, which every band reads, apart from the column
+// range, which only the bands the rectangle reaches read. A rectangle with
+// nothing inside the region has the empty row range [0, 0). The clipped
+// edges are not kept: two min/max per axis recompute them, where the bin
+// indices cost two divisions and a math.Ceil.
+type footprints struct {
+	rows []span
+	cols []span
+}
+
+type span struct{ lo, hi int32 }
+
+// resize sizes the buffers for n rectangles, reusing their backing arrays.
+func (fp *footprints) resize(n int) {
+	if cap(fp.rows) < n {
+		fp.rows, fp.cols = make([]span, n), make([]span, n)
+	}
+	fp.rows, fp.cols = fp.rows[:n], fp.cols[:n]
+}
+
+// set stores slot k: f's bin ranges when inside, otherwise the empty row
+// range.
+func (fp *footprints) set(k int, inside bool, f *footprint) {
+	if !inside {
+		fp.rows[k] = span{}
+		return
+	}
+	fp.rows[k] = span{int32(f.j0), int32(f.j1)}
+	fp.cols[k] = span{int32(f.i0), int32(f.i1)}
+}
+
+// load resolves slot k of fp, whose rectangle r lies inside the region,
+// into f — the edges clipped as clipRows and clipCols clip them — with its
+// column buffer empty.
+func (g *Grid) load(fp *footprints, k int, r geom.Rect, f *footprint) {
+	f.ylo, f.yhi = max(r.Lo.Y, g.Region.Lo.Y), min(r.Hi.Y, g.Region.Hi.Y)
+	f.xlo, f.xhi = max(r.Lo.X, g.Region.Lo.X), min(r.Hi.X, g.Region.Hi.X)
+	f.j0, f.j1 = int(fp.rows[k].lo), int(fp.rows[k].hi)
+	f.i0, f.i1 = int(fp.cols[k].lo), int(fp.cols[k].hi)
+	f.ox0 = -1
 }
 
 // footprint clips r to the region and resolves its bin ranges into f,
@@ -519,11 +592,15 @@ func (g *Grid) addRectTo(dst []float64, r geom.Rect, scale float64) {
 	}
 }
 
-// raster writes fixedRho + Σ rects into dst, sharded by output bin rows.
-func (g *Grid) raster(dst []float64, rects []geom.Rect) {
-	g.depDst, g.depRects = dst, rects
+// raster resolves the rects' footprints into fp — and, when keep is
+// non-nil, copies the rects into it — sharded by rectangle, then writes
+// fixedRho + Σ rects into dst, sharded by output bin rows.
+func (g *Grid) raster(dst []float64, rects []geom.Rect, fp *footprints, keep []geom.Rect) {
+	fp.resize(len(rects))
+	g.depDst, g.depRects, g.depFoot, g.depCopy = dst, rects, fp, keep
+	g.team.Shards(len(rects), g.stageFoot)
 	g.team.Shards(g.N, g.stageDeposit)
-	g.depDst, g.depRects = nil, nil
+	g.depDst, g.depRects, g.depFoot, g.depCopy = nil, nil, nil, nil
 }
 
 // DepositRects replaces the movable charge with the given unit-scale
@@ -540,11 +617,19 @@ func (g *Grid) raster(dst []float64, rects []geom.Rect) {
 func (g *Grid) DepositRects(rects []geom.Rect) {
 	if g.rhoFromRects && rectsEqual(rects, g.lastRects) {
 		g.rasterSkips++
-	} else {
-		g.raster(g.Rho, rects)
-		g.lastRects = append(g.lastRects[:0], rects...)
-		g.rhoFromRects = true
+		g.fieldCurrent = g.solvedFromRects && (g.solvedIsLast || rectsEqual(rects, g.solvedRects))
+		return
 	}
+	if g.solvedIsLast { // the solved list moves to the spare buffer
+		g.lastRects, g.solvedRects = g.solvedRects, g.lastRects
+		g.solvedIsLast = false
+	}
+	if cap(g.lastRects) < len(rects) {
+		g.lastRects = make([]geom.Rect, len(rects))
+	}
+	g.lastRects = g.lastRects[:len(rects)]
+	g.raster(g.Rho, rects, &g.foot, g.lastRects)
+	g.rhoFromRects = true
 	g.fieldCurrent = g.solvedFromRects && rectsEqual(rects, g.solvedRects)
 }
 
@@ -574,9 +659,7 @@ func (g *Grid) Solve() {
 
 	g.solves++
 	g.solvedFromRects = g.rhoFromRects
-	if g.solvedFromRects {
-		g.solvedRects = append(g.solvedRects[:0], g.lastRects...)
-	}
+	g.solvedIsLast = g.rhoFromRects
 }
 
 // ForceOnRect returns the overlap-weighted electric force on a rectangle of
@@ -588,12 +671,36 @@ func (g *Grid) Solve() {
 func (g *Grid) ForceOnRect(r geom.Rect) (fx, fy float64) {
 	var f footprint
 	if !g.footprint(r, &f) {
-		// Pull cells that escaped the region back toward it.
-		c := g.Region.ClampPoint(r.Center())
-		i, j := g.BinOf(c)
-		idx := g.Index(i, j)
-		return g.Ex[idx] * r.Area(), g.Ey[idx] * r.Area()
+		return g.escapedForce(r)
 	}
+	return g.forceIn(&f)
+}
+
+// DepositedForce returns ForceOnRect(rects[k]) for the list of the last
+// DepositRects call, bit for bit, reading the footprint that deposit
+// resolved instead of resolving it again. Like ForceOnRect it only reads,
+// so any number of goroutines may call it concurrently.
+func (g *Grid) DepositedForce(k int) (fx, fy float64) {
+	r := g.lastRects[k]
+	if g.foot.rows[k].hi == 0 {
+		return g.escapedForce(r)
+	}
+	var f footprint
+	g.load(&g.foot, k, r, &f)
+	return g.forceIn(&f)
+}
+
+// escapedForce pulls a rectangle with nothing inside the region back
+// toward it: the field of the bin nearest its center, times its area.
+func (g *Grid) escapedForce(r geom.Rect) (fx, fy float64) {
+	c := g.Region.ClampPoint(r.Center())
+	i, j := g.BinOf(c)
+	idx := g.Index(i, j)
+	return g.Ex[idx] * r.Area(), g.Ey[idx] * r.Area()
+}
+
+// forceIn is the overlap-weighted field sum over a resolved footprint.
+func (g *Grid) forceIn(f *footprint) (fx, fy float64) {
 	for j := f.j0; j < f.j1; j++ {
 		oy := overlap(g.binY(j), g.BinH, f.ylo, f.yhi)
 		if oy <= 0 {
@@ -601,7 +708,7 @@ func (g *Grid) ForceOnRect(r geom.Rect) (fx, fy float64) {
 		}
 		for c0 := f.i0; c0 < f.i1; c0 += footCols {
 			ex, ey := g.Ex[j*g.M+c0:], g.Ey[j*g.M+c0:]
-			for k, ox := range g.cols(&f, c0) {
+			for k, ox := range g.cols(f, c0) {
 				if ox > 0 {
 					a := ox * oy
 					fx += float64(a * ex[k])
@@ -628,7 +735,7 @@ func (g *Grid) Overflow(target, totalMovableArea float64) float64 {
 // buffer, so Rho, the field and both fingerprints survive the probe. The
 // result equals DepositRects(rects) followed by Overflow, bit for bit.
 func (g *Grid) OverflowOf(rects []geom.Rect, target, totalMovableArea float64) float64 {
-	g.raster(g.probeRho, rects)
+	g.raster(g.probeRho, rects, &g.probeFoot, nil)
 	return g.overflowIn(g.probeRho, target, totalMovableArea)
 }
 

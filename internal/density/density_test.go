@@ -361,8 +361,8 @@ func TestOverflowParallelMatchesSerial(t *testing.T) {
 }
 
 // TestGridSteadyStateZeroAlloc guards the hot path: once the grid is built,
-// deposit + solve + force + overflow allocate nothing — serially or on a
-// started team.
+// deposit + solve + force (per rect and through the deposit's footprints) +
+// overflow allocate nothing — serially or on a started team.
 func TestGridSteadyStateZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	region := geom.RectWH(0, 0, 64, 64)
@@ -381,6 +381,7 @@ func TestGridSteadyStateZeroAlloc(t *testing.T) {
 			g.Solve()
 			g.ForceOnRect(rects[0])
 			g.ForceOnRect(wide)
+			g.DepositedForce(len(rects) - 1)
 			g.OverflowOf(rects[:32], 0.8, 100)
 			g.Overflow(0.8, 100)
 			g.AddRect(wide, 1) // voids the fingerprints: the next run rasterizes and solves
@@ -526,10 +527,11 @@ func TestFootprintMatchesReferenceLoops(t *testing.T) {
 				g.Solve()
 				for k, r := range rects {
 					fx, fy := g.ForceOnRect(r)
+					dx, dy := g.DepositedForce(k)
 					wx, wy := refForce(g, r)
-					if fx != wx || fy != wy {
-						t.Fatalf("region %v seed %d workers %d: rect %d %v force (%v,%v), want (%v,%v) (bit-exact)",
-							region, seed, workers, k, r, fx, fy, wx, wy)
+					if fx != wx || fy != wy || dx != wx || dy != wy {
+						t.Fatalf("region %v seed %d workers %d: rect %d %v force (%v,%v), deposited footprint (%v,%v), want (%v,%v) (bit-exact)",
+							region, seed, workers, k, r, fx, fy, dx, dy, wx, wy)
 					}
 				}
 			}
@@ -574,4 +576,92 @@ func TestOverflowOfLeavesChargeUntouched(t *testing.T) {
 			t.Errorf("workers=%d: zero-area OverflowOf != 0", workers)
 		}
 	}
+}
+
+// bandSoup is edgeSoup plus rects whose rows straddle the band edges of a
+// 16-row grid split two and three ways (rows 5|6, 7|8, 10|11), one of them
+// with its edges on the bin boundaries either side.
+func bandSoup(seed int64, region geom.Rect, binW, binH float64) []geom.Rect {
+	rects := edgeSoup(seed, region, binW, binH)
+	lo := region.Lo
+	for _, j := range []float64{6, 8, 11} {
+		rects = append(rects,
+			geom.RectWH(lo.X+1.3*binW, lo.Y+(j-0.4)*binH, 2.2*binW, 0.9*binH),
+			geom.RectWH(lo.X+5*binW, lo.Y+(j-1)*binH, binW, 2*binH),
+			geom.RectWH(lo.X+9.5*binW, lo.Y+(j-0.5)*binH, 0, binH))
+	}
+	return rects
+}
+
+// checkSharedFootprints deposits rects through DepositRects and reads every
+// rect's force through DepositedForce, and requires both to equal Reset +
+// AddRect per rect + ForceOnRect, bit for bit, at the given worker count.
+func checkSharedFootprints(t *testing.T, region geom.Rect, m, n int, rects []geom.Rect, workers int) {
+	t.Helper()
+	fixed := geom.RectWH(region.Lo.X+11.3, region.Lo.Y+9.1, 17.7, 8.4)
+	ref := NewGrid(region, m, n)
+	ref.AddFixedRect(fixed, 1)
+	ref.Reset()
+	for _, r := range rects {
+		ref.AddRect(r, 1)
+	}
+	ref.Solve()
+	g := NewGrid(region, m, n)
+	g.SetWorkers(workers)
+	g.AddFixedRect(fixed, 1)
+	g.OverflowOf(rects[len(rects)/2:], 0.8, 1) // the probe keeps footprints of its own
+	g.DepositRects(rects)
+	g.Solve()
+	for i := range ref.Rho {
+		if math.Float64bits(g.Rho[i]) != math.Float64bits(ref.Rho[i]) {
+			t.Fatalf("workers %d: bin %d Rho %v, AddRect per rect %v", workers, i, g.Rho[i], ref.Rho[i])
+		}
+	}
+	for k, r := range rects {
+		fx, fy := g.DepositedForce(k)
+		wx, wy := ref.ForceOnRect(r)
+		if math.Float64bits(fx) != math.Float64bits(wx) || math.Float64bits(fy) != math.Float64bits(wy) {
+			t.Fatalf("workers %d: rect %d %v deposited-footprint force (%v,%v), ForceOnRect (%v,%v)",
+				workers, k, r, fx, fy, wx, wy)
+		}
+	}
+}
+
+// TestSharedFootprintsMatchPerRect: the footprints DepositRects resolves
+// once, read by its bands and by DepositedForce, give the charge and the
+// forces of AddRect and ForceOnRect called rect by rect — across band
+// edges, on bin boundaries, half and wholly outside the region, at zero
+// width — at Workers 1, 2 and 3.
+func TestSharedFootprintsMatchPerRect(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, region := range []geom.Rect{geom.RectWH(0, 0, 80, 48), geom.RectWH(-13.5, 7.25, 60, 96)} {
+		const m, n = 32, 16
+		for seed := int64(1); seed <= 3; seed++ {
+			rects := bandSoup(seed, region, region.W()/m, region.H()/n)
+			for _, workers := range []int{1, 2, 3} {
+				checkSharedFootprints(t, region, m, n, rects, workers)
+			}
+		}
+	}
+}
+
+// FuzzDepositForceMatchesReference is TestSharedFootprintsMatchPerRect
+// with one fuzzed rect placed among a seeded soup.
+func FuzzDepositForceMatchesReference(f *testing.F) {
+	f.Add(int64(1), 3.0, 4.0, 2.5, 1.5, uint8(2))
+	f.Add(int64(2), -1.0, 15.0, 90.0, 0.0, uint8(3))
+	f.Add(int64(3), 20.0, 18.0, 0.0, 0.0, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, x, y, w, h float64, workers uint8) {
+		for _, v := range []float64{x, y, w, h} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
+				t.Skip()
+			}
+		}
+		region := geom.RectWH(0, 0, 80, 48)
+		const m, n = 32, 16
+		rects := bandSoup(seed, region, region.W()/m, region.H()/n)
+		at := int(uint64(seed) % uint64(len(rects)+1))
+		rects = append(rects[:at], append([]geom.Rect{geom.RectWH(x, y, w, h)}, rects[at:]...)...)
+		checkSharedFootprints(t, region, m, n, rects, 1+int(workers%3))
+	})
 }

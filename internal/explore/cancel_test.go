@@ -3,10 +3,13 @@ package explore
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"puffer/internal/flow"
+	"puffer/internal/obs"
 )
 
 func twoGroupParams() []Param {
@@ -74,5 +77,36 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 	if n := evals.Load(); n != 0 {
 		t.Errorf("%d evaluations ran under a pre-canceled context", n)
+	}
+}
+
+// TestHistoryIndependentOfWorkers: with the groups exploring in parallel,
+// each round's trials still join the history and the trial-score series in
+// group order, so a run on one worker and a parallel run record the same
+// sequence. The objective sleeps so the parallel groups' trials interleave.
+func TestHistoryIndependentOfWorkers(t *testing.T) {
+	run := func(workers int) ([]Observation, []obs.Sample) {
+		reg := obs.NewRegistry()
+		e := &Explorer{
+			Params: twoGroupParams(),
+			Eval: func(a Assignment) float64 {
+				time.Sleep(200 * time.Microsecond)
+				return a["a"]*a["a"] + a["b"]*a["b"] + a["c"]*a["c"] // fixed order: the same bits every run
+			},
+			TimeLimit: 12, EarlyStop: 12, Rounds: 2, Workers: workers, Seed: 5,
+			Obs: obs.NewRecorder(nil, reg),
+		}
+		e.Run()
+		return e.History(), reg.Series("explore.trial.score").Samples()
+	}
+	wantH, wantS := run(1)
+	for i := 0; i < 3; i++ {
+		gotH, gotS := run(0)
+		if !reflect.DeepEqual(gotH, wantH) {
+			t.Fatalf("run %d: parallel history differs from the one-worker history", i)
+		}
+		if !reflect.DeepEqual(gotS, wantS) {
+			t.Fatalf("run %d: parallel explore.trial.score series differs from the one-worker series", i)
+		}
 	}
 }

@@ -295,7 +295,9 @@ type Explorer struct {
 	best, worst float64 // lowest and highest Y seen; valid when len(history) > 0
 }
 
-// History returns all observations made so far.
+// History returns all observations committed so far: the global pass's
+// trials as they finish, then each round's trials group by group, in group
+// order, at the round's merge — the same sequence for any Workers.
 func (e *Explorer) History() []Observation {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -337,10 +339,10 @@ func (e *Explorer) initialRanges() map[string]Range {
 
 // paramExploration is Algorithm 2: explore the given parameter subset with
 // the rest pinned, update their ranges from the observations, and report
-// whether the loop stopped early (converged). The context is checked
-// before every SMBO trial, so a cancel costs at most one objective
-// evaluation of extra work.
-func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset []Param, ranges map[string]Range, pinned Assignment) (bool, map[string]Range, error) {
+// whether the loop stopped early (converged). Each trial goes to commit as
+// it finishes. The context is checked before every SMBO trial, so a cancel
+// costs at most one objective evaluation of extra work.
+func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset []Param, ranges map[string]Range, pinned Assignment, commit func(Observation)) (bool, map[string]Range, error) {
 	tpe := DefaultTPE()
 	var obs []Observation
 	best := math.Inf(1)
@@ -360,7 +362,7 @@ func (e *Explorer) paramExploration(ctx context.Context, rng *rand.Rand, subset 
 		y := e.Eval(full)
 		o := Observation{X: full, Y: y}
 		obs = append(obs, o)
-		e.record(o)
+		commit(o)
 		npc++
 		if y < best {
 			best = y
@@ -490,7 +492,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (Assignment, error) {
 	}
 	var gerr error
 	spGlobal := sp.Child("explore.global")
-	_, ranges, gerr = e.paramExploration(ctx, rng, e.Params, ranges, Assignment{})
+	_, ranges, gerr = e.paramExploration(ctx, rng, e.Params, ranges, Assignment{}, e.record)
 	spGlobal.End()
 
 	// Group parameters by declared relevance (line 3).
@@ -520,6 +522,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (Assignment, error) {
 		type groupResult struct {
 			flag   bool
 			ranges map[string]Range
+			trials []Observation
 			err    error
 		}
 		results := make([]groupResult, len(groupNames))
@@ -537,15 +540,21 @@ func (e *Explorer) RunCtx(ctx context.Context) (Assignment, error) {
 			for _, p := range sub {
 				delete(pinned, p.Name)
 			}
-			flag, nr, err := e.paramExploration(ctx, grng, sub, ranges, pinned)
-			results[gi] = groupResult{flag: flag, ranges: nr, err: err}
+			res := &results[gi]
+			res.flag, res.ranges, res.err = e.paramExploration(ctx, grng, sub, ranges, pinned,
+				func(o Observation) { res.trials = append(res.trials, o) })
 		}
 		par.ForN(cmp.Or(e.Workers, len(groupNames)), len(groupNames), runGroup)
-		// Deterministic merge in group declaration order: each group owns
+		// Deterministic merge in group declaration order: each group's
+		// trials join the history (and the trial-score series) in that
+		// order, whatever order the groups finished in, and each group owns
 		// its own parameters' ranges. A canceled group contributes the
-		// ranges it had converged so far; the first error (deterministic
+		// trials and ranges it had so far; the first error (deterministic
 		// in group order) aborts the remaining rounds.
 		for gi, name := range groupNames {
+			for _, o := range results[gi].trials {
+				e.record(o)
+			}
 			for _, p := range groups[name] {
 				ranges[p.Name] = results[gi].ranges[p.Name]
 			}

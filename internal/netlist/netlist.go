@@ -84,9 +84,11 @@ type Cell struct {
 func (c *Cell) Rect() geom.Rect { return geom.RectWH(c.X, c.Y, c.W, c.H) }
 
 // PaddedRect returns the outline including routability padding, which is
-// what density and legalization see.
+// what density and legalization see. (The halving compiles to a multiply,
+// converted so no architecture fuses it into the subtraction; likewise in
+// SetCenter.)
 func (c *Cell) PaddedRect() geom.Rect {
-	return geom.RectWH(c.X-c.PadW/2, c.Y, c.W+c.PadW, c.H)
+	return geom.RectWH(c.X-float64(c.PadW/2), c.Y, c.W+c.PadW, c.H)
 }
 
 // PaddedW returns the effective width including padding.
@@ -102,8 +104,8 @@ func (c *Cell) Center() geom.Point {
 
 // SetCenter moves the cell so its physical center is at p.
 func (c *Cell) SetCenter(p geom.Point) {
-	c.X = p.X - c.W/2
-	c.Y = p.Y - c.H/2
+	c.X = p.X - float64(c.W/2)
+	c.Y = p.Y - float64(c.H/2)
 }
 
 // Pin connects a cell to a net at a fixed offset from the cell's lower-left
@@ -237,7 +239,7 @@ func (d *Design) TotalMovableArea() float64 {
 	area := 0.0
 	for i := range d.Cells {
 		if !d.Cells[i].Fixed {
-			area += d.Cells[i].Area()
+			area += float64(d.Cells[i].Area())
 		}
 	}
 	return area
@@ -248,7 +250,7 @@ func (d *Design) TotalPaddingArea() float64 {
 	area := 0.0
 	for i := range d.Cells {
 		if !d.Cells[i].Fixed {
-			area += d.Cells[i].PadW * d.Cells[i].H
+			area += float64(d.Cells[i].PadW * d.Cells[i].H)
 		}
 	}
 	return area

@@ -9,11 +9,11 @@ import (
 
 // spinFor is how long an idle executor polls for work before it blocks. It
 // bridges the serial gaps between the stages of one GP iteration (tens to a
-// few hundred µs: buildRects, project, the merges of the fixed-shard
-// reductions), where a blocked thread would have to be woken — on a
-// virtual machine, an idle vCPU brought back by the hypervisor (DESIGN.md
-// §3e) — and it is short enough that a team idling through a padding round
-// costs next to nothing.
+// few hundred µs: the deposit fingerprint's compare, the merges of the
+// fixed-shard reductions), where a blocked thread would have to be woken —
+// on a virtual machine, an idle vCPU brought back by the hypervisor
+// (DESIGN.md §3e) — and it is short enough that a team idling through a
+// padding round costs next to nothing.
 const spinFor = 200 * time.Microsecond
 
 // spinBatch is how many polls an executor makes between clock reads and

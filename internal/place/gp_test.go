@@ -208,7 +208,7 @@ func TestGPStepZeroAlloc(t *testing.T) {
 		reuses, carries, handoffs := p.forceReuses, p.wlCarries, p.team.Handoffs()
 		n := allocsPerRun(10, func() {
 			p.overflow = p.computeOverflow()
-			p.wl.HPWL()
+			p.wl.HPWLAtOrigins()
 			p.opt.Step(p.projectFn)
 		})
 		p.team.Stop()
@@ -340,8 +340,8 @@ func recordEvals(p *Placer) *[]evalRecord {
 // hook pads every cell at iterations 2, 40 and 60 (fillers retire, the
 // momentum restarts, the wirelength carry is voided). It returns every
 // eval's record, the index of the first eval after each padding round (the
-// restart's) and the placer.
-func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *Placer) {
+// restart's), the placer and the run's result.
+func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *Placer, *Result) {
 	t.Helper()
 	padAt := map[int]float64{2: 0.25, 40: 0.75, 60: 1} // iteration → PadW the hook sets on every cell
 	d := smallDesign(6, 200, false)
@@ -354,7 +354,7 @@ func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *P
 	log := recordEvals(p)
 	var paddedEvals []int
 	fillBefore := p.activeFill
-	p.Run(HookFunc(func(iter int, overflow float64) bool {
+	res := p.Run(HookFunc(func(iter int, overflow float64) bool {
 		w, ok := padAt[iter]
 		if !ok {
 			return false
@@ -371,7 +371,49 @@ func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *P
 	if len(*log) != p.evals {
 		t.Fatalf("%d evals logged, counter %d", len(*log), p.evals)
 	}
-	return *log, paddedEvals, p
+	return *log, paddedEvals, p, res
+}
+
+// TestPaddedRunBitsPinned pins the padded run to the bits the engine gave
+// before one position stage fed the wirelength origins and the deposit
+// rects, the raster and the force gather shared footprints, and the WA
+// pass read net-major pins: FNV-1a over every eval's gradient hash, over
+// every iteration's HPWL — the three restart iterations', read at the
+// reference point, included — and the final HPWL, at Workers 1 and 3. Like
+// the goldens, the values hold on amd64 hosts whose math.Exp takes the FMA
+// path (TestExpTakesTheFMAPath).
+func TestPaddedRunBitsPinned(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	const wantGrad, wantHPWL, wantFinal = 0x426b7496ba9fa20e, 0xa1902fbf134db643, 0xccf0f48a4a9ad987
+	for _, workers := range []int{1, 3} {
+		log, _, _, res := runPadded(t, false, workers)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, r := range log {
+			binary.LittleEndian.PutUint64(b[:], r.grad)
+			h.Write(b[:])
+		}
+		var hpwl []float64
+		restarts := 0
+		for _, it := range res.Trace {
+			hpwl = append(hpwl, it.HPWL)
+			if it.Padded {
+				restarts++
+			}
+		}
+		if len(log) != 183 || len(hpwl) != 90 || restarts != 3 {
+			t.Fatalf("workers=%d: %d evals, %d iterations, %d restarts; want 183, 90, 3", workers, len(log), len(hpwl), restarts)
+		}
+		if got := h.Sum64(); got != wantGrad {
+			t.Errorf("workers=%d: eval gradients hash %#x, want %#x", workers, got, uint64(wantGrad))
+		}
+		if got := hashBits(hpwl); got != wantHPWL {
+			t.Errorf("workers=%d: per-iteration HPWL hash %#x, want %#x", workers, got, uint64(wantHPWL))
+		}
+		if got := hashBits([]float64{res.HPWL}); got != wantFinal {
+			t.Errorf("workers=%d: final HPWL %v (hash %#x), want hash %#x", workers, res.HPWL, got, uint64(wantFinal))
+		}
+	}
 }
 
 // TestEvalForceReuseIsExact runs GP with and without the raw-force reuse and
@@ -382,8 +424,8 @@ func runPadded(t *testing.T, noReuse bool, workers int) ([]evalRecord, []int, *P
 // solve count) is the only guard.
 func TestEvalForceReuseIsExact(t *testing.T) {
 	withGOMAXPROCS(t, 4) // so the Workers=3 run below shards three ways
-	got, padded, p := runPadded(t, false, 1)
-	want, _, ref := runPadded(t, true, 1)
+	got, padded, p, _ := runPadded(t, false, 1)
+	want, _, ref, _ := runPadded(t, true, 1)
 	if ref.forceReuses != 0 {
 		t.Fatalf("the reference run reused %d sweeps", ref.forceReuses)
 	}
@@ -415,7 +457,7 @@ func TestEvalForceReuseIsExact(t *testing.T) {
 	}
 
 	// The counters are part of the determinism contract.
-	gotW, _, pw := runPadded(t, false, 3)
+	gotW, _, pw, _ := runPadded(t, false, 3)
 	for i := range gotW {
 		if gotW[i].grad != got[i].grad || gotW[i].reused != got[i].reused {
 			t.Fatalf("eval %d differs between Workers 1 and 3", i)
@@ -435,7 +477,7 @@ func TestEvalForceReuseIsExact(t *testing.T) {
 // worker count.
 func TestEvalCarriesWirelength(t *testing.T) {
 	withGOMAXPROCS(t, 4) // so the Workers=3 run below shards three ways
-	got, padded, p := runPadded(t, false, 1)
+	got, padded, p, _ := runPadded(t, false, 1)
 	// 54 of 183 evals carry here (the step is accepted in 61 % of the
 	// iterations); wherever the force sweep is reused, the point is the
 	// previous eval's, so the carry fires there too.
@@ -470,7 +512,7 @@ func TestEvalCarriesWirelength(t *testing.T) {
 		t.Error("no padding round restarted at the last evaluated point; the scenario lost its point")
 	}
 
-	gotW, _, pw := runPadded(t, false, 3)
+	gotW, _, pw, _ := runPadded(t, false, 3)
 	if len(gotW) != len(got) || pw.wlCarries != p.wlCarries {
 		t.Fatalf("%d evals, %d carries at Workers 3; %d, %d at 1",
 			len(gotW), pw.wlCarries, len(got), p.wlCarries)
@@ -497,5 +539,59 @@ func TestSolveSkipDuringRun(t *testing.T) {
 	}
 	if solves := p.Grid().Solves(); solves < 10 {
 		t.Errorf("run performed only %d real solves over 10 iters", solves)
+	}
+}
+
+// TestPositionStageMatchesTheDesign: the position stage's origins and
+// rects are what SetCenter and PaddedRect give, bit for bit — for padded
+// and unpadded cells, fenced and not, at ±0 and fractional centers — and
+// the probe's form leaves the design there; the projection's precomputed
+// bounds clamp as the fence and half sizes do.
+func TestPositionStageMatchesTheDesign(t *testing.T) {
+	d := smallDesign(4, 300, true)
+	d.Fences = []netlist.Fence{{Name: "f", Rect: geom.RectWH(5.5, 7.25, 20, 13)}}
+	rng := rand.New(rand.NewSource(4))
+	for i := range d.Cells {
+		if !d.Cells[i].Fixed {
+			d.Cells[i].W = []float64{0.75, 1, 1.3}[i%3]
+			d.Cells[i].PadW = []float64{0, 0.25, 0.7}[i%3]
+			d.Cells[i].Fence = i % 2
+		}
+	}
+	p := mustNew(d, quickConfig())
+	x := append([]float64(nil), p.opt.Current()...)
+	nm := len(p.movable)
+	off := nm + p.nFill
+	for k := range p.movable {
+		x[k] += rng.NormFloat64() * 20
+		x[off+k] += rng.NormFloat64() * 20
+	}
+	x[0], x[off] = math.Copysign(0, -1), 0
+	want := make([]geom.Rect, nm)
+	ref := d.Clone()
+	for k, ci := range p.movable {
+		ref.Cells[ci].SetCenter(geom.Pt(x[k], x[off+k]))
+		want[k] = ref.Cells[ci].PaddedRect()
+	}
+	p.resolve(x, nm+p.activeFill, true)
+	ox, oy := p.wl.Origins()
+	for k, ci := range p.movable {
+		c, rc := &d.Cells[ci], &ref.Cells[ci]
+		if p.rects[k] != want[k] || ox[ci] != rc.X || oy[ci] != rc.Y || c.X != rc.X || c.Y != rc.Y ||
+			math.Signbit(ox[ci]) != math.Signbit(rc.X) {
+			t.Fatalf("movable %d: rect %v origin (%v, %v) design (%v, %v); SetCenter+PaddedRect give %v at (%v, %v)",
+				k, p.rects[k], ox[ci], oy[ci], c.X, c.Y, want[k], rc.X, rc.Y)
+		}
+	}
+	y := append([]float64(nil), x...)
+	p.project(y)
+	for k, ci := range p.movable {
+		c, b := &d.Cells[ci], d.FenceRect(ci)
+		hw, hh := float64(c.W/2), float64(c.H/2)
+		wx := geom.Clamp(x[k], b.Lo.X+hw, b.Hi.X-hw)
+		wy := geom.Clamp(x[off+k], b.Lo.Y+hh, b.Hi.Y-hh)
+		if y[k] != wx || y[off+k] != wy {
+			t.Fatalf("movable %d projected to (%v, %v), want (%v, %v)", k, y[k], y[off+k], wx, wy)
+		}
 	}
 }

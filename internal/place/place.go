@@ -181,6 +181,17 @@ func (r *traceRing) items() []IterStats {
 	return out
 }
 
+// movGeom is movable k's cell as the position stage and the force sweep
+// read it: the halves SetCenter subtracts from a center, the height and
+// pin count, and the padding half and padded width PaddedRect uses —
+// SetCenter's and PaddedRect's operands, so their results have the same
+// bits. Only a hook pads cells, so the padding entries are reloaded after
+// every hook call.
+type movGeom struct {
+	hw, hh, h, pins float64
+	padHalf, pw     float64
+}
+
 // Placer is the global placement engine for one design.
 type Placer struct {
 	D   *netlist.Design
@@ -189,6 +200,12 @@ type Placer struct {
 	movable []int // movable cell IDs
 	g       *density.Grid
 	wl      *wirelength.Model
+
+	// What the hot stages read of each movable cell, indexed like movable,
+	// so they stream compact arrays instead of the design's cells: geo for
+	// the position stage and the force sweep, box for the projection.
+	geo []movGeom
+	box []geom.Rect
 
 	// fillers
 	nFill      int
@@ -211,13 +228,19 @@ type Placer struct {
 	projectFn func(x []float64) // bound once; Step(p.project) would allocate per call
 
 	// parallel execution state: one team for every kernel of the engine,
-	// started for the duration of RunCtx; the force-sweep stage is bound
-	// once in New so the steady-state iteration constructs no closures.
-	team       *par.Team
-	rects      []geom.Rect // reusable deposit list (movables + fillers)
-	evalGrad   []float64   // operands of the in-flight force sweep
-	gather     bool
-	stageForce func(w, lo, hi int)
+	// started for the duration of RunCtx; the position, projection and
+	// force-sweep stages are bound once in NewChecked so the steady-state
+	// iteration constructs no closures.
+	team         *par.Team
+	rects        []geom.Rect // reusable deposit list (movables + fillers)
+	evalGrad     []float64   // operands of the in-flight force sweep
+	gather       bool
+	stageForce   func(w, lo, hi int)
+	posX         []float64 // operands of the in-flight position stage
+	posDesign    bool
+	stagePos     func(w, lo, hi int)
+	projX        []float64 // operand of the in-flight projection
+	stageProject func(w, lo, hi int)
 
 	// Raw (unscaled) field force on each rect of the last gathering sweep,
 	// indexed like rects, and the field it was read from: the grid's
@@ -243,8 +266,12 @@ type Placer struct {
 	evals, forceReuses, wlCarries int
 
 	// cumulative per-phase walls across the run (exposed as place.gp span
-	// args)
-	wallWL, wallRaster, wallSolve, wallForce time.Duration
+	// args): the four eval phases, then the rest of an iteration — the
+	// overflow probe and the controller, the hook and its restart, the
+	// exact HPWL and its telemetry, the Nesterov vector work — each less
+	// the eval phases run inside it.
+	wallWL, wallRaster, wallSolve, wallForce   time.Duration
+	wallOverflow, wallHook, wallHPWL, wallStep time.Duration
 }
 
 // NewChecked builds the engine for d. The density grid is square, sized
@@ -275,7 +302,7 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 
 	// Fillers: fill target whitespace with average-size dummy cells.
 	stats := d.Stats()
-	if fillArea := stats.FreeArea*targetDensity - stats.CellArea; fillArea > 0 {
+	if fillArea := float64(stats.FreeArea*targetDensity) - stats.CellArea; fillArea > 0 {
 		avgW := 0.0
 		for _, ci := range p.movable {
 			avgW += d.Cells[ci].W
@@ -312,13 +339,23 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 		if d.Cells[ci].Fence > 0 {
 			start = d.FenceRect(ci).Center()
 		}
-		x0[k] = start.X + (rng.Float64()*2-1)*jx
-		x0[nm+p.nFill+k] = start.Y + (rng.Float64()*2-1)*jy
+		x0[k] = start.X + float64((float64(rng.Float64())*2-1)*jx)
+		x0[nm+p.nFill+k] = start.Y + float64((float64(rng.Float64())*2-1)*jy)
 	}
 	for f := 0; f < p.nFill; f++ {
-		x0[nm+f] = d.Region.Lo.X + rng.Float64()*d.Region.W()
-		x0[nm+p.nFill+nm+f] = d.Region.Lo.Y + rng.Float64()*d.Region.H()
+		x0[nm+f] = d.Region.Lo.X + float64(rng.Float64()*d.Region.W())
+		x0[nm+p.nFill+nm+f] = d.Region.Lo.Y + float64(rng.Float64()*d.Region.H())
 	}
+	p.geo = make([]movGeom, nm)
+	p.box = make([]geom.Rect, nm)
+	for k, ci := range p.movable {
+		c := &d.Cells[ci]
+		cw, ch := float64(c.W/2), float64(c.H/2)
+		p.geo[k] = movGeom{hw: cw, hh: ch, h: c.H, pins: float64(len(c.Pins))}
+		b := d.FenceRect(ci)
+		p.box[k] = geom.Rect{Lo: geom.Pt(b.Lo.X+cw, b.Lo.Y+ch), Hi: geom.Pt(b.Hi.X-cw, b.Hi.Y-ch)}
+	}
+	p.loadPadding()
 	p.rects = make([]geom.Rect, 0, nm+p.nFill)
 	p.rawFx = make([]float64, nm+p.nFill)
 	p.rawFy = make([]float64, nm+p.nFill)
@@ -337,14 +374,56 @@ func NewChecked(d *netlist.Design, cfg Config) (*Placer, error) {
 // GOMAXPROCS).
 func (p *Placer) Workers() int { return p.team.Size() }
 
-// bindStage constructs the force-sweep body once. It runs over the rect
-// index space [movables | fillers], which is also the layout of each half of
-// the gradient vector. It only reads the solved field (Grid.ForceOnRect is
-// read-only) and writes disjoint gradient and raw-force slots, so any shard
-// partition produces identical bits.
+// bindStage constructs the position, projection and force-sweep bodies
+// once. All three run over the rect index space [movables | fillers],
+// which is also the layout of each half of the optimizer vector, and write
+// disjoint slots, so any shard partition produces identical bits.
 func (p *Placer) bindStage() {
+	// Positions: movable k's origin, as SetCenter computes it from its
+	// center in posX, into the wirelength model's origins (and, when
+	// posDesign, into the design), and its padded outline into rects[k];
+	// filler outlines centered on theirs.
+	p.stagePos = func(w, lo, hi int) {
+		x := p.posX
+		nm := len(p.movable)
+		off := nm + p.nFill
+		ox, oy := p.wl.Origins()
+		for k := lo; k < hi; k++ {
+			if k >= nm {
+				p.rects[k] = geom.RectWH(x[k]-float64(p.fillerW/2), x[off+k]-float64(p.fillerH/2), p.fillerW, p.fillerH)
+				continue
+			}
+			ci, g := p.movable[k], &p.geo[k]
+			cx, cy := x[k]-g.hw, x[off+k]-g.hh
+			ox[ci], oy[ci] = cx, cy
+			p.rects[k] = geom.RectWH(cx-g.padHalf, cy, g.pw, g.h)
+			if p.posDesign {
+				p.D.Cells[ci].X, p.D.Cells[ci].Y = cx, cy
+			}
+		}
+	}
+	// Projection: clamp each center into its cell's fence (the region for
+	// fillers and unfenced cells).
+	p.stageProject = func(w, lo, hi int) {
+		r := p.D.Region
+		x := p.projX
+		nm := len(p.movable)
+		off := nm + p.nFill
+		for k := lo; k < hi; k++ {
+			if k >= nm {
+				hw, hh := float64(p.fillerW/2), float64(p.fillerH/2)
+				x[k] = geom.Clamp(x[k], r.Lo.X+hw, r.Hi.X-hw)
+				x[off+k] = geom.Clamp(x[off+k], r.Lo.Y+hh, r.Hi.Y-hh)
+				continue
+			}
+			b := &p.box[k]
+			x[k] = geom.Clamp(x[k], b.Lo.X, b.Hi.X)
+			x[off+k] = geom.Clamp(x[off+k], b.Lo.Y, b.Hi.Y)
+		}
+	}
+	// Forces: read the solved field (through the footprints the deposit
+	// resolved) and apply λ and the preconditioner.
 	p.stageForce = func(w, lo, hi int) {
-		d := p.D
 		nm := len(p.movable)
 		off := nm + p.nFill
 		grad := p.evalGrad
@@ -356,19 +435,18 @@ func (p *Placer) bindStage() {
 				continue
 			}
 			if p.gather {
-				p.rawFx[k], p.rawFy[k] = p.g.ForceOnRect(p.rects[k])
+				p.rawFx[k], p.rawFy[k] = p.g.DepositedForce(k)
 			}
 			if k >= nm {
 				grad[k] = -lambda * p.rawFx[k] / hFill
 				grad[off+k] = -lambda * p.rawFy[k] / hFill
 				continue
 			}
-			ci := p.movable[k]
-			c := &d.Cells[ci]
-			gx := p.gradWx[ci] - lambda*p.rawFx[k]
-			gy := p.gradWy[ci] - lambda*p.rawFy[k]
+			ci, g := p.movable[k], &p.geo[k]
+			gx := p.gradWx[ci] - float64(lambda*p.rawFx[k])
+			gy := p.gradWy[ci] - float64(lambda*p.rawFy[k])
 			// Preconditioner: pin count + λ·charge, per ePlace.
-			h := math.Max(1, float64(len(c.Pins))+lambda*c.PaddedW()*c.H)
+			h := max(1, g.pins+float64(lambda*g.pw*g.h))
 			grad[k] = gx / h
 			grad[off+k] = gy / h
 		}
@@ -379,55 +457,50 @@ func (p *Placer) bindStage() {
 // no movable cells).
 func (p *Placer) Grid() *density.Grid { return p.g }
 
-// writePositions scatters the movable-cell portion of vector x into the
-// design as cell centers.
-func (p *Placer) writePositions(x []float64) {
-	nm := len(p.movable)
-	off := nm + p.nFill
+// loadPadding reloads the padding entries of geo from the design.
+func (p *Placer) loadPadding() {
 	for k, ci := range p.movable {
-		p.D.Cells[ci].SetCenter(geom.Pt(x[k], x[off+k]))
+		c := &p.D.Cells[ci]
+		p.geo[k].padHalf, p.geo[k].pw = float64(c.PadW/2), c.PaddedW()
 	}
 }
 
-// buildRects refreshes the reusable deposit list: the padded outlines of
-// all movable cells in movable order, then the first nFillActive filler
-// outlines read from x. The backing array is retained across calls.
-func (p *Placer) buildRects(x []float64, nFillActive int) {
-	nm := len(p.movable)
-	off := nm + p.nFill
-	p.rects = p.rects[:0]
-	for _, ci := range p.movable {
-		p.rects = append(p.rects, p.D.Cells[ci].PaddedRect())
-	}
-	for f := 0; f < nFillActive; f++ {
-		p.rects = append(p.rects, geom.RectWH(x[nm+f]-p.fillerW/2, x[off+nm+f]-p.fillerH/2, p.fillerW, p.fillerH))
-	}
+// resolve runs the position stage on vector x: the first n rects of the
+// deposit list (the movables, then n-nm fillers) and the wirelength model's
+// origins of the movables — and, with design, the movables' positions in
+// the design, which the hook and the padding optimizer read.
+func (p *Placer) resolve(x []float64, n int, design bool) {
+	p.rects = p.rects[:n]
+	p.posX, p.posDesign = x, design
+	p.team.Shards(n, p.stagePos)
+	p.posX = nil
 }
 
 // eval is the gradient oracle for the Nesterov optimizer: it computes
-// ∇(W + λD) at positions x, preconditioned per variable. Its four phases —
-// wirelength gradient, density rasterization, spectral solve, force sweep —
-// run across the configured workers, and their cumulative walls land in the
-// place.gp span args. The wirelength gradient is carried over from the
-// previous WA pass when the movable coordinates are bit-equal to its (see
-// wlX), and the force sweep reuses the raw forces of the previous gathering
-// sweep when the field and the rects are still the ones it read (see
-// rawFx).
+// ∇(W + λD) at positions x, preconditioned per variable. One position
+// stage resolves x into the wirelength origins and the deposit rects; then
+// the four phases — density rasterization (footprints, then bands),
+// wirelength gradient, spectral solve, force sweep — run across the
+// configured workers, and their cumulative walls land in the place.gp span
+// args (the position stage counts as raster). It writes nothing into the
+// design. The wirelength gradient is carried over from the previous WA
+// pass when the movable coordinates are bit-equal to its (see wlX), and
+// the force sweep reuses the raw forces of the previous gathering sweep
+// when the field and the rects are still the ones it read (see rawFx).
 func (p *Placer) eval(x, grad []float64) {
 	t := time.Now()
-	p.writePositions(x)
+	p.resolve(x, len(p.movable)+p.activeFill, false)
+	p.g.DepositRects(p.rects)
+	p.wallRaster += time.Since(t)
+
+	t = time.Now()
 	if p.carryWL(x) {
 		p.wlCarries++
 	} else {
 		p.wl.Gamma = p.gamma
-		p.wl.WirelengthAndGrad(p.gradWx, p.gradWy)
+		p.wl.GradAtOrigins(p.gradWx, p.gradWy)
 	}
 	p.wallWL += time.Since(t)
-
-	t = time.Now()
-	p.buildRects(x, p.activeFill)
-	p.g.DepositRects(p.rects)
-	p.wallRaster += time.Since(t)
 
 	t = time.Now()
 	p.g.Solve()
@@ -475,30 +548,19 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // project clamps every coordinate so cell centers stay inside the region
-// (or the cell's fence, when constrained).
+// (or the cell's fence, when constrained), in a team stage.
 func (p *Placer) project(x []float64) {
-	d := p.D
-	nm := len(p.movable)
-	off := nm + p.nFill
-	lo, hi := d.Region.Lo, d.Region.Hi
-	for k, ci := range p.movable {
-		c := &d.Cells[ci]
-		b := d.FenceRect(ci)
-		x[k] = geom.Clamp(x[k], b.Lo.X+c.W/2, b.Hi.X-c.W/2)
-		x[off+k] = geom.Clamp(x[off+k], b.Lo.Y+c.H/2, b.Hi.Y-c.H/2)
-	}
-	for f := 0; f < p.nFill; f++ {
-		x[nm+f] = geom.Clamp(x[nm+f], lo.X+p.fillerW/2, hi.X-p.fillerW/2)
-		x[off+nm+f] = geom.Clamp(x[off+nm+f], lo.Y+p.fillerH/2, hi.Y-p.fillerH/2)
-	}
+	p.projX = x
+	p.team.Shards(len(p.movable)+p.nFill, p.stageProject)
+	p.projX = nil
 }
 
 // computeOverflow measures density overflow of movable cells only (the τ
-// trigger metric), at the current major solution.
+// trigger metric), at the current major solution, and leaves the design and
+// the wirelength origins there: the hook, the padding optimizer and the
+// iteration's HPWL read them.
 func (p *Placer) computeOverflow() float64 {
-	x := p.opt.Current()
-	p.writePositions(x)
-	p.buildRects(x, 0) // movables only: fillers are not congestion
+	p.resolve(p.opt.Current(), len(p.movable), true) // movables only: fillers are not congestion
 	return p.g.OverflowOf(p.rects, targetDensity, p.movArea+p.padArea)
 }
 
@@ -508,20 +570,21 @@ func (p *Placer) updateGamma() {
 	ovf := geom.Clamp(p.overflow, 0, 1)
 	k := 20.0 / 9.0
 	b := -11.0 / 9.0
-	p.gamma = 8 * p.binBase * math.Pow(10, k*ovf+b)
+	p.gamma = 8 * p.binBase * math.Pow(10, float64(k*ovf)+b)
 }
 
 // initLambda returns the λ that balances the wirelength and density
-// gradient norms at u. It overwrites the wirelength gradient at u, so the
-// next eval recomputes it.
+// gradient norms at u. It loads every cell's origin into the wirelength
+// model — the fixed cells' stay there for the run, the position stage
+// rewrites the movables' — and leaves the design at u. It overwrites the
+// wirelength gradient at u, so the next eval recomputes it.
 func (p *Placer) initLambda() float64 {
-	x := p.opt.Current()
-
-	p.writePositions(x)
+	p.loadPadding()
+	p.wl.SyncOrigins()
+	p.resolve(p.opt.Current(), len(p.movable)+p.activeFill, true)
 	p.wl.Gamma = p.gamma
-	p.wl.WirelengthAndGrad(p.gradWx, p.gradWy)
+	p.wl.GradAtOrigins(p.gradWx, p.gradWy)
 	p.wlValid = false
-	p.buildRects(x, p.activeFill)
 	p.g.DepositRects(p.rects)
 	p.g.Solve()
 
@@ -535,6 +598,27 @@ func (p *Placer) initLambda() float64 {
 		return sumW / sumD
 	}
 	return 1
+}
+
+// lapMark is where the current section of an iteration began: the wall
+// clock and the eval phases' cumulative wall.
+type lapMark struct {
+	at    time.Time
+	evals time.Duration
+}
+
+func (p *Placer) evalWall() time.Duration {
+	return p.wallWL + p.wallRaster + p.wallSolve + p.wallForce
+}
+
+func (p *Placer) startLap() lapMark { return lapMark{time.Now(), p.evalWall()} }
+
+// lap adds the wall since m, less the eval phases run inside it (they have
+// walls of their own), to *acc, and starts the next section.
+func (p *Placer) lap(m *lapMark, acc *time.Duration) {
+	next := p.startLap()
+	*acc += next.at.Sub(m.at) - (next.evals - m.evals)
+	*m = next
 }
 
 // retireFillers deactivates fillers to offset padArea of newly added cell
@@ -581,7 +665,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 	p.overflow = 1
 	p.movArea, p.padArea = p.D.TotalMovableArea(), p.D.TotalPaddingArea()
 	p.updateGamma()
-	p.ctl.start(p.initLambda(), p.wl.HPWL())
+	p.ctl.start(p.initLambda(), p.wl.HPWLAtOrigins())
 
 	// Telemetry instruments resolve once; with a nil recorder every
 	// Observe below is a nil-check no-op (0 allocs on this hot path —
@@ -605,6 +689,10 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		span.SetArg("raster_ms", p.wallRaster.Seconds()*1e3)
 		span.SetArg("solve_ms", p.wallSolve.Seconds()*1e3)
 		span.SetArg("force_ms", p.wallForce.Seconds()*1e3)
+		span.SetArg("overflow_ms", p.wallOverflow.Seconds()*1e3)
+		span.SetArg("hook_ms", p.wallHook.Seconds()*1e3)
+		span.SetArg("hpwl_ms", p.wallHPWL.Seconds()*1e3)
+		span.SetArg("step_ms", p.wallStep.Seconds()*1e3)
 		span.SetArg("density_solves", p.g.Solves())
 		span.SetArg("density_solve_skips", p.g.SolveSkips())
 		span.SetArg("evals", p.evals)
@@ -623,25 +711,36 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 			res.Stop = StopCanceled
 			break
 		}
+		lap := p.startLap()
 		p.overflow = p.computeOverflow()
 		p.updateGamma()
 		x := p.opt.Current()
 		stop := p.ctl.observe(iter, p.overflow, x[:nm], x[off:off+nm])
+		p.lap(&lap, &p.wallOverflow)
 
-		padded := !stop && hook != nil && hook.OnIteration(iter, p.overflow)
+		padded := false
+		if !stop && hook != nil {
+			padded = hook.OnIteration(iter, p.overflow)
+			p.loadPadding() // only a hook pads cells, whatever it returns
+		}
 		if padded {
 			newPad := p.D.TotalPaddingArea()
 			p.retireFillers(newPad - p.padArea)
 			p.padArea = newPad
 			// The objective changed shape: drop the stale Nesterov
 			// momentum and the carried wirelength gradient (the round may
-			// have re-weighted the nets). λ carries over.
+			// have re-weighted the nets). λ carries over. The restart
+			// evaluates at the reference point v, and this iteration's
+			// HPWL is read there — as the design is left — so both move
+			// to v.
 			p.wlValid = false
 			p.opt.Restart()
+			p.resolve(p.opt.Reference(), nm, true)
 			p.ctl.round(iter)
 		}
+		p.lap(&lap, &p.wallHook)
 
-		hpwl := p.wl.HPWL()
+		hpwl := p.wl.HPWLAtOrigins()
 		if p.Cfg.Logf != nil && iter%50 == 0 {
 			p.Cfg.Logf("place: iter=%d overflow=%.4f hpwl=%.0f lambda=%.3g gamma=%.3g",
 				iter, p.overflow, hpwl, p.ctl.lambda, p.gamma)
@@ -657,12 +756,14 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		sStep.Observe(iter, p.opt.Alpha())
 		cIters.Inc()
 		res.Iters = iter
+		p.lap(&lap, &p.wallHPWL)
 		if stop {
 			res.Stop = p.ctl.stop
 			break
 		}
 		p.opt.Step(p.projectFn)
 		p.ctl.adapt(hpwl)
+		p.lap(&lap, &p.wallStep)
 	}
 
 	res.BestIter = p.ctl.bestIter
@@ -676,7 +777,7 @@ func (p *Placer) RunCtx(ctx context.Context, hook Hook) (*Result, error) {
 		p.overflow = p.ctl.best
 		res.Restored = true
 	} else {
-		p.writePositions(p.opt.Current())
+		p.resolve(p.opt.Current(), nm, true)
 	}
 	res.HPWL = p.D.HPWL()
 	res.Overflow = p.overflow

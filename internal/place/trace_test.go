@@ -1,6 +1,8 @@
 package place
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"puffer/internal/obs"
@@ -131,4 +133,61 @@ func BenchmarkPlaceIterObsEnabled(b *testing.B) {
 	p := benchPlacer(b.N, rec)
 	b.ResetTimer()
 	p.Run(nil)
+}
+
+// TestGPSpanArgsCoverTheSpan: the place.gp span's eight wall args — the
+// eval phases wl_grad, raster, solve and force, and the rest of an
+// iteration: overflow, hook, hpwl and step — together name at least 95 %
+// of the span's wall, and no more than all of it, on a run with a padding
+// round.
+func TestGPSpanArgsCoverTheSpan(t *testing.T) {
+	d := smallDesign(2, 2000, false)
+	cfg := quickConfig()
+	cfg.MaxIters, cfg.MinIters = 60, 60
+	cfg.StopOverflow, cfg.PlateauIters = 0, 0
+	tr := obs.NewTracer()
+	cfg.Obs = obs.NewRecorder(tr, obs.NewRegistry())
+	mustNew(d, cfg).Run(HookFunc(func(iter int, overflow float64) bool {
+		if iter != 20 {
+			return false
+		}
+		for i := range d.Cells {
+			d.Cells[i].PadW = 0.5
+		}
+		return true
+	}))
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "place.gp" {
+			continue
+		}
+		named := 0.0
+		for _, arg := range []string{"wl_grad_ms", "raster_ms", "solve_ms", "force_ms", "overflow_ms", "hook_ms", "hpwl_ms", "step_ms"} {
+			ms, ok := ev.Args[arg].(float64)
+			if !ok || ms <= 0 {
+				t.Fatalf("place.gp arg %s = %v, want a positive wall", arg, ev.Args[arg])
+			}
+			named += ms
+		}
+		span := ev.Dur / 1e3
+		t.Logf("named %.2f of %.2f ms (%.1f %%)", named, span, 100*named/span)
+		if named < 0.95*span || named > span {
+			t.Errorf("the named walls sum to %.2f ms of a %.2f ms place.gp span (%.1f %%), want 95–100 %%", named, span, 100*named/span)
+		}
+		return
+	}
+	t.Fatal("no place.gp span")
 }

@@ -39,6 +39,11 @@ type Spool struct {
 	jobs string
 
 	mu sync.Mutex // serializes read-modify-write cycles
+
+	// onWrite, when set, is called with every manifest document write
+	// commits (tests observe the spool through it). Set it before the
+	// server starts.
+	onWrite func(data []byte)
 }
 
 // OpenSpool creates (if necessary) and opens a spool rooted at dir.
@@ -98,7 +103,14 @@ func (sp *Spool) write(m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode job manifest: %w", err)
 	}
-	return fsx.AtomicWriteFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"), append(data, '\n'))
+	data = append(data, '\n')
+	if err := fsx.AtomicWriteFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"), data); err != nil {
+		return err
+	}
+	if sp.onWrite != nil {
+		sp.onWrite(data)
+	}
+	return nil
 }
 
 // ReadManifest loads one job's manifest, rejecting any that does not carry

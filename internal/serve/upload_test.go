@@ -95,62 +95,37 @@ func (fx uploadFixture) referenceHPWL(t *testing.T, spec JobSpec) float64 {
 	return res.HPWL
 }
 
-// manifestWatch samples every manifest.json under a spool while a test
-// runs, recording the largest one it saw and how many distinct versions
-// (each atomic rewrite renames a new file into place) went by.
+// manifestWatch sees every manifest a spool writes while a test runs,
+// through the spool's write seam — so no rewrite is missed however loaded
+// the host is — recording the largest and how many were written.
 type manifestWatch struct {
-	stop     chan struct{}
-	done     sync.WaitGroup
+	mu       sync.Mutex
 	max      int64
 	versions int
 }
 
-func watchManifests(root string) *manifestWatch {
-	w := &manifestWatch{stop: make(chan struct{})}
-	w.done.Add(1)
-	go func() {
-		defer w.done.Done()
-		last := map[string]os.FileInfo{}
-		for stopped := false; ; {
-			dirs, _ := os.ReadDir(filepath.Join(root, "jobs"))
-			for _, d := range dirs {
-				path := filepath.Join(root, "jobs", d.Name(), "manifest.json")
-				fi, err := os.Stat(path)
-				if err != nil {
-					continue
-				}
-				if prev, ok := last[path]; !ok || !os.SameFile(prev, fi) {
-					w.versions++
-				}
-				last[path] = fi
-				w.max = max(w.max, fi.Size())
-			}
-			if stopped {
-				return
-			}
-			select {
-			case <-w.stop:
-				// One more pass: a rewrite that landed since the last one
-				// (the response that triggered check comes after it) counts.
-				stopped = true
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}()
+func watchManifests(sp *Spool) *manifestWatch {
+	w := &manifestWatch{}
+	sp.onWrite = func(data []byte) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.versions++
+		w.max = max(w.max, int64(len(data)))
+	}
 	return w
 }
 
-// check stops the watch and fails t unless every sampled manifest stayed
-// under maxUploadManifest and at least minVersions rewrites were seen.
+// check fails t unless every manifest written so far stayed under
+// maxUploadManifest and at least minVersions were written.
 func (w *manifestWatch) check(t *testing.T, minVersions int) {
 	t.Helper()
-	close(w.stop)
-	w.done.Wait()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.max >= maxUploadManifest {
 		t.Errorf("a spooled manifest reached %d bytes, want < %d: the upload is still inline", w.max, maxUploadManifest)
 	}
 	if w.versions < minVersions {
-		t.Errorf("watch saw %d manifest versions, want ≥ %d", w.versions, minVersions)
+		t.Errorf("the spool wrote %d manifest versions, want ≥ %d", w.versions, minVersions)
 	}
 }
 
@@ -205,10 +180,10 @@ func TestUploadJobStoredOnce(t *testing.T) {
 	fx := newUploadFixture(t)
 	spool := t.TempDir()
 	s := newTestServer(t, Config{SpoolDir: spool})
+	watch := watchManifests(s.spool)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	watch := watchManifests(spool)
 
 	spec := fx.jobSpec()
 	body := postRaw(t, ts.URL+"/api/v1/jobs", spec)
@@ -246,10 +221,10 @@ func TestUploadSessionStoredOnce(t *testing.T) {
 	fx := newUploadFixture(t)
 	spool := t.TempDir()
 	s := newTestServer(t, Config{SpoolDir: spool})
+	watch := watchManifests(s.spool)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	watch := watchManifests(spool)
 
 	spec := JobSpec{Kind: KindSession, Bookshelf: fx.files, Seed: 3, MaxIters: 100, Workers: 1}
 	spec.Normalize()

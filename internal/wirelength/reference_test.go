@@ -11,8 +11,9 @@ import (
 	"puffer/internal/par"
 )
 
-// netAxisReference is the kernel netAxis replaced, kept verbatim as the
-// oracle: two math.Exp calls per pin.
+// netAxisReference is the kernel netAxis replaced, kept as the oracle: two
+// math.Exp calls per pin, writing per-pin-ID slots. Its products are
+// converted like netAxis's, so neither fuses on any architecture.
 func netAxisReference(gamma float64, ep, em, xs []float64, pins []int, pinG []float64, w float64) float64 {
 	inv := 1 / gamma
 	xmax, xmin := xs[0], xs[0]
@@ -30,15 +31,15 @@ func netAxisReference(gamma float64, ep, em, xs []float64, pins []int, pinG []fl
 		ep[i] = math.Exp((x - xmax) * inv)
 		em[i] = math.Exp((xmin - x) * inv)
 		s0p += ep[i]
-		s1p += x * ep[i]
+		s1p += float64(x * ep[i])
 		s0m += em[i]
-		s1m += x * em[i]
+		s1m += float64(x * em[i])
 	}
 	wp := s1p / s0p // smooth max
 	wm := s1m / s0m // smooth min
 	for i, x := range xs {
-		gp := ep[i] * ((1 + x*inv) - wp*inv) / s0p
-		gm := em[i] * ((1 - x*inv) + wm*inv) / s0m
+		gp := ep[i] * ((1 + float64(x*inv)) - float64(wp*inv)) / s0p
+		gm := em[i] * ((1 - float64(x*inv)) + float64(wm*inv)) / s0m
 		pinG[pins[i]] = w * (gp - gm)
 	}
 	return wp - wm
@@ -60,16 +61,18 @@ func axisWLReference(gamma float64, xs []float64) float64 {
 		ep := math.Exp((x - xmax) * inv)
 		em := math.Exp((xmin - x) * inv)
 		s0p += ep
-		s1p += x * ep
+		s1p += float64(x * ep)
 		s0m += em
-		s1m += x * em
+		s1m += float64(x * em)
 	}
 	return s1p/s0p - s1m/s0m
 }
 
 // referenceEval is WirelengthAndGrad and Wirelength over the reference
-// kernels: per-pin gradient slots, per-cell sums in pin order, and the
-// total over the model's fixed shards.
+// kernels and the gather the net-major pass replaced: each net reads its
+// pins through d.Pins by ID (Design.PinPos), writes per-pin-ID gradient
+// slots, and each cell sums its pins' slots in pin order; the total runs
+// over the model's fixed shards.
 func referenceEval(d *netlist.Design, gamma float64, gradX, gradY []float64) (withGrad, plain float64) {
 	pinGX, pinGY := make([]float64, len(d.Pins)), make([]float64, len(d.Pins))
 	wlGrad, wlPlain := make([]float64, len(d.Nets)), make([]float64, len(d.Nets))
@@ -89,8 +92,8 @@ func referenceEval(d *netlist.Design, gamma float64, gradX, gradY []float64) (wi
 			px[i], py[i] = p.X, p.Y
 		}
 		ep, em := make([]float64, k), make([]float64, k)
-		wlGrad[n] = wt*netAxisReference(gamma, ep, em, px, net.Pins, pinGX, wt) +
-			wt*netAxisReference(gamma, ep, em, py, net.Pins, pinGY, wt)
+		wlGrad[n] = float64(wt*netAxisReference(gamma, ep, em, px, net.Pins, pinGX, wt)) +
+			float64(wt*netAxisReference(gamma, ep, em, py, net.Pins, pinGY, wt))
 		wlPlain[n] = wt * (axisWLReference(gamma, px) + axisWLReference(gamma, py))
 	}
 	for c := range d.Cells {
@@ -168,7 +171,7 @@ func TestSharedExponentialsMatchReference(t *testing.T) {
 		for _, gamma := range []float64{0.01, 0.5, 8, 1e6} {
 			wantGX, wantGY := make([]float64, len(d.Cells)), make([]float64, len(d.Cells))
 			wantGrad, wantPlain := referenceEval(d, gamma, wantGX, wantGY)
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 2, 3} {
 				m := New(d, gamma)
 				m.SetWorkers(workers)
 				m.Team().Start()
@@ -185,6 +188,65 @@ func TestSharedExponentialsMatchReference(t *testing.T) {
 							seed, gamma, workers, c, gx[c], gy[c], wantGX[c], wantGY[c])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestNetMajorPassMatchesPinIDGather: the net-major pins and the cell →
+// slot reduce give the pin-ID gather's bits — every cell gradient and both
+// totals, through WirelengthAndGrad and through GradAtOrigins on origins
+// written by hand, at Workers 1, 2 and 3 — on a design with a pin no net
+// lists, single-pin nets and net weights changed after New (the model reads
+// them live, as padding rounds need).
+func TestNetMajorPassMatchesPinIDGather(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	d := cornerDesign(7)
+	lone := d.AddNet("lone", 1)
+	d.Connect(5, lone, 0.5, 0.5)
+	d.Pins = append(d.Pins, netlist.Pin{Cell: 9, Net: lone, Dx: 1})
+	d.Cells[9].Pins = append(d.Cells[9].Pins, len(d.Pins)-1) // in no net's list
+	models := map[int]*Model{}
+	for _, workers := range []int{1, 2, 3} {
+		models[workers] = New(d, 1)
+		models[workers].SetWorkers(workers)
+	}
+	for n := range d.Nets {
+		if n%3 == 0 {
+			d.Nets[n].Weight = float64(n%7) + 0.5
+		}
+	}
+	for _, gamma := range []float64{0.05, 3} {
+		wantGX, wantGY := make([]float64, len(d.Cells)), make([]float64, len(d.Cells))
+		want, _ := referenceEval(d, gamma, wantGX, wantGY)
+		for workers, m := range models {
+			m.Gamma = gamma
+			m.Team().Start()
+			gx, gy := make([]float64, len(d.Cells)), make([]float64, len(d.Cells))
+			got := m.WirelengthAndGrad(gx, gy)
+			ox, oy := m.Origins()
+			for c := range d.Cells {
+				ox[c], oy[c] = d.Cells[c].X, d.Cells[c].Y
+			}
+			hx, hy := make([]float64, len(d.Cells)), make([]float64, len(d.Cells))
+			atOrigins := m.GradAtOrigins(hx, hy)
+			hpwl := m.HPWLAtOrigins()
+			m.Team().Stop()
+			for _, tot := range []float64{got, atOrigins} {
+				if math.Float64bits(tot) != math.Float64bits(want) {
+					t.Fatalf("γ=%v workers=%d: total %v, pin-ID gather %v", gamma, workers, tot, want)
+				}
+			}
+			for c := range gx {
+				for _, g := range [][2]float64{{gx[c], gy[c]}, {hx[c], hy[c]}} {
+					if math.Float64bits(g[0]) != math.Float64bits(wantGX[c]) || math.Float64bits(g[1]) != math.Float64bits(wantGY[c]) {
+						t.Fatalf("γ=%v workers=%d: cell %d gradient %v, pin-ID gather (%v, %v)",
+							gamma, workers, c, g, wantGX[c], wantGY[c])
+					}
+				}
+			}
+			if hpwl != d.HPWL() {
+				t.Fatalf("workers=%d: HPWLAtOrigins %v, Design.HPWL %v", workers, hpwl, d.HPWL())
 			}
 		}
 	}

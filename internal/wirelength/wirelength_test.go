@@ -294,3 +294,34 @@ func TestModelHPWLEqualsDesignHPWL(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanOfCoversEveryItemOnce: however the slots are cut into shards,
+// spanOf hands every item of a CSR offset array — pinless ones at the
+// start, in the middle and at the end included — to exactly one shard.
+func TestSpanOfCoversEveryItemOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		starts := []int32{0}
+		for i := rng.Intn(12); i >= 0; i-- {
+			k := int32(rng.Intn(4)) // 0: a pinless item
+			starts = append(starts, starts[len(starts)-1]+k)
+		}
+		items := len(starts) - 1
+		for shards := 1; shards <= 5; shards++ {
+			seen := make([]int, items)
+			n := slots(starts)
+			for w := 0; w < min(shards, n); w++ {
+				lo, hi := par.ShardRange(w, min(shards, n), n)
+				i0, i1 := spanOf(starts, lo, hi)
+				for i := i0; i < i1; i++ {
+					seen[i]++
+				}
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("starts %v, %d shards: item %d owned %d times", starts, shards, i, c)
+				}
+			}
+		}
+	}
+}
